@@ -29,6 +29,7 @@ from .metrics import (
 from .oracles import (
     SvrgState,
     gsgo_sample,
+    svrgo_grad,
     svrgo_sample,
     svrgo_update_reference,
 )

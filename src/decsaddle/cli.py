@@ -244,22 +244,27 @@ def cmd_reference(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _derived_report(cfg: RunConfig):
-    """Build every derived constant; returns (lines, failures)."""
+def build(cfg: RunConfig):
+    """The one build path of run and validate: returns
+    (dataset, problem, graph, spectrum, compressor)."""
+    dataset = build_dataset(cfg)
+    prob = build_problem(cfg, dataset, _node_count(cfg))
+    g, spec = build_graph(cfg)
+    compressor = build_compressor(cfg, prob.d)
+    return dataset, prob, g, spec, compressor
+
+
+def _derived_report(cfg: RunConfig, prob: RobustLRProblem, spec, compressor):
+    """Every derived constant of the built objects; returns (lines, failures)."""
     lines = []
     failures = []
-    dataset = build_dataset(cfg)
-    m = _node_count(cfg)
-    prob = build_problem(cfg, dataset, m)
     consts = prob.constants
-    lines.append(f"nodes m = {m}, batches n = {prob.n}, samples N = {prob.N}")
+    lines.append(f"nodes m = {prob.m}, batches n = {prob.n}, samples N = {prob.N}")
     for name in ("mu_x", "mu_y", "L_xx", "L_yy", "L_xy", "L_yx", "L", "mu", "kappa_f"):
         lines.append(f"{name} = {getattr(consts, name):.10g}")
-    g, spec = build_graph(cfg)
     lines.append(f"lambda_max(I-W) = {spec.lambda_max:.10g}")
     lines.append(f"lambda_second_smallest(I-W) = {spec.lambda_second_smallest:.10g}")
     lines.append(f"kappa_g = {spec.kappa_g:.10g}")
-    compressor = build_compressor(cfg, prob.d)
     lines.append(f"compression delta = {compressor.delta:.10g}")
     if cfg.algorithm == "crdpsg":
         stages = cfg.budget.get("stages", 1)
@@ -292,11 +297,12 @@ def _derived_report(cfg: RunConfig):
             )
         except InfeasibleParameterError as e:
             failures.append(str(e))
-    return lines, failures, (dataset, prob, g, spec, compressor)
+    return lines, failures
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    lines, failures, _ = _derived_report(cfg)
+    _, prob, _, spec, compressor = build(cfg)
+    lines, failures = _derived_report(cfg, prob, spec, compressor)
     for line in lines:
         print(line)
     if failures:
@@ -311,11 +317,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_run(cfg: RunConfig) -> int:
     if cfg.algorithm == "reference":
         return cmd_reference(cfg)
-    dataset = build_dataset(cfg)
-    m = _node_count(cfg)
-    prob = build_problem(cfg, dataset, m)
-    g, spec = build_graph(cfg)
-    compressor = build_compressor(cfg, prob.d)
+    dataset, prob, g, spec, compressor = build(cfg)
     z_star = resolve_reference(cfg, dataset)
     stride = cfg.log.get("stride")
     x0 = np.zeros(prob.d)
@@ -343,7 +345,7 @@ def cmd_run(cfg: RunConfig) -> int:
     out = cfg.log.get("output", "trace.csv")
     with open(out, "w") as fh:
         fh.write(trace.to_csv())
-    meta_lines, failures, _ = _derived_report(cfg)
+    meta_lines, failures = _derived_report(cfg, prob, spec, compressor)
     with open(out + ".meta", "w") as fh:
         fh.write(json.dumps({"config": cfg.__dict__, "derived": meta_lines}, indent=2))
         fh.write("\n")

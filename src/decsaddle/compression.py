@@ -51,6 +51,7 @@ class Compressor:
         return self.bits + 1 if self.kind == "quantize_inf" else 32
 
     def apply(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Compress each row of x (a 1-D x is one row)."""
         if self.kind == "identity":
             return np.array(x, dtype=float)
         return quantize_inf(x, self.bits, rng)
@@ -61,15 +62,22 @@ def identity_compressor() -> Compressor:
 
 
 def quantize_inf(x: np.ndarray, b: int, rng: np.random.Generator) -> np.ndarray:
-    """Unbiased b-bit quantizer with infinity-norm scaling.
+    """Unbiased b-bit quantizer with infinity-norm scaling, row by row.
 
-    Q(x) = (||x||_inf 2^{1-b} sign(x)) * floor(2^{b-1}|x| / ||x||_inf + u)
-    with u drawn i.i.d. uniform per coordinate.  Q(0) = 0.
+    Each row v of x (a 1-D x is one row) maps to
+    Q(v) = (||v||_inf 2^{1-b} sign(v)) * floor(2^{b-1}|v| / ||v||_inf + u)
+    with u drawn i.i.d. uniform per coordinate, and a zero row maps to
+    zero without drawing.  One call thus consumes the draws of one call per
+    nonzero row, in row order.
     """
     x = np.asarray(x, dtype=float)
-    scale = np.max(np.abs(x))
-    if scale == 0.0:
-        return np.zeros_like(x)
+    scale = np.max(np.abs(x), axis=-1, keepdims=True)
+    nonzero = scale[..., 0] > 0.0
+    if not np.all(nonzero):
+        out = np.zeros_like(x)
+        if np.any(nonzero):
+            out[nonzero] = quantize_inf(x[nonzero], b, rng)
+        return out
     levels = 2.0 ** (b - 1)
     u = rng.random(x.shape)
     q = np.floor(levels * np.abs(x) / scale + u)
@@ -104,11 +112,11 @@ def estimate_delta(
     per_trial = max(trials // len(probes), 1000)
     worst = 0.0
     for v in probes:
-        err = 0.0
-        for _ in range(per_trial):
-            q = c.apply(v, rng)
-            err += float(np.sum((q - v) ** 2))
-        worst = max(worst, err / per_trial)
+        # all trials of one probe in one call: one row per trial; the
+        # running sum adds the trial errors in trial order
+        q = c.apply(np.tile(v, (per_trial, 1)), rng)
+        err = np.cumsum(np.sum((q - v) ** 2, axis=1))[-1]
+        worst = max(worst, float(err) / per_trial)
     return worst
 
 
@@ -147,9 +155,7 @@ def comm_step(
             f"alpha = {alpha:.4g} outside (0, 1/(1+delta)) with delta = {c.delta:.4g}"
         )
     nu = np.asarray(nu, dtype=float)
-    Q = np.empty_like(nu)
-    for i in range(g.m):
-        Q[i] = c.apply(nu[i] - st.H[i], rng)
+    Q = c.apply(nu - st.H, rng)
     nu_hat = st.H + Q
     nu_hat_w = st.Hw + mix(g, Q)
     new_st = CommState(

@@ -9,7 +9,7 @@ import numpy as np
 
 from .compression import CommState, Compressor, comm_step
 from .metrics import CostCounters
-from .problem import PrimalDualPoint, RobustLRProblem
+from .problem import RobustLRProblem
 from .topology import DecGraph
 
 
@@ -71,24 +71,18 @@ def ipdhg_step(
     rng: np.random.Generator,
     counters: CostCounters | None = None,
 ) -> NodeEnsemble:
-    """Advance every node one iteration.
+    """Advance every node one iteration, as array operations over the whole
+    (m, d) ensemble.
 
-    oracle(i, z_i, rng) -> (gx, gy, cost).  Both gradient blocks are
-    evaluated at the old (x, y); the x-block then the y-block are updated.
-    One gossip round is recorded: the x and y payloads piggyback on a
-    single exchange.
+    oracle(X, Y, rng) -> (Gx, Gy, cost): stacked gradient blocks of every
+    node at its rows of (X, Y), with cost the gradient units summed over
+    nodes.  Both gradient blocks are evaluated at the old (x, y); the
+    x-block then the y-block are updated.  One gossip round is recorded:
+    the x and y payloads piggyback on a single exchange.  Raises
+    FloatingPointError if a new iterate is not finite.
     """
-    m = g.m
     s = params.s
-    Gx = np.empty_like(ens.x)
-    Gy = np.empty_like(ens.y)
-    total_cost = 0
-    for i in range(m):
-        z_i = PrimalDualPoint(ens.x[i], ens.y[i])
-        gx, gy, cost = oracle(i, z_i, rng)
-        Gx[i] = gx
-        Gy[i] = gy
-        total_cost += cost
+    Gx, Gy, cost = oracle(ens.x, ens.y, rng)
 
     nu_x = ens.x - s * Gx - s * ens.Dx
     nu_hat_x, nu_hat_w_x, comm_x = comm_step(
@@ -96,8 +90,7 @@ def ipdhg_step(
     )
     diff_x = nu_hat_x - nu_hat_w_x
     Dx_new = ens.Dx + (params.gamma_x / (2.0 * s)) * diff_x
-    x_hat = nu_x - (params.gamma_x / 2.0) * diff_x
-    x_new = np.stack([prob.prox_primal(x_hat[i], s) for i in range(m)])
+    x_new = prob.prox_primal(nu_x - (params.gamma_x / 2.0) * diff_x, s)
 
     nu_y = ens.y + s * Gy - s * ens.Dy
     nu_hat_y, nu_hat_w_y, comm_y = comm_step(
@@ -105,12 +98,13 @@ def ipdhg_step(
     )
     diff_y = nu_hat_y - nu_hat_w_y
     Dy_new = ens.Dy + (params.gamma_y / (2.0 * s)) * diff_y
-    y_hat = nu_y - (params.gamma_y / 2.0) * diff_y
-    y_new = np.stack([prob.prox_dual(y_hat[i], s) for i in range(m)])
+    y_new = prob.prox_dual(nu_y - (params.gamma_y / 2.0) * diff_y, s)
 
+    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))):
+        raise FloatingPointError("non-finite iterate after an IPDHG step")
     if counters is not None:
-        counters.add_grad(total_cost)
-        payload_coords = m * (ens.x.shape[1] + ens.y.shape[1])
+        counters.add_grad(cost)
+        payload_coords = g.m * (ens.x.shape[1] + ens.y.shape[1])
         counters.add_round(payload_coords, compressor.bits_per_coord)
 
     return NodeEnsemble(

@@ -76,10 +76,7 @@ class SaddleAnchors:
 
 def compute_anchors(prob: RobustLRProblem, z_star: PrimalDualPoint, s: float) -> SaddleAnchors:
     m = prob.m
-    Gx = np.empty((m, prob.d))
-    Gy = np.empty((m, prob.d))
-    for i in range(m):
-        Gx[i], Gy[i] = prob.grad_full(i, z_star)
+    Gx, Gy = prob.full_grads(np.tile(z_star.x, (m, 1)), np.tile(z_star.y, (m, 1)))
     # subtract the per-node mean: projection by I - J with J = 11^T / m
     D_star_x = -(Gx - Gx.mean(axis=0))
     D_star_y = Gy - Gy.mean(axis=0)
@@ -126,8 +123,7 @@ def phi(ens, anchors: SaddleAnchors, params, delta: float, spec: SpectralInfo) -
 def phi_tilde(ens, anchors: SaddleAnchors, svrg_state, params, spec: SpectralInfo) -> float:
     """phi plus the reference-point error terms of the variance-reduced run."""
     val = phi(ens, anchors, params, params.delta, spec)
-    xt = np.stack([z.x for z in svrg_state.z_tilde])
-    yt = np.stack([z.y for z in svrg_state.z_tilde])
+    xt, yt = svrg_state.x_tilde, svrg_state.y_tilde
     val += params.c_tilde_x * float(np.sum((xt - anchors.z_star.x) ** 2))
     val += params.c_tilde_y * float(np.sum((yt - anchors.z_star.y) ** 2))
     return val

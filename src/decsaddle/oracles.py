@@ -1,39 +1,48 @@
 """Stochastic gradient oracles: plain minibatch (GSGO) and variance
-reduced (SVRGO).
+reduced (SVRGO), evaluated for every node at once.
 
-Gradient units count batch-gradient evaluations: 1 per GSGO draw, 2 per
-SVRGO draw, and m*n for a full reference refresh.
+Iterates are stacked (m, d) arrays, row i belonging to node i.  Each
+sampler draws one batch index per node in a single call that consumes
+exactly the draws of m sequential per-node calls, in node order.
+
+Gradient units count batch-gradient evaluations: 1 per node per GSGO
+draw, 2 per node per SVRGO draw, and m*n for a full reference refresh.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import PrimalDualPoint, RobustLRProblem
+from .problem import RobustLRProblem
 
 
 def gsgo_sample(
-    p: RobustLRProblem, i: int, z_i: PrimalDualPoint, rng: np.random.Generator
+    p: RobustLRProblem, X: np.ndarray, Y: np.ndarray, rng: np.random.Generator
 ):
-    """Uniformly sampled batch gradient; unbiased for grad_full.
+    """Uniformly sampled batch gradient per node; unbiased for full_grads.
 
-    Returns (gx, gy, cost) with cost = 1 gradient unit.
+    Returns (Gx, Gy, cost) with cost = m gradient units.
     """
-    j = int(rng.integers(p.n))
-    gx, gy = p.grad_batch(i, j, z_i)
-    return gx, gy, 1
+    J = rng.integers(p.n, size=p.m)  # the draws of m calls rng.integers(n)
+    Gx, Gy = p.batch_grads(X, Y, J)
+    return Gx, Gy, p.m
 
 
 @dataclass
 class SvrgState:
     """Per-node reference points, cached full gradients, and sampling law."""
 
-    z_tilde: list  # per node, PrimalDualPoint
-    g_tilde: list  # per node, (gx, gy) = grad_full at z_tilde
+    x_tilde: np.ndarray  # (m, d) reference points
+    y_tilde: np.ndarray
+    gx_tilde: np.ndarray  # (m, d) full gradients at the reference points
+    gy_tilde: np.ndarray
     P: np.ndarray  # (m, n) sampling probabilities, rows sum to 1
     p: float  # Bernoulli refresh probability
+    cdf: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)  # 1 / (n P)
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
@@ -44,6 +53,10 @@ class SvrgState:
         if np.max(np.abs(P.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("each node's sampling law must sum to 1")
         self.P = P
+        # normalized row-wise cumulative law, as Generator.choice builds it
+        cdf = np.cumsum(P, axis=1)
+        self.cdf = cdf / cdf[:, -1:]
+        self.weights = 1.0 / (P.shape[1] * P)
 
     @property
     def p_min(self) -> float:
@@ -53,43 +66,68 @@ class SvrgState:
     def initialize(
         cls,
         prob: RobustLRProblem,
-        z0: list,
+        X: np.ndarray,
+        Y: np.ndarray,
         p: float,
         P: np.ndarray | None = None,
     ) -> "SvrgState":
-        """Reference at z0 with fresh full gradients; uniform law by default."""
+        """Reference at (X, Y) with fresh full gradients; uniform law by default."""
         if P is None:
             P = np.full((prob.m, prob.n), 1.0 / prob.n)
-        g_tilde = [prob.grad_full(i, z0[i]) for i in range(prob.m)]
-        return cls(z_tilde=list(z0), g_tilde=g_tilde, P=P, p=p)
+        Gx, Gy = prob.full_grads(X, Y)
+        return cls(x_tilde=X, y_tilde=Y, gx_tilde=Gx, gy_tilde=Gy, P=P, p=p)
+
+    def draw_batches(self, rng: np.random.Generator) -> np.ndarray:
+        """One batch index per node from its row of P.
+
+        Consumes the draws of m calls rng.choice(n, p=P[i]): one uniform
+        per node, located by searchsorted(cdf[i], u, side="right").
+        """
+        u = rng.random(self.cdf.shape[0])
+        return np.sum(self.cdf <= u[:, None], axis=1)
+
+
+def svrgo_grad(
+    p: RobustLRProblem,
+    X: np.ndarray,
+    Y: np.ndarray,
+    st: SvrgState,
+    J: np.ndarray,
+):
+    """Control-variate gradient of every node on batch J[i], anchored at the
+    node's reference point.
+
+    Returns (Gx, Gy, cost) with cost = 2 gradient units per node (fresh
+    batch gradient plus the same batch at the reference).
+    """
+    m = len(J)
+    w = st.weights[np.arange(m), J][:, None]
+    # fresh rows 0..m-1 and reference rows m..2m-1 in one kernel call
+    Gx, Gy = p.batch_grads(
+        np.concatenate([X, st.x_tilde]), np.concatenate([Y, st.y_tilde]),
+        np.concatenate([J, J]),
+    )
+    Gx = w * (Gx[:m] - Gx[m:]) + st.gx_tilde
+    Gy = w * (Gy[:m] - Gy[m:]) + st.gy_tilde
+    return Gx, Gy, 2 * m
 
 
 def svrgo_sample(
     p: RobustLRProblem,
-    i: int,
-    z_i: PrimalDualPoint,
+    X: np.ndarray,
+    Y: np.ndarray,
     st: SvrgState,
     rng: np.random.Generator,
 ):
-    """Control-variate gradient anchored at the node's reference point.
-
-    Returns (gx, gy, cost) with cost = 2 gradient units (fresh batch
-    gradient plus the same batch at the reference).
-    """
-    l = int(rng.choice(p.n, p=st.P[i]))
-    w = 1.0 / (p.n * st.P[i, l])
-    gx_new, gy_new = p.grad_batch(i, l, z_i)
-    gx_ref, gy_ref = p.grad_batch(i, l, st.z_tilde[i])
-    tx, ty = st.g_tilde[i]
-    gx = w * (gx_new - gx_ref) + tx
-    gy = w * (gy_new - gy_ref) + ty
-    return gx, gy, 2
+    """svrgo_grad on batches drawn from the sampling law."""
+    return svrgo_grad(p, X, Y, st, st.draw_batches(rng))
 
 
 def svrgo_update_reference(
     st: SvrgState,
     prob: RobustLRProblem,
-    z_t: list,
+    X: np.ndarray,
+    Y: np.ndarray,
     rng: np.random.Generator,
 ):
     """Shared Bernoulli(p) refresh of every node's reference point.
@@ -101,6 +139,8 @@ def svrgo_update_reference(
     omega = rng.random() < st.p
     if not omega:
         return st, 0
-    z_new = list(z_t)
-    g_new = [prob.grad_full(i, z_new[i]) for i in range(prob.m)]
-    return SvrgState(z_tilde=z_new, g_tilde=g_new, P=st.P, p=st.p), prob.m * prob.n
+    # same law and coin, so the checked fields carry over unchanged
+    state = copy.copy(st)
+    state.x_tilde, state.y_tilde = X, Y
+    state.gx_tilde, state.gy_tilde = prob.full_grads(X, Y)
+    return state, prob.m * prob.n

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .data import Dataset, Partition
 
@@ -54,7 +53,13 @@ class PrimalDualPoint:
 
 class RobustLRProblem:
     """Per-node, per-batch losses with gradients, ball projections, and
-    worst-case smoothness constants."""
+    worst-case smoothness constants.
+
+    The batches are stored once as a zero-padded (m, n, B, d) feature tensor
+    A with (m, n, B) labels b, B the largest batch size.  A padded sample has
+    features 0 and label 0, so it adds exactly zero to both gradient blocks.
+    Every gradient, for one node or the whole ensemble, goes through _grad.
+    """
 
     def __init__(
         self,
@@ -83,25 +88,32 @@ class RobustLRProblem:
         )
         if len(covered) != self.N or len(np.unique(covered)) != self.N:
             raise ValueError("partition is not a disjoint cover of the dataset")
+        self.sizes = np.array(
+            [[len(part.batch(i, j)) for j in range(part.n)] for i in range(part.m)]
+        )
+        if np.any(self.sizes == 0):
+            i, j = np.argwhere(self.sizes == 0)[0]
+            raise ValueError(f"batch ({i}, {j}) is empty")
         dense = ds.dense()
-        # batches[i][j] = (A, b) with A rows a_l, labels b_l
-        self.batches = [
-            [
-                (dense[part.batch(i, j)], ds.labels[part.batch(i, j)])
-                for j in range(part.n)
-            ]
-            for i in range(part.m)
-        ]
-        for i in range(part.m):
-            for j in range(part.n):
-                if self.batches[i][j][0].shape[0] == 0:
-                    raise ValueError(f"batch ({i}, {j}) is empty")
+        B = int(self.sizes.max())
+        self.A = np.zeros((self.m, self.n, B, self.d))
+        self.b = np.zeros((self.m, self.n, B))
+        for i in range(self.m):
+            for j in range(self.n):
+                idx = part.batch(i, j)
+                self.A[i, j, : len(idx)] = dense[idx]
+                self.b[i, j, : len(idx)] = ds.labels[idx]
         self.constants = (
             constants if constants is not None else self.lipschitz_constants()
         )
 
+    def batch(self, i: int, j: int):
+        """(A, b) of batch (i, j) without padding."""
+        k = self.sizes[i, j]
+        return self.A[i, j, :k], self.b[i, j, :k]
+
     def loss_batch(self, i: int, j: int, z: PrimalDualPoint) -> float:
-        A, b = self.batches[i][j]
+        A, b = self.batch(i, j)
         t = b * ((A + z.y) @ z.x)
         # log(1 + exp(-t)) computed stably for large |t|
         logistic = np.logaddexp(0.0, -t)
@@ -111,24 +123,55 @@ class RobustLRProblem:
             - (self.beta / (2 * self.m)) * np.dot(z.y, z.y)
         )
 
+    def _grad(self, A, b, X, Y, c: float):
+        """Gradient blocks of k losses at once.
+
+        Row r is the loss over samples A[r] (B, d) with labels b[r], scaled
+        by c, plus the regularizers, evaluated at (X[r], Y[r]).
+        """
+        AY = A + Y[:, None, :]
+        t = b * (AY @ X[:, :, None])[..., 0]
+        coeff = -b * sigmoid(-t)  # one scalar per sample
+        Gx = c * (coeff[:, None, :] @ AY)[:, 0] + (self.lam / self.m) * X
+        Gy = (c * coeff.sum(axis=1))[:, None] * X - (self.beta / self.m) * Y
+        return Gx, Gy
+
+    def batch_grads(self, X: np.ndarray, Y: np.ndarray, J: np.ndarray):
+        """Row r: gradient of node r mod m's batch J[r] at (X[r], Y[r]).
+
+        Rows past the m-th cycle through the nodes again, so one call can
+        evaluate the ensemble at several stacked points.
+        """
+        nodes = np.arange(len(J)) % self.m
+        return self._grad(self.A[nodes, J], self.b[nodes, J], X, Y, self.n / self.N)
+
+    def full_grads(self, X: np.ndarray, Y: np.ndarray):
+        """Row i: average of node i's n batch gradients at (X[i], Y[i])."""
+        return self._batch_mean(self.A, self.b, X, Y)
+
+    def _batch_mean(self, A, b, X, Y):
+        """Row r: mean over the n batches A[r] (n, B, d) at (X[r], Y[r])."""
+        k, n, B, d = A.shape
+        Gx, Gy = self._grad(
+            A.reshape(k * n, B, d), b.reshape(k * n, B),
+            np.repeat(X, n, axis=0), np.repeat(Y, n, axis=0), self.n / self.N,
+        )
+        # summed over batches in batch order, then divided by n
+        return Gx.reshape(k, n, d).sum(axis=1) / n, Gy.reshape(k, n, d).sum(axis=1) / n
+
     def grad_batch(self, i: int, j: int, z: PrimalDualPoint):
-        A, b = self.batches[i][j]
-        t = b * ((A + z.y) @ z.x)
-        sig = expit(-t)  # 1 / (1 + exp(t))
-        coeff = -b * sig  # one scalar per sample
-        gx = (self.n / self.N) * ((A + z.y).T @ coeff) + (self.lam / self.m) * z.x
-        gy = (self.n / self.N) * np.sum(coeff) * z.x - (self.beta / self.m) * z.y
-        return gx, gy
+        gx, gy = self._grad(
+            self.A[i, j][None], self.b[i, j][None], z.x[None], z.y[None],
+            self.n / self.N,
+        )
+        return gx[0], gy[0]
 
     def grad_full(self, i: int, z: PrimalDualPoint):
         """Average of batch gradients; costs n gradient units."""
-        gx = np.zeros(self.d)
-        gy = np.zeros(self.d)
-        for j in range(self.n):
-            bx, by = self.grad_batch(i, j, z)
-            gx += bx
-            gy += by
-        return gx / self.n, gy / self.n
+        gx, gy = self._batch_mean(
+            self.A[i : i + 1], self.b[i : i + 1], z.x[None], z.y[None]
+        )
+        return gx[0], gy[0]
 
     def prox_primal(self, x: np.ndarray, s: float) -> np.ndarray:
         return _project_ball(x, self.R_x)
@@ -138,54 +181,48 @@ class RobustLRProblem:
 
     def lipschitz_constants(self) -> SaddleConstants:
         """Worst-case per-batch smoothness bounds over the constraint balls."""
-        L_xx = L_yy = L_xy = 0.0
-        for i in range(self.m):
-            for j in range(self.n):
-                A, _ = self.batches[i][j]
-                N_ij = A.shape[0]
-                sq = float(np.sum(A**2))
-                norms = float(np.sum(np.linalg.norm(A, axis=1)))
-                c = self.n / self.N
-                L_xx = max(
-                    L_xx,
-                    0.5 * c * sq + 0.5 * c * N_ij * self.R_y**2 + self.lam / self.m,
-                )
-                L_yy = max(L_yy, 0.25 * c * N_ij * self.R_x**2 + self.beta / self.m)
-                L_xy = max(
-                    L_xy,
-                    c
-                    * (
-                        (1.0 + self.R_x * self.R_y / 4.0) * N_ij
-                        + (self.R_x / 4.0) * norms
-                    ),
-                )
+        c = self.n / self.N
+        N_ij = self.sizes
+        sq = np.sum(self.A**2, axis=(2, 3))
+        norms = np.sum(np.linalg.norm(self.A, axis=3), axis=2)
+        L_xx = np.max(0.5 * c * sq + 0.5 * c * N_ij * self.R_y**2) + self.lam / self.m
+        L_yy = np.max(0.25 * c * N_ij * self.R_x**2) + self.beta / self.m
+        L_xy = np.max(
+            c * ((1.0 + self.R_x * self.R_y / 4.0) * N_ij + (self.R_x / 4.0) * norms)
+        )
         return SaddleConstants(
             mu_x=self.lam,
             mu_y=self.beta,
-            L_xx=L_xx,
-            L_yy=L_yy,
-            L_xy=L_xy,
-            L_yx=L_xy,
+            L_xx=float(L_xx),
+            L_yy=float(L_yy),
+            L_xy=float(L_xy),
+            L_yx=float(L_xy),
         )
 
     def saddle_residual(self, z: PrimalDualPoint, s: float) -> float:
         """Squared fixed-point residual of the prox-gradient optimality map."""
         if s <= 0:
             raise ValueError("step size must be positive")
-        gx = np.zeros(self.d)
-        gy = np.zeros(self.d)
-        for i in range(self.m):
-            fx, fy = self.grad_full(i, z)
-            gx += fx
-            gy += fy
+        Gx, Gy = self.full_grads(
+            np.tile(z.x, (self.m, 1)), np.tile(z.y, (self.m, 1))
+        )
+        gx = Gx.sum(axis=0)
+        gy = Gy.sum(axis=0)
         rx = z.x - self.prox_primal(z.x - (s / self.m) * gx, s)
         ry = z.y - self.prox_dual(z.y + (s / self.m) * gy, s)
         return float(np.dot(rx, rx) + np.dot(ry, ry))
 
 
+def sigmoid(t: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-t)), elementwise; exp overflows to inf for t < -709,
+    giving 0 without a warning."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
+
+
 def _project_ball(v: np.ndarray, R: float) -> np.ndarray:
+    """Project each row of v (a 1-D v is one row) onto the R-ball."""
     v = np.asarray(v, dtype=float)
-    norm = np.linalg.norm(v)
-    if norm <= R:
-        return v.copy()
-    return v * (R / norm)
+    norm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    # R / max(norm, R) is exactly 1 inside the ball
+    return v * (R / np.maximum(norm, R))

@@ -283,8 +283,8 @@ def run_crdpsg(
     counters = CostCounters()
     payload_coords = g.m * (prob.d + prob.d)
 
-    def oracle(i, z_i, r):
-        return gsgo_sample(prob, i, z_i, r)
+    def oracle(X, Y, r):
+        return gsgo_sample(prob, X, Y, r)
 
     ens = None
     it = 0
@@ -335,20 +335,18 @@ def run_cdpsvrg(
     x = np.tile(np.asarray(x0, dtype=float), (g.m, 1))
     y = np.tile(np.asarray(y0, dtype=float), (g.m, 1))
     ens = NodeEnsemble.initialize(g, x, y)
-    z0 = [PrimalDualPoint(x[i], y[i]) for i in range(g.m)]
-    state = SvrgState.initialize(prob, z0, p=p)
+    state = SvrgState.initialize(prob, x, y, p=p)
     trace = Trace()
     counters = CostCounters()
     counters.add_grad(prob.m * prob.n)  # initial reference gradients
     anchors = compute_anchors(prob, z_star, params.s) if collect_phi else None
     sp = params.step_params()
     for t in range(1, T + 1):
-        def oracle(i, z_i, r, _st=state):
-            return svrgo_sample(prob, i, z_i, _st, r)
+        def oracle(X, Y, r, _st=state):
+            return svrgo_sample(prob, X, Y, _st, r)
 
         ens = ipdhg_step(ens, sp, g, oracle, prob, compressor, rng, counters)
-        z_t = [PrimalDualPoint(ens.x[i], ens.y[i]) for i in range(g.m)]
-        state, cost = svrgo_update_reference(state, prob, z_t, rng)
+        state, cost = svrgo_update_reference(state, prob, ens.x, ens.y, rng)
         counters.add_grad(cost)
         if t % log_stride == 0:
             phi_val = (
@@ -381,23 +379,22 @@ def compute_reference(
         p = 1.0 / n
     # step size of the variance-reduced schedule with uniform sampling
     s = consts.mu * n * (1.0 / n) / (24.0 * consts.L**2)
-    x = np.zeros(prob.d)
-    y = np.zeros(prob.d)
-    state = SvrgState.initialize(prob, [PrimalDualPoint(x, y)], p=p)
+    # the single node's iterate as a one-row ensemble
+    x = np.zeros((1, prob.d))
+    y = np.zeros((1, prob.d))
+    state = SvrgState.initialize(prob, x, y, p=p)
     check_every = 500
-    residual = prob.saddle_residual(PrimalDualPoint(x, y), s)
+    residual = prob.saddle_residual(PrimalDualPoint(x[0], y[0]), s)
     for t in range(1, iterations + 1):
-        gx, gy, _ = svrgo_sample(prob, 0, PrimalDualPoint(x, y), state, rng)
+        gx, gy, _ = svrgo_sample(prob, x, y, state, rng)
         x = prob.prox_primal(x - s * gx, s)
         y = prob.prox_dual(y + s * gy, s)
-        state, _ = svrgo_update_reference(
-            state, prob, [PrimalDualPoint(x, y)], rng
-        )
+        state, _ = svrgo_update_reference(state, prob, x, y, rng)
         if t % check_every == 0:
-            residual = prob.saddle_residual(PrimalDualPoint(x, y), s)
+            residual = prob.saddle_residual(PrimalDualPoint(x[0], y[0]), s)
             if residual <= tol:
                 break
-    z = PrimalDualPoint(x, y)
+    z = PrimalDualPoint(x[0], y[0])
     residual = prob.saddle_residual(z, s)
     if residual > 1e-7:
         warnings.warn(

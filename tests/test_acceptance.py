@@ -50,7 +50,7 @@ def test_criterion_01_deterministic_contraction(acc_dataset, acc_graph, acc_zsta
     ens = ds.NodeEnsemble.initialize(
         g, np.tile(x0, (g.m, 1)), np.zeros((g.m, prob.d))
     )
-    oracle = lambda i, z_i, r: (*prob.grad_full(i, z_i), 1)
+    oracle = lambda X, Y, r: (*prob.full_grads(X, Y), g.m)
     sp = params.step_params()
     rng = np.random.default_rng(0)
     prev = ds.phi(ens, anchors, params, 0.0, spec)
@@ -142,7 +142,7 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
     # restart solver, stage 0 truncated to 500 inner steps
     p0 = ds.crdpsg_stage_params(0, prob.constants, 0.0, None)
     ens = ds.NodeEnsemble.initialize(g1, x0[None, :], y0[None, :])
-    oracle = lambda i, z_i, r: (*prob.grad_full(i, z_i), 1)
+    oracle = lambda X, Y, r: (*prob.full_grads(X, Y), 1)
     sp = p0.step_params()
     rng = np.random.default_rng(0)
     worst_a = 0.0
@@ -184,9 +184,8 @@ def test_criterion_05_quantizer_unbiasedness():
         dhat = ds.estimate_delta(probe, d, 10_000, np.random.default_rng(b))
         for _ in range(count):
             x = rng.standard_normal(d)
-            draws = np.stack(
-                [ds.quantize_inf(x, b, rng) for _ in range(100_000)]
-            )
+            # one row per sample: the draws of 100,000 single-vector calls
+            draws = ds.quantize_inf(np.tile(x, (100_000, 1)), b, rng)
             mean = draws.mean(axis=0)
             sem = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
             # 5 sigma: ~1000 coordinate checks in total, so 3 sigma would
@@ -207,14 +206,6 @@ def test_criterion_05_quantizer_unbiasedness():
     )
 
 
-class _FixedChoice:
-    def __init__(self, l):
-        self.l = l
-
-    def choice(self, n, p=None):
-        return self.l
-
-
 def test_criterion_06_svrgo_exact_unbiasedness(acc_dataset):
     part = ds.partition(acc_dataset, 1, 4, seed=0)
     prob = ds.RobustLRProblem(
@@ -223,17 +214,18 @@ def test_criterion_06_svrgo_exact_unbiasedness(acc_dataset):
     )
     z_ref = PrimalDualPoint(np.full(prob.d, 0.3), np.full(prob.d, 0.05))
     zq = PrimalDualPoint(np.full(prob.d, -1.2), np.full(prob.d, 0.1))
-    st = SvrgState.initialize(prob, [z_ref], p=0.5)
+    st = SvrgState.initialize(prob, z_ref.x[None], z_ref.y[None], p=0.5)
     mean_gx = np.zeros(prob.d)
     mean_gy = np.zeros(prob.d)
     var_at_ref = 0.0
     for l in range(4):
-        gx, gy, _ = ds.svrgo_sample(prob, 0, zq, st, _FixedChoice(l))
-        mean_gx += st.P[0, l] * gx
-        mean_gy += st.P[0, l] * gy
-        rx, ry, _ = ds.svrgo_sample(prob, 0, z_ref, st, _FixedChoice(l))
+        J = np.array([l])
+        gx, gy, _ = ds.svrgo_grad(prob, zq.x[None], zq.y[None], st, J)
+        mean_gx += st.P[0, l] * gx[0]
+        mean_gy += st.P[0, l] * gy[0]
+        rx, ry, _ = ds.svrgo_grad(prob, z_ref.x[None], z_ref.y[None], st, J)
         var_at_ref += float(
-            np.sum((rx - st.g_tilde[0][0]) ** 2) + np.sum((ry - st.g_tilde[0][1]) ** 2)
+            np.sum((rx[0] - st.gx_tilde[0]) ** 2) + np.sum((ry[0] - st.gy_tilde[0]) ** 2)
         )
     fx, fy = prob.grad_full(0, zq)
     dev = max(np.max(np.abs(mean_gx - fx)), np.max(np.abs(mean_gy - fy)))
@@ -257,10 +249,7 @@ def test_criterion_07_structural_invariants(
     ens = ds.NodeEnsemble.initialize(
         g, np.tile(x0, (g.m, 1)), np.tile(y0, (g.m, 1))
     )
-    state = SvrgState.initialize(
-        prob, [PrimalDualPoint(ens.x[i], ens.y[i]) for i in range(g.m)],
-        p=1.0 / prob.n,
-    )
+    state = SvrgState.initialize(prob, ens.x, ens.y, p=1.0 / prob.n)
     counters = ds.CostCounters()
     counters.add_grad(prob.m * prob.n)
     rng = np.random.default_rng(9)
@@ -270,14 +259,11 @@ def test_criterion_07_structural_invariants(
     prev = (0, 0, 0)
     coords = g.m * (prob.d + prob.d)
     for t in range(10_000):
-        def oracle(i, z_i, r, _st=state):
-            return ds.svrgo_sample(prob, i, z_i, _st, r)
+        def oracle(X, Y, r, _st=state):
+            return ds.svrgo_sample(prob, X, Y, _st, r)
 
         ens = ds.ipdhg_step(ens, sp, g, oracle, prob, acc_compressor, rng, counters)
-        state, cost = ds.svrgo_update_reference(
-            state, prob, [PrimalDualPoint(ens.x[i], ens.y[i]) for i in range(g.m)],
-            rng,
-        )
+        state, cost = ds.svrgo_update_reference(state, prob, ens.x, ens.y, rng)
         counters.add_grad(cost)
         # rounding drift compounds over 10^4 tracker updates, hence the
         # looser tolerance than the short-horizon unit test

@@ -125,3 +125,22 @@ def test_config_requires_reference_for_runs(tmp_path):
     del cfg["reference"]
     with pytest.raises(ConfigError):
         RunConfig.parse(cfg)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"algorithm": "crdpsg", "budget": {"stages": 2},
+         "compression": {"kind": "identity"}},
+    ],
+    ids=["cdpsvrg-qinf-auto", "crdpsg-identity"],
+)
+def test_meta_derived_matches_validate(tmp_path, capsys, overrides):
+    path = _write(tmp_path, _base_config(tmp_path, **overrides))
+    assert main(["validate", path]) == EXIT_OK
+    printed = capsys.readouterr().out.strip().split("\n")
+    assert main(["run", path]) == EXIT_OK
+    meta = json.loads((tmp_path / "trace.csv.meta").read_text())
+    assert printed[-1] == "all parameter windows feasible"
+    assert printed[:-1] == meta["derived"]

@@ -148,3 +148,17 @@ def test_comm_state_consistency_1000_steps():
         _, _, st = ds.comm_step(nu, st, 0.3, g, c, rng)
         drift = np.max(np.abs(st.Hw - ds.mix(g, st.H)))
         assert drift <= 1e-9 * (1 + np.max(np.abs(st.Hw)))
+
+
+def test_quantize_rows_match_sequential_calls():
+    # one call on stacked rows consumes the draws of one call per nonzero
+    # row, in row order; zero rows draw nothing
+    X = np.random.default_rng(2).standard_normal((6, 5))
+    X[2] = 0.0
+    X[4] = 0.0
+    rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+    for b in (1, 3, 4):
+        out = ds.quantize_inf(X, b, rng_a)
+        seq = np.stack([ds.quantize_inf(X[i], b, rng_b) for i in range(6)])
+        assert np.array_equal(out, seq)
+    assert rng_a.random() == rng_b.random()

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 import decsaddle as ds
 from decsaddle.problem import PrimalDualPoint
@@ -11,7 +12,7 @@ def _problem(m, n=1, N=24, d=3, seed=0, lam=1.0, beta=0.5):
 
 
 def _exact_oracle(prob):
-    return lambda i, z_i, rng: (*prob.grad_full(i, z_i), 1)
+    return lambda X, Y, rng: (*prob.full_grads(X, Y), prob.m)
 
 
 def test_single_node_reduces_to_prox_gda():
@@ -52,14 +53,20 @@ def test_fixed_point_is_stationary(acc_graph, acc_problem, acc_zstar):
     assert np.max(np.abs(out.y - y)) <= 1e-10
 
 
-def test_step_matches_straight_line_transcription():
+@pytest.mark.parametrize(
+    "g, N, lam",
+    # at m = 16 lambda = 1 exceeds the per-batch smoothness (kappa_f < 1)
+    [(ds.build_ring(3), 12, 1.0), (ds.build_torus(4, 4), 48, 0.1)],
+    ids=["ring3", "torus4x4"],
+)
+def test_step_matches_straight_line_transcription(g, N, lam):
     # independent transcription of the primal-dual update equations
-    prob = _problem(m=3, d=1, N=12)
-    g = ds.build_ring(3)
+    m = g.m
+    prob = _problem(m=m, d=1, N=N, lam=lam, beta=lam / 2)
     params = ds.StepParams(s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25)
     rng0 = np.random.default_rng(8)
-    x = rng0.standard_normal((3, 1))
-    y = 0.3 * rng0.standard_normal((3, 1))
+    x = rng0.standard_normal((m, 1))
+    y = 0.3 * rng0.standard_normal((m, 1))
     ens = ds.NodeEnsemble.initialize(g, x, y)
     Dx0 = ens.Dx.copy()
     Dy0 = ens.Dy.copy()
@@ -71,20 +78,20 @@ def test_step_matches_straight_line_transcription():
     )
 
     W = g.W
-    Gx = np.stack([prob.grad_full(i, PrimalDualPoint(x[i], y[i]))[0] for i in range(3)])
-    Gy = np.stack([prob.grad_full(i, PrimalDualPoint(x[i], y[i]))[1] for i in range(3)])
+    Gx = np.stack([prob.grad_full(i, PrimalDualPoint(x[i], y[i]))[0] for i in range(m)])
+    Gy = np.stack([prob.grad_full(i, PrimalDualPoint(x[i], y[i]))[1] for i in range(m)])
     s, gx_, gy_ = params.s, params.gamma_x, params.gamma_y
     nux = x - s * Gx - s * Dx0
     nux_hat = nux  # identity compression: the quantized difference is exact
     nux_hat_w = W @ nux
     Dx1 = Dx0 + (gx_ / (2 * s)) * (nux_hat - nux_hat_w)
     x1 = nux - (gx_ / 2) * (nux_hat - nux_hat_w)
-    x1 = np.stack([prob.prox_primal(x1[i], s) for i in range(3)])
+    x1 = np.stack([prob.prox_primal(x1[i], s) for i in range(m)])
     nuy = y + s * Gy - s * Dy0
     nuy_hat_w = W @ nuy
     Dy1 = Dy0 + (gy_ / (2 * s)) * (nuy - nuy_hat_w)
     y1 = nuy - (gy_ / 2) * (nuy - nuy_hat_w)
-    y1 = np.stack([prob.prox_dual(y1[i], s) for i in range(3)])
+    y1 = np.stack([prob.prox_dual(y1[i], s) for i in range(m)])
 
     assert np.max(np.abs(out.x - x1)) <= 1e-14
     assert np.max(np.abs(out.y - y1)) <= 1e-14
@@ -104,7 +111,7 @@ def test_dual_tracker_mean_invariant():
     )
     rng = np.random.default_rng(5)
     ens = ds.NodeEnsemble.initialize(g, np.zeros((4, 3)), np.zeros((4, 3)))
-    oracle = lambda i, z_i, r: (*ds.gsgo_sample(prob, i, z_i, r)[:2], 1)
+    oracle = lambda X, Y, r: ds.gsgo_sample(prob, X, Y, r)
     for _ in range(2000):
         ens = ds.ipdhg_step(ens, params, g, oracle, prob, comp, rng)
         for D in (ens.Dx, ens.Dy):
@@ -129,3 +136,75 @@ def test_counters_recorded():
     assert counters.grad_units == 3
     assert counters.comm_rounds == 1
     assert counters.bits == 3 * (3 + 3) * 5
+
+
+@pytest.mark.parametrize("block", [0, 1], ids=["x", "y"])
+def test_nonfinite_iterate_raises(block):
+    # a NaN gradient at one node must stop the step, not only a logged row
+    prob = _problem(m=3)
+    g = ds.build_ring(3)
+    params = ds.StepParams(s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2)
+    ens = ds.NodeEnsemble.initialize(g, np.zeros((3, 3)), np.zeros((3, 3)))
+
+    def oracle(X, Y, rng):
+        G = list(prob.full_grads(X, Y))
+        G[block][1, 0] = np.nan
+        return G[0], G[1], prob.m
+
+    with pytest.raises(FloatingPointError):
+        ds.ipdhg_step(
+            ens, params, g, oracle, prob, ds.identity_compressor(),
+            np.random.default_rng(0),
+        )
+
+
+def test_ensemble_trajectory_matches_per_node_loop():
+    # 300 stochastic steps against a per-node loop transcription that draws
+    # each node's batch index with its own rng.integers call and evaluates
+    # the batch gradient from the raw samples, not through the problem
+    dset = ds.synthesize(36, 3, 0)
+    part = ds.partition(dset, 4, 3, 0)
+    prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
+    A_all, b_all = dset.dense(), dset.labels
+
+    def formula(i, j, xi, yi):
+        idx = part.batch(i, j)
+        A, b = A_all[idx] + yi, b_all[idx]
+        coeff = -b / (1.0 + np.exp(b * (A @ xi)))
+        gx = (prob.n / prob.N) * (A.T @ coeff) + (prob.lam / prob.m) * xi
+        gy = (prob.n / prob.N) * np.sum(coeff) * xi - (prob.beta / prob.m) * yi
+        return gx, gy
+
+    g = ds.build_ring(4)
+    W = g.W
+    params = ds.StepParams(s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25)
+    s, ax, ay = params.s, params.alpha_x, params.alpha_y
+    x = np.random.default_rng(2).standard_normal((4, 3))
+    y = np.zeros((4, 3))
+    ens = ds.NodeEnsemble.initialize(g, x, y)
+    comp = ds.identity_compressor()
+    rng = np.random.default_rng(3)
+    oracle = lambda X, Y, r: ds.gsgo_sample(prob, X, Y, r)
+    loop_rng = np.random.default_rng(3)
+    Dx, Dy = np.zeros((4, 3)), np.zeros((4, 3))
+    Hx, Hy = x.copy(), y.copy()
+    Hwx, Hwy = W @ Hx, W @ Hy
+    worst = 0.0
+    for _ in range(300):
+        ens = ds.ipdhg_step(ens, params, g, oracle, prob, comp, rng)
+        Gx, Gy = np.empty((4, 3)), np.empty((4, 3))
+        for i in range(4):
+            j = int(loop_rng.integers(prob.n))
+            Gx[i], Gy[i] = formula(i, j, x[i], y[i])
+        nux = x - s * Gx - s * Dx
+        nuy = y + s * Gy - s * Dy
+        nux_w = Hwx + W @ (nux - Hx)  # identity compression: nu_hat = nu
+        nuy_w = Hwy + W @ (nuy - Hy)
+        Dx = Dx + (params.gamma_x / (2 * s)) * (nux - nux_w)
+        Dy = Dy + (params.gamma_y / (2 * s)) * (nuy - nuy_w)
+        x = np.stack([prob.prox_primal(r, s) for r in nux - (params.gamma_x / 2) * (nux - nux_w)])
+        y = np.stack([prob.prox_dual(r, s) for r in nuy - (params.gamma_y / 2) * (nuy - nuy_w)])
+        Hx, Hwx = (1 - ax) * Hx + ax * nux, (1 - ax) * Hwx + ax * nux_w
+        Hy, Hwy = (1 - ay) * Hy + ay * nuy, (1 - ay) * Hwy + ay * nuy_w
+        worst = max(worst, np.max(np.abs(ens.x - x)), np.max(np.abs(ens.y - y)))
+    assert worst <= 1e-12

@@ -139,8 +139,8 @@ def test_phi_tilde_hand_arithmetic(acc_problem, acc_graph, acc_zstar):
         M_x=1.0, M_y=1.0, s=0.001, gamma_x=0.01, gamma_y=0.01,
         delta=0.0, c_tilde_x=2.0, c_tilde_y=3.0,
     )
-    zt = PrimalDualPoint(z.x + 1.0, z.y)
-    state = type("S", (), {"z_tilde": [zt] * m})
+    state = type("S", (), {"x_tilde": np.tile(z.x + 1.0, (m, 1)),
+                           "y_tilde": np.tile(z.y, (m, 1))})
     # phi part vanishes; x-reference offset of 1 per coordinate remains
     expected = 2.0 * m * d
     val = ds.phi_tilde(ens, a, state, params, spec)
@@ -161,5 +161,6 @@ def test_phi_tilde_zero(acc_problem, acc_graph, acc_zstar):
         M_x=1.0, M_y=1.0, s=0.001, gamma_x=0.01, gamma_y=0.01,
         delta=0.0, c_tilde_x=2.0, c_tilde_y=3.0,
     )
-    state = type("S", (), {"z_tilde": [z] * m})
+    state = type("S", (), {"x_tilde": np.tile(z.x, (m, 1)),
+                           "y_tilde": np.tile(z.y, (m, 1))})
     assert ds.phi_tilde(ens, a, state, params, spec) <= 1e-18

@@ -6,22 +6,6 @@ from decsaddle.oracles import SvrgState
 from decsaddle.problem import PrimalDualPoint
 
 
-class _FixedChoice:
-    """Stub generator: choice always returns a preset index."""
-
-    def __init__(self, l):
-        self.l = l
-
-    def choice(self, n, p=None):
-        return self.l
-
-    def integers(self, n):
-        return self.l
-
-    def random(self, shape=None):
-        return 0.0
-
-
 def _problem(m=1, n=4, N=16, d=3, seed=0):
     dset = ds.synthesize(N, d, seed)
     part = ds.partition(dset, m, n, seed)
@@ -31,7 +15,8 @@ def _problem(m=1, n=4, N=16, d=3, seed=0):
 def test_gsgo_n1_deterministic():
     p = _problem(n=1)
     z = PrimalDualPoint(np.ones(3), np.zeros(3))
-    gx, gy, cost = ds.gsgo_sample(p, 0, z, np.random.default_rng(0))
+    Gx, Gy, cost = ds.gsgo_sample(p, z.x[None], z.y[None], np.random.default_rng(0))
+    gx, gy = Gx[0], Gy[0]
     fx, fy = p.grad_full(0, z)
     assert np.allclose(gx, fx, atol=0) and np.allclose(gy, fy, atol=0)
     assert cost == 1
@@ -42,7 +27,8 @@ def test_gsgo_unbiased_mc():
     rng = np.random.default_rng(1)
     z = PrimalDualPoint(np.array([0.5, -0.3, 0.2]), np.array([0.1, 0.0, -0.1]))
     fx, _ = p.grad_full(0, z)
-    draws = np.stack([ds.gsgo_sample(p, 0, z, rng)[0] for _ in range(100_000)])
+    X, Y = z.x[None], z.y[None]
+    draws = np.stack([ds.gsgo_sample(p, X, Y, rng)[0][0] for _ in range(100_000)])
     sem = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - fx) <= 3 * sem + 1e-12)
 
@@ -50,19 +36,20 @@ def test_gsgo_unbiased_mc():
 def test_gsgo_seed_determinism():
     p = _problem(n=4)
     z = PrimalDualPoint(np.ones(3), np.zeros(3))
-    a = ds.gsgo_sample(p, 0, z, np.random.default_rng(42))
-    b = ds.gsgo_sample(p, 0, z, np.random.default_rng(42))
+    a = ds.gsgo_sample(p, z.x[None], z.y[None], np.random.default_rng(42))
+    b = ds.gsgo_sample(p, z.x[None], z.y[None], np.random.default_rng(42))
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 def test_svrgo_at_reference_exact():
     p = _problem(n=4)
     z = PrimalDualPoint(np.array([0.5, 0.1, -0.2]), np.zeros(3))
-    st = SvrgState.initialize(p, [z], p=0.5)
+    st = SvrgState.initialize(p, z.x[None], z.y[None], p=0.5)
     for l in range(4):
-        gx, gy, cost = ds.svrgo_sample(p, 0, z, st, _FixedChoice(l))
-        assert np.array_equal(gx, st.g_tilde[0][0])
-        assert np.array_equal(gy, st.g_tilde[0][1])
+        Gx, Gy, cost = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))
+        gx, gy = Gx[0], Gy[0]
+        assert np.array_equal(gx, st.gx_tilde[0])
+        assert np.array_equal(gy, st.gy_tilde[0])
         assert cost == 2
 
 
@@ -71,11 +58,12 @@ def test_svrgo_exhaustive_unbiased():
     p = _problem(n=4)
     z_ref = PrimalDualPoint(np.array([0.2, -0.4, 0.1]), np.array([0.05, 0.0, 0.0]))
     z = PrimalDualPoint(np.array([-0.6, 0.3, 0.7]), np.array([0.0, 0.1, -0.05]))
-    st = SvrgState.initialize(p, [z_ref], p=0.5)
+    st = SvrgState.initialize(p, z_ref.x[None], z_ref.y[None], p=0.5)
     mean_gx = np.zeros(3)
     mean_gy = np.zeros(3)
     for l in range(4):
-        gx, gy, _ = ds.svrgo_sample(p, 0, z, st, _FixedChoice(l))
+        Gx, Gy, _ = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))
+        gx, gy = Gx[0], Gy[0]
         mean_gx += st.P[0, l] * gx
         mean_gy += st.P[0, l] * gy
     fx, fy = p.grad_full(0, z)
@@ -87,13 +75,13 @@ def test_svrgo_uniform_classical_form():
     p = _problem(n=4)
     z_ref = PrimalDualPoint(np.zeros(3), np.zeros(3))
     z = PrimalDualPoint(np.ones(3), np.zeros(3))
-    st = SvrgState.initialize(p, [z_ref], p=0.5)
+    st = SvrgState.initialize(p, z_ref.x[None], z_ref.y[None], p=0.5)
     l = 2
-    gx, _, _ = ds.svrgo_sample(p, 0, z, st, _FixedChoice(l))
+    gx = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))[0][0]
     expected = (
         p.grad_batch(0, l, z)[0]
         - p.grad_batch(0, l, z_ref)[0]
-        + st.g_tilde[0][0]
+        + st.gx_tilde[0]
     )
     assert np.allclose(gx, expected, atol=1e-15)
 
@@ -101,11 +89,11 @@ def test_svrgo_uniform_classical_form():
 def test_reference_update_p1_always():
     p = _problem(n=2)
     z0 = PrimalDualPoint(np.zeros(3), np.zeros(3))
-    st = SvrgState.initialize(p, [z0], p=1.0)
+    st = SvrgState.initialize(p, z0.x[None], z0.y[None], p=1.0)
     z1 = PrimalDualPoint(np.ones(3), np.zeros(3))
     rng = np.random.default_rng(0)
-    st2, cost = ds.svrgo_update_reference(st, p, [z1], rng)
-    assert np.array_equal(st2.z_tilde[0].x, z1.x)
+    st2, cost = ds.svrgo_update_reference(st, p, z1.x[None], z1.y[None], rng)
+    assert np.array_equal(st2.x_tilde[0], z1.x)
     assert cost == p.m * p.n
 
 
@@ -113,17 +101,17 @@ def test_reference_update_p0_rejected():
     p = _problem(n=2)
     z0 = PrimalDualPoint(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        SvrgState.initialize(p, [z0], p=0.0)
+        SvrgState.initialize(p, z0.x[None], z0.y[None], p=0.0)
 
 
 def test_reference_update_frequency():
     p = _problem(n=2)
     z0 = PrimalDualPoint(np.zeros(3), np.zeros(3))
-    st = SvrgState.initialize(p, [z0], p=0.1)
+    st = SvrgState.initialize(p, z0.x[None], z0.y[None], p=0.1)
     rng = np.random.default_rng(4)
     hits = 0
     for _ in range(10_000):
-        _, cost = ds.svrgo_update_reference(st, p, [z0], rng)
+        _, cost = ds.svrgo_update_reference(st, p, z0.x[None], z0.y[None], rng)
         hits += cost > 0
     # binomial(10^4, 0.1): 3 sigma band around 1000
     assert abs(hits - 1000) <= 3 * np.sqrt(10_000 * 0.1 * 0.9)
@@ -133,4 +121,43 @@ def test_bad_sampling_law_rejected():
     p = _problem(n=2)
     z0 = PrimalDualPoint(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        SvrgState.initialize(p, [z0], p=0.5, P=np.array([[0.0, 1.0]]))
+        SvrgState.initialize(p, z0.x[None], z0.y[None], p=0.5, P=np.array([[0.0, 1.0]]))
+
+
+def test_gsgo_draws_match_sequential_integers():
+    # one call draws the batch indices of m sequential rng.integers(n) calls
+    p = _problem(m=4, n=3, N=24)
+    rng = np.random.default_rng(6)
+    X = rng.standard_normal((4, 3))
+    Y = 0.2 * rng.standard_normal((4, 3))
+    rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+    for _ in range(50):
+        Gx, Gy, cost = ds.gsgo_sample(p, X, Y, rng_a)
+        J = [int(rng_b.integers(p.n)) for _ in range(p.m)]
+        for i, j in enumerate(J):
+            gx, gy = p.grad_batch(i, j, PrimalDualPoint(X[i], Y[i]))
+            assert np.max(np.abs(Gx[i] - gx)) <= 1e-14
+            assert np.max(np.abs(Gy[i] - gy)) <= 1e-14
+        assert cost == p.m
+    assert rng_a.random() == rng_b.random()
+
+
+def test_svrgo_draws_match_sequential_choice():
+    # one call draws the batch indices of m sequential rng.choice(n, p=P[i])
+    p = _problem(m=4, n=3, N=24)
+    rng = np.random.default_rng(8)
+    P = rng.random((4, 3)) + 0.1
+    P /= P.sum(axis=1, keepdims=True)
+    X = rng.standard_normal((4, 3))
+    Y = 0.2 * rng.standard_normal((4, 3))
+    st = SvrgState.initialize(p, X + 0.5, Y, p=0.5, P=P)
+    rng_a, rng_b = np.random.default_rng(32), np.random.default_rng(32)
+    for _ in range(200):
+        J = st.draw_batches(rng_a)
+        expected = [int(rng_b.choice(p.n, p=P[i])) for i in range(p.m)]
+        assert J.tolist() == expected
+    assert rng_a.random() == rng_b.random()
+    Gx, Gy, cost = ds.svrgo_sample(p, X, Y, st, np.random.default_rng(5))
+    Ex, Ey, _ = ds.svrgo_grad(p, X, Y, st, st.draw_batches(np.random.default_rng(5)))
+    assert np.array_equal(Gx, Ex) and np.array_equal(Gy, Ey)
+    assert cost == 2 * p.m

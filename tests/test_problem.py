@@ -1,8 +1,11 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
 import decsaddle as ds
-from decsaddle.problem import PrimalDualPoint
+from decsaddle.problem import PrimalDualPoint, sigmoid
 
 
 def _small_problem(m=2, n=2, N=20, d=4, lam=1.0, beta=0.5, R_x=3.0, R_y=1.0, seed=0):
@@ -28,7 +31,7 @@ def test_grad_at_zero_x():
     y = np.array([0.1, -0.2, 0.05, 0.0])
     z = PrimalDualPoint(np.zeros(4), y)
     gx, gy = p.grad_batch(0, 0, z)
-    A, b = p.batches[0][0]
+    A, b = p.batch(0, 0)
     # sigmoid at 0 is 1/2 for every sample
     expected_gx = (p.n / p.N) * ((A + y).T @ (-b * 0.5))
     assert np.allclose(gx, expected_gx, atol=1e-14)
@@ -201,3 +204,51 @@ def test_rejects_bad_config():
         ds.RobustLRProblem(dset, part, lam=0.0, beta=1.0, R_x=1.0, R_y=1.0)
     with pytest.raises(ValueError):
         ds.RobustLRProblem(dset, part, lam=1.0, beta=1.0, R_x=-1.0, R_y=1.0)
+
+
+def test_batch_grads_match_formula_on_padded_batches():
+    # label-sorted nodes, N = 23 not divisible by m * n = 6: batch sizes
+    # differ, so the shorter batches are zero-padded in the tensor
+    dset = ds.synthesize(23, 4, 2)
+    part = ds.partition(dset, 3, 2, 0, mode="sorted")
+    p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=3.0, R_y=1.0)
+    assert len(set(p.sizes.ravel().tolist())) > 1
+    A_all, b_all = dset.dense(), dset.labels
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((3, 4))
+    Y = 0.3 * rng.standard_normal((3, 4))
+
+    def formula(i, idx, c):
+        A, b = A_all[idx], b_all[idx]
+        t = b * ((A + Y[i]) @ X[i])
+        coeff = -b / (1.0 + np.exp(t))
+        gx = c * ((A + Y[i]).T @ coeff) + (p.lam / p.m) * X[i]
+        gy = c * np.sum(coeff) * X[i] - (p.beta / p.m) * Y[i]
+        return gx, gy
+
+    for J in itertools.product(range(p.n), repeat=p.m):
+        Gx, Gy = p.batch_grads(X, Y, np.array(J))
+        for i, j in enumerate(J):
+            gx, gy = formula(i, part.batch(i, j), p.n / p.N)
+            assert np.allclose(Gx[i], gx, rtol=1e-13, atol=1e-15)
+            assert np.allclose(Gy[i], gy, rtol=1e-13, atol=1e-15)
+    Fx, Fy = p.full_grads(X, Y)
+    for i in range(p.m):
+        node = np.concatenate([part.batch(i, j) for j in range(p.n)])
+        gx, gy = formula(i, node, 1.0 / p.N)
+        assert np.allclose(Fx[i], gx, rtol=1e-13, atol=1e-15)
+        assert np.allclose(Fy[i], gy, rtol=1e-13, atol=1e-15)
+
+
+def test_sigmoid_matches_reference_without_overflow_warning():
+    # the kernel evaluates sigmoid(-t) = 1 / (1 + exp(t))
+    t = np.concatenate(
+        [np.linspace(-800.0, 800.0, 160_001), [-745.2, -709.79, 709.79, 745.2]]
+    )
+    with np.errstate(over="ignore"):
+        ref = 1.0 / (1.0 + np.exp(t))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sigmoid(-t)
+    assert np.all(np.abs(out - ref) <= np.spacing(ref))
+    assert out[0] == 1.0 and out[160_000] == 0.0
