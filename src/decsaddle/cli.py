@@ -204,10 +204,13 @@ def write_zstar(path: str, z: PrimalDualPoint, residual: float):
 
 
 def read_zstar(path: str) -> PrimalDualPoint:
-    with open(path) as fh:
-        header = fh.readline().split()
-        d_x, d_y = int(header[1]), int(header[3])
-        vals = np.array([float(line) for line in fh if line.strip()])
+    try:
+        with open(path) as fh:
+            header = fh.readline().split()
+            d_x, d_y = int(header[1]), int(header[3])
+            vals = np.array([float(line) for line in fh if line.strip()])
+    except (OSError, IndexError, ValueError) as e:
+        raise ConfigError(f"cannot read reference file {path}: {e}")
     if vals.size != d_x + d_y:
         raise ConfigError(f"reference file {path}: expected {d_x + d_y} values")
     return PrimalDualPoint(vals[:d_x], vals[d_x:])
@@ -222,7 +225,6 @@ def resolve_reference(cfg: RunConfig, dataset) -> PrimalDualPoint:
     z, _residual = compute_reference(
         prob1,
         iterations=opts.get("iterations", 50_000),
-        seed=cfg.seed,
         tol=opts.get("tol", 1e-14),
     )
     return z
@@ -235,7 +237,6 @@ def cmd_reference(cfg: RunConfig) -> int:
     z, residual = compute_reference(
         prob1,
         iterations=opts.get("iterations", cfg.budget.get("iterations", 50_000)),
-        seed=cfg.seed,
         tol=opts.get("tol", 1e-14),
     )
     out = cfg.log.get("output", "zstar.txt")

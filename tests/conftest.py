@@ -41,16 +41,21 @@ def acc_problem_single(acc_dataset):
 @pytest.fixture(scope="session")
 def acc_zstar(acc_problem_single):
     z, residual = ds.compute_reference(
-        acc_problem_single, iterations=400_000, seed=0, tol=1e-25
+        acc_problem_single, iterations=400_000, tol=1e-25
     )
     return z, residual
 
 
 @pytest.fixture(scope="session")
-def acc_zstar_alt(acc_problem_single):
-    z, residual = ds.compute_reference(
-        acc_problem_single, iterations=400_000, seed=7, tol=1e-25
+def acc_zstar_alt(acc_dataset):
+    # the solve draws nothing, so the independent second solve runs on an
+    # m = 1 problem whose batches come from another partition shuffle
+    part = ds.partition(acc_dataset, 1, ACC["n"], seed=7)
+    prob = ds.RobustLRProblem(
+        acc_dataset, part, lam=ACC["lam"], beta=ACC["beta"],
+        R_x=ACC["R_x"], R_y=ACC["R_y"],
     )
+    z, residual = ds.compute_reference(prob, iterations=400_000, tol=1e-25)
     return z, residual
 
 

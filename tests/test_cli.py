@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -144,3 +145,23 @@ def test_meta_derived_matches_validate(tmp_path, capsys, overrides):
     meta = json.loads((tmp_path / "trace.csv.meta").read_text())
     assert printed[-1] == "all parameter windows feasible"
     assert printed[:-1] == meta["derived"]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["d_x 2\n0.5\n1.5\n", "d_x 1 d_y 1 residual 0\n0.5\nnot-a-number\n"],
+    ids=["garbled-header", "non-numeric-value"],
+)
+def test_malformed_stored_reference_is_config_error(tmp_path, text):
+    (tmp_path / "zstar.txt").write_text(text)
+    with pytest.raises(ConfigError):
+        read_zstar(str(tmp_path / "zstar.txt"))
+    cfg = _base_config(tmp_path, reference={"path": str(tmp_path / "zstar.txt")})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ds.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "decsaddle.cli", "run", _write(tmp_path, cfg)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert "reference file" in proc.stderr

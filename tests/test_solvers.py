@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -179,5 +180,30 @@ def test_compute_reference_symmetric_origin():
     prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
     z0 = ds.PrimalDualPoint(np.zeros(3), np.zeros(3))
     assert prob.saddle_residual(z0, 0.01) <= 1e-20
-    z, res = ds.compute_reference(prob, iterations=30_000, seed=1, tol=1e-24)
+    z, res = ds.compute_reference(prob, iterations=30_000, tol=1e-24)
     assert np.linalg.norm(z.x) <= 1e-8 and np.linalg.norm(z.y) <= 1e-8
+
+
+def test_compute_reference_is_deterministic(acc_problem_single):
+    z1, res1 = ds.compute_reference(acc_problem_single, tol=1e-22)
+    z2, res2 = ds.compute_reference(acc_problem_single, tol=1e-22)
+    assert np.array_equal(z1.x, z2.x) and np.array_equal(z1.y, z2.y)
+    assert res1 == res2
+
+
+def test_compute_reference_desk_tol_within_2000_steps(acc_problem_single):
+    _, res = ds.compute_reference(acc_problem_single, iterations=2000, tol=1e-25)
+    assert res <= 1e-25
+
+
+def test_compute_reference_warns_when_cut_short(acc_dataset):
+    # small radii keep the start's residual above the 1e-7 warning level
+    part = ds.partition(acc_dataset, 1, 5, seed=0)
+    prob = ds.RobustLRProblem(acc_dataset, part, lam=5.0, beta=5.0, R_x=1.0, R_y=0.5)
+    with pytest.warns(UserWarning, match="reference residual"):
+        _, res = ds.compute_reference(prob, iterations=1, tol=1e-25)
+    assert res > 1e-7
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, res = ds.compute_reference(prob, iterations=2000, tol=1e-25)
+    assert res <= 1e-25

@@ -73,6 +73,31 @@ def test_identity_matrix_disconnected():
         ds.spectral(g)
 
 
+def _circulant_spectrum(rows, cols):
+    """Closed-form eigenvalues of I-W, ascending, for a ring of `rows`
+    nodes (cols = 1, weights 1/3) or a rows x cols torus (weights 1/5)."""
+    p = 2 * np.pi * np.arange(rows)[:, None] / rows
+    q = 2 * np.pi * np.arange(cols)[None, :] / cols
+    if cols == 1:
+        lam = 1 - (1 + 2 * np.cos(p)) / 3
+    else:
+        lam = 1 - (1 + 2 * np.cos(p) + 2 * np.cos(q)) / 5
+    return np.sort(lam.ravel())
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(m, 1) for m in range(3, 31)] + [(8, 8)],
+    ids=[f"ring{m}" for m in range(3, 31)] + ["torus8x8"],
+)
+def test_spectral_matches_circulant_closed_form(rows, cols):
+    g = ds.build_ring(rows) if cols == 1 else ds.build_torus(rows, cols)
+    spec = ds.spectral(g)
+    assert np.allclose(spec.eigvals, _circulant_spectrum(rows, cols), rtol=0, atol=1e-12)
+    V = spec.eigvecs
+    assert np.allclose(V.T @ V, np.eye(g.m), rtol=0, atol=1e-12)
+    assert np.allclose(V @ np.diag(spec.eigvals) @ V.T, np.eye(g.m) - g.W, rtol=0, atol=1e-12)
+
+
 def test_jacobi_matches_dense_eigh():
     rng = np.random.default_rng(0)
     for _ in range(10):
