@@ -1,13 +1,15 @@
 """Configuration-driven experiment runner.
 
 Commands: run <config>, validate <config>, reference <config>.
-Configs are strict JSON: unknown keys are errors.  Exit codes: 0 ok,
-2 config error, 3 infeasible parameters, 4 numerical failure.
+Configs are strict JSON: unknown keys, wrong types and out-of-range
+values are errors.  Exit codes: 0 ok, 2 config error, 3 infeasible
+parameters, 4 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -42,12 +44,41 @@ class ConfigError(ValueError):
 
 
 def _require(d: dict, path: str, allowed: set, required: set):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path}: expected an object, got {d!r}")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     missing = required - set(d)
     if missing:
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
+
+
+def _integer(d: dict, path: str, key: str, lo: int) -> int:
+    v = d[key]
+    if isinstance(v, bool) or not isinstance(v, int) or v < lo:
+        raise ConfigError(f"{path}.{key} must be an integer >= {lo}, got {v!r}")
+    return v
+
+
+def _number(d: dict, path: str, key: str, positive: bool = False) -> float:
+    v = d[key]
+    numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if not numeric or (positive and not v > 0):
+        kind = "a positive number" if positive else "a number"
+        raise ConfigError(f"{path}.{key} must be {kind}, got {v!r}")
+    return v
+
+
+def _string(d: dict, path: str, key: str) -> str:
+    if not isinstance(d[key], str):
+        raise ConfigError(f"{path}.{key} must be a string, got {d[key]!r}")
+    return d[key]
+
+
+# the budget key each algorithm runs on; a reference solve caps its
+# extragradient steps by budget.iterations and ignores stages
+BUDGET_KEYS = {"crdpsg": {"stages"}, "cdpsvrg": {"iterations"}}
 
 
 @dataclass
@@ -82,48 +113,80 @@ class RunConfig:
         if alg not in ("crdpsg", "cdpsvrg", "reference"):
             raise ConfigError(f"algorithm: unknown value {alg!r}")
         topo = raw["topology"]
-        if topo.get("kind") == "ring":
+        _require(topo, "topology", {"kind", "m", "rows", "cols"}, {"kind"})
+        if topo["kind"] == "ring":
             _require(topo, "topology", {"kind", "m"}, {"kind", "m"})
-        elif topo.get("kind") == "torus":
+            _integer(topo, "topology", "m", 3)
+        elif topo["kind"] == "torus":
             _require(topo, "topology", {"kind", "rows", "cols"}, {"kind", "rows", "cols"})
+            _integer(topo, "topology", "rows", 3)
+            _integer(topo, "topology", "cols", 3)
         else:
-            raise ConfigError(f"topology.kind: unknown value {topo.get('kind')!r}")
+            raise ConfigError(f"topology.kind: unknown value {topo['kind']!r}")
         ds = raw["dataset"]
-        if ds.get("kind") == "synthetic":
+        _require(ds, "dataset", {"kind", "N", "d", "seed", "path"}, {"kind"})
+        if ds["kind"] == "synthetic":
             _require(ds, "dataset", {"kind", "N", "d", "seed"}, {"kind", "N", "d", "seed"})
-        elif ds.get("kind") == "libsvm":
+            _integer(ds, "dataset", "N", 1)
+            _integer(ds, "dataset", "d", 1)
+            _integer(ds, "dataset", "seed", 0)
+        elif ds["kind"] == "libsvm":
             _require(ds, "dataset", {"kind", "path"}, {"kind", "path"})
+            _string(ds, "dataset", "path")
         else:
-            raise ConfigError(f"dataset.kind: unknown value {ds.get('kind')!r}")
+            raise ConfigError(f"dataset.kind: unknown value {ds['kind']!r}")
         part = raw["partition"]
         _require(part, "partition", {"n", "mode"}, {"n"})
-        if part["n"] < 1:
-            raise ConfigError("partition.n must be >= 1")
+        _integer(part, "partition", "n", 1)
+        if part.get("mode", "shuffled") not in ("shuffled", "sorted"):
+            raise ConfigError(f"partition.mode: unknown value {part['mode']!r}")
         prob = raw["problem"]
         _require(
             prob, "problem",
             {"lambda", "beta", "R_x", "R_y"},
             {"lambda", "beta", "R_x", "R_y"},
         )
+        for key in ("lambda", "beta", "R_x", "R_y"):
+            _number(prob, "problem", key, positive=True)
         comp = raw["compression"]
-        if comp.get("kind") == "identity":
+        _require(comp, "compression", {"kind", "bits", "delta"}, {"kind"})
+        if comp["kind"] == "identity":
             _require(comp, "compression", {"kind"}, {"kind"})
-        elif comp.get("kind") == "qinf":
+        elif comp["kind"] == "qinf":
             _require(comp, "compression", {"kind", "bits", "delta"}, {"kind", "bits"})
+            _integer(comp, "compression", "bits", 1)
+            if comp.get("delta", "auto") != "auto":
+                _number(comp, "compression", "delta")
         else:
-            raise ConfigError(f"compression.kind: unknown value {comp.get('kind')!r}")
+            raise ConfigError(f"compression.kind: unknown value {comp['kind']!r}")
         oracle = raw.get("oracle", {})
         _require(oracle, "oracle", {"p"}, set())
+        if "p" in oracle:
+            _number(oracle, "oracle", "p")
         budget = raw["budget"]
-        _require(budget, "budget", {"iterations", "stages"}, set())
+        keys = BUDGET_KEYS.get(alg, {"iterations", "stages"})
+        _require(budget, "budget", keys, BUDGET_KEYS.get(alg, set()))
         if not budget:
             raise ConfigError("budget: need iterations or stages")
-        if any(v < 1 for v in budget.values()):
-            raise ConfigError("budget values must be >= 1")
+        for key in budget:
+            _integer(budget, "budget", key, 1)
+        seed = _integer(raw, "<root>", "seed", 0)
         log = raw.get("log", {})
         _require(log, "log", {"stride", "output"}, set())
+        if "stride" in log:
+            _integer(log, "log", "stride", 1)
+        if "output" in log:
+            _string(log, "log", "output")
         ref = raw.get("reference", {})
         _require(ref, "reference", {"path", "compute"}, set())
+        if "path" in ref:
+            _string(ref, "reference", "path")
+        compute = ref.get("compute") or {}
+        _require(compute, "reference.compute", {"iterations", "tol"}, set())
+        if "iterations" in compute:
+            _integer(compute, "reference.compute", "iterations", 1)
+        if "tol" in compute:
+            _number(compute, "reference.compute", "tol", positive=True)
         if alg != "reference" and not ref:
             raise ConfigError(
                 "reference: need a stored path or a compute section for "
@@ -132,7 +195,7 @@ class RunConfig:
         return cls(
             algorithm=alg, topology=topo, dataset=ds, partition=part,
             problem=prob, compression=comp, oracle=oracle, budget=budget,
-            seed=int(raw["seed"]), log=log, reference=ref,
+            seed=seed, log=log, reference=ref,
         )
 
 
@@ -145,11 +208,29 @@ def load_config(path: str) -> RunConfig:
     return RunConfig.parse(raw)
 
 
+def _builder(fn):
+    """Builder errors come from the config's values: a ValueError or
+    OSError becomes a ConfigError (exit 2), while infeasible derived
+    parameters keep their own exit code."""
+
+    @functools.wraps(fn)
+    def build_step(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except (ConfigError, InfeasibleParameterError):
+            raise
+        except (ValueError, OSError) as e:
+            raise ConfigError(f"{fn.__name__}: {e}") from e
+
+    return build_step
+
+
 def _node_count(cfg: RunConfig) -> int:
     t = cfg.topology
     return t["m"] if t["kind"] == "ring" else t["rows"] * t["cols"]
 
 
+@_builder
 def build_dataset(cfg: RunConfig) -> data_mod.Dataset:
     ds = cfg.dataset
     if ds["kind"] == "synthetic":
@@ -158,6 +239,7 @@ def build_dataset(cfg: RunConfig) -> data_mod.Dataset:
         return data_mod.parse_libsvm(fh)
 
 
+@_builder
 def build_problem(cfg: RunConfig, dataset, m: int) -> RobustLRProblem:
     part = data_mod.partition(
         dataset, m, cfg.partition["n"], cfg.seed,
@@ -169,6 +251,7 @@ def build_problem(cfg: RunConfig, dataset, m: int) -> RobustLRProblem:
     )
 
 
+@_builder
 def build_graph(cfg: RunConfig):
     t = cfg.topology
     if t["kind"] == "ring":
@@ -178,6 +261,7 @@ def build_graph(cfg: RunConfig):
     return g, spectral(g)
 
 
+@_builder
 def build_compressor(cfg: RunConfig, d: int) -> Compressor:
     comp = cfg.compression
     if comp["kind"] == "identity":
@@ -324,19 +408,14 @@ def cmd_run(cfg: RunConfig) -> int:
     x0 = np.zeros(prob.d)
     y0 = np.zeros(prob.d)
     if cfg.algorithm == "crdpsg":
-        K = cfg.budget.get("stages")
-        if K is None:
-            raise ConfigError("crdpsg budget needs stages")
         if stride is None:
             stride = 1
         trace, _ = run_crdpsg(
-            prob, g, spec, compressor, K, x0, y0, z_star, cfg.seed,
-            log_stride=stride,
+            prob, g, spec, compressor, cfg.budget["stages"], x0, y0, z_star,
+            cfg.seed, log_stride=stride,
         )
     else:
-        T = cfg.budget.get("iterations")
-        if T is None:
-            raise ConfigError("cdpsvrg budget needs iterations")
+        T = cfg.budget["iterations"]
         if stride is None:
             stride = 1 if T <= 10_000 else 10
         trace, _ = run_cdpsvrg(

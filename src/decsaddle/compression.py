@@ -64,23 +64,24 @@ def identity_compressor() -> Compressor:
 def quantize_inf(x: np.ndarray, b: int, rng: np.random.Generator) -> np.ndarray:
     """Unbiased b-bit quantizer with infinity-norm scaling, row by row.
 
-    Each row v of x (a 1-D x is one row) maps to
+    Each row v of x (the last axis; a 1-D x is one row) maps to
     Q(v) = (||v||_inf 2^{1-b} sign(v)) * floor(2^{b-1}|v| / ||v||_inf + u)
     with u drawn i.i.d. uniform per coordinate, and a zero row maps to
     zero without drawing.  One call thus consumes the draws of one call per
     nonzero row, in row order.
     """
     x = np.asarray(x, dtype=float)
-    scale = np.max(np.abs(x), axis=-1, keepdims=True)
+    mag = np.abs(x)
+    scale = mag.max(axis=-1, keepdims=True)
     nonzero = scale[..., 0] > 0.0
-    if not np.all(nonzero):
+    if not nonzero.all():
         out = np.zeros_like(x)
-        if np.any(nonzero):
+        if nonzero.any():
             out[nonzero] = quantize_inf(x[nonzero], b, rng)
         return out
     levels = 2.0 ** (b - 1)
     u = rng.random(x.shape)
-    q = np.floor(levels * np.abs(x) / scale + u)
+    q = np.floor(levels * mag / scale + u)
     return (scale / levels) * np.sign(x) * q
 
 
@@ -122,7 +123,8 @@ def estimate_delta(
 
 @dataclass
 class CommState:
-    """Per-node reference vectors H and their mixed counterparts Hw.
+    """Per-node reference vectors H and their mixed counterparts Hw, shaped
+    like the exchanged payload: (m, d), or (2, m, d) for a primal-dual pair.
 
     The invariant Hw = W H holds whenever the state was initialized
     consistently; comm_step preserves it.
@@ -140,26 +142,25 @@ class CommState:
 def comm_step(
     nu: np.ndarray,
     st: CommState,
-    alpha: float,
+    alpha: float | np.ndarray,
     g: DecGraph,
     c: Compressor,
     rng: np.random.Generator,
 ):
     """One compressed gossip exchange.
 
+    alpha is the reference mixing factor: a scalar, or an array that
+    broadcasts against nu (one factor per block of a stacked payload).  Its
+    window (0, 1/(1+delta)) is checked once, by StepParams, not per call.
     Returns (nu_hat, nu_hat_w, new CommState); counts as one communication
     round (the only transmitted payload is the stacked Q).
     """
-    if not 0.0 < alpha < 1.0 / (1.0 + c.delta):
-        raise InfeasibleParameterError(
-            f"alpha = {alpha:.4g} outside (0, 1/(1+delta)) with delta = {c.delta:.4g}"
-        )
-    nu = np.asarray(nu, dtype=float)
     Q = c.apply(nu - st.H, rng)
     nu_hat = st.H + Q
     nu_hat_w = st.Hw + mix(g, Q)
+    keep = 1.0 - alpha
     new_st = CommState(
-        H=(1.0 - alpha) * st.H + alpha * nu_hat,
-        Hw=(1.0 - alpha) * st.Hw + alpha * nu_hat_w,
+        H=keep * st.H + alpha * nu_hat,
+        Hw=keep * st.Hw + alpha * nu_hat_w,
     )
     return nu_hat, nu_hat_w, new_st

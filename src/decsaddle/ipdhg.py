@@ -1,21 +1,36 @@
 """One synchronized step of inexact primal-dual hybrid gradient with
-compressed gossip, the core shared by both solvers."""
+compressed gossip, the core shared by both solvers.
+
+The ensemble state is stacked primal-dual: every array has shape
+(2, m, d), block 0 holding the primal rows x and block 1 the dual rows y,
+so one step quantizes, gossips and projects both halves in one call each.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import CommState, Compressor, comm_step
+from .compression import CommState, Compressor, InfeasibleParameterError, comm_step
 from .metrics import CostCounters
 from .problem import RobustLRProblem
 from .topology import DecGraph
 
 
+def _blocks(a: float, b: float) -> np.ndarray:
+    """(2, 1, 1) per-block factor: a for the x rows, b for the y rows."""
+    return np.array([a, b], dtype=float)[:, None, None]
+
+
+def _derived():
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass
 class StepParams:
-    """Per-step scalars; feasibility windows are checked at construction."""
+    """Per-step scalars; feasibility windows are checked at construction,
+    which also builds the (2, 1, 1) per-block factors of the stacked step."""
 
     s: float
     gamma_x: float
@@ -23,6 +38,10 @@ class StepParams:
     alpha_x: float
     alpha_y: float
     delta: float = 0.0
+    signed_s: np.ndarray = _derived()  # -s (descent), +s (ascent)
+    gamma_2s: np.ndarray = _derived()  # gamma / (2 s)
+    half_gamma: np.ndarray = _derived()  # gamma / 2
+    alpha: np.ndarray = _derived()
 
     def __post_init__(self):
         if self.s <= 0:
@@ -30,35 +49,57 @@ class StepParams:
         hi = 1.0 / (1.0 + self.delta)
         for name, a in (("alpha_x", self.alpha_x), ("alpha_y", self.alpha_y)):
             if not 0.0 < a < hi:
-                raise ValueError(f"{name} = {a:.4g} outside (0, {hi:.4g})")
+                raise InfeasibleParameterError(
+                    f"{name} = {a:.4g} outside (0, 1/(1+delta)) with "
+                    f"delta = {self.delta:.4g}"
+                )
         if self.gamma_x <= 0 or self.gamma_y <= 0:
             raise ValueError("gamma_x, gamma_y must be positive")
+        s = self.s
+        self.signed_s = _blocks(-s, s)
+        self.gamma_2s = _blocks(self.gamma_x / (2.0 * s), self.gamma_y / (2.0 * s))
+        self.half_gamma = _blocks(self.gamma_x / 2.0, self.gamma_y / 2.0)
+        self.alpha = _blocks(self.alpha_x, self.alpha_y)
 
 
 @dataclass
 class NodeEnsemble:
-    """Stacked per-node iterates, dual trackers, and compression states."""
+    """Stacked per-node iterates Z, dual trackers D and compression state,
+    each (2, m, d) with the x rows in block 0 and the y rows in block 1."""
 
-    x: np.ndarray  # (m, d_x)
-    y: np.ndarray  # (m, d_y)
-    Dx: np.ndarray
-    Dy: np.ndarray
-    comm_x: CommState
-    comm_y: CommState
+    Z: np.ndarray
+    D: np.ndarray
+    comm: CommState
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.Z[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.Z[1]
+
+    @property
+    def Dx(self) -> np.ndarray:
+        return self.D[0]
+
+    @property
+    def Dy(self) -> np.ndarray:
+        return self.D[1]
+
+    @property
+    def comm_x(self) -> CommState:
+        return CommState(H=self.comm.H[0], Hw=self.comm.Hw[0])
+
+    @property
+    def comm_y(self) -> CommState:
+        return CommState(H=self.comm.H[1], Hw=self.comm.Hw[1])
 
     @classmethod
     def initialize(cls, g: DecGraph, x0: np.ndarray, y0: np.ndarray) -> "NodeEnsemble":
         """Fresh ensemble: D = 0, references H at the starting iterates."""
-        x0 = np.array(x0, dtype=float)
-        y0 = np.array(y0, dtype=float)
-        return cls(
-            x=x0,
-            y=y0,
-            Dx=np.zeros_like(x0),
-            Dy=np.zeros_like(y0),
-            comm_x=CommState.from_reference(g, x0),
-            comm_y=CommState.from_reference(g, y0),
-        )
+        Z = np.array([x0, y0], dtype=float)
+        return cls(Z=Z, D=np.zeros_like(Z), comm=CommState.from_reference(g, Z))
 
 
 def ipdhg_step(
@@ -72,41 +113,32 @@ def ipdhg_step(
     counters: CostCounters | None = None,
 ) -> NodeEnsemble:
     """Advance every node one iteration, as array operations over the whole
-    (m, d) ensemble.
+    (2, m, d) ensemble.
 
-    oracle(X, Y, rng) -> (Gx, Gy, cost): stacked gradient blocks of every
-    node at its rows of (X, Y), with cost the gradient units summed over
-    nodes.  Both gradient blocks are evaluated at the old (x, y); the
-    x-block then the y-block are updated.  One gossip round is recorded:
-    the x and y payloads piggyback on a single exchange.  Raises
-    FloatingPointError if a new iterate is not finite.
+    oracle(X, Y, rng) -> (G, cost): the (2, m, d) stacked gradient blocks
+    of every node at its rows of (X, Y), with cost the gradient units
+    summed over nodes.  Both blocks are evaluated at the old (x, y) and
+    updated together: the x rows descend, the y rows ascend.  The x and y
+    payloads travel in one gossip round, quantized x rows first.  Raises
+    InfeasibleParameterError if params were validated for a smaller
+    compression factor than the compressor's (their alpha window would not
+    hold), and FloatingPointError if a new iterate is not finite.
     """
-    s = params.s
-    Gx, Gy, cost = oracle(ens.x, ens.y, rng)
-
-    nu_x = ens.x - s * Gx - s * ens.Dx
-    nu_hat_x, nu_hat_w_x, comm_x = comm_step(
-        nu_x, ens.comm_x, params.alpha_x, g, compressor, rng
-    )
-    diff_x = nu_hat_x - nu_hat_w_x
-    Dx_new = ens.Dx + (params.gamma_x / (2.0 * s)) * diff_x
-    x_new = prob.prox_primal(nu_x - (params.gamma_x / 2.0) * diff_x, s)
-
-    nu_y = ens.y + s * Gy - s * ens.Dy
-    nu_hat_y, nu_hat_w_y, comm_y = comm_step(
-        nu_y, ens.comm_y, params.alpha_y, g, compressor, rng
-    )
-    diff_y = nu_hat_y - nu_hat_w_y
-    Dy_new = ens.Dy + (params.gamma_y / (2.0 * s)) * diff_y
-    y_new = prob.prox_dual(nu_y - (params.gamma_y / 2.0) * diff_y, s)
-
-    if not (np.all(np.isfinite(x_new)) and np.all(np.isfinite(y_new))):
+    if params.delta < compressor.delta:
+        raise InfeasibleParameterError(
+            f"step parameters validated for delta = {params.delta:.4g}, "
+            f"compressor has delta = {compressor.delta:.4g}"
+        )
+    Z = ens.Z
+    G, cost = oracle(Z[0], Z[1], rng)
+    nu = Z + params.signed_s * G - params.s * ens.D
+    nu_hat, nu_hat_w, comm = comm_step(nu, ens.comm, params.alpha, g, compressor, rng)
+    diff = nu_hat - nu_hat_w
+    D_new = ens.D + params.gamma_2s * diff
+    Z_new = prob.prox(nu - params.half_gamma * diff, params.s)
+    if not np.isfinite(Z_new).all():
         raise FloatingPointError("non-finite iterate after an IPDHG step")
     if counters is not None:
         counters.add_grad(cost)
-        payload_coords = g.m * (ens.x.shape[1] + ens.y.shape[1])
-        counters.add_round(payload_coords, compressor.bits_per_coord)
-
-    return NodeEnsemble(
-        x=x_new, y=y_new, Dx=Dx_new, Dy=Dy_new, comm_x=comm_x, comm_y=comm_y
-    )
+        counters.add_round(Z.size, compressor.bits_per_coord)
+    return NodeEnsemble(Z=Z_new, D=D_new, comm=comm)

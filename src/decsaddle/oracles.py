@@ -1,12 +1,16 @@
 """Stochastic gradient oracles: plain minibatch (GSGO) and variance
 reduced (SVRGO), evaluated for every node at once.
 
-Iterates are stacked (m, d) arrays, row i belonging to node i.  Each
+Iterates are stacked (m, d) arrays, row i belonging to node i; gradients
+come back as one (2, m, d) array, block 0 for x and block 1 for y.  Each
 sampler draws one batch index per node in a single call that consumes
 exactly the draws of m sequential per-node calls, in node order.
 
-Gradient units count batch-gradient evaluations: 1 per node per GSGO
-draw, 2 per node per SVRGO draw, and m*n for a full reference refresh.
+Gradient units count batch-gradient evaluations as the paper's oracles
+spend them: 1 per node per GSGO draw, 2 per node per SVRGO draw, and m*n
+for a full reference refresh.  The simulator keeps the batch gradients of
+the last refresh, so an SVRGO draw only evaluates the fresh batch, but it
+is still charged 2 units per node.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import RobustLRProblem
+from .problem import RobustLRProblem, batch_mean
 
 
 def gsgo_sample(
@@ -24,21 +28,20 @@ def gsgo_sample(
 ):
     """Uniformly sampled batch gradient per node; unbiased for full_grads.
 
-    Returns (Gx, Gy, cost) with cost = m gradient units.
+    Returns (G, cost) with G stacked (2, m, d) and cost = m gradient units.
     """
     J = rng.integers(p.n, size=p.m)  # the draws of m calls rng.integers(n)
-    Gx, Gy = p.batch_grads(X, Y, J)
-    return Gx, Gy, p.m
+    return p.batch_grads(X, Y, J), p.m
 
 
 @dataclass
 class SvrgState:
-    """Per-node reference points, cached full gradients, and sampling law."""
+    """Per-node reference points, their cached gradients, and sampling law."""
 
     x_tilde: np.ndarray  # (m, d) reference points
     y_tilde: np.ndarray
-    gx_tilde: np.ndarray  # (m, d) full gradients at the reference points
-    gy_tilde: np.ndarray
+    g_batches: np.ndarray  # (2, m, n, d) batch gradients at the references
+    g_tilde: np.ndarray  # (2, m, d) their means: the full gradients
     P: np.ndarray  # (m, n) sampling probabilities, rows sum to 1
     p: float  # Bernoulli refresh probability
     cdf: np.ndarray = field(init=False, repr=False)
@@ -71,11 +74,13 @@ class SvrgState:
         p: float,
         P: np.ndarray | None = None,
     ) -> "SvrgState":
-        """Reference at (X, Y) with fresh full gradients; uniform law by default."""
+        """Reference at (X, Y) with fresh gradients; uniform law by default."""
         if P is None:
             P = np.full((prob.m, prob.n), 1.0 / prob.n)
-        Gx, Gy = prob.full_grads(X, Y)
-        return cls(x_tilde=X, y_tilde=Y, gx_tilde=Gx, gy_tilde=Gy, P=P, p=p)
+        Gb = prob.all_batch_grads(X, Y)
+        return cls(
+            x_tilde=X, y_tilde=Y, g_batches=Gb, g_tilde=batch_mean(Gb), P=P, p=p
+        )
 
     def draw_batches(self, rng: np.random.Generator) -> np.ndarray:
         """One batch index per node from its row of P.
@@ -84,7 +89,7 @@ class SvrgState:
         per node, located by searchsorted(cdf[i], u, side="right").
         """
         u = rng.random(self.cdf.shape[0])
-        return np.sum(self.cdf <= u[:, None], axis=1)
+        return (self.cdf <= u[:, None]).sum(axis=1)
 
 
 def svrgo_grad(
@@ -95,21 +100,16 @@ def svrgo_grad(
     J: np.ndarray,
 ):
     """Control-variate gradient of every node on batch J[i], anchored at the
-    node's reference point.
+    node's reference point: w (grad_J(X) - grad_J(X_tilde)) + g_tilde.
 
-    Returns (Gx, Gy, cost) with cost = 2 gradient units per node (fresh
-    batch gradient plus the same batch at the reference).
+    Only the fresh batch gradients are evaluated; those at the reference
+    are read from the state.  Returns (G, cost) with G stacked (2, m, d)
+    and cost = 2 gradient units per node, the paper's SVRGO price.
     """
-    m = len(J)
-    w = st.weights[np.arange(m), J][:, None]
-    # fresh rows 0..m-1 and reference rows m..2m-1 in one kernel call
-    Gx, Gy = p.batch_grads(
-        np.concatenate([X, st.x_tilde]), np.concatenate([Y, st.y_tilde]),
-        np.concatenate([J, J]),
-    )
-    Gx = w * (Gx[:m] - Gx[m:]) + st.gx_tilde
-    Gy = w * (Gy[:m] - Gy[m:]) + st.gy_tilde
-    return Gx, Gy, 2 * m
+    nodes = p.nodes
+    w = st.weights[nodes, J][:, None]
+    G = w * (p.batch_grads(X, Y, J) - st.g_batches[:, nodes, J]) + st.g_tilde
+    return G, 2 * p.m
 
 
 def svrgo_sample(
@@ -142,5 +142,6 @@ def svrgo_update_reference(
     # same law and coin, so the checked fields carry over unchanged
     state = copy.copy(st)
     state.x_tilde, state.y_tilde = X, Y
-    state.gx_tilde, state.gy_tilde = prob.full_grads(X, Y)
+    state.g_batches = prob.all_batch_grads(X, Y)
+    state.g_tilde = batch_mean(state.g_batches)
     return state, prob.m * prob.n

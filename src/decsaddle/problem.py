@@ -83,6 +83,8 @@ class RobustLRProblem:
         self.beta = beta
         self.R_x = R_x
         self.R_y = R_y
+        self._radii = np.array([R_x, R_y], dtype=float)[:, None, None]
+        self.nodes = np.arange(self.m)  # row index of every node, for gathers
         covered = np.concatenate(
             [part.batch(i, j) for i in range(part.m) for j in range(part.n)]
         )
@@ -123,55 +125,64 @@ class RobustLRProblem:
             - (self.beta / (2 * self.m)) * np.dot(z.y, z.y)
         )
 
-    def _grad(self, A, b, X, Y, c: float):
-        """Gradient blocks of k losses at once.
+    def _grad(self, A, b, X, Y, c: float) -> np.ndarray:
+        """Gradient blocks of k losses at once, stacked as (2, k, d).
 
         Row r is the loss over samples A[r] (B, d) with labels b[r], scaled
-        by c, plus the regularizers, evaluated at (X[r], Y[r]).
+        by c, plus the regularizers, evaluated at (X[r], Y[r]); block 0 is
+        the x-gradient, block 1 the y-gradient.
         """
         AY = A + Y[:, None, :]
         t = b * (AY @ X[:, :, None])[..., 0]
         coeff = -b * sigmoid(-t)  # one scalar per sample
-        Gx = c * (coeff[:, None, :] @ AY)[:, 0] + (self.lam / self.m) * X
-        Gy = (c * coeff.sum(axis=1))[:, None] * X - (self.beta / self.m) * Y
-        return Gx, Gy
+        G = np.empty((2,) + X.shape)
+        np.add(c * (coeff[:, None, :] @ AY)[:, 0], (self.lam / self.m) * X, out=G[0])
+        np.subtract(
+            (c * coeff.sum(axis=1))[:, None] * X, (self.beta / self.m) * Y, out=G[1]
+        )
+        return G
 
-    def batch_grads(self, X: np.ndarray, Y: np.ndarray, J: np.ndarray):
-        """Row r: gradient of node r mod m's batch J[r] at (X[r], Y[r]).
+    def batch_grads(self, X: np.ndarray, Y: np.ndarray, J: np.ndarray) -> np.ndarray:
+        """Row i of each block: gradient of node i's batch J[i] at (X[i], Y[i])."""
+        return self._grad(
+            self.A[self.nodes, J], self.b[self.nodes, J], X, Y, self.n / self.N
+        )
 
-        Rows past the m-th cycle through the nodes again, so one call can
-        evaluate the ensemble at several stacked points.
-        """
-        nodes = np.arange(len(J)) % self.m
-        return self._grad(self.A[nodes, J], self.b[nodes, J], X, Y, self.n / self.N)
+    def all_batch_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """(2, m, n, d): every batch gradient of node i at (X[i], Y[i])."""
+        return self._all_batches(self.A, self.b, X, Y)
 
-    def full_grads(self, X: np.ndarray, Y: np.ndarray):
-        """Row i: average of node i's n batch gradients at (X[i], Y[i])."""
-        return self._batch_mean(self.A, self.b, X, Y)
+    def full_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Row i of each block: average of node i's n batch gradients at
+        (X[i], Y[i]); (2, m, d)."""
+        return batch_mean(self.all_batch_grads(X, Y))
 
-    def _batch_mean(self, A, b, X, Y):
-        """Row r: mean over the n batches A[r] (n, B, d) at (X[r], Y[r])."""
+    def _all_batches(self, A, b, X, Y):
+        """(2, k, n, d): gradient of batch A[r, j] at (X[r], Y[r])."""
         k, n, B, d = A.shape
-        Gx, Gy = self._grad(
+        G = self._grad(
             A.reshape(k * n, B, d), b.reshape(k * n, B),
             np.repeat(X, n, axis=0), np.repeat(Y, n, axis=0), self.n / self.N,
         )
-        # summed over batches in batch order, then divided by n
-        return Gx.reshape(k, n, d).sum(axis=1) / n, Gy.reshape(k, n, d).sum(axis=1) / n
+        return G.reshape(2, k, n, d)
 
     def grad_batch(self, i: int, j: int, z: PrimalDualPoint):
-        gx, gy = self._grad(
+        G = self._grad(
             self.A[i, j][None], self.b[i, j][None], z.x[None], z.y[None],
             self.n / self.N,
         )
-        return gx[0], gy[0]
+        return G[0, 0], G[1, 0]
 
     def grad_full(self, i: int, z: PrimalDualPoint):
         """Average of batch gradients; costs n gradient units."""
-        gx, gy = self._batch_mean(
-            self.A[i : i + 1], self.b[i : i + 1], z.x[None], z.y[None]
-        )
-        return gx[0], gy[0]
+        A, b = self.A[i : i + 1], self.b[i : i + 1]
+        G = batch_mean(self._all_batches(A, b, z.x[None], z.y[None]))
+        return G[0, 0], G[1, 0]
+
+    def prox(self, Z: np.ndarray, s: float) -> np.ndarray:
+        """Ball projection of a stacked primal-dual block: every row of
+        Z[0] onto the R_x ball, every row of Z[1] onto the R_y ball."""
+        return _project_ball(Z, self._radii)
 
     def prox_primal(self, x: np.ndarray, s: float) -> np.ndarray:
         return _project_ball(x, self.R_x)
@@ -220,8 +231,15 @@ def sigmoid(t: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-t))
 
 
-def _project_ball(v: np.ndarray, R: float) -> np.ndarray:
-    """Project each row of v (a 1-D v is one row) onto the R-ball."""
+def batch_mean(Gb: np.ndarray) -> np.ndarray:
+    """(2, k, d) means of (2, k, n, d) batch gradients: summed over batches
+    in batch order, then divided by n."""
+    return Gb.sum(axis=2) / Gb.shape[2]
+
+
+def _project_ball(v: np.ndarray, R) -> np.ndarray:
+    """Project each row of v (a 1-D v is one row) onto the R-ball; R may be
+    an array broadcasting against the row norms."""
     v = np.asarray(v, dtype=float)
     norm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
     # R / max(norm, R) is exactly 1 inside the ball

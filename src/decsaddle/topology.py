@@ -155,10 +155,11 @@ def spectral(g: DecGraph) -> SpectralInfo:
 
 
 def mix(g: DecGraph, V: np.ndarray) -> np.ndarray:
-    """Apply the mixing matrix: output row i is sum_j W_ij V[j]."""
+    """Apply the mixing matrix to V of shape (..., m, d): output row i of
+    every (m, d) block is sum_j W_ij V[j]."""
     V = np.asarray(V, dtype=float)
-    if V.shape[0] != g.m:
-        raise ValueError(f"expected {g.m} node blocks, got {V.shape[0]}")
+    if V.ndim < 2 or V.shape[-2] != g.m:
+        raise ValueError(f"expected {g.m} node blocks, got shape {V.shape}")
     return g.W @ V
 
 

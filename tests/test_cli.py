@@ -165,3 +165,50 @@ def test_malformed_stored_reference_is_config_error(tmp_path, text):
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
     assert "reference file" in proc.stderr
+
+
+def _subprocess_run(config_path):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ds.__file__)))
+    return subprocess.run(
+        [sys.executable, "-m", "decsaddle.cli", "run", config_path],
+        capture_output=True, text=True, env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"topology": {"kind": "ring", "m": "4"}},
+        {"topology": {"kind": "ring", "m": 2}},
+        {"compression": {"kind": "qinf", "bits": 0}},
+        {"partition": {"n": 100}},  # 4 nodes x 100 batches > N = 60
+        {"partition": {"n": 2, "mode": "interleaved"}},
+        {"dataset": {"kind": "libsvm", "path": "missing.svm"}},
+        {"seed": "x"},
+    ],
+    ids=[
+        "m-string", "ring-m2", "bits0", "n-too-large", "unknown-mode",
+        "missing-libsvm", "seed-string",
+    ],
+)
+def test_malformed_config_is_config_error(tmp_path, overrides):
+    cfg = _base_config(tmp_path, **overrides)
+    if "dataset" in overrides:
+        cfg["dataset"]["path"] = str(tmp_path / "missing.svm")
+    proc = _subprocess_run(_write(tmp_path, cfg))
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "algorithm, budget",
+    [("crdpsg", {"iterations": 10}), ("cdpsvrg", {"stages": 1}),
+     ("cdpsvrg", {"iterations": 10, "stages": 1})],
+)
+def test_budget_key_must_match_algorithm(tmp_path, algorithm, budget):
+    # rejected while parsing, before any dataset or constant is built
+    cfg = _base_config(tmp_path, algorithm=algorithm, budget=budget)
+    cfg["dataset"] = {"kind": "libsvm", "path": str(tmp_path / "never-read.svm")}
+    with pytest.raises(ConfigError, match="budget"):
+        RunConfig.parse(cfg)

@@ -129,15 +129,6 @@ def test_comm_hand_example_ring3():
     assert np.allclose(new_st.Hw.ravel(), [0.5, 0.5, 0.5], atol=1e-15)
 
 
-def test_comm_alpha_window():
-    g = ds.build_ring(3)
-    rng = np.random.default_rng(0)
-    st = ds.CommState.from_reference(g, np.zeros((3, 2)))
-    c = ds.Compressor(kind="quantize_inf", bits=2, delta=0.5)
-    with pytest.raises(InfeasibleParameterError):
-        ds.comm_step(np.ones((3, 2)), st, 0.9, g, c, rng)  # 0.9 > 1/1.5
-
-
 def test_comm_state_consistency_1000_steps():
     g = ds.build_ring(5)
     rng = np.random.default_rng(7)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import decsaddle as ds
+from decsaddle.compression import InfeasibleParameterError
 from decsaddle.problem import PrimalDualPoint
 
 
@@ -12,7 +13,7 @@ def _problem(m, n=1, N=24, d=3, seed=0, lam=1.0, beta=0.5):
 
 
 def _exact_oracle(prob):
-    return lambda X, Y, rng: (*prob.full_grads(X, Y), prob.m)
+    return lambda X, Y, rng: (prob.full_grads(X, Y), prob.m)
 
 
 def test_single_node_reduces_to_prox_gda():
@@ -41,11 +42,13 @@ def test_fixed_point_is_stationary(acc_graph, acc_problem, acc_zstar):
     params = ds.StepParams(s=s, gamma_x=0.01, gamma_y=0.01, alpha_x=0.3, alpha_y=0.3)
     x = np.tile(z.x, (g.m, 1))
     y = np.tile(z.y, (g.m, 1))
-    ens = ds.NodeEnsemble.initialize(g, x, y)
-    ens.Dx = anchors.D_star_x.copy()
-    ens.Dy = anchors.D_star_y.copy()
-    ens.comm_x = ds.CommState.from_reference(g, anchors.H_star_x)
-    ens.comm_y = ds.CommState.from_reference(g, anchors.H_star_y)
+    ens = ds.NodeEnsemble(
+        Z=np.array([x, y]),
+        D=np.array([anchors.D_star_x, anchors.D_star_y]),
+        comm=ds.CommState.from_reference(
+            g, np.array([anchors.H_star_x, anchors.H_star_y])
+        ),
+    )
     comp = ds.identity_compressor()
     rng = np.random.default_rng(0)
     out = ds.ipdhg_step(ens, params, g, _exact_oracle(prob), prob, comp, rng)
@@ -147,9 +150,9 @@ def test_nonfinite_iterate_raises(block):
     ens = ds.NodeEnsemble.initialize(g, np.zeros((3, 3)), np.zeros((3, 3)))
 
     def oracle(X, Y, rng):
-        G = list(prob.full_grads(X, Y))
-        G[block][1, 0] = np.nan
-        return G[0], G[1], prob.m
+        G = prob.full_grads(X, Y)
+        G[block, 1, 0] = np.nan
+        return G, prob.m
 
     with pytest.raises(FloatingPointError):
         ds.ipdhg_step(
@@ -208,3 +211,112 @@ def test_ensemble_trajectory_matches_per_node_loop():
         Hy, Hwy = (1 - ay) * Hy + ay * nuy, (1 - ay) * Hwy + ay * nuy_w
         worst = max(worst, np.max(np.abs(ens.x - x)), np.max(np.abs(ens.y - y)))
     assert worst <= 1e-12
+
+
+def test_step_params_alpha_window():
+    # the reference mixing factors must lie in (0, 1/(1+delta)); the window
+    # is checked once per parameter set, not on every exchange
+    ok = dict(s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.3, alpha_y=0.3, delta=0.5)
+    ds.StepParams(**ok)
+    for name in ("alpha_x", "alpha_y"):
+        with pytest.raises(InfeasibleParameterError):
+            ds.StepParams(**dict(ok, **{name: 0.9}))  # 0.9 > 1/1.5
+    # parameters checked for a smaller delta than the compressor's
+    prob = _problem(m=3)
+    g = ds.build_ring(3)
+    ens = ds.NodeEnsemble.initialize(g, np.ones((3, 3)), np.zeros((3, 3)))
+    lax = ds.StepParams(**dict(ok, alpha_x=0.9, delta=0.0))
+    comp = ds.Compressor(kind="quantize_inf", bits=2, delta=0.5)
+    with pytest.raises(InfeasibleParameterError):
+        ds.ipdhg_step(
+            ens, lax, g, _exact_oracle(prob), prob, comp, np.random.default_rng(0)
+        )
+
+
+def _exchange(nu, H, Hw, alpha, W, bits, rng):
+    """One block's compressed gossip exchange, written out."""
+    Q = ds.quantize_inf(nu - H, bits, rng)
+    nu_hat = H + Q
+    nu_hat_w = Hw + W @ Q
+    H = (1.0 - alpha) * H + alpha * nu_hat
+    Hw = (1.0 - alpha) * Hw + alpha * nu_hat_w
+    return nu_hat, nu_hat_w, H, Hw
+
+
+@pytest.mark.parametrize("kind", ["gsgo", "svrgo"])
+def test_stacked_step_matches_two_block_transcription(kind):
+    # 300 quantized steps of the stacked (2, m, d) step against a
+    # transcription with separate x and y exchanges (x rows quantized
+    # first), per-node gradients and, for SVRGO, uncached reference-batch
+    # gradients; the zero start makes every y row zero in step 1, so the
+    # quantizer's zero-row path is taken.  Equality is exact.
+    prob = _problem(m=4, n=3, N=36)
+    g = ds.build_ring(4)
+    W, m, n, d = g.W, 4, prob.n, prob.d
+    comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
+    params = ds.StepParams(
+        s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25, delta=0.1
+    )
+    s = params.s
+    zeros = np.zeros((m, d))
+    ens = ds.NodeEnsemble.initialize(g, zeros, zeros)
+    rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
+    x, y, Dx, Dy = zeros, zeros, zeros, zeros
+    Hx, Hwx, Hy, Hwy = zeros, zeros, zeros, zeros
+    if kind == "gsgo":
+        def oracle(X, Y, r):
+            return ds.gsgo_sample(prob, X, Y, r)
+
+        def loop_grads(x, y, r):
+            J = [int(r.integers(n)) for _ in range(m)]
+            rows = [
+                prob.grad_batch(i, J[i], PrimalDualPoint(x[i], y[i])) for i in range(m)
+            ]
+            return np.array([gx for gx, _ in rows]), np.array([gy for _, gy in rows])
+    else:
+        p_ref = 0.3
+        st = ds.SvrgState.initialize(prob, zeros, zeros, p=p_ref)
+        ref = [zeros, zeros]  # the transcription's reference points
+
+        def oracle(X, Y, r):
+            return ds.svrgo_sample(prob, X, Y, st, r)
+
+        def loop_grads(x, y, r):
+            Gx, Gy = np.empty((m, d)), np.empty((m, d))
+            for i in range(m):
+                j = int(r.choice(n, p=st.P[i]))
+                w = 1.0 / (n * st.P[i, j])
+                at = PrimalDualPoint(x[i], y[i])
+                at_ref = PrimalDualPoint(ref[0][i], ref[1][i])
+                fx, fy = prob.grad_batch(i, j, at)
+                rx, ry = prob.grad_batch(i, j, at_ref)
+                tx, ty = prob.grad_full(i, at_ref)
+                Gx[i] = w * (fx - rx) + tx
+                Gy[i] = w * (fy - ry) + ty
+            return Gx, Gy
+
+    for t in range(300):
+        ens = ds.ipdhg_step(ens, params, g, oracle, prob, comp, rng)
+        Gx, Gy = loop_grads(x, y, loop_rng)
+        nux = x - s * Gx - s * Dx
+        nhx, nhwx, Hx, Hwx = _exchange(nux, Hx, Hwx, params.alpha_x, W, 4, loop_rng)
+        Dx = Dx + (params.gamma_x / (2.0 * s)) * (nhx - nhwx)
+        x_new = prob.prox_primal(nux - (params.gamma_x / 2.0) * (nhx - nhwx), s)
+        nuy = y + s * Gy - s * Dy
+        nhy, nhwy, Hy, Hwy = _exchange(nuy, Hy, Hwy, params.alpha_y, W, 4, loop_rng)
+        Dy = Dy + (params.gamma_y / (2.0 * s)) * (nhy - nhwy)
+        y = prob.prox_dual(nuy - (params.gamma_y / 2.0) * (nhy - nhwy), s)
+        x = x_new
+        if kind == "svrgo":
+            st, _ = ds.svrgo_update_reference(st, prob, ens.x, ens.y, rng)
+            if loop_rng.random() < p_ref:
+                ref = [x, y]
+        if t == 0:
+            assert not y.any()  # zero dual rows: nothing drawn for them
+        for a, b in (
+            (ens.x, x), (ens.y, y), (ens.Dx, Dx), (ens.Dy, Dy),
+            (ens.comm_x.H, Hx), (ens.comm_x.Hw, Hwx),
+            (ens.comm_y.H, Hy), (ens.comm_y.Hw, Hwy),
+        ):
+            assert np.array_equal(a, b), f"step {t + 1}"
+    assert rng.random() == loop_rng.random()

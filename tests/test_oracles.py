@@ -15,7 +15,7 @@ def _problem(m=1, n=4, N=16, d=3, seed=0):
 def test_gsgo_n1_deterministic():
     p = _problem(n=1)
     z = PrimalDualPoint(np.ones(3), np.zeros(3))
-    Gx, Gy, cost = ds.gsgo_sample(p, z.x[None], z.y[None], np.random.default_rng(0))
+    (Gx, Gy), cost = ds.gsgo_sample(p, z.x[None], z.y[None], np.random.default_rng(0))
     gx, gy = Gx[0], Gy[0]
     fx, fy = p.grad_full(0, z)
     assert np.allclose(gx, fx, atol=0) and np.allclose(gy, fy, atol=0)
@@ -28,7 +28,7 @@ def test_gsgo_unbiased_mc():
     z = PrimalDualPoint(np.array([0.5, -0.3, 0.2]), np.array([0.1, 0.0, -0.1]))
     fx, _ = p.grad_full(0, z)
     X, Y = z.x[None], z.y[None]
-    draws = np.stack([ds.gsgo_sample(p, X, Y, rng)[0][0] for _ in range(100_000)])
+    draws = np.stack([ds.gsgo_sample(p, X, Y, rng)[0][0, 0] for _ in range(100_000)])
     sem = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - fx) <= 3 * sem + 1e-12)
 
@@ -38,7 +38,7 @@ def test_gsgo_seed_determinism():
     z = PrimalDualPoint(np.ones(3), np.zeros(3))
     a = ds.gsgo_sample(p, z.x[None], z.y[None], np.random.default_rng(42))
     b = ds.gsgo_sample(p, z.x[None], z.y[None], np.random.default_rng(42))
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+    assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 def test_svrgo_at_reference_exact():
@@ -46,10 +46,10 @@ def test_svrgo_at_reference_exact():
     z = PrimalDualPoint(np.array([0.5, 0.1, -0.2]), np.zeros(3))
     st = SvrgState.initialize(p, z.x[None], z.y[None], p=0.5)
     for l in range(4):
-        Gx, Gy, cost = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))
+        (Gx, Gy), cost = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))
         gx, gy = Gx[0], Gy[0]
-        assert np.array_equal(gx, st.gx_tilde[0])
-        assert np.array_equal(gy, st.gy_tilde[0])
+        assert np.array_equal(gx, st.g_tilde[0, 0])
+        assert np.array_equal(gy, st.g_tilde[1, 0])
         assert cost == 2
 
 
@@ -62,7 +62,7 @@ def test_svrgo_exhaustive_unbiased():
     mean_gx = np.zeros(3)
     mean_gy = np.zeros(3)
     for l in range(4):
-        Gx, Gy, _ = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))
+        (Gx, Gy), _ = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))
         gx, gy = Gx[0], Gy[0]
         mean_gx += st.P[0, l] * gx
         mean_gy += st.P[0, l] * gy
@@ -77,11 +77,11 @@ def test_svrgo_uniform_classical_form():
     z = PrimalDualPoint(np.ones(3), np.zeros(3))
     st = SvrgState.initialize(p, z_ref.x[None], z_ref.y[None], p=0.5)
     l = 2
-    gx = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))[0][0]
+    gx = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))[0][0, 0]
     expected = (
         p.grad_batch(0, l, z)[0]
         - p.grad_batch(0, l, z_ref)[0]
-        + st.gx_tilde[0]
+        + st.g_tilde[0, 0]
     )
     assert np.allclose(gx, expected, atol=1e-15)
 
@@ -132,7 +132,7 @@ def test_gsgo_draws_match_sequential_integers():
     Y = 0.2 * rng.standard_normal((4, 3))
     rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
     for _ in range(50):
-        Gx, Gy, cost = ds.gsgo_sample(p, X, Y, rng_a)
+        (Gx, Gy), cost = ds.gsgo_sample(p, X, Y, rng_a)
         J = [int(rng_b.integers(p.n)) for _ in range(p.m)]
         for i, j in enumerate(J):
             gx, gy = p.grad_batch(i, j, PrimalDualPoint(X[i], Y[i]))
@@ -157,7 +157,38 @@ def test_svrgo_draws_match_sequential_choice():
         expected = [int(rng_b.choice(p.n, p=P[i])) for i in range(p.m)]
         assert J.tolist() == expected
     assert rng_a.random() == rng_b.random()
-    Gx, Gy, cost = ds.svrgo_sample(p, X, Y, st, np.random.default_rng(5))
-    Ex, Ey, _ = ds.svrgo_grad(p, X, Y, st, st.draw_batches(np.random.default_rng(5)))
-    assert np.array_equal(Gx, Ex) and np.array_equal(Gy, Ey)
+    G, cost = ds.svrgo_sample(p, X, Y, st, np.random.default_rng(5))
+    E, _ = ds.svrgo_grad(p, X, Y, st, st.draw_batches(np.random.default_rng(5)))
+    assert np.array_equal(G, E)
     assert cost == 2 * p.m
+
+
+def test_svrgo_cache_matches_uncached_formula():
+    # the cached reference-batch gradients give exactly
+    # w (grad_J(X) - grad_J(X_tilde)) + g_tilde, before and after a refresh,
+    # and the cost is still 2 units per node per draw, m*n per refresh
+    p = _problem(m=4, n=3, N=24)
+    rng = np.random.default_rng(13)
+    P = rng.random((4, 3)) + 0.1
+    P /= P.sum(axis=1, keepdims=True)
+    st = SvrgState.initialize(
+        p, rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3)), p=1.0, P=P
+    )
+    for _ in range(2):
+        for _ in range(20):
+            X = rng.standard_normal((4, 3))
+            Y = 0.2 * rng.standard_normal((4, 3))
+            J = st.draw_batches(rng)
+            w = (1.0 / (p.n * P[np.arange(4), J]))[:, None]
+            expected = (
+                w * (p.batch_grads(X, Y, J) - p.batch_grads(st.x_tilde, st.y_tilde, J))
+                + p.full_grads(st.x_tilde, st.y_tilde)
+            )
+            G, cost = ds.svrgo_grad(p, X, Y, st, J)
+            assert np.array_equal(G, expected)
+            assert cost == 2 * p.m
+        X1 = rng.standard_normal((4, 3))
+        Y1 = 0.2 * rng.standard_normal((4, 3))
+        st, cost = ds.svrgo_update_reference(st, p, X1, Y1, rng)  # p = 1: fires
+        assert cost == p.m * p.n
+        assert np.array_equal(st.x_tilde, X1) and np.array_equal(st.y_tilde, Y1)

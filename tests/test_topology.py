@@ -158,6 +158,17 @@ def test_mix_dim_mismatch():
     g = ds.build_ring(3)
     with pytest.raises(ValueError):
         ds.mix(g, np.zeros((4, 2)))
+    with pytest.raises(ValueError):
+        ds.mix(g, np.zeros((2, 4, 2)))
+
+
+def test_mix_stacked_blocks():
+    # a (2, m, d) payload mixes block by block, bit for bit
+    g = ds.build_torus(3, 4)
+    V = np.random.default_rng(3).standard_normal((2, 12, 5))
+    out = ds.mix(g, V)
+    assert np.array_equal(out[0], ds.mix(g, V[0]))
+    assert np.array_equal(out[1], ds.mix(g, V[1]))
 
 
 def test_pinv_norm_kernel_and_zero():
