@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from . import data as data_mod
 from .compression import (
+    MAX_BITS,
     Compressor,
     InfeasibleParameterError,
     estimate_delta,
@@ -54,18 +56,23 @@ def _require(d: dict, path: str, allowed: set, required: set):
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
 
 
-def _integer(d: dict, path: str, key: str, lo: int) -> int:
+def _integer(d: dict, path: str, key: str, lo: int, hi: int | None = None) -> int:
     v = d[key]
-    if isinstance(v, bool) or not isinstance(v, int) or v < lo:
-        raise ConfigError(f"{path}.{key} must be an integer >= {lo}, got {v!r}")
+    if (
+        isinstance(v, bool) or not isinstance(v, int) or v < lo
+        or (hi is not None and v > hi)
+    ):
+        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{path}.{key} must be an integer {bound}, got {v!r}")
     return v
 
 
 def _number(d: dict, path: str, key: str, positive: bool = False) -> float:
+    # json.load accepts NaN and Infinity, which no setting admits
     v = d[key]
     numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
-    if not numeric or (positive and not v > 0):
-        kind = "a positive number" if positive else "a number"
+    if not numeric or not math.isfinite(v) or (positive and not v > 0):
+        kind = "a positive finite number" if positive else "a finite number"
         raise ConfigError(f"{path}.{key} must be {kind}, got {v!r}")
     return v
 
@@ -154,7 +161,7 @@ class RunConfig:
             _require(comp, "compression", {"kind"}, {"kind"})
         elif comp["kind"] == "qinf":
             _require(comp, "compression", {"kind", "bits", "delta"}, {"kind", "bits"})
-            _integer(comp, "compression", "bits", 1)
+            _integer(comp, "compression", "bits", 1, MAX_BITS)
             if comp.get("delta", "auto") != "auto":
                 _number(comp, "compression", "delta")
         else:

@@ -14,6 +14,11 @@ import numpy as np
 from .topology import DecGraph, mix
 
 
+# beyond 32 bits the float quantizer gains nothing, and 2^(b-1) overflows
+# a float at b = 1025
+MAX_BITS = 32
+
+
 class InfeasibleParameterError(ValueError):
     """A derived algorithm parameter left its admissible window."""
 
@@ -35,8 +40,8 @@ class Compressor:
             if self.delta != 0.0:
                 raise ValueError("identity compressor must have delta = 0")
         elif self.kind == "quantize_inf":
-            if self.bits < 1:
-                raise ValueError(f"need bits >= 1, got {self.bits}")
+            if not 1 <= self.bits <= MAX_BITS:
+                raise ValueError(f"need 1 <= bits <= {MAX_BITS}, got {self.bits}")
             if not 0.0 < self.delta <= 1.0:
                 raise InfeasibleParameterError(
                     f"quantizer variance factor delta = {self.delta:.4g} "
@@ -72,9 +77,10 @@ def quantize_inf(x: np.ndarray, b: int, rng: np.random.Generator) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     mag = np.abs(x)
-    scale = mag.max(axis=-1, keepdims=True)
-    nonzero = scale[..., 0] > 0.0
-    if not nonzero.all():
+    scale = np.maximum.reduce(mag, axis=-1, keepdims=True)
+    # a zero (or NaN) row leaves the fast path; one reduce checks them all
+    if not np.minimum.reduce(scale, axis=None, initial=np.inf) > 0.0:
+        nonzero = scale[..., 0] > 0.0
         out = np.zeros_like(x)
         if nonzero.any():
             out[nonzero] = quantize_inf(x[nonzero], b, rng)
@@ -123,44 +129,49 @@ def estimate_delta(
 
 @dataclass
 class CommState:
-    """Per-node reference vectors H and their mixed counterparts Hw, shaped
-    like the exchanged payload: (m, d), or (2, m, d) for a primal-dual pair.
+    """Per-node reference vectors H and their mixed counterparts Hw, held
+    as one stacked pair HH = [H, Hw]; H and Hw are shaped like the
+    exchanged payload: (m, d), or (2, m, d) for a primal-dual pair.
 
     The invariant Hw = W H holds whenever the state was initialized
     consistently; comm_step preserves it.
     """
 
-    H: np.ndarray
-    Hw: np.ndarray
+    HH: np.ndarray
+
+    @property
+    def H(self) -> np.ndarray:
+        return self.HH[0]
+
+    @property
+    def Hw(self) -> np.ndarray:
+        return self.HH[1]
 
     @classmethod
     def from_reference(cls, g: DecGraph, H: np.ndarray) -> "CommState":
-        H = np.array(H, dtype=float)
-        return cls(H=H, Hw=mix(g, H))
+        H = np.asarray(H, dtype=float)
+        return cls(HH=np.array([H, mix(g, H)]))
 
 
 def comm_step(
     nu: np.ndarray,
     st: CommState,
     alpha: float | np.ndarray,
+    keep: float | np.ndarray,
     g: DecGraph,
     c: Compressor,
     rng: np.random.Generator,
 ):
     """One compressed gossip exchange.
 
-    alpha is the reference mixing factor: a scalar, or an array that
-    broadcasts against nu (one factor per block of a stacked payload).  Its
-    window (0, 1/(1+delta)) is checked once, by StepParams, not per call.
+    alpha is the reference mixing factor and keep = 1 - alpha, both
+    precomputed by the caller: scalars, or arrays that broadcast against
+    nu (one factor per block of a stacked payload).  The window
+    (0, 1/(1+delta)) of alpha is checked once, by StepParams, not per call.
     Returns (nu_hat, nu_hat_w, new CommState); counts as one communication
     round (the only transmitted payload is the stacked Q).
     """
-    Q = c.apply(nu - st.H, rng)
-    nu_hat = st.H + Q
-    nu_hat_w = st.Hw + mix(g, Q)
-    keep = 1.0 - alpha
-    new_st = CommState(
-        H=keep * st.H + alpha * nu_hat,
-        Hw=keep * st.Hw + alpha * nu_hat_w,
-    )
-    return nu_hat, nu_hat_w, new_st
+    HH = st.HH
+    Q = c.apply(nu - HH[0], rng)
+    NN = HH + np.array((Q, mix(g, Q)))  # [nu_hat, nu_hat_w]
+    return NN[0], NN[1], CommState(HH=keep * HH + alpha * NN)

@@ -42,6 +42,7 @@ class StepParams:
     gamma_2s: np.ndarray = _derived()  # gamma / (2 s)
     half_gamma: np.ndarray = _derived()  # gamma / 2
     alpha: np.ndarray = _derived()
+    keep: np.ndarray = _derived()  # 1 - alpha
 
     def __post_init__(self):
         if self.s <= 0:
@@ -60,12 +61,14 @@ class StepParams:
         self.gamma_2s = _blocks(self.gamma_x / (2.0 * s), self.gamma_y / (2.0 * s))
         self.half_gamma = _blocks(self.gamma_x / 2.0, self.gamma_y / 2.0)
         self.alpha = _blocks(self.alpha_x, self.alpha_y)
+        self.keep = 1.0 - self.alpha
 
 
 @dataclass
 class NodeEnsemble:
     """Stacked per-node iterates Z, dual trackers D and compression state,
-    each (2, m, d) with the x rows in block 0 and the y rows in block 1."""
+    each (2, m, d) with the x rows in block 0 and the y rows in block 1
+    (the compression state as its [H, Hw] pair, (2, 2, m, d))."""
 
     Z: np.ndarray
     D: np.ndarray
@@ -89,11 +92,11 @@ class NodeEnsemble:
 
     @property
     def comm_x(self) -> CommState:
-        return CommState(H=self.comm.H[0], Hw=self.comm.Hw[0])
+        return CommState(HH=self.comm.HH[:, 0])
 
     @property
     def comm_y(self) -> CommState:
-        return CommState(H=self.comm.H[1], Hw=self.comm.Hw[1])
+        return CommState(HH=self.comm.HH[:, 1])
 
     @classmethod
     def initialize(cls, g: DecGraph, x0: np.ndarray, y0: np.ndarray) -> "NodeEnsemble":
@@ -122,7 +125,10 @@ def ipdhg_step(
     payloads travel in one gossip round, quantized x rows first.  Raises
     InfeasibleParameterError if params were validated for a smaller
     compression factor than the compressor's (their alpha window would not
-    hold), and FloatingPointError if a new iterate is not finite.
+    hold), and FloatingPointError if a new iterate is not finite.  The
+    gradient kernel's exp may overflow harmlessly; callers enter
+    problem.overflow_guard() around their steps, as the solvers do once
+    per solve.
     """
     if params.delta < compressor.delta:
         raise InfeasibleParameterError(
@@ -132,7 +138,9 @@ def ipdhg_step(
     Z = ens.Z
     G, cost = oracle(Z[0], Z[1], rng)
     nu = Z + params.signed_s * G - params.s * ens.D
-    nu_hat, nu_hat_w, comm = comm_step(nu, ens.comm, params.alpha, g, compressor, rng)
+    nu_hat, nu_hat_w, comm = comm_step(
+        nu, ens.comm, params.alpha, params.keep, g, compressor, rng
+    )
     diff = nu_hat - nu_hat_w
     D_new = ens.D + params.gamma_2s * diff
     Z_new = prob.prox(nu - params.half_gamma * diff, params.s)

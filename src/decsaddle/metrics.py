@@ -94,11 +94,13 @@ def compute_anchors(prob: RobustLRProblem, z_star: PrimalDualPoint, s: float) ->
     )
 
 
-def distance_to_saddle(ens, z_star: PrimalDualPoint) -> float:
-    """Sum over nodes of the squared distance to the saddle point."""
-    dx = ens.x - z_star.x
-    dy = ens.y - z_star.y
-    return float(np.sum(dx**2) + np.sum(dy**2))
+def distance_to_saddle(ens, z_star: np.ndarray) -> float:
+    """Sum over nodes of the squared distance to the saddle point, given
+    stacked as z_star = PrimalDualPoint.stacked(); each block is summed
+    on its own, then the two sums are added."""
+    sq = (ens.Z - z_star) ** 2
+    s = sq.reshape(2, -1).sum(axis=1)
+    return float(s[0] + s[1])
 
 
 def phi(ens, anchors: SaddleAnchors, params, delta: float, spec: SpectralInfo) -> float:

@@ -10,12 +10,13 @@ Gradient units count batch-gradient evaluations as the paper's oracles
 spend them: 1 per node per GSGO draw, 2 per node per SVRGO draw, and m*n
 for a full reference refresh.  The simulator keeps the batch gradients of
 the last refresh, so an SVRGO draw only evaluates the fresh batch, but it
-is still charged 2 units per node.
+is still charged 2 units per node.  The cache and the sampling weights are
+laid out by the problem's flat batch row i*n + j, so the index that
+gathers the fresh batches also gathers their cached gradients and weights.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,12 +41,12 @@ class SvrgState:
 
     x_tilde: np.ndarray  # (m, d) reference points
     y_tilde: np.ndarray
-    g_batches: np.ndarray  # (2, m, n, d) batch gradients at the references
+    g_rows: np.ndarray  # (2, m*n, d) batch gradients at the references, row i*n + j
     g_tilde: np.ndarray  # (2, m, d) their means: the full gradients
     P: np.ndarray  # (m, n) sampling probabilities, rows sum to 1
     p: float  # Bernoulli refresh probability
     cdf: np.ndarray = field(init=False, repr=False)
-    weights: np.ndarray = field(init=False, repr=False)  # 1 / (n P)
+    weights: np.ndarray = field(init=False, repr=False)  # (m*n, 1): 1 / (n P)
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
@@ -59,7 +60,7 @@ class SvrgState:
         # normalized row-wise cumulative law, as Generator.choice builds it
         cdf = np.cumsum(P, axis=1)
         self.cdf = cdf / cdf[:, -1:]
-        self.weights = 1.0 / (P.shape[1] * P)
+        self.weights = (1.0 / (P.shape[1] * P)).reshape(-1, 1)
 
     @property
     def p_min(self) -> float:
@@ -79,8 +80,14 @@ class SvrgState:
             P = np.full((prob.m, prob.n), 1.0 / prob.n)
         Gb = prob.all_batch_grads(X, Y)
         return cls(
-            x_tilde=X, y_tilde=Y, g_batches=Gb, g_tilde=batch_mean(Gb), P=P, p=p
+            x_tilde=X, y_tilde=Y, g_rows=_rows(Gb), g_tilde=batch_mean(Gb), P=P, p=p
         )
+
+    def refresh(self, prob: RobustLRProblem, X: np.ndarray, Y: np.ndarray):
+        """Move every reference point to (X, Y), in place; the law stays."""
+        Gb = prob.all_batch_grads(X, Y)
+        self.x_tilde, self.y_tilde = X, Y
+        self.g_rows, self.g_tilde = _rows(Gb), batch_mean(Gb)
 
     def draw_batches(self, rng: np.random.Generator) -> np.ndarray:
         """One batch index per node from its row of P.
@@ -106,9 +113,9 @@ def svrgo_grad(
     are read from the state.  Returns (G, cost) with G stacked (2, m, d)
     and cost = 2 gradient units per node, the paper's SVRGO price.
     """
-    nodes = p.nodes
-    w = st.weights[nodes, J][:, None]
-    G = w * (p.batch_grads(X, Y, J) - st.g_batches[:, nodes, J]) + st.g_tilde
+    rows = p.row0 + J
+    w = st.weights.take(rows, axis=0)
+    G = w * (p.batch_grads(X, Y, J) - st.g_rows.take(rows, axis=1)) + st.g_tilde
     return G, 2 * p.m
 
 
@@ -132,16 +139,16 @@ def svrgo_update_reference(
 ):
     """Shared Bernoulli(p) refresh of every node's reference point.
 
-    Returns (state, cost): cost is m*n gradient units when the refresh
-    fires, else 0.  The same coin is used for all nodes so references stay
-    synchronized.
+    Returns (st, cost): when the coin fires, st is refreshed in place and
+    cost is m*n gradient units, else cost is 0.  The same coin is used for
+    all nodes so references stay synchronized.
     """
-    omega = rng.random() < st.p
-    if not omega:
+    if not rng.random() < st.p:
         return st, 0
-    # same law and coin, so the checked fields carry over unchanged
-    state = copy.copy(st)
-    state.x_tilde, state.y_tilde = X, Y
-    state.g_batches = prob.all_batch_grads(X, Y)
-    state.g_tilde = batch_mean(state.g_batches)
-    return state, prob.m * prob.n
+    st.refresh(prob, X, Y)
+    return st, prob.m * prob.n
+
+
+def _rows(Gb: np.ndarray) -> np.ndarray:
+    """(2, m*n, d) view of (2, m, n, d) batch gradients: row i*n + j."""
+    return Gb.reshape(2, -1, Gb.shape[-1])

@@ -50,15 +50,23 @@ class PrimalDualPoint:
     x: np.ndarray
     y: np.ndarray
 
+    def stacked(self) -> np.ndarray:
+        """(2, 1, d): [x, y] as a one-row stacked primal-dual block."""
+        return np.array([self.x, self.y], dtype=float)[:, None, :]
+
 
 class RobustLRProblem:
     """Per-node, per-batch losses with gradients, ball projections, and
     worst-case smoothness constants.
 
-    The batches are stored once as a zero-padded (m, n, B, d) feature tensor
-    A with (m, n, B) labels b, B the largest batch size.  A padded sample has
-    features 0 and label 0, so it adds exactly zero to both gradient blocks.
-    Every gradient, for one node or the whole ensemble, goes through _grad.
+    The batches are stored once as packed records: row i*n + j of the
+    (m*n, B, d + 1) array `records` is batch (i, j), one sample per line,
+    its d features followed by its label, B the largest batch size.  A
+    padded sample has features 0 and label 0, so it adds exactly zero to
+    both gradient blocks.  One flat index row0 + J gathers the batches J[i]
+    of every node i at once.  Every gradient, for one node or the whole
+    ensemble, goes through _grad, which sets no error state of its own:
+    callers enter overflow_guard() around it (the solvers once per solve).
     """
 
     def __init__(
@@ -84,7 +92,11 @@ class RobustLRProblem:
         self.R_x = R_x
         self.R_y = R_y
         self._radii = np.array([R_x, R_y], dtype=float)[:, None, None]
-        self.nodes = np.arange(self.m)  # row index of every node, for gathers
+        self.row0 = np.arange(self.m) * self.n  # record row of each node's batch 0
+        # kernel scalars; -n/N carries the sign of -b sigmoid(-t)
+        self._neg_c = -self.n / self.N
+        self._lam_m = lam / self.m
+        self._beta_m = beta / self.m
         covered = np.concatenate(
             [part.batch(i, j) for i in range(part.m) for j in range(part.n)]
         )
@@ -98,21 +110,23 @@ class RobustLRProblem:
             raise ValueError(f"batch ({i}, {j}) is empty")
         dense = ds.dense()
         B = int(self.sizes.max())
-        self.A = np.zeros((self.m, self.n, B, self.d))
-        self.b = np.zeros((self.m, self.n, B))
+        self.records = np.zeros((self.m * self.n, B, self.d + 1))
         for i in range(self.m):
             for j in range(self.n):
                 idx = part.batch(i, j)
-                self.A[i, j, : len(idx)] = dense[idx]
-                self.b[i, j, : len(idx)] = ds.labels[idx]
+                rec = self.records[i * self.n + j, : len(idx)]
+                rec[:, : self.d] = dense[idx]
+                rec[:, self.d] = ds.labels[idx]
+        # the same records as (m, n, B, d + 1): batch (i, j) at [i, j]
+        self.batches = self.records.reshape(self.m, self.n, B, self.d + 1)
         self.constants = (
             constants if constants is not None else self.lipschitz_constants()
         )
 
     def batch(self, i: int, j: int):
         """(A, b) of batch (i, j) without padding."""
-        k = self.sizes[i, j]
-        return self.A[i, j, :k], self.b[i, j, :k]
+        rec = self.batches[i, j, : self.sizes[i, j]]
+        return rec[:, : self.d], rec[:, self.d]
 
     def loss_batch(self, i: int, j: int, z: PrimalDualPoint) -> float:
         A, b = self.batch(i, j)
@@ -125,77 +139,62 @@ class RobustLRProblem:
             - (self.beta / (2 * self.m)) * np.dot(z.y, z.y)
         )
 
-    def _grad(self, A, b, X, Y, c: float) -> np.ndarray:
-        """Gradient blocks of k losses at once, stacked as (2, k, d).
+    def _grad(self, R: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Gradient blocks of a stack of batch losses, (2, *lead, d).
 
-        Row r is the loss over samples A[r] (B, d) with labels b[r], scaled
-        by c, plus the regularizers, evaluated at (X[r], Y[r]); block 0 is
-        the x-gradient, block 1 the y-gradient.
+        R holds records (*lead, B, d + 1); X and Y broadcast against
+        (*lead, d).  Entry r of each block is the gradient of the loss over
+        the samples of R[r], evaluated at (X[r], Y[r]), plus the
+        regularizers; block 0 is the x-gradient, block 1 the y-gradient.
         """
-        AY = A + Y[:, None, :]
-        t = b * (AY @ X[:, :, None])[..., 0]
-        coeff = -b * sigmoid(-t)  # one scalar per sample
-        G = np.empty((2,) + X.shape)
-        np.add(c * (coeff[:, None, :] @ AY)[:, 0], (self.lam / self.m) * X, out=G[0])
-        np.subtract(
-            (c * coeff.sum(axis=1))[:, None] * X, (self.beta / self.m) * Y, out=G[1]
-        )
+        d = self.d
+        A, b = R[..., :d], R[..., d]
+        AY = A + Y[..., None, :]
+        t = b * (AY @ X[..., :, None])[..., 0]
+        # b sigmoid(-t); the -b of the loss derivative rides on _neg_c,
+        # which negates exactly
+        bs = b * (1.0 / (1.0 + np.exp(t)))
+        c = self._neg_c
+        G = np.empty((2,) + AY.shape[:-2] + (d,))
+        np.add(c * (bs[..., None, :] @ AY)[..., 0, :], self._lam_m * X, out=G[0])
+        np.subtract((c * bs.sum(axis=-1))[..., None] * X, self._beta_m * Y, out=G[1])
         return G
 
     def batch_grads(self, X: np.ndarray, Y: np.ndarray, J: np.ndarray) -> np.ndarray:
         """Row i of each block: gradient of node i's batch J[i] at (X[i], Y[i])."""
-        return self._grad(
-            self.A[self.nodes, J], self.b[self.nodes, J], X, Y, self.n / self.N
-        )
+        return self._grad(self.records.take(self.row0 + J, axis=0), X, Y)
 
     def all_batch_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """(2, m, n, d): every batch gradient of node i at (X[i], Y[i])."""
-        return self._all_batches(self.A, self.b, X, Y)
+        """(2, m, n, d): every batch gradient of node i at (X[i], Y[i]); a
+        single row X, Y serves every node."""
+        return self._grad(self.batches, X[:, None], Y[:, None])
 
     def full_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row i of each block: average of node i's n batch gradients at
         (X[i], Y[i]); (2, m, d)."""
         return batch_mean(self.all_batch_grads(X, Y))
 
-    def _all_batches(self, A, b, X, Y):
-        """(2, k, n, d): gradient of batch A[r, j] at (X[r], Y[r])."""
-        k, n, B, d = A.shape
-        G = self._grad(
-            A.reshape(k * n, B, d), b.reshape(k * n, B),
-            np.repeat(X, n, axis=0), np.repeat(Y, n, axis=0), self.n / self.N,
-        )
-        return G.reshape(2, k, n, d)
-
     def grad_batch(self, i: int, j: int, z: PrimalDualPoint):
-        G = self._grad(
-            self.A[i, j][None], self.b[i, j][None], z.x[None], z.y[None],
-            self.n / self.N,
-        )
+        G = self._grad(self.batches[i, j][None], z.x[None], z.y[None])
         return G[0, 0], G[1, 0]
 
     def grad_full(self, i: int, z: PrimalDualPoint):
         """Average of batch gradients; costs n gradient units."""
-        A, b = self.A[i : i + 1], self.b[i : i + 1]
-        G = batch_mean(self._all_batches(A, b, z.x[None], z.y[None]))
+        G = batch_mean(self._grad(self.batches[i : i + 1], z.x, z.y))
         return G[0, 0], G[1, 0]
 
     def prox(self, Z: np.ndarray, s: float) -> np.ndarray:
-        """Ball projection of a stacked primal-dual block: every row of
-        Z[0] onto the R_x ball, every row of Z[1] onto the R_y ball."""
+        """Ball projection of a stacked (2, k, d) primal-dual block: every
+        row of Z[0] onto the R_x ball, every row of Z[1] onto the R_y ball."""
         return _project_ball(Z, self._radii)
-
-    def prox_primal(self, x: np.ndarray, s: float) -> np.ndarray:
-        return _project_ball(x, self.R_x)
-
-    def prox_dual(self, y: np.ndarray, s: float) -> np.ndarray:
-        return _project_ball(y, self.R_y)
 
     def lipschitz_constants(self) -> SaddleConstants:
         """Worst-case per-batch smoothness bounds over the constraint balls."""
         c = self.n / self.N
         N_ij = self.sizes
-        sq = np.sum(self.A**2, axis=(2, 3))
-        norms = np.sum(np.linalg.norm(self.A, axis=3), axis=2)
+        A = self.batches[..., : self.d]
+        sq = np.sum(A**2, axis=(2, 3))
+        norms = np.sum(np.linalg.norm(A, axis=3), axis=2)
         L_xx = np.max(0.5 * c * sq + 0.5 * c * N_ij * self.R_y**2) + self.lam / self.m
         L_yy = np.max(0.25 * c * N_ij * self.R_x**2) + self.beta / self.m
         L_xy = np.max(
@@ -214,20 +213,27 @@ class RobustLRProblem:
         """Squared fixed-point residual of the prox-gradient optimality map."""
         if s <= 0:
             raise ValueError("step size must be positive")
-        Gx, Gy = self.full_grads(
-            np.tile(z.x, (self.m, 1)), np.tile(z.y, (self.m, 1))
-        )
-        gx = Gx.sum(axis=0)
-        gy = Gy.sum(axis=0)
-        rx = z.x - self.prox_primal(z.x - (s / self.m) * gx, s)
-        ry = z.y - self.prox_dual(z.y + (s / self.m) * gy, s)
+        Z = z.stacked()
+        g = self.full_grads(Z[0], Z[1]).sum(axis=1, keepdims=True)
+        sm = s / self.m
+        r = Z - self.prox(Z + np.array([-sm, sm])[:, None, None] * g, s)
+        rx, ry = r[0, 0], r[1, 0]
         return float(np.dot(rx, rx) + np.dot(ry, ry))
+
+
+def overflow_guard():
+    """Error state for gradient evaluations: exp in the kernel overflows to
+    inf for far out-of-margin samples, which gives the right sigmoid value
+    0, so overflow is ignored.  The solvers enter it once per solve, not
+    once per kernel call."""
+    return np.errstate(over="ignore")
 
 
 def sigmoid(t: np.ndarray) -> np.ndarray:
     """1 / (1 + exp(-t)), elementwise; exp overflows to inf for t < -709,
-    giving 0 without a warning."""
-    with np.errstate(over="ignore"):
+    giving 0 without a warning.  The gradient kernel evaluates the same
+    expression inline, under the solvers' overflow guard."""
+    with overflow_guard():
         return 1.0 / (1.0 + np.exp(-t))
 
 

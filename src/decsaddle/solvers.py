@@ -18,7 +18,7 @@ from .compression import Compressor, InfeasibleParameterError
 from .ipdhg import NodeEnsemble, StepParams, ipdhg_step
 from .metrics import CostCounters, Trace, compute_anchors, distance_to_saddle, phi, phi_tilde
 from .oracles import SvrgState, gsgo_sample, svrgo_sample, svrgo_update_reference
-from .problem import PrimalDualPoint, RobustLRProblem, SaddleConstants
+from .problem import PrimalDualPoint, RobustLRProblem, SaddleConstants, overflow_guard
 from .topology import DecGraph, SpectralInfo, mix
 
 
@@ -282,30 +282,32 @@ def run_crdpsg(
     trace = Trace()
     counters = CostCounters()
     payload_coords = g.m * (prob.d + prob.d)
+    zs = z_star.stacked()
 
     def oracle(X, Y, r):
         return gsgo_sample(prob, X, Y, r)
 
     ens = None
     it = 0
-    for k in range(K):
-        params = crdpsg_stage_params(k, consts, delta, spec)
-        ens = NodeEnsemble.initialize(g, x, y)
-        # restart broadcast of the fresh references, sent uncompressed
-        counters.add_round(payload_coords, 32)
-        anchors = (
-            compute_anchors(prob, z_star, params.s) if collect_phi else None
-        )
-        sp = params.step_params()
-        for _ in range(params.t):
-            ens = ipdhg_step(ens, sp, g, oracle, prob, compressor, rng, counters)
-            it += 1
-            if it % log_stride == 0:
-                phi_val = (
-                    phi(ens, anchors, params, delta, spec) if collect_phi else None
-                )
-                trace.log(it, counters, distance_to_saddle(ens, z_star), phi_val)
-        x, y = ens.x, ens.y
+    with overflow_guard():
+        for k in range(K):
+            params = crdpsg_stage_params(k, consts, delta, spec)
+            ens = NodeEnsemble.initialize(g, x, y)
+            # restart broadcast of the fresh references, sent uncompressed
+            counters.add_round(payload_coords, 32)
+            anchors = (
+                compute_anchors(prob, z_star, params.s) if collect_phi else None
+            )
+            sp = params.step_params()
+            for _ in range(params.t):
+                ens = ipdhg_step(ens, sp, g, oracle, prob, compressor, rng, counters)
+                it += 1
+                if it % log_stride == 0:
+                    phi_val = (
+                        phi(ens, anchors, params, delta, spec) if collect_phi else None
+                    )
+                    trace.log(it, counters, distance_to_saddle(ens, zs), phi_val)
+            x, y = ens.x, ens.y
     return trace, ens
 
 
@@ -335,24 +337,28 @@ def run_cdpsvrg(
     x = np.tile(np.asarray(x0, dtype=float), (g.m, 1))
     y = np.tile(np.asarray(y0, dtype=float), (g.m, 1))
     ens = NodeEnsemble.initialize(g, x, y)
-    state = SvrgState.initialize(prob, x, y, p=p)
     trace = Trace()
     counters = CostCounters()
-    counters.add_grad(prob.m * prob.n)  # initial reference gradients
-    anchors = compute_anchors(prob, z_star, params.s) if collect_phi else None
+    zs = z_star.stacked()
     sp = params.step_params()
-    for t in range(1, T + 1):
-        def oracle(X, Y, r, _st=state):
-            return svrgo_sample(prob, X, Y, _st, r)
+    with overflow_guard():
+        state = SvrgState.initialize(prob, x, y, p=p)
+        counters.add_grad(prob.m * prob.n)  # initial reference gradients
+        anchors = compute_anchors(prob, z_star, params.s) if collect_phi else None
 
-        ens = ipdhg_step(ens, sp, g, oracle, prob, compressor, rng, counters)
-        state, cost = svrgo_update_reference(state, prob, ens.x, ens.y, rng)
-        counters.add_grad(cost)
-        if t % log_stride == 0:
-            phi_val = (
-                phi_tilde(ens, anchors, state, params, spec) if collect_phi else None
-            )
-            trace.log(t, counters, distance_to_saddle(ens, z_star), phi_val)
+        def oracle(X, Y, r):
+            return svrgo_sample(prob, X, Y, state, r)
+
+        for t in range(1, T + 1):
+            ens = ipdhg_step(ens, sp, g, oracle, prob, compressor, rng, counters)
+            state, cost = svrgo_update_reference(state, prob, ens.x, ens.y, rng)
+            counters.add_grad(cost)
+            if t % log_stride == 0:
+                phi_val = (
+                    phi_tilde(ens, anchors, state, params, spec)
+                    if collect_phi else None
+                )
+                trace.log(t, counters, distance_to_saddle(ens, zs), phi_val)
     return trace, ens
 
 
@@ -377,23 +383,23 @@ def compute_reference(
     consts = prob.constants
     h = 1.0 / (4.0 * consts.L)
     s = consts.mu / (24.0 * consts.L**2)
+    signed_h = np.array([-h, h])[:, None, None]  # x descends, y ascends
 
-    def step(x, y, at_x, at_y):
-        gx, gy = prob.full_grads(at_x, at_y)
-        return prob.prox_primal(x - h * gx, h), prob.prox_dual(y + h * gy, h)
+    def step(Z, at):
+        return prob.prox(Z + signed_h * prob.full_grads(at[0], at[1]), h)
 
-    # the single node's iterate as a one-row ensemble
-    x = np.zeros((1, prob.d))
-    y = np.zeros((1, prob.d))
+    # the single node's iterate as a one-row stacked point (2, 1, d)
+    Z = np.zeros((2, 1, prob.d))
     check_every = 25
-    for t in range(1, iterations + 1):
-        x_half, y_half = step(x, y, x, y)
-        x, y = step(x, y, x_half, y_half)
-        if t % check_every == 0:
-            if prob.saddle_residual(PrimalDualPoint(x[0], y[0]), s) <= tol:
-                break
-    z = PrimalDualPoint(x[0], y[0])
-    residual = prob.saddle_residual(z, s)
+    with overflow_guard():
+        for t in range(1, iterations + 1):
+            Z = step(Z, step(Z, Z))
+            if t % check_every == 0:
+                z = PrimalDualPoint(Z[0, 0], Z[1, 0])
+                if prob.saddle_residual(z, s) <= tol:
+                    break
+        z = PrimalDualPoint(Z[0, 0], Z[1, 0])
+        residual = prob.saddle_residual(z, s)
     if residual > 1e-7:
         warnings.warn(
             f"reference residual {residual:.3e} still above 1e-7 after "

@@ -9,6 +9,14 @@ import decsaddle as ds
 ACC = dict(N=200, d=10, data_seed=1, m=4, n=5, lam=12.5, beta=12.5, R_x=20.0, R_y=1.0)
 
 
+def project(prob, v, block):
+    """Project v, one row or stacked (k, d) rows, onto the ball of block 0
+    (R_x) or block 1 (R_y) through the stacked prox."""
+    Z = np.zeros((2,) + np.atleast_2d(v).shape)
+    Z[block] = v
+    return prob.prox(Z, 1.0)[block].reshape(np.shape(v))
+
+
 @pytest.fixture(scope="session")
 def acc_dataset():
     return ds.synthesize(ACC["N"], ACC["d"], ACC["data_seed"])

@@ -15,7 +15,7 @@ import decsaddle as ds
 from decsaddle.oracles import SvrgState
 from decsaddle.problem import PrimalDualPoint
 
-from conftest import ACC
+from conftest import ACC, project
 
 
 def _report(num, name, ok, detail=""):
@@ -134,8 +134,8 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
         states = []
         for s in s_schedule:
             gx, gy = prob.grad_full(0, PrimalDualPoint(x, y))
-            x = prob.prox_primal(x - s * gx, s)
-            y = prob.prox_dual(y + s * gy, s)
+            x = project(prob, x - s * gx, 0)
+            y = project(prob, y + s * gy, 1)
             states.append((x.copy(), y.copy()))
         return states
 
@@ -326,10 +326,10 @@ def test_criterion_08_lipschitz_dominance_sparse_dataset():
         for _ in range(1000):
             i = int(rng.integers(prob.m))
             j = int(rng.integers(prob.n))
-            x1 = prob.prox_primal(prob.R_x * rng.standard_normal(prob.d), 1.0)
-            x2 = prob.prox_primal(prob.R_x * rng.standard_normal(prob.d), 1.0)
-            y1 = prob.prox_dual(prob.R_y * rng.standard_normal(prob.d), 1.0)
-            y2 = prob.prox_dual(prob.R_y * rng.standard_normal(prob.d), 1.0)
+            x1 = project(prob, prob.R_x * rng.standard_normal(prob.d), 0)
+            x2 = project(prob, prob.R_x * rng.standard_normal(prob.d), 0)
+            y1 = project(prob, prob.R_y * rng.standard_normal(prob.d), 1)
+            y2 = project(prob, prob.R_y * rng.standard_normal(prob.d), 1)
             if name == "L_xx":
                 g1 = prob.grad_batch(i, j, PrimalDualPoint(x1, y1))[0]
                 g2 = prob.grad_batch(i, j, PrimalDualPoint(x2, y1))[0]

@@ -185,10 +185,17 @@ def _subprocess_run(config_path):
         {"partition": {"n": 2, "mode": "interleaved"}},
         {"dataset": {"kind": "libsvm", "path": "missing.svm"}},
         {"seed": "x"},
+        # json.load reads Infinity and NaN as floats
+        {"problem": {"lambda": 2.0, "beta": 2.0, "R_x": float("inf"), "R_y": 1.0}},
+        {"problem": {"lambda": float("inf"), "beta": 2.0, "R_x": 5.0, "R_y": 1.0}},
+        {"compression": {"kind": "qinf", "bits": 4, "delta": float("nan")}},
+        {"oracle": {"p": float("nan")}},
+        {"compression": {"kind": "qinf", "bits": 1100}},
     ],
     ids=[
         "m-string", "ring-m2", "bits0", "n-too-large", "unknown-mode",
-        "missing-libsvm", "seed-string",
+        "missing-libsvm", "seed-string", "R_x-inf", "lambda-inf", "delta-nan",
+        "p-nan", "bits1100",
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, overrides):

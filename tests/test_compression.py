@@ -88,6 +88,13 @@ def test_compressor_rejects_bad_delta():
         ds.Compressor(kind="identity", delta=0.5)
 
 
+@pytest.mark.parametrize("bits", [0, 33, 1100])
+def test_compressor_rejects_bits_outside_window(bits):
+    # 1100 bits would overflow 2^(b-1) in the first quantized step
+    with pytest.raises(ValueError, match="bits"):
+        ds.Compressor(kind="quantize_inf", bits=bits, delta=0.5)
+
+
 def test_bits_per_coord():
     assert ds.Compressor(kind="quantize_inf", bits=4, delta=0.1).bits_per_coord == 5
     assert ds.identity_compressor().bits_per_coord == 32
@@ -98,7 +105,9 @@ def test_comm_identity_collapses():
     rng = np.random.default_rng(0)
     nu = rng.standard_normal((4, 3))
     st = ds.CommState.from_reference(g, rng.standard_normal((4, 3)))
-    nu_hat, nu_hat_w, _ = ds.comm_step(nu, st, 0.5, g, ds.identity_compressor(), rng)
+    nu_hat, nu_hat_w, _ = ds.comm_step(
+        nu, st, 0.5, 0.5, g, ds.identity_compressor(), rng
+    )
     assert np.allclose(nu_hat, nu, atol=0)
     assert np.allclose(nu_hat_w, ds.mix(g, nu), atol=1e-15)
 
@@ -109,7 +118,7 @@ def test_comm_no_drift():
     H = rng.standard_normal((4, 2))
     st = ds.CommState.from_reference(g, H)
     c = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
-    nu_hat, nu_hat_w, new_st = ds.comm_step(H, st, 0.5, g, c, rng)
+    nu_hat, nu_hat_w, new_st = ds.comm_step(H, st, 0.5, 0.5, g, c, rng)
     assert np.array_equal(nu_hat, H)
     assert np.array_equal(nu_hat_w, st.Hw)
     assert np.array_equal(new_st.H, H)
@@ -118,10 +127,10 @@ def test_comm_no_drift():
 def test_comm_hand_example_ring3():
     g = ds.build_ring(3)
     rng = np.random.default_rng(0)
-    st = ds.CommState(H=np.zeros((3, 1)), Hw=np.zeros((3, 1)))
+    st = ds.CommState(HH=np.zeros((2, 3, 1)))
     nu = np.array([[3.0], [0.0], [0.0]])
     nu_hat, nu_hat_w, new_st = ds.comm_step(
-        nu, st, 0.5, g, ds.identity_compressor(), rng
+        nu, st, 0.5, 0.5, g, ds.identity_compressor(), rng
     )
     assert np.allclose(nu_hat.ravel(), [3, 0, 0], atol=0)
     assert np.allclose(nu_hat_w.ravel(), [1, 1, 1], atol=1e-15)
@@ -136,7 +145,7 @@ def test_comm_state_consistency_1000_steps():
     st = ds.CommState.from_reference(g, rng.standard_normal((5, 4)))
     for _ in range(1000):
         nu = rng.standard_normal((5, 4))
-        _, _, st = ds.comm_step(nu, st, 0.3, g, c, rng)
+        _, _, st = ds.comm_step(nu, st, 0.3, 1.0 - 0.3, g, c, rng)
         drift = np.max(np.abs(st.Hw - ds.mix(g, st.H)))
         assert drift <= 1e-9 * (1 + np.max(np.abs(st.Hw)))
 

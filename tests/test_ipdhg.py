@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import decsaddle as ds
+from conftest import project
 from decsaddle.compression import InfeasibleParameterError
 from decsaddle.problem import PrimalDualPoint
 
@@ -27,8 +28,8 @@ def test_single_node_reduces_to_prox_gda():
     rng = np.random.default_rng(0)
     ens = ds.ipdhg_step(ens, params, g, _exact_oracle(prob), prob, comp, rng)
     gx, gy = prob.grad_full(0, PrimalDualPoint(x[0], y[0]))
-    assert np.allclose(ens.x[0], prob.prox_primal(x[0] - 0.01 * gx, 0.01), atol=1e-15)
-    assert np.allclose(ens.y[0], prob.prox_dual(y[0] + 0.01 * gy, 0.01), atol=1e-15)
+    assert np.allclose(ens.x[0], project(prob, x[0] - 0.01 * gx, 0), atol=1e-15)
+    assert np.allclose(ens.y[0], project(prob, y[0] + 0.01 * gy, 1), atol=1e-15)
     assert np.allclose(ens.Dx, 0.0, atol=0) and np.allclose(ens.Dy, 0.0, atol=0)
 
 
@@ -89,12 +90,12 @@ def test_step_matches_straight_line_transcription(g, N, lam):
     nux_hat_w = W @ nux
     Dx1 = Dx0 + (gx_ / (2 * s)) * (nux_hat - nux_hat_w)
     x1 = nux - (gx_ / 2) * (nux_hat - nux_hat_w)
-    x1 = np.stack([prob.prox_primal(x1[i], s) for i in range(m)])
+    x1 = np.stack([project(prob, x1[i], 0) for i in range(m)])
     nuy = y + s * Gy - s * Dy0
     nuy_hat_w = W @ nuy
     Dy1 = Dy0 + (gy_ / (2 * s)) * (nuy - nuy_hat_w)
     y1 = nuy - (gy_ / 2) * (nuy - nuy_hat_w)
-    y1 = np.stack([prob.prox_dual(y1[i], s) for i in range(m)])
+    y1 = np.stack([project(prob, y1[i], 1) for i in range(m)])
 
     assert np.max(np.abs(out.x - x1)) <= 1e-14
     assert np.max(np.abs(out.y - y1)) <= 1e-14
@@ -205,8 +206,8 @@ def test_ensemble_trajectory_matches_per_node_loop():
         nuy_w = Hwy + W @ (nuy - Hy)
         Dx = Dx + (params.gamma_x / (2 * s)) * (nux - nux_w)
         Dy = Dy + (params.gamma_y / (2 * s)) * (nuy - nuy_w)
-        x = np.stack([prob.prox_primal(r, s) for r in nux - (params.gamma_x / 2) * (nux - nux_w)])
-        y = np.stack([prob.prox_dual(r, s) for r in nuy - (params.gamma_y / 2) * (nuy - nuy_w)])
+        x = np.stack([project(prob, r, 0) for r in nux - (params.gamma_x / 2) * (nux - nux_w)])
+        y = np.stack([project(prob, r, 1) for r in nuy - (params.gamma_y / 2) * (nuy - nuy_w)])
         Hx, Hwx = (1 - ax) * Hx + ax * nux, (1 - ax) * Hwx + ax * nux_w
         Hy, Hwy = (1 - ay) * Hy + ay * nuy, (1 - ay) * Hwy + ay * nuy_w
         worst = max(worst, np.max(np.abs(ens.x - x)), np.max(np.abs(ens.y - y)))
@@ -243,14 +244,26 @@ def _exchange(nu, H, Hw, alpha, W, bits, rng):
     return nu_hat, nu_hat_w, H, Hw
 
 
-@pytest.mark.parametrize("kind", ["gsgo", "svrgo"])
-def test_stacked_step_matches_two_block_transcription(kind):
+@pytest.mark.parametrize(
+    "kind, N, mode, p_ref",
+    [
+        ("gsgo", 36, "shuffled", None),
+        ("svrgo", 36, "shuffled", 0.3),
+        # unequal batches: N = 38 over 12 batches, shorter ones zero-padded
+        ("svrgo", 38, "sorted", 0.3),
+        ("svrgo", 36, "shuffled", 1.0),  # a refresh after every step
+    ],
+    ids=["gsgo", "svrgo", "svrgo-padded", "svrgo-p1"],
+)
+def test_stacked_step_matches_two_block_transcription(kind, N, mode, p_ref):
     # 300 quantized steps of the stacked (2, m, d) step against a
     # transcription with separate x and y exchanges (x rows quantized
     # first), per-node gradients and, for SVRGO, uncached reference-batch
     # gradients; the zero start makes every y row zero in step 1, so the
     # quantizer's zero-row path is taken.  Equality is exact.
-    prob = _problem(m=4, n=3, N=36)
+    dset = ds.synthesize(N, 3, 0)
+    part = ds.partition(dset, 4, 3, 0, mode=mode)
+    prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
     g = ds.build_ring(4)
     W, m, n, d = g.W, 4, prob.n, prob.d
     comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
@@ -274,7 +287,6 @@ def test_stacked_step_matches_two_block_transcription(kind):
             ]
             return np.array([gx for gx, _ in rows]), np.array([gy for _, gy in rows])
     else:
-        p_ref = 0.3
         st = ds.SvrgState.initialize(prob, zeros, zeros, p=p_ref)
         ref = [zeros, zeros]  # the transcription's reference points
 
@@ -301,11 +313,11 @@ def test_stacked_step_matches_two_block_transcription(kind):
         nux = x - s * Gx - s * Dx
         nhx, nhwx, Hx, Hwx = _exchange(nux, Hx, Hwx, params.alpha_x, W, 4, loop_rng)
         Dx = Dx + (params.gamma_x / (2.0 * s)) * (nhx - nhwx)
-        x_new = prob.prox_primal(nux - (params.gamma_x / 2.0) * (nhx - nhwx), s)
+        x_new = project(prob, nux - (params.gamma_x / 2.0) * (nhx - nhwx), 0)
         nuy = y + s * Gy - s * Dy
         nhy, nhwy, Hy, Hwy = _exchange(nuy, Hy, Hwy, params.alpha_y, W, 4, loop_rng)
         Dy = Dy + (params.gamma_y / (2.0 * s)) * (nhy - nhwy)
-        y = prob.prox_dual(nuy - (params.gamma_y / 2.0) * (nhy - nhwy), s)
+        y = project(prob, nuy - (params.gamma_y / 2.0) * (nhy - nhwy), 1)
         x = x_new
         if kind == "svrgo":
             st, _ = ds.svrgo_update_reference(st, prob, ens.x, ens.y, rng)

@@ -11,6 +11,7 @@ class _Ens:
 
     def __init__(self, x, y, Dx, Dy, Hx, Hy):
         self.x, self.y, self.Dx, self.Dy = x, y, Dx, Dy
+        self.Z = np.array([x, y])
         self.comm_x = type("C", (), {"H": Hx})
         self.comm_y = type("C", (), {"H": Hy})
 
@@ -60,12 +61,12 @@ def test_distance_to_saddle():
     x = np.array([[1.0, 0.0], [0.0, 0.0]])
     y = np.array([[0.0, 0.0], [0.0, 1.0]])
     ens = _Ens(x, y, None, None, None, None)
-    assert ds.distance_to_saddle(ens, z) == 2.0
+    assert ds.distance_to_saddle(ens, z.stacked()) == 2.0
     # brute-force duplicate sum
     brute = sum(
         np.sum((x[i] - z.x) ** 2) + np.sum((y[i] - z.y) ** 2) for i in range(2)
     )
-    assert abs(ds.distance_to_saddle(ens, z) - brute) <= 1e-15
+    assert abs(ds.distance_to_saddle(ens, z.stacked()) - brute) <= 1e-15
 
 
 def test_anchors_range_membership(acc_problem, acc_zstar):
@@ -121,7 +122,7 @@ def test_phi_dominates_distance(acc_problem, acc_graph, acc_zstar):
     M_x, M_y = 0.9, 0.8
     params = _Params(M_x=M_x, M_y=M_y, s=0.001, gamma_x=0.01, gamma_y=0.01)
     val = ds.phi(ens, a, params, 0.04, spec)
-    assert val >= min(M_x, M_y) * ds.distance_to_saddle(ens, z) - 1e-12
+    assert val >= min(M_x, M_y) * ds.distance_to_saddle(ens, z.stacked()) - 1e-12
 
 
 def test_phi_tilde_hand_arithmetic(acc_problem, acc_graph, acc_zstar):

@@ -166,29 +166,42 @@ def test_svrgo_draws_match_sequential_choice():
 def test_svrgo_cache_matches_uncached_formula():
     # the cached reference-batch gradients give exactly
     # w (grad_J(X) - grad_J(X_tilde)) + g_tilde, before and after a refresh,
-    # and the cost is still 2 units per node per draw, m*n per refresh
-    p = _problem(m=4, n=3, N=24)
-    rng = np.random.default_rng(13)
-    P = rng.random((4, 3)) + 0.1
-    P /= P.sum(axis=1, keepdims=True)
-    st = SvrgState.initialize(
-        p, rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3)), p=1.0, P=P
-    )
-    for _ in range(2):
-        for _ in range(20):
-            X = rng.standard_normal((4, 3))
-            Y = 0.2 * rng.standard_normal((4, 3))
-            J = st.draw_batches(rng)
-            w = (1.0 / (p.n * P[np.arange(4), J]))[:, None]
-            expected = (
-                w * (p.batch_grads(X, Y, J) - p.batch_grads(st.x_tilde, st.y_tilde, J))
-                + p.full_grads(st.x_tilde, st.y_tilde)
-            )
-            G, cost = ds.svrgo_grad(p, X, Y, st, J)
-            assert np.array_equal(G, expected)
-            assert cost == 2 * p.m
-        X1 = rng.standard_normal((4, 3))
-        Y1 = 0.2 * rng.standard_normal((4, 3))
-        st, cost = ds.svrgo_update_reference(st, p, X1, Y1, rng)  # p = 1: fires
-        assert cost == p.m * p.n
-        assert np.array_equal(st.x_tilde, X1) and np.array_equal(st.y_tilde, Y1)
+    # and the cost is still 2 units per node per draw, m*n per refresh; on
+    # equal batches, on unequal ones (zero-padded records, N = 26 over
+    # m * n = 12 batches), and with a refresh after every draw
+    for N, mode, draws, refreshes in [
+        (24, "shuffled", 20, 2),
+        (26, "sorted", 20, 2),
+        (24, "shuffled", 1, 10),
+    ]:
+        dset = ds.synthesize(N, 3, 0)
+        part = ds.partition(dset, 4, 3, 0, mode=mode)
+        p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
+        rng = np.random.default_rng(13)
+        P = rng.random((4, 3)) + 0.1
+        P /= P.sum(axis=1, keepdims=True)
+        st = SvrgState.initialize(
+            p, rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3)),
+            p=1.0, P=P,
+        )
+        for _ in range(refreshes):
+            for _ in range(draws):
+                X = rng.standard_normal((4, 3))
+                Y = 0.2 * rng.standard_normal((4, 3))
+                J = st.draw_batches(rng)
+                w = (1.0 / (p.n * P[np.arange(4), J]))[:, None]
+                expected = (
+                    w * (
+                        p.batch_grads(X, Y, J)
+                        - p.batch_grads(st.x_tilde, st.y_tilde, J)
+                    )
+                    + p.full_grads(st.x_tilde, st.y_tilde)
+                )
+                G, cost = ds.svrgo_grad(p, X, Y, st, J)
+                assert np.array_equal(G, expected)
+                assert cost == 2 * p.m
+            X1 = rng.standard_normal((4, 3))
+            Y1 = 0.2 * rng.standard_normal((4, 3))
+            st, cost = ds.svrgo_update_reference(st, p, X1, Y1, rng)  # p = 1: fires
+            assert cost == p.m * p.n
+            assert np.array_equal(st.x_tilde, X1) and np.array_equal(st.y_tilde, Y1)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import decsaddle as ds
+from conftest import project
 from decsaddle.problem import PrimalDualPoint, sigmoid
 
 
@@ -108,12 +109,12 @@ def test_objective_consistency_brute_force():
 
 def test_prox_projection():
     p = _small_problem(R_x=1.0)
-    assert np.allclose(p.prox_primal(np.array([3.0, 4.0, 0, 0]), 0.1),
+    assert np.allclose(project(p, np.array([3.0, 4.0, 0, 0]), 0),
                        [0.6, 0.8, 0, 0], atol=1e-15)
     inside = np.array([0.1, 0.2, 0, 0])
-    assert np.array_equal(p.prox_primal(inside, 0.1), inside)
-    out = p.prox_primal(np.array([5.0, 5.0, 5.0, 5.0]), 0.1)
-    assert np.array_equal(p.prox_primal(out, 0.1), out)
+    assert np.array_equal(project(p, inside, 0), inside)
+    out = project(p, np.array([5.0, 5.0, 5.0, 5.0]), 0)
+    assert np.array_equal(project(p, out, 0), out)
 
 
 def test_lipschitz_hand_single_sample():
@@ -138,10 +139,10 @@ def _dominance_probes(p, const_name, n_probes, rng):
     for _ in range(n_probes):
         i = int(rng.integers(p.m))
         j = int(rng.integers(p.n))
-        x1 = p.prox_primal(p.R_x * rng.standard_normal(p.d), 1.0)
-        x2 = p.prox_primal(p.R_x * rng.standard_normal(p.d), 1.0)
-        y1 = p.prox_dual(p.R_y * rng.standard_normal(p.d), 1.0)
-        y2 = p.prox_dual(p.R_y * rng.standard_normal(p.d), 1.0)
+        x1 = project(p, p.R_x * rng.standard_normal(p.d), 0)
+        x2 = project(p, p.R_x * rng.standard_normal(p.d), 0)
+        y1 = project(p, p.R_y * rng.standard_normal(p.d), 1)
+        y2 = project(p, p.R_y * rng.standard_normal(p.d), 1)
         if const_name == "L_xx":
             g1 = p.grad_batch(i, j, PrimalDualPoint(x1, y1))[0]
             g2 = p.grad_batch(i, j, PrimalDualPoint(x2, y1))[0]

@@ -207,3 +207,29 @@ def test_compute_reference_warns_when_cut_short(acc_dataset):
         warnings.simplefilter("error")
         _, res = ds.compute_reference(prob, iterations=2000, tol=1e-25)
     assert res <= 1e-25
+
+
+def test_solve_ignores_kernel_overflow():
+    # far out-of-margin samples (|t| in the thousands) overflow exp in the
+    # gradient kernel, which sets no error state itself: a solve enters the
+    # overflow guard once, so no warning escapes and the run stays finite
+    base = ds.synthesize(40, 3, 0)
+    dset = ds.Dataset(
+        labels=base.labels, indices=base.indices,
+        values=[400.0 * v for v in base.values], d=base.d,
+    )
+    prob = ds.RobustLRProblem(
+        dset, ds.partition(dset, 4, 2, 0), lam=1.0, beta=1.0, R_x=20.0, R_y=1.0
+    )
+    x0 = np.full(3, 10.0)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        prob.full_grads(np.tile(x0, (4, 1)), np.zeros((4, 3)))
+    g = ds.build_ring(4)
+    z = ds.PrimalDualPoint(np.zeros(3), np.zeros(3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace, ens = ds.run_cdpsvrg(
+            prob, g, ds.spectral(g), ds.identity_compressor(), 3, x0,
+            np.zeros(3), z, seed=1, log_stride=1,
+        )
+    assert np.isfinite(ens.Z).all() and len(trace.rows) == 3

@@ -9,8 +9,10 @@ quantized gossip, once with the minibatch oracle (GSGO) and once with the
 variance-reduced oracle (SVRGO, reference point held fixed, as between two
 refreshes).  Each repeat times --steps consecutive steps after a short
 warm-up; a row reports the median over --repeats of the mean step time.
-BLAS/OpenMP threads are pinned to 1 before NumPy is imported.  The package
-is imported from the `src/` next to this script.
+The steps run under the kernel's overflow guard, entered once per cell, as
+the solvers enter it once per solve.  BLAS/OpenMP threads are pinned to 1
+before NumPy is imported.  The package is imported from the `src/` next to
+this script.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ sys.path.insert(0, os.path.join(HERE, "..", "src"))
 import numpy as np  # noqa: E402
 
 import decsaddle as ds  # noqa: E402
+from decsaddle.problem import overflow_guard  # noqa: E402
 
 NODES = (4, 16, 64)
 DIMS = (10, 100)
@@ -75,14 +78,15 @@ def time_cell(m, d, kind, steps, repeats):
     )
     rng = np.random.default_rng(3)
     step = ds.ipdhg_step
-    for _ in range(WARMUP):
-        ens = step(ens, params, g, oracle, prob, comp, rng)
     per_step = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(steps):
+    with overflow_guard():
+        for _ in range(WARMUP):
             ens = step(ens, params, g, oracle, prob, comp, rng)
-        per_step.append((time.perf_counter() - t0) / steps * 1e6)
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            for _ in range(steps):
+                ens = step(ens, params, g, oracle, prob, comp, rng)
+            per_step.append((time.perf_counter() - t0) / steps * 1e6)
     return statistics.median(per_step)
 
 
