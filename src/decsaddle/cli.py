@@ -462,7 +462,9 @@ def main(argv=None) -> int:
     except InfeasibleParameterError as e:
         print(f"infeasible parameters: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except FloatingPointError as e:
+    except ArithmeticError as e:
+        # a non-finite iterate (FloatingPointError), or a derived constant
+        # that leaves the float range (OverflowError, ZeroDivisionError)
         print(f"numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -85,10 +85,12 @@ def quantize_inf(x: np.ndarray, b: int, rng: np.random.Generator) -> np.ndarray:
         if nonzero.any():
             out[nonzero] = quantize_inf(x[nonzero], b, rng)
         return out
-    levels = 2.0 ** (b - 1)
+    # the level width; dividing by it is exact scaling by a power of two,
+    # so mag / step is levels * mag / scale to the bit
+    step = scale / 2.0 ** (b - 1)
     u = rng.random(x.shape)
-    q = np.floor(levels * mag / scale + u)
-    return (scale / levels) * np.sign(x) * q
+    q = np.floor(mag / step + u)
+    return np.copysign(step * q, x)
 
 
 def estimate_delta(

@@ -47,6 +47,7 @@ class SvrgState:
     p: float  # Bernoulli refresh probability
     cdf: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)  # (m*n, 1): 1 / (n P)
+    unread: bool = field(init=False, repr=False)  # no draw since the refresh
 
     def __post_init__(self):
         if not 0.0 < self.p <= 1.0:
@@ -61,6 +62,7 @@ class SvrgState:
         cdf = np.cumsum(P, axis=1)
         self.cdf = cdf / cdf[:, -1:]
         self.weights = (1.0 / (P.shape[1] * P)).reshape(-1, 1)
+        self.unread = True
 
     @property
     def p_min(self) -> float:
@@ -88,6 +90,7 @@ class SvrgState:
         Gb = prob.all_batch_grads(X, Y)
         self.x_tilde, self.y_tilde = X, Y
         self.g_rows, self.g_tilde = _rows(Gb), batch_mean(Gb)
+        self.unread = True
 
     def draw_batches(self, rng: np.random.Generator) -> np.ndarray:
         """One batch index per node from its row of P.
@@ -96,7 +99,7 @@ class SvrgState:
         per node, located by searchsorted(cdf[i], u, side="right").
         """
         u = rng.random(self.cdf.shape[0])
-        return (self.cdf <= u[:, None]).sum(axis=1)
+        return np.add.reduce(self.cdf <= u[:, None], axis=1)
 
 
 def svrgo_grad(
@@ -126,8 +129,21 @@ def svrgo_sample(
     st: SvrgState,
     rng: np.random.Generator,
 ):
-    """svrgo_grad on batches drawn from the sampling law."""
-    return svrgo_grad(p, X, Y, st, st.draw_batches(rng))
+    """svrgo_grad on batches drawn from the sampling law.
+
+    The first draw after a refresh (or after initialize) usually comes at
+    the reference point itself, as in the variance-reduced solver.  There
+    the fresh batch gradients equal the cached rows bit for bit, so the
+    control variate is exactly +0 and the gradient is g_tilde + 0.0 (the
+    same bits, -0.0 turned +0.0 as the subtraction does): that draw still
+    draws J and is charged 2 units per node, but runs no kernel.
+    """
+    J = st.draw_batches(rng)
+    if st.unread:
+        st.unread = False
+        if _same_bits(X, st.x_tilde) and _same_bits(Y, st.y_tilde):
+            return st.g_tilde + 0.0, 2 * p.m
+    return svrgo_grad(p, X, Y, st, J)
 
 
 def svrgo_update_reference(
@@ -147,6 +163,10 @@ def svrgo_update_reference(
         return st, 0
     st.refresh(prob, X, Y)
     return st, prob.m * prob.n
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _rows(Gb: np.ndarray) -> np.ndarray:

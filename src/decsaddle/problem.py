@@ -157,7 +157,8 @@ class RobustLRProblem:
         c = self._neg_c
         G = np.empty((2,) + AY.shape[:-2] + (d,))
         np.add(c * (bs[..., None, :] @ AY)[..., 0, :], self._lam_m * X, out=G[0])
-        np.subtract((c * bs.sum(axis=-1))[..., None] * X, self._beta_m * Y, out=G[1])
+        cbs = c * np.add.reduce(bs, axis=-1)
+        np.subtract(cbs[..., None] * X, self._beta_m * Y, out=G[1])
         return G
 
     def batch_grads(self, X: np.ndarray, Y: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -215,8 +216,12 @@ class RobustLRProblem:
             raise ValueError("step size must be positive")
         Z = z.stacked()
         g = self.full_grads(Z[0], Z[1]).sum(axis=1, keepdims=True)
-        sm = s / self.m
-        r = Z - self.prox(Z + np.array([-sm, sm])[:, None, None] * g, s)
+        return self.prox_residual(Z, g, s / self.m)
+
+    def prox_residual(self, Z: np.ndarray, G: np.ndarray, s: float) -> float:
+        """Squared norm of Z - prox(Z + s (-G_x, +G_y)) for a one-row
+        stacked (2, 1, d) point Z and its gradient blocks G."""
+        r = Z - self.prox(Z + np.array([-s, s])[:, None, None] * G, s)
         rx, ry = r[0, 0], r[1, 0]
         return float(np.dot(rx, rx) + np.dot(ry, ry))
 
@@ -227,14 +232,6 @@ def overflow_guard():
     0, so overflow is ignored.  The solvers enter it once per solve, not
     once per kernel call."""
     return np.errstate(over="ignore")
-
-
-def sigmoid(t: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-t)), elementwise; exp overflows to inf for t < -709,
-    giving 0 without a warning.  The gradient kernel evaluates the same
-    expression inline, under the solvers' overflow guard."""
-    with overflow_guard():
-        return 1.0 / (1.0 + np.exp(-t))
 
 
 def batch_mean(Gb: np.ndarray) -> np.ndarray:

@@ -1,14 +1,21 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import decsaddle as ds
 from decsaddle.cli import (
     EXIT_CONFIG,
+    EXIT_INFEASIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     ConfigError,
     RunConfig,
@@ -219,3 +226,125 @@ def test_budget_key_must_match_algorithm(tmp_path, algorithm, budget):
     cfg["dataset"] = {"kind": "libsvm", "path": str(tmp_path / "never-read.svm")}
     with pytest.raises(ConfigError, match="budget"):
         RunConfig.parse(cfg)
+
+
+@pytest.mark.parametrize(
+    "algorithm, budget, problem",
+    [
+        ("crdpsg", {"stages": 1}, {"R_x": 1e200}),  # R_x**2 in the constants
+        ("cdpsvrg", {"iterations": 10}, {"lambda": 1e-170}),  # kappa_f**2
+    ],
+    ids=["R_x-1e200", "lambda-1e-170"],
+)
+def test_overflowing_constants_are_numerical_failures(
+    tmp_path, capsys, algorithm, budget, problem
+):
+    # finite config values whose derived constants leave the float range
+    cfg = _base_config(tmp_path, algorithm=algorithm, budget=budget)
+    cfg["problem"].update(problem)
+    assert main(["validate", _write(tmp_path, cfg)]) == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+# two valid configs (validate exits 0 on both, all windows feasible)
+_FUZZ_BASES = (
+    {
+        "algorithm": "cdpsvrg",
+        "topology": {"kind": "ring", "m": 3},
+        "dataset": {"kind": "synthetic", "N": 24, "d": 3, "seed": 1},
+        "partition": {"n": 2, "mode": "shuffled"},
+        "problem": {"lambda": 2.0, "beta": 2.0, "R_x": 5.0, "R_y": 1.0},
+        "compression": {"kind": "qinf", "bits": 3, "delta": "auto"},
+        "oracle": {"p": 0.5},
+        "budget": {"iterations": 10},
+        "seed": 3,
+        "log": {"stride": 2, "output": "trace.csv"},
+        "reference": {"compute": {"iterations": 100, "tol": 1e-12}},
+    },
+    {
+        "algorithm": "crdpsg",
+        "topology": {"kind": "torus", "rows": 3, "cols": 3},
+        "dataset": {"kind": "synthetic", "N": 36, "d": 2, "seed": 0},
+        "partition": {"n": 2, "mode": "sorted"},
+        "problem": {"lambda": 2.0, "beta": 2.0, "R_x": 20.0, "R_y": 1.0},
+        "compression": {"kind": "identity"},
+        "budget": {"stages": 2},
+        "seed": 0,
+        "reference": {"path": "zstar.txt"},
+    },
+)
+_FUZZ_KEYS = sorted(
+    {k for base in _FUZZ_BASES for sec in base.values() if isinstance(sec, dict)
+     for k in sec} | {"compute", "iterations", "tol", "path", "stages", "typo"}
+)
+# sizes stay small (integers up to 12) so that no drawn config allocates a
+# large dataset or spectrum
+_FUZZ_NUMBER = st.one_of(
+    st.integers(-3, 12),
+    st.floats(allow_nan=True, allow_infinity=True),
+    # magnitudes whose squares or products leave the float range
+    st.sampled_from([5e-324, 1e-300, 1e-170, 1e150, 1e200, 1e300, -0.0]),
+)
+_FUZZ_LEAF = st.one_of(
+    st.none(), st.booleans(), _FUZZ_NUMBER,
+    st.sampled_from(["", "auto", "ring", "torus", "synthetic", "libsvm",
+                     "qinf", "identity", "sorted", "crdpsg", "cdpsvrg",
+                     "reference"]),
+)
+_FUZZ_VALUE = st.recursive(
+    _FUZZ_LEAF,
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), kids, max_size=3),
+    max_leaves=6,
+)
+
+
+def _paths(cfg, prefix=()):
+    """Every key path of a config, objects and leaves alike."""
+    for key, value in cfg.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _paths(value, prefix + (key,))
+
+
+_DELETE = object()
+
+
+def _mutate(cfg, path, value):
+    """Set cfg at path (delete it when value is _DELETE), where the parent
+    path still is an object."""
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent.get(key) if isinstance(parent, dict) else None
+    if not isinstance(parent, dict):
+        return
+    if value is _DELETE:
+        parent.pop(path[-1], None)
+    else:
+        parent[path[-1]] = value
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_mutated_config_validates_to_documented_exit_code(data):
+    # any JSON edit of a valid config ends in 0 (valid), 2 (config),
+    # 3 (infeasible) or 4 (numerical), never an escaping exception; most
+    # edits replace or delete an existing key, some add one
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(_FUZZ_BASES))))
+    paths = sorted(_paths(cfg))
+    for _ in range(data.draw(st.integers(1, 3))):
+        if data.draw(st.integers(0, 4)):
+            path = data.draw(st.sampled_from(paths))
+        else:
+            parent = data.draw(st.sampled_from([()] + paths))
+            path = parent + (data.draw(st.sampled_from(_FUZZ_KEYS)),)
+        value = data.draw(st.one_of(st.just(_DELETE), _FUZZ_NUMBER, _FUZZ_VALUE))
+        _mutate(cfg, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main(["validate", path])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL)

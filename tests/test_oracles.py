@@ -205,3 +205,55 @@ def test_svrgo_cache_matches_uncached_formula():
             st, cost = ds.svrgo_update_reference(st, p, X1, Y1, rng)  # p = 1: fires
             assert cost == p.m * p.n
             assert np.array_equal(st.x_tilde, X1) and np.array_equal(st.y_tilde, Y1)
+
+
+@pytest.mark.parametrize(
+    "m, n, N, d, mode",
+    [(4, 5, 200, 10, "shuffled"), (64, 5, 1280, 10, "shuffled"),
+     (4, 3, 26, 3, "sorted")],
+    ids=["desk", "scale64", "padded"],
+)
+def test_batch_grads_match_all_batch_rows_bitwise(m, n, N, d, mode):
+    # the refresh reuse in svrgo_sample rests on this: a batch gradient from
+    # the gathered records equals its row of the all-batch gradients, bit
+    # for bit (zero-padded unequal batches included)
+    dset = ds.synthesize(N, d, 1)
+    part = ds.partition(dset, m, n, 3, mode=mode)
+    p = ds.RobustLRProblem(dset, part, lam=1.5, beta=1.5, R_x=20.0, R_y=1.0)
+    rng = np.random.default_rng(0)
+    nodes = np.arange(m)
+    for _ in range(40):
+        X = 0.3 * rng.standard_normal((m, d))
+        Y = 0.05 * rng.standard_normal((m, d))
+        J = rng.integers(n, size=m)
+        fresh = p.batch_grads(X, Y, J)
+        assert fresh.tobytes() == p.all_batch_grads(X, Y)[:, nodes, J].tobytes()
+
+
+def test_svrgo_first_draw_at_reference_reads_the_cache():
+    # the first draw after initialize or a refresh, made at the reference
+    # point, runs no gradient kernel, yet gives svrgo_grad's bits for the
+    # same batches, consumes the same draws and costs 2 units per node;
+    # later draws, and a first draw away from the reference, run the kernel
+    dset = ds.synthesize(24, 3, 0)
+    part = ds.partition(dset, 4, 3, 0)
+    p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
+    rng = np.random.default_rng(5)
+    X, Y = rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3))
+    st = SvrgState.initialize(p, X, Y, p=0.5)
+    kernel_calls = []
+    kernel = p.batch_grads
+    p.batch_grads = lambda *a: kernel_calls.append(1) or kernel(*a)
+    for away in (False, False, True):
+        Xs = X + 0.5 if away else X
+        for k in range(3):
+            r1, r2 = np.random.default_rng(k), np.random.default_rng(k)
+            before = len(kernel_calls)
+            G, cost = ds.svrgo_sample(p, Xs, Y, st, r1)
+            ran = len(kernel_calls) - before
+            expected, _ = ds.svrgo_grad(p, Xs, Y, st, st.draw_batches(r2))
+            assert G.tobytes() == expected.tobytes() and cost == 2 * p.m
+            assert r1.random() == r2.random()
+            assert ran == (1 if k > 0 or away else 0)
+        X, Y = rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3))
+        st.refresh(p, X, Y)

@@ -6,7 +6,7 @@ import pytest
 
 import decsaddle as ds
 from conftest import project
-from decsaddle.problem import PrimalDualPoint, sigmoid
+from decsaddle.problem import PrimalDualPoint, overflow_guard
 
 
 def _small_problem(m=2, n=2, N=20, d=4, lam=1.0, beta=0.5, R_x=3.0, R_y=1.0, seed=0):
@@ -242,14 +242,31 @@ def test_batch_grads_match_formula_on_padded_batches():
 
 
 def test_sigmoid_matches_reference_without_overflow_warning():
-    # the kernel evaluates sigmoid(-t) = 1 / (1 + exp(t))
+    # the kernel evaluates sigmoid(-t) as 1 / (1 + exp(t)); for |t| up to
+    # 800, exp overflows to inf, which under overflow_guard gives the right
+    # value 0 and no warning.  One sample per batch and (x, y) = (1, 0) put
+    # t = b a into each batch's y-gradient, -(n/N) b sigmoid(-t), with n = N
     t = np.concatenate(
-        [np.linspace(-800.0, 800.0, 160_001), [-745.2, -709.79, 709.79, 745.2]]
+        [np.linspace(-800.0, 800.0, 1601), [-745.2, -709.79, 709.79, 745.2]]
     )
-    with np.errstate(over="ignore"):
-        ref = 1.0 / (1.0 + np.exp(t))
+    b = np.where(np.arange(t.size) % 2 == 0, 1.0, -1.0)
+    dset = ds.Dataset(
+        labels=b, indices=[np.array([0])] * t.size,
+        values=[np.array([v]) for v in b * t], d=1,
+    )
+    p = ds.RobustLRProblem(
+        dset, ds.partition(dset, 1, t.size, 0), lam=1.0, beta=1.0, R_x=1.0, R_y=1.0
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = sigmoid(-t)
-    assert np.all(np.abs(out - ref) <= np.spacing(ref))
-    assert out[0] == 1.0 and out[160_000] == 0.0
+        with overflow_guard():
+            G = p.all_batch_grads(np.ones((1, 1)), np.zeros((1, 1)))
+    assert np.isfinite(G).all()
+    gy = G[1, 0, :, 0]
+    a, lab = p.records[:, 0, 0], p.records[:, 0, 1]
+    tb = lab * a
+    with np.errstate(over="ignore"):
+        ref = -lab * (1.0 / (1.0 + np.exp(tb)))
+    assert np.all(np.abs(gy - ref) <= np.spacing(np.abs(ref)))
+    assert np.array_equal(gy[tb == -800.0], -lab[tb == -800.0])
+    assert np.all(gy[tb == 800.0] == 0.0)

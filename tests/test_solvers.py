@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -7,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import decsaddle as ds
+from conftest import ACC
 from decsaddle.compression import InfeasibleParameterError
 
 
@@ -207,6 +209,106 @@ def test_compute_reference_warns_when_cut_short(acc_dataset):
         warnings.simplefilter("error")
         _, res = ds.compute_reference(prob, iterations=2000, tol=1e-25)
     assert res <= 1e-25
+
+
+def _recording_prox(prob):
+    """Wrap this problem instance's prox; returns the list of step sizes
+    it is called with, in call order."""
+    steps = []
+    prox = prob.prox
+
+    def recording(Z, s):
+        steps.append(s)
+        return prox(Z, s)
+
+    prob.prox = recording
+    return steps
+
+
+def _desk_single(acc_dataset, lam=ACC["lam"], R_x=ACC["R_x"], R_y=ACC["R_y"]):
+    part = ds.partition(acc_dataset, 1, ACC["n"], seed=0)
+    return ds.RobustLRProblem(acc_dataset, part, lam=lam, beta=lam, R_x=R_x, R_y=R_y)
+
+
+def test_compute_reference_backtracks_above_the_floor(acc_dataset):
+    # every step projects with its step size h, every residual check with
+    # the schedule step s < 1/(4L): h starts at 1/(4L), grows, is halved at
+    # least once on the desk problem, and never drops below 1/(4L)
+    prob = _desk_single(acc_dataset)
+    c = prob.constants
+    h_min, s = 1.0 / (4.0 * c.L), c.mu / (24.0 * c.L**2)
+    calls = _recording_prox(prob)
+    z, res = ds.compute_reference(prob, tol=1e-22)
+    h = [v for v in calls if v != s]
+    assert h[0] == h_min and min(h) >= h_min and max(h) > h_min
+    assert any(b < a for a, b in zip(h, h[1:]))  # a backtracking halving
+    assert res <= 1e-22 and res == prob.saddle_residual(z, s)
+
+
+def test_compute_reference_step_floor(acc_dataset):
+    # an operator whose value jumps by 1e3 with every evaluation fails the
+    # acceptance test at every h above 1/(4L) (the tiny balls bound
+    # ||W - Z||), so each step backtracks to the floor and no further
+    prob = _desk_single(acc_dataset, R_x=1e-3, R_y=1e-3)
+    c = prob.constants
+    h_min, s = 1.0 / (4.0 * c.L), c.mu / (24.0 * c.L**2)
+    full_grads, evals = prob.full_grads, itertools.count()
+    prob.full_grads = lambda X, Y: full_grads(X, Y) + 1e3 * next(evals)
+    calls = _recording_prox(prob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ds.compute_reference(prob, iterations=10, tol=0.0)
+    h = [v for v in calls if v != s]
+    assert min(h) == h_min and h.count(2.0 * h_min) == 9
+
+
+def test_compute_reference_caps_accepted_steps(acc_dataset):
+    # one residual check at the start and one after each accepted step
+    prob = _desk_single(acc_dataset)
+    c = prob.constants
+    calls = _recording_prox(prob)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ds.compute_reference(prob, iterations=7, tol=0.0)
+    assert calls.count(c.mu / (24.0 * c.L**2)) == 1 + 7
+
+
+def _fixed_step_reference(prob, steps):
+    """Projected extragradient with the fixed step 1/(4L)."""
+    h = 1.0 / (4.0 * prob.constants.L)
+    signed_h = np.array([-h, h])[:, None, None]
+    Z = np.zeros((2, 1, prob.d))
+    for _ in range(steps):
+        W = prob.prox(Z + signed_h * prob.full_grads(Z[0], Z[1]), h)
+        Z = prob.prox(Z + signed_h * prob.full_grads(W[0], W[1]), h)
+    return ds.PrimalDualPoint(Z[0, 0], Z[1, 0])
+
+
+@pytest.mark.parametrize(
+    "lam, R_x, R_y", [(12.5, 0.01, 1.0), (1.0, 0.05, 0.001)],
+    ids=["x-ball", "both-balls"],
+)
+def test_compute_reference_matches_fixed_step_on_active_balls(
+    acc_dataset, lam, R_x, R_y
+):
+    # with the constraints active, the backtracking solve agrees with a
+    # long fixed-step solve within the distance the residuals imply: for a
+    # mu-strongly monotone, 2L-Lipschitz operator,
+    # ||z - z*|| <= (1 + 2 L s) / (mu s) * sqrt(residual at step s)
+    prob = _desk_single(acc_dataset, lam=lam, R_x=R_x, R_y=R_y)
+    c = prob.constants
+    s = c.mu / (24.0 * c.L**2)
+    tol = 1e-20
+    z, res = ds.compute_reference(prob, iterations=10_000, tol=tol)
+    assert res <= tol
+    assert abs(np.linalg.norm(z.x) - R_x) <= 1e-12
+    if R_y < 0.01:
+        assert abs(np.linalg.norm(z.y) - R_y) <= 1e-12
+    zf = _fixed_step_reference(prob, 1500)
+    res_f = prob.saddle_residual(zf, s)
+    bound = (1.0 + 2.0 * c.L * s) / (c.mu * s) * (math.sqrt(tol) + math.sqrt(res_f))
+    dist = math.sqrt(np.sum((z.x - zf.x) ** 2) + np.sum((z.y - zf.y) ** 2))
+    assert dist <= bound
 
 
 def test_solve_ignores_kernel_overflow():

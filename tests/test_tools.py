@@ -6,16 +6,21 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_step_sweep_smoke():
-    # every (m, d, oracle) cell of the sweep runs and prints one row
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "step_sweep.py"),
-         "--steps", "5", "--repeats", "1"],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    header, *rows = proc.stdout.strip().splitlines()
-    assert header.split() == ["m", "d", "oracle", "us/step"]
-    assert len(rows) == 12
-    for row in rows:
-        m, d, kind, us = row.split()
-        assert kind in ("gsgo", "svrgo") and float(us) > 0
+    # every (m, d, oracle) cell of the sweep runs and prints one row; with
+    # --against (here the same tree imported a second time) each row adds
+    # the other tree's time and the ratio
+    sweep = [sys.executable, os.path.join(ROOT, "tools", "step_sweep.py"),
+             "--steps", "5", "--repeats", "2"]
+    for extra, against in (([], []), (["against", "ratio"],
+                                      ["--against", os.path.join(ROOT, "src")])):
+        proc = subprocess.run(
+            sweep + against, capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        header, *rows = proc.stdout.strip().splitlines()
+        assert header.split() == ["m", "d", "oracle", "us/step"] + extra
+        assert len(rows) == 12
+        for row in rows:
+            m, d, kind, *times = row.split()
+            assert kind in ("gsgo", "svrgo") and len(times) == 1 + len(extra)
+            assert all(float(v) > 0 for v in times)
