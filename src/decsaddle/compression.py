@@ -55,42 +55,55 @@ class Compressor:
         """Payload cost per transmitted coordinate."""
         return self.bits + 1 if self.kind == "quantize_inf" else 32
 
-    def apply(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Compress each row of x (a 1-D x is one row)."""
-        if self.kind == "identity":
+    def apply(
+        self, x: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Compress each row of x (a 1-D x is one row), into out if given
+        (out must not share memory with x)."""
+        if self.kind == "quantize_inf":
+            return quantize_inf(x, self.bits, rng, out=out)
+        if out is None:
             return np.array(x, dtype=float)
-        return quantize_inf(x, self.bits, rng)
+        out[...] = x
+        return out
 
 
 def identity_compressor() -> Compressor:
     return Compressor(kind="identity")
 
 
-def quantize_inf(x: np.ndarray, b: int, rng: np.random.Generator) -> np.ndarray:
+def quantize_inf(
+    x: np.ndarray, b: int, rng: np.random.Generator, out: np.ndarray | None = None
+) -> np.ndarray:
     """Unbiased b-bit quantizer with infinity-norm scaling, row by row.
 
     Each row v of x (the last axis; a 1-D x is one row) maps to
     Q(v) = (||v||_inf 2^{1-b} sign(v)) * floor(2^{b-1}|v| / ||v||_inf + u)
     with u drawn i.i.d. uniform per coordinate, and a zero row maps to
     zero without drawing.  One call thus consumes the draws of one call per
-    nonzero row, in row order.
+    nonzero row, in row order.  With out given (not sharing memory with
+    x), Q(x) is computed in it and out is returned.
     """
     x = np.asarray(x, dtype=float)
-    mag = np.abs(x)
+    mag = np.abs(x, out=out)
     scale = np.maximum.reduce(mag, axis=-1, keepdims=True)
     # a zero (or NaN) row leaves the fast path; one reduce checks them all
     if not np.minimum.reduce(scale, axis=None, initial=np.inf) > 0.0:
         nonzero = scale[..., 0] > 0.0
-        out = np.zeros_like(x)
+        mag[...] = 0.0
         if nonzero.any():
-            out[nonzero] = quantize_inf(x[nonzero], b, rng)
-        return out
+            mag[nonzero] = quantize_inf(x[nonzero], b, rng)
+        return mag
     # the level width; dividing by it is exact scaling by a power of two,
     # so mag / step is levels * mag / scale to the bit
     step = scale / 2.0 ** (b - 1)
     u = rng.random(x.shape)
-    q = np.floor(mag / step + u)
-    return np.copysign(step * q, x)
+    # in place on mag: floor(mag / step + u), times step, with x's sign
+    np.divide(mag, step, out=mag)
+    np.add(mag, u, out=mag)
+    np.floor(mag, out=mag)
+    np.multiply(step, mag, out=mag)
+    return np.copysign(mag, x, out=mag)
 
 
 def estimate_delta(
@@ -136,7 +149,7 @@ class CommState:
     exchanged payload: (m, d), or (2, m, d) for a primal-dual pair.
 
     The invariant Hw = W H holds whenever the state was initialized
-    consistently; comm_step preserves it.
+    consistently; comm_step preserves it, updating HH in place.
     """
 
     HH: np.ndarray
@@ -163,17 +176,27 @@ def comm_step(
     g: DecGraph,
     c: Compressor,
     rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ):
-    """One compressed gossip exchange.
+    """One compressed gossip exchange, advancing st in place.
 
     alpha is the reference mixing factor and keep = 1 - alpha, both
     precomputed by the caller: scalars, or arrays that broadcast against
     nu (one factor per block of a stacked payload).  The window
     (0, 1/(1+delta)) of alpha is checked once, by StepParams, not per call.
-    Returns (nu_hat, nu_hat_w, new CommState); counts as one communication
-    round (the only transmitted payload is the stacked Q).
+    The pair [nu_hat, nu_hat_w] is built in out (shaped like st.HH,
+    allocated if not given): Q goes into its first slot and W Q into its
+    second, then H and Hw are added.  Returns (nu_hat, nu_hat_w, st), the
+    first two views of that pair; counts as one communication round (the
+    only transmitted payload is the stacked Q).
     """
     HH = st.HH
-    Q = c.apply(nu - HH[0], rng)
-    NN = HH + np.array((Q, mix(g, Q)))  # [nu_hat, nu_hat_w]
-    return NN[0], NN[1], CommState(HH=keep * HH + alpha * NN)
+    NN = np.empty_like(HH) if out is None else out
+    Q, QW = NN[0], NN[1]
+    np.subtract(nu, HH[0], out=QW)  # the deviation, staged in the second slot
+    c.apply(QW, rng, out=Q)
+    mix(g, Q, out=QW)
+    np.add(HH, NN, out=NN)  # [nu_hat, nu_hat_w]
+    np.multiply(keep, HH, out=HH)
+    np.add(HH, alpha * NN, out=HH)
+    return NN[0], NN[1], st

@@ -46,7 +46,9 @@ class SvrgState:
     P: np.ndarray  # (m, n) sampling probabilities, rows sum to 1
     p: float  # Bernoulli refresh probability
     cdf: np.ndarray = field(init=False, repr=False)
+    shared_cdf: np.ndarray | None = field(init=False, repr=False)  # every row alike
     weights: np.ndarray = field(init=False, repr=False)  # (m*n, 1): 1 / (n P)
+    unit_weights: bool = field(init=False, repr=False)  # every weight exactly 1
     unread: bool = field(init=False, repr=False)  # no draw since the refresh
 
     def __post_init__(self):
@@ -61,7 +63,11 @@ class SvrgState:
         # normalized row-wise cumulative law, as Generator.choice builds it
         cdf = np.cumsum(P, axis=1)
         self.cdf = cdf / cdf[:, -1:]
+        # the default uniform law: one row serves every node, and its
+        # weights are exactly 1 (whenever n * (1/n) rounds to 1)
+        self.shared_cdf = self.cdf[0] if (self.cdf == self.cdf[0]).all() else None
         self.weights = (1.0 / (P.shape[1] * P)).reshape(-1, 1)
+        self.unit_weights = bool((self.weights == 1.0).all())
         self.unread = True
 
     @property
@@ -77,18 +83,22 @@ class SvrgState:
         p: float,
         P: np.ndarray | None = None,
     ) -> "SvrgState":
-        """Reference at (X, Y) with fresh gradients; uniform law by default."""
+        """Reference at a copy of (X, Y) with fresh gradients, as refresh
+        takes it; uniform law by default."""
         if P is None:
             P = np.full((prob.m, prob.n), 1.0 / prob.n)
         Gb = prob.all_batch_grads(X, Y)
         return cls(
-            x_tilde=X, y_tilde=Y, g_rows=_rows(Gb), g_tilde=batch_mean(Gb), P=P, p=p
+            x_tilde=X.copy(), y_tilde=Y.copy(), g_rows=_rows(Gb),
+            g_tilde=batch_mean(Gb), P=P, p=p,
         )
 
     def refresh(self, prob: RobustLRProblem, X: np.ndarray, Y: np.ndarray):
-        """Move every reference point to (X, Y), in place; the law stays."""
+        """Move every reference point to a copy of (X, Y), in place; the law
+        stays.  The copy matters: the ensemble's rows are overwritten by
+        later steps, and the first-draw check compares against them."""
         Gb = prob.all_batch_grads(X, Y)
-        self.x_tilde, self.y_tilde = X, Y
+        self.x_tilde, self.y_tilde = X.copy(), Y.copy()
         self.g_rows, self.g_tilde = _rows(Gb), batch_mean(Gb)
         self.unread = True
 
@@ -96,9 +106,12 @@ class SvrgState:
         """One batch index per node from its row of P.
 
         Consumes the draws of m calls rng.choice(n, p=P[i]): one uniform
-        per node, located by searchsorted(cdf[i], u, side="right").
+        per node, located by searchsorted(cdf[i], u, side="right"), which
+        counts the entries of the nondecreasing row at or below u.
         """
         u = rng.random(self.cdf.shape[0])
+        if self.shared_cdf is not None:
+            return self.shared_cdf.searchsorted(u, side="right")
         return np.add.reduce(self.cdf <= u[:, None], axis=1)
 
 
@@ -117,9 +130,11 @@ def svrgo_grad(
     and cost = 2 gradient units per node, the paper's SVRGO price.
     """
     rows = p.row0 + J
-    w = st.weights.take(rows, axis=0)
-    G = w * (p.batch_grads(X, Y, J) - st.g_rows.take(rows, axis=1)) + st.g_tilde
-    return G, 2 * p.m
+    G = p.batch_grads(X, Y, J)
+    np.subtract(G, st.g_rows.take(rows, axis=1), out=G)
+    if not st.unit_weights:  # a product by 1.0 changes no bit
+        np.multiply(st.weights.take(rows, axis=0), G, out=G)
+    return np.add(G, st.g_tilde, out=G), 2 * p.m
 
 
 def svrgo_sample(

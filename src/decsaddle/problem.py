@@ -100,7 +100,9 @@ class RobustLRProblem:
         covered = np.concatenate(
             [part.batch(i, j) for i in range(part.m) for j in range(part.n)]
         )
-        if len(covered) != self.N or len(np.unique(covered)) != self.N:
+        # every sample exactly once (np.unique would import numpy.ma)
+        once = np.bincount(covered, minlength=self.N) == 1
+        if len(covered) != self.N or not once.all():
             raise ValueError("partition is not a disjoint cover of the dataset")
         self.sizes = np.array(
             [[len(part.batch(i, j)) for j in range(part.n)] for i in range(part.m)]
@@ -150,13 +152,17 @@ class RobustLRProblem:
         d = self.d
         A, b = R[..., :d], R[..., d]
         AY = A + Y[..., None, :]
-        t = b * (AY @ X[..., :, None])[..., 0]
-        # b sigmoid(-t); the -b of the loss derivative rides on _neg_c,
-        # which negates exactly
-        bs = b * (1.0 / (1.0 + np.exp(t)))
+        t = np.matvec(AY, X)
+        np.multiply(b, t, out=t)
+        # b sigmoid(-t), in place on t; the -b of the loss derivative rides
+        # on _neg_c, which negates exactly
+        np.exp(t, out=t)
+        np.add(1.0, t, out=t)
+        np.divide(1.0, t, out=t)
+        bs = np.multiply(b, t, out=t)
         c = self._neg_c
         G = np.empty((2,) + AY.shape[:-2] + (d,))
-        np.add(c * (bs[..., None, :] @ AY)[..., 0, :], self._lam_m * X, out=G[0])
+        np.add(c * np.vecmat(bs, AY), self._lam_m * X, out=G[0])
         cbs = c * np.add.reduce(bs, axis=-1)
         np.subtract(cbs[..., None] * X, self._beta_m * Y, out=G[1])
         return G
@@ -184,10 +190,12 @@ class RobustLRProblem:
         G = batch_mean(self._grad(self.batches[i : i + 1], z.x, z.y))
         return G[0, 0], G[1, 0]
 
-    def prox(self, Z: np.ndarray, s: float) -> np.ndarray:
+    def prox(self, Z: np.ndarray, s: float, out: np.ndarray | None = None):
         """Ball projection of a stacked (2, k, d) primal-dual block: every
-        row of Z[0] onto the R_x ball, every row of Z[1] onto the R_y ball."""
-        return _project_ball(Z, self._radii)
+        row of Z[0] onto the R_x ball, every row of Z[1] onto the R_y ball;
+        into out if given.  Raises FloatingPointError if a row norm is not
+        finite."""
+        return _project_ball(Z, self._radii, out=out)
 
     def lipschitz_constants(self) -> SaddleConstants:
         """Worst-case per-batch smoothness bounds over the constraint balls."""
@@ -240,10 +248,20 @@ def batch_mean(Gb: np.ndarray) -> np.ndarray:
     return Gb.sum(axis=2) / Gb.shape[2]
 
 
-def _project_ball(v: np.ndarray, R) -> np.ndarray:
-    """Project each row of v (a 1-D v is one row) onto the R-ball; R may be
-    an array broadcasting against the row norms."""
+def _project_ball(v: np.ndarray, R, out: np.ndarray | None = None) -> np.ndarray:
+    """Project each row of v (a 1-D v is one row) onto the R-ball, into out
+    if given; R may be an array broadcasting against the row norms.
+
+    Raises FloatingPointError if a squared row norm is not finite: a row
+    holding a NaN or an inf, or a finite row whose squared norm overflows
+    (which would otherwise be sent to the origin).
+    """
     v = np.asarray(v, dtype=float)
-    norm = np.sqrt(np.add.reduce(v * v, axis=-1, keepdims=True))
+    norm = np.add.reduce(v * v, axis=-1, keepdims=True)
+    # NaN propagates through the maximum and fails the comparison
+    if not np.maximum.reduce(norm, axis=None, initial=0.0) < np.inf:
+        raise FloatingPointError("non-finite row norm in a ball projection")
+    np.sqrt(norm, out=norm)
     # R / max(norm, R) is exactly 1 inside the ball
-    return v * (R / np.maximum(norm, R))
+    np.divide(R, np.maximum(norm, R, out=norm), out=norm)
+    return np.multiply(v, norm, out=out)

@@ -154,13 +154,14 @@ def spectral(g: DecGraph) -> SpectralInfo:
     return SpectralInfo(eigvals=lam, eigvecs=V)
 
 
-def mix(g: DecGraph, V: np.ndarray) -> np.ndarray:
+def mix(g: DecGraph, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the mixing matrix to V of shape (..., m, d): output row i of
-    every (m, d) block is sum_j W_ij V[j]."""
+    every (m, d) block is sum_j W_ij V[j].  Written into out if given (out
+    must not share memory with V)."""
     V = np.asarray(V, dtype=float)
     if V.ndim < 2 or V.shape[-2] != g.m:
         raise ValueError(f"expected {g.m} node blocks, got shape {V.shape}")
-    return g.W @ V
+    return np.matmul(g.W, V, out=out)
 
 
 def pinv_weighted_sqnorm(spec: SpectralInfo, V: np.ndarray) -> float:

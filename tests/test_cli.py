@@ -348,3 +348,42 @@ def test_mutated_config_validates_to_documented_exit_code(data):
                 contextlib.redirect_stderr(io.StringIO()):
             code = main(["validate", path])
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL)
+
+
+@pytest.mark.parametrize("name", ["golden_desk", "golden_torus"])
+def test_run_reproduces_golden_trace(tmp_path, name):
+    """`decsaddle run` reproduces a stored trace byte for byte.
+
+    golden_desk is the README desk config cut to 400 iterations (stride
+    10); golden_torus is a 3-bit quantized two-stage CRDPSG run on a 3x3
+    torus, logged at every step.  Both traces are pinned to NumPy 2.4.6
+    (the x86-64 wheel with scipy-openblas 0.3.31); another NumPy build may
+    round differently, so a mismatch there is not by itself a regression.
+    This is the guard that a rewrite of the step changed no trajectory.
+    """
+    data = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(data, name + ".json")) as fh:
+        cfg = json.load(fh)
+    cfg["log"]["output"] = str(tmp_path / "trace.csv")
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_OK
+    with open(os.path.join(data, name + ".csv"), "rb") as fh:
+        expected = fh.read()
+    assert (tmp_path / "trace.csv").read_bytes() == expected
+
+
+def test_build_does_not_import_numpy_ma():
+    # the partition check once went through np.unique, whose masked-array
+    # test imports numpy.ma (15-19 ms) on every run
+    data = os.path.join(os.path.dirname(__file__), "data")
+    code = (
+        "import sys\n"
+        "from decsaddle import cli\n"
+        f"cli.build(cli.load_config({os.path.join(data, 'golden_desk.json')!r}))\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ds.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

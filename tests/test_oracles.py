@@ -3,7 +3,7 @@ import pytest
 
 import decsaddle as ds
 from decsaddle.oracles import SvrgState
-from decsaddle.problem import PrimalDualPoint
+from decsaddle.problem import PrimalDualPoint, overflow_guard
 
 
 def _problem(m=1, n=4, N=16, d=3, seed=0):
@@ -257,3 +257,44 @@ def test_svrgo_first_draw_at_reference_reads_the_cache():
             assert ran == (1 if k > 0 or away else 0)
         X, Y = rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3))
         st.refresh(p, X, Y)
+
+
+def test_refresh_keeps_its_own_copy_of_the_point():
+    # ipdhg_step overwrites the ensemble's rows in place; a refresh taken
+    # at ens.x, ens.y must copy them, or the reference point would follow
+    # the iterate and the first-draw reuse would fire away from it
+    dset = ds.synthesize(36, 3, 0)
+    part = ds.partition(dset, 4, 3, 0)
+    p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
+    g = ds.build_ring(4)
+    params = ds.StepParams(s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25)
+    comp = ds.identity_compressor()
+    rng = np.random.default_rng(1)
+    x0, y0 = rng.standard_normal((4, 3)), np.zeros((4, 3))
+    ens = ds.NodeEnsemble.initialize(g, x0, y0)
+    st = SvrgState.initialize(p, x0, y0, p=1.0)  # the coin always fires
+
+    def svrgo(X, Y, r):
+        return ds.svrgo_sample(p, X, Y, st, r)
+
+    def exact(X, Y, r):  # moves the rows without reading st
+        return p.full_grads(X, Y), p.m
+
+    with overflow_guard():
+        ens = ds.ipdhg_step(ens, params, g, svrgo, p, comp, rng)
+        st, cost = ds.svrgo_update_reference(st, p, ens.x, ens.y, rng)
+        assert cost == p.m * p.n and st.unread
+        xt, yt = st.x_tilde.copy(), st.y_tilde.copy()
+        for _ in range(3):
+            ens = ds.ipdhg_step(ens, params, g, exact, p, comp, rng)
+        assert st.x_tilde.tobytes() == xt.tobytes()
+        assert st.y_tilde.tobytes() == yt.tobytes()
+        assert not np.array_equal(ens.x, xt)
+        # the first draw after the refresh now comes away from the
+        # reference point, so it must run the kernel
+        r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
+        G, _ = ds.svrgo_sample(p, ens.x, ens.y, st, r1)
+        expected, _ = ds.svrgo_grad(p, ens.x, ens.y, st, st.draw_batches(r2))
+    assert not st.unread
+    assert G.tobytes() == expected.tobytes()
+    assert G.tobytes() != st.g_tilde.tobytes()

@@ -6,7 +6,7 @@ import pytest
 
 import decsaddle as ds
 from conftest import project
-from decsaddle.problem import PrimalDualPoint, overflow_guard
+from decsaddle.problem import PrimalDualPoint, _project_ball, overflow_guard
 
 
 def _small_problem(m=2, n=2, N=20, d=4, lam=1.0, beta=0.5, R_x=3.0, R_y=1.0, seed=0):
@@ -115,6 +115,34 @@ def test_prox_projection():
     assert np.array_equal(project(p, inside, 0), inside)
     out = project(p, np.array([5.0, 5.0, 5.0, 5.0]), 0)
     assert np.array_equal(project(p, out, 0), out)
+
+
+@pytest.mark.parametrize(
+    "row", [[1e200, 0.0], [np.inf, 0.0], [np.nan, 1.0]], ids=["overflow", "inf", "nan"]
+)
+def test_projection_raises_on_non_finite_row_norm(row):
+    # a finite row whose squared norm overflows used to be sent to the
+    # origin; like a row holding an inf or a NaN, it now raises, which the
+    # CLI reports as a numerical failure (exit 4)
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        _project_ball(np.array([row]), 20.0)
+    p = _small_problem(R_x=1.0)
+    Z = np.zeros((2, 2, 4))
+    Z[0, 1, :2] = row
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        p.prox(Z, 1.0)
+
+
+def test_partition_must_cover_every_sample_once():
+    dset = ds.synthesize(12, 3, 0)
+    part = ds.partition(dset, 2, 2, 0)
+    twice = [list(row) for row in part.assignment]
+    twice[1][1] = twice[0][0]  # one sample twice, another never
+    for bad in (twice, [part.assignment[0]] * 2):
+        with pytest.raises(ValueError, match="disjoint cover"):
+            ds.RobustLRProblem(
+                dset, ds.Partition(bad, 2, 2), lam=1.0, beta=1.0, R_x=1.0, R_y=1.0
+            )
 
 
 def test_lipschitz_hand_single_sample():

@@ -6,9 +6,12 @@ For every m in {4, 16, 64} (a ring at m = 4, a square torus otherwise) and
 d in {10, 100} it builds a synthetic robust logistic regression problem
 (n = 5 batches of 8 samples per node) and times `ipdhg_step` with 4-bit
 quantized gossip, once with the minibatch oracle (GSGO) and once with the
-variance-reduced oracle (SVRGO, reference point held fixed, as between two
-refreshes).  Each repeat times --steps consecutive steps after a short
-warm-up; a row reports the median over --repeats of the mean step time.
+variance-reduced oracle (SVRGO).  The SVRGO cell runs as the
+variance-reduced solver does: after every step it calls
+`svrgo_update_reference` with p = 1/n, so the timed steps include the
+refreshes, their copy of the point and the first-draw reuse.  Each
+repeat times --steps consecutive steps after a short warm-up; a row
+reports the median over --repeats of the mean step time.
 The steps run under the kernel's overflow guard, as the solvers run
 theirs.  BLAS/OpenMP threads are pinned to 1 before NumPy is imported.
 The package is imported from the `src/` next to this script.
@@ -81,6 +84,7 @@ def make_cell(ds, m, d, kind):
     rng = np.random.default_rng(2)
     x0 = 0.1 * rng.standard_normal((m, d))
     y0 = 0.01 * rng.standard_normal((m, d))
+    st = None
     if kind == "gsgo":
         def oracle(X, Y, r):
             return ds.gsgo_sample(prob, X, Y, r)
@@ -89,6 +93,7 @@ def make_cell(ds, m, d, kind):
 
         def oracle(X, Y, r):
             return ds.svrgo_sample(prob, X, Y, st, r)
+    refresh = ds.svrgo_update_reference
     comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.05)
     params = ds.StepParams(
         s=1e-3, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2, delta=0.05
@@ -104,6 +109,8 @@ def make_cell(ds, m, d, kind):
             t0 = time.perf_counter()
             for _ in range(steps):
                 ens = step(ens, params, g, oracle, prob, comp, rng)
+                if st is not None:
+                    refresh(st, prob, ens.x, ens.y, rng)
             dt = time.perf_counter() - t0
         return dt / steps * 1e6
 
