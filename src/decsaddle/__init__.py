@@ -16,7 +16,7 @@ from .compression import (
     quantize_inf,
 )
 from .data import Dataset, Partition, parse_libsvm, partition, synthesize
-from .ipdhg import NodeEnsemble, StepParams, ipdhg_step
+from .ipdhg import NodeEnsemble, StepParams, ipdhg_step, step_plan
 from .metrics import (
     CostCounters,
     SaddleAnchors,
@@ -28,7 +28,9 @@ from .metrics import (
 )
 from .oracles import (
     SvrgState,
+    gsgo_draw,
     gsgo_sample,
+    svrgo_draw,
     svrgo_grad,
     svrgo_sample,
     svrgo_update_reference,

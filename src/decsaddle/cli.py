@@ -310,7 +310,13 @@ def read_zstar(path: str) -> PrimalDualPoint:
 def resolve_reference(cfg: RunConfig, dataset) -> PrimalDualPoint:
     ref = cfg.reference
     if "path" in ref:
-        return read_zstar(ref["path"])
+        z = read_zstar(ref["path"])
+        if z.x.size != dataset.d or z.y.size != dataset.d:
+            raise ConfigError(
+                f"reference file {ref['path']}: d_x = {z.x.size}, d_y = "
+                f"{z.y.size}, but the problem has d = {dataset.d}"
+            )
+        return z
     opts = ref.get("compute") or {}
     prob1 = build_problem(cfg, dataset, m=1)
     z, _residual = compute_reference(

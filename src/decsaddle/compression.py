@@ -60,12 +60,30 @@ class Compressor:
     ) -> np.ndarray:
         """Compress each row of x (a 1-D x is one row), into out if given
         (out must not share memory with x)."""
-        if self.kind == "quantize_inf":
-            return quantize_inf(x, self.bits, rng, out=out)
+        x = np.asarray(x, dtype=float)
         if out is None:
-            return np.array(x, dtype=float)
-        out[...] = x
+            out = np.empty_like(x)
+        self.bind(x.shape, rng)(x, out)
         return out
+
+    def bind(self, shape: tuple, rng: np.random.Generator):
+        """compress(x, out): apply to a float array x of the given shape,
+        into out (not sharing memory with x), with the kind resolved and
+        the quantizer's work arrays allocated here once."""
+        if self.kind != "quantize_inf":
+            return lambda x, out: np.copyto(out, x)
+        b, scale, u = self.bits, np.empty(shape[:-1] + (1,)), np.empty(shape)
+        levels = np.full(scale.shape, 2.0 ** (b - 1))
+
+        def compress(x, out):
+            mag = np.abs(x, out)
+            np.maximum.reduce(mag, axis=-1, keepdims=True, out=scale)
+            if not np.minimum.reduce(scale, axis=None, initial=np.inf) > 0.0:
+                quantize_inf(x, b, rng, out)  # a zero row: no draws for it
+            else:
+                _round_levels(x, mag, scale, levels, rng.random(out=u))
+
+        return compress
 
 
 def identity_compressor() -> Compressor:
@@ -94,16 +112,22 @@ def quantize_inf(
         if nonzero.any():
             mag[nonzero] = quantize_inf(x[nonzero], b, rng)
         return mag
-    # the level width; dividing by it is exact scaling by a power of two,
-    # so mag / step is levels * mag / scale to the bit
-    step = scale / 2.0 ** (b - 1)
-    u = rng.random(x.shape)
+    return _round_levels(x, mag, scale, 2.0 ** (b - 1), rng.random(x.shape))
+
+
+def _round_levels(x, mag, scale, levels, u):
+    """Q(x) of rows with nonzero scale, in place on mag = |x|: scale (the
+    row maxima, overwritten) over levels = 2^(b-1) is the level width, u
+    the uniforms; returns mag."""
+    # dividing by the width is exact scaling by a power of two, so
+    # mag / step is levels * mag / scale to the bit
+    step = np.divide(scale, levels, scale)
     # in place on mag: floor(mag / step + u), times step, with x's sign
-    np.divide(mag, step, out=mag)
-    np.add(mag, u, out=mag)
-    np.floor(mag, out=mag)
-    np.multiply(step, mag, out=mag)
-    return np.copysign(mag, x, out=mag)
+    np.divide(mag, step, mag)
+    np.add(mag, u, mag)
+    np.floor(mag, mag)
+    np.multiply(step, mag, mag)
+    return np.copysign(mag, x, mag)
 
 
 def estimate_delta(

@@ -4,8 +4,12 @@ compressed gossip, the core shared by both solvers.
 The ensemble state is stacked primal-dual: every array has shape
 (2, m, d), block 0 holding the primal rows x and block 1 the dual rows y,
 so one step quantizes, gossips and projects both halves in one call each.
-A step advances the ensemble in place, in work arrays the ensemble
-allocates once.
+
+A step is bound once per solve as a plan (step_plan): the ensemble's
+arrays, the step factors, the graph's W, the oracle draw, the
+compressor, the RNG and the counters are checked and bound when the plan
+is built, and each step then runs as one flat sequence of NumPy calls
+into arrays allocated once.  ipdhg_step is the one-shot form.
 """
 
 from __future__ import annotations
@@ -14,7 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import CommState, Compressor, InfeasibleParameterError, comm_step
+from .compression import (  # noqa: F401  comm_step: perfbench traces it by this name
+    CommState,
+    Compressor,
+    InfeasibleParameterError,
+    comm_step,
+)
 from .metrics import CostCounters
 from .problem import RobustLRProblem
 from .topology import DecGraph
@@ -23,6 +32,13 @@ from .topology import DecGraph
 def _blocks(a: float, b: float) -> np.ndarray:
     """(2, 1, 1) per-block factor: a for the x rows, b for the y rows."""
     return np.array([a, b], dtype=float)[:, None, None]
+
+
+def _at_shape(a, shape: tuple) -> np.ndarray:
+    """A new array of the given shape holding a broadcast over it."""
+    out = np.empty(shape)
+    np.copyto(out, a)
+    return out
 
 
 def _derived():
@@ -73,21 +89,16 @@ class NodeEnsemble:
     each (2, m, d) with the x rows in block 0 and the y rows in block 1
     (the compression state as its [H, Hw] pair, (2, 2, m, d)).
 
-    The ensemble owns its arrays (construction copies them) and ipdhg_step
+    The ensemble owns its arrays (construction copies them) and a step
     overwrites them in place.  D is the first slot of the (2, 2, m, d) pair
     [D, nu] whose second slot holds a step's pre-projection point, so both
-    advance in one product; the [nu_hat, nu_hat_w] pair and the difference
-    are the step's other work arrays, allocated here once.
+    advance in one product.
     """
 
     Z: np.ndarray
     D: np.ndarray
     comm: CommState
     D_nu: np.ndarray = _derived()
-    nu_pair: np.ndarray = _derived()
-    diff: np.ndarray = _derived()
-    bound: StepParams | None = _derived()  # whose factors are held
-    factors: tuple = _derived()
 
     def __post_init__(self):
         self.Z = np.array(self.Z, dtype=float)
@@ -95,24 +106,6 @@ class NodeEnsemble:
         self.D_nu[0] = self.D
         self.D = self.D_nu[0]
         self.comm = CommState(HH=np.array(self.comm.HH, dtype=float))
-        self.nu_pair = np.empty_like(self.comm.HH)
-        self.diff = np.empty_like(self.Z)
-        self.bound = None
-
-    def step_factors(self, params: StepParams) -> tuple:
-        """(signed_s, alpha, keep) of params at the shapes they multiply, Z's
-        and the [H, Hw] pair's, built on the first step with params: a
-        product of same-shape arrays skips NumPy's broadcasting set-up and
-        gives the same bits."""
-        if self.bound is not params:
-            Zs, HHs = self.Z.shape, self.comm.HH.shape
-            self.factors = (
-                np.broadcast_to(params.signed_s, Zs).copy(),
-                np.broadcast_to(params.alpha, HHs).copy(),
-                np.broadcast_to(params.keep, HHs).copy(),
-            )
-            self.bound = params
-        return self.factors
 
     @property
     def x(self) -> np.ndarray:
@@ -145,6 +138,95 @@ class NodeEnsemble:
         return cls(Z=Z, D=np.zeros_like(Z), comm=CommState.from_reference(g, Z))
 
 
+def step_plan(
+    ens: NodeEnsemble,
+    params: StepParams,
+    g: DecGraph,
+    draw,
+    prob: RobustLRProblem,
+    compressor: Compressor,
+    rng: np.random.Generator,
+    counters: CostCounters | None = None,
+):
+    """Bind one IPDHG step of ens; returns step(), which advances every
+    node one iteration, in place.
+
+    draw() -> (G, cost): the (2, m, d) stacked gradient blocks of every
+    node at the ensemble's current rows, with cost the gradient units
+    summed over nodes (oracles.gsgo_draw and svrgo_draw bound to ens.Z,
+    or any closure).  Both blocks are evaluated at the old (x, y) and
+    updated together: the x rows descend, the y rows ascend.  The x and y
+    payloads travel in one gossip round, quantized x rows first.  Raises
+    InfeasibleParameterError if params were validated for a smaller
+    compression factor than the compressor's (their alpha window would not
+    hold) and ValueError if the ensemble's shape does not match the graph
+    and problem; these are checked here, once.  A step raises
+    FloatingPointError (from the projection) if a new iterate is not
+    finite; the ensemble is then partly advanced.  The gradient kernel's
+    exp may overflow harmlessly; callers enter problem.overflow_guard()
+    around their steps, as the solvers do once per solve.
+    """
+    if params.delta < compressor.delta:
+        raise InfeasibleParameterError(
+            f"step parameters validated for delta = {params.delta:.4g}, "
+            f"compressor has delta = {compressor.delta:.4g}"
+        )
+    Z, D_nu, HH = ens.Z, ens.D_nu, ens.comm.HH
+    shape = (2, prob.m, prob.d)
+    if g.m != prob.m or Z.shape != shape or HH.shape != (2,) + shape:
+        raise ValueError(
+            f"ensemble of shape {Z.shape} with references {HH.shape} on "
+            f"{g.m} nodes does not match the problem's {prob.m} nodes of "
+            f"dimension {prob.d}"
+        )
+    D, nu, H = D_nu[0], D_nu[1], HH[0]
+    NN = np.empty_like(HH)  # [Q, W Q], then [nu_hat, nu_hat_w]
+    Q, QW = NN[0], NN[1]
+    diff = np.empty(shape)
+    # the factors at the shapes they multiply: a product of same-shape
+    # arrays skips NumPy's broadcasting set-up and gives the same bits
+    signed_s = _at_shape(params.signed_s, shape)
+    alpha = _at_shape(params.alpha, HH.shape)
+    keep = _at_shape(params.keep, HH.shape)
+    pair = _at_shape(params.pair, D_nu.shape)
+    s = _at_shape(params.s, shape)
+    W = g.W
+    compress = compressor.bind(shape, rng)
+    prox = prob.bind_prox(shape)
+    if counters is None:
+        counters = CostCounters()
+    round_bits = Z.size * compressor.bits_per_coord
+
+    # the step's NumPy calls take their out arrays positionally, which
+    # costs less per call than the keyword
+    def step():
+        G, cost = draw()
+        # nu = Z + signed_s G - s D
+        np.multiply(signed_s, G, nu)
+        np.add(Z, nu, nu)
+        np.subtract(nu, np.multiply(s, D, diff), nu)
+        # compressed gossip (comm_step): the deviation is staged in the
+        # second slot, Q = C(nu - H) goes to the first and W Q to the second
+        np.subtract(nu, H, QW)
+        compress(QW, Q)
+        np.matmul(W, Q, QW)
+        np.add(HH, NN, NN)
+        np.subtract(Q, QW, diff)  # nu_hat - nu_hat_w
+        # [H, Hw] = keep [H, Hw] + alpha [nu_hat, nu_hat_w]; alpha scales
+        # the pair in place, as only diff is read from it again
+        np.multiply(keep, HH, HH)
+        np.add(HH, np.multiply(alpha, NN, NN), HH)
+        # D + gamma/(2s) diff and nu - gamma/2 diff in one product; x - y z
+        # equals x + (-y) z to the bit
+        np.add(D_nu, np.multiply(pair, diff, NN), D_nu)
+        prox(nu, Z)
+        counters.grad_units += cost
+        counters.comm_rounds += 1
+        counters.bits += round_bits
+
+    return step
+
+
 def ipdhg_step(
     ens: NodeEnsemble,
     params: StepParams,
@@ -155,44 +237,15 @@ def ipdhg_step(
     rng: np.random.Generator,
     counters: CostCounters | None = None,
 ) -> NodeEnsemble:
-    """Advance every node one iteration, in place, as array operations over
-    the whole (2, m, d) ensemble; returns ens itself.
+    """One step of a plan bound for it alone (see step_plan); returns ens
+    itself, advanced in place.
 
     oracle(X, Y, rng) -> (G, cost): the (2, m, d) stacked gradient blocks
     of every node at its rows of (X, Y), with cost the gradient units
-    summed over nodes.  Both blocks are evaluated at the old (x, y) and
-    updated together: the x rows descend, the y rows ascend.  The x and y
-    payloads travel in one gossip round, quantized x rows first.  Raises
-    InfeasibleParameterError if params were validated for a smaller
-    compression factor than the compressor's (their alpha window would not
-    hold), and FloatingPointError (from the projection) if a new iterate
-    is not finite; the ensemble is then partly advanced.  The gradient
-    kernel's exp may overflow harmlessly; callers enter
-    problem.overflow_guard() around their steps, as the solvers do once
-    per solve.
+    summed over nodes.
     """
-    if params.delta < compressor.delta:
-        raise InfeasibleParameterError(
-            f"step parameters validated for delta = {params.delta:.4g}, "
-            f"compressor has delta = {compressor.delta:.4g}"
-        )
-    Z, D_nu, diff = ens.Z, ens.D_nu, ens.diff
-    nu = D_nu[1]
-    signed_s, alpha, keep = ens.step_factors(params)
-    G, cost = oracle(Z[0], Z[1], rng)
-    # nu = Z + signed_s G - s D
-    np.multiply(signed_s, G, out=nu)
-    np.add(Z, nu, out=nu)
-    np.subtract(nu, np.multiply(params.s, D_nu[0], out=diff), out=nu)
-    nu_hat, nu_hat_w, _ = comm_step(
-        nu, ens.comm, alpha, keep, g, compressor, rng, out=ens.nu_pair
-    )
-    np.subtract(nu_hat, nu_hat_w, out=diff)
-    # D + gamma/(2s) diff and nu - gamma/2 diff in one product (the pair
-    # is free again); x - y z equals x + (-y) z to the bit
-    np.add(D_nu, np.multiply(params.pair, diff, out=ens.nu_pair), out=D_nu)
-    prob.prox(nu, params.s, out=Z)
-    if counters is not None:
-        counters.add_grad(cost)
-        counters.add_round(Z.size, compressor.bits_per_coord)
+    X, Y = ens.Z[0], ens.Z[1]
+    step_plan(
+        ens, params, g, lambda: oracle(X, Y, rng), prob, compressor, rng, counters
+    )()
     return ens

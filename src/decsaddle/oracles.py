@@ -4,7 +4,9 @@ reduced (SVRGO), evaluated for every node at once.
 Iterates are stacked (m, d) arrays, row i belonging to node i; gradients
 come back as one (2, m, d) array, block 0 for x and block 1 for y.  Each
 sampler draws one batch index per node in a single call that consumes
-exactly the draws of m sequential per-node calls, in node order.
+exactly the draws of m sequential per-node calls, in node order.  A
+solver binds its draw once (gsgo_draw, svrgo_draw) to the ensemble's
+stacked point; gsgo_sample and svrgo_sample are the one-shot forms.
 
 Gradient units count batch-gradient evaluations as the paper's oracles
 spend them: 1 per node per GSGO draw, 2 per node per SVRGO draw, and m*n
@@ -24,15 +26,27 @@ import numpy as np
 from .problem import RobustLRProblem, batch_mean
 
 
+def gsgo_draw(p: RobustLRProblem, Z: np.ndarray, rng: np.random.Generator):
+    """Bound minibatch draw at the stacked (2, m, d) point Z, read at every
+    call: returns draw() -> (G, cost), a uniformly sampled batch gradient
+    per node (unbiased for full_grads) in a (2, m, d) array the draw owns
+    and overwrites, with cost = m gradient units."""
+    grads = p.bind_batch_grads(Z)
+    n, m, row0 = p.n, p.m, p.row0
+
+    def draw():
+        J = rng.integers(n, size=m)  # the draws of m calls rng.integers(n)
+        return grads(np.add(row0, J, J)), m
+
+    return draw
+
+
 def gsgo_sample(
     p: RobustLRProblem, X: np.ndarray, Y: np.ndarray, rng: np.random.Generator
 ):
-    """Uniformly sampled batch gradient per node; unbiased for full_grads.
-
-    Returns (G, cost) with G stacked (2, m, d) and cost = m gradient units.
-    """
-    J = rng.integers(p.n, size=p.m)  # the draws of m calls rng.integers(n)
-    return p.batch_grads(X, Y, J), p.m
+    """One gsgo_draw at (X, Y): returns (G, cost) with G a new stacked
+    (2, m, d) array and cost = m gradient units."""
+    return gsgo_draw(p, np.array([X, Y], dtype=float), rng)()
 
 
 @dataclass
@@ -130,11 +144,42 @@ def svrgo_grad(
     and cost = 2 gradient units per node, the paper's SVRGO price.
     """
     rows = p.row0 + J
-    G = p.batch_grads(X, Y, J)
-    np.subtract(G, st.g_rows.take(rows, axis=1), out=G)
-    if not st.unit_weights:  # a product by 1.0 changes no bit
-        np.multiply(st.weights.take(rows, axis=0), G, out=G)
-    return np.add(G, st.g_tilde, out=G), 2 * p.m
+    Z = np.array([X, Y], dtype=float)
+    G = p.bind_batch_grads(Z)(rows)
+    return _control_variate(G, st, rows, np.empty_like(G)), 2 * p.m
+
+
+def svrgo_draw(
+    p: RobustLRProblem, Z: np.ndarray, st: SvrgState, rng: np.random.Generator
+):
+    """Bound variance-reduced draw at the stacked (2, m, d) point Z, read at
+    every call, against the state st (whose references may be refreshed
+    between calls): returns draw() -> (G, cost), svrgo_grad on batches
+    drawn from the sampling law, in a (2, m, d) array the draw owns and
+    overwrites.
+
+    The first draw after a refresh (or after initialize) usually comes at
+    the reference point itself, as in the variance-reduced solver.  There
+    the fresh batch gradients equal the cached rows bit for bit, so the
+    control variate is exactly +0 and the gradient is g_tilde + 0.0 (the
+    same bits, -0.0 turned +0.0 as the subtraction does): that draw still
+    draws J and is charged 2 units per node, but runs no kernel.
+    """
+    grads = p.bind_batch_grads(Z)
+    X, Y = Z[0], Z[1]
+    row0, cost = p.row0, 2 * p.m
+    G, ref = np.empty_like(Z), np.empty_like(Z)
+
+    def draw():
+        rows = st.draw_batches(rng)
+        if st.unread:
+            st.unread = False
+            if _same_bits(X, st.x_tilde) and _same_bits(Y, st.y_tilde):
+                return np.add(st.g_tilde, 0.0, G), cost
+        np.add(row0, rows, rows)
+        return _control_variate(grads(rows), st, rows, ref), cost
+
+    return draw
 
 
 def svrgo_sample(
@@ -144,21 +189,9 @@ def svrgo_sample(
     st: SvrgState,
     rng: np.random.Generator,
 ):
-    """svrgo_grad on batches drawn from the sampling law.
-
-    The first draw after a refresh (or after initialize) usually comes at
-    the reference point itself, as in the variance-reduced solver.  There
-    the fresh batch gradients equal the cached rows bit for bit, so the
-    control variate is exactly +0 and the gradient is g_tilde + 0.0 (the
-    same bits, -0.0 turned +0.0 as the subtraction does): that draw still
-    draws J and is charged 2 units per node, but runs no kernel.
-    """
-    J = st.draw_batches(rng)
-    if st.unread:
-        st.unread = False
-        if _same_bits(X, st.x_tilde) and _same_bits(Y, st.y_tilde):
-            return st.g_tilde + 0.0, 2 * p.m
-    return svrgo_grad(p, X, Y, st, J)
+    """One svrgo_draw at (X, Y): returns (G, cost) with G a new stacked
+    (2, m, d) array and cost = 2 gradient units per node."""
+    return svrgo_draw(p, np.array([X, Y], dtype=float), st, rng)()
 
 
 def svrgo_update_reference(
@@ -178,6 +211,15 @@ def svrgo_update_reference(
         return st, 0
     st.refresh(prob, X, Y)
     return st, prob.m * prob.n
+
+
+def _control_variate(G, st: SvrgState, rows, ref):
+    """w (G - cached rows) + g_tilde, in place on G; ref is a work array
+    shaped like G."""
+    np.subtract(G, st.g_rows.take(rows, axis=1, out=ref), G)
+    if not st.unit_weights:  # a product by 1.0 changes no bit
+        np.multiply(st.weights.take(rows, axis=0), G, G)
+    return np.add(G, st.g_tilde, G)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:

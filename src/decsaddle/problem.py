@@ -59,14 +59,15 @@ class RobustLRProblem:
     """Per-node, per-batch losses with gradients, ball projections, and
     worst-case smoothness constants.
 
-    The batches are stored once as packed records: row i*n + j of the
-    (m*n, B, d + 1) array `records` is batch (i, j), one sample per line,
-    its d features followed by its label, B the largest batch size.  A
-    padded sample has features 0 and label 0, so it adds exactly zero to
-    both gradient blocks.  One flat index row0 + J gathers the batches J[i]
-    of every node i at once.  Every gradient, for one node or the whole
-    ensemble, goes through _grad, which sets no error state of its own:
-    callers enter overflow_guard() around it (the solvers once per solve).
+    The batches are stored once, as contiguous features and labels: row
+    i*n + j of the (m*n, B, d) array `features` and of the (m*n, B) array
+    `labels` is batch (i, j), one sample per line, B the largest batch
+    size.  A padded sample has features 0 and label 0, so it adds exactly
+    zero to both gradient blocks.  One flat index row0 + J gathers the
+    batches J[i] of every node i at once.  Every gradient, for one node or
+    the whole ensemble, goes through _bind_grad, which sets no error state of
+    its own: callers enter overflow_guard() around it (the solvers once per
+    solve).
     """
 
     def __init__(
@@ -92,11 +93,11 @@ class RobustLRProblem:
         self.R_x = R_x
         self.R_y = R_y
         self._radii = np.array([R_x, R_y], dtype=float)[:, None, None]
-        self.row0 = np.arange(self.m) * self.n  # record row of each node's batch 0
-        # kernel scalars; -n/N carries the sign of -b sigmoid(-t)
+        self.row0 = np.arange(self.m) * self.n  # flat batch row of each node's batch 0
+        # kernel constants: -n/N, and the (2, 1, 1) regularizer factors
+        # [lam/m, -beta/m] of the stacked gradient
         self._neg_c = -self.n / self.N
-        self._lam_m = lam / self.m
-        self._beta_m = beta / self.m
+        self._reg = np.array([lam / self.m, -(beta / self.m)])[:, None, None]
         covered = np.concatenate(
             [part.batch(i, j) for i in range(part.m) for j in range(part.n)]
         )
@@ -112,23 +113,23 @@ class RobustLRProblem:
             raise ValueError(f"batch ({i}, {j}) is empty")
         dense = ds.dense()
         B = int(self.sizes.max())
-        self.records = np.zeros((self.m * self.n, B, self.d + 1))
+        self.features = np.zeros((self.m * self.n, B, self.d))
+        self.labels = np.zeros((self.m * self.n, B))
         for i in range(self.m):
             for j in range(self.n):
                 idx = part.batch(i, j)
-                rec = self.records[i * self.n + j, : len(idx)]
-                rec[:, : self.d] = dense[idx]
-                rec[:, self.d] = ds.labels[idx]
-        # the same records as (m, n, B, d + 1): batch (i, j) at [i, j]
-        self.batches = self.records.reshape(self.m, self.n, B, self.d + 1)
+                self.features[i * self.n + j, : len(idx)] = dense[idx]
+                self.labels[i * self.n + j, : len(idx)] = ds.labels[idx]
+        # the same features as (m, n, B, d): batch (i, j) at [i, j]
+        self.batches = self.features.reshape(self.m, self.n, B, self.d)
         self.constants = (
             constants if constants is not None else self.lipschitz_constants()
         )
 
     def batch(self, i: int, j: int):
         """(A, b) of batch (i, j) without padding."""
-        rec = self.batches[i, j, : self.sizes[i, j]]
-        return rec[:, : self.d], rec[:, self.d]
+        r, k = i * self.n + j, self.sizes[i, j]
+        return self.features[r, :k], self.labels[r, :k]
 
     def loss_batch(self, i: int, j: int, z: PrimalDualPoint) -> float:
         A, b = self.batch(i, j)
@@ -141,40 +142,89 @@ class RobustLRProblem:
             - (self.beta / (2 * self.m)) * np.dot(z.y, z.y)
         )
 
-    def _grad(self, R: np.ndarray, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Gradient blocks of a stack of batch losses, (2, *lead, d).
+    def _bind_grad(self, AY, b, X, G):
+        """run(): add the loss gradients of a stack of batches to G, in
+        place, reading the arrays bound here at every run; returns G.
 
-        R holds records (*lead, B, d + 1); X and Y broadcast against
-        (*lead, d).  Entry r of each block is the gradient of the loss over
-        the samples of R[r], evaluated at (X[r], Y[r]), plus the
-        regularizers; block 0 is the x-gradient, block 1 the y-gradient.
+        AY holds the batch features plus the dual rows, (*lead, B, d), b
+        the labels (*lead, B) and X the primal rows, broadcasting against
+        (*lead, d); G (2, *lead, d) holds the regularizers on entry, block
+        0 the x-gradient and block 1 the y-gradient.  The work arrays, the
+        blocks' views and the constants at the shapes they meet are made
+        here once: a product of same-shape arrays skips NumPy's scalar
+        conversion and broadcasting set-up, and a view made once skips its
+        overlap check, with the same bits (out arrays go positionally, as
+        in the step plan).
         """
-        d = self.d
-        A, b = R[..., :d], R[..., d]
-        AY = A + Y[..., None, :]
-        t = np.matvec(AY, X)
-        np.multiply(b, t, out=t)
-        # b sigmoid(-t), in place on t; the -b of the loss derivative rides
-        # on _neg_c, which negates exactly
-        np.exp(t, out=t)
-        np.add(1.0, t, out=t)
-        np.divide(1.0, t, out=t)
-        bs = np.multiply(b, t, out=t)
-        c = self._neg_c
-        G = np.empty((2,) + AY.shape[:-2] + (d,))
-        np.add(c * np.vecmat(bs, AY), self._lam_m * X, out=G[0])
-        cbs = c * np.add.reduce(bs, axis=-1)
-        np.subtract(cbs[..., None] * X, self._beta_m * Y, out=G[1])
-        return G
+        t = np.empty(b.shape)
+        v, cb = np.empty(G.shape[1:]), np.empty(b.shape[:-1] + (1,))
+        one, cv, ccb = np.empty(b.shape), np.empty(v.shape), np.empty(cb.shape)
+        one.fill(1.0)
+        # -n/N carries the sign of the loss derivative -b sigmoid(-t)
+        cv.fill(self._neg_c)
+        ccb.fill(self._neg_c)
+        G0, G1 = G[0], G[1]
+
+        def run():
+            np.matvec(AY, X, t)
+            np.multiply(b, t, t)
+            # b sigmoid(-t) = b / (1 + exp(t)), in place on t
+            np.exp(t, t)
+            np.add(one, t, t)
+            np.divide(one, t, t)
+            np.multiply(b, t, t)
+            np.add(np.multiply(cv, np.vecmat(t, AY, v), v), G0, G0)
+            np.multiply(ccb, np.add.reduce(t, axis=-1, keepdims=True, out=cb), cb)
+            np.add(np.multiply(cb, X, v), G1, G1)
+            return G
+
+        return run
+
+    def bind_batch_grads(self, Z: np.ndarray):
+        """Batch gradients bound to the stacked (2, m, d) point Z, which is
+        read at every call (so it may advance in place between calls).
+
+        Returns grads(rows): row i of each block of the (2, m, d) result is
+        the gradient of batch rows[i] (a flat batch row, i*n + j for node
+        i's batch j) at (Z[0, i], Z[1, i]).  The result and the gathered
+        batches live in arrays allocated here once; each call overwrites
+        them.
+        """
+        m, d = self.m, self.d
+        B = self.labels.shape[1]
+        if Z.shape != (2, m, d):
+            raise ValueError(f"expected a (2, {m}, {d}) point, got {Z.shape}")
+        feats, labels = self.features, self.labels
+        Yb = Z[1][:, None, :]
+        reg = np.empty(Z.shape)
+        np.copyto(reg, self._reg)
+        AY, b, G = np.empty((m, B, d)), np.empty((m, B)), np.empty((2, m, d))
+        run = self._bind_grad(AY, b, Z[0], G)
+
+        def grads(rows):
+            feats.take(rows, axis=0, out=AY)
+            np.add(AY, Yb, AY)
+            labels.take(rows, axis=0, out=b)
+            # both regularizers in one product: [lam/m x, -beta/m y]
+            np.multiply(reg, Z, G)
+            return run()
+
+        return grads
 
     def batch_grads(self, X: np.ndarray, Y: np.ndarray, J: np.ndarray) -> np.ndarray:
         """Row i of each block: gradient of node i's batch J[i] at (X[i], Y[i])."""
-        return self._grad(self.records.take(self.row0 + J, axis=0), X, Y)
+        Z = np.array([X, Y], dtype=float)
+        return self.bind_batch_grads(Z)(self.row0 + J)
 
     def all_batch_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """(2, m, n, d): every batch gradient of node i at (X[i], Y[i]); a
         single row X, Y serves every node."""
-        return self._grad(self.batches, X[:, None], Y[:, None])
+        Z = np.array([X, Y], dtype=float)[:, :, None]  # (2, m or 1, 1, d)
+        feats = self.batches
+        G = np.empty((2,) + feats.shape[:-2] + (self.d,))
+        np.multiply(self._reg[..., None], Z, G)  # [lam/m x, -beta/m y]
+        labels = self.labels.reshape(feats.shape[:-1])
+        return self._bind_grad(feats + Z[1][:, :, None], labels, Z[0], G)()
 
     def full_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row i of each block: average of node i's n batch gradients at
@@ -182,26 +232,35 @@ class RobustLRProblem:
         return batch_mean(self.all_batch_grads(X, Y))
 
     def grad_batch(self, i: int, j: int, z: PrimalDualPoint):
-        G = self._grad(self.batches[i, j][None], z.x[None], z.y[None])
-        return G[0, 0], G[1, 0]
+        G = self.all_batch_grads(z.x[None], z.y[None])
+        return G[0, i, j], G[1, i, j]
 
     def grad_full(self, i: int, z: PrimalDualPoint):
         """Average of batch gradients; costs n gradient units."""
-        G = batch_mean(self._grad(self.batches[i : i + 1], z.x, z.y))
-        return G[0, 0], G[1, 0]
+        G = self.full_grads(z.x[None], z.y[None])
+        return G[0, i], G[1, i]
 
     def prox(self, Z: np.ndarray, s: float, out: np.ndarray | None = None):
         """Ball projection of a stacked (2, k, d) primal-dual block: every
         row of Z[0] onto the R_x ball, every row of Z[1] onto the R_y ball;
         into out if given.  Raises FloatingPointError if a row norm is not
         finite."""
-        return _project_ball(Z, self._radii, out=out)
+        return _project_ball(Z, self._radii, out)
+
+    def bind_prox(self, shape: tuple):
+        """prox(Z, out) for stacked blocks of the given (2, k, d) shape,
+        with the radii at the row norms' shape and the work arrays
+        allocated here once."""
+        sq, norm = np.empty(shape), np.empty(shape[:-1] + (1,))
+        R = np.empty(norm.shape)
+        np.copyto(R, self._radii)
+        return lambda Z, out: _project_ball(Z, R, out, sq, norm)
 
     def lipschitz_constants(self) -> SaddleConstants:
         """Worst-case per-batch smoothness bounds over the constraint balls."""
         c = self.n / self.N
         N_ij = self.sizes
-        A = self.batches[..., : self.d]
+        A = self.batches
         sq = np.sum(A**2, axis=(2, 3))
         norms = np.sum(np.linalg.norm(A, axis=3), axis=2)
         L_xx = np.max(0.5 * c * sq + 0.5 * c * N_ij * self.R_y**2) + self.lam / self.m
@@ -248,16 +307,19 @@ def batch_mean(Gb: np.ndarray) -> np.ndarray:
     return Gb.sum(axis=2) / Gb.shape[2]
 
 
-def _project_ball(v: np.ndarray, R, out: np.ndarray | None = None) -> np.ndarray:
+def _project_ball(v, R, out=None, sq=None, norm=None) -> np.ndarray:
     """Project each row of v (a 1-D v is one row) onto the R-ball, into out
-    if given; R may be an array broadcasting against the row norms.
+    if given; R may be an array broadcasting against the row norms, and sq
+    (shaped like v) and norm (the row norms, last axis 1) are work arrays
+    if given.
 
     Raises FloatingPointError if a squared row norm is not finite: a row
     holding a NaN or an inf, or a finite row whose squared norm overflows
     (which would otherwise be sent to the origin).
     """
     v = np.asarray(v, dtype=float)
-    norm = np.add.reduce(v * v, axis=-1, keepdims=True)
+    sq = np.multiply(v, v, out=sq)
+    norm = np.add.reduce(sq, axis=-1, keepdims=True, out=norm)
     # NaN propagates through the maximum and fails the comparison
     if not np.maximum.reduce(norm, axis=None, initial=0.0) < np.inf:
         raise FloatingPointError("non-finite row norm in a ball projection")

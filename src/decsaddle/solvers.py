@@ -15,11 +15,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import Compressor, InfeasibleParameterError
-from .ipdhg import NodeEnsemble, StepParams, ipdhg_step
+# ipdhg_step, gsgo_sample, svrgo_sample and mix are the one-shot forms of
+# what the solvers bind; perfbench's tracer looks them up in this module
+from .ipdhg import NodeEnsemble, StepParams, ipdhg_step, step_plan  # noqa: F401
 from .metrics import CostCounters, Trace, compute_anchors, distance_to_saddle, phi, phi_tilde
-from .oracles import SvrgState, gsgo_sample, svrgo_sample, svrgo_update_reference
+from .oracles import (  # noqa: F401
+    SvrgState,
+    gsgo_draw,
+    gsgo_sample,
+    svrgo_draw,
+    svrgo_sample,
+    svrgo_update_reference,
+)
 from .problem import PrimalDualPoint, RobustLRProblem, SaddleConstants, overflow_guard
-from .topology import DecGraph, SpectralInfo, mix
+from .topology import DecGraph, SpectralInfo, mix  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -283,10 +292,6 @@ def run_crdpsg(
     counters = CostCounters()
     payload_coords = g.m * (prob.d + prob.d)
     zs = z_star.stacked()
-
-    def oracle(X, Y, r):
-        return gsgo_sample(prob, X, Y, r)
-
     ens = None
     it = 0
     with overflow_guard():
@@ -298,9 +303,12 @@ def run_crdpsg(
             anchors = (
                 compute_anchors(prob, z_star, params.s) if collect_phi else None
             )
-            sp = params.step_params()
+            step = step_plan(
+                ens, params.step_params(), g, gsgo_draw(prob, ens.Z, rng), prob,
+                compressor, rng, counters,
+            )
             for _ in range(params.t):
-                ens = ipdhg_step(ens, sp, g, oracle, prob, compressor, rng, counters)
+                step()
                 it += 1
                 if it % log_stride == 0:
                     phi_val = (
@@ -345,12 +353,12 @@ def run_cdpsvrg(
         state = SvrgState.initialize(prob, x, y, p=p)
         counters.add_grad(prob.m * prob.n)  # initial reference gradients
         anchors = compute_anchors(prob, z_star, params.s) if collect_phi else None
-
-        def oracle(X, Y, r):
-            return svrgo_sample(prob, X, Y, state, r)
-
+        step = step_plan(
+            ens, sp, g, svrgo_draw(prob, ens.Z, state, rng), prob, compressor,
+            rng, counters,
+        )
         for t in range(1, T + 1):
-            ens = ipdhg_step(ens, sp, g, oracle, prob, compressor, rng, counters)
+            step()
             state, cost = svrgo_update_reference(state, prob, ens.x, ens.y, rng)
             counters.add_grad(cost)
             if t % log_stride == 0:

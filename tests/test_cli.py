@@ -108,6 +108,27 @@ def test_reference_command_roundtrip(tmp_path):
     assert main(["run", _write(tmp_path, cfg2, "cfg2.json")]) == EXIT_OK
 
 
+@pytest.mark.parametrize(
+    "header",
+    ["d_x 6 d_y 5 residual 0", "d_x 5 d_y 5 residual 0"],
+    ids=["unequal-halves", "wrong-dimension"],
+)
+def test_stored_reference_of_other_size_is_config_error(tmp_path, header):
+    # a well-formed file whose sizes do not match the problem's d = 6:
+    # halves of unequal size, or both halves of another size
+    d_x, d_y = int(header.split()[1]), int(header.split()[3])
+    (tmp_path / "zstar.txt").write_text(header + "\n" + "0.25\n" * (d_x + d_y))
+    cfg = _base_config(tmp_path, reference={"path": str(tmp_path / "zstar.txt")})
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ds.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "decsaddle.cli", "run", _write(tmp_path, cfg)],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == EXIT_CONFIG
+    assert "Traceback" not in proc.stderr
+    assert "reference file" in proc.stderr and "d = 6" in proc.stderr
+
+
 def test_zstar_roundtrip(tmp_path):
     z = ds.PrimalDualPoint(np.array([1.5, -2.25]), np.array([0.125]))
     path = str(tmp_path / "z.txt")
@@ -350,13 +371,15 @@ def test_mutated_config_validates_to_documented_exit_code(data):
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL)
 
 
-@pytest.mark.parametrize("name", ["golden_desk", "golden_torus"])
+@pytest.mark.parametrize("name", ["golden_desk", "golden_torus", "golden_scale64"])
 def test_run_reproduces_golden_trace(tmp_path, name):
     """`decsaddle run` reproduces a stored trace byte for byte.
 
     golden_desk is the README desk config cut to 400 iterations (stride
     10); golden_torus is a 3-bit quantized two-stage CRDPSG run on a 3x3
-    torus, logged at every step.  Both traces are pinned to NumPy 2.4.6
+    torus, logged at every step; golden_scale64 is the benchmark's scale64
+    config (CRDPSG on an 8x8 torus, m = 64) at workload seed 1, with its
+    reference computed inline.  The traces are pinned to NumPy 2.4.6
     (the x86-64 wheel with scipy-openblas 0.3.31); another NumPy build may
     round differently, so a mismatch there is not by itself a regression.
     This is the guard that a rewrite of the step changed no trajectory.

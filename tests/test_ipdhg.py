@@ -4,7 +4,7 @@ import pytest
 import decsaddle as ds
 from conftest import project
 from decsaddle.compression import InfeasibleParameterError
-from decsaddle.problem import PrimalDualPoint
+from decsaddle.problem import PrimalDualPoint, overflow_guard
 
 
 def _problem(m, n=1, N=24, d=3, seed=0, lam=1.0, beta=0.5):
@@ -234,6 +234,19 @@ def test_step_params_alpha_window():
         )
 
 
+def test_step_plan_checks_shapes_once():
+    # an ensemble built for another graph or dimension is refused when the
+    # plan is built, before any step runs
+    prob = _problem(m=3)
+    params = ds.StepParams(s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2)
+    comp, rng = ds.identity_compressor(), np.random.default_rng(0)
+    for m, d in ((4, 3), (3, 2)):
+        g = ds.build_ring(m)
+        ens = ds.NodeEnsemble.initialize(g, np.zeros((m, d)), np.zeros((m, d)))
+        with pytest.raises(ValueError):
+            ds.step_plan(ens, params, g, lambda: None, prob, comp, rng)
+
+
 def _exchange(nu, H, Hw, alpha, W, bits, rng):
     """One block's compressed gossip exchange, written out."""
     Q = ds.quantize_inf(nu - H, bits, rng)
@@ -332,3 +345,61 @@ def test_stacked_step_matches_two_block_transcription(kind, N, mode, p_ref):
         ):
             assert np.array_equal(a, b), f"step {t + 1}"
     assert rng.random() == loop_rng.random()
+
+
+@pytest.mark.parametrize("kind", ["gsgo", "svrgo"])
+@pytest.mark.parametrize("quantized", [True, False], ids=["qinf", "identity"])
+def test_bound_plan_matches_one_shot_steps(kind, quantized):
+    # 200 steps of one plan bound as the solvers bind it (the oracles'
+    # bound draw at ens.Z) leave Z, D, [H, Hw] and the counters bit for bit
+    # where 200 calls of the public ipdhg_step with the public samplers
+    # leave them.  The zero start makes every y row zero in step 1 (the
+    # quantizer's zero-row path); for SVRGO, refreshes fire (p = 0.3) and
+    # the draw after each one comes at the reference and reads the cache.
+    dset = ds.synthesize(36, 3, 0)
+    part = ds.partition(dset, 4, 3, 0)
+    prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
+    g = ds.build_ring(4)
+    delta = 0.1 if quantized else 0.0
+    comp = (
+        ds.Compressor(kind="quantize_inf", bits=4, delta=delta)
+        if quantized else ds.identity_compressor()
+    )
+    params = ds.StepParams(
+        s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25, delta=delta
+    )
+    zeros = np.zeros((4, 3))
+    runs = []
+    for _ in range(2):
+        ens = ds.NodeEnsemble.initialize(g, zeros, zeros)
+        st = ds.SvrgState.initialize(prob, zeros, zeros, p=0.3)
+        runs.append((ens, st, np.random.default_rng(6), ds.CostCounters()))
+    (ens_a, st_a, rng_a, cnt_a), (ens_b, st_b, rng_b, cnt_b) = runs
+    if kind == "gsgo":
+        draw = ds.gsgo_draw(prob, ens_a.Z, rng_a)
+
+        def oracle(X, Y, r):
+            return ds.gsgo_sample(prob, X, Y, r)
+    else:
+        draw = ds.svrgo_draw(prob, ens_a.Z, st_a, rng_a)
+
+        def oracle(X, Y, r):
+            return ds.svrgo_sample(prob, X, Y, st_b, r)
+    step = ds.step_plan(ens_a, params, g, draw, prob, comp, rng_a, cnt_a)
+    cached_draws = 0
+    with overflow_guard():
+        for t in range(200):
+            if t == 0 and quantized:
+                assert not (ens_a.Z[1] - ens_a.comm.H[1]).any()
+            cached_draws += st_a.unread and t > 0
+            step()
+            assert ds.ipdhg_step(ens_b, params, g, oracle, prob, comp, rng_b, cnt_b) is ens_b
+            if kind == "svrgo":
+                for ens, st, rng, cnt in runs:
+                    cnt.add_grad(ds.svrgo_update_reference(st, prob, ens.x, ens.y, rng)[1])
+            for a, b in ((ens_a.Z, ens_b.Z), (ens_a.D, ens_b.D),
+                         (ens_a.comm.HH, ens_b.comm.HH)):
+                assert a.tobytes() == b.tobytes(), f"step {t + 1}"
+            assert cnt_a == cnt_b
+    assert rng_a.random() == rng_b.random()
+    assert cached_draws >= (10 if kind == "svrgo" else 0)

@@ -167,7 +167,7 @@ def test_svrgo_cache_matches_uncached_formula():
     # the cached reference-batch gradients give exactly
     # w (grad_J(X) - grad_J(X_tilde)) + g_tilde, before and after a refresh,
     # and the cost is still 2 units per node per draw, m*n per refresh; on
-    # equal batches, on unequal ones (zero-padded records, N = 26 over
+    # equal batches, on unequal ones (zero-padded batches, N = 26 over
     # m * n = 12 batches), and with a refresh after every draw
     for N, mode, draws, refreshes in [
         (24, "shuffled", 20, 2),
@@ -215,7 +215,7 @@ def test_svrgo_cache_matches_uncached_formula():
 )
 def test_batch_grads_match_all_batch_rows_bitwise(m, n, N, d, mode):
     # the refresh reuse in svrgo_sample rests on this: a batch gradient from
-    # the gathered records equals its row of the all-batch gradients, bit
+    # the gathered batches equals its row of the all-batch gradients, bit
     # for bit (zero-padded unequal batches included)
     dset = ds.synthesize(N, d, 1)
     part = ds.partition(dset, m, n, 3, mode=mode)
@@ -242,8 +242,13 @@ def test_svrgo_first_draw_at_reference_reads_the_cache():
     X, Y = rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3))
     st = SvrgState.initialize(p, X, Y, p=0.5)
     kernel_calls = []
-    kernel = p.batch_grads
-    p.batch_grads = lambda *a: kernel_calls.append(1) or kernel(*a)
+    bind = p.bind_batch_grads
+
+    def counting_bind(Z):  # every draw gathers its batches through a bound kernel
+        grads = bind(Z)
+        return lambda rows: kernel_calls.append(1) or grads(rows)
+
+    p.bind_batch_grads = counting_bind
     for away in (False, False, True):
         Xs = X + 0.5 if away else X
         for k in range(3):

@@ -291,7 +291,7 @@ def test_sigmoid_matches_reference_without_overflow_warning():
             G = p.all_batch_grads(np.ones((1, 1)), np.zeros((1, 1)))
     assert np.isfinite(G).all()
     gy = G[1, 0, :, 0]
-    a, lab = p.records[:, 0, 0], p.records[:, 0, 1]
+    a, lab = p.features[:, 0, 0], p.labels[:, 0]
     tb = lab * a
     with np.errstate(over="ignore"):
         ref = -lab * (1.0 / (1.0 + np.exp(tb)))

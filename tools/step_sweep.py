@@ -4,9 +4,10 @@
 
 For every m in {4, 16, 64} (a ring at m = 4, a square torus otherwise) and
 d in {10, 100} it builds a synthetic robust logistic regression problem
-(n = 5 batches of 8 samples per node) and times `ipdhg_step` with 4-bit
-quantized gossip, once with the minibatch oracle (GSGO) and once with the
-variance-reduced oracle (SVRGO).  The SVRGO cell runs as the
+(n = 5 batches of 8 samples per node) and times the step the solvers run
+with 4-bit quantized gossip: a `step_plan` bound once per cell, with the
+oracles' bound draw, once with the minibatch oracle (GSGO) and once with
+the variance-reduced oracle (SVRGO).  The SVRGO cell runs as the
 variance-reduced solver does: after every step it calls
 `svrgo_update_reference` with p = 1/n, so the timed steps include the
 refreshes, their copy of the point and the first-draw reuse.  Each
@@ -21,7 +22,8 @@ example another checkout's `src/`) into the same process, under another
 module name.  Every cell then builds the same problem in both trees and
 alternates them repeat by repeat (the order flips each repeat), so both
 see the same machine state; a row adds the other tree's median and the
-ratio against / this (above 1: this tree is faster).
+ratio against / this (above 1: this tree is faster).  A tree without
+`step_plan` is timed through `ipdhg_step`, the step its solvers run.
 """
 
 from __future__ import annotations
@@ -85,14 +87,8 @@ def make_cell(ds, m, d, kind):
     x0 = 0.1 * rng.standard_normal((m, d))
     y0 = 0.01 * rng.standard_normal((m, d))
     st = None
-    if kind == "gsgo":
-        def oracle(X, Y, r):
-            return ds.gsgo_sample(prob, X, Y, r)
-    else:
+    if kind != "gsgo":
         st = ds.SvrgState.initialize(prob, x0, y0, p=1.0 / BATCHES)
-
-        def oracle(X, Y, r):
-            return ds.svrgo_sample(prob, X, Y, st, r)
     refresh = ds.svrgo_update_reference
     comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.05)
     params = ds.StepParams(
@@ -100,15 +96,30 @@ def make_cell(ds, m, d, kind):
     )
     ens = ds.NodeEnsemble.initialize(g, x0, y0)
     rng = np.random.default_rng(3)
-    step = ds.ipdhg_step
     guard = ds.problem.overflow_guard
+    if hasattr(ds, "step_plan"):
+        if st is None:
+            draw = ds.gsgo_draw(prob, ens.Z, rng)
+        else:
+            draw = ds.svrgo_draw(prob, ens.Z, st, rng)
+        step = ds.step_plan(ens, params, g, draw, prob, comp, rng)
+    else:
+        if st is None:
+            def oracle(X, Y, r):
+                return ds.gsgo_sample(prob, X, Y, r)
+        else:
+            def oracle(X, Y, r):
+                return ds.svrgo_sample(prob, X, Y, st, r)
+
+        def step():  # an older step may return a new ensemble
+            nonlocal ens
+            ens = ds.ipdhg_step(ens, params, g, oracle, prob, comp, rng)
 
     def timed(steps):
-        nonlocal ens
         with guard():
             t0 = time.perf_counter()
             for _ in range(steps):
-                ens = step(ens, params, g, oracle, prob, comp, rng)
+                step()
                 if st is not None:
                     refresh(st, prob, ens.x, ens.y, rng)
             dt = time.perf_counter() - t0
