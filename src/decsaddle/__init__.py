@@ -10,6 +10,7 @@ from .compression import (
     CommState,
     Compressor,
     InfeasibleParameterError,
+    bind_exchange,
     comm_step,
     estimate_delta,
     identity_compressor,

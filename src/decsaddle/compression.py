@@ -173,7 +173,8 @@ class CommState:
     exchanged payload: (m, d), or (2, m, d) for a primal-dual pair.
 
     The invariant Hw = W H holds whenever the state was initialized
-    consistently; comm_step preserves it, updating HH in place.
+    consistently; an exchange (bind_exchange, comm_step) preserves it,
+    updating HH in place.
     """
 
     HH: np.ndarray
@@ -192,6 +193,56 @@ class CommState:
         return cls(HH=np.array([H, mix(g, H)]))
 
 
+def bind_exchange(
+    st: CommState,
+    alpha: float | np.ndarray,
+    keep: float | np.ndarray,
+    g: DecGraph,
+    c: Compressor,
+    rng: np.random.Generator,
+    NN: np.ndarray,
+    diff: np.ndarray,
+    scaled: np.ndarray,
+):
+    """Bind the compressed gossip exchange of st; returns exchange(nu),
+    which runs one exchange of the payload nu, advancing st in place.
+
+    alpha is the reference mixing factor and keep = 1 - alpha, both
+    precomputed by the caller: scalars, or arrays that broadcast against
+    the pair st.HH (one factor per block of a stacked payload).  The window
+    (0, 1/(1+delta)) of alpha is checked once, by StepParams, not here.
+    Each exchange builds [nu_hat, nu_hat_w] in NN (shaped like st.HH): Q =
+    C(nu - H) goes into its first slot and W Q into its second, then H and
+    Hw are added.  It writes nu_hat - nu_hat_w into diff (shaped like H),
+    and then [H, Hw] = keep [H, Hw] + alpha [nu_hat, nu_hat_w] with the
+    product formed in scaled: given NN itself, alpha scales the pair in
+    place, which leaves only diff to read.  The quantizer is bound here
+    once, and the shapes are checked here once.  Counts as one
+    communication round (the only transmitted payload is Q).
+    """
+    HH = st.HH
+    H, W = HH[0], g.W
+    if H.ndim < 2 or H.shape[-2] != g.m or NN.shape != HH.shape:
+        raise ValueError(
+            f"references of shape {HH.shape} (pair {NN.shape}) do not hold "
+            f"{g.m} node blocks"
+        )
+    Q, QW = NN[0], NN[1]
+    compress = c.bind(H.shape, rng)
+
+    # out arrays go positionally, which costs less per call than the keyword
+    def exchange(nu):
+        np.subtract(nu, H, QW)  # the deviation, staged in the second slot
+        compress(QW, Q)
+        np.matmul(W, Q, QW)  # mix(g, Q)
+        np.add(HH, NN, NN)  # [nu_hat, nu_hat_w]
+        np.subtract(Q, QW, diff)
+        np.multiply(keep, HH, HH)
+        np.add(HH, np.multiply(alpha, NN, scaled), HH)
+
+    return exchange
+
+
 def comm_step(
     nu: np.ndarray,
     st: CommState,
@@ -202,25 +253,15 @@ def comm_step(
     rng: np.random.Generator,
     out: np.ndarray | None = None,
 ):
-    """One compressed gossip exchange, advancing st in place.
-
-    alpha is the reference mixing factor and keep = 1 - alpha, both
-    precomputed by the caller: scalars, or arrays that broadcast against
-    nu (one factor per block of a stacked payload).  The window
-    (0, 1/(1+delta)) of alpha is checked once, by StepParams, not per call.
-    The pair [nu_hat, nu_hat_w] is built in out (shaped like st.HH,
-    allocated if not given): Q goes into its first slot and W Q into its
-    second, then H and Hw are added.  Returns (nu_hat, nu_hat_w, st), the
-    first two views of that pair; counts as one communication round (the
-    only transmitted payload is the stacked Q).
+    """One compressed gossip exchange, through an exchange bound for this
+    call alone (see bind_exchange), advancing st in place.  The pair
+    [nu_hat, nu_hat_w] is built in out (shaped like st.HH, allocated if
+    not given) and left intact.  Returns (nu_hat, nu_hat_w, st), the first
+    two views of that pair; counts as one communication round.
     """
     HH = st.HH
     NN = np.empty_like(HH) if out is None else out
-    Q, QW = NN[0], NN[1]
-    np.subtract(nu, HH[0], out=QW)  # the deviation, staged in the second slot
-    c.apply(QW, rng, out=Q)
-    mix(g, Q, out=QW)
-    np.add(HH, NN, out=NN)  # [nu_hat, nu_hat_w]
-    np.multiply(keep, HH, out=HH)
-    np.add(HH, alpha * NN, out=HH)
+    bind_exchange(
+        st, alpha, keep, g, c, rng, NN, np.empty_like(HH[0]), np.empty_like(HH)
+    )(nu)
     return NN[0], NN[1], st

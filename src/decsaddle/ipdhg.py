@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compression import (  # noqa: F401  comm_step: perfbench traces it by this name
-    CommState,
-    Compressor,
-    InfeasibleParameterError,
-    comm_step,
-)
+from .compression import CommState, Compressor, InfeasibleParameterError, bind_exchange
 from .metrics import CostCounters
 from .problem import RobustLRProblem
 from .topology import DecGraph
@@ -179,9 +174,8 @@ def step_plan(
             f"{g.m} nodes does not match the problem's {prob.m} nodes of "
             f"dimension {prob.d}"
         )
-    D, nu, H = D_nu[0], D_nu[1], HH[0]
-    NN = np.empty_like(HH)  # [Q, W Q], then [nu_hat, nu_hat_w]
-    Q, QW = NN[0], NN[1]
+    D, nu = D_nu[0], D_nu[1]
+    NN = np.empty_like(HH)  # [nu_hat, nu_hat_w], scaled by alpha in place
     diff = np.empty(shape)
     # the factors at the shapes they multiply: a product of same-shape
     # arrays skips NumPy's broadcasting set-up and gives the same bits
@@ -190,12 +184,12 @@ def step_plan(
     keep = _at_shape(params.keep, HH.shape)
     pair = _at_shape(params.pair, D_nu.shape)
     s = _at_shape(params.s, shape)
-    W = g.W
-    compress = compressor.bind(shape, rng)
+    exchange = bind_exchange(ens.comm, alpha, keep, g, compressor, rng, NN, diff, NN)
     prox = prob.bind_prox(shape)
     if counters is None:
         counters = CostCounters()
-    round_bits = Z.size * compressor.bits_per_coord
+    add_grad, add_round = counters.add_grad, counters.add_round
+    payload, bits_per_coord = Z.size, compressor.bits_per_coord
 
     # the step's NumPy calls take their out arrays positionally, which
     # costs less per call than the keyword
@@ -205,24 +199,13 @@ def step_plan(
         np.multiply(signed_s, G, nu)
         np.add(Z, nu, nu)
         np.subtract(nu, np.multiply(s, D, diff), nu)
-        # compressed gossip (comm_step): the deviation is staged in the
-        # second slot, Q = C(nu - H) goes to the first and W Q to the second
-        np.subtract(nu, H, QW)
-        compress(QW, Q)
-        np.matmul(W, Q, QW)
-        np.add(HH, NN, NN)
-        np.subtract(Q, QW, diff)  # nu_hat - nu_hat_w
-        # [H, Hw] = keep [H, Hw] + alpha [nu_hat, nu_hat_w]; alpha scales
-        # the pair in place, as only diff is read from it again
-        np.multiply(keep, HH, HH)
-        np.add(HH, np.multiply(alpha, NN, NN), HH)
+        exchange(nu)  # diff = nu_hat - nu_hat_w
         # D + gamma/(2s) diff and nu - gamma/2 diff in one product; x - y z
         # equals x + (-y) z to the bit
         np.add(D_nu, np.multiply(pair, diff, NN), D_nu)
         prox(nu, Z)
-        counters.grad_units += cost
-        counters.comm_rounds += 1
-        counters.bits += round_bits
+        add_grad(cost)
+        add_round(payload, bits_per_coord)
 
     return step
 

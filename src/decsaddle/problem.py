@@ -216,15 +216,21 @@ class RobustLRProblem:
         Z = np.array([X, Y], dtype=float)
         return self.bind_batch_grads(Z)(self.row0 + J)
 
+    def _grads_at(self, feats, labels, X, Y) -> np.ndarray:
+        """Gradient blocks (2, *lead, d) of the batches feats (*lead, B, d)
+        with labels (*lead, B), each at its rows of X and Y, which have as
+        many axes as (*lead, d) and broadcast against it."""
+        Z = np.array([X, Y], dtype=float)
+        G = np.empty((2,) + feats.shape[:-2] + (self.d,))
+        reg = self._reg.reshape((2,) + (1,) * (G.ndim - 1))
+        np.multiply(reg, Z, G)  # [lam/m x, -beta/m y]
+        return self._bind_grad(feats + Z[1][..., None, :], labels, Z[0], G)()
+
     def all_batch_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """(2, m, n, d): every batch gradient of node i at (X[i], Y[i]); a
         single row X, Y serves every node."""
-        Z = np.array([X, Y], dtype=float)[:, :, None]  # (2, m or 1, 1, d)
-        feats = self.batches
-        G = np.empty((2,) + feats.shape[:-2] + (self.d,))
-        np.multiply(self._reg[..., None], Z, G)  # [lam/m x, -beta/m y]
-        labels = self.labels.reshape(feats.shape[:-1])
-        return self._bind_grad(feats + Z[1][:, :, None], labels, Z[0], G)()
+        labels = self.labels.reshape(self.batches.shape[:-1])
+        return self._grads_at(self.batches, labels, X[:, None], Y[:, None])
 
     def full_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row i of each block: average of node i's n batch gradients at
@@ -232,13 +238,21 @@ class RobustLRProblem:
         return batch_mean(self.all_batch_grads(X, Y))
 
     def grad_batch(self, i: int, j: int, z: PrimalDualPoint):
-        G = self.all_batch_grads(z.x[None], z.y[None])
-        return G[0, i, j], G[1, i, j]
+        r = i * self.n + j
+        G = self._grads_at(
+            self.features[r][None], self.labels[r][None], z.x[None], z.y[None]
+        )
+        return G[0, 0], G[1, 0]
 
     def grad_full(self, i: int, z: PrimalDualPoint):
         """Average of batch gradients; costs n gradient units."""
-        G = self.full_grads(z.x[None], z.y[None])
-        return G[0, i], G[1, i]
+        rows = slice(i * self.n, (i + 1) * self.n)
+        G = self._grads_at(
+            self.features[rows][None], self.labels[rows][None],
+            z.x[None, None], z.y[None, None],
+        )
+        G = batch_mean(G)
+        return G[0, 0], G[1, 0]
 
     def prox(self, Z: np.ndarray, s: float, out: np.ndarray | None = None):
         """Ball projection of a stacked (2, k, d) primal-dual block: every

@@ -15,20 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import Compressor, InfeasibleParameterError
-# ipdhg_step, gsgo_sample, svrgo_sample and mix are the one-shot forms of
-# what the solvers bind; perfbench's tracer looks them up in this module
-from .ipdhg import NodeEnsemble, StepParams, ipdhg_step, step_plan  # noqa: F401
+from .ipdhg import NodeEnsemble, StepParams, step_plan
 from .metrics import CostCounters, Trace, compute_anchors, distance_to_saddle, phi, phi_tilde
-from .oracles import (  # noqa: F401
-    SvrgState,
-    gsgo_draw,
-    gsgo_sample,
-    svrgo_draw,
-    svrgo_sample,
-    svrgo_update_reference,
-)
+from .oracles import SvrgState, gsgo_draw, svrgo_draw, svrgo_update_reference
 from .problem import PrimalDualPoint, RobustLRProblem, SaddleConstants, overflow_guard
-from .topology import DecGraph, SpectralInfo, mix  # noqa: F401
+from .topology import DecGraph, SpectralInfo
 
 
 @dataclass(frozen=True)

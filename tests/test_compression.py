@@ -150,6 +150,32 @@ def test_comm_state_consistency_1000_steps():
         assert drift <= 1e-9 * (1 + np.max(np.abs(st.Hw)))
 
 
+def test_bound_exchange_matches_comm_step():
+    # an exchange bound once, with alpha scaling the pair in place (as the
+    # step plan binds it), advances [H, Hw] bit for bit as repeated
+    # comm_step calls do, and its diff is nu_hat - nu_hat_w of each call;
+    # the zero start takes the quantizer's zero-row path in call 1
+    g = ds.build_ring(5)
+    c = ds.Compressor(kind="quantize_inf", bits=3, delta=0.5)
+    alpha = np.array([0.3, 0.2])[:, None, None]
+    keep = 1.0 - alpha
+    st_a = ds.CommState.from_reference(g, np.zeros((2, 5, 4)))
+    st_b = ds.CommState.from_reference(g, np.zeros((2, 5, 4)))
+    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
+    NN, diff = np.empty_like(st_a.HH), np.empty((2, 5, 4))
+    exchange = ds.bind_exchange(st_a, alpha, keep, g, c, rng_a, NN, diff, NN)
+    nus = np.random.default_rng(4).standard_normal((50, 2, 5, 4))
+    nus[0, 1] = 0.0
+    for nu in nus:
+        exchange(nu)
+        nu_hat, nu_hat_w, _ = ds.comm_step(nu, st_b, alpha, keep, g, c, rng_b)
+        assert diff.tobytes() == (nu_hat - nu_hat_w).tobytes()
+        assert st_a.HH.tobytes() == st_b.HH.tobytes()
+    assert rng_a.random() == rng_b.random()
+    with pytest.raises(ValueError):  # references for another graph
+        ds.bind_exchange(st_a, alpha, keep, ds.build_ring(4), c, rng_a, NN, diff, NN)
+
+
 def test_quantize_rows_match_sequential_calls():
     # one call on stacked rows consumes the draws of one call per nonzero
     # row, in row order; zero rows draw nothing

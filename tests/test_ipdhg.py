@@ -257,7 +257,7 @@ def _exchange(nu, H, Hw, alpha, W, bits, rng):
     return nu_hat, nu_hat_w, H, Hw
 
 
-@pytest.mark.parametrize(
+_TRANSCRIPTION_CASES = pytest.mark.parametrize(
     "kind, N, mode, p_ref",
     [
         ("gsgo", 36, "shuffled", None),
@@ -268,7 +268,22 @@ def _exchange(nu, H, Hw, alpha, W, bits, rng):
     ],
     ids=["gsgo", "svrgo", "svrgo-padded", "svrgo-p1"],
 )
+
+
+@_TRANSCRIPTION_CASES
 def test_stacked_step_matches_two_block_transcription(kind, N, mode, p_ref):
+    # the public ipdhg_step with the public samplers
+    _check_two_block_transcription(kind, N, mode, p_ref, via="ipdhg_step")
+
+
+@_TRANSCRIPTION_CASES
+def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
+    # one plan bound as the solvers bind it, with the oracles' bound draw
+    # at ens.Z
+    _check_two_block_transcription(kind, N, mode, p_ref, via="plan")
+
+
+def _check_two_block_transcription(kind, N, mode, p_ref, via):
     # 300 quantized steps of the stacked (2, m, d) step against a
     # transcription with separate x and y exchanges (x rows quantized
     # first), per-node gradients and, for SVRGO, uncached reference-batch
@@ -320,8 +335,18 @@ def test_stacked_step_matches_two_block_transcription(kind, N, mode, p_ref):
                 Gy[i] = w * (fy - ry) + ty
             return Gx, Gy
 
+    if via == "plan":
+        draw = (
+            ds.gsgo_draw(prob, ens.Z, rng) if kind == "gsgo"
+            else ds.svrgo_draw(prob, ens.Z, st, rng)
+        )
+        advance = ds.step_plan(ens, params, g, draw, prob, comp, rng)
+    else:
+        def advance():
+            assert ds.ipdhg_step(ens, params, g, oracle, prob, comp, rng) is ens
+
     for t in range(300):
-        ens = ds.ipdhg_step(ens, params, g, oracle, prob, comp, rng)
+        advance()
         Gx, Gy = loop_grads(x, y, loop_rng)
         nux = x - s * Gx - s * Dx
         nhx, nhwx, Hx, Hwx = _exchange(nux, Hx, Hwx, params.alpha_x, W, 4, loop_rng)
@@ -349,13 +374,16 @@ def test_stacked_step_matches_two_block_transcription(kind, N, mode, p_ref):
 
 @pytest.mark.parametrize("kind", ["gsgo", "svrgo"])
 @pytest.mark.parametrize("quantized", [True, False], ids=["qinf", "identity"])
-def test_bound_plan_matches_one_shot_steps(kind, quantized):
-    # 200 steps of one plan bound as the solvers bind it (the oracles'
-    # bound draw at ens.Z) leave Z, D, [H, Hw] and the counters bit for bit
-    # where 200 calls of the public ipdhg_step with the public samplers
-    # leave them.  The zero start makes every y row zero in step 1 (the
-    # quantizer's zero-row path); for SVRGO, refreshes fire (p = 0.3) and
-    # the draw after each one comes at the reference and reads the cache.
+def test_bound_draws_match_one_shot_samplers(kind, quantized):
+    # ipdhg_step is a plan bound for one step, so this checks the binding
+    # the solvers add, not the step body (which the transcription above
+    # checks): 200 steps of one plan with the oracles' bound draw at ens.Z
+    # and the counters bound once leave Z, D, [H, Hw] and the counters bit
+    # for bit where 200 calls of ipdhg_step with the one-shot samplers
+    # leave them, with both compressors.  The zero start makes every y row
+    # zero in step 1 (the quantizer's zero-row path); for SVRGO, refreshes
+    # fire (p = 0.3) and the draw after each one comes at the reference
+    # and reads the cache.
     dset = ds.synthesize(36, 3, 0)
     part = ds.partition(dset, 4, 3, 0)
     prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)

@@ -83,6 +83,23 @@ def test_grad_full_n1_equals_batch():
     assert np.allclose(p.grad_full(0, z)[0], p.grad_batch(0, 0, z)[0], atol=0)
 
 
+def test_single_batch_and_node_gradients_match_the_batched_ones():
+    # grad_batch and grad_full run the kernel over their own batch or node
+    # only, and give the bits of the all-batch entries at the same point;
+    # unequal batches (N = 22 over 6) include zero-padded samples
+    p = _small_problem(m=3, n=2, N=22)
+    rng = np.random.default_rng(8)
+    z = PrimalDualPoint(rng.standard_normal(p.d), 0.2 * rng.standard_normal(p.d))
+    Gb = p.all_batch_grads(z.x[None], z.y[None])
+    Gf = p.full_grads(np.tile(z.x, (p.m, 1)), np.tile(z.y, (p.m, 1)))
+    for i in range(p.m):
+        for got, want in zip(p.grad_full(i, z), Gf[:, i]):
+            assert got.tobytes() == want.tobytes()
+        for j in range(p.n):
+            for got, want in zip(p.grad_batch(i, j, z), Gb[:, i, j]):
+                assert got.tobytes() == want.tobytes()
+
+
 def test_objective_consistency_brute_force():
     # node-averaged loss equals the global objective computed sample by sample
     p = _small_problem(m=2, n=2, N=12, lam=1.0, beta=0.5)
