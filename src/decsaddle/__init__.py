@@ -11,13 +11,11 @@ from .compression import (
     Compressor,
     InfeasibleParameterError,
     bind_exchange,
-    comm_step,
     estimate_delta,
     identity_compressor,
-    quantize_inf,
 )
 from .data import Dataset, Partition, parse_libsvm, partition, synthesize
-from .ipdhg import NodeEnsemble, StepParams, ipdhg_step, step_plan
+from .ipdhg import NodeEnsemble, StepParams, step_plan
 from .metrics import (
     CostCounters,
     SaddleAnchors,
@@ -27,20 +25,8 @@ from .metrics import (
     phi,
     phi_tilde,
 )
-from .oracles import (
-    SvrgState,
-    gsgo_draw,
-    gsgo_sample,
-    svrgo_draw,
-    svrgo_grad,
-    svrgo_sample,
-    svrgo_update_reference,
-)
-from .problem import (
-    PrimalDualPoint,
-    RobustLRProblem,
-    SaddleConstants,
-)
+from .oracles import SvrgState, gsgo_draw, svrgo_draw, svrgo_update_reference
+from .problem import PrimalDualPoint, RobustLRProblem, SaddleConstants
 from .solvers import (
     StageParams,
     SvrgParams,

@@ -55,64 +55,42 @@ class Compressor:
         """Payload cost per transmitted coordinate."""
         return self.bits + 1 if self.kind == "quantize_inf" else 32
 
-    def apply(
-        self, x: np.ndarray, rng: np.random.Generator, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Compress each row of x (a 1-D x is one row), into out if given
-        (out must not share memory with x)."""
-        x = np.asarray(x, dtype=float)
-        if out is None:
-            out = np.empty_like(x)
-        self.bind(x.shape, rng)(x, out)
-        return out
-
     def bind(self, shape: tuple, rng: np.random.Generator):
         """compress(x, out): apply to a float array x of the given shape,
         into out (not sharing memory with x), with the kind resolved and
-        the quantizer's work arrays allocated here once."""
+        the quantizer's work arrays allocated here once.
+
+        The quantizer maps each row v of x (the last axis; a 1-D x is one
+        row) to
+        Q(v) = (||v||_inf 2^{1-b} sign(v)) * floor(2^{b-1}|v| / ||v||_inf + u)
+        with u drawn i.i.d. uniform per coordinate, and a zero row to zero
+        without drawing.  One call draws the uniforms of every nonzero row
+        in one rng.random call, in row order.
+        """
         if self.kind != "quantize_inf":
             return lambda x, out: np.copyto(out, x)
-        b, scale, u = self.bits, np.empty(shape[:-1] + (1,)), np.empty(shape)
-        levels = np.full(scale.shape, 2.0 ** (b - 1))
+        scale, u = np.empty(shape[:-1] + (1,)), np.empty(shape)
+        levels = np.full(scale.shape, 2.0 ** (self.bits - 1))
 
         def compress(x, out):
             mag = np.abs(x, out)
             np.maximum.reduce(mag, axis=-1, keepdims=True, out=scale)
-            if not np.minimum.reduce(scale, axis=None, initial=np.inf) > 0.0:
-                quantize_inf(x, b, rng, out)  # a zero row: no draws for it
-            else:
+            # one reduce checks every row for a zero (or NaN) scale
+            if np.minimum.reduce(scale, axis=None, initial=np.inf) > 0.0:
                 _round_levels(x, mag, scale, levels, rng.random(out=u))
+                return
+            # a zero (or NaN) row maps to zero and draws nothing
+            nz = scale[..., 0] > 0.0
+            q = mag[nz]
+            _round_levels(x[nz], q, scale[nz], levels[nz], rng.random(q.shape))
+            mag.fill(0.0)
+            mag[nz] = q
 
         return compress
 
 
 def identity_compressor() -> Compressor:
     return Compressor(kind="identity")
-
-
-def quantize_inf(
-    x: np.ndarray, b: int, rng: np.random.Generator, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Unbiased b-bit quantizer with infinity-norm scaling, row by row.
-
-    Each row v of x (the last axis; a 1-D x is one row) maps to
-    Q(v) = (||v||_inf 2^{1-b} sign(v)) * floor(2^{b-1}|v| / ||v||_inf + u)
-    with u drawn i.i.d. uniform per coordinate, and a zero row maps to
-    zero without drawing.  One call thus consumes the draws of one call per
-    nonzero row, in row order.  With out given (not sharing memory with
-    x), Q(x) is computed in it and out is returned.
-    """
-    x = np.asarray(x, dtype=float)
-    mag = np.abs(x, out=out)
-    scale = np.maximum.reduce(mag, axis=-1, keepdims=True)
-    # a zero (or NaN) row leaves the fast path; one reduce checks them all
-    if not np.minimum.reduce(scale, axis=None, initial=np.inf) > 0.0:
-        nonzero = scale[..., 0] > 0.0
-        mag[...] = 0.0
-        if nonzero.any():
-            mag[nonzero] = quantize_inf(x[nonzero], b, rng)
-        return mag
-    return _round_levels(x, mag, scale, 2.0 ** (b - 1), rng.random(x.shape))
 
 
 def _round_levels(x, mag, scale, levels, u):
@@ -160,7 +138,9 @@ def estimate_delta(
     for v in probes:
         # all trials of one probe in one call: one row per trial; the
         # running sum adds the trial errors in trial order
-        q = c.apply(np.tile(v, (per_trial, 1)), rng)
+        X = np.tile(v, (per_trial, 1))
+        q = np.empty_like(X)
+        c.bind(X.shape, rng)(X, q)
         err = np.cumsum(np.sum((q - v) ** 2, axis=1))[-1]
         worst = max(worst, float(err) / per_trial)
     return worst
@@ -173,7 +153,7 @@ class CommState:
     exchanged payload: (m, d), or (2, m, d) for a primal-dual pair.
 
     The invariant Hw = W H holds whenever the state was initialized
-    consistently; an exchange (bind_exchange, comm_step) preserves it,
+    consistently; an exchange bound by bind_exchange preserves it,
     updating HH in place.
     """
 
@@ -241,27 +221,3 @@ def bind_exchange(
         np.add(HH, np.multiply(alpha, NN, scaled), HH)
 
     return exchange
-
-
-def comm_step(
-    nu: np.ndarray,
-    st: CommState,
-    alpha: float | np.ndarray,
-    keep: float | np.ndarray,
-    g: DecGraph,
-    c: Compressor,
-    rng: np.random.Generator,
-    out: np.ndarray | None = None,
-):
-    """One compressed gossip exchange, through an exchange bound for this
-    call alone (see bind_exchange), advancing st in place.  The pair
-    [nu_hat, nu_hat_w] is built in out (shaped like st.HH, allocated if
-    not given) and left intact.  Returns (nu_hat, nu_hat_w, st), the first
-    two views of that pair; counts as one communication round.
-    """
-    HH = st.HH
-    NN = np.empty_like(HH) if out is None else out
-    bind_exchange(
-        st, alpha, keep, g, c, rng, NN, np.empty_like(HH[0]), np.empty_like(HH)
-    )(nu)
-    return NN[0], NN[1], st

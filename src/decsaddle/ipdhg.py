@@ -9,7 +9,7 @@ A step is bound once per solve as a plan (step_plan): the ensemble's
 arrays, the step factors, the graph's W, the oracle draw, the
 compressor, the RNG and the counters are checked and bound when the plan
 is built, and each step then runs as one flat sequence of NumPy calls
-into arrays allocated once.  ipdhg_step is the one-shot form.
+into arrays allocated once.
 """
 
 from __future__ import annotations
@@ -208,27 +208,3 @@ def step_plan(
         add_round(payload, bits_per_coord)
 
     return step
-
-
-def ipdhg_step(
-    ens: NodeEnsemble,
-    params: StepParams,
-    g: DecGraph,
-    oracle,
-    prob: RobustLRProblem,
-    compressor: Compressor,
-    rng: np.random.Generator,
-    counters: CostCounters | None = None,
-) -> NodeEnsemble:
-    """One step of a plan bound for it alone (see step_plan); returns ens
-    itself, advanced in place.
-
-    oracle(X, Y, rng) -> (G, cost): the (2, m, d) stacked gradient blocks
-    of every node at its rows of (X, Y), with cost the gradient units
-    summed over nodes.
-    """
-    X, Y = ens.Z[0], ens.Z[1]
-    step_plan(
-        ens, params, g, lambda: oracle(X, Y, rng), prob, compressor, rng, counters
-    )()
-    return ens

@@ -6,7 +6,7 @@ come back as one (2, m, d) array, block 0 for x and block 1 for y.  Each
 sampler draws one batch index per node in a single call that consumes
 exactly the draws of m sequential per-node calls, in node order.  A
 solver binds its draw once (gsgo_draw, svrgo_draw) to the ensemble's
-stacked point; gsgo_sample and svrgo_sample are the one-shot forms.
+stacked point and calls it at every step.
 
 Gradient units count batch-gradient evaluations as the paper's oracles
 spend them: 1 per node per GSGO draw, 2 per node per SVRGO draw, and m*n
@@ -39,14 +39,6 @@ def gsgo_draw(p: RobustLRProblem, Z: np.ndarray, rng: np.random.Generator):
         return grads(np.add(row0, J, J)), m
 
     return draw
-
-
-def gsgo_sample(
-    p: RobustLRProblem, X: np.ndarray, Y: np.ndarray, rng: np.random.Generator
-):
-    """One gsgo_draw at (X, Y): returns (G, cost) with G a new stacked
-    (2, m, d) array and cost = m gradient units."""
-    return gsgo_draw(p, np.array([X, Y], dtype=float), rng)()
 
 
 @dataclass
@@ -129,34 +121,17 @@ class SvrgState:
         return np.add.reduce(self.cdf <= u[:, None], axis=1)
 
 
-def svrgo_grad(
-    p: RobustLRProblem,
-    X: np.ndarray,
-    Y: np.ndarray,
-    st: SvrgState,
-    J: np.ndarray,
-):
-    """Control-variate gradient of every node on batch J[i], anchored at the
-    node's reference point: w (grad_J(X) - grad_J(X_tilde)) + g_tilde.
-
-    Only the fresh batch gradients are evaluated; those at the reference
-    are read from the state.  Returns (G, cost) with G stacked (2, m, d)
-    and cost = 2 gradient units per node, the paper's SVRGO price.
-    """
-    rows = p.row0 + J
-    Z = np.array([X, Y], dtype=float)
-    G = p.bind_batch_grads(Z)(rows)
-    return _control_variate(G, st, rows, np.empty_like(G)), 2 * p.m
-
-
 def svrgo_draw(
     p: RobustLRProblem, Z: np.ndarray, st: SvrgState, rng: np.random.Generator
 ):
     """Bound variance-reduced draw at the stacked (2, m, d) point Z, read at
     every call, against the state st (whose references may be refreshed
-    between calls): returns draw() -> (G, cost), svrgo_grad on batches
-    drawn from the sampling law, in a (2, m, d) array the draw owns and
-    overwrites.
+    between calls): returns draw() -> (G, cost).  Row i of G is node i's
+    control variate w (grad_J(X) - grad_J(X_tilde)) + g_tilde on a batch J
+    drawn from row i of the sampling law, w = 1 / (n P[i, J]), in a
+    (2, m, d) array the draw owns and overwrites; cost is 2 gradient units
+    per node, the paper's SVRGO price, though only the fresh batch is
+    evaluated (the reference batch is read from the state).
 
     The first draw after a refresh (or after initialize) usually comes at
     the reference point itself, as in the variance-reduced solver.  There
@@ -180,18 +155,6 @@ def svrgo_draw(
         return _control_variate(grads(rows), st, rows, ref), cost
 
     return draw
-
-
-def svrgo_sample(
-    p: RobustLRProblem,
-    X: np.ndarray,
-    Y: np.ndarray,
-    st: SvrgState,
-    rng: np.random.Generator,
-):
-    """One svrgo_draw at (X, Y): returns (G, cost) with G a new stacked
-    (2, m, d) array and cost = 2 gradient units per node."""
-    return svrgo_draw(p, np.array([X, Y], dtype=float), st, rng)()
 
 
 def svrgo_update_reference(

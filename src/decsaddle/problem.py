@@ -64,10 +64,10 @@ class RobustLRProblem:
     `labels` is batch (i, j), one sample per line, B the largest batch
     size.  A padded sample has features 0 and label 0, so it adds exactly
     zero to both gradient blocks.  One flat index row0 + J gathers the
-    batches J[i] of every node i at once.  Every gradient, for one node or
-    the whole ensemble, goes through _bind_grad, which sets no error state of
-    its own: callers enter overflow_guard() around it (the solvers once per
-    solve).
+    batches J[i] of every node i at once.  Every gradient, of gathered
+    batches or of all of them, goes through _bind_grad, which sets no error
+    state of its own: callers enter overflow_guard() around it (the solvers
+    once per solve).
     """
 
     def __init__(
@@ -211,55 +211,32 @@ class RobustLRProblem:
 
         return grads
 
-    def batch_grads(self, X: np.ndarray, Y: np.ndarray, J: np.ndarray) -> np.ndarray:
-        """Row i of each block: gradient of node i's batch J[i] at (X[i], Y[i])."""
-        Z = np.array([X, Y], dtype=float)
-        return self.bind_batch_grads(Z)(self.row0 + J)
-
-    def _grads_at(self, feats, labels, X, Y) -> np.ndarray:
-        """Gradient blocks (2, *lead, d) of the batches feats (*lead, B, d)
-        with labels (*lead, B), each at its rows of X and Y, which have as
-        many axes as (*lead, d) and broadcast against it."""
-        Z = np.array([X, Y], dtype=float)
-        G = np.empty((2,) + feats.shape[:-2] + (self.d,))
-        reg = self._reg.reshape((2,) + (1,) * (G.ndim - 1))
-        np.multiply(reg, Z, G)  # [lam/m x, -beta/m y]
-        return self._bind_grad(feats + Z[1][..., None, :], labels, Z[0], G)()
-
     def all_batch_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """(2, m, n, d): every batch gradient of node i at (X[i], Y[i]); a
         single row X, Y serves every node."""
+        Z = np.array([X[:, None], Y[:, None]], dtype=float)
+        G = np.empty((2, self.m, self.n, self.d))
+        np.multiply(self._reg[..., None], Z, G)  # [lam/m x, -beta/m y]
         labels = self.labels.reshape(self.batches.shape[:-1])
-        return self._grads_at(self.batches, labels, X[:, None], Y[:, None])
+        return self._bind_grad(self.batches + Z[1][..., None, :], labels, Z[0], G)()
 
     def full_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Row i of each block: average of node i's n batch gradients at
         (X[i], Y[i]); (2, m, d)."""
         return batch_mean(self.all_batch_grads(X, Y))
 
-    def grad_batch(self, i: int, j: int, z: PrimalDualPoint):
-        r = i * self.n + j
-        G = self._grads_at(
-            self.features[r][None], self.labels[r][None], z.x[None], z.y[None]
-        )
-        return G[0, 0], G[1, 0]
-
-    def grad_full(self, i: int, z: PrimalDualPoint):
-        """Average of batch gradients; costs n gradient units."""
-        rows = slice(i * self.n, (i + 1) * self.n)
-        G = self._grads_at(
-            self.features[rows][None], self.labels[rows][None],
-            z.x[None, None], z.y[None, None],
-        )
-        G = batch_mean(G)
-        return G[0, 0], G[1, 0]
-
-    def prox(self, Z: np.ndarray, s: float, out: np.ndarray | None = None):
+    def prox(self, Z: np.ndarray, out: np.ndarray | None = None):
         """Ball projection of a stacked (2, k, d) primal-dual block: every
         row of Z[0] onto the R_x ball, every row of Z[1] onto the R_y ball;
         into out if given.  Raises FloatingPointError if a row norm is not
         finite."""
         return _project_ball(Z, self._radii, out)
+
+    def prox_step(self, Z: np.ndarray, G: np.ndarray, s: float) -> np.ndarray:
+        """prox(Z + s (-G_x, +G_y)): the projected gradient step of step
+        size s from a stacked (2, k, d) point Z with gradient blocks G, x
+        descending and y ascending."""
+        return self.prox(Z + np.array([-s, s])[:, None, None] * G)
 
     def bind_prox(self, shape: tuple):
         """prox(Z, out) for stacked blocks of the given (2, k, d) shape,
@@ -291,18 +268,10 @@ class RobustLRProblem:
             L_yx=float(L_xy),
         )
 
-    def saddle_residual(self, z: PrimalDualPoint, s: float) -> float:
-        """Squared fixed-point residual of the prox-gradient optimality map."""
-        if s <= 0:
-            raise ValueError("step size must be positive")
-        Z = z.stacked()
-        g = self.full_grads(Z[0], Z[1]).sum(axis=1, keepdims=True)
-        return self.prox_residual(Z, g, s / self.m)
-
     def prox_residual(self, Z: np.ndarray, G: np.ndarray, s: float) -> float:
-        """Squared norm of Z - prox(Z + s (-G_x, +G_y)) for a one-row
-        stacked (2, 1, d) point Z and its gradient blocks G."""
-        r = Z - self.prox(Z + np.array([-s, s])[:, None, None] * G, s)
+        """Squared norm of Z - prox_step(Z, G, s) for a one-row stacked
+        (2, 1, d) point Z and its gradient blocks G."""
+        r = Z - self.prox_step(Z, G, s)
         rx, ry = r[0, 0], r[1, 0]
         return float(np.dot(rx, rx) + np.dot(ry, ry))
 

@@ -22,8 +22,41 @@ from .problem import PrimalDualPoint, RobustLRProblem, SaddleConstants, overflow
 from .topology import DecGraph, SpectralInfo
 
 
+class _ScheduleParams:
+    """What the two schedules' parameter sets share: the windows of their
+    contraction factors, and the per-step scalars they hand to a step."""
+
+    def _check_windows(self, b_window: str, where: str = "") -> None:
+        """Raise InfeasibleParameterError naming the first factor outside
+        its window: b_x, b_y in b_window, "(0, 1]" or "(0, 1)"; M_x, M_y,
+        (1-b_x)/M_x, (1-b_y)/M_y in (0, 1].  The alpha window is checked
+        by StepParams."""
+        for name, v, window in (
+            ("b_x", self.b_x, b_window),
+            ("b_y", self.b_y, b_window),
+            ("M_x", self.M_x, "(0, 1]"),
+            ("M_y", self.M_y, "(0, 1]"),
+            ("(1-b_x)/M_x", (1.0 - self.b_x) / self.M_x, "(0, 1]"),
+            ("(1-b_y)/M_y", (1.0 - self.b_y) / self.M_y, "(0, 1]"),
+        ):
+            if not (0.0 < v < 1.0 if window == "(0, 1)" else 0.0 < v <= 1.0):
+                raise InfeasibleParameterError(
+                    f"{where}{name} = {v:.6g} outside {window}"
+                )
+
+    def step_params(self) -> StepParams:
+        return StepParams(
+            s=self.s,
+            gamma_x=self.gamma_x,
+            gamma_y=self.gamma_y,
+            alpha_x=self.alpha_x,
+            alpha_y=self.alpha_y,
+            delta=self.delta,
+        )
+
+
 @dataclass(frozen=True)
-class StageParams:
+class StageParams(_ScheduleParams):
     """Stage-k scalars of the restart method, validated at construction."""
 
     k: int
@@ -42,36 +75,9 @@ class StageParams:
     delta: float
 
     def __post_init__(self):
-        checks = {
-            "b_x": self.b_x,
-            "b_y": self.b_y,
-            "M_x": self.M_x,
-            "M_y": self.M_y,
-            "(1-b_x)/M_x": (1.0 - self.b_x) / self.M_x,
-            "(1-b_y)/M_y": (1.0 - self.b_y) / self.M_y,
-        }
-        for name, v in checks.items():
-            if not 0.0 < v <= 1.0:
-                raise InfeasibleParameterError(
-                    f"stage {self.k}: {name} = {v:.6g} outside (0, 1]"
-                )
-        hi = 1.0 / (1.0 + self.delta)
-        if not 0.0 < self.alpha_x < hi or not 0.0 < self.alpha_y < hi:
-            raise InfeasibleParameterError(
-                f"stage {self.k}: alpha outside (0, 1/(1+delta))"
-            )
+        self._check_windows("(0, 1]", f"stage {self.k}: ")
         if self.t < 1:
             raise InfeasibleParameterError(f"stage {self.k}: t = {self.t} < 1")
-
-    def step_params(self) -> StepParams:
-        return StepParams(
-            s=self.s,
-            gamma_x=self.gamma_x,
-            gamma_y=self.gamma_y,
-            alpha_x=self.alpha_x,
-            alpha_y=self.alpha_y,
-            delta=self.delta,
-        )
 
 
 def crdpsg_rho(
@@ -153,7 +159,7 @@ def contraction_rate(params, spec: SpectralInfo, p: float | None = None) -> floa
 
 
 @dataclass(frozen=True)
-class SvrgParams:
+class SvrgParams(_ScheduleParams):
     """Scalars of the variance-reduced method, validated at construction."""
 
     s: float
@@ -172,32 +178,9 @@ class SvrgParams:
     delta: float
 
     def __post_init__(self):
-        for name, v in (("b_x", self.b_x), ("b_y", self.b_y)):
-            if not 0.0 < v < 1.0:
-                raise InfeasibleParameterError(f"{name} = {v:.6g} outside (0, 1)")
-        for name, v in (
-            ("M_x", self.M_x),
-            ("M_y", self.M_y),
-            ("(1-b_x)/M_x", (1.0 - self.b_x) / self.M_x),
-            ("(1-b_y)/M_y", (1.0 - self.b_y) / self.M_y),
-        ):
-            if not 0.0 < v <= 1.0:
-                raise InfeasibleParameterError(f"{name} = {v:.6g} outside (0, 1]")
-        hi = 1.0 / (1.0 + self.delta)
-        if not 0.0 < self.alpha_x < hi or not 0.0 < self.alpha_y < hi:
-            raise InfeasibleParameterError("alpha outside (0, 1/(1+delta))")
+        self._check_windows("(0, 1)")
         if not 0.0 < self.p <= 1.0:
             raise InfeasibleParameterError(f"p = {self.p} outside (0, 1]")
-
-    def step_params(self) -> StepParams:
-        return StepParams(
-            s=self.s,
-            gamma_x=self.gamma_x,
-            gamma_y=self.gamma_y,
-            alpha_x=self.alpha_x,
-            alpha_y=self.alpha_y,
-            delta=self.delta,
-        )
 
 
 def cdpsvrg_params(
@@ -389,7 +372,6 @@ def compute_reference(
     consts = prob.constants
     h_min = 1.0 / (4.0 * consts.L)
     s = consts.mu / (24.0 * consts.L**2)
-    sign = np.array([-1.0, 1.0])[:, None, None]  # x descends, y ascends
 
     def grads(Z):
         return prob.full_grads(Z[0], Z[1])
@@ -404,13 +386,13 @@ def compute_reference(
             if residual <= tol:
                 break
             while True:
-                W = prob.prox(Z + (h * sign) * G, h)
+                W = prob.prox_step(Z, G, h)
                 GW = grads(W)
                 dG, dZ = GW - G, W - Z
                 if h <= h_min or h * h * np.vdot(dG, dG) <= 0.81 * np.vdot(dZ, dZ):
                     break
                 h = 0.5 * h  # h is 1/(4L) times a power of two
-            Z = prob.prox(Z + (h * sign) * GW, h)
+            Z = prob.prox_step(Z, GW, h)
             G = grads(Z)
             residual = prob.prox_residual(Z, G, s)
             h = 2.0 * h

@@ -14,7 +14,22 @@ def project(prob, v, block):
     (R_x) or block 1 (R_y) through the stacked prox."""
     Z = np.zeros((2,) + np.atleast_2d(v).shape)
     Z[block] = v
-    return prob.prox(Z, 1.0)[block].reshape(np.shape(v))
+    return prob.prox(Z)[block].reshape(np.shape(v))
+
+
+class PickBatch:
+    """Stub generator under which a bound draw takes batch l at every node:
+    a GSGO draw through integers, and an SVRGO draw under the uniform law
+    over n batches through random, whose uniforms lie in batch l's cell."""
+
+    def __init__(self, n):
+        self.n, self.l = n, 0
+
+    def integers(self, n, size=None):
+        return np.full(size, self.l)
+
+    def random(self, size=None):
+        return np.full(size, (self.l + 0.5) / self.n)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ import decsaddle as ds
 from decsaddle.oracles import SvrgState
 from decsaddle.problem import PrimalDualPoint
 
-from conftest import ACC, project
+from conftest import ACC, PickBatch, project
 
 
 def _report(num, name, ok, detail=""):
@@ -50,14 +50,15 @@ def test_criterion_01_deterministic_contraction(acc_dataset, acc_graph, acc_zsta
     ens = ds.NodeEnsemble.initialize(
         g, np.tile(x0, (g.m, 1)), np.zeros((g.m, prob.d))
     )
-    oracle = lambda X, Y, r: (prob.full_grads(X, Y), g.m)
-    sp = params.step_params()
-    rng = np.random.default_rng(0)
+    draw = lambda: (prob.full_grads(ens.x, ens.y), g.m)
+    step = ds.step_plan(
+        ens, params.step_params(), g, draw, prob, comp, np.random.default_rng(0)
+    )
     prev = ds.phi(ens, anchors, params, 0.0, spec)
     worst = 0.0
     ok = True
     for _ in range(200):
-        ens = ds.ipdhg_step(ens, sp, g, oracle, prob, comp, rng)
+        step()
         cur = ds.phi(ens, anchors, params, 0.0, spec)
         if cur > rho0 * prev + 1e-10:
             ok = False
@@ -133,7 +134,7 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
         x, y = x0.copy(), y0.copy()
         states = []
         for s in s_schedule:
-            gx, gy = prob.grad_full(0, PrimalDualPoint(x, y))
+            gx, gy = prob.full_grads(x[None], y[None])[:, 0]
             x = project(prob, x - s * gx, 0)
             y = project(prob, y + s * gy, 1)
             states.append((x.copy(), y.copy()))
@@ -142,13 +143,14 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
     # restart solver, stage 0 truncated to 500 inner steps
     p0 = ds.crdpsg_stage_params(0, prob.constants, 0.0, None)
     ens = ds.NodeEnsemble.initialize(g1, x0[None, :], y0[None, :])
-    oracle = lambda X, Y, r: (prob.full_grads(X, Y), 1)
-    sp = p0.step_params()
-    rng = np.random.default_rng(0)
+    draw = lambda: (prob.full_grads(ens.x, ens.y), 1)
+    step = ds.step_plan(
+        ens, p0.step_params(), g1, draw, prob, comp, np.random.default_rng(0)
+    )
     worst_a = 0.0
     ref = centralized([p0.s] * n_iter)
     for t in range(n_iter):
-        ens = ds.ipdhg_step(ens, sp, g1, oracle, prob, comp, rng)
+        step()
         worst_a = max(
             worst_a,
             np.max(np.abs(ens.x[0] - ref[t][0])),
@@ -182,10 +184,11 @@ def test_criterion_05_quantizer_unbiasedness():
     for b, count in vectors_per_b.items():
         probe = ds.Compressor(kind="quantize_inf", bits=b, delta=1.0)
         dhat = ds.estimate_delta(probe, d, 10_000, np.random.default_rng(b))
+        quantize, draws = probe.bind((100_000, d), rng), np.empty((100_000, d))
         for _ in range(count):
             x = rng.standard_normal(d)
             # one row per sample: the draws of 100,000 single-vector calls
-            draws = ds.quantize_inf(np.tile(x, (100_000, 1)), b, rng)
+            quantize(np.tile(x, (100_000, 1)), draws)
             mean = draws.mean(axis=0)
             sem = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
             # 5 sigma: ~1000 coordinate checks in total, so 3 sigma would
@@ -218,16 +221,20 @@ def test_criterion_06_svrgo_exact_unbiasedness(acc_dataset):
     mean_gx = np.zeros(prob.d)
     mean_gy = np.zeros(prob.d)
     var_at_ref = 0.0
+    # bound draws at both points that take batch l
+    pick = PickBatch(4)
+    draw_q = ds.svrgo_draw(prob, zq.stacked(), st, pick)
+    draw_ref = ds.svrgo_draw(prob, z_ref.stacked(), st, pick)
     for l in range(4):
-        J = np.array([l])
-        (gx, gy), _ = ds.svrgo_grad(prob, zq.x[None], zq.y[None], st, J)
+        pick.l = l
+        (gx, gy), _ = draw_q()
         mean_gx += st.P[0, l] * gx[0]
         mean_gy += st.P[0, l] * gy[0]
-        (rx, ry), _ = ds.svrgo_grad(prob, z_ref.x[None], z_ref.y[None], st, J)
+        (rx, ry), _ = draw_ref()
         var_at_ref += float(
             np.sum((rx[0] - st.g_tilde[0, 0]) ** 2) + np.sum((ry[0] - st.g_tilde[1, 0]) ** 2)
         )
-    fx, fy = prob.grad_full(0, zq)
+    fx, fy = prob.full_grads(zq.x[None], zq.y[None])[:, 0]
     dev = max(np.max(np.abs(mean_gx - fx)), np.max(np.abs(mean_gy - fy)))
     ok = dev <= 1e-14 and var_at_ref == 0.0
     _report(
@@ -253,16 +260,16 @@ def test_criterion_07_structural_invariants(
     counters = ds.CostCounters()
     counters.add_grad(prob.m * prob.n)
     rng = np.random.default_rng(9)
-    sp = params.step_params()
+    step = ds.step_plan(
+        ens, params.step_params(), g, ds.svrgo_draw(prob, ens.Z, state, rng), prob,
+        acc_compressor, rng, counters,
+    )
     ok = True
     details = []
     prev = (0, 0, 0)
     coords = g.m * (prob.d + prob.d)
     for t in range(10_000):
-        def oracle(X, Y, r, _st=state):
-            return ds.svrgo_sample(prob, X, Y, _st, r)
-
-        ens = ds.ipdhg_step(ens, sp, g, oracle, prob, acc_compressor, rng, counters)
+        step()
         state, cost = ds.svrgo_update_reference(state, prob, ens.x, ens.y, rng)
         counters.add_grad(cost)
         # rounding drift compounds over 10^4 tracker updates, hence the
@@ -331,20 +338,20 @@ def test_criterion_08_lipschitz_dominance_sparse_dataset():
             y1 = project(prob, prob.R_y * rng.standard_normal(prob.d), 1)
             y2 = project(prob, prob.R_y * rng.standard_normal(prob.d), 1)
             if name == "L_xx":
-                g1 = prob.grad_batch(i, j, PrimalDualPoint(x1, y1))[0]
-                g2 = prob.grad_batch(i, j, PrimalDualPoint(x2, y1))[0]
+                g1 = prob.all_batch_grads(x1[None], y1[None])[0, i, j]
+                g2 = prob.all_batch_grads(x2[None], y1[None])[0, i, j]
                 num, den = np.linalg.norm(g1 - g2), np.linalg.norm(x1 - x2)
             elif name == "L_yy":
-                g1 = prob.grad_batch(i, j, PrimalDualPoint(x1, y1))[1]
-                g2 = prob.grad_batch(i, j, PrimalDualPoint(x1, y2))[1]
+                g1 = prob.all_batch_grads(x1[None], y1[None])[1, i, j]
+                g2 = prob.all_batch_grads(x1[None], y2[None])[1, i, j]
                 num, den = np.linalg.norm(g1 - g2), np.linalg.norm(y1 - y2)
             elif name == "L_xy":
-                g1 = prob.grad_batch(i, j, PrimalDualPoint(x1, y1))[0]
-                g2 = prob.grad_batch(i, j, PrimalDualPoint(x1, y2))[0]
+                g1 = prob.all_batch_grads(x1[None], y1[None])[0, i, j]
+                g2 = prob.all_batch_grads(x1[None], y2[None])[0, i, j]
                 num, den = np.linalg.norm(g1 - g2), np.linalg.norm(y1 - y2)
             else:
-                g1 = prob.grad_batch(i, j, PrimalDualPoint(x1, y1))[1]
-                g2 = prob.grad_batch(i, j, PrimalDualPoint(x2, y1))[1]
+                g1 = prob.all_batch_grads(x1[None], y1[None])[1, i, j]
+                g2 = prob.all_batch_grads(x2[None], y1[None])[1, i, j]
                 num, den = np.linalg.norm(g1 - g2), np.linalg.norm(x1 - x2)
             if den > 1e-12:
                 ratio = num / den

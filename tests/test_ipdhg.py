@@ -4,7 +4,7 @@ import pytest
 import decsaddle as ds
 from conftest import project
 from decsaddle.compression import InfeasibleParameterError
-from decsaddle.problem import PrimalDualPoint, overflow_guard
+from decsaddle.problem import overflow_guard
 
 
 def _problem(m, n=1, N=24, d=3, seed=0, lam=1.0, beta=0.5):
@@ -13,8 +13,8 @@ def _problem(m, n=1, N=24, d=3, seed=0, lam=1.0, beta=0.5):
     return ds.RobustLRProblem(dset, part, lam=lam, beta=beta, R_x=2.0, R_y=1.0)
 
 
-def _exact_oracle(prob):
-    return lambda X, Y, rng: (prob.full_grads(X, Y), prob.m)
+def _exact_draw(prob, ens):
+    return lambda: (prob.full_grads(ens.x, ens.y), prob.m)
 
 
 def test_single_node_reduces_to_prox_gda():
@@ -26,8 +26,8 @@ def test_single_node_reduces_to_prox_gda():
     ens = ds.NodeEnsemble.initialize(g, x, y)
     comp = ds.identity_compressor()
     rng = np.random.default_rng(0)
-    ens = ds.ipdhg_step(ens, params, g, _exact_oracle(prob), prob, comp, rng)
-    gx, gy = prob.grad_full(0, PrimalDualPoint(x[0], y[0]))
+    ds.step_plan(ens, params, g, _exact_draw(prob, ens), prob, comp, rng)()
+    gx, gy = prob.full_grads(x, y)[:, 0]
     assert np.allclose(ens.x[0], project(prob, x[0] - 0.01 * gx, 0), atol=1e-15)
     assert np.allclose(ens.y[0], project(prob, y[0] + 0.01 * gy, 1), atol=1e-15)
     assert np.allclose(ens.Dx, 0.0, atol=0) and np.allclose(ens.Dy, 0.0, atol=0)
@@ -52,9 +52,9 @@ def test_fixed_point_is_stationary(acc_graph, acc_problem, acc_zstar):
     )
     comp = ds.identity_compressor()
     rng = np.random.default_rng(0)
-    out = ds.ipdhg_step(ens, params, g, _exact_oracle(prob), prob, comp, rng)
-    assert np.max(np.abs(out.x - x)) <= 1e-10
-    assert np.max(np.abs(out.y - y)) <= 1e-10
+    ds.step_plan(ens, params, g, _exact_draw(prob, ens), prob, comp, rng)()
+    assert np.max(np.abs(ens.x - x)) <= 1e-10
+    assert np.max(np.abs(ens.y - y)) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -77,13 +77,12 @@ def test_step_matches_straight_line_transcription(g, N, lam):
     Hx0 = ens.comm_x.H.copy()
     Hy0 = ens.comm_y.H.copy()
     comp = ds.identity_compressor()
-    out = ds.ipdhg_step(
-        ens, params, g, _exact_oracle(prob), prob, comp, np.random.default_rng(0)
-    )
+    ds.step_plan(
+        ens, params, g, _exact_draw(prob, ens), prob, comp, np.random.default_rng(0)
+    )()
 
     W = g.W
-    Gx = np.stack([prob.grad_full(i, PrimalDualPoint(x[i], y[i]))[0] for i in range(m)])
-    Gy = np.stack([prob.grad_full(i, PrimalDualPoint(x[i], y[i]))[1] for i in range(m)])
+    Gx, Gy = prob.full_grads(x, y)
     s, gx_, gy_ = params.s, params.gamma_x, params.gamma_y
     nux = x - s * Gx - s * Dx0
     nux_hat = nux  # identity compression: the quantized difference is exact
@@ -97,13 +96,13 @@ def test_step_matches_straight_line_transcription(g, N, lam):
     y1 = nuy - (gy_ / 2) * (nuy - nuy_hat_w)
     y1 = np.stack([project(prob, y1[i], 1) for i in range(m)])
 
-    assert np.max(np.abs(out.x - x1)) <= 1e-14
-    assert np.max(np.abs(out.y - y1)) <= 1e-14
-    assert np.max(np.abs(out.Dx - Dx1)) <= 1e-14
-    assert np.max(np.abs(out.Dy - Dy1)) <= 1e-14
+    assert np.max(np.abs(ens.x - x1)) <= 1e-14
+    assert np.max(np.abs(ens.y - y1)) <= 1e-14
+    assert np.max(np.abs(ens.Dx - Dx1)) <= 1e-14
+    assert np.max(np.abs(ens.Dy - Dy1)) <= 1e-14
     # reference updates
-    assert np.allclose(out.comm_x.H, (1 - 0.2) * Hx0 + 0.2 * nux_hat, atol=1e-14)
-    assert np.allclose(out.comm_y.H, (1 - 0.25) * Hy0 + 0.25 * nuy, atol=1e-14)
+    assert np.allclose(ens.comm_x.H, (1 - 0.2) * Hx0 + 0.2 * nux_hat, atol=1e-14)
+    assert np.allclose(ens.comm_y.H, (1 - 0.25) * Hy0 + 0.25 * nuy, atol=1e-14)
 
 
 def test_dual_tracker_mean_invariant():
@@ -115,9 +114,9 @@ def test_dual_tracker_mean_invariant():
     )
     rng = np.random.default_rng(5)
     ens = ds.NodeEnsemble.initialize(g, np.zeros((4, 3)), np.zeros((4, 3)))
-    oracle = lambda X, Y, r: ds.gsgo_sample(prob, X, Y, r)
+    step = ds.step_plan(ens, params, g, ds.gsgo_draw(prob, ens.Z, rng), prob, comp, rng)
     for _ in range(2000):
-        ens = ds.ipdhg_step(ens, params, g, oracle, prob, comp, rng)
+        step()
         for D in (ens.Dx, ens.Dy):
             col = np.abs(D.sum(axis=0)).max()
             assert col <= 1e-9 * (1 + np.linalg.norm(D))
@@ -136,7 +135,7 @@ def test_counters_recorded():
     ens = ds.NodeEnsemble.initialize(g, np.zeros((3, 3)), np.zeros((3, 3)))
     counters = ds.CostCounters()
     rng = np.random.default_rng(0)
-    ds.ipdhg_step(ens, params, g, _exact_oracle(prob), prob, comp, rng, counters)
+    ds.step_plan(ens, params, g, _exact_draw(prob, ens), prob, comp, rng, counters)()
     assert counters.grad_units == 3
     assert counters.comm_rounds == 1
     assert counters.bits == 3 * (3 + 3) * 5
@@ -150,16 +149,16 @@ def test_nonfinite_iterate_raises(block):
     params = ds.StepParams(s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2)
     ens = ds.NodeEnsemble.initialize(g, np.zeros((3, 3)), np.zeros((3, 3)))
 
-    def oracle(X, Y, rng):
-        G = prob.full_grads(X, Y)
+    def draw():
+        G = prob.full_grads(ens.x, ens.y)
         G[block, 1, 0] = np.nan
         return G, prob.m
 
+    step = ds.step_plan(
+        ens, params, g, draw, prob, ds.identity_compressor(), np.random.default_rng(0)
+    )
     with pytest.raises(FloatingPointError):
-        ds.ipdhg_step(
-            ens, params, g, oracle, prob, ds.identity_compressor(),
-            np.random.default_rng(0),
-        )
+        step()
 
 
 def test_ensemble_trajectory_matches_per_node_loop():
@@ -188,14 +187,14 @@ def test_ensemble_trajectory_matches_per_node_loop():
     ens = ds.NodeEnsemble.initialize(g, x, y)
     comp = ds.identity_compressor()
     rng = np.random.default_rng(3)
-    oracle = lambda X, Y, r: ds.gsgo_sample(prob, X, Y, r)
+    step = ds.step_plan(ens, params, g, ds.gsgo_draw(prob, ens.Z, rng), prob, comp, rng)
     loop_rng = np.random.default_rng(3)
     Dx, Dy = np.zeros((4, 3)), np.zeros((4, 3))
     Hx, Hy = x.copy(), y.copy()
     Hwx, Hwy = W @ Hx, W @ Hy
     worst = 0.0
     for _ in range(300):
-        ens = ds.ipdhg_step(ens, params, g, oracle, prob, comp, rng)
+        step()
         Gx, Gy = np.empty((4, 3)), np.empty((4, 3))
         for i in range(4):
             j = int(loop_rng.integers(prob.n))
@@ -229,8 +228,8 @@ def test_step_params_alpha_window():
     lax = ds.StepParams(**dict(ok, alpha_x=0.9, delta=0.0))
     comp = ds.Compressor(kind="quantize_inf", bits=2, delta=0.5)
     with pytest.raises(InfeasibleParameterError):
-        ds.ipdhg_step(
-            ens, lax, g, _exact_oracle(prob), prob, comp, np.random.default_rng(0)
+        ds.step_plan(
+            ens, lax, g, _exact_draw(prob, ens), prob, comp, np.random.default_rng(0)
         )
 
 
@@ -249,7 +248,10 @@ def test_step_plan_checks_shapes_once():
 
 def _exchange(nu, H, Hw, alpha, W, bits, rng):
     """One block's compressed gossip exchange, written out."""
-    Q = ds.quantize_inf(nu - H, bits, rng)
+    Q = np.empty_like(H)
+    ds.Compressor(kind="quantize_inf", bits=bits, delta=1.0).bind(H.shape, rng)(
+        nu - H, Q
+    )
     nu_hat = H + Q
     nu_hat_w = Hw + W @ Q
     H = (1.0 - alpha) * H + alpha * nu_hat
@@ -271,20 +273,9 @@ _TRANSCRIPTION_CASES = pytest.mark.parametrize(
 
 
 @_TRANSCRIPTION_CASES
-def test_stacked_step_matches_two_block_transcription(kind, N, mode, p_ref):
-    # the public ipdhg_step with the public samplers
-    _check_two_block_transcription(kind, N, mode, p_ref, via="ipdhg_step")
-
-
-@_TRANSCRIPTION_CASES
 def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
     # one plan bound as the solvers bind it, with the oracles' bound draw
-    # at ens.Z
-    _check_two_block_transcription(kind, N, mode, p_ref, via="plan")
-
-
-def _check_two_block_transcription(kind, N, mode, p_ref, via):
-    # 300 quantized steps of the stacked (2, m, d) step against a
+    # at ens.Z: 300 quantized steps of the stacked (2, m, d) step against a
     # transcription with separate x and y exchanges (x rows quantized
     # first), per-node gradients and, for SVRGO, uncached reference-batch
     # gradients; the zero start makes every y row zero in step 1, so the
@@ -305,46 +296,33 @@ def _check_two_block_transcription(kind, N, mode, p_ref, via):
     x, y, Dx, Dy = zeros, zeros, zeros, zeros
     Hx, Hwx, Hy, Hwy = zeros, zeros, zeros, zeros
     if kind == "gsgo":
-        def oracle(X, Y, r):
-            return ds.gsgo_sample(prob, X, Y, r)
+        draw = ds.gsgo_draw(prob, ens.Z, rng)
 
         def loop_grads(x, y, r):
             J = [int(r.integers(n)) for _ in range(m)]
-            rows = [
-                prob.grad_batch(i, J[i], PrimalDualPoint(x[i], y[i])) for i in range(m)
-            ]
+            Gb = prob.all_batch_grads(x, y)
+            rows = [Gb[:, i, J[i]] for i in range(m)]
             return np.array([gx for gx, _ in rows]), np.array([gy for _, gy in rows])
     else:
         st = ds.SvrgState.initialize(prob, zeros, zeros, p=p_ref)
         ref = [zeros, zeros]  # the transcription's reference points
-
-        def oracle(X, Y, r):
-            return ds.svrgo_sample(prob, X, Y, st, r)
+        draw = ds.svrgo_draw(prob, ens.Z, st, rng)
 
         def loop_grads(x, y, r):
             Gx, Gy = np.empty((m, d)), np.empty((m, d))
+            Gb, Gb_ref = prob.all_batch_grads(x, y), prob.all_batch_grads(*ref)
+            G_ref = prob.full_grads(*ref)
             for i in range(m):
                 j = int(r.choice(n, p=st.P[i]))
                 w = 1.0 / (n * st.P[i, j])
-                at = PrimalDualPoint(x[i], y[i])
-                at_ref = PrimalDualPoint(ref[0][i], ref[1][i])
-                fx, fy = prob.grad_batch(i, j, at)
-                rx, ry = prob.grad_batch(i, j, at_ref)
-                tx, ty = prob.grad_full(i, at_ref)
+                fx, fy = Gb[:, i, j]
+                rx, ry = Gb_ref[:, i, j]
+                tx, ty = G_ref[:, i]
                 Gx[i] = w * (fx - rx) + tx
                 Gy[i] = w * (fy - ry) + ty
             return Gx, Gy
 
-    if via == "plan":
-        draw = (
-            ds.gsgo_draw(prob, ens.Z, rng) if kind == "gsgo"
-            else ds.svrgo_draw(prob, ens.Z, st, rng)
-        )
-        advance = ds.step_plan(ens, params, g, draw, prob, comp, rng)
-    else:
-        def advance():
-            assert ds.ipdhg_step(ens, params, g, oracle, prob, comp, rng) is ens
-
+    advance = ds.step_plan(ens, params, g, draw, prob, comp, rng)
     for t in range(300):
         advance()
         Gx, Gy = loop_grads(x, y, loop_rng)
@@ -375,12 +353,12 @@ def _check_two_block_transcription(kind, N, mode, p_ref, via):
 @pytest.mark.parametrize("kind", ["gsgo", "svrgo"])
 @pytest.mark.parametrize("quantized", [True, False], ids=["qinf", "identity"])
 def test_bound_draws_match_one_shot_samplers(kind, quantized):
-    # ipdhg_step is a plan bound for one step, so this checks the binding
-    # the solvers add, not the step body (which the transcription above
-    # checks): 200 steps of one plan with the oracles' bound draw at ens.Z
-    # and the counters bound once leave Z, D, [H, Hw] and the counters bit
-    # for bit where 200 calls of ipdhg_step with the one-shot samplers
-    # leave them, with both compressors.  The zero start makes every y row
+    # this checks the binding the solvers add, not the step body (which
+    # the transcription above checks): 200 steps of one plan with the
+    # oracles' bound draw at ens.Z and the counters bound once leave Z, D,
+    # [H, Hw] and the counters bit for bit where 200 one-shot plans, each
+    # with a draw bound afresh for its one step, leave them, with both
+    # compressors.  The zero start makes every y row
     # zero in step 1 (the quantizer's zero-row path); for SVRGO, refreshes
     # fire (p = 0.3) and the draw after each one comes at the reference
     # and reads the cache.
@@ -403,17 +381,14 @@ def test_bound_draws_match_one_shot_samplers(kind, quantized):
         st = ds.SvrgState.initialize(prob, zeros, zeros, p=0.3)
         runs.append((ens, st, np.random.default_rng(6), ds.CostCounters()))
     (ens_a, st_a, rng_a, cnt_a), (ens_b, st_b, rng_b, cnt_b) = runs
-    if kind == "gsgo":
-        draw = ds.gsgo_draw(prob, ens_a.Z, rng_a)
+    def bind_draw(ens, st, rng):
+        if kind == "gsgo":
+            return ds.gsgo_draw(prob, ens.Z, rng)
+        return ds.svrgo_draw(prob, ens.Z, st, rng)
 
-        def oracle(X, Y, r):
-            return ds.gsgo_sample(prob, X, Y, r)
-    else:
-        draw = ds.svrgo_draw(prob, ens_a.Z, st_a, rng_a)
-
-        def oracle(X, Y, r):
-            return ds.svrgo_sample(prob, X, Y, st_b, r)
-    step = ds.step_plan(ens_a, params, g, draw, prob, comp, rng_a, cnt_a)
+    step = ds.step_plan(
+        ens_a, params, g, bind_draw(ens_a, st_a, rng_a), prob, comp, rng_a, cnt_a
+    )
     cached_draws = 0
     with overflow_guard():
         for t in range(200):
@@ -421,7 +396,10 @@ def test_bound_draws_match_one_shot_samplers(kind, quantized):
                 assert not (ens_a.Z[1] - ens_a.comm.H[1]).any()
             cached_draws += st_a.unread and t > 0
             step()
-            assert ds.ipdhg_step(ens_b, params, g, oracle, prob, comp, rng_b, cnt_b) is ens_b
+            ds.step_plan(
+                ens_b, params, g, bind_draw(ens_b, st_b, rng_b), prob, comp, rng_b,
+                cnt_b,
+            )()
             if kind == "svrgo":
                 for ens, st, rng, cnt in runs:
                     cnt.add_grad(ds.svrgo_update_reference(st, prob, ens.x, ens.y, rng)[1])

@@ -1,7 +1,10 @@
+import copy
+
 import numpy as np
 import pytest
 
 import decsaddle as ds
+from conftest import PickBatch
 from decsaddle.oracles import SvrgState
 from decsaddle.problem import PrimalDualPoint, overflow_guard
 
@@ -12,12 +15,22 @@ def _problem(m=1, n=4, N=16, d=3, seed=0):
     return ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
 
 
+def _uncached(p, st, X, Y, J):
+    """w (grad_J(X) - grad_J(X_tilde)) + g_tilde of every node i on its
+    batch J[i], written out from the all-batch gradients at both points."""
+    nodes = np.arange(p.m)
+    w = (1.0 / (p.n * st.P[nodes, J]))[:, None]
+    fresh = p.all_batch_grads(X, Y)[:, nodes, J]
+    at_ref = p.all_batch_grads(st.x_tilde, st.y_tilde)[:, nodes, J]
+    return w * (fresh - at_ref) + p.full_grads(st.x_tilde, st.y_tilde)
+
+
 def test_gsgo_n1_deterministic():
     p = _problem(n=1)
     z = PrimalDualPoint(np.ones(3), np.zeros(3))
-    (Gx, Gy), cost = ds.gsgo_sample(p, z.x[None], z.y[None], np.random.default_rng(0))
+    (Gx, Gy), cost = ds.gsgo_draw(p, z.stacked(), np.random.default_rng(0))()
     gx, gy = Gx[0], Gy[0]
-    fx, fy = p.grad_full(0, z)
+    fx, fy = p.full_grads(z.x[None], z.y[None])[:, 0]
     assert np.allclose(gx, fx, atol=0) and np.allclose(gy, fy, atol=0)
     assert cost == 1
 
@@ -26,18 +39,34 @@ def test_gsgo_unbiased_mc():
     p = _problem(n=4)
     rng = np.random.default_rng(1)
     z = PrimalDualPoint(np.array([0.5, -0.3, 0.2]), np.array([0.1, 0.0, -0.1]))
-    fx, _ = p.grad_full(0, z)
-    X, Y = z.x[None], z.y[None]
-    draws = np.stack([ds.gsgo_sample(p, X, Y, rng)[0][0, 0] for _ in range(100_000)])
+    fx = p.full_grads(z.x[None], z.y[None])[0, 0]
+    draw = ds.gsgo_draw(p, z.stacked(), rng)
+    draws = np.stack([draw()[0][0, 0].copy() for _ in range(100_000)])
     sem = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - fx) <= 3 * sem + 1e-12)
+
+
+def test_gsgo_exact_mean():
+    # a GSGO draw is uniform over a node's n batches, so its mean is an
+    # n-term sum: over every batch choice, the bound draw averages to the
+    # full gradient of every node
+    p = _problem(m=4, n=3, N=24)
+    rng = np.random.default_rng(6)
+    Z = np.array([rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3))])
+    pick = PickBatch(p.n)
+    draw = ds.gsgo_draw(p, Z, pick)
+    mean = np.zeros_like(Z)
+    for l in range(p.n):
+        pick.l = l
+        mean += draw()[0] / p.n
+    assert np.max(np.abs(mean - p.full_grads(Z[0], Z[1]))) <= 1e-12
 
 
 def test_gsgo_seed_determinism():
     p = _problem(n=4)
     z = PrimalDualPoint(np.ones(3), np.zeros(3))
-    a = ds.gsgo_sample(p, z.x[None], z.y[None], np.random.default_rng(42))
-    b = ds.gsgo_sample(p, z.x[None], z.y[None], np.random.default_rng(42))
+    a = ds.gsgo_draw(p, z.stacked(), np.random.default_rng(42))()
+    b = ds.gsgo_draw(p, z.stacked(), np.random.default_rng(42))()
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
@@ -45,8 +74,12 @@ def test_svrgo_at_reference_exact():
     p = _problem(n=4)
     z = PrimalDualPoint(np.array([0.5, 0.1, -0.2]), np.zeros(3))
     st = SvrgState.initialize(p, z.x[None], z.y[None], p=0.5)
+    pick = PickBatch(4)
+    draw = ds.svrgo_draw(p, z.stacked(), st, pick)
     for l in range(4):
-        (Gx, Gy), cost = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))
+        pick.l = l
+        st.unread = False  # run the kernel, not the first draw's cache read
+        (Gx, Gy), cost = draw()
         gx, gy = Gx[0], Gy[0]
         assert np.array_equal(gx, st.g_tilde[0, 0])
         assert np.array_equal(gy, st.g_tilde[1, 0])
@@ -61,12 +94,15 @@ def test_svrgo_exhaustive_unbiased():
     st = SvrgState.initialize(p, z_ref.x[None], z_ref.y[None], p=0.5)
     mean_gx = np.zeros(3)
     mean_gy = np.zeros(3)
+    pick = PickBatch(4)
+    draw = ds.svrgo_draw(p, z.stacked(), st, pick)
     for l in range(4):
-        (Gx, Gy), _ = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))
+        pick.l = l
+        (Gx, Gy), _ = draw()
         gx, gy = Gx[0], Gy[0]
         mean_gx += st.P[0, l] * gx
         mean_gy += st.P[0, l] * gy
-    fx, fy = p.grad_full(0, z)
+    fx, fy = p.full_grads(z.x[None], z.y[None])[:, 0]
     assert np.max(np.abs(mean_gx - fx)) <= 1e-14
     assert np.max(np.abs(mean_gy - fy)) <= 1e-14
 
@@ -77,10 +113,12 @@ def test_svrgo_uniform_classical_form():
     z = PrimalDualPoint(np.ones(3), np.zeros(3))
     st = SvrgState.initialize(p, z_ref.x[None], z_ref.y[None], p=0.5)
     l = 2
-    gx = ds.svrgo_grad(p, z.x[None], z.y[None], st, np.array([l]))[0][0, 0]
+    pick = PickBatch(4)
+    pick.l = l
+    gx = ds.svrgo_draw(p, z.stacked(), st, pick)()[0][0, 0]
     expected = (
-        p.grad_batch(0, l, z)[0]
-        - p.grad_batch(0, l, z_ref)[0]
+        p.all_batch_grads(z.x[None], z.y[None])[0, 0, l]
+        - p.all_batch_grads(z_ref.x[None], z_ref.y[None])[0, 0, l]
         + st.g_tilde[0, 0]
     )
     assert np.allclose(gx, expected, atol=1e-15)
@@ -131,11 +169,13 @@ def test_gsgo_draws_match_sequential_integers():
     X = rng.standard_normal((4, 3))
     Y = 0.2 * rng.standard_normal((4, 3))
     rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+    draw = ds.gsgo_draw(p, np.array([X, Y]), rng_a)
+    Gb = p.all_batch_grads(X, Y)
     for _ in range(50):
-        (Gx, Gy), cost = ds.gsgo_sample(p, X, Y, rng_a)
+        (Gx, Gy), cost = draw()
         J = [int(rng_b.integers(p.n)) for _ in range(p.m)]
         for i, j in enumerate(J):
-            gx, gy = p.grad_batch(i, j, PrimalDualPoint(X[i], Y[i]))
+            gx, gy = Gb[:, i, j]
             assert np.max(np.abs(Gx[i] - gx)) <= 1e-14
             assert np.max(np.abs(Gy[i] - gy)) <= 1e-14
         assert cost == p.m
@@ -157,8 +197,8 @@ def test_svrgo_draws_match_sequential_choice():
         expected = [int(rng_b.choice(p.n, p=P[i])) for i in range(p.m)]
         assert J.tolist() == expected
     assert rng_a.random() == rng_b.random()
-    G, cost = ds.svrgo_sample(p, X, Y, st, np.random.default_rng(5))
-    E, _ = ds.svrgo_grad(p, X, Y, st, st.draw_batches(np.random.default_rng(5)))
+    G, cost = ds.svrgo_draw(p, np.array([X, Y]), st, np.random.default_rng(5))()
+    E = _uncached(p, st, X, Y, st.draw_batches(np.random.default_rng(5)))
     assert np.array_equal(G, E)
     assert cost == 2 * p.m
 
@@ -184,20 +224,17 @@ def test_svrgo_cache_matches_uncached_formula():
             p, rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3)),
             p=1.0, P=P,
         )
+        Z = np.empty((2, 4, 3))
+        draw = ds.svrgo_draw(p, Z, st, rng)
         for _ in range(refreshes):
             for _ in range(draws):
                 X = rng.standard_normal((4, 3))
                 Y = 0.2 * rng.standard_normal((4, 3))
-                J = st.draw_batches(rng)
-                w = (1.0 / (p.n * P[np.arange(4), J]))[:, None]
-                expected = (
-                    w * (
-                        p.batch_grads(X, Y, J)
-                        - p.batch_grads(st.x_tilde, st.y_tilde, J)
-                    )
-                    + p.full_grads(st.x_tilde, st.y_tilde)
-                )
-                G, cost = ds.svrgo_grad(p, X, Y, st, J)
+                Z[:] = X, Y
+                # the batches the draw takes, from a copy of its generator
+                J = st.draw_batches(copy.deepcopy(rng))
+                expected = _uncached(p, st, X, Y, J)
+                G, cost = draw()
                 assert np.array_equal(G, expected)
                 assert cost == 2 * p.m
             X1 = rng.standard_normal((4, 3))
@@ -214,7 +251,7 @@ def test_svrgo_cache_matches_uncached_formula():
     ids=["desk", "scale64", "padded"],
 )
 def test_batch_grads_match_all_batch_rows_bitwise(m, n, N, d, mode):
-    # the refresh reuse in svrgo_sample rests on this: a batch gradient from
+    # the refresh reuse in svrgo_draw rests on this: a batch gradient from
     # the gathered batches equals its row of the all-batch gradients, bit
     # for bit (zero-padded unequal batches included)
     dset = ds.synthesize(N, d, 1)
@@ -222,19 +259,23 @@ def test_batch_grads_match_all_batch_rows_bitwise(m, n, N, d, mode):
     p = ds.RobustLRProblem(dset, part, lam=1.5, beta=1.5, R_x=20.0, R_y=1.0)
     rng = np.random.default_rng(0)
     nodes = np.arange(m)
+    Z = np.empty((2, m, d))
+    grads = p.bind_batch_grads(Z)
     for _ in range(40):
         X = 0.3 * rng.standard_normal((m, d))
         Y = 0.05 * rng.standard_normal((m, d))
         J = rng.integers(n, size=m)
-        fresh = p.batch_grads(X, Y, J)
+        Z[:] = X, Y
+        fresh = grads(p.row0 + J)
         assert fresh.tobytes() == p.all_batch_grads(X, Y)[:, nodes, J].tobytes()
 
 
 def test_svrgo_first_draw_at_reference_reads_the_cache():
     # the first draw after initialize or a refresh, made at the reference
-    # point, runs no gradient kernel, yet gives svrgo_grad's bits for the
-    # same batches, consumes the same draws and costs 2 units per node;
-    # later draws, and a first draw away from the reference, run the kernel
+    # point, runs no gradient kernel, yet gives the bits of the written-out
+    # control variate for the same batches, consumes the same draws and
+    # costs 2 units per node; later draws, and a first draw away from the
+    # reference, run the kernel
     dset = ds.synthesize(24, 3, 0)
     part = ds.partition(dset, 4, 3, 0)
     p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
@@ -254,9 +295,9 @@ def test_svrgo_first_draw_at_reference_reads_the_cache():
         for k in range(3):
             r1, r2 = np.random.default_rng(k), np.random.default_rng(k)
             before = len(kernel_calls)
-            G, cost = ds.svrgo_sample(p, Xs, Y, st, r1)
+            G, cost = ds.svrgo_draw(p, np.array([Xs, Y]), st, r1)()
             ran = len(kernel_calls) - before
-            expected, _ = ds.svrgo_grad(p, Xs, Y, st, st.draw_batches(r2))
+            expected = _uncached(p, st, Xs, Y, st.draw_batches(r2))
             assert G.tobytes() == expected.tobytes() and cost == 2 * p.m
             assert r1.random() == r2.random()
             assert ran == (1 if k > 0 or away else 0)
@@ -265,7 +306,7 @@ def test_svrgo_first_draw_at_reference_reads_the_cache():
 
 
 def test_refresh_keeps_its_own_copy_of_the_point():
-    # ipdhg_step overwrites the ensemble's rows in place; a refresh taken
+    # a step overwrites the ensemble's rows in place; a refresh taken
     # at ens.x, ens.y must copy them, or the reference point would follow
     # the iterate and the first-draw reuse would fire away from it
     dset = ds.synthesize(36, 3, 0)
@@ -279,27 +320,28 @@ def test_refresh_keeps_its_own_copy_of_the_point():
     ens = ds.NodeEnsemble.initialize(g, x0, y0)
     st = SvrgState.initialize(p, x0, y0, p=1.0)  # the coin always fires
 
-    def svrgo(X, Y, r):
-        return ds.svrgo_sample(p, X, Y, st, r)
+    def exact():  # moves the rows without reading st
+        return p.full_grads(ens.x, ens.y), p.m
 
-    def exact(X, Y, r):  # moves the rows without reading st
-        return p.full_grads(X, Y), p.m
-
+    svrgo_step = ds.step_plan(
+        ens, params, g, ds.svrgo_draw(p, ens.Z, st, rng), p, comp, rng
+    )
+    exact_step = ds.step_plan(ens, params, g, exact, p, comp, rng)
     with overflow_guard():
-        ens = ds.ipdhg_step(ens, params, g, svrgo, p, comp, rng)
+        svrgo_step()
         st, cost = ds.svrgo_update_reference(st, p, ens.x, ens.y, rng)
         assert cost == p.m * p.n and st.unread
         xt, yt = st.x_tilde.copy(), st.y_tilde.copy()
         for _ in range(3):
-            ens = ds.ipdhg_step(ens, params, g, exact, p, comp, rng)
+            exact_step()
         assert st.x_tilde.tobytes() == xt.tobytes()
         assert st.y_tilde.tobytes() == yt.tobytes()
         assert not np.array_equal(ens.x, xt)
         # the first draw after the refresh now comes away from the
         # reference point, so it must run the kernel
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
-        G, _ = ds.svrgo_sample(p, ens.x, ens.y, st, r1)
-        expected, _ = ds.svrgo_grad(p, ens.x, ens.y, st, st.draw_batches(r2))
+        G, _ = ds.svrgo_draw(p, ens.Z, st, r1)()
+        expected = _uncached(p, st, ens.x, ens.y, st.draw_batches(r2))
     assert not st.unread
     assert G.tobytes() == expected.tobytes()
     assert G.tobytes() != st.g_tilde.tobytes()

@@ -30,8 +30,7 @@ def _single_sample_problem(a, b, lam, beta, R_x=1.0, R_y=1.0):
 def test_grad_at_zero_x():
     p = _small_problem()
     y = np.array([0.1, -0.2, 0.05, 0.0])
-    z = PrimalDualPoint(np.zeros(4), y)
-    gx, gy = p.grad_batch(0, 0, z)
+    gx, gy = p.all_batch_grads(np.zeros((1, 4)), y[None])[:, 0, 0]
     A, b = p.batch(0, 0)
     # sigmoid at 0 is 1/2 for every sample
     expected_gx = (p.n / p.N) * ((A + y).T @ (-b * 0.5))
@@ -42,7 +41,7 @@ def test_grad_at_zero_x():
 def test_grad_hand_single_sample():
     # a = (1, 0), b = +1, x = y = 0: gx = -a/2, gy = 0 (up to tiny moduli)
     p = _single_sample_problem([1.0, 0.0], +1, lam=1e-12, beta=1e-12)
-    gx, gy = p.grad_batch(0, 0, PrimalDualPoint(np.zeros(2), np.zeros(2)))
+    gx, gy = p.all_batch_grads(np.zeros((1, 2)), np.zeros((1, 2)))[:, 0, 0]
     assert np.allclose(gx, [-0.5, 0.0], atol=1e-10)
     assert np.allclose(gy, [0.0, 0.0], atol=1e-10)
 
@@ -58,7 +57,7 @@ def test_grad_finite_differences():
         y = 0.3 * rng.standard_normal(p.d)
         vx = rng.standard_normal(p.d)
         vy = rng.standard_normal(p.d)
-        gx, gy = p.grad_batch(i, j, PrimalDualPoint(x, y))
+        gx, gy = p.all_batch_grads(x[None], y[None])[:, i, j]
         fp = p.loss_batch(i, j, PrimalDualPoint(x + h * vx, y + h * vy))
         fm = p.loss_batch(i, j, PrimalDualPoint(x - h * vx, y - h * vy))
         dd = (fp - fm) / (2 * h)
@@ -69,35 +68,20 @@ def test_grad_finite_differences():
 def test_grad_full_is_batch_mean():
     p = _small_problem()
     rng = np.random.default_rng(5)
-    z = PrimalDualPoint(rng.standard_normal(p.d), 0.2 * rng.standard_normal(p.d))
-    gx, gy = p.grad_full(0, z)
-    bx = np.mean([p.grad_batch(0, j, z)[0] for j in range(p.n)], axis=0)
-    by = np.mean([p.grad_batch(0, j, z)[1] for j in range(p.n)], axis=0)
+    x, y = rng.standard_normal((1, p.d)), 0.2 * rng.standard_normal((1, p.d))
+    gx, gy = p.full_grads(x, y)[:, 0]
+    Gb = p.all_batch_grads(x, y)
+    bx = np.mean([Gb[0, 0, j] for j in range(p.n)], axis=0)
+    by = np.mean([Gb[1, 0, j] for j in range(p.n)], axis=0)
     assert np.allclose(gx, bx, atol=1e-12)
     assert np.allclose(gy, by, atol=1e-12)
 
 
 def test_grad_full_n1_equals_batch():
     p = _small_problem(n=1)
-    z = PrimalDualPoint(np.ones(p.d), np.zeros(p.d))
-    assert np.allclose(p.grad_full(0, z)[0], p.grad_batch(0, 0, z)[0], atol=0)
-
-
-def test_single_batch_and_node_gradients_match_the_batched_ones():
-    # grad_batch and grad_full run the kernel over their own batch or node
-    # only, and give the bits of the all-batch entries at the same point;
-    # unequal batches (N = 22 over 6) include zero-padded samples
-    p = _small_problem(m=3, n=2, N=22)
-    rng = np.random.default_rng(8)
-    z = PrimalDualPoint(rng.standard_normal(p.d), 0.2 * rng.standard_normal(p.d))
-    Gb = p.all_batch_grads(z.x[None], z.y[None])
-    Gf = p.full_grads(np.tile(z.x, (p.m, 1)), np.tile(z.y, (p.m, 1)))
-    for i in range(p.m):
-        for got, want in zip(p.grad_full(i, z), Gf[:, i]):
-            assert got.tobytes() == want.tobytes()
-        for j in range(p.n):
-            for got, want in zip(p.grad_batch(i, j, z), Gb[:, i, j]):
-                assert got.tobytes() == want.tobytes()
+    x, y = np.ones((1, p.d)), np.zeros((1, p.d))
+    batch = p.all_batch_grads(x, y)[0, 0, 0]
+    assert np.allclose(p.full_grads(x, y)[0, 0], batch, atol=0)
 
 
 def test_objective_consistency_brute_force():
@@ -147,7 +131,7 @@ def test_projection_raises_on_non_finite_row_norm(row):
     Z = np.zeros((2, 2, 4))
     Z[0, 1, :2] = row
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-        p.prox(Z, 1.0)
+        p.prox(Z)
 
 
 def test_partition_must_cover_every_sample_once():
@@ -189,20 +173,20 @@ def _dominance_probes(p, const_name, n_probes, rng):
         y1 = project(p, p.R_y * rng.standard_normal(p.d), 1)
         y2 = project(p, p.R_y * rng.standard_normal(p.d), 1)
         if const_name == "L_xx":
-            g1 = p.grad_batch(i, j, PrimalDualPoint(x1, y1))[0]
-            g2 = p.grad_batch(i, j, PrimalDualPoint(x2, y1))[0]
+            g1 = p.all_batch_grads(x1[None], y1[None])[0, i, j]
+            g2 = p.all_batch_grads(x2[None], y1[None])[0, i, j]
             num, den = np.linalg.norm(g1 - g2), np.linalg.norm(x1 - x2)
         elif const_name == "L_yy":
-            g1 = p.grad_batch(i, j, PrimalDualPoint(x1, y1))[1]
-            g2 = p.grad_batch(i, j, PrimalDualPoint(x1, y2))[1]
+            g1 = p.all_batch_grads(x1[None], y1[None])[1, i, j]
+            g2 = p.all_batch_grads(x1[None], y2[None])[1, i, j]
             num, den = np.linalg.norm(g1 - g2), np.linalg.norm(y1 - y2)
         elif const_name == "L_xy":
-            g1 = p.grad_batch(i, j, PrimalDualPoint(x1, y1))[0]
-            g2 = p.grad_batch(i, j, PrimalDualPoint(x1, y2))[0]
+            g1 = p.all_batch_grads(x1[None], y1[None])[0, i, j]
+            g2 = p.all_batch_grads(x1[None], y2[None])[0, i, j]
             num, den = np.linalg.norm(g1 - g2), np.linalg.norm(y1 - y2)
         else:  # L_yx
-            g1 = p.grad_batch(i, j, PrimalDualPoint(x1, y1))[1]
-            g2 = p.grad_batch(i, j, PrimalDualPoint(x2, y1))[1]
+            g1 = p.all_batch_grads(x1[None], y1[None])[1, i, j]
+            g2 = p.all_batch_grads(x2[None], y1[None])[1, i, j]
             num, den = np.linalg.norm(g1 - g2), np.linalg.norm(x1 - x2)
         if den > 1e-12:
             assert num <= c * den * (1 + 1e-9)
@@ -226,20 +210,21 @@ def test_strong_convexity_probes():
         y = 0.3 * rng.standard_normal(p.d)
         f1 = np.mean([p.loss_batch(i, j, PrimalDualPoint(x1, y)) for j in range(p.n)])
         f2 = np.mean([p.loss_batch(i, j, PrimalDualPoint(x2, y)) for j in range(p.n)])
-        g2 = p.grad_full(i, PrimalDualPoint(x2, y))[0]
+        g2 = p.full_grads(x2[None], y[None])[0, i]
         lower = f2 + np.dot(g2, x1 - x2) + 0.5 * mu_node * np.sum((x1 - x2) ** 2)
         assert f1 >= lower - 1e-9 * (1 + abs(f1))
 
 
 def test_saddle_residual_fixed_point(acc_problem_single, acc_zstar):
     z, _ = acc_zstar
-    assert acc_problem_single.saddle_residual(z, 0.001) <= 1e-12
+    p, Z = acc_problem_single, z.stacked()
+    assert p.prox_residual(Z, p.full_grads(Z[0], Z[1]), 0.001) <= 1e-12
 
 
 def test_saddle_residual_perturbation(acc_problem_single, acc_zstar):
     z, _ = acc_zstar
-    zp = PrimalDualPoint(z.x + 1e-6, z.y)
-    r = acc_problem_single.saddle_residual(zp, 0.001)
+    p, Z = acc_problem_single, PrimalDualPoint(z.x + 1e-6, z.y).stacked()
+    r = p.prox_residual(Z, p.full_grads(Z[0], Z[1]), 0.001)
     assert r <= 1e-9  # quadratic in the perturbation, O(1e-12) scale
 
 
@@ -272,8 +257,9 @@ def test_batch_grads_match_formula_on_padded_batches():
         gy = c * np.sum(coeff) * X[i] - (p.beta / p.m) * Y[i]
         return gx, gy
 
+    grads = p.bind_batch_grads(np.array([X, Y]))
     for J in itertools.product(range(p.n), repeat=p.m):
-        Gx, Gy = p.batch_grads(X, Y, np.array(J))
+        Gx, Gy = grads(p.row0 + J)
         for i, j in enumerate(J):
             gx, gy = formula(i, part.batch(i, j), p.n / p.N)
             assert np.allclose(Gx[i], gx, rtol=1e-13, atol=1e-15)

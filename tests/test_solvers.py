@@ -180,8 +180,8 @@ def test_compute_reference_symmetric_origin():
     )
     part = ds.partition(dset, 1, 2, 0)
     prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
-    z0 = ds.PrimalDualPoint(np.zeros(3), np.zeros(3))
-    assert prob.saddle_residual(z0, 0.01) <= 1e-20
+    Z0 = np.zeros((2, 1, 3))
+    assert prob.prox_residual(Z0, prob.full_grads(Z0[0], Z0[1]), 0.01) <= 1e-20
     z, res = ds.compute_reference(prob, iterations=30_000, tol=1e-24)
     assert np.linalg.norm(z.x) <= 1e-8 and np.linalg.norm(z.y) <= 1e-8
 
@@ -212,16 +212,16 @@ def test_compute_reference_warns_when_cut_short(acc_dataset):
 
 
 def _recording_prox(prob):
-    """Wrap this problem instance's prox; returns the list of step sizes
-    it is called with, in call order."""
+    """Wrap this problem instance's projected gradient step; returns the
+    list of step sizes it is called with, in call order."""
     steps = []
-    prox = prob.prox
+    prox_step = prob.prox_step
 
-    def recording(Z, s):
+    def recording(Z, G, s):
         steps.append(s)
-        return prox(Z, s)
+        return prox_step(Z, G, s)
 
-    prob.prox = recording
+    prob.prox_step = recording
     return steps
 
 
@@ -242,7 +242,8 @@ def test_compute_reference_backtracks_above_the_floor(acc_dataset):
     h = [v for v in calls if v != s]
     assert h[0] == h_min and min(h) >= h_min and max(h) > h_min
     assert any(b < a for a, b in zip(h, h[1:]))  # a backtracking halving
-    assert res <= 1e-22 and res == prob.saddle_residual(z, s)
+    Z = z.stacked()
+    assert res <= 1e-22 and res == prob.prox_residual(Z, prob.full_grads(Z[0], Z[1]), s)
 
 
 def test_compute_reference_step_floor(acc_dataset):
@@ -279,8 +280,8 @@ def _fixed_step_reference(prob, steps):
     signed_h = np.array([-h, h])[:, None, None]
     Z = np.zeros((2, 1, prob.d))
     for _ in range(steps):
-        W = prob.prox(Z + signed_h * prob.full_grads(Z[0], Z[1]), h)
-        Z = prob.prox(Z + signed_h * prob.full_grads(W[0], W[1]), h)
+        W = prob.prox(Z + signed_h * prob.full_grads(Z[0], Z[1]))
+        Z = prob.prox(Z + signed_h * prob.full_grads(W[0], W[1]))
     return ds.PrimalDualPoint(Z[0, 0], Z[1, 0])
 
 
@@ -305,7 +306,8 @@ def test_compute_reference_matches_fixed_step_on_active_balls(
     if R_y < 0.01:
         assert abs(np.linalg.norm(z.y) - R_y) <= 1e-12
     zf = _fixed_step_reference(prob, 1500)
-    res_f = prob.saddle_residual(zf, s)
+    Zf = zf.stacked()
+    res_f = prob.prox_residual(Zf, prob.full_grads(Zf[0], Zf[1]), s)
     bound = (1.0 + 2.0 * c.L * s) / (c.mu * s) * (math.sqrt(tol) + math.sqrt(res_f))
     dist = math.sqrt(np.sum((z.x - zf.x) ** 2) + np.sum((z.y - zf.y) ** 2))
     assert dist <= bound

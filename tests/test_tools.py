@@ -1,9 +1,6 @@
 import os
 import subprocess
 import sys
-import types
-
-import decsaddle as ds
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -29,32 +26,17 @@ def test_step_sweep_smoke():
             assert all(float(v) > 0 for v in times)
 
 
-def test_step_sweep_times_the_plan_or_falls_back_to_ipdhg_step():
-    # a tree with step_plan is timed through its bound plan, so no step
-    # goes through ipdhg_step; a tree without it (here the same package
-    # with the plan and the bound draws hidden) is timed through ipdhg_step
-    sys.path.insert(0, os.path.join(ROOT, "tools"))
-    try:
-        import step_sweep
-    finally:
-        sys.path.pop(0)
-    hidden = ("step_plan", "gsgo_draw", "svrgo_draw", "ipdhg_step")
-    calls = []
-
-    def counted(*args):
-        calls.append(1)
-        return ds.ipdhg_step(*args)
-
-    for has_plan in (True, False):
-        tree = types.SimpleNamespace(
-            **{k: getattr(ds, k) for k in dir(ds) if k not in hidden},
-            ipdhg_step=counted,
-        )
-        if has_plan:
-            tree.step_plan = ds.step_plan
-            tree.gsgo_draw, tree.svrgo_draw = ds.gsgo_draw, ds.svrgo_draw
-        for kind in ("gsgo", "svrgo"):
-            before = len(calls)
-            assert step_sweep.make_cell(tree, 4, 10, kind)(5) > 0
-            ran = len(calls) - before
-            assert ran == (0 if has_plan else step_sweep.WARMUP + 5)
+def test_step_sweep_refuses_a_tree_without_step_plan(tmp_path):
+    # --against a tree from before the bound step plan exits with a
+    # one-line message instead of timing some other step
+    pkg = tmp_path / "decsaddle"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text('"""A decsaddle without step_plan."""\n')
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "step_sweep.py"),
+         "--against", str(tmp_path)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    message = f"the decsaddle package under {tmp_path} has no step_plan"
+    assert proc.stderr.strip() == message

@@ -23,7 +23,7 @@ module name.  Every cell then builds the same problem in both trees and
 alternates them repeat by repeat (the order flips each repeat), so both
 see the same machine state; a row adds the other tree's median and the
 ratio against / this (above 1: this tree is faster).  A tree without
-`step_plan` is timed through `ipdhg_step`, the step its solvers run.
+`step_plan` is refused.
 """
 
 from __future__ import annotations
@@ -65,6 +65,8 @@ def load_tree(src, name="decsaddle_against"):
     mod = importlib.util.module_from_spec(spec)
     sys.modules[name] = mod
     spec.loader.exec_module(mod)
+    if not hasattr(mod, "step_plan"):
+        raise SystemExit(f"the decsaddle package under {src} has no step_plan")
     return mod
 
 
@@ -97,23 +99,11 @@ def make_cell(ds, m, d, kind):
     ens = ds.NodeEnsemble.initialize(g, x0, y0)
     rng = np.random.default_rng(3)
     guard = ds.problem.overflow_guard
-    if hasattr(ds, "step_plan"):
-        if st is None:
-            draw = ds.gsgo_draw(prob, ens.Z, rng)
-        else:
-            draw = ds.svrgo_draw(prob, ens.Z, st, rng)
-        step = ds.step_plan(ens, params, g, draw, prob, comp, rng)
+    if st is None:
+        draw = ds.gsgo_draw(prob, ens.Z, rng)
     else:
-        if st is None:
-            def oracle(X, Y, r):
-                return ds.gsgo_sample(prob, X, Y, r)
-        else:
-            def oracle(X, Y, r):
-                return ds.svrgo_sample(prob, X, Y, st, r)
-
-        def step():  # an older step may return a new ensemble
-            nonlocal ens
-            ens = ds.ipdhg_step(ens, params, g, oracle, prob, comp, rng)
+        draw = ds.svrgo_draw(prob, ens.Z, st, rng)
+    step = ds.step_plan(ens, params, g, draw, prob, comp, rng)
 
     def timed(steps):
         with guard():
