@@ -127,17 +127,6 @@ def crdpsg_stage_params(
     M_x = 1.0 - rd * alpha_x / (1.0 - 0.5 * gamma_x * lam_max)
     M_y = 1.0 - rd * alpha_y / (1.0 - 0.5 * gamma_y * lam_max)
     M = min(M_x, M_y)
-    # the restart rate's first term assumes this per-step factor; near
-    # L_yx = L the cancellation in b_x leaves it above (b_x can even round
-    # to a positive 1e-18 where it is 0 exactly)
-    cap = 1.0 - (1.0 - 1.0 / math.sqrt(2.0)) / (8.0 * consts.kappa_f**2 * scale)
-    for name, b, M_b in (("b_x", b_x, M_x), ("b_y", b_y, M_y)):
-        if (1.0 - b) / M_b > cap:
-            raise InfeasibleParameterError(
-                f"stage {k}: (1-{name})/M = {(1.0 - b) / M_b:.6g} above the "
-                f"{cap:.6g} the restart rate assumes; the cross-smoothness "
-                "term is too close to L for this delta"
-            )
     rho = crdpsg_rho(consts, delta, spec)
     denom = -math.log1p(-rho / scale)
     t_real = (1.0 / denom) * max(

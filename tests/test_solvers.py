@@ -81,22 +81,6 @@ def test_stage_contraction_bound(mu, ratio, cross_frac, delta, k):
     assert (1 - p.b_y) / p.M_y <= bound + 1e-12
 
 
-@pytest.mark.parametrize(
-    "mu, ratio, cross_frac, delta",
-    [(1.75, 4.0, 1.0, 0.0), (0.1, 50.0, 1.0, 0.0), (1.0, 3.0, 0.875, 1.0)],
-)
-def test_stage_refuses_factor_above_the_rate(ring4_spec, mu, ratio, cross_frac, delta):
-    # b_x is 0 exactly at cross_frac = 1 but rounds to +1.7e-18 and
-    # +1.4e-20 at the first two points; the third has (1-b_x)/M_x =
-    # 0.99674 above 0.99593
-    L = mu * ratio
-    c = ds.SaddleConstants(
-        mu_x=mu, mu_y=mu, L_xx=L, L_yy=L, L_xy=cross_frac * L, L_yx=cross_frac * L
-    )
-    with pytest.raises(InfeasibleParameterError, match="restart rate assumes"):
-        ds.crdpsg_stage_params(0, c, delta, ring4_spec)
-
-
 def test_svrg_frozen_values(ring4_spec):
     # mu = 1, L = 2, n = 4, p_min = 1/4: s = 1/96; delta = 0, ring m = 4:
     # gamma_x = 1 / (4 lambda_max) = 3/16
