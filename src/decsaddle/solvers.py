@@ -26,20 +26,21 @@ class _ScheduleParams:
     """What the two schedules' parameter sets share: the windows of their
     contraction factors, and the per-step scalars they hand to a step."""
 
-    def _check_windows(self, b_window: str, where: str = "") -> None:
+    def _check_windows(self, b_open: bool, where: str = "") -> None:
         """Raise InfeasibleParameterError naming the first factor outside
-        its window: b_x, b_y in b_window, "(0, 1]" or "(0, 1)"; M_x, M_y,
+        its window: b_x, b_y in (0, 1) if b_open, else (0, 1]; M_x, M_y,
         (1-b_x)/M_x, (1-b_y)/M_y in (0, 1].  The alpha window is checked
         by StepParams."""
-        for name, v, window in (
-            ("b_x", self.b_x, b_window),
-            ("b_y", self.b_y, b_window),
-            ("M_x", self.M_x, "(0, 1]"),
-            ("M_y", self.M_y, "(0, 1]"),
-            ("(1-b_x)/M_x", (1.0 - self.b_x) / self.M_x, "(0, 1]"),
-            ("(1-b_y)/M_y", (1.0 - self.b_y) / self.M_y, "(0, 1]"),
+        for name, v, is_open in (
+            ("b_x", self.b_x, b_open),
+            ("b_y", self.b_y, b_open),
+            ("M_x", self.M_x, False),
+            ("M_y", self.M_y, False),
+            ("(1-b_x)/M_x", (1.0 - self.b_x) / self.M_x, False),
+            ("(1-b_y)/M_y", (1.0 - self.b_y) / self.M_y, False),
         ):
-            if not (0.0 < v < 1.0 if window == "(0, 1)" else 0.0 < v <= 1.0):
+            if not (0.0 < v < 1.0 if is_open else 0.0 < v <= 1.0):
+                window = "(0, 1)" if is_open else "(0, 1]"
                 raise InfeasibleParameterError(
                     f"{where}{name} = {v:.6g} outside {window}"
                 )
@@ -75,7 +76,7 @@ class StageParams(_ScheduleParams):
     delta: float
 
     def __post_init__(self):
-        self._check_windows("(0, 1]", f"stage {self.k}: ")
+        self._check_windows(False, f"stage {self.k}: ")
         if self.t < 1:
             raise InfeasibleParameterError(f"stage {self.k}: t = {self.t} < 1")
 
@@ -178,7 +179,7 @@ class SvrgParams(_ScheduleParams):
     delta: float
 
     def __post_init__(self):
-        self._check_windows("(0, 1)")
+        self._check_windows(True)
         if not 0.0 < self.p <= 1.0:
             raise InfeasibleParameterError(f"p = {self.p} outside (0, 1]")
 
