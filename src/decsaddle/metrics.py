@@ -31,30 +31,19 @@ class Trace:
     """Per-iteration log rows; cumulative counters are nondecreasing."""
 
     rows: list = field(default_factory=list)
-    has_phi: bool = False
 
-    def log(self, it, counters: CostCounters, dist_sq, phi_val=None):
-        if not np.isfinite(dist_sq) or (phi_val is not None and not np.isfinite(phi_val)):
+    def log(self, it, counters: CostCounters, dist_sq):
+        if not np.isfinite(dist_sq):
             raise FloatingPointError(
-                f"non-finite metric at iteration {it}: dist_sq={dist_sq}, phi={phi_val}"
+                f"non-finite metric at iteration {it}: dist_sq={dist_sq}"
             )
-        if phi_val is not None:
-            self.has_phi = True
         self.rows.append(
-            (it, counters.grad_units, counters.comm_rounds, counters.bits,
-             float(dist_sq), None if phi_val is None else float(phi_val))
+            (it, counters.grad_units, counters.comm_rounds, counters.bits, float(dist_sq))
         )
 
     def to_csv(self) -> str:
-        header = "iter,grad_units,comm_rounds,bits,dist_sq"
-        if self.has_phi:
-            header += ",phi"
-        lines = [header]
-        for it, gu, cr, bits, dist, phi_val in self.rows:
-            line = "%d,%d,%d,%d,%.17g" % (it, gu, cr, bits, dist)
-            if self.has_phi:
-                line += ",%.17g" % (phi_val if phi_val is not None else float("nan"))
-            lines.append(line)
+        lines = ["iter,grad_units,comm_rounds,bits,dist_sq"]
+        lines += ["%d,%d,%d,%d,%.17g" % row for row in self.rows]
         return "\n".join(lines) + "\n"
 
 

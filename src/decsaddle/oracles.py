@@ -76,10 +76,6 @@ class SvrgState:
         self.unit_weights = bool((self.weights == 1.0).all())
         self.unread = True
 
-    @property
-    def p_min(self) -> float:
-        return float(np.min(self.P))
-
     @classmethod
     def initialize(
         cls,

@@ -1,5 +1,6 @@
-"""Top-level algorithms: the restart-based stochastic-gradient method, the
-variance-reduced method, and the reference-solution computation.
+"""Top-level algorithms: the restart-based stochastic-gradient method and
+the variance-reduced method, two schedules over one solve driver, and the
+reference-solution computation.
 
 All parameter schedules follow the closed-form formulas in terms of the
 problem constants (mu, L blocks), the compression factor delta, and the
@@ -16,7 +17,7 @@ import numpy as np
 
 from .compression import Compressor, InfeasibleParameterError
 from .ipdhg import NodeEnsemble, StepParams, step_plan
-from .metrics import CostCounters, Trace, compute_anchors, distance_to_saddle, phi, phi_tilde
+from .metrics import CostCounters, Trace, distance_to_saddle
 from .oracles import SvrgState, gsgo_draw, svrgo_draw, svrgo_update_reference
 from .problem import PrimalDualPoint, RobustLRProblem, SaddleConstants, overflow_guard
 from .topology import DecGraph, SpectralInfo
@@ -238,6 +239,35 @@ def _rng_for(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
 
 
+def _solve(prob, g, compressor, x0, y0, z_star, rng, log_stride, segments):
+    """The solve loop of both schedules.  segments(x, y, counters) gets
+    every node's copy of (x0, y0) and yields (ens, params, draw, steps,
+    after) per segment: its ensemble, parameter set, bound draw, step
+    count, and None or a hook run after every step.  It resumes once the
+    segment has run.  The iteration count runs across segments, and a trace
+    row is logged at every multiple of log_stride.  Returns (trace, ens)."""
+    x = np.tile(np.asarray(x0, dtype=float), (g.m, 1))
+    y = np.tile(np.asarray(y0, dtype=float), (g.m, 1))
+    trace = Trace()
+    counters = CostCounters()
+    zs = z_star.stacked()
+    ens = None
+    it = 0
+    with overflow_guard():
+        for ens, params, draw, steps, after in segments(x, y, counters):
+            step = step_plan(
+                ens, params.step_params(), g, draw, prob, compressor, rng, counters
+            )
+            for _ in range(steps):
+                step()
+                if after is not None:
+                    after()
+                it += 1
+                if it % log_stride == 0:
+                    trace.log(it, counters, distance_to_saddle(ens, zs))
+    return trace, ens
+
+
 def run_crdpsg(
     prob: RobustLRProblem,
     g: DecGraph,
@@ -249,49 +279,25 @@ def run_crdpsg(
     z_star: PrimalDualPoint,
     seed: int,
     log_stride: int = 1,
-    collect_phi: bool = False,
 ):
-    """Restart-based stochastic-gradient run.
-
-    Every stage rebuilds its schedule, zeroes the dual trackers, resets
-    the compression references to the current iterates (one uncompressed
-    broadcast round), and runs t_k inner steps with minibatch gradients.
-    Returns (trace, final ensemble).
+    """Restart-based stochastic-gradient run: the restart schedule over
+    the shared solve loop, one segment per stage.  Every stage rebuilds its
+    schedule, zeroes the dual trackers, resets the compression references
+    to the current iterates (one uncompressed broadcast round), and runs
+    t_k inner steps with minibatch gradients.  Returns (trace, ensemble).
     """
     rng = _rng_for(seed, 0x5501)
-    consts = prob.constants
-    delta = compressor.delta
-    x = np.tile(np.asarray(x0, dtype=float), (g.m, 1))
-    y = np.tile(np.asarray(y0, dtype=float), (g.m, 1))
-    trace = Trace()
-    counters = CostCounters()
-    payload_coords = g.m * (prob.d + prob.d)
-    zs = z_star.stacked()
-    ens = None
-    it = 0
-    with overflow_guard():
+
+    def stages(x, y, counters):
         for k in range(K):
-            params = crdpsg_stage_params(k, consts, delta, spec)
+            params = crdpsg_stage_params(k, prob.constants, compressor.delta, spec)
             ens = NodeEnsemble.initialize(g, x, y)
             # restart broadcast of the fresh references, sent uncompressed
-            counters.add_round(payload_coords, 32)
-            anchors = (
-                compute_anchors(prob, z_star, params.s) if collect_phi else None
-            )
-            step = step_plan(
-                ens, params.step_params(), g, gsgo_draw(prob, ens.Z, rng), prob,
-                compressor, rng, counters,
-            )
-            for _ in range(params.t):
-                step()
-                it += 1
-                if it % log_stride == 0:
-                    phi_val = (
-                        phi(ens, anchors, params, delta, spec) if collect_phi else None
-                    )
-                    trace.log(it, counters, distance_to_saddle(ens, zs), phi_val)
+            counters.add_round(ens.Z.size, 32)
+            yield ens, params, gsgo_draw(prob, ens.Z, rng), params.t, None
             x, y = ens.x, ens.y
-    return trace, ens
+
+    return _solve(prob, g, compressor, x0, y0, z_star, rng, log_stride, stages)
 
 
 def run_cdpsvrg(
@@ -306,43 +312,29 @@ def run_cdpsvrg(
     seed: int,
     p: float | None = None,
     log_stride: int = 1,
-    collect_phi: bool = False,
 ):
-    """Variance-reduced run: one parameter set for all T iterations, with
-    Bernoulli(p)-refreshed reference points.  Returns (trace, ensemble)."""
+    """Variance-reduced run: one segment of T steps with one parameter set
+    over the shared solve loop; after every step a Bernoulli(p) coin may
+    refresh the reference points.  Returns (trace, ensemble)."""
     rng = _rng_for(seed, 0x5502)
-    consts = prob.constants
     if p is None:
         p = 1.0 / prob.n
     params = cdpsvrg_params(
-        consts, compressor.delta, spec, prob.n, p_min=1.0 / prob.n, p=p
+        prob.constants, compressor.delta, spec, prob.n, p_min=1.0 / prob.n, p=p
     )
-    x = np.tile(np.asarray(x0, dtype=float), (g.m, 1))
-    y = np.tile(np.asarray(y0, dtype=float), (g.m, 1))
-    ens = NodeEnsemble.initialize(g, x, y)
-    trace = Trace()
-    counters = CostCounters()
-    zs = z_star.stacked()
-    sp = params.step_params()
-    with overflow_guard():
+
+    def segment(x, y, counters):
+        ens = NodeEnsemble.initialize(g, x, y)
         state = SvrgState.initialize(prob, x, y, p=p)
         counters.add_grad(prob.m * prob.n)  # initial reference gradients
-        anchors = compute_anchors(prob, z_star, params.s) if collect_phi else None
-        step = step_plan(
-            ens, sp, g, svrgo_draw(prob, ens.Z, state, rng), prob, compressor,
-            rng, counters,
-        )
-        for t in range(1, T + 1):
-            step()
-            state, cost = svrgo_update_reference(state, prob, ens.x, ens.y, rng)
+
+        def refresh():
+            _, cost = svrgo_update_reference(state, prob, ens.x, ens.y, rng)
             counters.add_grad(cost)
-            if t % log_stride == 0:
-                phi_val = (
-                    phi_tilde(ens, anchors, state, params, spec)
-                    if collect_phi else None
-                )
-                trace.log(t, counters, distance_to_saddle(ens, zs), phi_val)
-    return trace, ens
+
+        yield ens, params, svrgo_draw(prob, ens.Z, state, rng), T, refresh
+
+    return _solve(prob, g, compressor, x0, y0, z_star, rng, log_stride, segment)
 
 
 def compute_reference(

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import decsaddle as ds
+from decsaddle import cli, solvers
 from decsaddle.cli import (
     EXIT_CONFIG,
     EXIT_INFEASIBLE,
@@ -410,3 +411,40 @@ def test_build_does_not_import_numpy_ma():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_run_calls_the_names_the_benchmark_wraps(tmp_path, monkeypatch):
+    # perfbench/child.py times a run by replacing run_crdpsg / run_cdpsvrg
+    # in decsaddle.cli, and traces the refresh and the log distance by
+    # replacing svrgo_update_reference and distance_to_saddle in
+    # decsaddle.solvers; a run must look each of them up there, by name
+    calls = {}
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    for name in ("run_crdpsg", "run_cdpsvrg"):
+        counting(cli, name)
+    for name in ("svrgo_update_reference", "distance_to_saddle"):
+        counting(solvers, name)
+
+    data = os.path.join(os.path.dirname(__file__), "data")
+    with open(os.path.join(data, "golden_torus.json")) as fh:
+        cfg = json.load(fh)
+    cfg["log"]["output"] = str(tmp_path / "torus.csv")
+    assert main(["run", _write(tmp_path, cfg, "torus.json")]) == EXIT_OK
+    rows = len((tmp_path / "torus.csv").read_text().strip().split("\n")) - 1
+    assert calls == {"run_crdpsg": 1, "distance_to_saddle": rows}
+
+    calls.clear()
+    cfg = _base_config(tmp_path, budget={"iterations": 30})
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_OK
+    assert calls == {
+        "run_cdpsvrg": 1, "svrgo_update_reference": 30, "distance_to_saddle": 3,
+    }

@@ -43,13 +43,6 @@ def test_trace_csv_format():
     assert lines[1] == "1,4,1,50,0.5"
 
 
-def test_trace_with_phi_column():
-    t = Trace()
-    c = CostCounters()
-    t.log(1, c, 1.0, 2.0)
-    assert t.to_csv().startswith("iter,grad_units,comm_rounds,bits,dist_sq,phi")
-
-
 def test_trace_rejects_nonfinite():
     t = Trace()
     with pytest.raises(FloatingPointError):

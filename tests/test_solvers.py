@@ -128,22 +128,29 @@ def test_contraction_rate_includes_refresh_term(ring4_spec):
     assert r1 >= r0
 
 
+@pytest.mark.parametrize("stride", [1, 100])
 def test_crdpsg_comm_accounting(acc_problem, acc_graph, acc_compressor, acc_zstar,
-                                acc_start):
+                                acc_start, stride):
     g, spec = acc_graph
     z, _ = acc_zstar
     x0, y0 = acc_start
     K = 2
     trace, _ = ds.run_crdpsg(
-        acc_problem, g, spec, acc_compressor, K, x0, y0, z, seed=0, log_stride=1
+        acc_problem, g, spec, acc_compressor, K, x0, y0, z, seed=0,
+        log_stride=stride,
     )
-    t_sum = sum(
+    ts = [
         ds.crdpsg_stage_params(k, acc_problem.constants, acc_compressor.delta, spec).t
         for k in range(K)
-    )
-    last = trace.rows[-1]
-    assert last[0] == t_sum
-    assert last[2] == t_sum + K  # one broadcast round per restart
+    ]
+    assert stride == 1 or ts[0] % stride != 0  # a row falls after the restart
+    # the iteration count runs across stages, logged at every multiple of
+    # the stride
+    assert [r[0] for r in trace.rows] == list(range(stride, sum(ts) + 1, stride))
+    starts = [0, *itertools.accumulate(ts[:-1])]  # steps run before stage k
+    for it, _, rounds, _, _ in trace.rows:
+        begun = sum(start < it for start in starts)
+        assert rounds == it + begun  # one broadcast round per restart
     # counters nondecreasing
     for a, b in zip(trace.rows, trace.rows[1:]):
         assert b[1] >= a[1] and b[2] >= a[2] and b[3] >= a[3]
