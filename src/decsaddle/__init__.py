@@ -11,8 +11,8 @@ from .compression import (
     Compressor,
     InfeasibleParameterError,
     bind_exchange,
-    estimate_delta,
     identity_compressor,
+    quantizer_delta,
 )
 from .data import Dataset, Partition, parse_libsvm, partition, synthesize
 from .ipdhg import NodeEnsemble, StepParams, step_plan

@@ -7,6 +7,7 @@ everyone advances matching references with a small mixing factor alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ class Compressor:
             if not 0.0 < self.delta <= 1.0:
                 raise InfeasibleParameterError(
                     f"quantizer variance factor delta = {self.delta:.4g} "
-                    "outside (0, 1]"
+                    "outside (0, 1]; increase bits if it exceeds 1"
                 )
         else:
             raise ValueError(f"unknown compressor kind {self.kind!r}")
@@ -108,42 +109,19 @@ def _round_levels(x, mag, scale, levels, u):
     return np.copysign(mag, x, mag)
 
 
-def estimate_delta(
-    c: Compressor, d: int, trials: int, rng: np.random.Generator
-) -> float:
-    """Empirical upper estimate of the variance factor delta.
+def quantizer_delta(bits: int, d: int) -> float:
+    """The exact variance factor of the b-bit quantizer on R^d: the least
+    delta with E||Q(x)-x||^2 <= delta ||x||^2 for every x.
 
-    Samples both isotropic Gaussian directions and spiky vectors (one
-    dominant coordinate plus a half-level tail, which sit near the
-    quantizer's worst case) on the unit sphere; returns the largest
-    Monte-Carlo mean of ||Q(x)-x||^2 observed.
+    A coordinate at fraction f of a level width w = 2^(1-b) ||x||_inf
+    contributes w^2 f (1-f), and the maximal one contributes nothing, so the
+    ratio peaks at (1, a, ..., a) with a = w / (sqrt(1+t) + 1), where it
+    equals delta*(b, d) = (sqrt(1+t) - 1)/2 with t = (d-1) 4^(1-b) (the
+    QSGD-style bound, Alistarh et al. 2017).  It is evaluated as
+    t / (2 (sqrt(1+t) + 1)), which keeps its digits where t is tiny.
     """
-    if trials < 1000:
-        raise ValueError(f"need trials >= 1000, got {trials}")
-    if c.kind == "identity":
-        return 0.0
-    probes = []
-    for _ in range(20):
-        v = rng.standard_normal(d)
-        probes.append(v / np.linalg.norm(v))
-    # spiky probes: dominant coordinate with tails at half a quantization
-    # level, where the rounding variance per coordinate is maximal
-    half_level = 2.0 ** (-c.bits)
-    for frac in (0.25, 0.5, 1.0):
-        v = np.full(d, half_level * frac)
-        v[0] = 1.0
-        probes.append(v / np.linalg.norm(v))
-    per_trial = max(trials // len(probes), 1000)
-    worst = 0.0
-    for v in probes:
-        # all trials of one probe in one call: one row per trial; the
-        # running sum adds the trial errors in trial order
-        X = np.tile(v, (per_trial, 1))
-        q = np.empty_like(X)
-        c.bind(X.shape, rng)(X, q)
-        err = np.cumsum(np.sum((q - v) ** 2, axis=1))[-1]
-        worst = max(worst, float(err) / per_trial)
-    return worst
+    t = (d - 1) * 4.0 ** (1 - bits)
+    return t / (2.0 * (math.sqrt(1.0 + t) + 1.0))
 
 
 @dataclass

@@ -17,6 +17,46 @@ def project(prob, v, block):
     return prob.prox(Z)[block].reshape(np.shape(v))
 
 
+# criterion 5 bounds the sampled variance by this Monte Carlo estimate;
+# runs take the exact factor from ds.quantizer_delta
+def estimate_delta(
+    c: ds.Compressor, d: int, trials: int, rng: np.random.Generator
+) -> float:
+    """Empirical upper estimate of the variance factor delta.
+
+    Samples both isotropic Gaussian directions and spiky vectors (one
+    dominant coordinate plus a half-level tail, which sit near the
+    quantizer's worst case) on the unit sphere; returns the largest
+    Monte-Carlo mean of ||Q(x)-x||^2 observed.
+    """
+    if trials < 1000:
+        raise ValueError(f"need trials >= 1000, got {trials}")
+    if c.kind == "identity":
+        return 0.0
+    probes = []
+    for _ in range(20):
+        v = rng.standard_normal(d)
+        probes.append(v / np.linalg.norm(v))
+    # spiky probes: dominant coordinate with tails at half a quantization
+    # level, where the rounding variance per coordinate is maximal
+    half_level = 2.0 ** (-c.bits)
+    for frac in (0.25, 0.5, 1.0):
+        v = np.full(d, half_level * frac)
+        v[0] = 1.0
+        probes.append(v / np.linalg.norm(v))
+    per_trial = max(trials // len(probes), 1000)
+    worst = 0.0
+    for v in probes:
+        # all trials of one probe in one call: one row per trial; the
+        # running sum adds the trial errors in trial order
+        X = np.tile(v, (per_trial, 1))
+        q = np.empty_like(X)
+        c.bind(X.shape, rng)(X, q)
+        err = np.cumsum(np.sum((q - v) ** 2, axis=1))[-1]
+        worst = max(worst, float(err) / per_trial)
+    return worst
+
+
 class PickBatch:
     """Stub generator under which a bound draw takes batch l at every node:
     a GSGO draw through integers, and an SVRGO draw under the uniform law
@@ -84,10 +124,9 @@ def acc_zstar_alt(acc_dataset):
 
 @pytest.fixture(scope="session")
 def acc_compressor():
-    probe = ds.Compressor(kind="quantize_inf", bits=4, delta=1.0)
-    rng = np.random.default_rng(0)
-    dhat = ds.estimate_delta(probe, ACC["d"], 10_000, rng)
-    return ds.Compressor(kind="quantize_inf", bits=4, delta=dhat)
+    return ds.Compressor(
+        kind="quantize_inf", bits=4, delta=ds.quantizer_delta(4, ACC["d"])
+    )
 
 
 @pytest.fixture(scope="session")

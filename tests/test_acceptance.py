@@ -15,7 +15,7 @@ import decsaddle as ds
 from decsaddle.oracles import SvrgState
 from decsaddle.problem import PrimalDualPoint
 
-from conftest import ACC, PickBatch, project
+from conftest import ACC, PickBatch, estimate_delta, project
 
 
 def _report(num, name, ok, detail=""):
@@ -183,7 +183,7 @@ def test_criterion_05_quantizer_unbiasedness():
     vectors_per_b = {2: 7, 4: 7, 8: 6}
     for b, count in vectors_per_b.items():
         probe = ds.Compressor(kind="quantize_inf", bits=b, delta=1.0)
-        dhat = ds.estimate_delta(probe, d, 10_000, np.random.default_rng(b))
+        dhat = estimate_delta(probe, d, 10_000, np.random.default_rng(b))
         quantize, draws = probe.bind((100_000, d), rng), np.empty((100_000, d))
         for _ in range(count):
             x = rng.standard_normal(d)

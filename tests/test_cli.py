@@ -220,11 +220,16 @@ def _subprocess_run(config_path):
         {"compression": {"kind": "qinf", "bits": 4, "delta": float("nan")}},
         {"oracle": {"p": float("nan")}},
         {"compression": {"kind": "qinf", "bits": 1100}},
+        {"reference": {"compute": 0}},
+        {"reference": {"compute": False}},
+        {"reference": {"compute": ""}},
+        {"reference": {"compute": []}},
     ],
     ids=[
         "m-string", "ring-m2", "bits0", "n-too-large", "unknown-mode",
         "missing-libsvm", "seed-string", "R_x-inf", "lambda-inf", "delta-nan",
-        "p-nan", "bits1100",
+        "p-nan", "bits1100", "compute-0", "compute-false", "compute-empty-string",
+        "compute-list",
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, overrides):
@@ -235,6 +240,33 @@ def test_malformed_config_is_config_error(tmp_path, overrides):
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "config error" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "bits, delta, code, message",
+    [
+        (4, 0.0340002340823457, EXIT_OK, "compression delta = 0.03400023408"),
+        (4, 0.034, EXIT_INFEASIBLE, "delta* = 0.03400023408"),
+        (1, "auto", EXIT_INFEASIBLE, "increase bits"),  # delta* = 1.081
+        (32, "auto", EXIT_OK, "compression delta = 4.878909776e-19"),
+    ],
+    ids=["b4-at-floor", "b4-below-floor", "b1-auto", "b32-auto"],
+)
+def test_validate_checks_delta_against_quantizer_worst_case(
+    tmp_path, capsys, bits, delta, code, message
+):
+    cfg = _base_config(tmp_path)
+    cfg["compression"] = {"kind": "qinf", "bits": bits, "delta": delta}
+    cfg["dataset"]["d"] = 10
+    assert main(["validate", _write(tmp_path, cfg)]) == code
+    out = capsys.readouterr()
+    assert message in (out.out if code == EXIT_OK else out.err)
+
+
+def test_validate_golden_desk_prints_exact_delta(capsys):
+    data = os.path.join(os.path.dirname(__file__), "data")
+    assert main(["validate", os.path.join(data, "golden_desk.json")]) == EXIT_OK
+    assert "compression delta = 0.03400023408\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -95,28 +95,48 @@ def test_quantize_exact_moments():
             assert abs(second - np.sum(w**2 * f * (1.0 - f))) <= 1e-12
 
 
-def test_estimate_delta_identity():
-    rng = np.random.default_rng(0)
-    assert ds.estimate_delta(ds.identity_compressor(), 10, 1000, rng) == 0.0
+def _exact_sq_error(X, b):
+    """E||Q(x)-x||^2 of each row of X under the two-point law of each
+    coordinate, from the quantizer's values at u = 0 and u just below 1."""
+    w = np.max(np.abs(X), axis=1, keepdims=True) * 2.0 ** (1 - b)
+    f = (np.abs(X) / w) % 1.0
+    low, high = np.empty_like(X), np.empty_like(X)
+    _quantizer(b).bind(X.shape, _ConstRng(0.0))(X, low)
+    _quantizer(b).bind(X.shape, _ConstRng(np.nextafter(1.0, 0.0)))(X, high)
+    return np.sum((1.0 - f) * (low - X) ** 2 + f * (high - X) ** 2, axis=1)
 
 
-def test_estimate_delta_high_bits_negligible():
-    rng = np.random.default_rng(0)
-    c = ds.Compressor(kind="quantize_inf", bits=32, delta=1e-9)
-    assert ds.estimate_delta(c, 10, 1000, rng) <= 1e-6
+_DELTA_GRID = [(b, d) for b in (1, 2, 3, 4, 8, 32) for d in (1, 2, 10, 50, 122)]
 
 
-def test_estimate_delta_b2_d4_in_range():
-    rng = np.random.default_rng(0)
-    c = ds.Compressor(kind="quantize_inf", bits=2, delta=1.0)
-    dhat = ds.estimate_delta(c, 4, 2000, rng)
-    assert 0.0 < dhat <= 1.0
+@pytest.mark.parametrize("b, d", _DELTA_GRID)
+def test_quantizer_delta_attained_at_worst_case(b, d):
+    # the maximal coordinate is exact and every other one sits at the
+    # fraction 1 / (sqrt(1+t) + 1) of the first level
+    delta = ds.quantizer_delta(b, d)
+    t = (d - 1) * 4.0 ** (1 - b)
+    v = np.full((1, d), 2.0 ** (1 - b) / (np.sqrt(1.0 + t) + 1.0))
+    v[0, 0] = 1.0
+    ratio = _exact_sq_error(v, b)[0] / np.sum(v**2)
+    assert ratio == pytest.approx(delta, rel=1e-12, abs=0.0)
 
 
-def test_estimate_delta_rejects_few_trials():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        ds.estimate_delta(ds.identity_compressor(), 10, 10, rng)
+@pytest.mark.parametrize("b, d", _DELTA_GRID)
+def test_quantizer_delta_bounds_random_vectors(b, d):
+    rng = np.random.default_rng([b, d])
+    # Gaussian rows, and rows of one dominant coordinate over a tail below
+    # the first level, where the worst case lies
+    X = rng.standard_normal((2000, d))
+    X[1000:] = rng.random((1000, d)) * 2.0 ** (1 - b)
+    X[1000:, 0] = 1.0
+    ratio = _exact_sq_error(X, b) / np.sum(X**2, axis=1)
+    assert np.max(ratio) <= ds.quantizer_delta(b, d) * (1.0 + 1e-12)
+
+
+def test_quantizer_delta_positive_at_32_bits():
+    # (sqrt(1+t) - 1)/2 rounds to 0 here, which the (0, 1] window refuses
+    assert ds.quantizer_delta(32, 10) == pytest.approx(9.0 * 4.0**-31 / 4.0)
+    assert ds.quantizer_delta(32, 10) > 0.0
 
 
 def test_compressor_rejects_bad_delta():
