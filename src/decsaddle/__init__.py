@@ -26,7 +26,7 @@ from .metrics import (
     phi_tilde,
 )
 from .oracles import SvrgState, gsgo_draw, svrgo_draw, svrgo_update_reference
-from .problem import PrimalDualPoint, RobustLRProblem, SaddleConstants
+from .problem import RobustLRProblem, SaddleConstants
 from .solvers import (
     StageParams,
     SvrgParams,

@@ -25,7 +25,7 @@ from .compression import (
     identity_compressor,
     quantizer_delta,
 )
-from .problem import PrimalDualPoint, RobustLRProblem
+from .problem import RobustLRProblem
 from .solvers import (
     cdpsvrg_params,
     compute_reference,
@@ -286,14 +286,18 @@ def build_compressor(cfg: RunConfig, d: int) -> Compressor:
     return Compressor(kind="quantize_inf", bits=bits, delta=float(delta))
 
 
-def write_zstar(path: str, z: PrimalDualPoint, residual: float):
+def write_zstar(path: str, z: np.ndarray, residual: float):
+    """Store the stacked (2, d) saddle point z: a header, then x and y."""
+    d = z.shape[1]
     with open(path, "w") as fh:
-        fh.write(f"d_x {z.x.size} d_y {z.y.size} residual {residual:.17g}\n")
-        for v in np.concatenate([z.x, z.y]):
+        fh.write(f"d_x {d} d_y {d} residual {residual:.17g}\n")
+        for v in z.ravel():
             fh.write("%.17g\n" % v)
 
 
-def read_zstar(path: str) -> PrimalDualPoint:
+def read_zstar(path: str, d: int) -> np.ndarray:
+    """The stacked (2, d) saddle point stored at path; a file that cannot
+    be read, or holds a point of another size, is a ConfigError."""
     try:
         with open(path) as fh:
             header = fh.readline().split()
@@ -303,38 +307,36 @@ def read_zstar(path: str) -> PrimalDualPoint:
         raise ConfigError(f"cannot read reference file {path}: {e}")
     if vals.size != d_x + d_y:
         raise ConfigError(f"reference file {path}: expected {d_x + d_y} values")
-    return PrimalDualPoint(vals[:d_x], vals[d_x:])
+    if d_x != d or d_y != d:
+        raise ConfigError(
+            f"reference file {path}: d_x = {d_x}, d_y = {d_y}, but the "
+            f"problem has d = {d}"
+        )
+    return vals.reshape(2, d)
 
 
-def resolve_reference(cfg: RunConfig, dataset) -> PrimalDualPoint:
-    ref = cfg.reference
-    if "path" in ref:
-        z = read_zstar(ref["path"])
-        if z.x.size != dataset.d or z.y.size != dataset.d:
-            raise ConfigError(
-                f"reference file {ref['path']}: d_x = {z.x.size}, d_y = "
-                f"{z.y.size}, but the problem has d = {dataset.d}"
-            )
-        return z
-    opts = ref.get("compute", {})
-    prob1 = build_problem(cfg, dataset, m=1)
-    z, _residual = compute_reference(
-        prob1,
-        iterations=opts.get("iterations", 50_000),
+def _solve_reference(cfg: RunConfig, dataset, iterations: int):
+    """compute_reference on the config's m = 1 problem, with the compute
+    section's cap (iterations if absent) and tolerance; returns (z,
+    residual)."""
+    opts = cfg.reference.get("compute", {})
+    return compute_reference(
+        build_problem(cfg, dataset, m=1),
+        iterations=opts.get("iterations", iterations),
         tol=opts.get("tol", 1e-14),
     )
-    return z
+
+
+def resolve_reference(cfg: RunConfig, dataset) -> np.ndarray:
+    """The run's (2, d) saddle point: stored, or computed inline."""
+    if "path" in cfg.reference:
+        return read_zstar(cfg.reference["path"], dataset.d)
+    return _solve_reference(cfg, dataset, 50_000)[0]
 
 
 def cmd_reference(cfg: RunConfig) -> int:
     dataset = build_dataset(cfg)
-    prob1 = build_problem(cfg, dataset, m=1)
-    opts = cfg.reference.get("compute", {})
-    z, residual = compute_reference(
-        prob1,
-        iterations=opts.get("iterations", cfg.budget.get("iterations", 50_000)),
-        tol=opts.get("tol", 1e-14),
-    )
+    z, residual = _solve_reference(cfg, dataset, cfg.budget.get("iterations", 50_000))
     out = cfg.log.get("output", "zstar.txt")
     write_zstar(out, z, residual)
     print(f"reference written to {out}, residual {residual:.3e}")
@@ -417,13 +419,12 @@ def cmd_run(cfg: RunConfig) -> int:
     dataset, prob, g, spec, compressor = build(cfg)
     z_star = resolve_reference(cfg, dataset)
     stride = cfg.log.get("stride")
-    x0 = np.zeros(prob.d)
-    y0 = np.zeros(prob.d)
+    z0 = np.zeros((2, prob.d))
     if cfg.algorithm == "crdpsg":
         if stride is None:
             stride = 1
         trace, _ = run_crdpsg(
-            prob, g, spec, compressor, cfg.budget["stages"], x0, y0, z_star,
+            prob, g, spec, compressor, cfg.budget["stages"], z0, z_star,
             cfg.seed, log_stride=stride,
         )
     else:
@@ -431,7 +432,7 @@ def cmd_run(cfg: RunConfig) -> int:
         if stride is None:
             stride = 1 if T <= 10_000 else 10
         trace, _ = run_cdpsvrg(
-            prob, g, spec, compressor, T, x0, y0, z_star, cfg.seed,
+            prob, g, spec, compressor, T, z0, z_star, cfg.seed,
             p=cfg.oracle.get("p"), log_stride=stride,
         )
     out = cfg.log.get("output", "trace.csv")

@@ -43,10 +43,12 @@ class Compressor:
         elif self.kind == "quantize_inf":
             if not 1 <= self.bits <= MAX_BITS:
                 raise ValueError(f"need 1 <= bits <= {MAX_BITS}, got {self.bits}")
-            if not 0.0 < self.delta <= 1.0:
+            # delta*(b, 1) = 0: at d = 1 the one coordinate is its row's
+            # maximum, so the quantizer is exact
+            if not 0.0 <= self.delta <= 1.0:
                 raise InfeasibleParameterError(
                     f"quantizer variance factor delta = {self.delta:.4g} "
-                    "outside (0, 1]; increase bits if it exceeds 1"
+                    "outside [0, 1]; increase bits if it exceeds 1"
                 )
         else:
             raise ValueError(f"unknown compressor kind {self.kind!r}")

@@ -102,34 +102,11 @@ class NodeEnsemble:
         self.D = self.D_nu[0]
         self.comm = CommState(HH=np.array(self.comm.HH, dtype=float))
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.Z[0]
-
-    @property
-    def y(self) -> np.ndarray:
-        return self.Z[1]
-
-    @property
-    def Dx(self) -> np.ndarray:
-        return self.D[0]
-
-    @property
-    def Dy(self) -> np.ndarray:
-        return self.D[1]
-
-    @property
-    def comm_x(self) -> CommState:
-        return CommState(HH=self.comm.HH[:, 0])
-
-    @property
-    def comm_y(self) -> CommState:
-        return CommState(HH=self.comm.HH[:, 1])
-
     @classmethod
-    def initialize(cls, g: DecGraph, x0: np.ndarray, y0: np.ndarray) -> "NodeEnsemble":
-        """Fresh ensemble: D = 0, references H at the starting iterates."""
-        Z = np.array([x0, y0], dtype=float)
+    def initialize(cls, g: DecGraph, Z0: np.ndarray) -> "NodeEnsemble":
+        """Fresh ensemble at the stacked (2, m, d) start Z0 (construction
+        copies it): D = 0, references H at the starting iterates."""
+        Z = np.asarray(Z0, dtype=float)
         return cls(Z=Z, D=np.zeros_like(Z), comm=CommState.from_reference(g, Z))
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import PrimalDualPoint, RobustLRProblem
+from .problem import RobustLRProblem
 from .topology import SpectralInfo, pinv_weighted_sqnorm
 
 
@@ -47,74 +47,72 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
+# (2, 1, 1) block signs: the x rows descend, the y rows ascend
+_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+
+
 @dataclass(frozen=True)
 class SaddleAnchors:
-    """Stationary values of the tracked quantities at the saddle point.
+    """Stationary values of the tracked quantities at the saddle point:
+    z* (2, d), and the dual trackers D* and references H* (2, m, d), block
+    0 for x and block 1 for y.
 
     H anchors depend on the step size s, so anchors are recomputed whenever
     s changes (each restart stage).
     """
 
-    z_star: PrimalDualPoint
-    D_star_x: np.ndarray
-    D_star_y: np.ndarray
-    H_star_x: np.ndarray
-    H_star_y: np.ndarray
+    z_star: np.ndarray
+    D_star: np.ndarray
+    H_star: np.ndarray
     s: float
 
 
-def compute_anchors(prob: RobustLRProblem, z_star: PrimalDualPoint, s: float) -> SaddleAnchors:
+def compute_anchors(
+    prob: RobustLRProblem, z_star: np.ndarray, s: float
+) -> SaddleAnchors:
+    """Anchors of the stacked (2, d) saddle point z_star at step size s."""
     m = prob.m
-    Gx, Gy = prob.full_grads(np.tile(z_star.x, (m, 1)), np.tile(z_star.y, (m, 1)))
+    G = prob.full_grads(z_star[:, None])
     # subtract the per-node mean: projection by I - J with J = 11^T / m
-    D_star_x = -(Gx - Gx.mean(axis=0))
-    D_star_y = Gy - Gy.mean(axis=0)
-    sum_gx = Gx.sum(axis=0)
-    sum_gy = Gy.sum(axis=0)
-    H_star_x = np.tile(z_star.x - (s / m) * sum_gx, (m, 1))
-    H_star_y = np.tile(z_star.y + (s / m) * sum_gy, (m, 1))
-    return SaddleAnchors(
-        z_star=z_star,
-        D_star_x=D_star_x,
-        D_star_y=D_star_y,
-        H_star_x=H_star_x,
-        H_star_y=H_star_y,
-        s=s,
-    )
+    D_star = _SIGNS * (G - G.mean(axis=1, keepdims=True))
+    H = z_star + _SIGNS[..., 0] * ((s / m) * G.sum(axis=1))
+    H_star = np.repeat(H[:, None], m, axis=1)
+    return SaddleAnchors(z_star=z_star, D_star=D_star, H_star=H_star, s=s)
+
+
+def _sqnorms(V: np.ndarray) -> np.ndarray:
+    """(2,): the squared norm of each block of a stacked (2, ...) array."""
+    return (V**2).reshape(2, -1).sum(axis=1)
 
 
 def distance_to_saddle(ens, z_star: np.ndarray) -> float:
-    """Sum over nodes of the squared distance to the saddle point, given
-    stacked as z_star = PrimalDualPoint.stacked(); each block is summed
-    on its own, then the two sums are added."""
-    sq = (ens.Z - z_star) ** 2
-    s = sq.reshape(2, -1).sum(axis=1)
+    """Sum over nodes of the squared distance to the stacked (2, d) saddle
+    point z_star; each block is summed on its own, then the two sums are
+    added."""
+    s = _sqnorms(ens.Z - z_star[:, None])
     return float(s[0] + s[1])
 
 
-def phi(ens, anchors: SaddleAnchors, params, delta: float, spec: SpectralInfo) -> float:
-    """Lyapunov diagnostic: weighted iterate, dual-tracking, and reference
-    errors.  The dual terms use the pseudoinverse metric of I-W."""
-    val = params.M_x * float(np.sum((ens.x - anchors.z_star.x) ** 2))
-    val += params.M_y * float(np.sum((ens.y - anchors.z_star.y) ** 2))
+def phi(ens, anchors: SaddleAnchors, params, spec: SpectralInfo) -> float:
+    """Lyapunov diagnostic: iterate, dual-tracking and reference errors,
+    each summed per block and weighted by [M_x, M_y], [2s^2/gamma_x,
+    2s^2/gamma_y] and sqrt(delta), with delta = params.delta.  The dual
+    terms use the pseudoinverse metric of I-W."""
     s2 = params.s**2
-    val += (2.0 * s2 / params.gamma_x) * pinv_weighted_sqnorm(
-        spec, ens.Dx - anchors.D_star_x
+    err = _sqnorms(ens.Z - anchors.z_star[:, None])
+    val = np.dot([params.M_x, params.M_y], err)
+    val += np.dot(
+        [2.0 * s2 / params.gamma_x, 2.0 * s2 / params.gamma_y],
+        pinv_weighted_sqnorm(spec, ens.D - anchors.D_star),
     )
-    val += (2.0 * s2 / params.gamma_y) * pinv_weighted_sqnorm(
-        spec, ens.Dy - anchors.D_star_y
-    )
-    rd = np.sqrt(delta)
-    if rd > 0.0:
-        val += rd * float(np.sum((ens.comm_x.H - anchors.H_star_x) ** 2))
-        val += rd * float(np.sum((ens.comm_y.H - anchors.H_star_y) ** 2))
-    return val
+    val += np.sqrt(params.delta) * np.sum(_sqnorms(ens.comm.H - anchors.H_star))
+    return float(val)
 
 
 def phi_tilde(ens, anchors: SaddleAnchors, svrg_state, params, spec: SpectralInfo) -> float:
-    """phi plus the reference-point error terms of the variance-reduced run."""
-    val = phi(ens, anchors, params, params.delta, spec)
-    xt, yt = svrg_state.x_tilde, svrg_state.y_tilde
-    val += params.c_tilde_x * float(np.sum((xt - anchors.z_star.x) ** 2))
-    val += params.c_tilde_y * float(np.sum((yt - anchors.z_star.y) ** 2))
-    return val
+    """phi plus the reference-point error terms of the variance-reduced
+    run, weighted by [c_tilde_x, c_tilde_y]."""
+    err = _sqnorms(svrg_state.Z_tilde - anchors.z_star[:, None])
+    return phi(ens, anchors, params, spec) + float(
+        np.dot([params.c_tilde_x, params.c_tilde_y], err)
+    )

@@ -45,8 +45,7 @@ def gsgo_draw(p: RobustLRProblem, Z: np.ndarray, rng: np.random.Generator):
 class SvrgState:
     """Per-node reference points, their cached gradients, and sampling law."""
 
-    x_tilde: np.ndarray  # (m, d) reference points
-    y_tilde: np.ndarray
+    Z_tilde: np.ndarray  # (2, m, d) stacked reference points
     g_rows: np.ndarray  # (2, m*n, d) batch gradients at the references, row i*n + j
     g_tilde: np.ndarray  # (2, m, d) their means: the full gradients
     P: np.ndarray  # (m, n) sampling probabilities, rows sum to 1
@@ -80,27 +79,27 @@ class SvrgState:
     def initialize(
         cls,
         prob: RobustLRProblem,
-        X: np.ndarray,
-        Y: np.ndarray,
+        Z: np.ndarray,
         p: float,
         P: np.ndarray | None = None,
     ) -> "SvrgState":
-        """Reference at a copy of (X, Y) with fresh gradients, as refresh
-        takes it; uniform law by default."""
+        """Reference at a copy of the stacked (2, m, d) point Z with fresh
+        gradients, as refresh takes it; uniform law by default."""
         if P is None:
             P = np.full((prob.m, prob.n), 1.0 / prob.n)
-        Gb = prob.all_batch_grads(X, Y)
+        Gb = prob.all_batch_grads(Z)
         return cls(
-            x_tilde=X.copy(), y_tilde=Y.copy(), g_rows=_rows(Gb),
+            Z_tilde=Z.copy(), g_rows=_rows(Gb),
             g_tilde=batch_mean(Gb), P=P, p=p,
         )
 
-    def refresh(self, prob: RobustLRProblem, X: np.ndarray, Y: np.ndarray):
-        """Move every reference point to a copy of (X, Y), in place; the law
-        stays.  The copy matters: the ensemble's rows are overwritten by
-        later steps, and the first-draw check compares against them."""
-        Gb = prob.all_batch_grads(X, Y)
-        self.x_tilde, self.y_tilde = X.copy(), Y.copy()
+    def refresh(self, prob: RobustLRProblem, Z: np.ndarray):
+        """Move every reference point to a copy of the stacked point Z, in
+        place; the law stays.  The copy matters: the ensemble's rows are
+        overwritten by later steps, and the first-draw check compares
+        against them."""
+        Gb = prob.all_batch_grads(Z)
+        self.Z_tilde = Z.copy()
         self.g_rows, self.g_tilde = _rows(Gb), batch_mean(Gb)
         self.unread = True
 
@@ -123,7 +122,7 @@ def svrgo_draw(
     """Bound variance-reduced draw at the stacked (2, m, d) point Z, read at
     every call, against the state st (whose references may be refreshed
     between calls): returns draw() -> (G, cost).  Row i of G is node i's
-    control variate w (grad_J(X) - grad_J(X_tilde)) + g_tilde on a batch J
+    control variate w (grad_J(Z) - grad_J(Z_tilde)) + g_tilde on a batch J
     drawn from row i of the sampling law, w = 1 / (n P[i, J]), in a
     (2, m, d) array the draw owns and overwrites; cost is 2 gradient units
     per node, the paper's SVRGO price, though only the fresh batch is
@@ -137,7 +136,6 @@ def svrgo_draw(
     draws J and is charged 2 units per node, but runs no kernel.
     """
     grads = p.bind_batch_grads(Z)
-    X, Y = Z[0], Z[1]
     row0, cost = p.row0, 2 * p.m
     G, ref = np.empty_like(Z), np.empty_like(Z)
 
@@ -145,7 +143,7 @@ def svrgo_draw(
         rows = st.draw_batches(rng)
         if st.unread:
             st.unread = False
-            if _same_bits(X, st.x_tilde) and _same_bits(Y, st.y_tilde):
+            if _same_bits(Z, st.Z_tilde):
                 return np.add(st.g_tilde, 0.0, G), cost
         np.add(row0, rows, rows)
         return _control_variate(grads(rows), st, rows, ref), cost
@@ -154,13 +152,10 @@ def svrgo_draw(
 
 
 def svrgo_update_reference(
-    st: SvrgState,
-    prob: RobustLRProblem,
-    X: np.ndarray,
-    Y: np.ndarray,
-    rng: np.random.Generator,
+    st: SvrgState, prob: RobustLRProblem, Z: np.ndarray, rng: np.random.Generator
 ):
-    """Shared Bernoulli(p) refresh of every node's reference point.
+    """Shared Bernoulli(p) refresh of every node's reference point to the
+    stacked (2, m, d) point Z.
 
     Returns (st, cost): when the coin fires, st is refreshed in place and
     cost is m*n gradient units, else cost is 0.  The same coin is used for
@@ -168,7 +163,7 @@ def svrgo_update_reference(
     """
     if not rng.random() < st.p:
         return st, 0
-    st.refresh(prob, X, Y)
+    st.refresh(prob, Z)
     return st, prob.m * prob.n
 
 

@@ -45,16 +45,6 @@ class SaddleConstants:
             raise ValueError("kappa_f < 1: moduli exceed smoothness constants")
 
 
-@dataclass(frozen=True)
-class PrimalDualPoint:
-    x: np.ndarray
-    y: np.ndarray
-
-    def stacked(self) -> np.ndarray:
-        """(2, 1, d): [x, y] as a one-row stacked primal-dual block."""
-        return np.array([self.x, self.y], dtype=float)[:, None, :]
-
-
 class RobustLRProblem:
     """Per-node, per-batch losses with gradients, ball projections, and
     worst-case smoothness constants.
@@ -131,15 +121,17 @@ class RobustLRProblem:
         r, k = i * self.n + j, self.sizes[i, j]
         return self.features[r, :k], self.labels[r, :k]
 
-    def loss_batch(self, i: int, j: int, z: PrimalDualPoint) -> float:
+    def loss_batch(self, i: int, j: int, z: np.ndarray) -> float:
+        """f_ij at the stacked (2, d) point z = [x, y]."""
         A, b = self.batch(i, j)
-        t = b * ((A + z.y) @ z.x)
+        x, y = z
+        t = b * ((A + y) @ x)
         # log(1 + exp(-t)) computed stably for large |t|
         logistic = np.logaddexp(0.0, -t)
         return float(
             (self.n / self.N) * np.sum(logistic)
-            + (self.lam / (2 * self.m)) * np.dot(z.x, z.x)
-            - (self.beta / (2 * self.m)) * np.dot(z.y, z.y)
+            + (self.lam / (2 * self.m)) * np.dot(x, x)
+            - (self.beta / (2 * self.m)) * np.dot(y, y)
         )
 
     def _bind_grad(self, AY, b, X, G):
@@ -211,19 +203,20 @@ class RobustLRProblem:
 
         return grads
 
-    def all_batch_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """(2, m, n, d): every batch gradient of node i at (X[i], Y[i]); a
-        single row X, Y serves every node."""
-        Z = np.array([X[:, None], Y[:, None]], dtype=float)
+    def all_batch_grads(self, Z: np.ndarray) -> np.ndarray:
+        """(2, m, n, d): every batch gradient of node i at the stacked
+        (2, m, d) point Z, at (Z[0, i], Z[1, i]); a (2, 1, d) point serves
+        every node."""
+        Z = np.asarray(Z, dtype=float)[:, :, None, :]
         G = np.empty((2, self.m, self.n, self.d))
         np.multiply(self._reg[..., None], Z, G)  # [lam/m x, -beta/m y]
         labels = self.labels.reshape(self.batches.shape[:-1])
         return self._bind_grad(self.batches + Z[1][..., None, :], labels, Z[0], G)()
 
-    def full_grads(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def full_grads(self, Z: np.ndarray) -> np.ndarray:
         """Row i of each block: average of node i's n batch gradients at
-        (X[i], Y[i]); (2, m, d)."""
-        return batch_mean(self.all_batch_grads(X, Y))
+        the stacked point Z, as all_batch_grads takes it; (2, m, d)."""
+        return batch_mean(self.all_batch_grads(Z))
 
     def prox(self, Z: np.ndarray, out: np.ndarray | None = None):
         """Ball projection of a stacked (2, k, d) primal-dual block: every

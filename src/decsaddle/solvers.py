@@ -19,7 +19,7 @@ from .compression import Compressor, InfeasibleParameterError
 from .ipdhg import NodeEnsemble, StepParams, step_plan
 from .metrics import CostCounters, Trace, distance_to_saddle
 from .oracles import SvrgState, gsgo_draw, svrgo_draw, svrgo_update_reference
-from .problem import PrimalDualPoint, RobustLRProblem, SaddleConstants, overflow_guard
+from .problem import RobustLRProblem, SaddleConstants, overflow_guard
 from .topology import DecGraph, SpectralInfo
 
 
@@ -239,22 +239,22 @@ def _rng_for(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
 
 
-def _solve(prob, g, compressor, x0, y0, z_star, rng, log_stride, segments):
-    """The solve loop of both schedules.  segments(x, y, counters) gets
-    every node's copy of (x0, y0) and yields (ens, params, draw, steps,
-    after) per segment: its ensemble, parameter set, bound draw, step
-    count, and None or a hook run after every step.  It resumes once the
-    segment has run.  The iteration count runs across segments, and a trace
-    row is logged at every multiple of log_stride.  Returns (trace, ens)."""
-    x = np.tile(np.asarray(x0, dtype=float), (g.m, 1))
-    y = np.tile(np.asarray(y0, dtype=float), (g.m, 1))
+def _solve(prob, g, compressor, z0, z_star, rng, log_stride, segments):
+    """The solve loop of both schedules.  segments(Z, counters) gets the
+    stacked (2, m, d) start, every node at the (2, d) point z0, and yields
+    (ens, params, draw, steps, after) per segment: its ensemble, parameter
+    set, bound draw, step count, and None or a hook run after every step.
+    It resumes once the segment has run.  The iteration count runs across
+    segments, and a trace row, its distance to the (2, d) saddle point
+    z_star, is logged at every multiple of log_stride.  Returns (trace,
+    ens)."""
+    Z = np.tile(np.asarray(z0, dtype=float)[:, None], (1, g.m, 1))
     trace = Trace()
     counters = CostCounters()
-    zs = z_star.stacked()
     ens = None
     it = 0
     with overflow_guard():
-        for ens, params, draw, steps, after in segments(x, y, counters):
+        for ens, params, draw, steps, after in segments(Z, counters):
             step = step_plan(
                 ens, params.step_params(), g, draw, prob, compressor, rng, counters
             )
@@ -264,7 +264,7 @@ def _solve(prob, g, compressor, x0, y0, z_star, rng, log_stride, segments):
                     after()
                 it += 1
                 if it % log_stride == 0:
-                    trace.log(it, counters, distance_to_saddle(ens, zs))
+                    trace.log(it, counters, distance_to_saddle(ens, z_star))
     return trace, ens
 
 
@@ -274,30 +274,31 @@ def run_crdpsg(
     spec: SpectralInfo | None,
     compressor: Compressor,
     K: int,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    z_star: PrimalDualPoint,
+    z0: np.ndarray,
+    z_star: np.ndarray,
     seed: int,
     log_stride: int = 1,
 ):
-    """Restart-based stochastic-gradient run: the restart schedule over
-    the shared solve loop, one segment per stage.  Every stage rebuilds its
-    schedule, zeroes the dual trackers, resets the compression references
-    to the current iterates (one uncompressed broadcast round), and runs
-    t_k inner steps with minibatch gradients.  Returns (trace, ensemble).
+    """Restart-based stochastic-gradient run from the stacked (2, d) start
+    z0, logged against the (2, d) saddle point z_star: the restart schedule
+    over the shared solve loop, one segment per stage.  Every stage
+    rebuilds its schedule, zeroes the dual trackers, resets the
+    compression references to the current iterates (one uncompressed
+    broadcast round), and runs t_k inner steps with minibatch gradients.
+    Returns (trace, ensemble).
     """
     rng = _rng_for(seed, 0x5501)
 
-    def stages(x, y, counters):
+    def stages(Z, counters):
         for k in range(K):
             params = crdpsg_stage_params(k, prob.constants, compressor.delta, spec)
-            ens = NodeEnsemble.initialize(g, x, y)
+            ens = NodeEnsemble.initialize(g, Z)
             # restart broadcast of the fresh references, sent uncompressed
             counters.add_round(ens.Z.size, 32)
             yield ens, params, gsgo_draw(prob, ens.Z, rng), params.t, None
-            x, y = ens.x, ens.y
+            Z = ens.Z
 
-    return _solve(prob, g, compressor, x0, y0, z_star, rng, log_stride, stages)
+    return _solve(prob, g, compressor, z0, z_star, rng, log_stride, stages)
 
 
 def run_cdpsvrg(
@@ -306,16 +307,17 @@ def run_cdpsvrg(
     spec: SpectralInfo | None,
     compressor: Compressor,
     T: int,
-    x0: np.ndarray,
-    y0: np.ndarray,
-    z_star: PrimalDualPoint,
+    z0: np.ndarray,
+    z_star: np.ndarray,
     seed: int,
     p: float | None = None,
     log_stride: int = 1,
 ):
-    """Variance-reduced run: one segment of T steps with one parameter set
-    over the shared solve loop; after every step a Bernoulli(p) coin may
-    refresh the reference points.  Returns (trace, ensemble)."""
+    """Variance-reduced run from the stacked (2, d) start z0, logged
+    against the (2, d) saddle point z_star: one segment of T steps with one
+    parameter set over the shared solve loop; after every step a
+    Bernoulli(p) coin may refresh the reference points.  Returns (trace,
+    ensemble)."""
     rng = _rng_for(seed, 0x5502)
     if p is None:
         p = 1.0 / prob.n
@@ -323,18 +325,18 @@ def run_cdpsvrg(
         prob.constants, compressor.delta, spec, prob.n, p_min=1.0 / prob.n, p=p
     )
 
-    def segment(x, y, counters):
-        ens = NodeEnsemble.initialize(g, x, y)
-        state = SvrgState.initialize(prob, x, y, p=p)
+    def segment(Z, counters):
+        ens = NodeEnsemble.initialize(g, Z)
+        state = SvrgState.initialize(prob, Z, p=p)
         counters.add_grad(prob.m * prob.n)  # initial reference gradients
 
         def refresh():
-            _, cost = svrgo_update_reference(state, prob, ens.x, ens.y, rng)
+            _, cost = svrgo_update_reference(state, prob, ens.Z, rng)
             counters.add_grad(cost)
 
         yield ens, params, svrgo_draw(prob, ens.Z, state, rng), T, refresh
 
-    return _solve(prob, g, compressor, x0, y0, z_star, rng, log_stride, segment)
+    return _solve(prob, g, compressor, z0, z_star, rng, log_stride, segment)
 
 
 def compute_reference(
@@ -357,8 +359,8 @@ def compute_reference(
     After every step the run stops once the squared prox fixed-point
     residual at the variance-reduced schedule's step mu/(24 L^2) is at
     most tol; the check reuses F at the new iterate, which the next
-    predictor needs anyway.  Draws no random numbers.  Returns
-    (PrimalDualPoint, residual).
+    predictor needs anyway.  Draws no random numbers.  Returns (z,
+    residual), z the stacked (2, d) saddle point [x, y].
     """
     if prob.m != 1:
         raise ValueError("reference computation expects an m = 1 problem")
@@ -366,27 +368,24 @@ def compute_reference(
     h_min = 1.0 / (4.0 * consts.L)
     s = consts.mu / (24.0 * consts.L**2)
 
-    def grads(Z):
-        return prob.full_grads(Z[0], Z[1])
-
     # the single node's iterate as a one-row stacked point (2, 1, d)
     Z = np.zeros((2, 1, prob.d))
     h = h_min
     with overflow_guard():
-        G = grads(Z)
+        G = prob.full_grads(Z)
         residual = prob.prox_residual(Z, G, s)
         for _ in range(iterations):
             if residual <= tol:
                 break
             while True:
                 W = prob.prox_step(Z, G, h)
-                GW = grads(W)
+                GW = prob.full_grads(W)
                 dG, dZ = GW - G, W - Z
                 if h <= h_min or h * h * np.vdot(dG, dG) <= 0.81 * np.vdot(dZ, dZ):
                     break
                 h = 0.5 * h  # h is 1/(4L) times a power of two
             Z = prob.prox_step(Z, GW, h)
-            G = grads(Z)
+            G = prob.full_grads(Z)
             residual = prob.prox_residual(Z, G, s)
             h = 2.0 * h
     if residual > 1e-7:
@@ -395,4 +394,4 @@ def compute_reference(
             f"{iterations} iterations",
             stacklevel=2,
         )
-    return PrimalDualPoint(Z[0, 0], Z[1, 0]), residual
+    return Z[:, 0], residual

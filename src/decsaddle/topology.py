@@ -164,17 +164,19 @@ def mix(g: DecGraph, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     return np.matmul(g.W, V, out=out)
 
 
-def pinv_weighted_sqnorm(spec: SpectralInfo, V: np.ndarray) -> float:
-    """Squared norm of stacked V in the pseudoinverse metric of I-W.
+def pinv_weighted_sqnorm(spec: SpectralInfo, V: np.ndarray):
+    """Squared norm of the (m, d) node rows V in the pseudoinverse metric
+    of I-W, reduced over the last two axes: a float for one (m, d) block,
+    one value per block for a stacked (..., m, d) array.
 
     The all-ones (zero-eigenvalue) direction is projected out; every other
     eigendirection is weighted by 1/lambda_e.
     """
     V = np.asarray(V, dtype=float)
-    if V.shape[0] != spec.eigvals.shape[0]:
+    if V.ndim < 2 or V.shape[-2] != spec.eigvals.shape[0]:
         raise ValueError("node-block count does not match the graph")
-    # coeffs[e] = (u_e^T o I) V, one row per eigenvector
+    # coeffs[..., e, :] = (u_e^T o I) V, one row per eigenvector
     coeffs = spec.eigvecs.T @ V
     lam = spec.eigvals
     keep = lam > DISCONNECT_TOL
-    return float(np.sum(np.sum(coeffs[keep] ** 2, axis=1) / lam[keep]))
+    return np.sum(np.sum(coeffs[..., keep, :] ** 2, axis=-1) / lam[keep], axis=-1)

@@ -131,6 +131,6 @@ def acc_compressor():
 
 @pytest.fixture(scope="session")
 def acc_start():
+    # the stacked (2, d) start [x0, y0]
     x0 = np.full(ACC["d"], ACC["R_x"] / np.sqrt(ACC["d"]))
-    y0 = np.zeros(ACC["d"])
-    return x0, y0
+    return np.array([x0, np.zeros(ACC["d"])])

@@ -13,7 +13,6 @@ import pytest
 
 import decsaddle as ds
 from decsaddle.oracles import SvrgState
-from decsaddle.problem import PrimalDualPoint
 
 from conftest import ACC, PickBatch, estimate_delta, project
 
@@ -46,20 +45,19 @@ def test_criterion_01_deterministic_contraction(acc_dataset, acc_graph, acc_zsta
     rho0 = ds.contraction_rate(params, spec)
     anchors = ds.compute_anchors(prob, z, params.s)
     comp = ds.identity_compressor()
-    x0 = np.full(prob.d, ACC["R_x"] / np.sqrt(prob.d))
-    ens = ds.NodeEnsemble.initialize(
-        g, np.tile(x0, (g.m, 1)), np.zeros((g.m, prob.d))
-    )
-    draw = lambda: (prob.full_grads(ens.x, ens.y), g.m)
+    Z0 = np.zeros((2, g.m, prob.d))
+    Z0[0] = ACC["R_x"] / np.sqrt(prob.d)
+    ens = ds.NodeEnsemble.initialize(g, Z0)
+    draw = lambda: (prob.full_grads(ens.Z), g.m)
     step = ds.step_plan(
         ens, params.step_params(), g, draw, prob, comp, np.random.default_rng(0)
     )
-    prev = ds.phi(ens, anchors, params, 0.0, spec)
+    prev = ds.phi(ens, anchors, params, spec)
     worst = 0.0
     ok = True
     for _ in range(200):
         step()
-        cur = ds.phi(ens, anchors, params, 0.0, spec)
+        cur = ds.phi(ens, anchors, params, spec)
         if cur > rho0 * prev + 1e-10:
             ok = False
         worst = max(worst, cur / prev)
@@ -75,9 +73,8 @@ def test_criterion_02_cdpsvrg_linear_convergence(
 ):
     g, spec = acc_graph
     z, _ = acc_zstar
-    x0, y0 = acc_start
     trace, _ = ds.run_cdpsvrg(
-        acc_problem, g, spec, acc_compressor, 20_000, x0, y0, z,
+        acc_problem, g, spec, acc_compressor, 20_000, acc_start, z,
         seed=3, log_stride=10,
     )
     final = trace.rows[-1][4]
@@ -101,12 +98,9 @@ def test_criterion_03_crdpsg_progress(
 ):
     g, spec = acc_graph
     z, _ = acc_zstar
-    x0, y0 = acc_start
-    initial = float(
-        g.m * (np.sum((x0 - z.x) ** 2) + np.sum((y0 - z.y) ** 2))
-    )
+    initial = float(g.m * np.sum((acc_start - z) ** 2))
     trace, _ = ds.run_crdpsg(
-        acc_problem, g, spec, acc_compressor, 5, x0, y0, z, seed=3, log_stride=10
+        acc_problem, g, spec, acc_compressor, 5, acc_start, z, seed=3, log_stride=10
     )
     best = min(r[4] for r in trace.rows)
     ok = best <= 1e-4 * initial
@@ -125,16 +119,15 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
     )
     g1 = ds.DecGraph(1, np.array([[1.0]]))
     comp = ds.identity_compressor()
-    x0 = np.full(prob.d, 5.0)
-    y0 = np.zeros(prob.d)
+    z0 = np.array([np.full(prob.d, 5.0), np.zeros(prob.d)])
     n_iter = 500
 
     # independent centralized proximal gradient descent-ascent
     def centralized(s_schedule):
-        x, y = x0.copy(), y0.copy()
+        x, y = z0.copy()
         states = []
         for s in s_schedule:
-            gx, gy = prob.full_grads(x[None], y[None])[:, 0]
+            gx, gy = prob.full_grads(np.array([x, y])[:, None])[:, 0]
             x = project(prob, x - s * gx, 0)
             y = project(prob, y + s * gy, 1)
             states.append((x.copy(), y.copy()))
@@ -142,8 +135,8 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
 
     # restart solver, stage 0 truncated to 500 inner steps
     p0 = ds.crdpsg_stage_params(0, prob.constants, 0.0, None)
-    ens = ds.NodeEnsemble.initialize(g1, x0[None, :], y0[None, :])
-    draw = lambda: (prob.full_grads(ens.x, ens.y), 1)
+    ens = ds.NodeEnsemble.initialize(g1, z0[:, None])
+    draw = lambda: (prob.full_grads(ens.Z), 1)
     step = ds.step_plan(
         ens, p0.step_params(), g1, draw, prob, comp, np.random.default_rng(0)
     )
@@ -153,20 +146,20 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
         step()
         worst_a = max(
             worst_a,
-            np.max(np.abs(ens.x[0] - ref[t][0])),
-            np.max(np.abs(ens.y[0] - ref[t][1])),
+            np.max(np.abs(ens.Z[0, 0] - ref[t][0])),
+            np.max(np.abs(ens.Z[1, 0] - ref[t][1])),
         )
 
     # variance-reduced solver with all stochasticity collapsed
     vp = ds.cdpsvrg_params(prob.constants, 0.0, None, 1, 1.0, 1.0)
     _, ens2 = ds.run_cdpsvrg(
-        prob, g1, None, comp, n_iter, x0, y0, z, seed=0, p=1.0,
+        prob, g1, None, comp, n_iter, z0, z, seed=0, p=1.0,
         log_stride=n_iter,
     )
     ref2 = centralized([vp.s] * n_iter)
     worst_b = max(
-        np.max(np.abs(ens2.x[0] - ref2[-1][0])),
-        np.max(np.abs(ens2.y[0] - ref2[-1][1])),
+        np.max(np.abs(ens2.Z[0, 0] - ref2[-1][0])),
+        np.max(np.abs(ens2.Z[1, 0] - ref2[-1][1])),
     )
     ok = worst_a <= 1e-12 and worst_b <= 1e-12
     _report(
@@ -215,16 +208,17 @@ def test_criterion_06_svrgo_exact_unbiasedness(acc_dataset):
         acc_dataset, part, lam=ACC["lam"], beta=ACC["beta"],
         R_x=ACC["R_x"], R_y=ACC["R_y"],
     )
-    z_ref = PrimalDualPoint(np.full(prob.d, 0.3), np.full(prob.d, 0.05))
-    zq = PrimalDualPoint(np.full(prob.d, -1.2), np.full(prob.d, 0.1))
-    st = SvrgState.initialize(prob, z_ref.x[None], z_ref.y[None], p=0.5)
+    # one-node stacked (2, 1, d) points
+    z_ref = np.array([np.full(prob.d, 0.3), np.full(prob.d, 0.05)])[:, None]
+    zq = np.array([np.full(prob.d, -1.2), np.full(prob.d, 0.1)])[:, None]
+    st = SvrgState.initialize(prob, z_ref, p=0.5)
     mean_gx = np.zeros(prob.d)
     mean_gy = np.zeros(prob.d)
     var_at_ref = 0.0
     # bound draws at both points that take batch l
     pick = PickBatch(4)
-    draw_q = ds.svrgo_draw(prob, zq.stacked(), st, pick)
-    draw_ref = ds.svrgo_draw(prob, z_ref.stacked(), st, pick)
+    draw_q = ds.svrgo_draw(prob, zq, st, pick)
+    draw_ref = ds.svrgo_draw(prob, z_ref, st, pick)
     for l in range(4):
         pick.l = l
         (gx, gy), _ = draw_q()
@@ -234,7 +228,7 @@ def test_criterion_06_svrgo_exact_unbiasedness(acc_dataset):
         var_at_ref += float(
             np.sum((rx[0] - st.g_tilde[0, 0]) ** 2) + np.sum((ry[0] - st.g_tilde[1, 0]) ** 2)
         )
-    fx, fy = prob.full_grads(zq.x[None], zq.y[None])[:, 0]
+    fx, fy = prob.full_grads(zq)[:, 0]
     dev = max(np.max(np.abs(mean_gx - fx)), np.max(np.abs(mean_gy - fy)))
     ok = dev <= 1e-14 and var_at_ref == 0.0
     _report(
@@ -248,15 +242,12 @@ def test_criterion_07_structural_invariants(
 ):
     g, spec = acc_graph
     prob = acc_problem
-    x0, y0 = acc_start
     params = ds.cdpsvrg_params(
         prob.constants, acc_compressor.delta, spec, prob.n,
         p_min=1.0 / prob.n, p=1.0 / prob.n,
     )
-    ens = ds.NodeEnsemble.initialize(
-        g, np.tile(x0, (g.m, 1)), np.tile(y0, (g.m, 1))
-    )
-    state = SvrgState.initialize(prob, ens.x, ens.y, p=1.0 / prob.n)
+    ens = ds.NodeEnsemble.initialize(g, np.tile(acc_start[:, None], (1, g.m, 1)))
+    state = SvrgState.initialize(prob, ens.Z, p=1.0 / prob.n)
     counters = ds.CostCounters()
     counters.add_grad(prob.m * prob.n)
     rng = np.random.default_rng(9)
@@ -270,21 +261,21 @@ def test_criterion_07_structural_invariants(
     coords = g.m * (prob.d + prob.d)
     for t in range(10_000):
         step()
-        state, cost = ds.svrgo_update_reference(state, prob, ens.x, ens.y, rng)
+        state, cost = ds.svrgo_update_reference(state, prob, ens.Z, rng)
         counters.add_grad(cost)
         # rounding drift compounds over 10^4 tracker updates, hence the
-        # looser tolerance than the short-horizon unit test
-        for D in (ens.Dx, ens.Dy):
+        # looser tolerance than the short-horizon unit test; every check
+        # runs block by block (x, then y)
+        for D in ens.D:
             if np.abs(D.sum(axis=0)).max() > 1e-7 * (1 + np.linalg.norm(D)):
                 ok, details = False, details + [f"dual-tracker drift at {t}"]
-        for cs in (ens.comm_x, ens.comm_y):
-            scale = 1 + np.max(np.abs(cs.Hw))
-            if np.max(np.abs(cs.Hw - ds.mix(g, cs.H))) > 1e-9 * scale:
+        for H, Hw in zip(ens.comm.H, ens.comm.Hw):
+            scale = 1 + np.max(np.abs(Hw))
+            if np.max(np.abs(Hw - ds.mix(g, H))) > 1e-9 * scale:
                 ok, details = False, details + [f"reference mismatch at {t}"]
-        if np.any(np.linalg.norm(ens.x, axis=1) > prob.R_x + 1e-9) or np.any(
-            np.linalg.norm(ens.y, axis=1) > prob.R_y + 1e-9
-        ):
-            ok, details = False, details + [f"ball violation at {t}"]
+        for Zb, R in zip(ens.Z, (prob.R_x, prob.R_y)):
+            if np.any(np.linalg.norm(Zb, axis=1) > R + 1e-9):
+                ok, details = False, details + [f"ball violation at {t}"]
         cur = (counters.grad_units, counters.comm_rounds, counters.bits)
         if any(c < p for c, p in zip(cur, prev)):
             ok, details = False, details + [f"counter decreased at {t}"]
@@ -366,7 +357,7 @@ def test_criterion_08_lipschitz_dominance_sparse_dataset():
 def test_criterion_09_reference_fixed_point(acc_zstar, acc_zstar_alt):
     z, res = acc_zstar
     z2, res2 = acc_zstar_alt
-    gap = float(np.linalg.norm(z.x - z2.x) + np.linalg.norm(z.y - z2.y))
+    gap = float(np.linalg.norm(z[0] - z2[0]) + np.linalg.norm(z[1] - z2[1]))
     ok = res <= 1e-7 and res2 <= 1e-7 and gap <= 1e-7
     _report(
         9, "reference saddle point: tiny residual, seed-independent",
@@ -379,11 +370,10 @@ def test_criterion_10_refresh_probability_trend(
 ):
     g, spec = acc_graph
     z, _ = acc_zstar
-    x0, y0 = acc_start
     units = {}
     for p in (1.0 / acc_problem.n, 1.0 / acc_problem.constants.kappa_f):
         trace, _ = ds.run_cdpsvrg(
-            acc_problem, g, spec, acc_compressor, 20_000, x0, y0, z,
+            acc_problem, g, spec, acc_compressor, 20_000, acc_start, z,
             seed=3, p=p, log_stride=10,
         )
         units[p] = next((r[1] for r in trace.rows if r[4] <= 1e-6), None)

@@ -102,8 +102,8 @@ def test_reference_command_roundtrip(tmp_path):
         reference={"compute": {"tol": 1e-22}},
     )
     assert main(["reference", _write(tmp_path, cfg)]) == EXIT_OK
-    z = read_zstar(str(tmp_path / "zstar.txt"))
-    assert z.x.size == 6 and z.y.size == 6
+    z = read_zstar(str(tmp_path / "zstar.txt"), 6)
+    assert z.shape == (2, 6)
     # rerun the run command against the stored reference
     cfg2 = _base_config(tmp_path, reference={"path": str(tmp_path / "zstar.txt")})
     assert main(["run", _write(tmp_path, cfg2, "cfg2.json")]) == EXIT_OK
@@ -131,11 +131,11 @@ def test_stored_reference_of_other_size_is_config_error(tmp_path, header):
 
 
 def test_zstar_roundtrip(tmp_path):
-    z = ds.PrimalDualPoint(np.array([1.5, -2.25]), np.array([0.125]))
+    z = np.array([[1.5, -2.25], [0.125, 0.0]])
     path = str(tmp_path / "z.txt")
     write_zstar(path, z, 1e-10)
-    z2 = read_zstar(path)
-    assert np.array_equal(z.x, z2.x) and np.array_equal(z.y, z2.y)
+    z2 = read_zstar(path, 2)
+    assert np.array_equal(z, z2)
 
 
 def test_crdpsg_run(tmp_path):
@@ -163,8 +163,10 @@ def test_config_requires_reference_for_runs(tmp_path):
         {},
         {"algorithm": "crdpsg", "budget": {"stages": 2},
          "compression": {"kind": "identity"}},
+        # at d = 1 the quantizer is exact: delta = 0
+        {"dataset": {"kind": "synthetic", "N": 60, "d": 1, "seed": 2}},
     ],
-    ids=["cdpsvrg-qinf-auto", "crdpsg-identity"],
+    ids=["cdpsvrg-qinf-auto", "crdpsg-identity", "cdpsvrg-qinf-d1"],
 )
 def test_meta_derived_matches_validate(tmp_path, capsys, overrides):
     path = _write(tmp_path, _base_config(tmp_path, **overrides))
@@ -184,7 +186,7 @@ def test_meta_derived_matches_validate(tmp_path, capsys, overrides):
 def test_malformed_stored_reference_is_config_error(tmp_path, text):
     (tmp_path / "zstar.txt").write_text(text)
     with pytest.raises(ConfigError):
-        read_zstar(str(tmp_path / "zstar.txt"))
+        read_zstar(str(tmp_path / "zstar.txt"), 1)
     cfg = _base_config(tmp_path, reference={"path": str(tmp_path / "zstar.txt")})
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ds.__file__)))
     proc = subprocess.run(

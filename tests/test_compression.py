@@ -134,7 +134,8 @@ def test_quantizer_delta_bounds_random_vectors(b, d):
 
 
 def test_quantizer_delta_positive_at_32_bits():
-    # (sqrt(1+t) - 1)/2 rounds to 0 here, which the (0, 1] window refuses
+    # (sqrt(1+t) - 1)/2 rounds to 0 here, which the [0, 1] window would
+    # take for the exact d = 1 quantizer; the evaluated form keeps its digits
     assert ds.quantizer_delta(32, 10) == pytest.approx(9.0 * 4.0**-31 / 4.0)
     assert ds.quantizer_delta(32, 10) > 0.0
 

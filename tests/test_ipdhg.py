@@ -14,23 +14,23 @@ def _problem(m, n=1, N=24, d=3, seed=0, lam=1.0, beta=0.5):
 
 
 def _exact_draw(prob, ens):
-    return lambda: (prob.full_grads(ens.x, ens.y), prob.m)
+    return lambda: (prob.full_grads(ens.Z), prob.m)
 
 
 def test_single_node_reduces_to_prox_gda():
     prob = _problem(m=1)
     g = ds.DecGraph(1, np.array([[1.0]]))
     params = ds.StepParams(s=0.01, gamma_x=1.0, gamma_y=1.0, alpha_x=0.3, alpha_y=0.3)
-    x = np.array([[0.5, -0.2, 0.1]])
-    y = np.array([[0.0, 0.1, 0.0]])
-    ens = ds.NodeEnsemble.initialize(g, x, y)
+    Z = np.array([[[0.5, -0.2, 0.1]], [[0.0, 0.1, 0.0]]])
+    x, y = Z
+    ens = ds.NodeEnsemble.initialize(g, Z)
     comp = ds.identity_compressor()
     rng = np.random.default_rng(0)
     ds.step_plan(ens, params, g, _exact_draw(prob, ens), prob, comp, rng)()
-    gx, gy = prob.full_grads(x, y)[:, 0]
-    assert np.allclose(ens.x[0], project(prob, x[0] - 0.01 * gx, 0), atol=1e-15)
-    assert np.allclose(ens.y[0], project(prob, y[0] + 0.01 * gy, 1), atol=1e-15)
-    assert np.allclose(ens.Dx, 0.0, atol=0) and np.allclose(ens.Dy, 0.0, atol=0)
+    gx, gy = prob.full_grads(Z)[:, 0]
+    assert np.allclose(ens.Z[0, 0], project(prob, x[0] - 0.01 * gx, 0), atol=1e-15)
+    assert np.allclose(ens.Z[1, 0], project(prob, y[0] + 0.01 * gy, 1), atol=1e-15)
+    assert np.allclose(ens.D[0], 0.0, atol=0) and np.allclose(ens.D[1], 0.0, atol=0)
 
 
 def test_fixed_point_is_stationary(acc_graph, acc_problem, acc_zstar):
@@ -41,20 +41,15 @@ def test_fixed_point_is_stationary(acc_graph, acc_problem, acc_zstar):
     s = 0.001
     anchors = ds.compute_anchors(prob, z, s)
     params = ds.StepParams(s=s, gamma_x=0.01, gamma_y=0.01, alpha_x=0.3, alpha_y=0.3)
-    x = np.tile(z.x, (g.m, 1))
-    y = np.tile(z.y, (g.m, 1))
+    Z = np.tile(z[:, None], (1, g.m, 1))
     ens = ds.NodeEnsemble(
-        Z=np.array([x, y]),
-        D=np.array([anchors.D_star_x, anchors.D_star_y]),
-        comm=ds.CommState.from_reference(
-            g, np.array([anchors.H_star_x, anchors.H_star_y])
-        ),
+        Z=Z, D=anchors.D_star, comm=ds.CommState.from_reference(g, anchors.H_star)
     )
     comp = ds.identity_compressor()
     rng = np.random.default_rng(0)
     ds.step_plan(ens, params, g, _exact_draw(prob, ens), prob, comp, rng)()
-    assert np.max(np.abs(ens.x - x)) <= 1e-10
-    assert np.max(np.abs(ens.y - y)) <= 1e-10
+    assert np.max(np.abs(ens.Z[0] - Z[0])) <= 1e-10
+    assert np.max(np.abs(ens.Z[1] - Z[1])) <= 1e-10
 
 
 @pytest.mark.parametrize(
@@ -71,18 +66,16 @@ def test_step_matches_straight_line_transcription(g, N, lam):
     rng0 = np.random.default_rng(8)
     x = rng0.standard_normal((m, 1))
     y = 0.3 * rng0.standard_normal((m, 1))
-    ens = ds.NodeEnsemble.initialize(g, x, y)
-    Dx0 = ens.Dx.copy()
-    Dy0 = ens.Dy.copy()
-    Hx0 = ens.comm_x.H.copy()
-    Hy0 = ens.comm_y.H.copy()
+    ens = ds.NodeEnsemble.initialize(g, np.array([x, y]))
+    Dx0, Dy0 = ens.D.copy()
+    Hx0, Hy0 = ens.comm.H.copy()
     comp = ds.identity_compressor()
     ds.step_plan(
         ens, params, g, _exact_draw(prob, ens), prob, comp, np.random.default_rng(0)
     )()
 
     W = g.W
-    Gx, Gy = prob.full_grads(x, y)
+    Gx, Gy = prob.full_grads(np.array([x, y]))
     s, gx_, gy_ = params.s, params.gamma_x, params.gamma_y
     nux = x - s * Gx - s * Dx0
     nux_hat = nux  # identity compression: the quantized difference is exact
@@ -96,13 +89,13 @@ def test_step_matches_straight_line_transcription(g, N, lam):
     y1 = nuy - (gy_ / 2) * (nuy - nuy_hat_w)
     y1 = np.stack([project(prob, y1[i], 1) for i in range(m)])
 
-    assert np.max(np.abs(ens.x - x1)) <= 1e-14
-    assert np.max(np.abs(ens.y - y1)) <= 1e-14
-    assert np.max(np.abs(ens.Dx - Dx1)) <= 1e-14
-    assert np.max(np.abs(ens.Dy - Dy1)) <= 1e-14
+    assert np.max(np.abs(ens.Z[0] - x1)) <= 1e-14
+    assert np.max(np.abs(ens.Z[1] - y1)) <= 1e-14
+    assert np.max(np.abs(ens.D[0] - Dx1)) <= 1e-14
+    assert np.max(np.abs(ens.D[1] - Dy1)) <= 1e-14
     # reference updates
-    assert np.allclose(ens.comm_x.H, (1 - 0.2) * Hx0 + 0.2 * nux_hat, atol=1e-14)
-    assert np.allclose(ens.comm_y.H, (1 - 0.25) * Hy0 + 0.25 * nuy, atol=1e-14)
+    assert np.allclose(ens.comm.H[0], (1 - 0.2) * Hx0 + 0.2 * nux_hat, atol=1e-14)
+    assert np.allclose(ens.comm.H[1], (1 - 0.25) * Hy0 + 0.25 * nuy, atol=1e-14)
 
 
 def test_dual_tracker_mean_invariant():
@@ -113,16 +106,16 @@ def test_dual_tracker_mean_invariant():
         s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2, delta=0.1
     )
     rng = np.random.default_rng(5)
-    ens = ds.NodeEnsemble.initialize(g, np.zeros((4, 3)), np.zeros((4, 3)))
+    ens = ds.NodeEnsemble.initialize(g, np.zeros((2, 4, 3)))
     step = ds.step_plan(ens, params, g, ds.gsgo_draw(prob, ens.Z, rng), prob, comp, rng)
     for _ in range(2000):
         step()
-        for D in (ens.Dx, ens.Dy):
+        for D in ens.D:
             col = np.abs(D.sum(axis=0)).max()
             assert col <= 1e-9 * (1 + np.linalg.norm(D))
     # iterates stay inside their balls
-    assert np.all(np.linalg.norm(ens.x, axis=1) <= prob.R_x + 1e-9)
-    assert np.all(np.linalg.norm(ens.y, axis=1) <= prob.R_y + 1e-9)
+    assert np.all(np.linalg.norm(ens.Z[0], axis=1) <= prob.R_x + 1e-9)
+    assert np.all(np.linalg.norm(ens.Z[1], axis=1) <= prob.R_y + 1e-9)
 
 
 def test_counters_recorded():
@@ -132,7 +125,7 @@ def test_counters_recorded():
     params = ds.StepParams(
         s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2, delta=0.1
     )
-    ens = ds.NodeEnsemble.initialize(g, np.zeros((3, 3)), np.zeros((3, 3)))
+    ens = ds.NodeEnsemble.initialize(g, np.zeros((2, 3, 3)))
     counters = ds.CostCounters()
     rng = np.random.default_rng(0)
     ds.step_plan(ens, params, g, _exact_draw(prob, ens), prob, comp, rng, counters)()
@@ -147,10 +140,10 @@ def test_nonfinite_iterate_raises(block):
     prob = _problem(m=3)
     g = ds.build_ring(3)
     params = ds.StepParams(s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2)
-    ens = ds.NodeEnsemble.initialize(g, np.zeros((3, 3)), np.zeros((3, 3)))
+    ens = ds.NodeEnsemble.initialize(g, np.zeros((2, 3, 3)))
 
     def draw():
-        G = prob.full_grads(ens.x, ens.y)
+        G = prob.full_grads(ens.Z)
         G[block, 1, 0] = np.nan
         return G, prob.m
 
@@ -184,7 +177,7 @@ def test_ensemble_trajectory_matches_per_node_loop():
     s, ax, ay = params.s, params.alpha_x, params.alpha_y
     x = np.random.default_rng(2).standard_normal((4, 3))
     y = np.zeros((4, 3))
-    ens = ds.NodeEnsemble.initialize(g, x, y)
+    ens = ds.NodeEnsemble.initialize(g, np.array([x, y]))
     comp = ds.identity_compressor()
     rng = np.random.default_rng(3)
     step = ds.step_plan(ens, params, g, ds.gsgo_draw(prob, ens.Z, rng), prob, comp, rng)
@@ -209,7 +202,7 @@ def test_ensemble_trajectory_matches_per_node_loop():
         y = np.stack([project(prob, r, 1) for r in nuy - (params.gamma_y / 2) * (nuy - nuy_w)])
         Hx, Hwx = (1 - ax) * Hx + ax * nux, (1 - ax) * Hwx + ax * nux_w
         Hy, Hwy = (1 - ay) * Hy + ay * nuy, (1 - ay) * Hwy + ay * nuy_w
-        worst = max(worst, np.max(np.abs(ens.x - x)), np.max(np.abs(ens.y - y)))
+        worst = max(worst, np.max(np.abs(ens.Z[0] - x)), np.max(np.abs(ens.Z[1] - y)))
     assert worst <= 1e-12
 
 
@@ -224,7 +217,9 @@ def test_step_params_alpha_window():
     # parameters checked for a smaller delta than the compressor's
     prob = _problem(m=3)
     g = ds.build_ring(3)
-    ens = ds.NodeEnsemble.initialize(g, np.ones((3, 3)), np.zeros((3, 3)))
+    Z0 = np.zeros((2, 3, 3))
+    Z0[0] = 1.0
+    ens = ds.NodeEnsemble.initialize(g, Z0)
     lax = ds.StepParams(**dict(ok, alpha_x=0.9, delta=0.0))
     comp = ds.Compressor(kind="quantize_inf", bits=2, delta=0.5)
     with pytest.raises(InfeasibleParameterError):
@@ -241,7 +236,7 @@ def test_step_plan_checks_shapes_once():
     comp, rng = ds.identity_compressor(), np.random.default_rng(0)
     for m, d in ((4, 3), (3, 2)):
         g = ds.build_ring(m)
-        ens = ds.NodeEnsemble.initialize(g, np.zeros((m, d)), np.zeros((m, d)))
+        ens = ds.NodeEnsemble.initialize(g, np.zeros((2, m, d)))
         with pytest.raises(ValueError):
             ds.step_plan(ens, params, g, lambda: None, prob, comp, rng)
 
@@ -291,7 +286,7 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
     )
     s = params.s
     zeros = np.zeros((m, d))
-    ens = ds.NodeEnsemble.initialize(g, zeros, zeros)
+    ens = ds.NodeEnsemble.initialize(g, np.zeros((2, m, d)))
     rng, loop_rng = np.random.default_rng(4), np.random.default_rng(4)
     x, y, Dx, Dy = zeros, zeros, zeros, zeros
     Hx, Hwx, Hy, Hwy = zeros, zeros, zeros, zeros
@@ -300,18 +295,19 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
 
         def loop_grads(x, y, r):
             J = [int(r.integers(n)) for _ in range(m)]
-            Gb = prob.all_batch_grads(x, y)
+            Gb = prob.all_batch_grads(np.array([x, y]))
             rows = [Gb[:, i, J[i]] for i in range(m)]
             return np.array([gx for gx, _ in rows]), np.array([gy for _, gy in rows])
     else:
-        st = ds.SvrgState.initialize(prob, zeros, zeros, p=p_ref)
-        ref = [zeros, zeros]  # the transcription's reference points
+        st = ds.SvrgState.initialize(prob, np.zeros((2, m, d)), p=p_ref)
+        ref = np.zeros((2, m, d))  # the transcription's reference points
         draw = ds.svrgo_draw(prob, ens.Z, st, rng)
 
         def loop_grads(x, y, r):
             Gx, Gy = np.empty((m, d)), np.empty((m, d))
-            Gb, Gb_ref = prob.all_batch_grads(x, y), prob.all_batch_grads(*ref)
-            G_ref = prob.full_grads(*ref)
+            Gb = prob.all_batch_grads(np.array([x, y]))
+            Gb_ref = prob.all_batch_grads(ref)
+            G_ref = prob.full_grads(ref)
             for i in range(m):
                 j = int(r.choice(n, p=st.P[i]))
                 w = 1.0 / (n * st.P[i, j])
@@ -336,15 +332,15 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
         y = project(prob, nuy - (params.gamma_y / 2.0) * (nhy - nhwy), 1)
         x = x_new
         if kind == "svrgo":
-            st, _ = ds.svrgo_update_reference(st, prob, ens.x, ens.y, rng)
+            st, _ = ds.svrgo_update_reference(st, prob, ens.Z, rng)
             if loop_rng.random() < p_ref:
-                ref = [x, y]
+                ref = np.array([x, y])
         if t == 0:
             assert not y.any()  # zero dual rows: nothing drawn for them
         for a, b in (
-            (ens.x, x), (ens.y, y), (ens.Dx, Dx), (ens.Dy, Dy),
-            (ens.comm_x.H, Hx), (ens.comm_x.Hw, Hwx),
-            (ens.comm_y.H, Hy), (ens.comm_y.Hw, Hwy),
+            (ens.Z[0], x), (ens.Z[1], y), (ens.D[0], Dx), (ens.D[1], Dy),
+            (ens.comm.H[0], Hx), (ens.comm.Hw[0], Hwx),
+            (ens.comm.H[1], Hy), (ens.comm.Hw[1], Hwy),
         ):
             assert np.array_equal(a, b), f"step {t + 1}"
     assert rng.random() == loop_rng.random()
@@ -374,11 +370,11 @@ def test_bound_draws_match_one_shot_samplers(kind, quantized):
     params = ds.StepParams(
         s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25, delta=delta
     )
-    zeros = np.zeros((4, 3))
+    zeros = np.zeros((2, 4, 3))
     runs = []
     for _ in range(2):
-        ens = ds.NodeEnsemble.initialize(g, zeros, zeros)
-        st = ds.SvrgState.initialize(prob, zeros, zeros, p=0.3)
+        ens = ds.NodeEnsemble.initialize(g, zeros)
+        st = ds.SvrgState.initialize(prob, zeros, p=0.3)
         runs.append((ens, st, np.random.default_rng(6), ds.CostCounters()))
     (ens_a, st_a, rng_a, cnt_a), (ens_b, st_b, rng_b, cnt_b) = runs
     def bind_draw(ens, st, rng):
@@ -402,7 +398,7 @@ def test_bound_draws_match_one_shot_samplers(kind, quantized):
             )()
             if kind == "svrgo":
                 for ens, st, rng, cnt in runs:
-                    cnt.add_grad(ds.svrgo_update_reference(st, prob, ens.x, ens.y, rng)[1])
+                    cnt.add_grad(ds.svrgo_update_reference(st, prob, ens.Z, rng)[1])
             for a, b in ((ens_a.Z, ens_b.Z), (ens_a.D, ens_b.D),
                          (ens_a.comm.HH, ens_b.comm.HH)):
                 assert a.tobytes() == b.tobytes(), f"step {t + 1}"

@@ -6,7 +6,7 @@ import pytest
 import decsaddle as ds
 from conftest import PickBatch
 from decsaddle.oracles import SvrgState
-from decsaddle.problem import PrimalDualPoint, overflow_guard
+from decsaddle.problem import overflow_guard
 
 
 def _problem(m=1, n=4, N=16, d=3, seed=0):
@@ -15,22 +15,27 @@ def _problem(m=1, n=4, N=16, d=3, seed=0):
     return ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
 
 
-def _uncached(p, st, X, Y, J):
-    """w (grad_J(X) - grad_J(X_tilde)) + g_tilde of every node i on its
+def _uncached(p, st, Z, J):
+    """w (grad_J(Z) - grad_J(Z_tilde)) + g_tilde of every node i on its
     batch J[i], written out from the all-batch gradients at both points."""
     nodes = np.arange(p.m)
     w = (1.0 / (p.n * st.P[nodes, J]))[:, None]
-    fresh = p.all_batch_grads(X, Y)[:, nodes, J]
-    at_ref = p.all_batch_grads(st.x_tilde, st.y_tilde)[:, nodes, J]
-    return w * (fresh - at_ref) + p.full_grads(st.x_tilde, st.y_tilde)
+    fresh = p.all_batch_grads(Z)[:, nodes, J]
+    at_ref = p.all_batch_grads(st.Z_tilde)[:, nodes, J]
+    return w * (fresh - at_ref) + p.full_grads(st.Z_tilde)
+
+
+def _point(x, y):
+    """The one-node stacked (2, 1, d) point [x, y]."""
+    return np.array([x, y], dtype=float)[:, None]
 
 
 def test_gsgo_n1_deterministic():
     p = _problem(n=1)
-    z = PrimalDualPoint(np.ones(3), np.zeros(3))
-    (Gx, Gy), cost = ds.gsgo_draw(p, z.stacked(), np.random.default_rng(0))()
+    z = _point(np.ones(3), np.zeros(3))
+    (Gx, Gy), cost = ds.gsgo_draw(p, z, np.random.default_rng(0))()
     gx, gy = Gx[0], Gy[0]
-    fx, fy = p.full_grads(z.x[None], z.y[None])[:, 0]
+    fx, fy = p.full_grads(z)[:, 0]
     assert np.allclose(gx, fx, atol=0) and np.allclose(gy, fy, atol=0)
     assert cost == 1
 
@@ -38,9 +43,9 @@ def test_gsgo_n1_deterministic():
 def test_gsgo_unbiased_mc():
     p = _problem(n=4)
     rng = np.random.default_rng(1)
-    z = PrimalDualPoint(np.array([0.5, -0.3, 0.2]), np.array([0.1, 0.0, -0.1]))
-    fx = p.full_grads(z.x[None], z.y[None])[0, 0]
-    draw = ds.gsgo_draw(p, z.stacked(), rng)
+    z = _point([0.5, -0.3, 0.2], [0.1, 0.0, -0.1])
+    fx = p.full_grads(z)[0, 0]
+    draw = ds.gsgo_draw(p, z, rng)
     draws = np.stack([draw()[0][0, 0].copy() for _ in range(100_000)])
     sem = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.all(np.abs(draws.mean(axis=0) - fx) <= 3 * sem + 1e-12)
@@ -59,23 +64,23 @@ def test_gsgo_exact_mean():
     for l in range(p.n):
         pick.l = l
         mean += draw()[0] / p.n
-    assert np.max(np.abs(mean - p.full_grads(Z[0], Z[1]))) <= 1e-12
+    assert np.max(np.abs(mean - p.full_grads(Z))) <= 1e-12
 
 
 def test_gsgo_seed_determinism():
     p = _problem(n=4)
-    z = PrimalDualPoint(np.ones(3), np.zeros(3))
-    a = ds.gsgo_draw(p, z.stacked(), np.random.default_rng(42))()
-    b = ds.gsgo_draw(p, z.stacked(), np.random.default_rng(42))()
+    z = _point(np.ones(3), np.zeros(3))
+    a = ds.gsgo_draw(p, z, np.random.default_rng(42))()
+    b = ds.gsgo_draw(p, z, np.random.default_rng(42))()
     assert np.array_equal(a[0], b[0]) and a[1] == b[1]
 
 
 def test_svrgo_at_reference_exact():
     p = _problem(n=4)
-    z = PrimalDualPoint(np.array([0.5, 0.1, -0.2]), np.zeros(3))
-    st = SvrgState.initialize(p, z.x[None], z.y[None], p=0.5)
+    z = _point([0.5, 0.1, -0.2], np.zeros(3))
+    st = SvrgState.initialize(p, z, p=0.5)
     pick = PickBatch(4)
-    draw = ds.svrgo_draw(p, z.stacked(), st, pick)
+    draw = ds.svrgo_draw(p, z, st, pick)
     for l in range(4):
         pick.l = l
         st.unread = False  # run the kernel, not the first draw's cache read
@@ -89,36 +94,36 @@ def test_svrgo_at_reference_exact():
 def test_svrgo_exhaustive_unbiased():
     # enumerate all batch indices: the weighted average is the full gradient
     p = _problem(n=4)
-    z_ref = PrimalDualPoint(np.array([0.2, -0.4, 0.1]), np.array([0.05, 0.0, 0.0]))
-    z = PrimalDualPoint(np.array([-0.6, 0.3, 0.7]), np.array([0.0, 0.1, -0.05]))
-    st = SvrgState.initialize(p, z_ref.x[None], z_ref.y[None], p=0.5)
+    z_ref = _point([0.2, -0.4, 0.1], [0.05, 0.0, 0.0])
+    z = _point([-0.6, 0.3, 0.7], [0.0, 0.1, -0.05])
+    st = SvrgState.initialize(p, z_ref, p=0.5)
     mean_gx = np.zeros(3)
     mean_gy = np.zeros(3)
     pick = PickBatch(4)
-    draw = ds.svrgo_draw(p, z.stacked(), st, pick)
+    draw = ds.svrgo_draw(p, z, st, pick)
     for l in range(4):
         pick.l = l
         (Gx, Gy), _ = draw()
         gx, gy = Gx[0], Gy[0]
         mean_gx += st.P[0, l] * gx
         mean_gy += st.P[0, l] * gy
-    fx, fy = p.full_grads(z.x[None], z.y[None])[:, 0]
+    fx, fy = p.full_grads(z)[:, 0]
     assert np.max(np.abs(mean_gx - fx)) <= 1e-14
     assert np.max(np.abs(mean_gy - fy)) <= 1e-14
 
 
 def test_svrgo_uniform_classical_form():
     p = _problem(n=4)
-    z_ref = PrimalDualPoint(np.zeros(3), np.zeros(3))
-    z = PrimalDualPoint(np.ones(3), np.zeros(3))
-    st = SvrgState.initialize(p, z_ref.x[None], z_ref.y[None], p=0.5)
+    z_ref = _point(np.zeros(3), np.zeros(3))
+    z = _point(np.ones(3), np.zeros(3))
+    st = SvrgState.initialize(p, z_ref, p=0.5)
     l = 2
     pick = PickBatch(4)
     pick.l = l
-    gx = ds.svrgo_draw(p, z.stacked(), st, pick)()[0][0, 0]
+    gx = ds.svrgo_draw(p, z, st, pick)()[0][0, 0]
     expected = (
-        p.all_batch_grads(z.x[None], z.y[None])[0, 0, l]
-        - p.all_batch_grads(z_ref.x[None], z_ref.y[None])[0, 0, l]
+        p.all_batch_grads(z)[0, 0, l]
+        - p.all_batch_grads(z_ref)[0, 0, l]
         + st.g_tilde[0, 0]
     )
     assert np.allclose(gx, expected, atol=1e-15)
@@ -126,30 +131,30 @@ def test_svrgo_uniform_classical_form():
 
 def test_reference_update_p1_always():
     p = _problem(n=2)
-    z0 = PrimalDualPoint(np.zeros(3), np.zeros(3))
-    st = SvrgState.initialize(p, z0.x[None], z0.y[None], p=1.0)
-    z1 = PrimalDualPoint(np.ones(3), np.zeros(3))
+    z0 = _point(np.zeros(3), np.zeros(3))
+    st = SvrgState.initialize(p, z0, p=1.0)
+    z1 = _point(np.ones(3), np.zeros(3))
     rng = np.random.default_rng(0)
-    st2, cost = ds.svrgo_update_reference(st, p, z1.x[None], z1.y[None], rng)
-    assert np.array_equal(st2.x_tilde[0], z1.x)
+    st2, cost = ds.svrgo_update_reference(st, p, z1, rng)
+    assert np.array_equal(st2.Z_tilde[0, 0], z1[0, 0])
     assert cost == p.m * p.n
 
 
 def test_reference_update_p0_rejected():
     p = _problem(n=2)
-    z0 = PrimalDualPoint(np.zeros(3), np.zeros(3))
+    z0 = _point(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        SvrgState.initialize(p, z0.x[None], z0.y[None], p=0.0)
+        SvrgState.initialize(p, z0, p=0.0)
 
 
 def test_reference_update_frequency():
     p = _problem(n=2)
-    z0 = PrimalDualPoint(np.zeros(3), np.zeros(3))
-    st = SvrgState.initialize(p, z0.x[None], z0.y[None], p=0.1)
+    z0 = _point(np.zeros(3), np.zeros(3))
+    st = SvrgState.initialize(p, z0, p=0.1)
     rng = np.random.default_rng(4)
     hits = 0
     for _ in range(10_000):
-        _, cost = ds.svrgo_update_reference(st, p, z0.x[None], z0.y[None], rng)
+        _, cost = ds.svrgo_update_reference(st, p, z0, rng)
         hits += cost > 0
     # binomial(10^4, 0.1): 3 sigma band around 1000
     assert abs(hits - 1000) <= 3 * np.sqrt(10_000 * 0.1 * 0.9)
@@ -157,9 +162,9 @@ def test_reference_update_frequency():
 
 def test_bad_sampling_law_rejected():
     p = _problem(n=2)
-    z0 = PrimalDualPoint(np.zeros(3), np.zeros(3))
+    z0 = _point(np.zeros(3), np.zeros(3))
     with pytest.raises(ValueError):
-        SvrgState.initialize(p, z0.x[None], z0.y[None], p=0.5, P=np.array([[0.0, 1.0]]))
+        SvrgState.initialize(p, z0, p=0.5, P=np.array([[0.0, 1.0]]))
 
 
 def test_gsgo_draws_match_sequential_integers():
@@ -170,7 +175,7 @@ def test_gsgo_draws_match_sequential_integers():
     Y = 0.2 * rng.standard_normal((4, 3))
     rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
     draw = ds.gsgo_draw(p, np.array([X, Y]), rng_a)
-    Gb = p.all_batch_grads(X, Y)
+    Gb = p.all_batch_grads(np.array([X, Y]))
     for _ in range(50):
         (Gx, Gy), cost = draw()
         J = [int(rng_b.integers(p.n)) for _ in range(p.m)]
@@ -190,15 +195,16 @@ def test_svrgo_draws_match_sequential_choice():
     P /= P.sum(axis=1, keepdims=True)
     X = rng.standard_normal((4, 3))
     Y = 0.2 * rng.standard_normal((4, 3))
-    st = SvrgState.initialize(p, X + 0.5, Y, p=0.5, P=P)
+    st = SvrgState.initialize(p, np.array([X + 0.5, Y]), p=0.5, P=P)
     rng_a, rng_b = np.random.default_rng(32), np.random.default_rng(32)
     for _ in range(200):
         J = st.draw_batches(rng_a)
         expected = [int(rng_b.choice(p.n, p=P[i])) for i in range(p.m)]
         assert J.tolist() == expected
     assert rng_a.random() == rng_b.random()
-    G, cost = ds.svrgo_draw(p, np.array([X, Y]), st, np.random.default_rng(5))()
-    E = _uncached(p, st, X, Y, st.draw_batches(np.random.default_rng(5)))
+    Z = np.array([X, Y])
+    G, cost = ds.svrgo_draw(p, Z, st, np.random.default_rng(5))()
+    E = _uncached(p, st, Z, st.draw_batches(np.random.default_rng(5)))
     assert np.array_equal(G, E)
     assert cost == 2 * p.m
 
@@ -220,9 +226,9 @@ def test_svrgo_cache_matches_uncached_formula():
         rng = np.random.default_rng(13)
         P = rng.random((4, 3)) + 0.1
         P /= P.sum(axis=1, keepdims=True)
+        X0 = rng.standard_normal((4, 3))
         st = SvrgState.initialize(
-            p, rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3)),
-            p=1.0, P=P,
+            p, np.array([X0, 0.2 * rng.standard_normal((4, 3))]), p=1.0, P=P,
         )
         Z = np.empty((2, 4, 3))
         draw = ds.svrgo_draw(p, Z, st, rng)
@@ -233,15 +239,16 @@ def test_svrgo_cache_matches_uncached_formula():
                 Z[:] = X, Y
                 # the batches the draw takes, from a copy of its generator
                 J = st.draw_batches(copy.deepcopy(rng))
-                expected = _uncached(p, st, X, Y, J)
+                expected = _uncached(p, st, Z, J)
                 G, cost = draw()
                 assert np.array_equal(G, expected)
                 assert cost == 2 * p.m
             X1 = rng.standard_normal((4, 3))
             Y1 = 0.2 * rng.standard_normal((4, 3))
-            st, cost = ds.svrgo_update_reference(st, p, X1, Y1, rng)  # p = 1: fires
+            Z1 = np.array([X1, Y1])
+            st, cost = ds.svrgo_update_reference(st, p, Z1, rng)  # p = 1: fires
             assert cost == p.m * p.n
-            assert np.array_equal(st.x_tilde, X1) and np.array_equal(st.y_tilde, Y1)
+            assert np.array_equal(st.Z_tilde, Z1)
 
 
 @pytest.mark.parametrize(
@@ -267,7 +274,7 @@ def test_batch_grads_match_all_batch_rows_bitwise(m, n, N, d, mode):
         J = rng.integers(n, size=m)
         Z[:] = X, Y
         fresh = grads(p.row0 + J)
-        assert fresh.tobytes() == p.all_batch_grads(X, Y)[:, nodes, J].tobytes()
+        assert fresh.tobytes() == p.all_batch_grads(Z)[:, nodes, J].tobytes()
 
 
 def test_svrgo_first_draw_at_reference_reads_the_cache():
@@ -281,7 +288,7 @@ def test_svrgo_first_draw_at_reference_reads_the_cache():
     p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
     rng = np.random.default_rng(5)
     X, Y = rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3))
-    st = SvrgState.initialize(p, X, Y, p=0.5)
+    st = SvrgState.initialize(p, np.array([X, Y]), p=0.5)
     kernel_calls = []
     bind = p.bind_batch_grads
 
@@ -291,23 +298,23 @@ def test_svrgo_first_draw_at_reference_reads_the_cache():
 
     p.bind_batch_grads = counting_bind
     for away in (False, False, True):
-        Xs = X + 0.5 if away else X
+        Zs = np.array([X + 0.5 if away else X, Y])
         for k in range(3):
             r1, r2 = np.random.default_rng(k), np.random.default_rng(k)
             before = len(kernel_calls)
-            G, cost = ds.svrgo_draw(p, np.array([Xs, Y]), st, r1)()
+            G, cost = ds.svrgo_draw(p, Zs, st, r1)()
             ran = len(kernel_calls) - before
-            expected = _uncached(p, st, Xs, Y, st.draw_batches(r2))
+            expected = _uncached(p, st, Zs, st.draw_batches(r2))
             assert G.tobytes() == expected.tobytes() and cost == 2 * p.m
             assert r1.random() == r2.random()
             assert ran == (1 if k > 0 or away else 0)
         X, Y = rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3))
-        st.refresh(p, X, Y)
+        st.refresh(p, np.array([X, Y]))
 
 
 def test_refresh_keeps_its_own_copy_of_the_point():
     # a step overwrites the ensemble's rows in place; a refresh taken
-    # at ens.x, ens.y must copy them, or the reference point would follow
+    # at ens.Z must copy it, or the reference point would follow
     # the iterate and the first-draw reuse would fire away from it
     dset = ds.synthesize(36, 3, 0)
     part = ds.partition(dset, 4, 3, 0)
@@ -316,12 +323,12 @@ def test_refresh_keeps_its_own_copy_of_the_point():
     params = ds.StepParams(s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25)
     comp = ds.identity_compressor()
     rng = np.random.default_rng(1)
-    x0, y0 = rng.standard_normal((4, 3)), np.zeros((4, 3))
-    ens = ds.NodeEnsemble.initialize(g, x0, y0)
-    st = SvrgState.initialize(p, x0, y0, p=1.0)  # the coin always fires
+    Z0 = np.array([rng.standard_normal((4, 3)), np.zeros((4, 3))])
+    ens = ds.NodeEnsemble.initialize(g, Z0)
+    st = SvrgState.initialize(p, Z0, p=1.0)  # the coin always fires
 
     def exact():  # moves the rows without reading st
-        return p.full_grads(ens.x, ens.y), p.m
+        return p.full_grads(ens.Z), p.m
 
     svrgo_step = ds.step_plan(
         ens, params, g, ds.svrgo_draw(p, ens.Z, st, rng), p, comp, rng
@@ -329,19 +336,19 @@ def test_refresh_keeps_its_own_copy_of_the_point():
     exact_step = ds.step_plan(ens, params, g, exact, p, comp, rng)
     with overflow_guard():
         svrgo_step()
-        st, cost = ds.svrgo_update_reference(st, p, ens.x, ens.y, rng)
+        st, cost = ds.svrgo_update_reference(st, p, ens.Z, rng)
         assert cost == p.m * p.n and st.unread
-        xt, yt = st.x_tilde.copy(), st.y_tilde.copy()
+        xt, yt = st.Z_tilde.copy()
         for _ in range(3):
             exact_step()
-        assert st.x_tilde.tobytes() == xt.tobytes()
-        assert st.y_tilde.tobytes() == yt.tobytes()
-        assert not np.array_equal(ens.x, xt)
+        assert st.Z_tilde[0].tobytes() == xt.tobytes()
+        assert st.Z_tilde[1].tobytes() == yt.tobytes()
+        assert not np.array_equal(ens.Z[0], xt)
         # the first draw after the refresh now comes away from the
         # reference point, so it must run the kernel
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
         G, _ = ds.svrgo_draw(p, ens.Z, st, r1)()
-        expected = _uncached(p, st, ens.x, ens.y, st.draw_batches(r2))
+        expected = _uncached(p, st, ens.Z, st.draw_batches(r2))
     assert not st.unread
     assert G.tobytes() == expected.tobytes()
     assert G.tobytes() != st.g_tilde.tobytes()

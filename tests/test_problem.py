@@ -6,7 +6,7 @@ import pytest
 
 import decsaddle as ds
 from conftest import project
-from decsaddle.problem import PrimalDualPoint, _project_ball, overflow_guard
+from decsaddle.problem import _project_ball, overflow_guard
 
 
 def _small_problem(m=2, n=2, N=20, d=4, lam=1.0, beta=0.5, R_x=3.0, R_y=1.0, seed=0):
@@ -30,7 +30,7 @@ def _single_sample_problem(a, b, lam, beta, R_x=1.0, R_y=1.0):
 def test_grad_at_zero_x():
     p = _small_problem()
     y = np.array([0.1, -0.2, 0.05, 0.0])
-    gx, gy = p.all_batch_grads(np.zeros((1, 4)), y[None])[:, 0, 0]
+    gx, gy = p.all_batch_grads(np.array([np.zeros(4), y])[:, None])[:, 0, 0]
     A, b = p.batch(0, 0)
     # sigmoid at 0 is 1/2 for every sample
     expected_gx = (p.n / p.N) * ((A + y).T @ (-b * 0.5))
@@ -41,7 +41,7 @@ def test_grad_at_zero_x():
 def test_grad_hand_single_sample():
     # a = (1, 0), b = +1, x = y = 0: gx = -a/2, gy = 0 (up to tiny moduli)
     p = _single_sample_problem([1.0, 0.0], +1, lam=1e-12, beta=1e-12)
-    gx, gy = p.all_batch_grads(np.zeros((1, 2)), np.zeros((1, 2)))[:, 0, 0]
+    gx, gy = p.all_batch_grads(np.zeros((2, 1, 2)))[:, 0, 0]
     assert np.allclose(gx, [-0.5, 0.0], atol=1e-10)
     assert np.allclose(gy, [0.0, 0.0], atol=1e-10)
 
@@ -57,9 +57,9 @@ def test_grad_finite_differences():
         y = 0.3 * rng.standard_normal(p.d)
         vx = rng.standard_normal(p.d)
         vy = rng.standard_normal(p.d)
-        gx, gy = p.all_batch_grads(x[None], y[None])[:, i, j]
-        fp = p.loss_batch(i, j, PrimalDualPoint(x + h * vx, y + h * vy))
-        fm = p.loss_batch(i, j, PrimalDualPoint(x - h * vx, y - h * vy))
+        gx, gy = p.all_batch_grads(np.array([x, y])[:, None])[:, i, j]
+        fp = p.loss_batch(i, j, np.array([x + h * vx, y + h * vy]))
+        fm = p.loss_batch(i, j, np.array([x - h * vx, y - h * vy]))
         dd = (fp - fm) / (2 * h)
         pred = float(np.dot(gx, vx) + np.dot(gy, vy))
         assert abs(dd - pred) <= 1e-5 * (1 + abs(pred))
@@ -69,8 +69,8 @@ def test_grad_full_is_batch_mean():
     p = _small_problem()
     rng = np.random.default_rng(5)
     x, y = rng.standard_normal((1, p.d)), 0.2 * rng.standard_normal((1, p.d))
-    gx, gy = p.full_grads(x, y)[:, 0]
-    Gb = p.all_batch_grads(x, y)
+    gx, gy = p.full_grads(np.array([x, y]))[:, 0]
+    Gb = p.all_batch_grads(np.array([x, y]))
     bx = np.mean([Gb[0, 0, j] for j in range(p.n)], axis=0)
     by = np.mean([Gb[1, 0, j] for j in range(p.n)], axis=0)
     assert np.allclose(gx, bx, atol=1e-12)
@@ -79,9 +79,9 @@ def test_grad_full_is_batch_mean():
 
 def test_grad_full_n1_equals_batch():
     p = _small_problem(n=1)
-    x, y = np.ones((1, p.d)), np.zeros((1, p.d))
-    batch = p.all_batch_grads(x, y)[0, 0, 0]
-    assert np.allclose(p.full_grads(x, y)[0, 0], batch, atol=0)
+    z = np.array([np.ones((1, p.d)), np.zeros((1, p.d))])
+    batch = p.all_batch_grads(z)[0, 0, 0]
+    assert np.allclose(p.full_grads(z)[0, 0], batch, atol=0)
 
 
 def test_objective_consistency_brute_force():
@@ -93,7 +93,7 @@ def test_objective_consistency_brute_force():
     y = 0.3 * rng.standard_normal(4)
     total = np.mean(
         [
-            np.mean([p.loss_batch(i, j, PrimalDualPoint(x, y)) for j in range(p.n)])
+            np.mean([p.loss_batch(i, j, np.array([x, y])) for j in range(p.n)])
             for i in range(p.m)
         ]
     )
@@ -205,23 +205,23 @@ def test_strong_convexity_probes():
         x1 = rng.standard_normal(p.d)
         x2 = rng.standard_normal(p.d)
         y = 0.3 * rng.standard_normal(p.d)
-        f1 = np.mean([p.loss_batch(i, j, PrimalDualPoint(x1, y)) for j in range(p.n)])
-        f2 = np.mean([p.loss_batch(i, j, PrimalDualPoint(x2, y)) for j in range(p.n)])
-        g2 = p.full_grads(x2[None], y[None])[0, i]
+        f1 = np.mean([p.loss_batch(i, j, np.array([x1, y])) for j in range(p.n)])
+        f2 = np.mean([p.loss_batch(i, j, np.array([x2, y])) for j in range(p.n)])
+        g2 = p.full_grads(np.array([x2, y])[:, None])[0, i]
         lower = f2 + np.dot(g2, x1 - x2) + 0.5 * mu_node * np.sum((x1 - x2) ** 2)
         assert f1 >= lower - 1e-9 * (1 + abs(f1))
 
 
 def test_saddle_residual_fixed_point(acc_problem_single, acc_zstar):
     z, _ = acc_zstar
-    p, Z = acc_problem_single, z.stacked()
-    assert p.prox_residual(Z, p.full_grads(Z[0], Z[1]), 0.001) <= 1e-12
+    p, Z = acc_problem_single, z[:, None]
+    assert p.prox_residual(Z, p.full_grads(Z), 0.001) <= 1e-12
 
 
 def test_saddle_residual_perturbation(acc_problem_single, acc_zstar):
     z, _ = acc_zstar
-    p, Z = acc_problem_single, PrimalDualPoint(z.x + 1e-6, z.y).stacked()
-    r = p.prox_residual(Z, p.full_grads(Z[0], Z[1]), 0.001)
+    p, Z = acc_problem_single, (z + [[1e-6], [0.0]])[:, None]
+    r = p.prox_residual(Z, p.full_grads(Z), 0.001)
     assert r <= 1e-9  # quadratic in the perturbation, O(1e-12) scale
 
 
@@ -261,7 +261,7 @@ def test_batch_grads_match_formula_on_padded_batches():
             gx, gy = formula(i, part.batch(i, j), p.n / p.N)
             assert np.allclose(Gx[i], gx, rtol=1e-13, atol=1e-15)
             assert np.allclose(Gy[i], gy, rtol=1e-13, atol=1e-15)
-    Fx, Fy = p.full_grads(X, Y)
+    Fx, Fy = p.full_grads(np.array([X, Y]))
     for i in range(p.m):
         node = np.concatenate([part.batch(i, j) for j in range(p.n)])
         gx, gy = formula(i, node, 1.0 / p.N)
@@ -288,7 +288,7 @@ def test_sigmoid_matches_reference_without_overflow_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with overflow_guard():
-            G = p.all_batch_grads(np.ones((1, 1)), np.zeros((1, 1)))
+            G = p.all_batch_grads(np.array([[[1.0]], [[0.0]]]))
     assert np.isfinite(G).all()
     gy = G[1, 0, :, 0]
     a, lab = p.features[:, 0, 0], p.labels[:, 0]

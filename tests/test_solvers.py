@@ -133,10 +133,9 @@ def test_crdpsg_comm_accounting(acc_problem, acc_graph, acc_compressor, acc_zsta
                                 acc_start, stride):
     g, spec = acc_graph
     z, _ = acc_zstar
-    x0, y0 = acc_start
     K = 2
     trace, _ = ds.run_crdpsg(
-        acc_problem, g, spec, acc_compressor, K, x0, y0, z, seed=0,
+        acc_problem, g, spec, acc_compressor, K, acc_start, z, seed=0,
         log_stride=stride,
     )
     ts = [
@@ -160,12 +159,12 @@ def test_crdpsg_consensus_after_run(acc_problem, acc_graph, acc_compressor,
                                     acc_zstar, acc_start):
     g, spec = acc_graph
     z, _ = acc_zstar
-    x0, y0 = acc_start
     _, ens = ds.run_crdpsg(
-        acc_problem, g, spec, acc_compressor, 5, x0, y0, z, seed=3, log_stride=1000
+        acc_problem, g, spec, acc_compressor, 5, acc_start, z, seed=3, log_stride=1000
     )
-    xbar = ens.x.mean(axis=0)
-    assert max(np.linalg.norm(ens.x[i] - xbar) for i in range(g.m)) <= 5e-3
+    x = ens.Z[0]
+    xbar = x.mean(axis=0)
+    assert max(np.linalg.norm(x[i] - xbar) for i in range(g.m)) <= 5e-3
 
 
 def test_compute_reference_rejects_multinode(acc_problem):
@@ -188,15 +187,15 @@ def test_compute_reference_symmetric_origin():
     part = ds.partition(dset, 1, 2, 0)
     prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
     Z0 = np.zeros((2, 1, 3))
-    assert prob.prox_residual(Z0, prob.full_grads(Z0[0], Z0[1]), 0.01) <= 1e-20
+    assert prob.prox_residual(Z0, prob.full_grads(Z0), 0.01) <= 1e-20
     z, res = ds.compute_reference(prob, iterations=30_000, tol=1e-24)
-    assert np.linalg.norm(z.x) <= 1e-8 and np.linalg.norm(z.y) <= 1e-8
+    assert np.linalg.norm(z[0]) <= 1e-8 and np.linalg.norm(z[1]) <= 1e-8
 
 
 def test_compute_reference_is_deterministic(acc_problem_single):
     z1, res1 = ds.compute_reference(acc_problem_single, tol=1e-22)
     z2, res2 = ds.compute_reference(acc_problem_single, tol=1e-22)
-    assert np.array_equal(z1.x, z2.x) and np.array_equal(z1.y, z2.y)
+    assert np.array_equal(z1, z2)
     assert res1 == res2
 
 
@@ -249,8 +248,8 @@ def test_compute_reference_backtracks_above_the_floor(acc_dataset):
     h = [v for v in calls if v != s]
     assert h[0] == h_min and min(h) >= h_min and max(h) > h_min
     assert any(b < a for a, b in zip(h, h[1:]))  # a backtracking halving
-    Z = z.stacked()
-    assert res <= 1e-22 and res == prob.prox_residual(Z, prob.full_grads(Z[0], Z[1]), s)
+    Z = z[:, None]
+    assert res <= 1e-22 and res == prob.prox_residual(Z, prob.full_grads(Z), s)
 
 
 def test_compute_reference_step_floor(acc_dataset):
@@ -261,7 +260,7 @@ def test_compute_reference_step_floor(acc_dataset):
     c = prob.constants
     h_min, s = 1.0 / (4.0 * c.L), c.mu / (24.0 * c.L**2)
     full_grads, evals = prob.full_grads, itertools.count()
-    prob.full_grads = lambda X, Y: full_grads(X, Y) + 1e3 * next(evals)
+    prob.full_grads = lambda Z: full_grads(Z) + 1e3 * next(evals)
     calls = _recording_prox(prob)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
@@ -287,9 +286,9 @@ def _fixed_step_reference(prob, steps):
     signed_h = np.array([-h, h])[:, None, None]
     Z = np.zeros((2, 1, prob.d))
     for _ in range(steps):
-        W = prob.prox(Z + signed_h * prob.full_grads(Z[0], Z[1]))
-        Z = prob.prox(Z + signed_h * prob.full_grads(W[0], W[1]))
-    return ds.PrimalDualPoint(Z[0, 0], Z[1, 0])
+        W = prob.prox(Z + signed_h * prob.full_grads(Z))
+        Z = prob.prox(Z + signed_h * prob.full_grads(W))
+    return Z[:, 0]
 
 
 @pytest.mark.parametrize(
@@ -309,14 +308,14 @@ def test_compute_reference_matches_fixed_step_on_active_balls(
     tol = 1e-20
     z, res = ds.compute_reference(prob, iterations=10_000, tol=tol)
     assert res <= tol
-    assert abs(np.linalg.norm(z.x) - R_x) <= 1e-12
+    assert abs(np.linalg.norm(z[0]) - R_x) <= 1e-12
     if R_y < 0.01:
-        assert abs(np.linalg.norm(z.y) - R_y) <= 1e-12
+        assert abs(np.linalg.norm(z[1]) - R_y) <= 1e-12
     zf = _fixed_step_reference(prob, 1500)
-    Zf = zf.stacked()
-    res_f = prob.prox_residual(Zf, prob.full_grads(Zf[0], Zf[1]), s)
+    Zf = zf[:, None]
+    res_f = prob.prox_residual(Zf, prob.full_grads(Zf), s)
     bound = (1.0 + 2.0 * c.L * s) / (c.mu * s) * (math.sqrt(tol) + math.sqrt(res_f))
-    dist = math.sqrt(np.sum((z.x - zf.x) ** 2) + np.sum((z.y - zf.y) ** 2))
+    dist = math.sqrt(np.sum((z[0] - zf[0]) ** 2) + np.sum((z[1] - zf[1]) ** 2))
     assert dist <= bound
 
 
@@ -332,15 +331,15 @@ def test_solve_ignores_kernel_overflow():
     prob = ds.RobustLRProblem(
         dset, ds.partition(dset, 4, 2, 0), lam=1.0, beta=1.0, R_x=20.0, R_y=1.0
     )
-    x0 = np.full(3, 10.0)
+    z0 = np.array([np.full(3, 10.0), np.zeros(3)])
     with pytest.warns(RuntimeWarning, match="overflow"):
-        prob.full_grads(np.tile(x0, (4, 1)), np.zeros((4, 3)))
+        prob.full_grads(np.tile(z0[:, None], (1, 4, 1)))
     g = ds.build_ring(4)
-    z = ds.PrimalDualPoint(np.zeros(3), np.zeros(3))
+    z = np.zeros((2, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace, ens = ds.run_cdpsvrg(
-            prob, g, ds.spectral(g), ds.identity_compressor(), 3, x0,
-            np.zeros(3), z, seed=1, log_stride=1,
+            prob, g, ds.spectral(g), ds.identity_compressor(), 3, z0,
+            z, seed=1, log_stride=1,
         )
     assert np.isfinite(ens.Z).all() and len(trace.rows) == 3

@@ -27,16 +27,23 @@ def test_step_sweep_smoke():
 
 
 def test_step_sweep_refuses_a_tree_without_step_plan(tmp_path):
-    # --against a tree from before the bound step plan exits with a
-    # one-line message instead of timing some other step
-    pkg = tmp_path / "decsaddle"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text('"""A decsaddle without step_plan."""\n')
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "tools", "step_sweep.py"),
-         "--against", str(tmp_path)],
-        capture_output=True, text=True, timeout=60,
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    message = f"the decsaddle package under {tmp_path} has no step_plan"
-    assert proc.stderr.strip() == message
+    # --against a tree from before the bound step plan, or from before the
+    # stacked primal-dual points, exits with a one-line message instead of
+    # timing some other step
+    for name, init, message in (
+        ("no-plan", '"""A decsaddle without step_plan."""\n', "has no step_plan"),
+        ("two-arrays", "step_plan = PrimalDualPoint = None\n",
+         "takes separate x and y arrays (it exports PrimalDualPoint), not "
+         "stacked points"),
+    ):
+        pkg = tmp_path / name / "decsaddle"
+        pkg.mkdir(parents=True)
+        (pkg / "__init__.py").write_text(init)
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "tools", "step_sweep.py"),
+             "--against", str(pkg.parent)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        expected = f"the decsaddle package under {pkg.parent} {message}"
+        assert proc.stderr.strip() == expected

@@ -23,7 +23,8 @@ module name.  Every cell then builds the same problem in both trees and
 alternates them repeat by repeat (the order flips each repeat), so both
 see the same machine state; a row adds the other tree's median and the
 ratio against / this (above 1: this tree is faster).  A tree without
-`step_plan` is refused.
+`step_plan`, or one that still passes x and y as separate arrays (it
+exports `PrimalDualPoint`), is refused.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ def load_tree(src, name="decsaddle_against"):
     spec.loader.exec_module(mod)
     if not hasattr(mod, "step_plan"):
         raise SystemExit(f"the decsaddle package under {src} has no step_plan")
+    if hasattr(mod, "PrimalDualPoint"):
+        raise SystemExit(
+            f"the decsaddle package under {src} takes separate x and y arrays "
+            "(it exports PrimalDualPoint), not stacked points"
+        )
     return mod
 
 
@@ -87,16 +93,16 @@ def make_cell(ds, m, d, kind):
     g = _graph(ds, m)
     rng = np.random.default_rng(2)
     x0 = 0.1 * rng.standard_normal((m, d))
-    y0 = 0.01 * rng.standard_normal((m, d))
+    Z0 = np.array([x0, 0.01 * rng.standard_normal((m, d))])
     st = None
     if kind != "gsgo":
-        st = ds.SvrgState.initialize(prob, x0, y0, p=1.0 / BATCHES)
+        st = ds.SvrgState.initialize(prob, Z0, p=1.0 / BATCHES)
     refresh = ds.svrgo_update_reference
     comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.05)
     params = ds.StepParams(
         s=1e-3, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2, delta=0.05
     )
-    ens = ds.NodeEnsemble.initialize(g, x0, y0)
+    ens = ds.NodeEnsemble.initialize(g, Z0)
     rng = np.random.default_rng(3)
     guard = ds.problem.overflow_guard
     if st is None:
@@ -111,7 +117,7 @@ def make_cell(ds, m, d, kind):
             for _ in range(steps):
                 step()
                 if st is not None:
-                    refresh(st, prob, ens.x, ens.y, rng)
+                    refresh(st, prob, ens.Z, rng)
             dt = time.perf_counter() - t0
         return dt / steps * 1e6
 
