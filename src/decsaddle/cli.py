@@ -13,7 +13,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -353,57 +353,46 @@ def build(cfg: RunConfig):
     return dataset, prob, g, spec, compressor
 
 
-def _derived_report(cfg: RunConfig, prob: RobustLRProblem, spec, compressor):
-    """Every derived constant of the built objects; returns (lines, failures)."""
-    lines = []
+def _derived_record(cfg: RunConfig, prob: RobustLRProblem, spec, compressor):
+    """The run's derived numbers as one JSON object, every value a field of
+    the object that holds it; returns (record, failures).  Its schedule is
+    the list of the restart method's StageParams up to the first infeasible
+    stage, or the variance-reduced method's SvrgParams."""
+    record = {
+        "m": prob.m, "n": prob.n, "N": prob.N,
+        "constants": asdict(prob.constants),
+        "spectrum": {
+            key: getattr(spec, key)
+            for key in ("lambda_max", "lambda_second_smallest", "kappa_g")
+        },
+        "delta": compressor.delta,
+    }
     failures = []
-    consts = prob.constants
-    lines.append(f"nodes m = {prob.m}, batches n = {prob.n}, samples N = {prob.N}")
-    for name in ("mu_x", "mu_y", "L_xx", "L_yy", "L_xy", "L_yx", "L", "mu", "kappa_f"):
-        lines.append(f"{name} = {getattr(consts, name):.10g}")
-    lines.append(f"lambda_max(I-W) = {spec.lambda_max:.10g}")
-    lines.append(f"lambda_second_smallest(I-W) = {spec.lambda_second_smallest:.10g}")
-    lines.append(f"kappa_g = {spec.kappa_g:.10g}")
-    lines.append(f"compression delta = {compressor.delta:.10g}")
     if cfg.algorithm == "crdpsg":
-        stages = cfg.budget.get("stages", 1)
-        for k in range(stages):
+        record["schedule"] = []
+        for k in range(cfg.budget["stages"]):
             try:
-                sp = crdpsg_stage_params(k, consts, compressor.delta, spec)
+                sp = crdpsg_stage_params(k, prob.constants, compressor.delta, spec)
             except InfeasibleParameterError as e:
                 failures.append(f"stage {k}: {e}")
                 break
-            lines.append(
-                f"stage {k}: s = {sp.s:.6g}, b_x = {sp.b_x:.6g}, "
-                f"b_y = {sp.b_y:.6g}, gamma_x = {sp.gamma_x:.6g}, "
-                f"gamma_y = {sp.gamma_y:.6g}, alpha_x = {sp.alpha_x:.6g}, "
-                f"alpha_y = {sp.alpha_y:.6g}, M_x = {sp.M_x:.6g}, "
-                f"M_y = {sp.M_y:.6g}, t = {sp.t}, rho = {sp.rho:.6g}"
-            )
+            record["schedule"].append(asdict(sp))
     elif cfg.algorithm == "cdpsvrg":
-        p = cfg.oracle.get("p", 1.0 / prob.n)
         try:
             vp = cdpsvrg_params(
-                consts, compressor.delta, spec, prob.n, p_min=1.0 / prob.n, p=p
+                prob.constants, compressor.delta, spec, prob.n,
+                p_min=1.0 / prob.n, p=cfg.oracle.get("p", 1.0 / prob.n),
             )
-            lines.append(
-                f"s = {vp.s:.6g}, b_x = {vp.b_x:.6g}, b_y = {vp.b_y:.6g}, "
-                f"gamma_x = {vp.gamma_x:.6g}, gamma_y = {vp.gamma_y:.6g}, "
-                f"alpha_x = {vp.alpha_x:.6g}, alpha_y = {vp.alpha_y:.6g}, "
-                f"M_x = {vp.M_x:.6g}, M_y = {vp.M_y:.6g}, "
-                f"c_tilde_x = {vp.c_tilde_x:.6g}, c_tilde_y = {vp.c_tilde_y:.6g}, "
-                f"p = {vp.p:.6g}"
-            )
+            record["schedule"] = asdict(vp)
         except InfeasibleParameterError as e:
             failures.append(str(e))
-    return lines, failures
+    return record, failures
 
 
 def cmd_validate(cfg: RunConfig) -> int:
     _, prob, _, spec, compressor = build(cfg)
-    lines, failures = _derived_report(cfg, prob, spec, compressor)
-    for line in lines:
-        print(line)
+    record, failures = _derived_record(cfg, prob, spec, compressor)
+    print(json.dumps(record, indent=2))
     if failures:
         print("FAILURES:")
         for f in failures:
@@ -438,9 +427,9 @@ def cmd_run(cfg: RunConfig) -> int:
     out = cfg.log.get("output", "trace.csv")
     with open(out, "w") as fh:
         fh.write(trace.to_csv())
-    meta_lines, _ = _derived_report(cfg, prob, spec, compressor)
+    record, _ = _derived_record(cfg, prob, spec, compressor)
     with open(out + ".meta", "w") as fh:
-        fh.write(json.dumps({"config": cfg.__dict__, "derived": meta_lines}, indent=2))
+        fh.write(json.dumps({"config": cfg.__dict__, "derived": record}, indent=2))
         fh.write("\n")
     print(f"trace written to {out}")
     return EXIT_OK

@@ -24,26 +24,18 @@ from .problem import RobustLRProblem
 from .topology import DecGraph
 
 
-def _blocks(a: float, b: float) -> np.ndarray:
-    """(2, 1, 1) per-block factor: a for the x rows, b for the y rows."""
-    return np.array([a, b], dtype=float)[:, None, None]
-
-
-def _at_shape(a, shape: tuple) -> np.ndarray:
-    """A new array of the given shape holding a broadcast over it."""
+def _factor(shape: tuple, *blocks) -> np.ndarray:
+    """A new array of the given shape holding the per-block factors: the
+    nested (x, y) pairs blocks, each broadcast over the trailing (m, d)
+    axes."""
     out = np.empty(shape)
-    np.copyto(out, a)
+    np.copyto(out, np.reshape(blocks, np.shape(blocks) + (1, 1)))
     return out
-
-
-def _derived():
-    return field(init=False, repr=False, compare=False)
 
 
 @dataclass
 class StepParams:
-    """Per-step scalars; feasibility windows are checked at construction,
-    which also builds the per-block factors of the stacked step."""
+    """Per-step scalars; feasibility windows are checked at construction."""
 
     s: float
     gamma_x: float
@@ -51,11 +43,6 @@ class StepParams:
     alpha_x: float
     alpha_y: float
     delta: float = 0.0
-    signed_s: np.ndarray = _derived()  # (2, 1, 1): -s (descent), +s (ascent)
-    # (2, 2, 1, 1): gamma / (2 s) for D, -gamma / 2 for the pre-projection point
-    pair: np.ndarray = _derived()
-    alpha: np.ndarray = _derived()  # (2, 1, 1)
-    keep: np.ndarray = _derived()  # 1 - alpha
 
     def __post_init__(self):
         if self.s <= 0:
@@ -69,13 +56,6 @@ class StepParams:
                 )
         if self.gamma_x <= 0 or self.gamma_y <= 0:
             raise ValueError("gamma_x, gamma_y must be positive")
-        s, gx, gy = self.s, self.gamma_x, self.gamma_y
-        self.signed_s = _blocks(-s, s)
-        self.pair = np.array(
-            [_blocks(gx / (2.0 * s), gy / (2.0 * s)), _blocks(-gx / 2.0, -gy / 2.0)]
-        )
-        self.alpha = _blocks(self.alpha_x, self.alpha_y)
-        self.keep = 1.0 - self.alpha
 
 
 @dataclass
@@ -93,7 +73,7 @@ class NodeEnsemble:
     Z: np.ndarray
     D: np.ndarray
     comm: CommState
-    D_nu: np.ndarray = _derived()
+    D_nu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.Z = np.array(self.Z, dtype=float)
@@ -156,11 +136,14 @@ def step_plan(
     diff = np.empty(shape)
     # the factors at the shapes they multiply: a product of same-shape
     # arrays skips NumPy's broadcasting set-up and gives the same bits
-    signed_s = _at_shape(params.signed_s, shape)
-    alpha = _at_shape(params.alpha, HH.shape)
-    keep = _at_shape(params.keep, HH.shape)
-    pair = _at_shape(params.pair, D_nu.shape)
-    s = _at_shape(params.s, shape)
+    s, gx, gy = params.s, params.gamma_x, params.gamma_y
+    ax, ay = params.alpha_x, params.alpha_y
+    signed_s = _factor(shape, -s, s)  # x descends, y ascends
+    alpha = _factor(HH.shape, ax, ay)
+    keep = _factor(HH.shape, 1.0 - ax, 1.0 - ay)
+    # gamma / (2 s) for D, -gamma / 2 for the pre-projection point
+    pair = _factor(D_nu.shape, (gx / (2.0 * s), gy / (2.0 * s)), (-gx / 2.0, -gy / 2.0))
+    s = _factor(shape, s, s)
     exchange = bind_exchange(ens.comm, alpha, keep, g, compressor, rng, NN, diff, NN)
     prox = prob.bind_prox(shape)
     if counters is None:

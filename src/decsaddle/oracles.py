@@ -19,11 +19,12 @@ gathers the fresh batches also gathers their cached gradients and weights.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import RobustLRProblem, batch_mean
+from .problem import RobustLRProblem
 
 
 def gsgo_draw(p: RobustLRProblem, Z: np.ndarray, rng: np.random.Generator):
@@ -43,13 +44,18 @@ def gsgo_draw(p: RobustLRProblem, Z: np.ndarray, rng: np.random.Generator):
 
 @dataclass
 class SvrgState:
-    """Per-node reference points, their cached gradients, and sampling law."""
+    """Per-node reference points, their cached gradients, and sampling law.
+
+    The reference point, its batch gradients and their kernel are
+    allocated once (initialize); a refresh overwrites them in place."""
 
     Z_tilde: np.ndarray  # (2, m, d) stacked reference points
-    g_rows: np.ndarray  # (2, m*n, d) batch gradients at the references, row i*n + j
-    g_tilde: np.ndarray  # (2, m, d) their means: the full gradients
+    # () -> the (2, m, n, d) batch gradients at Z_tilde, in one array
+    grads: Callable[[], np.ndarray] = field(repr=False)
     P: np.ndarray  # (m, n) sampling probabilities, rows sum to 1
     p: float  # Bernoulli refresh probability
+    g_rows: np.ndarray = field(init=False, repr=False)  # (2, m*n, d) view of grads()
+    g_tilde: np.ndarray = field(init=False)  # (2, m, d) their means: the full gradients
     cdf: np.ndarray = field(init=False, repr=False)
     shared_cdf: np.ndarray | None = field(init=False, repr=False)  # every row alike
     weights: np.ndarray = field(init=False, repr=False)  # (m*n, 1): 1 / (n P)
@@ -73,7 +79,7 @@ class SvrgState:
         self.shared_cdf = self.cdf[0] if (self.cdf == self.cdf[0]).all() else None
         self.weights = (1.0 / (P.shape[1] * P)).reshape(-1, 1)
         self.unit_weights = bool((self.weights == 1.0).all())
-        self.unread = True
+        self.g_tilde = np.empty_like(self.Z_tilde)
 
     @classmethod
     def initialize(
@@ -83,24 +89,26 @@ class SvrgState:
         p: float,
         P: np.ndarray | None = None,
     ) -> "SvrgState":
-        """Reference at a copy of the stacked (2, m, d) point Z with fresh
-        gradients, as refresh takes it; uniform law by default."""
+        """Allocate the reference point, its batch gradients and their
+        kernel, then refresh at the stacked (2, m, d) point Z; uniform law
+        by default."""
         if P is None:
             P = np.full((prob.m, prob.n), 1.0 / prob.n)
-        Gb = prob.all_batch_grads(Z)
-        return cls(
-            Z_tilde=Z.copy(), g_rows=_rows(Gb),
-            g_tilde=batch_mean(Gb), P=P, p=p,
-        )
+        Z_tilde = np.empty((2, prob.m, prob.d))
+        st = cls(Z_tilde, prob.bind_all_batch_grads(Z_tilde), P, p)
+        st.refresh(Z)
+        return st
 
-    def refresh(self, prob: RobustLRProblem, Z: np.ndarray):
-        """Move every reference point to a copy of the stacked point Z, in
-        place; the law stays.  The copy matters: the ensemble's rows are
-        overwritten by later steps, and the first-draw check compares
-        against them."""
-        Gb = prob.all_batch_grads(Z)
-        self.Z_tilde = Z.copy()
-        self.g_rows, self.g_tilde = _rows(Gb), batch_mean(Gb)
+    def refresh(self, Z: np.ndarray):
+        """Move every reference point to a copy of the stacked point Z and
+        overwrite its batch gradients and their means in place; the law
+        stays.  The copy matters: the ensemble's rows are overwritten by
+        later steps, and the first-draw check compares against them."""
+        np.copyto(self.Z_tilde, Z)
+        G = self.grads()
+        self.g_rows = _rows(G)
+        # batch_mean(G), into g_tilde
+        np.divide(np.add.reduce(G, 2, None, self.g_tilde), G.shape[2], self.g_tilde)
         self.unread = True
 
     def draw_batches(self, rng: np.random.Generator) -> np.ndarray:
@@ -163,7 +171,7 @@ def svrgo_update_reference(
     """
     if not rng.random() < st.p:
         return st, 0
-    st.refresh(prob, Z)
+    st.refresh(Z)
     return st, prob.m * prob.n
 
 

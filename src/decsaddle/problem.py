@@ -203,15 +203,32 @@ class RobustLRProblem:
 
         return grads
 
+    def bind_all_batch_grads(self, Z: np.ndarray):
+        """Every batch gradient bound to the stacked (2, m, d) point Z,
+        which is read at every call; a (2, 1, d) point serves every node.
+
+        Returns grads() -> the (2, m, n, d) array whose [:, i, j] is the
+        gradient of node i's batch j at (Z[0, i], Z[1, i]).  That array and
+        the batch features plus dual rows live in arrays allocated here
+        once; each call overwrites them.
+        """
+        Z = Z[:, :, None, :]
+        reg, feats = self._reg[..., None], self.batches
+        AY, G = np.empty(feats.shape), np.empty((2, self.m, self.n, self.d))
+        labels = self.labels.reshape(feats.shape[:-1])
+        run = self._bind_grad(AY, labels, Z[0], G)
+        Yb = Z[1][..., None, :]
+
+        def grads():
+            np.add(feats, Yb, AY)
+            np.multiply(reg, Z, G)  # [lam/m x, -beta/m y]
+            return run()
+
+        return grads
+
     def all_batch_grads(self, Z: np.ndarray) -> np.ndarray:
-        """(2, m, n, d): every batch gradient of node i at the stacked
-        (2, m, d) point Z, at (Z[0, i], Z[1, i]); a (2, 1, d) point serves
-        every node."""
-        Z = np.asarray(Z, dtype=float)[:, :, None, :]
-        G = np.empty((2, self.m, self.n, self.d))
-        np.multiply(self._reg[..., None], Z, G)  # [lam/m x, -beta/m y]
-        labels = self.labels.reshape(self.batches.shape[:-1])
-        return self._bind_grad(self.batches + Z[1][..., None, :], labels, Z[0], G)()
+        """bind_all_batch_grads(Z)'s gradients, once, in a new array."""
+        return self.bind_all_batch_grads(np.asarray(Z, dtype=float))()
 
     def full_grads(self, Z: np.ndarray) -> np.ndarray:
         """Row i of each block: average of node i's n batch gradients at

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -70,14 +71,20 @@ def test_missing_file():
     assert main(["run", "/nonexistent/cfg.json"]) == EXIT_CONFIG
 
 
+def _validate_output(out):
+    """validate's printed derived record, and the lines after it."""
+    record, end = json.JSONDecoder().raw_decode(out)
+    return record, out[end:].strip().split("\n")
+
+
 def test_validate_reports_constants(tmp_path, capsys):
     cfg = _base_config(tmp_path, compression={"kind": "identity"})
     assert main(["validate", _write(tmp_path, cfg)]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "kappa_f" in out and "lambda_max" in out
+    record, tail = _validate_output(capsys.readouterr().out)
+    assert "kappa_f" in record["constants"] and "lambda_max" in record["spectrum"]
     # delta = 0 gives M_x = M_y = 1
-    assert "M_x = 1" in out
-    assert "all parameter windows feasible" in out
+    assert record["schedule"]["M_x"] == 1.0
+    assert tail == ["all parameter windows feasible"]
 
 
 def test_run_writes_csv_and_meta(tmp_path):
@@ -157,6 +164,17 @@ def test_config_requires_reference_for_runs(tmp_path):
         RunConfig.parse(cfg)
 
 
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for v in obj.values():
+            yield from _leaves(v)
+    elif isinstance(obj, list):
+        for v in obj:
+            yield from _leaves(v)
+    else:
+        yield obj
+
+
 @pytest.mark.parametrize(
     "overrides",
     [
@@ -165,17 +183,57 @@ def test_config_requires_reference_for_runs(tmp_path):
          "compression": {"kind": "identity"}},
         # at d = 1 the quantizer is exact: delta = 0
         {"dataset": {"kind": "synthetic", "N": 60, "d": 1, "seed": 2}},
+        {"algorithm": "crdpsg", "budget": {"stages": 2},
+         "topology": {"kind": "torus", "rows": 3, "cols": 3},
+         "dataset": {"kind": "synthetic", "N": 90, "d": 4, "seed": 1},
+         "problem": {"lambda": 9.0, "beta": 9.0, "R_x": 20.0, "R_y": 1.0},
+         "compression": {"kind": "qinf", "bits": 3, "delta": 0.3}},
+        {"topology": {"kind": "torus", "rows": 8, "cols": 8},
+         "dataset": {"kind": "synthetic", "N": 640, "d": 4, "seed": 1},
+         "problem": {"lambda": 1.5, "beta": 1.5, "R_x": 20.0, "R_y": 1.0},
+         "budget": {"iterations": 20}, "log": {"stride": 5},
+         "reference": {"compute": {"iterations": 100, "tol": 1e-8}}},
     ],
-    ids=["cdpsvrg-qinf-auto", "crdpsg-identity", "cdpsvrg-qinf-d1"],
+    ids=["cdpsvrg-qinf-auto", "crdpsg-identity", "cdpsvrg-qinf-d1",
+         "crdpsg-torus3x3", "cdpsvrg-torus8x8"],
 )
 def test_meta_derived_matches_validate(tmp_path, capsys, overrides):
-    path = _write(tmp_path, _base_config(tmp_path, **overrides))
+    cfg = _base_config(tmp_path, **overrides)
+    cfg["log"]["output"] = str(tmp_path / "trace.csv")
+    path = _write(tmp_path, cfg)
     assert main(["validate", path]) == EXIT_OK
-    printed = capsys.readouterr().out.strip().split("\n")
+    printed, tail = _validate_output(capsys.readouterr().out)
     assert main(["run", path]) == EXIT_OK
     meta = json.loads((tmp_path / "trace.csv.meta").read_text())
-    assert printed[-1] == "all parameter windows feasible"
-    assert printed[:-1] == meta["derived"]
+    assert tail == ["all parameter windows feasible"]
+    assert printed == meta["derived"]
+    for v in _leaves(printed):
+        assert isinstance(v, (int, float)) and not isinstance(v, bool)
+        assert np.isfinite(v)
+    # every value equals the field of the object the run builds
+    _, prob, _, spec, comp = cli.build(RunConfig.parse(cfg))
+    assert (printed["m"], printed["n"], printed["N"]) == (prob.m, prob.n, prob.N)
+    assert printed["constants"] == dataclasses.asdict(prob.constants)
+    assert printed["spectrum"] == {
+        "lambda_max": spec.lambda_max,
+        "lambda_second_smallest": spec.lambda_second_smallest,
+        "kappa_g": spec.kappa_g,
+    }
+    assert printed["delta"] == comp.delta
+    if cfg["algorithm"] == "crdpsg":
+        assert printed["schedule"] == [
+            dataclasses.asdict(
+                solvers.crdpsg_stage_params(k, prob.constants, comp.delta, spec)
+            )
+            for k in range(cfg["budget"]["stages"])
+        ]
+    else:
+        assert printed["schedule"] == dataclasses.asdict(
+            solvers.cdpsvrg_params(
+                prob.constants, comp.delta, spec, prob.n,
+                p_min=1.0 / prob.n, p=1.0 / prob.n,
+            )
+        )
 
 
 @pytest.mark.parametrize(
@@ -247,28 +305,33 @@ def test_malformed_config_is_config_error(tmp_path, overrides):
 @pytest.mark.parametrize(
     "bits, delta, code, message",
     [
-        (4, 0.0340002340823457, EXIT_OK, "compression delta = 0.03400023408"),
+        (4, 0.0340002340823457, EXIT_OK, 0.0340002340823457),
         (4, 0.034, EXIT_INFEASIBLE, "delta* = 0.03400023408"),
         (1, "auto", EXIT_INFEASIBLE, "increase bits"),  # delta* = 1.081
-        (32, "auto", EXIT_OK, "compression delta = 4.878909776e-19"),
+        (32, "auto", EXIT_OK, 4.87890977618477e-19),
     ],
     ids=["b4-at-floor", "b4-below-floor", "b1-auto", "b32-auto"],
 )
 def test_validate_checks_delta_against_quantizer_worst_case(
     tmp_path, capsys, bits, delta, code, message
 ):
+    # exit 0 prints the delta the run takes; exit 3 names the reason
     cfg = _base_config(tmp_path)
     cfg["compression"] = {"kind": "qinf", "bits": bits, "delta": delta}
     cfg["dataset"]["d"] = 10
     assert main(["validate", _write(tmp_path, cfg)]) == code
     out = capsys.readouterr()
-    assert message in (out.out if code == EXIT_OK else out.err)
+    if code == EXIT_OK:
+        assert _validate_output(out.out)[0]["delta"] == message
+    else:
+        assert message in out.err
 
 
 def test_validate_golden_desk_prints_exact_delta(capsys):
     data = os.path.join(os.path.dirname(__file__), "data")
     assert main(["validate", os.path.join(data, "golden_desk.json")]) == EXIT_OK
-    assert "compression delta = 0.03400023408\n" in capsys.readouterr().out
+    record, _ = _validate_output(capsys.readouterr().out)
+    assert record["delta"] == ds.quantizer_delta(4, 10)
 
 
 @pytest.mark.parametrize(

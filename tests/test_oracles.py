@@ -6,7 +6,7 @@ import pytest
 import decsaddle as ds
 from conftest import PickBatch
 from decsaddle.oracles import SvrgState
-from decsaddle.problem import overflow_guard
+from decsaddle.problem import batch_mean, overflow_guard
 
 
 def _problem(m=1, n=4, N=16, d=3, seed=0):
@@ -309,7 +309,7 @@ def test_svrgo_first_draw_at_reference_reads_the_cache():
             assert r1.random() == r2.random()
             assert ran == (1 if k > 0 or away else 0)
         X, Y = rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3))
-        st.refresh(p, np.array([X, Y]))
+        st.refresh(np.array([X, Y]))
 
 
 def test_refresh_keeps_its_own_copy_of_the_point():
@@ -352,3 +352,28 @@ def test_refresh_keeps_its_own_copy_of_the_point():
     assert not st.unread
     assert G.tobytes() == expected.tobytes()
     assert G.tobytes() != st.g_tilde.tobytes()
+
+
+def test_refresh_overwrites_the_cache_in_place():
+    # a refresh rewrites the arrays initialize allocated; their bits are
+    # those of the one-shot all-batch gradients at the new point, and the
+    # reference point stays a copy of the ensemble's rows, on which the
+    # first-draw reuse depends
+    dset = ds.synthesize(26, 3, 0)
+    part = ds.partition(dset, 4, 3, 0, mode="sorted")  # zero-padded batches
+    p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
+    rng = np.random.default_rng(17)
+    ens = ds.NodeEnsemble.initialize(ds.build_ring(4), np.zeros((2, 4, 3)))
+    st = SvrgState.initialize(p, ens.Z, p=0.5)
+    arrays = st.Z_tilde, st.g_rows, st.g_tilde
+    with overflow_guard():
+        for _ in range(5):
+            ens.Z[:] = rng.standard_normal((4, 3)), 0.2 * rng.standard_normal((4, 3))
+            st.refresh(ens.Z)
+            Gb = p.all_batch_grads(ens.Z)
+            assert st.g_rows.tobytes() == Gb.reshape(2, -1, 3).tobytes()
+            assert st.g_tilde.tobytes() == batch_mean(Gb).tobytes()
+            assert st.Z_tilde.tobytes() == ens.Z.tobytes()
+            assert not np.shares_memory(st.Z_tilde, ens.Z)
+            for a, b in zip(arrays, (st.Z_tilde, st.g_rows, st.g_tilde)):
+                assert np.shares_memory(a, b)

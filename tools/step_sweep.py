@@ -10,7 +10,10 @@ oracles' bound draw, once with the minibatch oracle (GSGO) and once with
 the variance-reduced oracle (SVRGO).  The SVRGO cell runs as the
 variance-reduced solver does: after every step it calls
 `svrgo_update_reference` with p = 1/n, so the timed steps include the
-refreshes, their copy of the point and the first-draw reuse.  Each
+refreshes and the first-draw reuse.  A refresh copies the point into the
+reference array and reruns the all-batch gradient kernel that
+`SvrgState.initialize` bound once, overwriting the cached gradients and
+their means in place.  Each
 repeat times --steps consecutive steps after a short warm-up; a row
 reports the median over --repeats of the mean step time.
 The steps run under the kernel's overflow guard, as the solvers run
