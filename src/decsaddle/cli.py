@@ -12,8 +12,10 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .solvers import (
     run_cdpsvrg,
     run_crdpsg,
 )
-from .topology import DecGraph, build_ring, build_torus, spectral
+from .topology import build_ring, build_torus, spectral
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -45,165 +47,171 @@ class ConfigError(ValueError):
     pass
 
 
-def _require(d: dict, path: str, allowed: set, required: set):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: expected an object, got {d!r}")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
+REQUIRED = object()  # the default of a key that a config must give
 
 
-def _integer(d: dict, path: str, key: str, lo: int, hi: int | None = None) -> int:
-    v = d[key]
-    if (
-        isinstance(v, bool) or not isinstance(v, int) or v < lo
-        or (hi is not None and v > hi)
-    ):
-        bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
-        raise ConfigError(f"{path}.{key} must be an integer {bound}, got {v!r}")
-    return v
+@dataclass(frozen=True)
+class Key:
+    """A config key: its kind ("int" in [lo, hi], finite "number" or
+    "positive", "string", "enum" of the choices), literal choices it also
+    admits, and its default: REQUIRED, a value, None or f(config, command)."""
+
+    kind: str
+    lo: int = 0
+    hi: float = math.inf
+    choices: tuple = ()
+    default: object = REQUIRED
 
 
-def _number(d: dict, path: str, key: str, positive: bool = False) -> float:
-    # json.load accepts NaN and Infinity, which no setting admits
-    v = d[key]
-    numeric = isinstance(v, (int, float)) and not isinstance(v, bool)
-    if not numeric or not math.isfinite(v) or (positive and not v > 0):
-        kind = "a positive finite number" if positive else "a finite number"
-        raise ConfigError(f"{path}.{key} must be {kind}, got {v!r}")
-    return v
+@dataclass(frozen=True)
+class Section:
+    """An object: shared keys, and variants picked by the value of its key
+    `by` (else the root's) or, with `by` None, by the first one it names as a key."""
+
+    keys: dict
+    by: str | None = None
+    variants: dict | None = None
+    default: object = REQUIRED
 
 
-def _string(d: dict, path: str, key: str) -> str:
-    if not isinstance(d[key], str):
-        raise ConfigError(f"{path}.{key} must be a string, got {d[key]!r}")
-    return d[key]
+def _kinds(**variants) -> Section:
+    return Section({"kind": Key("enum", choices=tuple(variants))}, "kind", variants)
 
 
-# the budget key each algorithm runs on; a reference solve caps its
-# extragradient steps by budget.iterations and ignores stages
-BUDGET_KEYS = {"crdpsg": {"stages"}, "cdpsvrg": {"iterations"}}
+# The one table of config keys, read by the parser, the defaults, the README
+# and the fuzz test.  A run's .meta lists the sections in this order.
+SCHEMA = Section({
+    "algorithm": Key("enum", choices=("crdpsg", "cdpsvrg", "reference")),
+    "topology": _kinds(
+        ring={"m": Key("int", 3)},
+        torus={"rows": Key("int", 3), "cols": Key("int", 3)},
+    ),
+    "dataset": _kinds(
+        synthetic={"N": Key("int", 1), "d": Key("int", 1), "seed": Key("int", 0)},
+        libsvm={"path": Key("string")},
+    ),
+    "partition": Section({
+        "n": Key("int", 1),
+        "mode": Key("enum", choices=("shuffled", "sorted"), default="shuffled"),
+    }),
+    "problem": Section({k: Key("positive") for k in ("lambda", "beta", "R_x", "R_y")}),
+    "compression": _kinds(identity={}, qinf={
+        "bits": Key("int", 1, MAX_BITS),
+        "delta": Key("number", choices=("auto",), default="auto"),
+    }),
+    "oracle": Section({
+        "p": Key("number", default=lambda cfg, _: 1.0 / cfg.partition["n"]),
+    }, default={}),
+    # a reference solve caps its steps by budget.iterations and ignores stages
+    "budget": Section({}, "algorithm", {
+        "crdpsg": {"stages": Key("int", 1)},
+        "cdpsvrg": {"iterations": Key("int", 1)},
+        "reference": {k: Key("int", 1, default=None) for k in ("iterations", "stages")},
+    }),
+    "seed": Key("int", 0),
+    "log": Section({
+        "stride": Key("int", 1, default=lambda cfg, _: (
+            10 if cfg.budget.get("iterations", 0) > 10_000 else 1)),
+        "output": Key("string", default=lambda _, command: (
+            "zstar.txt" if command == "reference" else "trace.csv")),
+    }, default={}),
+    "reference": Section({}, None, {
+        "path": {"path": Key("string")},
+        "compute": {"compute": Section({
+            "iterations": Key("int", 1, default=lambda cfg, command: (
+                50_000 if command == "run" else cfg.budget.get("iterations", 50_000))),
+            "tol": Key("positive", default=1e-14),
+        })},
+    }, default={}),
+})
 
 
-@dataclass
-class RunConfig:
-    algorithm: str
-    topology: dict
-    dataset: dict
-    partition: dict
-    problem: dict
-    compression: dict
-    oracle: dict
-    budget: dict
-    seed: int
-    log: dict
-    reference: dict
+def _leaves(spec: Section, path: str = ""):
+    """(dotted path, Key) of every key of every variant under spec."""
+    for keys in (spec.keys, *(spec.variants or {}).values()):
+        for name, key in keys.items():
+            at = f"{path}.{name}" if path else name
+            yield from _leaves(key, at) if isinstance(key, Section) else [(at, key)]
+
+
+KEYS = dict(_leaves(SCHEMA))
+
+
+def _variant(spec: Section, sec: dict, path: str, root: dict) -> dict:
+    """The keys of the variant of spec that sec is."""
+    if spec.by is None:
+        return next((keys for name, keys in spec.variants.items() if name in sec), {})
+    if spec.by not in spec.keys:
+        return spec.variants[root[spec.by]]
+    if spec.by not in sec:
+        raise ConfigError(f"{path}: missing keys {[spec.by]}")
+    _check(spec.keys[spec.by], sec[spec.by], f"{path}.{spec.by}", root)
+    return spec.variants[sec[spec.by]]
+
+
+def _check(spec, v, path: str, root: dict):
+    """Raise ConfigError unless v, found at the dotted path, fits spec."""
+    if isinstance(spec, Section):
+        where = path or "<root>"
+        if not isinstance(v, dict):
+            raise ConfigError(f"{where}: expected an object, got {v!r}")
+        keys = {**spec.keys, **(_variant(spec, v, path, root) if spec.variants else {})}
+        unknown = set(v) - set(keys)
+        if unknown:
+            raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+        missing = {k for k, s in keys.items() if s.default is REQUIRED} - set(v)
+        if missing:
+            raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+        for k, s in keys.items():
+            if k in v:
+                _check(s, v[k], f"{path}.{k}" if path else k, root)
+        return
+    if v in spec.choices:
+        return
+    if spec.kind == "enum":
+        raise ConfigError(f"{path}: unknown value {v!r}")
+    number = isinstance(v, (int, float)) and not isinstance(v, bool)
+    if spec.kind == "int":
+        ok = number and isinstance(v, int) and spec.lo <= v <= spec.hi
+        bound = f">= {spec.lo}" if spec.hi == math.inf else f"in [{spec.lo}, {spec.hi}]"
+        want = f"an integer {bound}"
+    elif spec.kind == "string":
+        ok, want = isinstance(v, str), "a string"
+    else:
+        # json.load accepts NaN and Infinity, which no setting admits
+        positive = spec.kind == "positive"
+        ok = number and math.isfinite(v) and (v > 0 or not positive)
+        want = "a positive finite number" if positive else "a finite number"
+    if not ok:
+        raise ConfigError(f"{path} must be {want}, got {v!r}")
+
+
+class RunConfig(SimpleNamespace):
+    """A checked config: one attribute per SCHEMA section, in SCHEMA's
+    order, each as written ({} for an absent optional section)."""
 
     @classmethod
     def parse(cls, raw: dict) -> "RunConfig":
-        _require(
-            raw,
-            "<root>",
-            allowed={
-                "algorithm", "topology", "dataset", "partition", "problem",
-                "compression", "oracle", "budget", "seed", "log", "reference",
-            },
-            required={
-                "algorithm", "topology", "dataset", "partition", "problem",
-                "compression", "budget", "seed",
-            },
-        )
-        alg = raw["algorithm"]
-        if alg not in ("crdpsg", "cdpsvrg", "reference"):
-            raise ConfigError(f"algorithm: unknown value {alg!r}")
-        topo = raw["topology"]
-        _require(topo, "topology", {"kind", "m", "rows", "cols"}, {"kind"})
-        if topo["kind"] == "ring":
-            _require(topo, "topology", {"kind", "m"}, {"kind", "m"})
-            _integer(topo, "topology", "m", 3)
-        elif topo["kind"] == "torus":
-            _require(topo, "topology", {"kind", "rows", "cols"}, {"kind", "rows", "cols"})
-            _integer(topo, "topology", "rows", 3)
-            _integer(topo, "topology", "cols", 3)
-        else:
-            raise ConfigError(f"topology.kind: unknown value {topo['kind']!r}")
-        ds = raw["dataset"]
-        _require(ds, "dataset", {"kind", "N", "d", "seed", "path"}, {"kind"})
-        if ds["kind"] == "synthetic":
-            _require(ds, "dataset", {"kind", "N", "d", "seed"}, {"kind", "N", "d", "seed"})
-            _integer(ds, "dataset", "N", 1)
-            _integer(ds, "dataset", "d", 1)
-            _integer(ds, "dataset", "seed", 0)
-        elif ds["kind"] == "libsvm":
-            _require(ds, "dataset", {"kind", "path"}, {"kind", "path"})
-            _string(ds, "dataset", "path")
-        else:
-            raise ConfigError(f"dataset.kind: unknown value {ds['kind']!r}")
-        part = raw["partition"]
-        _require(part, "partition", {"n", "mode"}, {"n"})
-        _integer(part, "partition", "n", 1)
-        if part.get("mode", "shuffled") not in ("shuffled", "sorted"):
-            raise ConfigError(f"partition.mode: unknown value {part['mode']!r}")
-        prob = raw["problem"]
-        _require(
-            prob, "problem",
-            {"lambda", "beta", "R_x", "R_y"},
-            {"lambda", "beta", "R_x", "R_y"},
-        )
-        for key in ("lambda", "beta", "R_x", "R_y"):
-            _number(prob, "problem", key, positive=True)
-        comp = raw["compression"]
-        _require(comp, "compression", {"kind", "bits", "delta"}, {"kind"})
-        if comp["kind"] == "identity":
-            _require(comp, "compression", {"kind"}, {"kind"})
-        elif comp["kind"] == "qinf":
-            _require(comp, "compression", {"kind", "bits", "delta"}, {"kind", "bits"})
-            _integer(comp, "compression", "bits", 1, MAX_BITS)
-            if comp.get("delta", "auto") != "auto":
-                _number(comp, "compression", "delta")
-        else:
-            raise ConfigError(f"compression.kind: unknown value {comp['kind']!r}")
-        oracle = raw.get("oracle", {})
-        _require(oracle, "oracle", {"p"}, set())
-        if "p" in oracle:
-            _number(oracle, "oracle", "p")
-        budget = raw["budget"]
-        keys = BUDGET_KEYS.get(alg, {"iterations", "stages"})
-        _require(budget, "budget", keys, BUDGET_KEYS.get(alg, set()))
-        if not budget:
+        _check(SCHEMA, raw, "", raw)
+        # the two rules the table does not hold
+        if not raw["budget"]:
             raise ConfigError("budget: need iterations or stages")
-        for key in budget:
-            _integer(budget, "budget", key, 1)
-        seed = _integer(raw, "<root>", "seed", 0)
-        log = raw.get("log", {})
-        _require(log, "log", {"stride", "output"}, set())
-        if "stride" in log:
-            _integer(log, "log", "stride", 1)
-        if "output" in log:
-            _string(log, "log", "output")
-        ref = raw.get("reference", {})
-        _require(ref, "reference", {"path", "compute"}, set())
-        if "path" in ref:
-            _string(ref, "reference", "path")
-        compute = ref.get("compute", {})
-        _require(compute, "reference.compute", {"iterations", "tol"}, set())
-        if "iterations" in compute:
-            _integer(compute, "reference.compute", "iterations", 1)
-        if "tol" in compute:
-            _number(compute, "reference.compute", "tol", positive=True)
-        if alg != "reference" and not ref:
-            raise ConfigError(
-                "reference: need a stored path or a compute section for "
-                "trace distances"
-            )
-        return cls(
-            algorithm=alg, topology=topo, dataset=ds, partition=part,
-            problem=prob, compression=comp, oracle=oracle, budget=budget,
-            seed=seed, log=log, reference=ref,
-        )
+        if raw["algorithm"] != "reference" and not raw.get("reference"):
+            raise ConfigError("reference: need a stored path or a compute "
+                              "section for trace distances")
+        return cls(**{name: raw[name] if name in raw else dict(spec.default)
+                      for name, spec in SCHEMA.keys.items()})
+
+    def setting(self, dotted: str, command: str = "run"):
+        """The value at a dotted key path as written, else the key's default
+        for the command ("run" or "reference") that reads it."""
+        node = vars(self)
+        for key in dotted.split("."):
+            if key not in node:
+                default = KEYS[dotted].default
+                return default(self, command) if callable(default) else default
+            node = node[key]
+        return node
 
 
 def load_config(path: str) -> RunConfig:
@@ -232,11 +240,6 @@ def _builder(fn):
     return build_step
 
 
-def _node_count(cfg: RunConfig) -> int:
-    t = cfg.topology
-    return t["m"] if t["kind"] == "ring" else t["rows"] * t["cols"]
-
-
 @_builder
 def build_dataset(cfg: RunConfig) -> data_mod.Dataset:
     ds = cfg.dataset
@@ -249,8 +252,7 @@ def build_dataset(cfg: RunConfig) -> data_mod.Dataset:
 @_builder
 def build_problem(cfg: RunConfig, dataset, m: int) -> RobustLRProblem:
     part = data_mod.partition(
-        dataset, m, cfg.partition["n"], cfg.seed,
-        mode=cfg.partition.get("mode", "shuffled"),
+        dataset, m, cfg.partition["n"], cfg.seed, mode=cfg.setting("partition.mode")
     )
     p = cfg.problem
     return RobustLRProblem(
@@ -261,21 +263,17 @@ def build_problem(cfg: RunConfig, dataset, m: int) -> RobustLRProblem:
 @_builder
 def build_graph(cfg: RunConfig):
     t = cfg.topology
-    if t["kind"] == "ring":
-        g = build_ring(t["m"])
-    else:
-        g = build_torus(t["rows"], t["cols"])
+    g = build_ring(t["m"]) if t["kind"] == "ring" else build_torus(t["rows"], t["cols"])
     return g, spectral(g)
 
 
 @_builder
 def build_compressor(cfg: RunConfig, d: int) -> Compressor:
-    comp = cfg.compression
-    if comp["kind"] == "identity":
+    if cfg.compression["kind"] == "identity":
         return identity_compressor()
-    bits = comp["bits"]
+    bits = cfg.compression["bits"]
     delta_star = quantizer_delta(bits, d)
-    delta = comp.get("delta", "auto")
+    delta = cfg.setting("compression.delta")
     if delta == "auto":
         delta = delta_star
     elif delta < delta_star:
@@ -315,15 +313,13 @@ def read_zstar(path: str, d: int) -> np.ndarray:
     return vals.reshape(2, d)
 
 
-def _solve_reference(cfg: RunConfig, dataset, iterations: int):
+def _solve_reference(cfg: RunConfig, dataset, command: str):
     """compute_reference on the config's m = 1 problem, with the compute
-    section's cap (iterations if absent) and tolerance; returns (z,
-    residual)."""
-    opts = cfg.reference.get("compute", {})
+    section's cap and tolerance for the command; returns (z, residual)."""
     return compute_reference(
         build_problem(cfg, dataset, m=1),
-        iterations=opts.get("iterations", iterations),
-        tol=opts.get("tol", 1e-14),
+        iterations=cfg.setting("reference.compute.iterations", command),
+        tol=cfg.setting("reference.compute.tol"),
     )
 
 
@@ -331,13 +327,23 @@ def resolve_reference(cfg: RunConfig, dataset) -> np.ndarray:
     """The run's (2, d) saddle point: stored, or computed inline."""
     if "path" in cfg.reference:
         return read_zstar(cfg.reference["path"], dataset.d)
-    return _solve_reference(cfg, dataset, 50_000)[0]
+    return _solve_reference(cfg, dataset, "run")[0]
+
+
+def _output(cfg: RunConfig, command: str) -> str:
+    """The file the command writes; one in a missing directory, or that
+    names a directory, is a ConfigError, found without creating a file."""
+    out = cfg.setting("log.output", command)
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError(f"log.output: no directory for {out!r}")
+    if not out or os.path.isdir(out):
+        raise ConfigError(f"log.output: {out!r} names a directory")
+    return out
 
 
 def cmd_reference(cfg: RunConfig) -> int:
-    dataset = build_dataset(cfg)
-    z, residual = _solve_reference(cfg, dataset, cfg.budget.get("iterations", 50_000))
-    out = cfg.log.get("output", "zstar.txt")
+    out = _output(cfg, "reference")
+    z, residual = _solve_reference(cfg, build_dataset(cfg), "reference")
     write_zstar(out, z, residual)
     print(f"reference written to {out}, residual {residual:.3e}")
     return EXIT_OK
@@ -346,18 +352,23 @@ def cmd_reference(cfg: RunConfig) -> int:
 def build(cfg: RunConfig):
     """The one build path of run and validate: returns
     (dataset, problem, graph, spectrum, compressor)."""
+    t = cfg.topology
+    m = t["m"] if t["kind"] == "ring" else t["rows"] * t["cols"]
     dataset = build_dataset(cfg)
-    prob = build_problem(cfg, dataset, _node_count(cfg))
+    prob = build_problem(cfg, dataset, m)
     g, spec = build_graph(cfg)
     compressor = build_compressor(cfg, prob.d)
     return dataset, prob, g, spec, compressor
 
 
-def _derived_record(cfg: RunConfig, prob: RobustLRProblem, spec, compressor):
-    """The run's derived numbers as one JSON object, every value a field of
-    the object that holds it; returns (record, failures).  Its schedule is
-    the list of the restart method's StageParams up to the first infeasible
-    stage, or the variance-reduced method's SvrgParams."""
+def verdict(cfg: RunConfig):
+    """The one verdict of run and validate, all but the solve: checks the
+    output, builds the run and derives its numbers as one JSON object, each
+    value a field of the object that holds it; returns (output, build's
+    result, record, failures).  Its schedule lists the restart method's
+    StageParams up to the first infeasible stage, or the SvrgParams."""
+    out = _output(cfg, "reference" if cfg.algorithm == "reference" else "run")
+    built = _, prob, _, spec, compressor = build(cfg)
     record = {
         "m": prob.m, "n": prob.n, "N": prob.N,
         "constants": asdict(prob.constants),
@@ -381,53 +392,45 @@ def _derived_record(cfg: RunConfig, prob: RobustLRProblem, spec, compressor):
         try:
             vp = cdpsvrg_params(
                 prob.constants, compressor.delta, spec, prob.n,
-                p_min=1.0 / prob.n, p=cfg.oracle.get("p", 1.0 / prob.n),
+                p_min=1.0 / prob.n, p=cfg.setting("oracle.p"),
             )
             record["schedule"] = asdict(vp)
         except InfeasibleParameterError as e:
             failures.append(str(e))
-    return record, failures
+    return out, built, record, failures
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    _, prob, _, spec, compressor = build(cfg)
-    record, failures = _derived_record(cfg, prob, spec, compressor)
+    _, _, record, failures = verdict(cfg)
     print(json.dumps(record, indent=2))
     if failures:
-        print("FAILURES:")
-        for f in failures:
-            print(f"  {f}")
-    else:
-        print("all parameter windows feasible")
+        print("FAILURES:", *failures, sep="\n  ")
+        return EXIT_INFEASIBLE
+    print("all parameter windows feasible")
     return EXIT_OK
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    out, (dataset, prob, g, spec, compressor), record, failures = verdict(cfg)
+    if failures:
+        raise InfeasibleParameterError("; ".join(failures))
     if cfg.algorithm == "reference":
         return cmd_reference(cfg)
-    dataset, prob, g, spec, compressor = build(cfg)
     z_star = resolve_reference(cfg, dataset)
-    stride = cfg.log.get("stride")
     z0 = np.zeros((2, prob.d))
+    stride = cfg.setting("log.stride")
     if cfg.algorithm == "crdpsg":
-        if stride is None:
-            stride = 1
         trace, _ = run_crdpsg(
             prob, g, spec, compressor, cfg.budget["stages"], z0, z_star,
             cfg.seed, log_stride=stride,
         )
     else:
-        T = cfg.budget["iterations"]
-        if stride is None:
-            stride = 1 if T <= 10_000 else 10
         trace, _ = run_cdpsvrg(
-            prob, g, spec, compressor, T, z0, z_star, cfg.seed,
-            p=cfg.oracle.get("p"), log_stride=stride,
+            prob, g, spec, compressor, cfg.budget["iterations"], z0, z_star,
+            cfg.seed, p=cfg.setting("oracle.p"), log_stride=stride,
         )
-    out = cfg.log.get("output", "trace.csv")
     with open(out, "w") as fh:
         fh.write(trace.to_csv())
-    record, _ = _derived_record(cfg, prob, spec, compressor)
     with open(out + ".meta", "w") as fh:
         fh.write(json.dumps({"config": cfg.__dict__, "derived": record}, indent=2))
         fh.write("\n")
@@ -439,16 +442,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="decsaddle")
     sub = parser.add_subparsers(dest="command", required=True)
     for cmd in ("run", "validate", "reference"):
-        sp = sub.add_parser(cmd)
-        sp.add_argument("config")
+        sub.add_parser(cmd).add_argument("config")
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.command == "run":
-            return cmd_run(cfg)
-        if args.command == "validate":
-            return cmd_validate(cfg)
-        return cmd_reference(cfg)
+        cmd = {"run": cmd_run, "validate": cmd_validate, "reference": cmd_reference}
+        return cmd[args.command](cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

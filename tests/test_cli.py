@@ -2,14 +2,17 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
+import re
+import runpy
 import subprocess
 import sys
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decsaddle as ds
@@ -25,6 +28,9 @@ from decsaddle.cli import (
     read_zstar,
     write_zstar,
 )
+
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _base_config(tmp_path, **overrides):
@@ -284,18 +290,23 @@ def _subprocess_run(config_path):
         {"reference": {"compute": False}},
         {"reference": {"compute": ""}},
         {"reference": {"compute": []}},
+        # a stored point that exists, beside a compute section
+        {"reference": {"path": "zstar.txt", "compute": {}}},
     ],
     ids=[
         "m-string", "ring-m2", "bits0", "n-too-large", "unknown-mode",
         "missing-libsvm", "seed-string", "R_x-inf", "lambda-inf", "delta-nan",
         "p-nan", "bits1100", "compute-0", "compute-false", "compute-empty-string",
-        "compute-list",
+        "compute-list", "path-and-compute",
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, overrides):
     cfg = _base_config(tmp_path, **overrides)
     if "dataset" in overrides:
         cfg["dataset"]["path"] = str(tmp_path / "missing.svm")
+    if "path" in cfg["reference"]:
+        cfg["reference"]["path"] = str(tmp_path / "zstar.txt")
+        write_zstar(cfg["reference"]["path"], np.zeros((2, 6)), 0.0)
     proc = _subprocess_run(_write(tmp_path, cfg))
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
@@ -392,23 +403,25 @@ _FUZZ_BASES = (
         "reference": {"path": "zstar.txt"},
     },
 )
-_FUZZ_KEYS = sorted(
-    {k for base in _FUZZ_BASES for sec in base.values() if isinstance(sec, dict)
-     for k in sec} | {"compute", "iterations", "tol", "path", "stages", "typo"}
-)
-# sizes stay small (integers up to 12) so that no drawn config allocates a
-# large dataset or spectrum
+# the fuzz test draws its keys, strings and integer boundaries from the
+# config table, plus one key that no section has
+_FUZZ_KEYS = sorted({part for key in cli.KEYS for part in key.split(".")} | {"typo"})
+_FUZZ_STRINGS = sorted({c for key in cli.KEYS.values() for c in key.choices} | {""})
+_FUZZ_BOUNDS = sorted({
+    b for key in cli.KEYS.values() if key.kind == "int"
+    for b in (key.lo - 1, key.lo, key.hi, key.hi + 1) if b != math.inf
+})
+# sizes stay small (integers up to 12, bounds up to MAX_BITS + 1) so that no
+# drawn config allocates a large dataset or spectrum
 _FUZZ_NUMBER = st.one_of(
     st.integers(-3, 12),
+    st.sampled_from(_FUZZ_BOUNDS),
     st.floats(allow_nan=True, allow_infinity=True),
     # magnitudes whose squares or products leave the float range
     st.sampled_from([5e-324, 1e-300, 1e-170, 1e150, 1e200, 1e300, -0.0]),
 )
 _FUZZ_LEAF = st.one_of(
-    st.none(), st.booleans(), _FUZZ_NUMBER,
-    st.sampled_from(["", "auto", "ring", "torus", "synthetic", "libsvm",
-                     "qinf", "identity", "sorted", "crdpsg", "cdpsvrg",
-                     "reference"]),
+    st.none(), st.booleans(), _FUZZ_NUMBER, st.sampled_from(_FUZZ_STRINGS)
 )
 _FUZZ_VALUE = st.recursive(
     _FUZZ_LEAF,
@@ -443,30 +456,104 @@ def _mutate(cfg, path, value):
         parent[path[-1]] = value
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.data())
-def test_mutated_config_validates_to_documented_exit_code(data):
-    # any JSON edit of a valid config ends in 0 (valid), 2 (config),
-    # 3 (infeasible) or 4 (numerical), never an escaping exception; most
-    # edits replace or delete an existing key, some add one
-    cfg = json.loads(json.dumps(data.draw(st.sampled_from(_FUZZ_BASES))))
+@st.composite
+def _mutated_configs(draw):
+    """A valid config after one to three JSON edits; most edits replace or
+    delete an existing key, some add one."""
+    cfg = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
     paths = sorted(_paths(cfg))
-    for _ in range(data.draw(st.integers(1, 3))):
-        if data.draw(st.integers(0, 4)):
-            path = data.draw(st.sampled_from(paths))
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 4)):
+            path = draw(st.sampled_from(paths))
         else:
-            parent = data.draw(st.sampled_from([()] + paths))
-            path = parent + (data.draw(st.sampled_from(_FUZZ_KEYS)),)
-        value = data.draw(st.one_of(st.just(_DELETE), _FUZZ_NUMBER, _FUZZ_VALUE))
-        _mutate(cfg, path, value)
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "cfg.json")
-        with open(path, "w") as fh:
+            parent = draw(st.sampled_from([()] + paths))
+            path = parent + (draw(st.sampled_from(_FUZZ_KEYS)),)
+        _mutate(cfg, path, draw(st.one_of(st.just(_DELETE), _FUZZ_NUMBER, _FUZZ_VALUE)))
+    return cfg
+
+
+class _SolveEntered(Exception):
+    """Raised by the stubs where a command would start its solve."""
+
+
+def _enter_solve(*args, **kwargs):
+    raise _SolveEntered
+
+
+def _exit_code(command, path):
+    """main's exit code and printed output; a command that reaches its
+    solve counts as exit 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main([command, path])
+        except _SolveEntered:
+            code = EXIT_OK
+    return code, out.getvalue()
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mutated_configs())
+# validate printed this config's FAILURES and exited 0, while run exited 3
+@example(dict(_FUZZ_BASES[0], oracle={"p": 2.0}))
+def test_mutated_config_validates_to_documented_exit_code(cfg):
+    # any JSON edit of a valid config ends in 0 (valid), 2 (config),
+    # 3 (infeasible) or 4 (numerical), never an escaping exception; run,
+    # stopped where its solve would start, ends in validate's code
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        for name in ("run_crdpsg", "run_cdpsvrg", "compute_reference"):
+            mp.setattr(cli, name, _enter_solve)
+        mp.setattr(cli, "resolve_reference", lambda cfg, ds: np.zeros((2, ds.d)))
+        with open("cfg.json", "w") as fh:
             json.dump(cfg, fh)
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = main(["validate", path])
-    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL)
+        code, out = _exit_code("validate", "cfg.json")
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_NUMERICAL)
+        if "FAILURES:" in out:
+            assert code == EXIT_INFEASIBLE
+        assert _exit_code("run", "cfg.json")[0] == code
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "reference"])
+@pytest.mark.parametrize("output", ["missing/trace.csv", "."], ids=["no-dir", "a-dir"])
+def test_unusable_output_is_config_error(tmp_path, monkeypatch, capsys, command, output):
+    # refused by all three commands before any work is done, not by the
+    # write after the solve
+    cfg = _base_config(tmp_path, log={"output": str(tmp_path / output)})
+    monkeypatch.setattr(cli, "run_cdpsvrg", _enter_solve)
+    monkeypatch.setattr(cli, "compute_reference", _enter_solve)
+    assert main([command, _write(tmp_path, cfg)]) == EXIT_CONFIG
+    assert "config error: log.output" in capsys.readouterr().err
+
+
+def _readme():
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["README", "golden_desk", "golden_torus", "golden_scale64", "desk", "scale64"],
+)
+def test_shipped_config_validates(tmp_path, monkeypatch, capsys, name):
+    # the README's example, the golden configs, and the benchmark's
+    # workloads at seed 1, as perfbench/workloads.py writes them
+    monkeypatch.chdir(tmp_path)
+    if name == "README":
+        example = re.search(r"```json\n(.*?)```", _readme(), re.S).group(1)
+        path = _write(tmp_path, json.loads(example))
+    elif name.startswith("golden"):
+        path = os.path.join(ROOT, "tests", "data", name + ".json")
+    else:
+        workloads = runpy.run_path(os.path.join(ROOT, "perfbench", "workloads.py"))
+        path = workloads["prepare"](name, 1, str(tmp_path))[0]
+    assert main(["validate", path]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("\nall parameter windows feasible\n")
+
+
+def test_readme_config_table_lists_exactly_the_schema_keys():
+    rows = re.findall(r"^\| `([\w.]+)` \|", _readme(), re.M)
+    assert sorted(rows) == sorted(cli.KEYS)
 
 
 @pytest.mark.parametrize("name", ["golden_desk", "golden_torus", "golden_scale64"])
