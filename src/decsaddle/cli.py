@@ -102,7 +102,8 @@ SCHEMA = Section({
     "oracle": Section({
         "p": Key("number", default=lambda cfg, _: 1.0 / cfg.partition["n"]),
     }, default={}),
-    # a reference solve caps its steps by budget.iterations and ignores stages
+    # a reference config's solve caps its steps by budget.iterations and
+    # ignores stages
     "budget": Section({}, "algorithm", {
         "crdpsg": {"stages": Key("int", 1)},
         "cdpsvrg": {"iterations": Key("int", 1)},
@@ -118,8 +119,9 @@ SCHEMA = Section({
     "reference": Section({}, None, {
         "path": {"path": Key("string")},
         "compute": {"compute": Section({
-            "iterations": Key("int", 1, default=lambda cfg, command: (
-                50_000 if command == "run" else cfg.budget.get("iterations", 50_000))),
+            "iterations": Key("int", 1, default=lambda cfg, _: (
+                cfg.budget.get("iterations", 50_000)
+                if cfg.algorithm == "reference" else 50_000)),
             "tol": Key("positive", default=1e-14),
         })},
     }, default={}),
@@ -313,21 +315,15 @@ def read_zstar(path: str, d: int) -> np.ndarray:
     return vals.reshape(2, d)
 
 
-def _solve_reference(cfg: RunConfig, dataset, command: str):
+def resolve_reference(cfg: RunConfig, dataset):
     """compute_reference on the config's m = 1 problem, with the compute
-    section's cap and tolerance for the command; returns (z, residual)."""
+    section's cap and tolerance; returns (z, residual), z the (2, d) saddle
+    point."""
     return compute_reference(
         build_problem(cfg, dataset, m=1),
-        iterations=cfg.setting("reference.compute.iterations", command),
+        iterations=cfg.setting("reference.compute.iterations"),
         tol=cfg.setting("reference.compute.tol"),
     )
-
-
-def resolve_reference(cfg: RunConfig, dataset) -> np.ndarray:
-    """The run's (2, d) saddle point: stored, or computed inline."""
-    if "path" in cfg.reference:
-        return read_zstar(cfg.reference["path"], dataset.d)
-    return _solve_reference(cfg, dataset, "run")[0]
 
 
 def _output(cfg: RunConfig, command: str) -> str:
@@ -343,7 +339,14 @@ def _output(cfg: RunConfig, command: str) -> str:
 
 def cmd_reference(cfg: RunConfig) -> int:
     out = _output(cfg, "reference")
-    z, residual = _solve_reference(cfg, build_dataset(cfg), "reference")
+    z, residual = resolve_reference(cfg, build_dataset(cfg))
+    tol = cfg.setting("reference.compute.tol")
+    if not residual <= tol:
+        raise ArithmeticError(
+            f"reference residual {residual:.3e} above tol {tol:.3e} after "
+            f"{cfg.setting('reference.compute.iterations')} iterations; "
+            "nothing written"
+        )
     write_zstar(out, z, residual)
     print(f"reference written to {out}, residual {residual:.3e}")
     return EXIT_OK
@@ -365,10 +368,16 @@ def verdict(cfg: RunConfig):
     """The one verdict of run and validate, all but the solve: checks the
     output, builds the run and derives its numbers as one JSON object, each
     value a field of the object that holds it; returns (output, build's
-    result, record, failures).  Its schedule lists the restart method's
-    StageParams up to the first infeasible stage, or the SvrgParams."""
+    result, stored saddle point, record, failures).  The stored (2, d)
+    point is read once, here, from a run config's reference.path; it is
+    None for an inline compute, which only run does.  The record's schedule
+    lists the restart method's StageParams up to the first infeasible
+    stage, or the SvrgParams."""
     out = _output(cfg, "reference" if cfg.algorithm == "reference" else "run")
     built = _, prob, _, spec, compressor = build(cfg)
+    z_star = None
+    if cfg.algorithm != "reference" and "path" in cfg.reference:
+        z_star = read_zstar(cfg.reference["path"], prob.d)
     record = {
         "m": prob.m, "n": prob.n, "N": prob.N,
         "constants": asdict(prob.constants),
@@ -397,11 +406,11 @@ def verdict(cfg: RunConfig):
             record["schedule"] = asdict(vp)
         except InfeasibleParameterError as e:
             failures.append(str(e))
-    return out, built, record, failures
+    return out, built, z_star, record, failures
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    _, _, record, failures = verdict(cfg)
+    _, _, _, record, failures = verdict(cfg)
     print(json.dumps(record, indent=2))
     if failures:
         print("FAILURES:", *failures, sep="\n  ")
@@ -411,12 +420,13 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    out, (dataset, prob, g, spec, compressor), record, failures = verdict(cfg)
+    out, (dataset, prob, g, spec, compressor), z_star, record, failures = verdict(cfg)
     if failures:
         raise InfeasibleParameterError("; ".join(failures))
     if cfg.algorithm == "reference":
         return cmd_reference(cfg)
-    z_star = resolve_reference(cfg, dataset)
+    if z_star is None:
+        z_star = resolve_reference(cfg, dataset)[0]
     z0 = np.zeros((2, prob.d))
     stride = cfg.setting("log.stride")
     if cfg.algorithm == "crdpsg":

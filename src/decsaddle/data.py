@@ -13,60 +13,52 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Binary-labeled samples with sparse features stored index/value."""
+    """Binary-labeled samples: labels (N,) in {-1, +1} and dense features
+    (N, d), one sample per row."""
 
-    labels: np.ndarray  # (N,), entries in {-1, +1}
-    indices: list  # per sample, int array of 0-based feature indices
-    values: list  # per sample, float array matching indices
-    d: int
+    labels: np.ndarray
+    features: np.ndarray
 
     @property
     def N(self) -> int:
         return self.labels.shape[0]
 
-    def dense(self) -> np.ndarray:
-        A = np.zeros((self.N, self.d))
-        for i, (idx, val) in enumerate(zip(self.indices, self.values)):
-            A[i, idx] = val
-        return A
+    @property
+    def d(self) -> int:
+        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
 class Partition:
-    """assignment[i][j] = sample indices of batch j on node i."""
+    """index[i, j] = the sample indices of batch j on node i, sorted, as
+    one (m, n, B) integer array; a batch shorter than B is padded at its
+    end with N, the dataset's sample count."""
 
-    assignment: list
-    m: int
-    n: int
+    index: np.ndarray
 
-    def batch(self, i: int, j: int) -> np.ndarray:
-        return self.assignment[i][j]
+    @property
+    def m(self) -> int:
+        return self.index.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.index.shape[1]
 
 
 def parse_libsvm(stream) -> Dataset:
     """Parse LIBSVM text: "<label> <idx>:<val> ...", indices 1-based and
     strictly increasing per line.  0/1 labels are remapped to -1/+1."""
-    labels = []
-    indices = []
-    values = []
-    d = 0
+    labels, rows, cols, vals = [], [], [], []
     for lineno, line in enumerate(stream, start=1):
-        line = line.strip()
-        if not line:
-            continue
         parts = line.split()
+        if not parts:
+            continue
         try:
             lab = float(parts[0])
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric label {parts[0]!r}")
-        if lab in (1.0, +1.0):
-            lab = 1.0
-        elif lab in (-1.0, 0.0):
-            lab = -1.0
-        else:
+        if lab not in (1.0, -1.0, 0.0):
             raise ParseError(f"line {lineno}: unknown label value {parts[0]!r}")
-        idx = []
-        val = []
         prev = 0
         for tok in parts[1:]:
             try:
@@ -80,23 +72,21 @@ def parse_libsvm(stream) -> Dataset:
                     f"line {lineno}: feature index {k} not strictly increasing"
                 )
             prev = k
-            idx.append(k - 1)
-            val.append(v)
-        labels.append(lab)
-        indices.append(np.array(idx, dtype=np.int64))
-        values.append(np.array(val, dtype=float))
-        if idx:
-            d = max(d, idx[-1] + 1)
-    return Dataset(
-        labels=np.array(labels, dtype=float), indices=indices, values=values, d=d
-    )
+            rows.append(len(labels))
+            cols.append(k - 1)
+            vals.append(v)
+        labels.append(1.0 if lab == 1.0 else -1.0)
+    features = np.zeros((len(labels), max(cols, default=-1) + 1))
+    features[rows, cols] = vals
+    return Dataset(labels=np.array(labels, dtype=float), features=features)
 
 
 def serialize_libsvm(ds: Dataset) -> str:
+    """LIBSVM text of ds: each row's label and its nonzero features."""
     lines = []
-    for lab, idx, val in zip(ds.labels, ds.indices, ds.values):
+    for lab, row in zip(ds.labels, ds.features):
         toks = ["%+d" % int(lab)]
-        toks += ["%d:%.17g" % (k + 1, v) for k, v in zip(idx, val)]
+        toks += ["%d:%.17g" % (k + 1, row[k]) for k in np.flatnonzero(row)]
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
 
@@ -112,13 +102,7 @@ def synthesize(N: int, d: int, seed: int) -> Dataset:
     labels = np.where(A @ w >= 0.0, 1.0, -1.0)
     flip = rng.random(N) < 0.1
     labels[flip] *= -1.0
-    all_idx = np.arange(d, dtype=np.int64)
-    return Dataset(
-        labels=labels,
-        indices=[all_idx] * N,
-        values=[A[i] for i in range(N)],
-        d=d,
-    )
+    return Dataset(labels=labels, features=A)
 
 
 def partition(ds: Dataset, m: int, n: int, seed: int, mode: str = "shuffled") -> Partition:
@@ -128,18 +112,21 @@ def partition(ds: Dataset, m: int, n: int, seed: int, mode: str = "shuffled") ->
     N = ds.N
     if N < m * n:
         raise ValueError(f"need N >= m*n, got N={N}, m={m}, n={n}")
+    pos = np.arange(N)
     if mode == "shuffled":
         rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C]))
         order = rng.permutation(N)
-        per_node = [order[i::m] for i in range(m)]
+        # order[pos] goes to node pos % m, as its (pos // m)-th sample
+        node, rank = pos % m, pos // m
     elif mode == "sorted":
         order = np.argsort(ds.labels, kind="stable")
         # contiguous label-sorted blocks, sizes differing by at most 1
-        bounds = [round(i * N / m) for i in range(m + 1)]
-        per_node = [order[bounds[i]:bounds[i + 1]] for i in range(m)]
+        bounds = np.round(np.arange(m + 1) * N / m).astype(np.int64)
+        node = np.searchsorted(bounds, pos, side="right") - 1
+        rank = pos - bounds[node]
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
-    assignment = []
-    for i in range(m):
-        assignment.append([np.sort(per_node[i][j::n]) for j in range(n)])
-    return Partition(assignment=assignment, m=m, n=n)
+    # a node's k-th sample goes to batch k % n, as its (k // n)-th entry
+    index = np.full((m, n, int(rank.max()) // n + 1), N)
+    index[node, rank % n, rank // n] = order
+    return Partition(np.sort(index, axis=-1))

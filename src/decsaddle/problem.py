@@ -88,28 +88,21 @@ class RobustLRProblem:
         # [lam/m, -beta/m] of the stacked gradient
         self._neg_c = -self.n / self.N
         self._reg = np.array([lam / self.m, -(beta / self.m)])[:, None, None]
-        covered = np.concatenate(
-            [part.batch(i, j) for i in range(part.m) for j in range(part.n)]
-        )
-        # every sample exactly once (np.unique would import numpy.ma)
-        once = np.bincount(covered, minlength=self.N) == 1
-        if len(covered) != self.N or not once.all():
+        index = part.index
+        # one count per sample, and one for the padding index N
+        counts = np.bincount(index.ravel(), minlength=self.N + 1)
+        if counts.size != self.N + 1 or not (counts[: self.N] == 1).all():
             raise ValueError("partition is not a disjoint cover of the dataset")
-        self.sizes = np.array(
-            [[len(part.batch(i, j)) for j in range(part.n)] for i in range(part.m)]
-        )
+        self.sizes = (index < self.N).sum(axis=-1)
         if np.any(self.sizes == 0):
             i, j = np.argwhere(self.sizes == 0)[0]
             raise ValueError(f"batch ({i}, {j}) is empty")
-        dense = ds.dense()
-        B = int(self.sizes.max())
-        self.features = np.zeros((self.m * self.n, B, self.d))
-        self.labels = np.zeros((self.m * self.n, B))
-        for i in range(self.m):
-            for j in range(self.n):
-                idx = part.batch(i, j)
-                self.features[i * self.n + j, : len(idx)] = dense[idx]
-                self.labels[i * self.n + j, : len(idx)] = ds.labels[idx]
+        # the samples plus one zero row and label, which padding reads
+        A, b = np.zeros((self.N + 1, self.d)), np.zeros(self.N + 1)
+        A[: self.N], b[: self.N] = ds.features, ds.labels
+        B = index.shape[2]
+        rows = index.reshape(self.m * self.n, B)
+        self.features, self.labels = A.take(rows, axis=0), b.take(rows)
         # the same features as (m, n, B, d): batch (i, j) at [i, j]
         self.batches = self.features.reshape(self.m, self.n, B, self.d)
         self.constants = (

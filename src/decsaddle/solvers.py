@@ -82,6 +82,9 @@ class StageParams(_ScheduleParams):
             raise InfeasibleParameterError(f"stage {self.k}: t = {self.t} < 1")
 
 
+_RESTART_C = 1.0 - 1.0 / math.sqrt(2.0)
+
+
 def crdpsg_rho(
     consts: SaddleConstants, delta: float, spec: SpectralInfo | None
 ) -> float:
@@ -89,7 +92,7 @@ def crdpsg_rho(
     geometrically across stages."""
     kf2 = consts.kappa_f**2
     kappa_g = spec.kappa_g if spec is not None else 1.0
-    c = 1.0 - 1.0 / math.sqrt(2.0)
+    c = _RESTART_C
     return min(
         c / (8.0 * kf2),
         c / (16.0 * (1.0 + delta) ** 2 * kf2 * kappa_g),
@@ -102,6 +105,15 @@ def crdpsg_stage_params(
 ) -> StageParams:
     """Closed-form stage-k schedule of the restart method.
 
+    The stage's factors (1-b_x)/M_x and (1-b_y)/M_y meet 1 - r, r the
+    first term of crdpsg_rho at this stage, c / (8 kappa_f^2 2^(k/2)),
+    through two caps.  b = mu s - 4 s^2 L_cross^2 peaks at s = mu /
+    (8 L_cross^2), so s is at most that (which binds only if L_cross >
+    L / sqrt(2)); then b >= mu s0 / 2^(k/2 + 2) > r, s0 = 1 / (4 L
+    kappa_f).  M = 1 - sqrt(delta) alpha / (1 - gamma lambda_max / 2)
+    falls as alpha grows, so alpha is at most the value that gives M =
+    (1-b) / (1-r).
+
     spec = None marks the single-node degenerate case: the graph terms of
     the update vanish identically, so the gamma scale is immaterial and a
     unit eigenvalue placeholder is used.
@@ -110,22 +122,25 @@ def crdpsg_stage_params(
         raise InfeasibleParameterError(f"delta = {delta} outside [0, 1]")
     scale = 2.0 ** (k / 2.0)
     s0 = 1.0 / (4.0 * consts.L * consts.kappa_f)
-    s = s0 / scale
+    s = min(
+        s0 / scale,
+        consts.mu_x / (8.0 * consts.L_yx**2),
+        consts.mu_y / (8.0 * consts.L_xy**2),
+    )
     b_x = consts.mu_x * s - 4.0 * s**2 * consts.L_yx**2
     b_y = consts.mu_y * s - 4.0 * s**2 * consts.L_xy**2
-    if b_x <= 0.0 or b_y <= 0.0:
-        raise InfeasibleParameterError(
-            f"stage {k}: b_x = {b_x:.4g}, b_y = {b_y:.4g}; the schedule "
-            "degenerates when the cross-smoothness term dominates "
-            "(e.g. kappa_f = 1 with L_yx = L); use kappa_f > 1 or a "
-            "smaller initial step"
-        )
     lam_max = spec.lambda_max if spec is not None else 1.0
     gamma_x = b_x / (2.0 * (1.0 + delta) ** 2 * lam_max)
     gamma_y = b_y / (2.0 * (1.0 + delta) ** 2 * lam_max)
-    alpha_x = b_x / (1.0 + delta)
-    alpha_y = b_y / (1.0 + delta)
     rd = math.sqrt(delta)
+    r = _RESTART_C / (8.0 * consts.kappa_f**2 * scale)
+
+    def alpha(b, gamma):
+        q = 1.0 - 0.5 * gamma * lam_max
+        a = b / (1.0 + delta)
+        return min(a, q * (b - r) / (rd * (1.0 - r))) if rd > 0.0 else a
+
+    alpha_x, alpha_y = alpha(b_x, gamma_x), alpha(b_y, gamma_y)
     M_x = 1.0 - rd * alpha_x / (1.0 - 0.5 * gamma_x * lam_max)
     M_y = 1.0 - rd * alpha_y / (1.0 - 0.5 * gamma_y * lam_max)
     M = min(M_x, M_y)

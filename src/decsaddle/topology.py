@@ -58,38 +58,28 @@ class SpectralInfo:
         object.__setattr__(self, "kappa_g", float(lam[-1] / lam[1]))
 
 
+def _cycle(k: int) -> np.ndarray:
+    """Adjacency of the k-cycle: the identity shifted one place each way
+    (the two shifts hit distinct entries for k >= 3)."""
+    I = np.eye(k)
+    return np.roll(I, 1, axis=1) + np.roll(I, -1, axis=1)
+
+
 def build_ring(m: int) -> DecGraph:
     """Ring with weight 1/3 on self and on both neighbors."""
     if m < 3:
         raise ValueError(f"ring needs m >= 3, got {m}")
-    W = np.zeros((m, m))
-    third = 1.0 / 3.0
-    for i in range(m):
-        W[i, i] = third
-        W[i, (i - 1) % m] += third
-        W[i, (i + 1) % m] += third
-    return DecGraph(m, W)
+    return DecGraph(m, (np.eye(m) + _cycle(m)) * (1.0 / 3.0))
 
 
 def build_torus(rows: int, cols: int) -> DecGraph:
-    """2D torus with weight 1/5 on self and the four wrap-around neighbors."""
+    """2D torus with weight 1/5 on self and the four wrap-around neighbors:
+    node r * cols + c neighbors its row's and its column's cycles."""
     if rows < 3 or cols < 3:
         raise ValueError(f"torus needs rows, cols >= 3, got ({rows}, {cols})")
     m = rows * cols
-    W = np.zeros((m, m))
-    fifth = 1.0 / 5.0
-    for r in range(rows):
-        for c in range(cols):
-            i = r * cols + c
-            W[i, i] = fifth
-            for rr, cc in (
-                ((r - 1) % rows, c),
-                ((r + 1) % rows, c),
-                (r, (c - 1) % cols),
-                (r, (c + 1) % cols),
-            ):
-                W[i, rr * cols + cc] += fifth
-    return DecGraph(m, W)
+    A = np.kron(_cycle(rows), np.eye(cols)) + np.kron(np.eye(rows), _cycle(cols))
+    return DecGraph(m, (np.eye(m) + A) * (1.0 / 5.0))
 
 
 def jacobi_eigh(A: np.ndarray, tol_factor: float = 1e-13, max_sweeps: int = 100):

@@ -28,6 +28,7 @@ from decsaddle.cli import (
     read_zstar,
     write_zstar,
 )
+from decsaddle.data import serialize_libsvm
 
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -122,6 +123,25 @@ def test_reference_command_roundtrip(tmp_path):
     assert main(["run", _write(tmp_path, cfg2, "cfg2.json")]) == EXIT_OK
 
 
+def test_reference_cap_is_the_budget_of_a_reference_config_only(tmp_path):
+    # golden_desk.json with tol 1e-22 and a budget of 20 iterations: that
+    # budget is the cdpsvrg solver's, so the reference command keeps the
+    # default cap of 50,000 and meets tol; as a reference config's budget
+    # it caps the solve at 20 iterations, which stop about eight orders
+    # above tol, so the command exits 4 and writes nothing
+    with open(os.path.join(ROOT, "tests", "data", "golden_desk.json")) as fh:
+        cfg = json.load(fh)
+    out = tmp_path / "zstar.txt"
+    cfg.update(budget={"iterations": 20}, log={"output": str(out)},
+               reference={"compute": {"tol": 1e-22}})
+    assert main(["reference", _write(tmp_path, cfg)]) == EXIT_OK
+    assert float(out.read_text().split()[5]) <= 1e-22
+    out.unlink()
+    cfg["algorithm"] = "reference"
+    assert main(["reference", _write(tmp_path, cfg)]) == EXIT_NUMERICAL
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "header",
     ["d_x 6 d_y 5 residual 0", "d_x 5 d_y 5 residual 0"],
@@ -141,6 +161,22 @@ def test_stored_reference_of_other_size_is_config_error(tmp_path, header):
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
     assert "reference file" in proc.stderr and "d = 6" in proc.stderr
+
+
+@pytest.mark.parametrize("mode", ["shuffled", "sorted"])
+def test_libsvm_run_reproduces_the_synthetic_run(tmp_path, mode):
+    # N = 61 is not a multiple of m n = 8, so some batches are padded; the
+    # synthetic dataset written as LIBSVM text and read back gives the same
+    # trace, byte for byte
+    cfg = _base_config(tmp_path, partition={"n": 2, "mode": mode})
+    cfg["dataset"]["N"] = 61
+    svm = tmp_path / "data.svm"
+    svm.write_text(serialize_libsvm(ds.synthesize(61, 6, cfg["dataset"]["seed"])))
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_OK
+    synthetic = (tmp_path / "trace.csv").read_bytes()
+    cfg["dataset"] = {"kind": "libsvm", "path": str(svm)}
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_OK
+    assert (tmp_path / "trace.csv").read_bytes() == synthetic
 
 
 def test_zstar_roundtrip(tmp_path):
@@ -292,25 +328,33 @@ def _subprocess_run(config_path):
         {"reference": {"compute": []}},
         # a stored point that exists, beside a compute section
         {"reference": {"path": "zstar.txt", "compute": {}}},
+        # a stored point that is missing, or of another size than d = 6
+        {"reference": {"path": "missing.txt"}},
+        {"reference": {"path": "zstar5.txt"}},
     ],
     ids=[
         "m-string", "ring-m2", "bits0", "n-too-large", "unknown-mode",
         "missing-libsvm", "seed-string", "R_x-inf", "lambda-inf", "delta-nan",
         "p-nan", "bits1100", "compute-0", "compute-false", "compute-empty-string",
-        "compute-list", "path-and-compute",
+        "compute-list", "path-and-compute", "missing-zstar", "zstar-of-other-size",
     ],
 )
-def test_malformed_config_is_config_error(tmp_path, overrides):
+def test_malformed_config_is_config_error(tmp_path, capsys, overrides):
+    # run and validate share one verdict, so both exit 2
     cfg = _base_config(tmp_path, **overrides)
     if "dataset" in overrides:
         cfg["dataset"]["path"] = str(tmp_path / "missing.svm")
     if "path" in cfg["reference"]:
-        cfg["reference"]["path"] = str(tmp_path / "zstar.txt")
-        write_zstar(cfg["reference"]["path"], np.zeros((2, 6)), 0.0)
-    proc = _subprocess_run(_write(tmp_path, cfg))
+        write_zstar(str(tmp_path / "zstar.txt"), np.zeros((2, 6)), 0.0)
+        write_zstar(str(tmp_path / "zstar5.txt"), np.zeros((2, 5)), 0.0)
+        cfg["reference"]["path"] = str(tmp_path / cfg["reference"]["path"])
+    path = _write(tmp_path, cfg)
+    proc = _subprocess_run(path)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "config error" in proc.stderr
+    assert main(["validate", path]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -504,7 +548,8 @@ def test_mutated_config_validates_to_documented_exit_code(cfg):
         mp.chdir(tmp)
         for name in ("run_crdpsg", "run_cdpsvrg", "compute_reference"):
             mp.setattr(cli, name, _enter_solve)
-        mp.setattr(cli, "resolve_reference", lambda cfg, ds: np.zeros((2, ds.d)))
+        # the stored point of the crdpsg base, which verdict reads
+        write_zstar("zstar.txt", np.zeros((2, 2)), 0.0)
         with open("cfg.json", "w") as fh:
             json.dump(cfg, fh)
         code, out = _exit_code("validate", "cfg.json")
@@ -546,7 +591,10 @@ def test_shipped_config_validates(tmp_path, monkeypatch, capsys, name):
         path = os.path.join(ROOT, "tests", "data", name + ".json")
     else:
         workloads = runpy.run_path(os.path.join(ROOT, "perfbench", "workloads.py"))
-        path = workloads["prepare"](name, 1, str(tmp_path))[0]
+        path, ref, _ = workloads["prepare"](name, 1, str(tmp_path))
+        if ref is not None:
+            # the stored reference point that the run config reads
+            assert main(["reference", ref]) == EXIT_OK
     assert main(["validate", path]) == EXIT_OK
     assert capsys.readouterr().out.endswith("\nall parameter windows feasible\n")
 

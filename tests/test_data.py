@@ -13,7 +13,7 @@ def test_parse_basic():
     d = ds.parse_libsvm(io.StringIO("+1 1:0.5 3:-2\n"))
     assert d.N == 1 and d.d == 3
     assert d.labels[0] == 1.0
-    assert np.allclose(d.dense()[0], [0.5, 0, -2], atol=0)
+    assert np.array_equal(d.features, [[0.5, 0, -2]])
 
 
 def test_parse_zero_label_remap():
@@ -37,14 +37,14 @@ def test_roundtrip():
     text = serialize_libsvm(d)
     d2 = ds.parse_libsvm(io.StringIO(text))
     assert np.array_equal(d.labels, d2.labels)
-    assert np.allclose(d.dense(), d2.dense(), atol=0)
+    assert np.array_equal(d.features, d2.features)
 
 
 def test_synthesize_deterministic():
     a = ds.synthesize(50, 5, 3)
     b = ds.synthesize(50, 5, 3)
     assert np.array_equal(a.labels, b.labels)
-    assert np.allclose(a.dense(), b.dense(), atol=0)
+    assert np.array_equal(a.features, b.features)
 
 
 def test_synthesize_shapes_and_balance():
@@ -58,22 +58,38 @@ def test_synthesize_shapes_and_balance():
 def test_partition_exact_division():
     d = ds.synthesize(12, 3, 0)
     p = ds.partition(d, 3, 2, 0)
-    for i in range(3):
-        assert sum(len(p.batch(i, j)) for j in range(2)) == 4
-        for j in range(2):
-            assert len(p.batch(i, j)) == 2
+    assert p.index.shape == (3, 2, 2)
+    assert (p.index < 12).all()
 
 
 def test_partition_uneven():
     d = ds.synthesize(13, 3, 0)
     p = ds.partition(d, 3, 2, 0)
-    node_sizes = sorted(
-        sum(len(p.batch(i, j)) for j in range(2)) for i in range(3)
-    )
-    assert node_sizes == [4, 4, 5]
-    for i in range(3):
-        sizes = [len(p.batch(i, j)) for j in range(2)]
-        assert max(sizes) - min(sizes) <= 1
+    sizes = (p.index < 13).sum(axis=-1)
+    assert sorted(sizes.sum(axis=1)) == [4, 4, 5]
+    assert (sizes.max(axis=1) - sizes.min(axis=1) <= 1).all()
+
+
+@pytest.mark.parametrize("mode", ["shuffled", "sorted"])
+@pytest.mark.parametrize("N, m, n", [(12, 3, 2), (13, 3, 2), (23, 3, 2), (61, 4, 2), (40, 7, 3)])
+def test_partition_matches_the_round_robin_loop(mode, N, m, n):
+    # reference: deal the ordered samples to nodes by slices, then each
+    # node's samples to batches; every batch sorted, then padded with N
+    d = ds.synthesize(N, 3, 1)
+    p = ds.partition(d, m, n, 5, mode=mode)
+    if mode == "shuffled":
+        order = np.random.default_rng(np.random.SeedSequence([5, 0xBA7C])).permutation(N)
+        per_node = [order[i::m] for i in range(m)]
+    else:
+        order = np.argsort(d.labels, kind="stable")
+        bounds = [round(i * N / m) for i in range(m + 1)]
+        per_node = [order[bounds[i]:bounds[i + 1]] for i in range(m)]
+    batches = [[np.sort(node[j::n]) for j in range(n)] for node in per_node]
+    assert p.index.shape == (m, n, max(b.size for row in batches for b in row))
+    for i in range(m):
+        for j, batch in enumerate(batches[i]):
+            assert np.array_equal(p.index[i, j, : batch.size], batch)
+            assert (p.index[i, j, batch.size :] == N).all()
 
 
 def test_partition_rejects_too_few():
@@ -92,15 +108,15 @@ def test_partition_disjoint_cover(m, n, seed):
     N = m * n + seed % 7
     d = ds.synthesize(N, 3, 0)
     p = ds.partition(d, m, n, seed)
-    all_idx = np.concatenate(
-        [p.batch(i, j) for i in range(m) for j in range(n)]
-    )
+    all_idx = p.index[p.index < N]
     assert len(all_idx) == N
     assert set(all_idx.tolist()) == set(range(N))
+    # every batch sorted, its padding N at the end
+    assert np.array_equal(p.index, np.sort(p.index, axis=-1))
 
 
 def test_partition_sorted_mode_heterogeneous():
     d = ds.synthesize(40, 3, 0)
     p = ds.partition(d, 2, 1, 0, mode="sorted")
-    means = [d.labels[p.batch(i, 0)].mean() for i in range(2)]
+    means = d.labels[p.index[:, 0]].mean(axis=-1)
     assert means[0] < means[1]

@@ -161,10 +161,11 @@ def test_ensemble_trajectory_matches_per_node_loop():
     dset = ds.synthesize(36, 3, 0)
     part = ds.partition(dset, 4, 3, 0)
     prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
-    A_all, b_all = dset.dense(), dset.labels
+    A_all, b_all = dset.features, dset.labels
 
     def formula(i, j, xi, yi):
-        idx = part.batch(i, j)
+        idx = part.index[i, j]
+        idx = idx[idx < prob.N]
         A, b = A_all[idx] + yi, b_all[idx]
         coeff = -b / (1.0 + np.exp(b * (A @ xi)))
         gx = (prob.n / prob.N) * (A.T @ coeff) + (prob.lam / prob.m) * xi

@@ -17,12 +17,7 @@ def _small_problem(m=2, n=2, N=20, d=4, lam=1.0, beta=0.5, R_x=3.0, R_y=1.0, see
 
 def _single_sample_problem(a, b, lam, beta, R_x=1.0, R_y=1.0):
     a = np.asarray(a, dtype=float)
-    dset = ds.Dataset(
-        labels=np.array([float(b)]),
-        indices=[np.arange(a.size)],
-        values=[a],
-        d=a.size,
-    )
+    dset = ds.Dataset(labels=np.array([float(b)]), features=a[None])
     part = ds.partition(dset, 1, 1, 0)
     return ds.RobustLRProblem(dset, part, lam=lam, beta=beta, R_x=R_x, R_y=R_y)
 
@@ -97,7 +92,7 @@ def test_objective_consistency_brute_force():
             for i in range(p.m)
         ]
     )
-    A = dset.dense()
+    A = dset.features
     b = dset.labels
     t = b * ((A + y) @ x)
     brute = (
@@ -137,12 +132,12 @@ def test_projection_raises_on_non_finite_row_norm(row):
 def test_partition_must_cover_every_sample_once():
     dset = ds.synthesize(12, 3, 0)
     part = ds.partition(dset, 2, 2, 0)
-    twice = [list(row) for row in part.assignment]
-    twice[1][1] = twice[0][0]  # one sample twice, another never
-    for bad in (twice, [part.assignment[0]] * 2):
+    twice = part.index.copy()
+    twice[1, 1] = twice[0, 0]  # one sample twice, another never
+    for bad in (twice, part.index[[0, 0]]):
         with pytest.raises(ValueError, match="disjoint cover"):
             ds.RobustLRProblem(
-                dset, ds.Partition(bad, 2, 2), lam=1.0, beta=1.0, R_x=1.0, R_y=1.0
+                dset, ds.Partition(bad), lam=1.0, beta=1.0, R_x=1.0, R_y=1.0
             )
 
 
@@ -241,7 +236,8 @@ def test_batch_grads_match_formula_on_padded_batches():
     part = ds.partition(dset, 3, 2, 0, mode="sorted")
     p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=3.0, R_y=1.0)
     assert len(set(p.sizes.ravel().tolist())) > 1
-    A_all, b_all = dset.dense(), dset.labels
+    A_all, b_all = dset.features, dset.labels
+    index = part.index
     rng = np.random.default_rng(4)
     X = rng.standard_normal((3, 4))
     Y = 0.3 * rng.standard_normal((3, 4))
@@ -258,12 +254,12 @@ def test_batch_grads_match_formula_on_padded_batches():
     for J in itertools.product(range(p.n), repeat=p.m):
         Gx, Gy = grads(p.row0 + J)
         for i, j in enumerate(J):
-            gx, gy = formula(i, part.batch(i, j), p.n / p.N)
+            gx, gy = formula(i, index[i, j][index[i, j] < p.N], p.n / p.N)
             assert np.allclose(Gx[i], gx, rtol=1e-13, atol=1e-15)
             assert np.allclose(Gy[i], gy, rtol=1e-13, atol=1e-15)
     Fx, Fy = p.full_grads(np.array([X, Y]))
     for i in range(p.m):
-        node = np.concatenate([part.batch(i, j) for j in range(p.n)])
+        node = index[i][index[i] < p.N]  # batch by batch
         gx, gy = formula(i, node, 1.0 / p.N)
         assert np.allclose(Fx[i], gx, rtol=1e-13, atol=1e-15)
         assert np.allclose(Fy[i], gy, rtol=1e-13, atol=1e-15)
@@ -278,10 +274,7 @@ def test_sigmoid_matches_reference_without_overflow_warning():
         [np.linspace(-800.0, 800.0, 1601), [-745.2, -709.79, 709.79, 745.2]]
     )
     b = np.where(np.arange(t.size) % 2 == 0, 1.0, -1.0)
-    dset = ds.Dataset(
-        labels=b, indices=[np.array([0])] * t.size,
-        values=[np.array([v]) for v in b * t], d=1,
-    )
+    dset = ds.Dataset(labels=b, features=(b * t)[:, None])
     p = ds.RobustLRProblem(
         dset, ds.partition(dset, 1, t.size, 0), lam=1.0, beta=1.0, R_x=1.0, R_y=1.0
     )

@@ -4,12 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decsaddle as ds
 from conftest import ACC
-from decsaddle.compression import InfeasibleParameterError
 
 
 def _consts(mu=1.0, L=2.0, Lxy=1.0):
@@ -50,11 +49,15 @@ def test_rho_formula(ring4_spec):
     assert abs(rho - expected) <= 1e-16
 
 
-def test_stage_infeasible_edge(ring4_spec):
-    # kappa_f = 1 with L_yx = L makes b_x exactly 0
+def test_stage_step_is_capped_at_the_peak_of_b(ring4_spec):
+    # kappa_f = 1 with L_yx = L: the stage-0 step 1/(4 L kappa_f) = 1/8
+    # makes b_x exactly 0, so s is capped at b_x's peak mu / (8 L_yx^2)
+    # = 1/16, where b_x = mu s / 2 = 1/16 and the factor 1 - b_x meets the bound
     c = ds.SaddleConstants(mu_x=2.0, mu_y=2.0, L_xx=2.0, L_yy=2.0, L_xy=2.0, L_yx=2.0)
-    with pytest.raises(InfeasibleParameterError):
-        ds.crdpsg_stage_params(0, c, 0.0, ring4_spec)
+    p = ds.crdpsg_stage_params(0, c, 0.0, ring4_spec)
+    assert p.s == 1.0 / 16.0 and p.b_x == p.b_y == 1.0 / 16.0
+    assert p.alpha_x == 1.0 / 16.0 and p.M == 1.0
+    assert 1.0 - p.b_x <= 1.0 - (1.0 - 1.0 / math.sqrt(2.0)) / 8.0
 
 
 @given(
@@ -64,18 +67,23 @@ def test_stage_infeasible_edge(ring4_spec):
     st.floats(min_value=0.0, max_value=1.0),
     st.integers(min_value=0, max_value=20),
 )
+# L_yx = L: b_x is 0 in exact arithmetic at the uncapped step and rounds
+# to +6.9e-18 (factor 1.0, t = 750)
+@example(mu=1.1, ratio=2.5, cross_frac=1.0, delta=0.0, k=0)
+# L_yx near L: 0.99674 against 0.99593 at the uncapped step
+@example(mu=1.0, ratio=3.0, cross_frac=0.875, delta=1.0, k=0)
+# with s at b_x's peak alone: 0.994978 against 0.994142
+@example(mu=1.0, ratio=2.5, cross_frac=1.0, delta=1.0, k=0)
 @settings(max_examples=60, deadline=None)
 def test_stage_contraction_bound(mu, ratio, cross_frac, delta, k):
-    # (1-b_x)/M_x <= 1 - (1 - 1/sqrt(2)) / (8 kappa_f^2 2^{k/2})
+    # (1-b_x)/M_x <= 1 - (1 - 1/sqrt(2)) / (8 kappa_f^2 2^{k/2}), and every
+    # point of the range has a stage
     L = mu * ratio
     c = ds.SaddleConstants(
         mu_x=mu, mu_y=mu, L_xx=L, L_yy=L, L_xy=cross_frac * L, L_yx=cross_frac * L
     )
     spec = ds.spectral(ds.build_ring(4))
-    try:
-        p = ds.crdpsg_stage_params(k, c, delta, spec)
-    except InfeasibleParameterError:
-        assume(False)
+    p = ds.crdpsg_stage_params(k, c, delta, spec)
     bound = 1 - (1 - 1 / math.sqrt(2)) / (8 * c.kappa_f**2 * 2 ** (k / 2))
     assert (1 - p.b_x) / p.M_x <= bound + 1e-12
     assert (1 - p.b_y) / p.M_y <= bound + 1e-12
@@ -178,12 +186,7 @@ def test_compute_reference_symmetric_origin():
     A = rng.standard_normal((10, 3))
     feats = np.vstack([A, -A])
     labels = np.concatenate([np.ones(10), np.ones(10)])
-    dset = ds.Dataset(
-        labels=labels,
-        indices=[np.arange(3)] * 20,
-        values=[feats[i] for i in range(20)],
-        d=3,
-    )
+    dset = ds.Dataset(labels=labels, features=feats)
     part = ds.partition(dset, 1, 2, 0)
     prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
     Z0 = np.zeros((2, 1, 3))
@@ -324,10 +327,7 @@ def test_solve_ignores_kernel_overflow():
     # gradient kernel, which sets no error state itself: a solve enters the
     # overflow guard once, so no warning escapes and the run stays finite
     base = ds.synthesize(40, 3, 0)
-    dset = ds.Dataset(
-        labels=base.labels, indices=base.indices,
-        values=[400.0 * v for v in base.values], d=base.d,
-    )
+    dset = ds.Dataset(labels=base.labels, features=400.0 * base.features)
     prob = ds.RobustLRProblem(
         dset, ds.partition(dset, 4, 2, 0), lam=1.0, beta=1.0, R_x=20.0, R_y=1.0
     )

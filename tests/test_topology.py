@@ -62,6 +62,22 @@ def test_torus45_lambda_max():
     assert np.allclose(spec.eigvals, dense, atol=1e-9)
 
 
+@pytest.mark.parametrize("rows, cols", [(3, 3), (3, 5), (4, 6), (8, 8)])
+def test_weights_equal_the_neighbour_loop(rows, cols):
+    # the shifted identities give every entry exactly the weight that a
+    # per-node loop over the neighbours writes
+    m = rows * cols
+    ring, torus = np.zeros((m, m)), np.zeros((m, m))
+    for i in range(m):
+        for j in (i - 1, i, i + 1):
+            ring[i, j % m] += 1.0 / 3.0
+        r, c = divmod(i, cols)
+        for rr, cc in ((r, c), (r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+            torus[i, (rr % rows) * cols + cc % cols] += 1.0 / 5.0
+    assert ds.build_ring(m).W.tobytes() == ring.tobytes()
+    assert ds.build_torus(rows, cols).W.tobytes() == torus.tobytes()
+
+
 def test_torus_rejects_small():
     with pytest.raises(ValueError):
         ds.build_torus(2, 5)
