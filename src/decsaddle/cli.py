@@ -297,7 +297,8 @@ def write_zstar(path: str, z: np.ndarray, residual: float):
 
 def read_zstar(path: str, d: int) -> np.ndarray:
     """The stacked (2, d) saddle point stored at path; a file that cannot
-    be read, or holds a point of another size, is a ConfigError."""
+    be read, or holds a point of another size or a non-finite value, is a
+    ConfigError."""
     try:
         with open(path) as fh:
             header = fh.readline().split()
@@ -307,6 +308,8 @@ def read_zstar(path: str, d: int) -> np.ndarray:
         raise ConfigError(f"cannot read reference file {path}: {e}")
     if vals.size != d_x + d_y:
         raise ConfigError(f"reference file {path}: expected {d_x + d_y} values")
+    if not np.isfinite(vals).all():
+        raise ConfigError(f"reference file {path}: holds a non-finite value")
     if d_x != d or d_y != d:
         raise ConfigError(
             f"reference file {path}: d_x = {d_x}, d_y = {d_y}, but the "
@@ -401,7 +404,7 @@ def verdict(cfg: RunConfig):
         try:
             vp = cdpsvrg_params(
                 prob.constants, compressor.delta, spec, prob.n,
-                p_min=1.0 / prob.n, p=cfg.setting("oracle.p"),
+                p=cfg.setting("oracle.p"),
             )
             record["schedule"] = asdict(vp)
         except InfeasibleParameterError as e:

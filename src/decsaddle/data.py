@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,9 @@ class Partition:
 
 def parse_libsvm(stream) -> Dataset:
     """Parse LIBSVM text: "<label> <idx>:<val> ...", indices 1-based and
-    strictly increasing per line.  0/1 labels are remapped to -1/+1."""
+    strictly increasing per line, values finite; d is the largest index
+    named, and a file that names none is refused.  0/1 labels are
+    remapped to -1/+1."""
     labels, rows, cols, vals = [], [], [], []
     for lineno, line in enumerate(stream, start=1):
         parts = line.split()
@@ -67,6 +70,8 @@ def parse_libsvm(stream) -> Dataset:
                 v = float(v_str)
             except ValueError:
                 raise ParseError(f"line {lineno}: malformed feature token {tok!r}")
+            if not math.isfinite(v):
+                raise ParseError(f"line {lineno}: non-finite feature value {tok!r}")
             if k <= prev:
                 raise ParseError(
                     f"line {lineno}: feature index {k} not strictly increasing"
@@ -76,17 +81,22 @@ def parse_libsvm(stream) -> Dataset:
             cols.append(k - 1)
             vals.append(v)
         labels.append(1.0 if lab == 1.0 else -1.0)
-    features = np.zeros((len(labels), max(cols, default=-1) + 1))
+    if not cols:
+        raise ParseError("no feature named in any line")
+    features = np.zeros((len(labels), max(cols) + 1))
     features[rows, cols] = vals
     return Dataset(labels=np.array(labels, dtype=float), features=features)
 
 
 def serialize_libsvm(ds: Dataset) -> str:
-    """LIBSVM text of ds: each row's label and its nonzero features."""
+    """LIBSVM text of ds: each row's label, its nonzero features and its
+    last feature, zero or not, so that parsing the text keeps d."""
     lines = []
     for lab, row in zip(ds.labels, ds.features):
+        keep = row != 0.0
+        keep[-1] = True
         toks = ["%+d" % int(lab)]
-        toks += ["%d:%.17g" % (k + 1, row[k]) for k in np.flatnonzero(row)]
+        toks += ["%d:%.17g" % (k + 1, row[k]) for k in np.flatnonzero(keep)]
         lines.append(" ".join(toks))
     return "\n".join(lines) + "\n"
 

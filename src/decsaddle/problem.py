@@ -11,6 +11,7 @@ with x constrained to the R_x ball and the perturbation y to the R_y ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +21,8 @@ from .data import Dataset, Partition
 
 @dataclass(frozen=True)
 class SaddleConstants:
-    """Smoothness / strong-convexity moduli of the local losses."""
+    """Smoothness / strong-convexity moduli of the local losses; a
+    non-finite one, as from an overflowing bound, raises OverflowError."""
 
     mu_x: float
     mu_y: float
@@ -34,6 +36,9 @@ class SaddleConstants:
 
     def __post_init__(self):
         vals = (self.mu_x, self.mu_y, self.L_xx, self.L_yy, self.L_xy, self.L_yx)
+        for name, v in zip(("mu_x", "mu_y", "L_xx", "L_yy", "L_xy", "L_yx"), vals):
+            if not math.isfinite(v):
+                raise OverflowError(f"constant {name} = {v} is not finite")
         if any(v <= 0 for v in vals):
             raise ValueError(f"all constants must be positive, got {vals}")
         L = max(self.L_xx, self.L_yy, self.L_xy, self.L_yx)
@@ -251,17 +256,17 @@ class RobustLRProblem:
         return lambda Z, out: _project_ball(Z, R, out, sq, norm)
 
     def lipschitz_constants(self) -> SaddleConstants:
-        """Worst-case per-batch smoothness bounds over the constraint balls."""
+        """Worst-case per-batch smoothness bounds over the constraint balls;
+        a bound that overflows is refused by SaddleConstants."""
         c = self.n / self.N
         N_ij = self.sizes
-        A = self.batches
-        sq = np.sum(A**2, axis=(2, 3))
-        norms = np.sum(np.linalg.norm(A, axis=3), axis=2)
-        L_xx = np.max(0.5 * c * sq + 0.5 * c * N_ij * self.R_y**2) + self.lam / self.m
-        L_yy = np.max(0.25 * c * N_ij * self.R_x**2) + self.beta / self.m
-        L_xy = np.max(
-            c * ((1.0 + self.R_x * self.R_y / 4.0) * N_ij + (self.R_x / 4.0) * norms)
-        )
+        A, R_x, R_y = self.batches, self.R_x, self.R_y
+        with np.errstate(over="ignore"):
+            sq = np.sum(A**2, axis=(2, 3))
+            norms = np.sum(np.linalg.norm(A, axis=3), axis=2)
+            L_xx = np.max(0.5 * c * sq + 0.5 * c * N_ij * R_y**2) + self.lam / self.m
+            L_yy = np.max(0.25 * c * N_ij * R_x**2) + self.beta / self.m
+            L_xy = np.max(c * ((1.0 + R_x * R_y / 4.0) * N_ij + (R_x / 4.0) * norms))
         return SaddleConstants(
             mu_x=self.lam,
             mu_y=self.beta,

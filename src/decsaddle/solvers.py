@@ -205,10 +205,11 @@ def cdpsvrg_params(
     delta: float,
     spec: SpectralInfo | None,
     n: int,
-    p_min: float,
     p: float,
 ) -> SvrgParams:
-    """Closed-form parameter set of the variance-reduced method.
+    """Closed-form parameter set of the variance-reduced method, whose
+    batches are drawn uniformly: p_min, the least sampling probability, is
+    1/n.
 
     spec = None marks the single-node degenerate case (see
     crdpsg_stage_params).
@@ -217,8 +218,7 @@ def cdpsvrg_params(
         raise InfeasibleParameterError(f"delta = {delta} outside [0, 1]")
     if not 0.0 < p <= 1.0:
         raise InfeasibleParameterError(f"p = {p} outside (0, 1]")
-    if p_min <= 0.0:
-        raise InfeasibleParameterError(f"p_min = {p_min} must be positive")
+    p_min = 1.0 / n
     s = consts.mu * n * p_min / (24.0 * consts.L**2)
     npm = n * p_min
     c_tilde_x = 8.0 * s**2 * (consts.L_xx**2 + consts.L_yx**2) / (npm * p)
@@ -336,9 +336,7 @@ def run_cdpsvrg(
     rng = _rng_for(seed, 0x5502)
     if p is None:
         p = 1.0 / prob.n
-    params = cdpsvrg_params(
-        prob.constants, compressor.delta, spec, prob.n, p_min=1.0 / prob.n, p=p
-    )
+    params = cdpsvrg_params(prob.constants, compressor.delta, spec, prob.n, p=p)
 
     def segment(Z, counters):
         ens = NodeEnsemble.initialize(g, Z)

@@ -151,7 +151,7 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
         )
 
     # variance-reduced solver with all stochasticity collapsed
-    vp = ds.cdpsvrg_params(prob.constants, 0.0, None, 1, 1.0, 1.0)
+    vp = ds.cdpsvrg_params(prob.constants, 0.0, None, 1, p=1.0)
     _, ens2 = ds.run_cdpsvrg(
         prob, g1, None, comp, n_iter, z0, z, seed=0, p=1.0,
         log_stride=n_iter,
@@ -222,8 +222,8 @@ def test_criterion_06_svrgo_exact_unbiasedness(acc_dataset):
     for l in range(4):
         pick.l = l
         (gx, gy), _ = draw_q()
-        mean_gx += st.P[0, l] * gx[0]
-        mean_gy += st.P[0, l] * gy[0]
+        mean_gx += gx[0] / prob.n
+        mean_gy += gy[0] / prob.n
         (rx, ry), _ = draw_ref()
         var_at_ref += float(
             np.sum((rx[0] - st.g_tilde[0, 0]) ** 2) + np.sum((ry[0] - st.g_tilde[1, 0]) ** 2)
@@ -243,8 +243,7 @@ def test_criterion_07_structural_invariants(
     g, spec = acc_graph
     prob = acc_problem
     params = ds.cdpsvrg_params(
-        prob.constants, acc_compressor.delta, spec, prob.n,
-        p_min=1.0 / prob.n, p=1.0 / prob.n,
+        prob.constants, acc_compressor.delta, spec, prob.n, p=1.0 / prob.n
     )
     ens = ds.NodeEnsemble.initialize(g, np.tile(acc_start[:, None], (1, g.m, 1)))
     state = SvrgState.initialize(prob, ens.Z, p=1.0 / prob.n)

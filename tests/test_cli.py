@@ -9,6 +9,7 @@ import runpy
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -272,8 +273,7 @@ def test_meta_derived_matches_validate(tmp_path, capsys, overrides):
     else:
         assert printed["schedule"] == dataclasses.asdict(
             solvers.cdpsvrg_params(
-                prob.constants, comp.delta, spec, prob.n,
-                p_min=1.0 / prob.n, p=1.0 / prob.n,
+                prob.constants, comp.delta, spec, prob.n, p=1.0 / prob.n
             )
         )
 
@@ -315,6 +315,10 @@ def _subprocess_run(config_path):
         {"partition": {"n": 100}},  # 4 nodes x 100 batches > N = 60
         {"partition": {"n": 2, "mode": "interleaved"}},
         {"dataset": {"kind": "libsvm", "path": "missing.svm"}},
+        # LIBSVM files that parse to no usable dataset
+        {"dataset": {"kind": "libsvm", "path": "nan.svm"}},
+        {"dataset": {"kind": "libsvm", "path": "inf.svm"}},
+        {"dataset": {"kind": "libsvm", "path": "labels-only.svm"}},
         {"seed": "x"},
         # json.load reads Infinity and NaN as floats
         {"problem": {"lambda": 2.0, "beta": 2.0, "R_x": float("inf"), "R_y": 1.0}},
@@ -331,19 +335,28 @@ def _subprocess_run(config_path):
         # a stored point that is missing, or of another size than d = 6
         {"reference": {"path": "missing.txt"}},
         {"reference": {"path": "zstar5.txt"}},
+        {"reference": {"path": "zstar-nan.txt"}},
     ],
     ids=[
         "m-string", "ring-m2", "bits0", "n-too-large", "unknown-mode",
-        "missing-libsvm", "seed-string", "R_x-inf", "lambda-inf", "delta-nan",
+        "missing-libsvm", "libsvm-nan", "libsvm-inf", "libsvm-no-feature",
+        "seed-string", "R_x-inf", "lambda-inf", "delta-nan",
         "p-nan", "bits1100", "compute-0", "compute-false", "compute-empty-string",
         "compute-list", "path-and-compute", "missing-zstar", "zstar-of-other-size",
+        "zstar-nan",
     ],
 )
 def test_malformed_config_is_config_error(tmp_path, capsys, overrides):
     # run and validate share one verdict, so both exit 2
     cfg = _base_config(tmp_path, **overrides)
+    (tmp_path / "nan.svm").write_text("+1 1:nan 2:0.5\n" + "-1 1:1 2:2\n" * 7)
+    (tmp_path / "inf.svm").write_text("+1 1:0.5 2:inf\n" + "-1 1:1 2:2\n" * 7)
+    (tmp_path / "labels-only.svm").write_text("+1\n-1\n" * 4)
+    (tmp_path / "zstar-nan.txt").write_text(
+        "d_x 6 d_y 6 residual 0\n" + "0\n" * 11 + "nan\n"
+    )
     if "dataset" in overrides:
-        cfg["dataset"]["path"] = str(tmp_path / "missing.svm")
+        cfg["dataset"]["path"] = str(tmp_path / cfg["dataset"]["path"])
     if "path" in cfg["reference"]:
         write_zstar(str(tmp_path / "zstar.txt"), np.zeros((2, 6)), 0.0)
         write_zstar(str(tmp_path / "zstar5.txt"), np.zeros((2, 5)), 0.0)
@@ -352,6 +365,7 @@ def test_malformed_config_is_config_error(tmp_path, capsys, overrides):
     proc = _subprocess_run(path)
     assert proc.returncode == EXIT_CONFIG, proc.stderr
     assert "Traceback" not in proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert "config error" in proc.stderr
     assert main(["validate", path]) == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
@@ -403,20 +417,33 @@ def test_budget_key_must_match_algorithm(tmp_path, algorithm, budget):
 
 
 @pytest.mark.parametrize(
-    "algorithm, budget, problem",
+    "algorithm, budget, problem, libsvm",
     [
-        ("crdpsg", {"stages": 1}, {"R_x": 1e200}),  # R_x**2 in the constants
-        ("cdpsvrg", {"iterations": 10}, {"lambda": 1e-170}),  # kappa_f**2
+        ("crdpsg", {"stages": 1}, {"R_x": 1e200}, None),  # R_x**2 in the constants
+        ("cdpsvrg", {"iterations": 10}, {"lambda": 1e-170}, None),  # kappa_f**2
+        # a finite feature whose square overflows in L_xx and the row norms
+        ("cdpsvrg", {"iterations": 10}, {}, "+1 1:1e308 2:1\n" + "-1 1:1 2:1\n" * 7),
     ],
-    ids=["R_x-1e200", "lambda-1e-170"],
+    ids=["R_x-1e200", "lambda-1e-170", "libsvm-feature-1e308"],
 )
 def test_overflowing_constants_are_numerical_failures(
-    tmp_path, capsys, algorithm, budget, problem
+    tmp_path, capsys, algorithm, budget, problem, libsvm
 ):
-    # finite config values whose derived constants leave the float range
+    # finite input values whose derived constants leave the float range:
+    # exit 4 from run and validate, with no warning on stderr
     cfg = _base_config(tmp_path, algorithm=algorithm, budget=budget)
     cfg["problem"].update(problem)
-    assert main(["validate", _write(tmp_path, cfg)]) == EXIT_NUMERICAL
+    if libsvm is not None:
+        (tmp_path / "data.svm").write_text(libsvm)
+        cfg["dataset"] = {"kind": "libsvm", "path": str(tmp_path / "data.svm")}
+    path = _write(tmp_path, cfg)
+    proc = _subprocess_run(path)
+    assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert "numerical failure" in proc.stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", path]) == EXIT_NUMERICAL
     assert "numerical failure" in capsys.readouterr().err
 
 

@@ -30,14 +30,20 @@ def test_parse_errors():
         ds.parse_libsvm(io.StringIO("+1 1:abc\n"))
     with pytest.raises(ParseError):
         ds.parse_libsvm(io.StringIO("3 1:1\n"))
+    for text in ("+1 1:nan\n", "+1 1:0.5 2:-inf\n", "+1\n-1\n", ""):
+        with pytest.raises(ParseError):
+            ds.parse_libsvm(io.StringIO(text))
 
 
 def test_roundtrip():
+    # a last feature that is zero in every row keeps d through the text
     d = ds.synthesize(20, 4, 0)
-    text = serialize_libsvm(d)
-    d2 = ds.parse_libsvm(io.StringIO(text))
-    assert np.array_equal(d.labels, d2.labels)
-    assert np.array_equal(d.features, d2.features)
+    zero_last = ds.Dataset(d.labels, np.hstack([d.features, np.zeros((20, 1))]))
+    for ds_in in (d, zero_last):
+        text = serialize_libsvm(ds_in)
+        d2 = ds.parse_libsvm(io.StringIO(text))
+        assert np.array_equal(ds_in.labels, d2.labels)
+        assert np.array_equal(ds_in.features, d2.features)
 
 
 def test_synthesize_deterministic():

@@ -302,6 +302,7 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
     else:
         st = ds.SvrgState.initialize(prob, np.zeros((2, m, d)), p=p_ref)
         ref = np.zeros((2, m, d))  # the transcription's reference points
+        uniform = np.full(n, 1.0 / n)
         draw = ds.svrgo_draw(prob, ens.Z, st, rng)
 
         def loop_grads(x, y, r):
@@ -310,13 +311,12 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
             Gb_ref = prob.all_batch_grads(ref)
             G_ref = prob.full_grads(ref)
             for i in range(m):
-                j = int(r.choice(n, p=st.P[i]))
-                w = 1.0 / (n * st.P[i, j])
+                j = int(r.choice(n, p=uniform))
                 fx, fy = Gb[:, i, j]
                 rx, ry = Gb_ref[:, i, j]
                 tx, ty = G_ref[:, i]
-                Gx[i] = w * (fx - rx) + tx
-                Gy[i] = w * (fy - ry) + ty
+                Gx[i] = fx - rx + tx
+                Gy[i] = fy - ry + ty
             return Gx, Gy
 
     advance = ds.step_plan(ens, params, g, draw, prob, comp, rng)

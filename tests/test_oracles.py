@@ -16,13 +16,12 @@ def _problem(m=1, n=4, N=16, d=3, seed=0):
 
 
 def _uncached(p, st, Z, J):
-    """w (grad_J(Z) - grad_J(Z_tilde)) + g_tilde of every node i on its
-    batch J[i], written out from the all-batch gradients at both points."""
+    """grad_J(Z) - grad_J(Z_tilde) + g_tilde of every node i on its batch
+    J[i], written out from the all-batch gradients at both points."""
     nodes = np.arange(p.m)
-    w = (1.0 / (p.n * st.P[nodes, J]))[:, None]
     fresh = p.all_batch_grads(Z)[:, nodes, J]
     at_ref = p.all_batch_grads(st.Z_tilde)[:, nodes, J]
-    return w * (fresh - at_ref) + p.full_grads(st.Z_tilde)
+    return fresh - at_ref + p.full_grads(st.Z_tilde)
 
 
 def _point(x, y):
@@ -92,7 +91,7 @@ def test_svrgo_at_reference_exact():
 
 
 def test_svrgo_exhaustive_unbiased():
-    # enumerate all batch indices: the weighted average is the full gradient
+    # enumerate all batch indices: their average is the full gradient
     p = _problem(n=4)
     z_ref = _point([0.2, -0.4, 0.1], [0.05, 0.0, 0.0])
     z = _point([-0.6, 0.3, 0.7], [0.0, 0.1, -0.05])
@@ -105,8 +104,8 @@ def test_svrgo_exhaustive_unbiased():
         pick.l = l
         (Gx, Gy), _ = draw()
         gx, gy = Gx[0], Gy[0]
-        mean_gx += st.P[0, l] * gx
-        mean_gy += st.P[0, l] * gy
+        mean_gx += gx / p.n
+        mean_gy += gy / p.n
     fx, fy = p.full_grads(z)[:, 0]
     assert np.max(np.abs(mean_gx - fx)) <= 1e-14
     assert np.max(np.abs(mean_gy - fy)) <= 1e-14
@@ -160,13 +159,6 @@ def test_reference_update_frequency():
     assert abs(hits - 1000) <= 3 * np.sqrt(10_000 * 0.1 * 0.9)
 
 
-def test_bad_sampling_law_rejected():
-    p = _problem(n=2)
-    z0 = _point(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        SvrgState.initialize(p, z0, p=0.5, P=np.array([[0.0, 1.0]]))
-
-
 def test_gsgo_draws_match_sequential_integers():
     # one call draws the batch indices of m sequential rng.integers(n) calls
     p = _problem(m=4, n=3, N=24)
@@ -188,18 +180,18 @@ def test_gsgo_draws_match_sequential_integers():
 
 
 def test_svrgo_draws_match_sequential_choice():
-    # one call draws the batch indices of m sequential rng.choice(n, p=P[i])
+    # one call draws the batch indices of m sequential uniform
+    # rng.choice(n, p=full(n, 1/n))
     p = _problem(m=4, n=3, N=24)
     rng = np.random.default_rng(8)
-    P = rng.random((4, 3)) + 0.1
-    P /= P.sum(axis=1, keepdims=True)
     X = rng.standard_normal((4, 3))
     Y = 0.2 * rng.standard_normal((4, 3))
-    st = SvrgState.initialize(p, np.array([X + 0.5, Y]), p=0.5, P=P)
+    st = SvrgState.initialize(p, np.array([X + 0.5, Y]), p=0.5)
     rng_a, rng_b = np.random.default_rng(32), np.random.default_rng(32)
+    uniform = np.full(p.n, 1.0 / p.n)
     for _ in range(200):
         J = st.draw_batches(rng_a)
-        expected = [int(rng_b.choice(p.n, p=P[i])) for i in range(p.m)]
+        expected = [int(rng_b.choice(p.n, p=uniform)) for _ in range(p.m)]
         assert J.tolist() == expected
     assert rng_a.random() == rng_b.random()
     Z = np.array([X, Y])
@@ -211,24 +203,24 @@ def test_svrgo_draws_match_sequential_choice():
 
 def test_svrgo_cache_matches_uncached_formula():
     # the cached reference-batch gradients give exactly
-    # w (grad_J(X) - grad_J(X_tilde)) + g_tilde, before and after a refresh,
+    # grad_J(X) - grad_J(X_tilde) + g_tilde, before and after a refresh,
     # and the cost is still 2 units per node per draw, m*n per refresh; on
     # equal batches, on unequal ones (zero-padded batches, N = 26 over
-    # m * n = 12 batches), and with a refresh after every draw
-    for N, mode, draws, refreshes in [
-        (24, "shuffled", 20, 2),
-        (26, "sorted", 20, 2),
-        (24, "shuffled", 1, 10),
+    # m * n = 12 batches), with a refresh after every draw, and at n = 49,
+    # where n * (1/n) rounds below 1 and no 1 / (n p_min) factor may enter
+    for N, n, mode, draws, refreshes in [
+        (24, 3, "shuffled", 20, 2),
+        (26, 3, "sorted", 20, 2),
+        (24, 3, "shuffled", 1, 10),
+        (196, 49, "shuffled", 20, 2),
     ]:
         dset = ds.synthesize(N, 3, 0)
-        part = ds.partition(dset, 4, 3, 0, mode=mode)
+        part = ds.partition(dset, 4, n, 0, mode=mode)
         p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
         rng = np.random.default_rng(13)
-        P = rng.random((4, 3)) + 0.1
-        P /= P.sum(axis=1, keepdims=True)
         X0 = rng.standard_normal((4, 3))
         st = SvrgState.initialize(
-            p, np.array([X0, 0.2 * rng.standard_normal((4, 3))]), p=1.0, P=P,
+            p, np.array([X0, 0.2 * rng.standard_normal((4, 3))]), p=1.0
         )
         Z = np.empty((2, 4, 3))
         draw = ds.svrgo_draw(p, Z, st, rng)

@@ -92,7 +92,7 @@ def test_stage_contraction_bound(mu, ratio, cross_frac, delta, k):
 def test_svrg_frozen_values(ring4_spec):
     # mu = 1, L = 2, n = 4, p_min = 1/4: s = 1/96; delta = 0, ring m = 4:
     # gamma_x = 1 / (4 lambda_max) = 3/16
-    p = ds.cdpsvrg_params(_consts(), 0.0, ring4_spec, n=4, p_min=0.25, p=0.25)
+    p = ds.cdpsvrg_params(_consts(), 0.0, ring4_spec, n=4, p=0.25)
     assert abs(p.s - 1.0 / 96.0) <= 1e-18
     assert abs(p.gamma_x - 3.0 / 16.0) <= 1e-16
     assert p.M_x == 1.0 and p.M_y == 1.0
@@ -112,7 +112,7 @@ def test_svrg_bx_lower_bound(mu, ratio, cross_frac, delta, n):
         mu_x=mu, mu_y=mu, L_xx=L, L_yy=L, L_xy=cross_frac * L, L_yx=cross_frac * L
     )
     spec = ds.spectral(ds.build_ring(4))
-    p = ds.cdpsvrg_params(c, delta, spec, n=n, p_min=1.0 / n, p=1.0 / n)
+    p = ds.cdpsvrg_params(c, delta, spec, n=n, p=1.0 / n)
     lower = n * (1.0 / n) / (144.0 * c.kappa_f**2)
     assert p.b_x >= lower - 1e-15
     assert 0.0 < p.b_x < 1.0 and 0.0 < p.b_y < 1.0
@@ -129,7 +129,7 @@ def test_svrg_bx_lower_bound(mu, ratio, cross_frac, delta, n):
 
 
 def test_contraction_rate_includes_refresh_term(ring4_spec):
-    p = ds.cdpsvrg_params(_consts(), 0.0, ring4_spec, n=4, p_min=0.25, p=0.25)
+    p = ds.cdpsvrg_params(_consts(), 0.0, ring4_spec, n=4, p=0.25)
     r0 = ds.contraction_rate(p, ring4_spec)
     r1 = ds.contraction_rate(p, ring4_spec, p=0.25)
     assert r1 >= 1 - 0.25 / 2
