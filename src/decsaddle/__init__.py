@@ -7,7 +7,6 @@ stochastic-gradient schedules: restart-based and variance-reduced.
 """
 
 from .compression import (
-    CommState,
     Compressor,
     InfeasibleParameterError,
     bind_exchange,

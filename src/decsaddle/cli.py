@@ -321,12 +321,19 @@ def read_zstar(path: str, d: int) -> np.ndarray:
 def resolve_reference(cfg: RunConfig, dataset):
     """compute_reference on the config's m = 1 problem, with the compute
     section's cap and tolerance; returns (z, residual), z the (2, d) saddle
-    point."""
-    return compute_reference(
-        build_problem(cfg, dataset, m=1),
-        iterations=cfg.setting("reference.compute.iterations"),
-        tol=cfg.setting("reference.compute.tol"),
+    point.  A solve that stops above tol raises ArithmeticError (exit 4),
+    in the reference command and in a run's inline compute alike."""
+    tol = cfg.setting("reference.compute.tol")
+    iterations = cfg.setting("reference.compute.iterations")
+    z, residual = compute_reference(
+        build_problem(cfg, dataset, m=1), iterations=iterations, tol=tol
     )
+    if not residual <= tol:
+        raise ArithmeticError(
+            f"reference residual {residual:.3e} above tol {tol:.3e} after "
+            f"{iterations} iterations; nothing written"
+        )
+    return z, residual
 
 
 def _output(cfg: RunConfig, command: str) -> str:
@@ -343,13 +350,6 @@ def _output(cfg: RunConfig, command: str) -> str:
 def cmd_reference(cfg: RunConfig) -> int:
     out = _output(cfg, "reference")
     z, residual = resolve_reference(cfg, build_dataset(cfg))
-    tol = cfg.setting("reference.compute.tol")
-    if not residual <= tol:
-        raise ArithmeticError(
-            f"reference residual {residual:.3e} above tol {tol:.3e} after "
-            f"{cfg.setting('reference.compute.iterations')} iterations; "
-            "nothing written"
-        )
     write_zstar(out, z, residual)
     print(f"reference written to {out}, residual {residual:.3e}")
     return EXIT_OK

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import DecGraph, mix
+from .topology import DecGraph
 
 
 # beyond 32 bits the float quantizer gains nothing, and 2^(b-1) overflows
@@ -126,35 +126,8 @@ def quantizer_delta(bits: int, d: int) -> float:
     return t / (2.0 * (math.sqrt(1.0 + t) + 1.0))
 
 
-@dataclass
-class CommState:
-    """Per-node reference vectors H and their mixed counterparts Hw, held
-    as one stacked pair HH = [H, Hw]; H and Hw are shaped like the
-    exchanged payload: (m, d), or (2, m, d) for a primal-dual pair.
-
-    The invariant Hw = W H holds whenever the state was initialized
-    consistently; an exchange bound by bind_exchange preserves it,
-    updating HH in place.
-    """
-
-    HH: np.ndarray
-
-    @property
-    def H(self) -> np.ndarray:
-        return self.HH[0]
-
-    @property
-    def Hw(self) -> np.ndarray:
-        return self.HH[1]
-
-    @classmethod
-    def from_reference(cls, g: DecGraph, H: np.ndarray) -> "CommState":
-        H = np.asarray(H, dtype=float)
-        return cls(HH=np.array([H, mix(g, H)]))
-
-
 def bind_exchange(
-    st: CommState,
+    HH: np.ndarray,
     alpha: float | np.ndarray,
     keep: float | np.ndarray,
     g: DecGraph,
@@ -162,25 +135,26 @@ def bind_exchange(
     rng: np.random.Generator,
     NN: np.ndarray,
     diff: np.ndarray,
-    scaled: np.ndarray,
 ):
-    """Bind the compressed gossip exchange of st; returns exchange(nu),
-    which runs one exchange of the payload nu, advancing st in place.
+    """Bind the compressed gossip exchange of the reference pair HH = [H,
+    Hw]; returns exchange(nu), which runs one exchange of the payload nu,
+    advancing HH in place.
 
+    H and Hw are shaped like the payload: (m, d), or (2, m, d) for a
+    primal-dual pair.  The invariant Hw = W H holds whenever HH was
+    initialized consistently (Hw = W H), and an exchange preserves it.
     alpha is the reference mixing factor and keep = 1 - alpha, both
     precomputed by the caller: scalars, or arrays that broadcast against
-    the pair st.HH (one factor per block of a stacked payload).  The window
-    (0, 1/(1+delta)) of alpha is checked once, by StepParams, not here.
-    Each exchange builds [nu_hat, nu_hat_w] in NN (shaped like st.HH): Q =
-    C(nu - H) goes into its first slot and W Q into its second, then H and
-    Hw are added.  It writes nu_hat - nu_hat_w into diff (shaped like H),
-    and then [H, Hw] = keep [H, Hw] + alpha [nu_hat, nu_hat_w] with the
-    product formed in scaled: given NN itself, alpha scales the pair in
-    place, which leaves only diff to read.  The quantizer is bound here
-    once, and the shapes are checked here once.  Counts as one
+    HH (one factor per block of a stacked payload).  The window (0,
+    1/(1+delta)) of alpha is checked once, by StepParams, not here.  Each
+    exchange builds [nu_hat, nu_hat_w] in NN (shaped like HH): Q = C(nu -
+    H) goes into its first slot and W Q into its second, then H and Hw are
+    added.  It writes nu_hat - nu_hat_w into diff (shaped like H), and
+    then [H, Hw] = keep [H, Hw] + alpha [nu_hat, nu_hat_w], with alpha
+    scaling NN in place, which leaves only diff to read.  The quantizer is
+    bound here once, and the shapes are checked here once.  Counts as one
     communication round (the only transmitted payload is Q).
     """
-    HH = st.HH
     H, W = HH[0], g.W
     if H.ndim < 2 or H.shape[-2] != g.m or NN.shape != HH.shape:
         raise ValueError(
@@ -198,6 +172,6 @@ def bind_exchange(
         np.add(HH, NN, NN)  # [nu_hat, nu_hat_w]
         np.subtract(Q, QW, diff)
         np.multiply(keep, HH, HH)
-        np.add(HH, np.multiply(alpha, NN, scaled), HH)
+        np.add(HH, np.multiply(alpha, NN, NN), HH)
 
     return exchange

@@ -14,14 +14,14 @@ into arrays allocated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import CommState, Compressor, InfeasibleParameterError, bind_exchange
+from .compression import Compressor, InfeasibleParameterError, bind_exchange
 from .metrics import CostCounters
 from .problem import RobustLRProblem
-from .topology import DecGraph
+from .topology import DecGraph, mix
 
 
 def _factor(shape: tuple, *blocks) -> np.ndarray:
@@ -60,34 +60,42 @@ class StepParams:
 
 @dataclass
 class NodeEnsemble:
-    """Stacked per-node iterates Z, dual trackers D and compression state,
-    each (2, m, d) with the x rows in block 0 and the y rows in block 1
-    (the compression state as its [H, Hw] pair, (2, 2, m, d)).
+    """The stacked state of every node: the iterates Z (2, m, d), the pair
+    D_nu = [D, nu] (2, 2, m, d) of the dual trackers D and a step's
+    pre-projection point nu, and the reference pair HH = [H, Hw] (2, 2, m,
+    d) of the compressed gossip, with Hw = W H.  The x rows are block 0 of
+    Z, D, nu, H and Hw, the y rows block 1.
 
-    The ensemble owns its arrays (construction copies them) and a step
-    overwrites them in place.  D is the first slot of the (2, 2, m, d) pair
-    [D, nu] whose second slot holds a step's pre-projection point, so both
-    advance in one product.
+    D, H and Hw are views into D_nu and HH, so D and nu advance in one
+    product and [H, Hw] in one exchange.  A step overwrites the arrays in
+    place.
     """
 
     Z: np.ndarray
-    D: np.ndarray
-    comm: CommState
-    D_nu: np.ndarray = field(init=False, repr=False, compare=False)
+    D_nu: np.ndarray
+    HH: np.ndarray
 
-    def __post_init__(self):
-        self.Z = np.array(self.Z, dtype=float)
-        self.D_nu = np.empty((2,) + self.Z.shape)
-        self.D_nu[0] = self.D
-        self.D = self.D_nu[0]
-        self.comm = CommState(HH=np.array(self.comm.HH, dtype=float))
+    D = property(lambda self: self.D_nu[0])
+    H = property(lambda self: self.HH[0])
+    Hw = property(lambda self: self.HH[1])
 
     @classmethod
-    def initialize(cls, g: DecGraph, Z0: np.ndarray) -> "NodeEnsemble":
-        """Fresh ensemble at the stacked (2, m, d) start Z0 (construction
-        copies it): D = 0, references H at the starting iterates."""
-        Z = np.asarray(Z0, dtype=float)
-        return cls(Z=Z, D=np.zeros_like(Z), comm=CommState.from_reference(g, Z))
+    def initialize(
+        cls,
+        g: DecGraph,
+        Z0: np.ndarray,
+        D: np.ndarray | None = None,
+        H: np.ndarray | None = None,
+    ) -> "NodeEnsemble":
+        """Ensemble at the stacked (2, m, d) start Z0, with dual trackers D
+        (zero if None) and references H (Z0 if None), and Hw = W H; the
+        ensemble holds copies of its inputs."""
+        Z = np.array(Z0, dtype=float)
+        D_nu = np.zeros((2,) + Z.shape)
+        if D is not None:
+            D_nu[0] = D
+        H = Z if H is None else np.asarray(H, dtype=float)
+        return cls(Z=Z, D_nu=D_nu, HH=np.array([H, mix(g, H)]))
 
 
 def step_plan(
@@ -123,7 +131,7 @@ def step_plan(
             f"step parameters validated for delta = {params.delta:.4g}, "
             f"compressor has delta = {compressor.delta:.4g}"
         )
-    Z, D_nu, HH = ens.Z, ens.D_nu, ens.comm.HH
+    Z, D_nu, HH = ens.Z, ens.D_nu, ens.HH
     shape = (2, prob.m, prob.d)
     if g.m != prob.m or Z.shape != shape or HH.shape != (2,) + shape:
         raise ValueError(
@@ -144,7 +152,7 @@ def step_plan(
     # gamma / (2 s) for D, -gamma / 2 for the pre-projection point
     pair = _factor(D_nu.shape, (gx / (2.0 * s), gy / (2.0 * s)), (-gx / 2.0, -gy / 2.0))
     s = _factor(shape, s, s)
-    exchange = bind_exchange(ens.comm, alpha, keep, g, compressor, rng, NN, diff, NN)
+    exchange = bind_exchange(HH, alpha, keep, g, compressor, rng, NN, diff)
     prox = prob.bind_prox(shape)
     if counters is None:
         counters = CostCounters()

@@ -105,7 +105,7 @@ def phi(ens, anchors: SaddleAnchors, params, spec: SpectralInfo) -> float:
         [2.0 * s2 / params.gamma_x, 2.0 * s2 / params.gamma_y],
         pinv_weighted_sqnorm(spec, ens.D - anchors.D_star),
     )
-    val += np.sqrt(params.delta) * np.sum(_sqnorms(ens.comm.H - anchors.H_star))
+    val += np.sqrt(params.delta) * np.sum(_sqnorms(ens.H - anchors.H_star))
     return float(val)
 
 

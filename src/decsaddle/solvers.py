@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -114,6 +114,11 @@ def crdpsg_stage_params(
     falls as alpha grows, so alpha is at most the value that gives M =
     (1-b) / (1-r).
 
+    t is the least step count with r_k^t at most M / (3 M_x + 6
+    sqrt(delta)), M / (3 M_y + 6 sqrt(delta)) and M / 3, at the rate r_k =
+    max(1 - rho / 2^(k/2), contraction_rate(stage, spec)): the restart
+    rate, or the stage's slowest contraction factor where that is slower.
+
     spec = None marks the single-node degenerate case: the graph terms of
     the update vanish identically, so the gamma scale is immaterial and a
     unit eigenvalue placeholder is used.
@@ -145,31 +150,35 @@ def crdpsg_stage_params(
     M_y = 1.0 - rd * alpha_y / (1.0 - 0.5 * gamma_y * lam_max)
     M = min(M_x, M_y)
     rho = crdpsg_rho(consts, delta, spec)
-    denom = -math.log1p(-rho / scale)
+    stage = StageParams(
+        k=k, s=s, b_x=b_x, b_y=b_y, gamma_x=gamma_x, gamma_y=gamma_y,
+        alpha_x=alpha_x, alpha_y=alpha_y, M_x=M_x, M_y=M_y, M=M, t=1,
+        rho=rho, delta=delta,
+    )
+    # r_k = max(1 - rho / 2^(k/2), contraction_rate), in log1p form
+    denom = -math.log1p(-min(rho / scale, 1.0 - contraction_rate(stage, spec)))
     t_real = (1.0 / denom) * max(
         math.log((3.0 * M_x + 6.0 * rd) / M),
         math.log((3.0 * M_y + 6.0 * rd) / M),
         math.log(3.0 / M),
     )
-    t = max(int(math.ceil(t_real)), 1)
-    return StageParams(
-        k=k, s=s, b_x=b_x, b_y=b_y, gamma_x=gamma_x, gamma_y=gamma_y,
-        alpha_x=alpha_x, alpha_y=alpha_y, M_x=M_x, M_y=M_y, M=M, t=t,
-        rho=rho, delta=delta,
-    )
+    return replace(stage, t=max(int(math.ceil(t_real)), 1))
 
 
-def contraction_rate(params, spec: SpectralInfo, p: float | None = None) -> float:
-    """Worst-case per-step decay factor of the Lyapunov diagnostic."""
-    lam2 = spec.lambda_second_smallest
+def contraction_rate(
+    params, spec: SpectralInfo | None, p: float | None = None
+) -> float:
+    """Worst-case per-step decay factor of the Lyapunov diagnostic; spec =
+    None (a single node) drops the graph terms."""
     terms = [
         (1.0 - params.b_x) / params.M_x,
         (1.0 - params.b_y) / params.M_y,
-        1.0 - 0.5 * params.gamma_x * lam2,
-        1.0 - 0.5 * params.gamma_y * lam2,
         1.0 - params.alpha_x,
         1.0 - params.alpha_y,
     ]
+    if spec is not None:
+        lam2 = spec.lambda_second_smallest
+        terms += [1.0 - 0.5 * params.gamma_x * lam2, 1.0 - 0.5 * params.gamma_y * lam2]
     if p is not None:
         terms.append(1.0 - p / 2.0)
     return max(terms)

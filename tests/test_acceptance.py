@@ -268,7 +268,7 @@ def test_criterion_07_structural_invariants(
         for D in ens.D:
             if np.abs(D.sum(axis=0)).max() > 1e-7 * (1 + np.linalg.norm(D)):
                 ok, details = False, details + [f"dual-tracker drift at {t}"]
-        for H, Hw in zip(ens.comm.H, ens.comm.Hw):
+        for H, Hw in zip(ens.H, ens.Hw):
             scale = 1 + np.max(np.abs(Hw))
             if np.max(np.abs(Hw - ds.mix(g, H))) > 1e-9 * scale:
                 ok, details = False, details + [f"reference mismatch at {t}"]

@@ -143,6 +143,21 @@ def test_reference_cap_is_the_budget_of_a_reference_config_only(tmp_path):
     assert not out.exists()
 
 
+def test_run_refuses_an_inline_reference_above_tol(tmp_path, capsys):
+    # golden_desk.json with its inline solve capped at 3 iterations stops
+    # at a residual of about 1.7e-10 against tol 1e-22: run exits 4 with
+    # the reference command's message and writes no trace
+    with open(os.path.join(ROOT, "tests", "data", "golden_desk.json")) as fh:
+        cfg = json.load(fh)
+    out = tmp_path / "trace.csv"
+    cfg.update(log={"output": str(out)},
+               reference={"compute": {"iterations": 3, "tol": 1e-22}})
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "reference residual" in err and "above tol 1.000e-22 after 3" in err
+    assert not out.exists() and not (tmp_path / "trace.csv.meta").exists()
+
+
 @pytest.mark.parametrize(
     "header",
     ["d_x 6 d_y 5 residual 0", "d_x 5 d_y 5 residual 0"],

@@ -159,17 +159,21 @@ def test_bits_per_coord():
     assert ds.identity_compressor().bits_per_coord == 32
 
 
+def _pair(g, H):
+    """The consistent reference pair [H, W H] of the references H."""
+    return np.array([H, ds.mix(g, H)])
+
+
 def test_comm_identity_collapses():
     g = ds.build_ring(4)
     rng = np.random.default_rng(0)
     nu = rng.standard_normal((4, 3))
-    st = ds.CommState.from_reference(g, rng.standard_normal((4, 3)))
-    NN = np.empty_like(st.HH)  # [nu_hat, nu_hat_w], left intact
+    HH = _pair(g, rng.standard_normal((4, 3)))
+    NN = np.empty_like(HH)  # alpha [nu_hat, nu_hat_w]
     ds.bind_exchange(
-        st, 0.5, 0.5, g, ds.identity_compressor(), rng, NN, np.empty((4, 3)),
-        np.empty_like(NN),
+        HH, 0.5, 0.5, g, ds.identity_compressor(), rng, NN, np.empty((4, 3))
     )(nu)
-    nu_hat, nu_hat_w = NN
+    nu_hat, nu_hat_w = NN / 0.5  # dividing by a power of two is exact
     assert np.allclose(nu_hat, nu, atol=0)
     assert np.allclose(nu_hat_w, ds.mix(g, nu), atol=1e-15)
 
@@ -178,79 +182,74 @@ def test_comm_no_drift():
     g = ds.build_ring(4)
     rng = np.random.default_rng(1)
     H = rng.standard_normal((4, 2))
-    st = ds.CommState.from_reference(g, H)
+    HH = _pair(g, H)
     c = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
-    NN = np.empty_like(st.HH)
-    ds.bind_exchange(
-        st, 0.5, 0.5, g, c, rng, NN, np.empty_like(H), np.empty_like(NN)
-    )(H)
-    nu_hat, nu_hat_w = NN
+    NN = np.empty_like(HH)
+    ds.bind_exchange(HH, 0.5, 0.5, g, c, rng, NN, np.empty_like(H))(H)
+    nu_hat, nu_hat_w = NN / 0.5
     assert np.array_equal(nu_hat, H)
-    assert np.array_equal(nu_hat_w, st.Hw)
-    assert np.array_equal(st.H, H)
+    assert np.array_equal(nu_hat_w, HH[1])
+    assert np.array_equal(HH[0], H)
 
 
 def test_comm_hand_example_ring3():
     g = ds.build_ring(3)
     rng = np.random.default_rng(0)
-    st = ds.CommState(HH=np.zeros((2, 3, 1)))
+    HH = np.zeros((2, 3, 1))
     nu = np.array([[3.0], [0.0], [0.0]])
-    NN = np.empty_like(st.HH)
+    NN = np.empty_like(HH)
     ds.bind_exchange(
-        st, 0.5, 0.5, g, ds.identity_compressor(), rng, NN, np.empty((3, 1)),
-        np.empty_like(NN),
+        HH, 0.5, 0.5, g, ds.identity_compressor(), rng, NN, np.empty((3, 1))
     )(nu)
-    nu_hat, nu_hat_w = NN
+    nu_hat, nu_hat_w = NN / 0.5
+    H, Hw = HH
     assert np.allclose(nu_hat.ravel(), [3, 0, 0], atol=0)
     assert np.allclose(nu_hat_w.ravel(), [1, 1, 1], atol=1e-15)
-    assert np.allclose(st.H.ravel(), [1.5, 0, 0], atol=0)
-    assert np.allclose(st.Hw.ravel(), [0.5, 0.5, 0.5], atol=1e-15)
+    assert np.allclose(H.ravel(), [1.5, 0, 0], atol=0)
+    assert np.allclose(Hw.ravel(), [0.5, 0.5, 0.5], atol=1e-15)
 
 
 def test_comm_state_consistency_1000_steps():
     g = ds.build_ring(5)
     rng = np.random.default_rng(7)
     c = ds.Compressor(kind="quantize_inf", bits=3, delta=0.5)
-    st = ds.CommState.from_reference(g, rng.standard_normal((5, 4)))
-    NN = np.empty_like(st.HH)
+    HH = _pair(g, rng.standard_normal((5, 4)))
+    H, Hw = HH
     exchange = ds.bind_exchange(
-        st, 0.3, 1.0 - 0.3, g, c, rng, NN, np.empty((5, 4)), NN
+        HH, 0.3, 1.0 - 0.3, g, c, rng, np.empty_like(HH), np.empty((5, 4))
     )
     for _ in range(1000):
         exchange(rng.standard_normal((5, 4)))
-        drift = np.max(np.abs(st.Hw - ds.mix(g, st.H)))
-        assert drift <= 1e-9 * (1 + np.max(np.abs(st.Hw)))
+        drift = np.max(np.abs(Hw - ds.mix(g, H)))
+        assert drift <= 1e-9 * (1 + np.max(np.abs(Hw)))
 
 
 def test_bound_exchange_matches_comm_step():
-    # an exchange bound once, with alpha scaling the pair in place (as the
-    # step plan binds it), advances [H, Hw] bit for bit as exchanges bound
-    # afresh for every call, each into a pair that alpha leaves intact, do,
-    # and its diff is nu_hat - nu_hat_w of each call; the zero start takes
-    # the quantizer's zero-row path in call 1
+    # an exchange bound once (as the step plan binds it) advances [H, Hw]
+    # and writes diff = nu_hat - nu_hat_w bit for bit as exchanges bound
+    # afresh for every call do; the zero start takes the quantizer's
+    # zero-row path in call 1
     g = ds.build_ring(5)
     c = ds.Compressor(kind="quantize_inf", bits=3, delta=0.5)
     alpha = np.array([0.3, 0.2])[:, None, None]
     keep = 1.0 - alpha
-    st_a = ds.CommState.from_reference(g, np.zeros((2, 5, 4)))
-    st_b = ds.CommState.from_reference(g, np.zeros((2, 5, 4)))
+    HH_a, HH_b = np.zeros((2, 2, 5, 4)), np.zeros((2, 2, 5, 4))
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    NN, diff = np.empty_like(st_a.HH), np.empty((2, 5, 4))
-    exchange = ds.bind_exchange(st_a, alpha, keep, g, c, rng_a, NN, diff, NN)
+    NN, diff = np.empty_like(HH_a), np.empty((2, 5, 4))
+    exchange = ds.bind_exchange(HH_a, alpha, keep, g, c, rng_a, NN, diff)
     nus = np.random.default_rng(4).standard_normal((50, 2, 5, 4))
     nus[0, 1] = 0.0
     for nu in nus:
         exchange(nu)
-        NN_b = np.empty_like(NN)
+        diff_b = np.empty_like(diff)
         ds.bind_exchange(
-            st_b, alpha, keep, g, c, rng_b, NN_b, np.empty_like(diff),
-            np.empty_like(NN),
+            HH_b, alpha, keep, g, c, rng_b, np.empty_like(NN), diff_b
         )(nu)
-        assert diff.tobytes() == (NN_b[0] - NN_b[1]).tobytes()
-        assert st_a.HH.tobytes() == st_b.HH.tobytes()
+        assert diff.tobytes() == diff_b.tobytes()
+        assert HH_a.tobytes() == HH_b.tobytes()
     assert rng_a.random() == rng_b.random()
     with pytest.raises(ValueError):  # references for another graph
-        ds.bind_exchange(st_a, alpha, keep, ds.build_ring(4), c, rng_a, NN, diff, NN)
+        ds.bind_exchange(HH_a, alpha, keep, ds.build_ring(4), c, rng_a, NN, diff)
 
 
 def test_quantize_rows_match_sequential_calls():

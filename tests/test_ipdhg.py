@@ -42,9 +42,7 @@ def test_fixed_point_is_stationary(acc_graph, acc_problem, acc_zstar):
     anchors = ds.compute_anchors(prob, z, s)
     params = ds.StepParams(s=s, gamma_x=0.01, gamma_y=0.01, alpha_x=0.3, alpha_y=0.3)
     Z = np.tile(z[:, None], (1, g.m, 1))
-    ens = ds.NodeEnsemble(
-        Z=Z, D=anchors.D_star, comm=ds.CommState.from_reference(g, anchors.H_star)
-    )
+    ens = ds.NodeEnsemble.initialize(g, Z, D=anchors.D_star, H=anchors.H_star)
     comp = ds.identity_compressor()
     rng = np.random.default_rng(0)
     ds.step_plan(ens, params, g, _exact_draw(prob, ens), prob, comp, rng)()
@@ -68,7 +66,7 @@ def test_step_matches_straight_line_transcription(g, N, lam):
     y = 0.3 * rng0.standard_normal((m, 1))
     ens = ds.NodeEnsemble.initialize(g, np.array([x, y]))
     Dx0, Dy0 = ens.D.copy()
-    Hx0, Hy0 = ens.comm.H.copy()
+    Hx0, Hy0 = ens.H.copy()
     comp = ds.identity_compressor()
     ds.step_plan(
         ens, params, g, _exact_draw(prob, ens), prob, comp, np.random.default_rng(0)
@@ -94,8 +92,8 @@ def test_step_matches_straight_line_transcription(g, N, lam):
     assert np.max(np.abs(ens.D[0] - Dx1)) <= 1e-14
     assert np.max(np.abs(ens.D[1] - Dy1)) <= 1e-14
     # reference updates
-    assert np.allclose(ens.comm.H[0], (1 - 0.2) * Hx0 + 0.2 * nux_hat, atol=1e-14)
-    assert np.allclose(ens.comm.H[1], (1 - 0.25) * Hy0 + 0.25 * nuy, atol=1e-14)
+    assert np.allclose(ens.H[0], (1 - 0.2) * Hx0 + 0.2 * nux_hat, atol=1e-14)
+    assert np.allclose(ens.H[1], (1 - 0.25) * Hy0 + 0.25 * nuy, atol=1e-14)
 
 
 def test_dual_tracker_mean_invariant():
@@ -116,6 +114,37 @@ def test_dual_tracker_mean_invariant():
     # iterates stay inside their balls
     assert np.all(np.linalg.norm(ens.Z[0], axis=1) <= prob.R_x + 1e-9)
     assert np.all(np.linalg.norm(ens.Z[1], axis=1) <= prob.R_y + 1e-9)
+
+
+def test_invariants_at_the_scale64_topology():
+    # criterion 7's invariants on the benchmark's 8x8 torus (m = 64) with
+    # its stage-0 schedule: after every one of 200 minibatch steps with
+    # 4-bit quantized gossip at delta = 0.05, Hw = W H and the dual
+    # trackers sum to zero block by block, at criterion 7's tolerances,
+    # and the step sent one round of 2 m d (b + 1) bits
+    g = ds.build_torus(8, 8)
+    dset = ds.synthesize(1280, 10, 1)  # scale64 at workload seed 1
+    part = ds.partition(dset, 64, 5, 11)
+    prob = ds.RobustLRProblem(dset, part, lam=1.5, beta=1.5, R_x=20.0, R_y=1.0)
+    comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.05)
+    params = ds.crdpsg_stage_params(0, prob.constants, comp.delta, ds.spectral(g))
+    rng = np.random.default_rng(11)
+    ens = ds.NodeEnsemble.initialize(g, 0.1 * rng.standard_normal((2, 64, 10)))
+    counters = ds.CostCounters()
+    step = ds.step_plan(
+        ens, params.step_params(), g, ds.gsgo_draw(prob, ens.Z, rng), prob, comp,
+        rng, counters,
+    )
+    with overflow_guard():
+        for t in range(1, 201):
+            step()
+            for H, Hw in zip(ens.H, ens.Hw):
+                scale = 1 + np.max(np.abs(Hw))
+                assert np.max(np.abs(Hw - ds.mix(g, H))) <= 1e-9 * scale, t
+            for D in ens.D:
+                assert np.abs(D.sum(axis=0)).max() <= 1e-7 * (1 + np.linalg.norm(D)), t
+            assert counters.comm_rounds == t
+            assert counters.bits == t * 2 * 64 * 10 * (4 + 1)
 
 
 def test_counters_recorded():
@@ -340,8 +369,8 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
             assert not y.any()  # zero dual rows: nothing drawn for them
         for a, b in (
             (ens.Z[0], x), (ens.Z[1], y), (ens.D[0], Dx), (ens.D[1], Dy),
-            (ens.comm.H[0], Hx), (ens.comm.Hw[0], Hwx),
-            (ens.comm.H[1], Hy), (ens.comm.Hw[1], Hwy),
+            (ens.H[0], Hx), (ens.Hw[0], Hwx),
+            (ens.H[1], Hy), (ens.Hw[1], Hwy),
         ):
             assert np.array_equal(a, b), f"step {t + 1}"
     assert rng.random() == loop_rng.random()
@@ -390,7 +419,7 @@ def test_bound_draws_match_one_shot_samplers(kind, quantized):
     with overflow_guard():
         for t in range(200):
             if t == 0 and quantized:
-                assert not (ens_a.Z[1] - ens_a.comm.H[1]).any()
+                assert not (ens_a.Z[1] - ens_a.H[1]).any()
             cached_draws += st_a.unread and t > 0
             step()
             ds.step_plan(
@@ -401,7 +430,7 @@ def test_bound_draws_match_one_shot_samplers(kind, quantized):
                 for ens, st, rng, cnt in runs:
                     cnt.add_grad(ds.svrgo_update_reference(st, prob, ens.Z, rng)[1])
             for a, b in ((ens_a.Z, ens_b.Z), (ens_a.D, ens_b.D),
-                         (ens_a.comm.HH, ens_b.comm.HH)):
+                         (ens_a.HH, ens_b.HH)):
                 assert a.tobytes() == b.tobytes(), f"step {t + 1}"
             assert cnt_a == cnt_b
     assert rng_a.random() == rng_b.random()

@@ -11,8 +11,7 @@ class _Ens:
     dual trackers and references."""
 
     def __init__(self, Z, D, H):
-        self.Z, self.D = Z, D
-        self.comm = type("C", (), {"H": H})
+        self.Z, self.D, self.H = Z, D, H
 
 
 def _at_zstar(z, m):

@@ -74,10 +74,14 @@ def test_stage_step_is_capped_at_the_peak_of_b(ring4_spec):
 @example(mu=1.0, ratio=3.0, cross_frac=0.875, delta=1.0, k=0)
 # with s at b_x's peak alone: 0.994978 against 0.994142
 @example(mu=1.0, ratio=2.5, cross_frac=1.0, delta=1.0, k=0)
+# the gamma factor 0.998750 above 1 - rho = 0.998536, which once set t = 750
+@example(mu=1.0, ratio=2.5, cross_frac=1.0, delta=0.0, k=0)
 @settings(max_examples=60, deadline=None)
 def test_stage_contraction_bound(mu, ratio, cross_frac, delta, k):
-    # (1-b_x)/M_x <= 1 - (1 - 1/sqrt(2)) / (8 kappa_f^2 2^{k/2}), and every
-    # point of the range has a stage
+    # (1-b_x)/M_x <= 1 - (1 - 1/sqrt(2)) / (8 kappa_f^2 2^{k/2}), every
+    # point of the range has a stage, and the stage's t is long enough at
+    # r_k = max(1 - rho / 2^(k/2), contraction_rate): every factor of the
+    # contraction is at most r_k, and r_k^t shrinks the start terms by 3
     L = mu * ratio
     c = ds.SaddleConstants(
         mu_x=mu, mu_y=mu, L_xx=L, L_yy=L, L_xy=cross_frac * L, L_yx=cross_frac * L
@@ -87,6 +91,22 @@ def test_stage_contraction_bound(mu, ratio, cross_frac, delta, k):
     bound = 1 - (1 - 1 / math.sqrt(2)) / (8 * c.kappa_f**2 * 2 ** (k / 2))
     assert (1 - p.b_x) / p.M_x <= bound + 1e-12
     assert (1 - p.b_y) / p.M_y <= bound + 1e-12
+    lam2 = spec.lambda_second_smallest
+    terms = [
+        (1 - p.b_x) / p.M_x, (1 - p.b_y) / p.M_y,
+        1 - 0.5 * p.gamma_x * lam2, 1 - 0.5 * p.gamma_y * lam2,
+        1 - p.alpha_x, 1 - p.alpha_y,
+    ]
+    # 1 - r_k, whose log1p keeps its digits where r_k is near 1
+    gap = min(p.rho / 2 ** (k / 2), 1 - ds.contraction_rate(p, spec))
+    assert all(term <= 1 - gap for term in terms)
+    rd = math.sqrt(delta)
+    need = max(
+        math.log((3 * p.M_x + 6 * rd) / p.M),
+        math.log((3 * p.M_y + 6 * rd) / p.M),
+        math.log(3 / p.M),
+    )
+    assert p.t * -math.log1p(-gap) >= need * (1 - 1e-12)
 
 
 def test_svrg_frozen_values(ring4_spec):

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -47,3 +48,26 @@ def test_step_sweep_refuses_a_tree_without_step_plan(tmp_path):
         assert proc.returncode == 1 and proc.stdout == ""
         expected = f"the decsaddle package under {pkg.parent} {message}"
         assert proc.stderr.strip() == expected
+
+
+def test_same_traces_smoke(tmp_path):
+    # desk at seed 1: the repo's own src/ against itself matches, and a
+    # copy of src/ whose variance-reduced solver seeds its RNG with another
+    # tag writes another trace, which the tool names
+    src = tmp_path / "src"
+    shutil.copytree(os.path.join(ROOT, "src"), src,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    solvers = src / "decsaddle" / "solvers.py"
+    text = solvers.read_text()
+    assert "_rng_for(seed, 0x5502)" in text
+    solvers.write_text(text.replace("_rng_for(seed, 0x5502)", "_rng_for(seed, 0x5503)"))
+    tool = [sys.executable, os.path.join(ROOT, "tools", "same_traces.py"),
+            "--seeds", "1", "--workloads", "desk", "--against"]
+    same = subprocess.run(tool + [os.path.join(ROOT, "src")],
+                          capture_output=True, text=True, timeout=300)
+    assert same.returncode == 0, same.stderr
+    assert same.stdout.strip() == "2 files identical"
+    changed = subprocess.run(tool + [str(src)], capture_output=True, text=True,
+                             timeout=300)
+    assert changed.returncode == 1
+    assert changed.stderr.strip() == "desk seed 1: trace.csv differs"

@@ -1,0 +1,95 @@
+"""Check that two source trees write byte-identical outputs on the benchmark's
+workloads.
+
+    python3 tools/same_traces.py --against SRC [--seeds 1-10]
+                                 [--workloads desk,scale64]
+
+For every workload and seed it writes the workload's inputs with
+`prepare` from perfbench/workloads.py (read, not changed), once per tree,
+into a fresh temporary directory.  It then runs, in each tree,
+`decsaddle reference` where the workload stores a reference point, and
+`decsaddle run`, each as a `python3 -m decsaddle.cli` process that imports
+the package from that tree, with BLAS/OpenMP threads at 1.  This tree is
+the `src/` next to this script; SRC is another tree's `src/` (for example
+a checkout of the parent commit).  It compares `zstar.txt`, `trace.csv`
+and `trace.csv.meta` byte for byte, in that order, workload by workload
+and seed by seed.
+
+Exits 0 if every file matches, and 1 at the first file that differs or
+the first command that fails, naming it.  --seeds takes one seed or a
+range such as 1-10; --workloads takes names separated by commas.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import runpy
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+OUTPUTS = ("zstar.txt", "trace.csv", "trace.csv.meta")
+
+
+def parse_seeds(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def outputs(src: str, prepare, workload: str, seed: int) -> dict:
+    """The outputs of the workload's commands at seed, run in the tree
+    src: {file name: bytes}; raises SystemExit naming a failed command."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    with tempfile.TemporaryDirectory() as workdir:
+        run_cfg, ref_cfg, _ = prepare(workload, seed, workdir)
+        commands = [("run", run_cfg)]
+        if ref_cfg is not None:
+            commands.insert(0, ("reference", ref_cfg))
+        for command, cfg in commands:
+            proc = subprocess.run(
+                [sys.executable, "-m", "decsaddle.cli", command, cfg],
+                cwd=workdir, env=env, capture_output=True, text=True,
+            )
+            if proc.returncode != 0:
+                raise SystemExit(
+                    f"{workload} seed {seed}: `{command}` exited "
+                    f"{proc.returncode} in {src}: {proc.stderr.strip()}"
+                )
+        found = {}
+        for name in OUTPUTS:
+            path = os.path.join(workdir, name)
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    found[name] = fh.read()
+        return found
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--against", metavar="SRC", required=True,
+                    help="directory holding another decsaddle package")
+    ap.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
+    ap.add_argument("--workloads", default="desk,scale64")
+    args = ap.parse_args(argv)
+    prepare = runpy.run_path(os.path.join(ROOT, "perfbench", "workloads.py"))["prepare"]
+    trees = (os.path.join(ROOT, "src"), args.against)
+    files = 0
+    for workload in args.workloads.split(","):
+        for seed in args.seeds:
+            ours, theirs = (outputs(src, prepare, workload, seed) for src in trees)
+            for name in OUTPUTS:
+                if ours.get(name) != theirs.get(name):
+                    print(f"{workload} seed {seed}: {name} differs", file=sys.stderr)
+                    return 1
+            files += len(ours)
+    print(f"{files} files identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
