@@ -369,15 +369,19 @@ def build(cfg: RunConfig):
 
 def verdict(cfg: RunConfig):
     """The one verdict of run and validate, all but the solve: checks the
-    output, builds the run and derives its numbers as one JSON object, each
-    value a field of the object that holds it; returns (output, build's
-    result, stored saddle point, record, failures).  The stored (2, d)
-    point is read once, here, from a run config's reference.path; it is
-    None for an inline compute, which only run does.  The record's schedule
-    lists the restart method's StageParams up to the first infeasible
-    stage, or the SvrgParams."""
+    output, builds the run, derives its schedule and its numbers as one
+    JSON object, each value a field of the object that holds it, and finds
+    a run config's saddle point; returns (output, build's result, saddle
+    point, schedule, record, failures).  The schedule is the restart
+    method's list of StageParams up to the first infeasible stage, or the
+    SvrgParams (None if infeasible, and for a reference config); the run
+    hands these records to its solver, and the record's schedule lists
+    their fields.  The (2, d) saddle point is read from reference.path
+    before the schedule is derived, or, once the schedule has no failures,
+    solved for an inline reference.compute by resolve_reference; it is
+    None for a reference config."""
     out = _output(cfg, "reference" if cfg.algorithm == "reference" else "run")
-    built = _, prob, _, spec, compressor = build(cfg)
+    built = dataset, prob, _, spec, compressor = build(cfg)
     z_star = None
     if cfg.algorithm != "reference" and "path" in cfg.reference:
         z_star = read_zstar(cfg.reference["path"], prob.d)
@@ -390,30 +394,34 @@ def verdict(cfg: RunConfig):
         },
         "delta": compressor.delta,
     }
-    failures = []
+    schedule, failures = None, []
     if cfg.algorithm == "crdpsg":
-        record["schedule"] = []
+        schedule = []
         for k in range(cfg.budget["stages"]):
             try:
-                sp = crdpsg_stage_params(k, prob.constants, compressor.delta, spec)
+                schedule.append(
+                    crdpsg_stage_params(k, prob.constants, compressor.delta, spec)
+                )
             except InfeasibleParameterError as e:
                 failures.append(f"stage {k}: {e}")
                 break
-            record["schedule"].append(asdict(sp))
+        record["schedule"] = [asdict(sp) for sp in schedule]
     elif cfg.algorithm == "cdpsvrg":
         try:
-            vp = cdpsvrg_params(
+            schedule = cdpsvrg_params(
                 prob.constants, compressor.delta, spec, prob.n,
                 p=cfg.setting("oracle.p"),
             )
-            record["schedule"] = asdict(vp)
+            record["schedule"] = asdict(schedule)
         except InfeasibleParameterError as e:
             failures.append(str(e))
-    return out, built, z_star, record, failures
+    if not failures and "compute" in cfg.reference and cfg.algorithm != "reference":
+        z_star = resolve_reference(cfg, dataset)[0]
+    return out, built, z_star, schedule, record, failures
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    _, _, _, record, failures = verdict(cfg)
+    record, failures = verdict(cfg)[-2:]
     print(json.dumps(record, indent=2))
     if failures:
         print("FAILURES:", *failures, sep="\n  ")
@@ -423,24 +431,21 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    out, (dataset, prob, g, spec, compressor), z_star, record, failures = verdict(cfg)
+    out, (_, prob, g, _, compressor), z_star, schedule, record, failures = verdict(cfg)
     if failures:
         raise InfeasibleParameterError("; ".join(failures))
     if cfg.algorithm == "reference":
         return cmd_reference(cfg)
-    if z_star is None:
-        z_star = resolve_reference(cfg, dataset)[0]
     z0 = np.zeros((2, prob.d))
     stride = cfg.setting("log.stride")
     if cfg.algorithm == "crdpsg":
         trace, _ = run_crdpsg(
-            prob, g, spec, compressor, cfg.budget["stages"], z0, z_star,
-            cfg.seed, log_stride=stride,
+            prob, g, compressor, schedule, z0, z_star, cfg.seed, log_stride=stride
         )
     else:
         trace, _ = run_cdpsvrg(
-            prob, g, spec, compressor, cfg.budget["iterations"], z0, z_star,
-            cfg.seed, p=cfg.setting("oracle.p"), log_stride=stride,
+            prob, g, compressor, schedule, cfg.budget["iterations"], z0, z_star,
+            cfg.seed, log_stride=stride,
         )
     with open(out, "w") as fh:
         fh.write(trace.to_csv())

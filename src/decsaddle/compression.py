@@ -146,7 +146,8 @@ def bind_exchange(
     alpha is the reference mixing factor and keep = 1 - alpha, both
     precomputed by the caller: scalars, or arrays that broadcast against
     HH (one factor per block of a stacked payload).  The window (0,
-    1/(1+delta)) of alpha is checked once, by StepParams, not here.  Each
+    1/(1+delta)) of alpha is checked once, by ipdhg.check_windows when the
+    step's parameter record is built, not here.  Each
     exchange builds [nu_hat, nu_hat_w] in NN (shaped like HH): Q = C(nu -
     H) goes into its first slot and W Q into its second, then H and Hw are
     added.  It writes nu_hat - nu_hat_w into diff (shaped like H), and

@@ -6,7 +6,8 @@ The ensemble state is stacked primal-dual: every array has shape
 so one step quantizes, gossips and projects both halves in one call each.
 
 A step is bound once per solve as a plan (step_plan): the ensemble's
-arrays, the step factors, the graph's W, the oracle draw, the
+arrays, the step factors of a parameter record (checked by check_windows
+when the record was built), the graph's W, the oracle draw, the
 compressor, the RNG and the counters are checked and bound when the plan
 is built, and each step then runs as one flat sequence of NumPy calls
 into arrays allocated once.
@@ -33,9 +34,45 @@ def _factor(shape: tuple, *blocks) -> np.ndarray:
     return out
 
 
+def check_windows(params, where: str = "", b_open: bool | None = None) -> None:
+    """The one window check of a step's parameter record, run when the
+    record is built; raises on the first factor outside its window, named
+    after the prefix where.  With b_open not None (a schedule's record):
+    b_x, b_y in (0, 1) if b_open, else (0, 1]; M_x, M_y, (1-b_x)/M_x and
+    (1-b_y)/M_y in (0, 1] (InfeasibleParameterError).  Then s > 0
+    (ValueError), alpha_x, alpha_y in (0, 1/(1+delta))
+    (InfeasibleParameterError) and gamma_x, gamma_y > 0 (ValueError)."""
+    if b_open is not None:
+        for name, v, is_open in (
+            ("b_x", params.b_x, b_open),
+            ("b_y", params.b_y, b_open),
+            ("M_x", params.M_x, False),
+            ("M_y", params.M_y, False),
+            ("(1-b_x)/M_x", (1.0 - params.b_x) / params.M_x, False),
+            ("(1-b_y)/M_y", (1.0 - params.b_y) / params.M_y, False),
+        ):
+            if not (0.0 < v < 1.0 if is_open else 0.0 < v <= 1.0):
+                window = "(0, 1)" if is_open else "(0, 1]"
+                raise InfeasibleParameterError(
+                    f"{where}{name} = {v:.6g} outside {window}"
+                )
+    if params.s <= 0:
+        raise ValueError(f"{where}step size s = {params.s} must be positive")
+    hi = 1.0 / (1.0 + params.delta)
+    for name, a in (("alpha_x", params.alpha_x), ("alpha_y", params.alpha_y)):
+        if not 0.0 < a < hi:
+            raise InfeasibleParameterError(
+                f"{where}{name} = {a:.4g} outside (0, 1/(1+delta)) with "
+                f"delta = {params.delta:.4g}"
+            )
+    if params.gamma_x <= 0 or params.gamma_y <= 0:
+        raise ValueError(f"{where}gamma_x, gamma_y must be positive")
+
+
 @dataclass
 class StepParams:
-    """Per-step scalars; feasibility windows are checked at construction."""
+    """Per-step scalars of a hand-built step; the schedules' records
+    (solvers.StageParams, SvrgParams) carry the same fields."""
 
     s: float
     gamma_x: float
@@ -45,17 +82,7 @@ class StepParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.s <= 0:
-            raise ValueError(f"step size s = {self.s} must be positive")
-        hi = 1.0 / (1.0 + self.delta)
-        for name, a in (("alpha_x", self.alpha_x), ("alpha_y", self.alpha_y)):
-            if not 0.0 < a < hi:
-                raise InfeasibleParameterError(
-                    f"{name} = {a:.4g} outside (0, 1/(1+delta)) with "
-                    f"delta = {self.delta:.4g}"
-                )
-        if self.gamma_x <= 0 or self.gamma_y <= 0:
-            raise ValueError("gamma_x, gamma_y must be positive")
+        check_windows(self)
 
 
 @dataclass
@@ -100,7 +127,7 @@ class NodeEnsemble:
 
 def step_plan(
     ens: NodeEnsemble,
-    params: StepParams,
+    params,
     g: DecGraph,
     draw,
     prob: RobustLRProblem,
@@ -108,8 +135,10 @@ def step_plan(
     rng: np.random.Generator,
     counters: CostCounters | None = None,
 ):
-    """Bind one IPDHG step of ens; returns step(), which advances every
-    node one iteration, in place.
+    """Bind one IPDHG step of ens under params, a StepParams or a
+    schedule's record (solvers.StageParams, SvrgParams), whose windows were
+    checked when it was built; returns step(), which advances every node
+    one iteration, in place.
 
     draw() -> (G, cost): the (2, m, d) stacked gradient blocks of every
     node at the ensemble's current rows, with cost the gradient units

@@ -52,15 +52,13 @@ class SvrgState:
     Z_tilde: np.ndarray  # (2, m, d) stacked reference points
     # () -> the (2, m, n, d) batch gradients at Z_tilde, in one array
     grads: Callable[[], np.ndarray] = field(repr=False)
-    p: float  # Bernoulli refresh probability
+    p: float  # Bernoulli refresh probability in (0, 1], as cdpsvrg_params checks
     g_rows: np.ndarray = field(init=False, repr=False)  # (2, m*n, d) view of grads()
     g_tilde: np.ndarray = field(init=False)  # (2, m, d) their means: the full gradients
     cdf: np.ndarray = field(init=False, repr=False)  # (n,) uniform batch law
     unread: bool = field(init=False, repr=False)  # no draw since the refresh
 
     def __post_init__(self):
-        if not 0.0 < self.p <= 1.0:
-            raise ValueError(f"refresh probability p = {self.p} outside (0, 1]")
         self.g_tilde = np.empty_like(self.Z_tilde)
 
     @classmethod

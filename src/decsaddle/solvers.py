@@ -16,50 +16,18 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .compression import Compressor, InfeasibleParameterError
-from .ipdhg import NodeEnsemble, StepParams, step_plan
+from .ipdhg import NodeEnsemble, check_windows, step_plan
 from .metrics import CostCounters, Trace, distance_to_saddle
 from .oracles import SvrgState, gsgo_draw, svrgo_draw, svrgo_update_reference
 from .problem import RobustLRProblem, SaddleConstants, overflow_guard
 from .topology import DecGraph, SpectralInfo
 
 
-class _ScheduleParams:
-    """What the two schedules' parameter sets share: the windows of their
-    contraction factors, and the per-step scalars they hand to a step."""
-
-    def _check_windows(self, b_open: bool, where: str = "") -> None:
-        """Raise InfeasibleParameterError naming the first factor outside
-        its window: b_x, b_y in (0, 1) if b_open, else (0, 1]; M_x, M_y,
-        (1-b_x)/M_x, (1-b_y)/M_y in (0, 1].  The alpha window is checked
-        by StepParams."""
-        for name, v, is_open in (
-            ("b_x", self.b_x, b_open),
-            ("b_y", self.b_y, b_open),
-            ("M_x", self.M_x, False),
-            ("M_y", self.M_y, False),
-            ("(1-b_x)/M_x", (1.0 - self.b_x) / self.M_x, False),
-            ("(1-b_y)/M_y", (1.0 - self.b_y) / self.M_y, False),
-        ):
-            if not (0.0 < v < 1.0 if is_open else 0.0 < v <= 1.0):
-                window = "(0, 1)" if is_open else "(0, 1]"
-                raise InfeasibleParameterError(
-                    f"{where}{name} = {v:.6g} outside {window}"
-                )
-
-    def step_params(self) -> StepParams:
-        return StepParams(
-            s=self.s,
-            gamma_x=self.gamma_x,
-            gamma_y=self.gamma_y,
-            alpha_x=self.alpha_x,
-            alpha_y=self.alpha_y,
-            delta=self.delta,
-        )
-
-
 @dataclass(frozen=True)
-class StageParams(_ScheduleParams):
-    """Stage-k scalars of the restart method, validated at construction."""
+class StageParams:
+    """Stage-k scalars of the restart method, the step parameters of the
+    stage's steps, checked at construction (ipdhg.check_windows, b in
+    (0, 1])."""
 
     k: int
     s: float
@@ -77,7 +45,7 @@ class StageParams(_ScheduleParams):
     delta: float
 
     def __post_init__(self):
-        self._check_windows(False, f"stage {self.k}: ")
+        check_windows(self, f"stage {self.k}: ", b_open=False)
         if self.t < 1:
             raise InfeasibleParameterError(f"stage {self.k}: t = {self.t} < 1")
 
@@ -185,8 +153,10 @@ def contraction_rate(
 
 
 @dataclass(frozen=True)
-class SvrgParams(_ScheduleParams):
-    """Scalars of the variance-reduced method, validated at construction."""
+class SvrgParams:
+    """Scalars of the variance-reduced method, the step parameters of its
+    steps, checked at construction (ipdhg.check_windows, b in (0, 1)); p,
+    whose window cdpsvrg_params checks, is the refresh probability."""
 
     s: float
     c_tilde_x: float
@@ -204,9 +174,7 @@ class SvrgParams(_ScheduleParams):
     delta: float
 
     def __post_init__(self):
-        self._check_windows(True)
-        if not 0.0 < self.p <= 1.0:
-            raise InfeasibleParameterError(f"p = {self.p} outside (0, 1]")
+        check_windows(self, b_open=True)
 
 
 def cdpsvrg_params(
@@ -218,7 +186,8 @@ def cdpsvrg_params(
 ) -> SvrgParams:
     """Closed-form parameter set of the variance-reduced method, whose
     batches are drawn uniformly: p_min, the least sampling probability, is
-    1/n.
+    1/n.  The refresh probability p must lie in (0, 1]; it is checked
+    here, before the c_tilde factors divide by it.
 
     spec = None marks the single-node degenerate case (see
     crdpsg_stage_params).
@@ -279,9 +248,7 @@ def _solve(prob, g, compressor, z0, z_star, rng, log_stride, segments):
     it = 0
     with overflow_guard():
         for ens, params, draw, steps, after in segments(Z, counters):
-            step = step_plan(
-                ens, params.step_params(), g, draw, prob, compressor, rng, counters
-            )
+            step = step_plan(ens, params, g, draw, prob, compressor, rng, counters)
             for _ in range(steps):
                 step()
                 if after is not None:
@@ -295,61 +262,55 @@ def _solve(prob, g, compressor, z0, z_star, rng, log_stride, segments):
 def run_crdpsg(
     prob: RobustLRProblem,
     g: DecGraph,
-    spec: SpectralInfo | None,
     compressor: Compressor,
-    K: int,
+    stages: list[StageParams],
     z0: np.ndarray,
     z_star: np.ndarray,
     seed: int,
     log_stride: int = 1,
 ):
-    """Restart-based stochastic-gradient run from the stacked (2, d) start
-    z0, logged against the (2, d) saddle point z_star: the restart schedule
-    over the shared solve loop, one segment per stage.  Every stage
-    rebuilds its schedule, zeroes the dual trackers, resets the
-    compression references to the current iterates (one uncompressed
-    broadcast round), and runs t_k inner steps with minibatch gradients.
-    Returns (trace, ensemble).
+    """Restart-based stochastic-gradient run of the given stages (from
+    crdpsg_stage_params) from the stacked (2, d) start z0, logged against
+    the (2, d) saddle point z_star: the restart schedule over the shared
+    solve loop, one segment per stage.  Every stage zeroes the dual
+    trackers, resets the compression references to the current iterates
+    (one uncompressed broadcast round), and runs its t inner steps with
+    minibatch gradients.  Returns (trace, ensemble).
     """
     rng = _rng_for(seed, 0x5501)
 
-    def stages(Z, counters):
-        for k in range(K):
-            params = crdpsg_stage_params(k, prob.constants, compressor.delta, spec)
+    def segments(Z, counters):
+        for params in stages:
             ens = NodeEnsemble.initialize(g, Z)
             # restart broadcast of the fresh references, sent uncompressed
             counters.add_round(ens.Z.size, 32)
             yield ens, params, gsgo_draw(prob, ens.Z, rng), params.t, None
             Z = ens.Z
 
-    return _solve(prob, g, compressor, z0, z_star, rng, log_stride, stages)
+    return _solve(prob, g, compressor, z0, z_star, rng, log_stride, segments)
 
 
 def run_cdpsvrg(
     prob: RobustLRProblem,
     g: DecGraph,
-    spec: SpectralInfo | None,
     compressor: Compressor,
+    params: SvrgParams,
     T: int,
     z0: np.ndarray,
     z_star: np.ndarray,
     seed: int,
-    p: float | None = None,
     log_stride: int = 1,
 ):
-    """Variance-reduced run from the stacked (2, d) start z0, logged
-    against the (2, d) saddle point z_star: one segment of T steps with one
-    parameter set over the shared solve loop; after every step a
-    Bernoulli(p) coin may refresh the reference points.  Returns (trace,
-    ensemble)."""
+    """Variance-reduced run of T steps under params (from cdpsvrg_params)
+    from the stacked (2, d) start z0, logged against the (2, d) saddle
+    point z_star: one segment with one parameter set over the shared
+    solve loop; after every step a Bernoulli(params.p) coin may refresh
+    the reference points.  Returns (trace, ensemble)."""
     rng = _rng_for(seed, 0x5502)
-    if p is None:
-        p = 1.0 / prob.n
-    params = cdpsvrg_params(prob.constants, compressor.delta, spec, prob.n, p=p)
 
     def segment(Z, counters):
         ens = NodeEnsemble.initialize(g, Z)
-        state = SvrgState.initialize(prob, Z, p=p)
+        state = SvrgState.initialize(prob, Z, p=params.p)
         counters.add_grad(prob.m * prob.n)  # initial reference gradients
 
         def refresh():

@@ -57,6 +57,24 @@ def estimate_delta(
     return worst
 
 
+def restart_stages(prob, compressor, spec, K):
+    """The first K restart stages of a run on prob, as the CLI derives
+    them."""
+    return [
+        ds.crdpsg_stage_params(k, prob.constants, compressor.delta, spec)
+        for k in range(K)
+    ]
+
+
+def svrg_params(prob, compressor, spec, p=None):
+    """The variance-reduced parameter set of a run on prob, at refresh
+    probability p (1/n if None, the CLI's default)."""
+    return ds.cdpsvrg_params(
+        prob.constants, compressor.delta, spec, prob.n,
+        p=1.0 / prob.n if p is None else p,
+    )
+
+
 class PickBatch:
     """Stub generator under which a bound draw takes batch l at every node:
     a GSGO draw through integers, and an SVRGO draw under the uniform law

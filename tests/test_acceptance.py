@@ -14,7 +14,9 @@ import pytest
 import decsaddle as ds
 from decsaddle.oracles import SvrgState
 
-from conftest import ACC, PickBatch, estimate_delta, project
+from conftest import (
+    ACC, PickBatch, estimate_delta, project, restart_stages, svrg_params,
+)
 
 
 def _report(num, name, ok, detail=""):
@@ -49,9 +51,7 @@ def test_criterion_01_deterministic_contraction(acc_dataset, acc_graph, acc_zsta
     Z0[0] = ACC["R_x"] / np.sqrt(prob.d)
     ens = ds.NodeEnsemble.initialize(g, Z0)
     draw = lambda: (prob.full_grads(ens.Z), g.m)
-    step = ds.step_plan(
-        ens, params.step_params(), g, draw, prob, comp, np.random.default_rng(0)
-    )
+    step = ds.step_plan(ens, params, g, draw, prob, comp, np.random.default_rng(0))
     prev = ds.phi(ens, anchors, params, spec)
     worst = 0.0
     ok = True
@@ -74,8 +74,8 @@ def test_criterion_02_cdpsvrg_linear_convergence(
     g, spec = acc_graph
     z, _ = acc_zstar
     trace, _ = ds.run_cdpsvrg(
-        acc_problem, g, spec, acc_compressor, 20_000, acc_start, z,
-        seed=3, log_stride=10,
+        acc_problem, g, acc_compressor, svrg_params(acc_problem, acc_compressor, spec),
+        20_000, acc_start, z, seed=3, log_stride=10,
     )
     final = trace.rows[-1][4]
     hit = any(r[4] <= 1e-8 for r in trace.rows)
@@ -99,8 +99,9 @@ def test_criterion_03_crdpsg_progress(
     g, spec = acc_graph
     z, _ = acc_zstar
     initial = float(g.m * np.sum((acc_start - z) ** 2))
+    stages = restart_stages(acc_problem, acc_compressor, spec, 5)
     trace, _ = ds.run_crdpsg(
-        acc_problem, g, spec, acc_compressor, 5, acc_start, z, seed=3, log_stride=10
+        acc_problem, g, acc_compressor, stages, acc_start, z, seed=3, log_stride=10
     )
     best = min(r[4] for r in trace.rows)
     ok = best <= 1e-4 * initial
@@ -137,9 +138,7 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
     p0 = ds.crdpsg_stage_params(0, prob.constants, 0.0, None)
     ens = ds.NodeEnsemble.initialize(g1, z0[:, None])
     draw = lambda: (prob.full_grads(ens.Z), 1)
-    step = ds.step_plan(
-        ens, p0.step_params(), g1, draw, prob, comp, np.random.default_rng(0)
-    )
+    step = ds.step_plan(ens, p0, g1, draw, prob, comp, np.random.default_rng(0))
     worst_a = 0.0
     ref = centralized([p0.s] * n_iter)
     for t in range(n_iter):
@@ -153,8 +152,7 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
     # variance-reduced solver with all stochasticity collapsed
     vp = ds.cdpsvrg_params(prob.constants, 0.0, None, 1, p=1.0)
     _, ens2 = ds.run_cdpsvrg(
-        prob, g1, None, comp, n_iter, z0, z, seed=0, p=1.0,
-        log_stride=n_iter,
+        prob, g1, comp, vp, n_iter, z0, z, seed=0, log_stride=n_iter
     )
     ref2 = centralized([vp.s] * n_iter)
     worst_b = max(
@@ -251,7 +249,7 @@ def test_criterion_07_structural_invariants(
     counters.add_grad(prob.m * prob.n)
     rng = np.random.default_rng(9)
     step = ds.step_plan(
-        ens, params.step_params(), g, ds.svrgo_draw(prob, ens.Z, state, rng), prob,
+        ens, params, g, ds.svrgo_draw(prob, ens.Z, state, rng), prob,
         acc_compressor, rng, counters,
     )
     ok = True
@@ -372,8 +370,9 @@ def test_criterion_10_refresh_probability_trend(
     units = {}
     for p in (1.0 / acc_problem.n, 1.0 / acc_problem.constants.kappa_f):
         trace, _ = ds.run_cdpsvrg(
-            acc_problem, g, spec, acc_compressor, 20_000, acc_start, z,
-            seed=3, p=p, log_stride=10,
+            acc_problem, g, acc_compressor,
+            svrg_params(acc_problem, acc_compressor, spec, p), 20_000, acc_start, z,
+            seed=3, log_stride=10,
         )
         units[p] = next((r[1] for r in trace.rows if r[4] <= 1e-6), None)
     p_small, p_big = sorted(units)

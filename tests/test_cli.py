@@ -158,6 +158,24 @@ def test_run_refuses_an_inline_reference_above_tol(tmp_path, capsys):
     assert not out.exists() and not (tmp_path / "trace.csv.meta").exists()
 
 
+def test_validate_solves_the_inline_reference(tmp_path, capsys):
+    # validate reaches the verdict run does, the inline reference solve
+    # included: with the solve capped at 3 iterations both exit 4, with the
+    # same message, and validate prints no feasibility line
+    with open(os.path.join(ROOT, "tests", "data", "golden_desk.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(log={"output": str(tmp_path / "trace.csv")},
+               reference={"compute": {"iterations": 3, "tol": 1e-22}})
+    path = _write(tmp_path, cfg)
+    errors = []
+    for command in ("validate", "run"):
+        assert main([command, path]) == EXIT_NUMERICAL
+        out = capsys.readouterr()
+        assert "feasible" not in out.out
+        errors.append(out.err)
+    assert errors[0] == errors[1] and "above tol 1.000e-22 after 3" in errors[0]
+
+
 @pytest.mark.parametrize(
     "header",
     ["d_x 6 d_y 5 residual 0", "d_x 5 d_y 5 residual 0"],

@@ -132,7 +132,7 @@ def test_invariants_at_the_scale64_topology():
     ens = ds.NodeEnsemble.initialize(g, 0.1 * rng.standard_normal((2, 64, 10)))
     counters = ds.CostCounters()
     step = ds.step_plan(
-        ens, params.step_params(), g, ds.gsgo_draw(prob, ens.Z, rng), prob, comp,
+        ens, params, g, ds.gsgo_draw(prob, ens.Z, rng), prob, comp,
         rng, counters,
     )
     with overflow_guard():

@@ -140,10 +140,11 @@ def test_reference_update_p1_always():
 
 
 def test_reference_update_p0_rejected():
+    # the refresh probability's window is checked once, by the schedule
+    # that the state's p comes from
     p = _problem(n=2)
-    z0 = _point(np.zeros(3), np.zeros(3))
-    with pytest.raises(ValueError):
-        SvrgState.initialize(p, z0, p=0.0)
+    with pytest.raises(ValueError, match=r"p = 0.0 outside \(0, 1\]"):
+        ds.cdpsvrg_params(p.constants, 0.0, None, p.n, p=0.0)
 
 
 def test_reference_update_frequency():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import decsaddle as ds
-from conftest import ACC
+from conftest import ACC, restart_stages, svrg_params
 
 
 def _consts(mu=1.0, L=2.0, Lxy=1.0):
@@ -118,6 +119,22 @@ def test_svrg_frozen_values(ring4_spec):
     assert p.M_x == 1.0 and p.M_y == 1.0
 
 
+def test_schedule_records_check_their_windows_at_construction(ring4_spec):
+    # a schedule's record is refused when it is built, not when a step is
+    # bound from it, so validate sees every window the solve relies on
+    stage = ds.crdpsg_stage_params(0, _consts(), 0.25, ring4_spec)
+    svrg = ds.cdpsvrg_params(_consts(), 0.25, ring4_spec, n=4, p=0.25)
+    for rec in (stage, svrg):
+        for name in ("alpha_x", "alpha_y"):
+            with pytest.raises(ds.InfeasibleParameterError, match=name):
+                dataclasses.replace(rec, **{name: 1.0 / (1.0 + rec.delta)})
+        for name in ("s", "gamma_x", "gamma_y"):
+            with pytest.raises(ValueError, match="must be positive"):
+                dataclasses.replace(rec, **{name: 0.0})
+    with pytest.raises(ds.InfeasibleParameterError, match="stage 0: t = 0 < 1"):
+        dataclasses.replace(stage, t=0)
+
+
 @given(
     st.floats(min_value=0.1, max_value=2.0),
     st.floats(min_value=1.0, max_value=50.0),
@@ -161,15 +178,12 @@ def test_crdpsg_comm_accounting(acc_problem, acc_graph, acc_compressor, acc_zsta
                                 acc_start, stride):
     g, spec = acc_graph
     z, _ = acc_zstar
-    K = 2
+    stages = restart_stages(acc_problem, acc_compressor, spec, 2)
     trace, _ = ds.run_crdpsg(
-        acc_problem, g, spec, acc_compressor, K, acc_start, z, seed=0,
+        acc_problem, g, acc_compressor, stages, acc_start, z, seed=0,
         log_stride=stride,
     )
-    ts = [
-        ds.crdpsg_stage_params(k, acc_problem.constants, acc_compressor.delta, spec).t
-        for k in range(K)
-    ]
+    ts = [stage.t for stage in stages]
     assert stride == 1 or ts[0] % stride != 0  # a row falls after the restart
     # the iteration count runs across stages, logged at every multiple of
     # the stride
@@ -187,8 +201,9 @@ def test_crdpsg_consensus_after_run(acc_problem, acc_graph, acc_compressor,
                                     acc_zstar, acc_start):
     g, spec = acc_graph
     z, _ = acc_zstar
+    stages = restart_stages(acc_problem, acc_compressor, spec, 5)
     _, ens = ds.run_crdpsg(
-        acc_problem, g, spec, acc_compressor, 5, acc_start, z, seed=3, log_stride=1000
+        acc_problem, g, acc_compressor, stages, acc_start, z, seed=3, log_stride=1000
     )
     x = ens.Z[0]
     xbar = x.mean(axis=0)
@@ -358,8 +373,9 @@ def test_solve_ignores_kernel_overflow():
     z = np.zeros((2, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        comp = ds.identity_compressor()
         trace, ens = ds.run_cdpsvrg(
-            prob, g, ds.spectral(g), ds.identity_compressor(), 3, z0,
+            prob, g, comp, svrg_params(prob, comp, ds.spectral(g)), 3, z0,
             z, seed=1, log_stride=1,
         )
     assert np.isfinite(ens.Z).all() and len(trace.rows) == 3

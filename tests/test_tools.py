@@ -71,3 +71,16 @@ def test_same_traces_smoke(tmp_path):
                              timeout=300)
     assert changed.returncode == 1
     assert changed.stderr.strip() == "desk seed 1: trace.csv differs"
+
+
+def test_same_traces_scale64_smoke():
+    # scale64 at seed 1, the repo's own src/ against itself: the stored
+    # reference point, the trace and its .meta all match
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "tools", "same_traces.py"),
+         "--seeds", "1", "--workloads", "scale64",
+         "--against", os.path.join(ROOT, "src")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "3 files identical"
