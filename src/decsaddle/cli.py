@@ -403,14 +403,13 @@ def verdict(cfg: RunConfig):
                     crdpsg_stage_params(k, prob.constants, compressor.delta, spec)
                 )
             except InfeasibleParameterError as e:
-                failures.append(f"stage {k}: {e}")
+                failures.append(str(e))  # StageParams prefixes `stage k: `
                 break
         record["schedule"] = [asdict(sp) for sp in schedule]
     elif cfg.algorithm == "cdpsvrg":
         try:
             schedule = cdpsvrg_params(
-                prob.constants, compressor.delta, spec, prob.n,
-                p=cfg.setting("oracle.p"),
+                prob.constants, compressor.delta, spec, cfg.setting("oracle.p")
             )
             record["schedule"] = asdict(schedule)
         except InfeasibleParameterError as e:

@@ -53,23 +53,20 @@ class StageParams:
 _RESTART_C = 1.0 - 1.0 / math.sqrt(2.0)
 
 
-def crdpsg_rho(
-    consts: SaddleConstants, delta: float, spec: SpectralInfo | None
-) -> float:
+def crdpsg_rho(consts: SaddleConstants, delta: float, spec: SpectralInfo) -> float:
     """Restart rate: the guaranteed per-step progress at stage 0, halved
     geometrically across stages."""
     kf2 = consts.kappa_f**2
-    kappa_g = spec.kappa_g if spec is not None else 1.0
     c = _RESTART_C
     return min(
         c / (8.0 * kf2),
-        c / (16.0 * (1.0 + delta) ** 2 * kf2 * kappa_g),
+        c / (16.0 * (1.0 + delta) ** 2 * kf2 * spec.kappa_g),
         c / ((1.0 + delta) * 4.0 * kf2),
     )
 
 
 def crdpsg_stage_params(
-    k: int, consts: SaddleConstants, delta: float, spec: SpectralInfo | None
+    k: int, consts: SaddleConstants, delta: float, spec: SpectralInfo
 ) -> StageParams:
     """Closed-form stage-k schedule of the restart method.
 
@@ -86,10 +83,6 @@ def crdpsg_stage_params(
     sqrt(delta)), M / (3 M_y + 6 sqrt(delta)) and M / 3, at the rate r_k =
     max(1 - rho / 2^(k/2), contraction_rate(stage, spec)): the restart
     rate, or the stage's slowest contraction factor where that is slower.
-
-    spec = None marks the single-node degenerate case: the graph terms of
-    the update vanish identically, so the gamma scale is immaterial and a
-    unit eigenvalue placeholder is used.
     """
     if not 0.0 <= delta <= 1.0:
         raise InfeasibleParameterError(f"delta = {delta} outside [0, 1]")
@@ -102,7 +95,7 @@ def crdpsg_stage_params(
     )
     b_x = consts.mu_x * s - 4.0 * s**2 * consts.L_yx**2
     b_y = consts.mu_y * s - 4.0 * s**2 * consts.L_xy**2
-    lam_max = spec.lambda_max if spec is not None else 1.0
+    lam_max = spec.lambda_max
     gamma_x = b_x / (2.0 * (1.0 + delta) ** 2 * lam_max)
     gamma_y = b_y / (2.0 * (1.0 + delta) ** 2 * lam_max)
     rd = math.sqrt(delta)
@@ -133,22 +126,21 @@ def crdpsg_stage_params(
     return replace(stage, t=max(int(math.ceil(t_real)), 1))
 
 
-def contraction_rate(
-    params, spec: SpectralInfo | None, p: float | None = None
-) -> float:
-    """Worst-case per-step decay factor of the Lyapunov diagnostic; spec =
-    None (a single node) drops the graph terms."""
+def contraction_rate(params, spec: SpectralInfo) -> float:
+    """Worst-case per-step decay factor of the Lyapunov diagnostic under
+    params, a StageParams or SvrgParams; the refresh term 1 - p/2 enters
+    where the record carries a refresh probability p (SvrgParams)."""
+    lam2 = spec.lambda_second_smallest
     terms = [
         (1.0 - params.b_x) / params.M_x,
         (1.0 - params.b_y) / params.M_y,
         1.0 - params.alpha_x,
         1.0 - params.alpha_y,
+        1.0 - 0.5 * params.gamma_x * lam2,
+        1.0 - 0.5 * params.gamma_y * lam2,
     ]
-    if spec is not None:
-        lam2 = spec.lambda_second_smallest
-        terms += [1.0 - 0.5 * params.gamma_x * lam2, 1.0 - 0.5 * params.gamma_y * lam2]
-    if p is not None:
-        terms.append(1.0 - p / 2.0)
+    if isinstance(params, SvrgParams):
+        terms.append(1.0 - params.p / 2.0)
     return max(terms)
 
 
@@ -170,7 +162,6 @@ class SvrgParams:
     M_x: float
     M_y: float
     p: float
-    p_min: float
     delta: float
 
     def __post_init__(self):
@@ -178,39 +169,31 @@ class SvrgParams:
 
 
 def cdpsvrg_params(
-    consts: SaddleConstants,
-    delta: float,
-    spec: SpectralInfo | None,
-    n: int,
-    p: float,
+    consts: SaddleConstants, delta: float, spec: SpectralInfo, p: float
 ) -> SvrgParams:
-    """Closed-form parameter set of the variance-reduced method, whose
-    batches are drawn uniformly: p_min, the least sampling probability, is
-    1/n.  The refresh probability p must lie in (0, 1]; it is checked
-    here, before the c_tilde factors divide by it.
-
-    spec = None marks the single-node degenerate case (see
-    crdpsg_stage_params).
+    """Closed-form parameter set of the variance-reduced method.  Batches
+    are drawn uniformly, so no factor of the batch count n enters.  The
+    refresh probability p must lie in (0, 1]; it is checked here, before
+    the c_tilde factors divide by it.  b does not depend on p: c_tilde p
+    cancels the 1/p.
     """
     if not 0.0 <= delta <= 1.0:
         raise InfeasibleParameterError(f"delta = {delta} outside [0, 1]")
     if not 0.0 < p <= 1.0:
         raise InfeasibleParameterError(f"p = {p} outside (0, 1]")
-    p_min = 1.0 / n
-    s = consts.mu * n * p_min / (24.0 * consts.L**2)
-    npm = n * p_min
-    c_tilde_x = 8.0 * s**2 * (consts.L_xx**2 + consts.L_yx**2) / (npm * p)
-    c_tilde_y = 8.0 * s**2 * (consts.L_yy**2 + consts.L_xy**2) / (npm * p)
-    b_x = s * consts.mu_x - 4.0 * s**2 * consts.L_yx**2 / npm - c_tilde_x * p
-    b_y = s * consts.mu_y - 4.0 * s**2 * consts.L_xy**2 / npm - c_tilde_y * p
-    lower = npm / (144.0 * consts.kappa_f**2)
+    s = consts.mu / (24.0 * consts.L**2)
+    c_tilde_x = 8.0 * s**2 * (consts.L_xx**2 + consts.L_yx**2) / p
+    c_tilde_y = 8.0 * s**2 * (consts.L_yy**2 + consts.L_xy**2) / p
+    b_x = s * consts.mu_x - 4.0 * s**2 * consts.L_yx**2 - c_tilde_x * p
+    b_y = s * consts.mu_y - 4.0 * s**2 * consts.L_xy**2 - c_tilde_y * p
+    lower = 1.0 / (144.0 * consts.kappa_f**2)
     if b_x < lower - 1e-15 or b_y < lower - 1e-15:
         raise InfeasibleParameterError(
             f"b_x = {b_x:.6g} or b_y = {b_y:.6g} below the guaranteed "
             f"lower bound {lower:.6g}"
         )
     rd = math.sqrt(delta)
-    lam_max = spec.lambda_max if spec is not None else 1.0
+    lam_max = spec.lambda_max
     cap = 1.0 / (4.0 * (1.0 + delta) * lam_max)
     if rd > 0.0:
         gamma_x = min(b_x / (4.0 * rd * (1.0 + delta) * lam_max), cap)
@@ -224,7 +207,7 @@ def cdpsvrg_params(
     return SvrgParams(
         s=s, c_tilde_x=c_tilde_x, c_tilde_y=c_tilde_y, b_x=b_x, b_y=b_y,
         alpha_x=alpha_x, alpha_y=alpha_y, gamma_x=gamma_x, gamma_y=gamma_y,
-        M_x=M_x, M_y=M_y, p=p, p_min=p_min, delta=delta,
+        M_x=M_x, M_y=M_y, p=p, delta=delta,
     )
 
 

@@ -70,8 +70,7 @@ def svrg_params(prob, compressor, spec, p=None):
     """The variance-reduced parameter set of a run on prob, at refresh
     probability p (1/n if None, the CLI's default)."""
     return ds.cdpsvrg_params(
-        prob.constants, compressor.delta, spec, prob.n,
-        p=1.0 / prob.n if p is None else p,
+        prob.constants, compressor.delta, spec, 1.0 / prob.n if p is None else p
     )
 
 

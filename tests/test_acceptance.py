@@ -111,7 +111,10 @@ def test_criterion_03_crdpsg_progress(
     )
 
 
-def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
+def test_criterion_04_oracle_equivalence(acc_dataset, acc_graph, acc_zstar):
+    # at m = 1, W = [1], so the gossip difference is exactly 0 and the
+    # trajectory reads only s from the schedule: any graph's spectrum serves
+    _, spec = acc_graph
     z, _ = acc_zstar
     part = ds.partition(acc_dataset, 1, 1, seed=0)
     prob = ds.RobustLRProblem(
@@ -135,7 +138,7 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
         return states
 
     # restart solver, stage 0 truncated to 500 inner steps
-    p0 = ds.crdpsg_stage_params(0, prob.constants, 0.0, None)
+    p0 = ds.crdpsg_stage_params(0, prob.constants, 0.0, spec)
     ens = ds.NodeEnsemble.initialize(g1, z0[:, None])
     draw = lambda: (prob.full_grads(ens.Z), 1)
     step = ds.step_plan(ens, p0, g1, draw, prob, comp, np.random.default_rng(0))
@@ -150,7 +153,7 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_zstar):
         )
 
     # variance-reduced solver with all stochasticity collapsed
-    vp = ds.cdpsvrg_params(prob.constants, 0.0, None, 1, p=1.0)
+    vp = ds.cdpsvrg_params(prob.constants, 0.0, spec, p=1.0)
     _, ens2 = ds.run_cdpsvrg(
         prob, g1, comp, vp, n_iter, z0, z, seed=0, log_stride=n_iter
     )
@@ -241,7 +244,7 @@ def test_criterion_07_structural_invariants(
     g, spec = acc_graph
     prob = acc_problem
     params = ds.cdpsvrg_params(
-        prob.constants, acc_compressor.delta, spec, prob.n, p=1.0 / prob.n
+        prob.constants, acc_compressor.delta, spec, p=1.0 / prob.n
     )
     ens = ds.NodeEnsemble.initialize(g, np.tile(acc_start[:, None], (1, g.m, 1)))
     state = SvrgState.initialize(prob, ens.Z, p=1.0 / prob.n)

@@ -176,6 +176,39 @@ def test_validate_solves_the_inline_reference(tmp_path, capsys):
     assert errors[0] == errors[1] and "above tol 1.000e-22 after 3" in errors[0]
 
 
+def _golden(name, tmp_path, **sections):
+    """The shipped config tests/data/<name>.json, logging under tmp_path,
+    with the given sections updated key by key."""
+    with open(os.path.join(ROOT, "tests", "data", f"{name}.json")) as fh:
+        cfg = json.load(fh)
+    cfg["log"] = {"output": str(tmp_path / "trace.csv")}
+    for section, values in sections.items():
+        cfg[section].update(values)
+    return _write(tmp_path, cfg)
+
+
+def test_stage_refusal_names_its_stage_once(tmp_path, capsys):
+    # a restart stage's refusal already starts with `stage k: `, and the
+    # verdict prints it as it is
+    path = _golden("golden_torus", tmp_path, problem={"lambda": 100.0})
+    assert main(["validate", path]) == EXIT_INFEASIBLE
+    _, tail = _validate_output(capsys.readouterr().out)
+    assert tail[0] == "FAILURES:"
+    assert tail[1].strip().startswith("stage 0: b_x = ")
+    assert "\n".join(tail).count("stage 0: ") == 1
+
+
+def test_svrg_step_does_not_depend_on_n(tmp_path, capsys):
+    # s = mu / (24 L^2) for every n, also at n = 49, where n * (1/n)
+    # rounds below 1
+    path = _golden("golden_desk", tmp_path, partition={"n": 49})
+    assert main(["validate", path]) == EXIT_OK
+    record, _ = _validate_output(capsys.readouterr().out)
+    c = record["constants"]
+    assert record["n"] == 49
+    assert record["schedule"]["s"] == c["mu"] / (24.0 * c["L"] ** 2)
+
+
 @pytest.mark.parametrize(
     "header",
     ["d_x 6 d_y 5 residual 0", "d_x 5 d_y 5 residual 0"],
@@ -305,9 +338,7 @@ def test_meta_derived_matches_validate(tmp_path, capsys, overrides):
         ]
     else:
         assert printed["schedule"] == dataclasses.asdict(
-            solvers.cdpsvrg_params(
-                prob.constants, comp.delta, spec, prob.n, p=1.0 / prob.n
-            )
+            solvers.cdpsvrg_params(prob.constants, comp.delta, spec, p=1.0 / prob.n)
         )
 
 

@@ -144,7 +144,7 @@ def test_reference_update_p0_rejected():
     # that the state's p comes from
     p = _problem(n=2)
     with pytest.raises(ValueError, match=r"p = 0.0 outside \(0, 1\]"):
-        ds.cdpsvrg_params(p.constants, 0.0, None, p.n, p=0.0)
+        ds.cdpsvrg_params(p.constants, 0.0, ds.spectral(ds.build_ring(3)), p=0.0)
 
 
 def test_reference_update_frequency():
@@ -208,7 +208,7 @@ def test_svrgo_cache_matches_uncached_formula():
     # and the cost is still 2 units per node per draw, m*n per refresh; on
     # equal batches, on unequal ones (zero-padded batches, N = 26 over
     # m * n = 12 batches), with a refresh after every draw, and at n = 49,
-    # where n * (1/n) rounds below 1 and no 1 / (n p_min) factor may enter
+    # where n * (1/n) rounds below 1 and no 1 / (n (1/n)) factor may enter
     for N, n, mode, draws, refreshes in [
         (24, 3, "shuffled", 20, 2),
         (26, 3, "sorted", 20, 2),

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import types
 import warnings
 
 import numpy as np
@@ -111,9 +112,9 @@ def test_stage_contraction_bound(mu, ratio, cross_frac, delta, k):
 
 
 def test_svrg_frozen_values(ring4_spec):
-    # mu = 1, L = 2, n = 4, p_min = 1/4: s = 1/96; delta = 0, ring m = 4:
+    # mu = 1, L = 2: s = mu / (24 L^2) = 1/96; delta = 0, ring m = 4:
     # gamma_x = 1 / (4 lambda_max) = 3/16
-    p = ds.cdpsvrg_params(_consts(), 0.0, ring4_spec, n=4, p=0.25)
+    p = ds.cdpsvrg_params(_consts(), 0.0, ring4_spec, p=0.25)
     assert abs(p.s - 1.0 / 96.0) <= 1e-18
     assert abs(p.gamma_x - 3.0 / 16.0) <= 1e-16
     assert p.M_x == 1.0 and p.M_y == 1.0
@@ -123,7 +124,7 @@ def test_schedule_records_check_their_windows_at_construction(ring4_spec):
     # a schedule's record is refused when it is built, not when a step is
     # bound from it, so validate sees every window the solve relies on
     stage = ds.crdpsg_stage_params(0, _consts(), 0.25, ring4_spec)
-    svrg = ds.cdpsvrg_params(_consts(), 0.25, ring4_spec, n=4, p=0.25)
+    svrg = ds.cdpsvrg_params(_consts(), 0.25, ring4_spec, p=0.25)
     for rec in (stage, svrg):
         for name in ("alpha_x", "alpha_y"):
             with pytest.raises(ds.InfeasibleParameterError, match=name):
@@ -149,8 +150,8 @@ def test_svrg_bx_lower_bound(mu, ratio, cross_frac, delta, n):
         mu_x=mu, mu_y=mu, L_xx=L, L_yy=L, L_xy=cross_frac * L, L_yx=cross_frac * L
     )
     spec = ds.spectral(ds.build_ring(4))
-    p = ds.cdpsvrg_params(c, delta, spec, n=n, p=1.0 / n)
-    lower = n * (1.0 / n) / (144.0 * c.kappa_f**2)
+    p = ds.cdpsvrg_params(c, delta, spec, p=1.0 / n)
+    lower = 1.0 / (144.0 * c.kappa_f**2)
     assert p.b_x >= lower - 1e-15
     assert 0.0 < p.b_x < 1.0 and 0.0 < p.b_y < 1.0
     # feasibility windows from the parameter lemma
@@ -166,11 +167,55 @@ def test_svrg_bx_lower_bound(mu, ratio, cross_frac, delta, n):
 
 
 def test_contraction_rate_includes_refresh_term(ring4_spec):
-    p = ds.cdpsvrg_params(_consts(), 0.0, ring4_spec, n=4, p=0.25)
-    r0 = ds.contraction_rate(p, ring4_spec)
-    r1 = ds.contraction_rate(p, ring4_spec, p=0.25)
+    # the variance-reduced record carries p, so its rate has the refresh
+    # term 1 - p/2; the same scalars without p give the rate without it
+    p = ds.cdpsvrg_params(_consts(), 0.0, ring4_spec, p=0.25)
+    no_p = types.SimpleNamespace(
+        **{k: v for k, v in dataclasses.asdict(p).items() if k != "p"}
+    )
+    r0 = ds.contraction_rate(no_p, ring4_spec)
+    r1 = ds.contraction_rate(p, ring4_spec)
     assert r1 >= 1 - 0.25 / 2
     assert r1 >= r0
+
+
+@pytest.mark.parametrize("bits", [None, 4], ids=["delta0", "4bit"])
+def test_single_node_trajectory_does_not_depend_on_the_spectrum(acc_dataset, bits):
+    # at m = 1, W = [1]: the gossip difference is exactly 0, so D stays 0
+    # and the iterates read only s, which neither schedule takes from the
+    # spectrum; schedules from two graphs' spectra give the same bits
+    part = ds.partition(acc_dataset, 1, 1, seed=0)
+    prob = ds.RobustLRProblem(
+        acc_dataset, part, lam=ACC["lam"], beta=ACC["beta"],
+        R_x=ACC["R_x"], R_y=ACC["R_y"],
+    )
+    g1 = ds.DecGraph(1, np.array([[1.0]]))
+    if bits is None:
+        comp = ds.identity_compressor()
+    else:
+        comp = ds.Compressor(
+            kind="quantize_inf", bits=bits, delta=ds.quantizer_delta(bits, prob.d)
+        )
+    z0 = np.array([np.full(prob.d, 5.0), np.zeros(prob.d)])
+    specs = [ds.spectral(ds.build_ring(3)), ds.spectral(ds.build_torus(3, 3))]
+    schedules = (
+        lambda spec: ds.crdpsg_stage_params(0, prob.constants, comp.delta, spec),
+        lambda spec: ds.cdpsvrg_params(prob.constants, comp.delta, spec, p=1.0),
+    )
+    for schedule in schedules:
+        records, finals = [schedule(spec) for spec in specs], []
+        assert records[0].gamma_x != records[1].gamma_x
+        for params in records:
+            ens = ds.NodeEnsemble.initialize(g1, z0[:, None])
+            draw = lambda: (prob.full_grads(ens.Z), 1)
+            step = ds.step_plan(
+                ens, params, g1, draw, prob, comp, np.random.default_rng(0)
+            )
+            for _ in range(300):
+                step()
+            assert not ens.D.any()
+            finals.append(ens.Z.copy())
+        assert np.array_equal(finals[0], finals[1])
 
 
 @pytest.mark.parametrize("stride", [1, 100])

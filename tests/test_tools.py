@@ -50,17 +50,24 @@ def test_step_sweep_refuses_a_tree_without_step_plan(tmp_path):
         assert proc.stderr.strip() == expected
 
 
+def _mutate(path, old, new):
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+
+
 def test_same_traces_smoke(tmp_path):
     # desk at seed 1: the repo's own src/ against itself matches, and a
     # copy of src/ whose variance-reduced solver seeds its RNG with another
-    # tag writes another trace, which the tool names
+    # tag and whose .meta is indented otherwise writes another trace and
+    # another .meta, and the tool names both
     src = tmp_path / "src"
     shutil.copytree(os.path.join(ROOT, "src"), src,
                     ignore=shutil.ignore_patterns("__pycache__"))
-    solvers = src / "decsaddle" / "solvers.py"
-    text = solvers.read_text()
-    assert "_rng_for(seed, 0x5502)" in text
-    solvers.write_text(text.replace("_rng_for(seed, 0x5502)", "_rng_for(seed, 0x5503)"))
+    _mutate(src / "decsaddle" / "solvers.py",
+            "_rng_for(seed, 0x5502)", "_rng_for(seed, 0x5503)")
+    _mutate(src / "decsaddle" / "cli.py",
+            '"derived": record}, indent=2)', '"derived": record}, indent=1)')
     tool = [sys.executable, os.path.join(ROOT, "tools", "same_traces.py"),
             "--seeds", "1", "--workloads", "desk", "--against"]
     same = subprocess.run(tool + [os.path.join(ROOT, "src")],
@@ -70,7 +77,11 @@ def test_same_traces_smoke(tmp_path):
     changed = subprocess.run(tool + [str(src)], capture_output=True, text=True,
                              timeout=300)
     assert changed.returncode == 1
-    assert changed.stderr.strip() == "desk seed 1: trace.csv differs"
+    assert changed.stdout.strip() == "0 files identical"
+    assert changed.stderr.strip().splitlines() == [
+        "desk seed 1: trace.csv differs",
+        "desk seed 1: trace.csv.meta differs",
+    ]
 
 
 def test_same_traces_scale64_smoke():

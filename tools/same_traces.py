@@ -15,9 +15,11 @@ a checkout of the parent commit).  It compares `zstar.txt`, `trace.csv`
 and `trace.csv.meta` byte for byte, in that order, workload by workload
 and seed by seed.
 
-Exits 0 if every file matches, and 1 at the first file that differs or
-the first command that fails, naming it.  --seeds takes one seed or a
-range such as 1-10; --workloads takes names separated by commas.
+It names every file that differs on stderr, one line each, and prints
+the count of identical files.  Exits 0 if every file matches, and 1 if
+any differs or at the first command that fails, naming it.  --seeds
+takes one seed or a range such as 1-10; --workloads takes names
+separated by commas.
 """
 
 from __future__ import annotations
@@ -78,17 +80,18 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     prepare = runpy.run_path(os.path.join(ROOT, "perfbench", "workloads.py"))["prepare"]
     trees = (os.path.join(ROOT, "src"), args.against)
-    files = 0
+    same = differ = 0
     for workload in args.workloads.split(","):
         for seed in args.seeds:
             ours, theirs = (outputs(src, prepare, workload, seed) for src in trees)
             for name in OUTPUTS:
                 if ours.get(name) != theirs.get(name):
                     print(f"{workload} seed {seed}: {name} differs", file=sys.stderr)
-                    return 1
-            files += len(ours)
-    print(f"{files} files identical")
-    return 0
+                    differ += 1
+                elif name in ours:
+                    same += 1
+    print(f"{same} files identical")
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
