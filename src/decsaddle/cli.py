@@ -318,16 +318,14 @@ def read_zstar(path: str, d: int) -> np.ndarray:
     return vals.reshape(2, d)
 
 
-def resolve_reference(cfg: RunConfig, dataset):
+def resolve_reference(cfg: RunConfig, single: RobustLRProblem):
     """compute_reference on the config's m = 1 problem, with the compute
     section's cap and tolerance; returns (z, residual), z the (2, d) saddle
     point.  A solve that stops above tol raises ArithmeticError (exit 4),
     in the reference command and in a run's inline compute alike."""
     tol = cfg.setting("reference.compute.tol")
     iterations = cfg.setting("reference.compute.iterations")
-    z, residual = compute_reference(
-        build_problem(cfg, dataset, m=1), iterations=iterations, tol=tol
-    )
+    z, residual = compute_reference(single, iterations=iterations, tol=tol)
     if not residual <= tol:
         raise ArithmeticError(
             f"reference residual {residual:.3e} above tol {tol:.3e} after "
@@ -347,9 +345,22 @@ def _output(cfg: RunConfig, command: str) -> str:
     return out
 
 
-def cmd_reference(cfg: RunConfig) -> int:
+def reference_verdict(cfg: RunConfig):
+    """The verdict of the reference command, which run and validate give
+    a reference config too: checks the output, builds the m = 1 problem
+    and solves it; returns (output, problem, z, residual)."""
     out = _output(cfg, "reference")
-    z, residual = resolve_reference(cfg, build_dataset(cfg))
+    single = build_problem(cfg, build_dataset(cfg), m=1)
+    return out, single, *resolve_reference(cfg, single)
+
+
+def _record(prob: RobustLRProblem) -> dict:
+    """The sizes and constants of a built problem, as validate prints them."""
+    return {"m": prob.m, "n": prob.n, "N": prob.N, "constants": asdict(prob.constants)}
+
+
+def cmd_reference(cfg: RunConfig) -> int:
+    out, _, z, residual = reference_verdict(cfg)
     write_zstar(out, z, residual)
     print(f"reference written to {out}, residual {residual:.3e}")
     return EXIT_OK
@@ -368,26 +379,25 @@ def build(cfg: RunConfig):
 
 
 def verdict(cfg: RunConfig):
-    """The one verdict of run and validate, all but the solve: checks the
-    output, builds the run, derives its schedule and its numbers as one
-    JSON object, each value a field of the object that holds it, and finds
-    a run config's saddle point; returns (output, build's result, saddle
-    point, schedule, record, failures).  The schedule is the restart
-    method's list of StageParams up to the first infeasible stage, or the
-    SvrgParams (None if infeasible, and for a reference config); the run
-    hands these records to its solver, and the record's schedule lists
-    their fields.  The (2, d) saddle point is read from reference.path
-    before the schedule is derived, or, once the schedule has no failures,
-    solved for an inline reference.compute by resolve_reference; it is
-    None for a reference config."""
-    out = _output(cfg, "reference" if cfg.algorithm == "reference" else "run")
+    """The one verdict of run and validate on a run config, all but the
+    solve: checks the output, builds the run, derives its schedule and its
+    numbers as one JSON object, each value a field of the object that
+    holds it, and finds the saddle point; returns (output, build's result,
+    saddle point, schedule, record, failures).  The schedule is the
+    restart method's list of StageParams up to the first infeasible stage,
+    or the SvrgParams (None if infeasible); the run hands these records to
+    its solver, and the record's schedule lists their fields.  The (2, d)
+    saddle point is read from reference.path before the schedule is
+    derived, or, once the schedule has no failures, solved for an inline
+    reference.compute by resolve_reference; it is None if the schedule
+    failed before an inline solve."""
+    out = _output(cfg, "run")
     built = dataset, prob, _, spec, compressor = build(cfg)
     z_star = None
-    if cfg.algorithm != "reference" and "path" in cfg.reference:
+    if "path" in cfg.reference:
         z_star = read_zstar(cfg.reference["path"], prob.d)
     record = {
-        "m": prob.m, "n": prob.n, "N": prob.N,
-        "constants": asdict(prob.constants),
+        **_record(prob),
         "spectrum": {
             key: getattr(spec, key)
             for key in ("lambda_max", "lambda_second_smallest", "kappa_g")
@@ -406,7 +416,7 @@ def verdict(cfg: RunConfig):
                 failures.append(str(e))  # StageParams prefixes `stage k: `
                 break
         record["schedule"] = [asdict(sp) for sp in schedule]
-    elif cfg.algorithm == "cdpsvrg":
+    else:
         try:
             schedule = cdpsvrg_params(
                 prob.constants, compressor.delta, spec, cfg.setting("oracle.p")
@@ -414,13 +424,16 @@ def verdict(cfg: RunConfig):
             record["schedule"] = asdict(schedule)
         except InfeasibleParameterError as e:
             failures.append(str(e))
-    if not failures and "compute" in cfg.reference and cfg.algorithm != "reference":
-        z_star = resolve_reference(cfg, dataset)[0]
+    if not failures and "compute" in cfg.reference:
+        z_star = resolve_reference(cfg, build_problem(cfg, dataset, m=1))[0]
     return out, built, z_star, schedule, record, failures
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    record, failures = verdict(cfg)[-2:]
+    if cfg.algorithm == "reference":
+        record, failures = _record(reference_verdict(cfg)[1]), []
+    else:
+        record, failures = verdict(cfg)[-2:]
     print(json.dumps(record, indent=2))
     if failures:
         print("FAILURES:", *failures, sep="\n  ")
@@ -430,11 +443,11 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig) -> int:
+    if cfg.algorithm == "reference":
+        return cmd_reference(cfg)
     out, (_, prob, g, _, compressor), z_star, schedule, record, failures = verdict(cfg)
     if failures:
         raise InfeasibleParameterError("; ".join(failures))
-    if cfg.algorithm == "reference":
-        return cmd_reference(cfg)
     z0 = np.zeros((2, prob.d))
     stride = cfg.setting("log.stride")
     if cfg.algorithm == "crdpsg":

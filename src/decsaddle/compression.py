@@ -65,50 +65,41 @@ class Compressor:
 
         The quantizer maps each row v of x (the last axis; a 1-D x is one
         row) to
-        Q(v) = (||v||_inf 2^{1-b} sign(v)) * floor(2^{b-1}|v| / ||v||_inf + u)
-        with u drawn i.i.d. uniform per coordinate, and a zero row to zero
-        without drawing.  One call draws the uniforms of every nonzero row
-        in one rng.random call, in row order.
+        Q(v) = (w sign(v)) * floor(|v| / w + u),  w = ||v||_inf 2^{1-b},
+        with u drawn i.i.d. uniform per coordinate.  The row scale is
+        floored at the least normal float, so a zero row has a positive
+        width and maps to zero through the same body, and a subnormal row
+        is quantized at the floor's width (still unbiased).  One call
+        draws the uniforms of every row in one rng.random call, in row
+        order.
         """
         if self.kind != "quantize_inf":
             return lambda x, out: np.copyto(out, x)
         scale, u = np.empty(shape[:-1] + (1,)), np.empty(shape)
         levels = np.full(scale.shape, 2.0 ** (self.bits - 1))
+        least = np.full(scale.shape, np.finfo(float).tiny)  # least row scale
 
+        # out arrays go positionally, which costs less per call than the
+        # keyword, but np.maximum takes out by keyword (a third is deprecated)
         def compress(x, out):
             mag = np.abs(x, out)
             np.maximum.reduce(mag, axis=-1, keepdims=True, out=scale)
-            # one reduce checks every row for a zero (or NaN) scale
-            if np.minimum.reduce(scale, axis=None, initial=np.inf) > 0.0:
-                _round_levels(x, mag, scale, levels, rng.random(out=u))
-                return
-            # a zero (or NaN) row maps to zero and draws nothing
-            nz = scale[..., 0] > 0.0
-            q = mag[nz]
-            _round_levels(x[nz], q, scale[nz], levels[nz], rng.random(q.shape))
-            mag.fill(0.0)
-            mag[nz] = q
+            np.maximum(scale, least, out=scale)
+            # dividing by the width is exact scaling by a power of two, so
+            # mag / step is levels * mag / scale to the bit
+            step = np.divide(scale, levels, scale)
+            # in place on mag: floor(mag / step + u), times step, with x's sign
+            np.divide(mag, step, mag)
+            np.add(mag, rng.random(out=u), mag)
+            np.floor(mag, mag)
+            np.multiply(step, mag, mag)
+            np.copysign(mag, x, mag)
 
         return compress
 
 
 def identity_compressor() -> Compressor:
     return Compressor(kind="identity")
-
-
-def _round_levels(x, mag, scale, levels, u):
-    """Q(x) of rows with nonzero scale, in place on mag = |x|: scale (the
-    row maxima, overwritten) over levels = 2^(b-1) is the level width, u
-    the uniforms; returns mag."""
-    # dividing by the width is exact scaling by a power of two, so
-    # mag / step is levels * mag / scale to the bit
-    step = np.divide(scale, levels, scale)
-    # in place on mag: floor(mag / step + u), times step, with x's sign
-    np.divide(mag, step, mag)
-    np.add(mag, u, mag)
-    np.floor(mag, mag)
-    np.multiply(step, mag, mag)
-    return np.copysign(mag, x, mag)
 
 
 def quantizer_delta(bits: int, d: int) -> float:

@@ -2,11 +2,11 @@
 reduced (SVRGO), evaluated for every node at once.
 
 Iterates are stacked (m, d) arrays, row i belonging to node i; gradients
-come back as one (2, m, d) array, block 0 for x and block 1 for y.  Each
-sampler draws one batch index per node in a single call that consumes
-exactly the draws of m sequential per-node calls, in node order.  A
-solver binds its draw once (gsgo_draw, svrgo_draw) to the ensemble's
-stacked point and calls it at every step.
+come back as one (2, m, d) array, block 0 for x and block 1 for y.  Both
+draws take their batches from one sampler, which draws one uniform per
+node, in node order, in a single rng.random call.  A solver binds its
+draw once (gsgo_draw, svrgo_draw) to the ensemble's stacked point and
+calls it at every step.
 
 Gradient units count batch-gradient evaluations as the paper's oracles
 spend them: 1 per node per GSGO draw, 2 per node per SVRGO draw, and m*n
@@ -27,19 +27,29 @@ import numpy as np
 from .problem import RobustLRProblem
 
 
+def _bind_batches(p: RobustLRProblem, rng: np.random.Generator):
+    """Bound uniform batch sampler: returns batches() -> the flat batch
+    rows row0 + J of the problem, in a new (m,) array, where node i's batch
+    index J[i] is the k with k/n <= u_i < (k+1)/n for m uniforms u drawn
+    in one rng.random call, in node order; searchsorted on the cells'
+    upper ends (k+1)/n counts those at or below u_i."""
+    ends = np.arange(1, p.n + 1) / p.n
+    row0, m = p.row0, p.m
+
+    def batches():
+        J = ends.searchsorted(rng.random(m), side="right")
+        return np.add(row0, J, J)
+
+    return batches
+
+
 def gsgo_draw(p: RobustLRProblem, Z: np.ndarray, rng: np.random.Generator):
     """Bound minibatch draw at the stacked (2, m, d) point Z, read at every
     call: returns draw() -> (G, cost), a uniformly sampled batch gradient
     per node (unbiased for full_grads) in a (2, m, d) array the draw owns
     and overwrites, with cost = m gradient units."""
-    grads = p.bind_batch_grads(Z)
-    n, m, row0 = p.n, p.m, p.row0
-
-    def draw():
-        J = rng.integers(n, size=m)  # the draws of m calls rng.integers(n)
-        return grads(np.add(row0, J, J)), m
-
-    return draw
+    grads, batches, m = p.bind_batch_grads(Z), _bind_batches(p, rng), p.m
+    return lambda: (grads(batches()), m)
 
 
 @dataclass
@@ -55,7 +65,6 @@ class SvrgState:
     p: float  # Bernoulli refresh probability in (0, 1], as cdpsvrg_params checks
     g_rows: np.ndarray = field(init=False, repr=False)  # (2, m*n, d) view of grads()
     g_tilde: np.ndarray = field(init=False)  # (2, m, d) their means: the full gradients
-    cdf: np.ndarray = field(init=False, repr=False)  # (n,) uniform batch law
     unread: bool = field(init=False, repr=False)  # no draw since the refresh
 
     def __post_init__(self):
@@ -67,9 +76,6 @@ class SvrgState:
         kernel, then refresh at the stacked (2, m, d) point Z."""
         Z_tilde = np.empty((2, prob.m, prob.d))
         st = cls(Z_tilde, prob.bind_all_batch_grads(Z_tilde), p)
-        # normalized cumulative uniform law, as Generator.choice builds it
-        cdf = np.cumsum(np.full(prob.n, 1.0 / prob.n))
-        st.cdf = cdf / cdf[-1]
         st.refresh(Z)
         return st
 
@@ -84,16 +90,6 @@ class SvrgState:
         # batch_mean(G), into g_tilde
         np.divide(np.add.reduce(G, 2, None, self.g_tilde), G.shape[2], self.g_tilde)
         self.unread = True
-
-    def draw_batches(self, rng: np.random.Generator) -> np.ndarray:
-        """One uniform batch index per node.
-
-        Consumes the draws of m calls rng.choice(n, p=full(n, 1/n)): one
-        uniform per node, located by searchsorted(cdf, u, side="right"),
-        which counts the entries of the nondecreasing cdf at or below u.
-        """
-        u = rng.random(self.Z_tilde.shape[1])
-        return self.cdf.searchsorted(u, side="right")
 
 
 def svrgo_draw(
@@ -114,17 +110,15 @@ def svrgo_draw(
     same bits, -0.0 turned +0.0 as the subtraction does): that draw still
     draws J and is charged 2 units per node, but runs no kernel.
     """
-    grads = p.bind_batch_grads(Z)
-    row0, cost = p.row0, 2 * p.m
+    grads, batches, cost = p.bind_batch_grads(Z), _bind_batches(p, rng), 2 * p.m
     G, ref = np.empty_like(Z), np.empty_like(Z)  # ref: the cached rows
 
     def draw():
-        rows = st.draw_batches(rng)
+        rows = batches()
         if st.unread:
             st.unread = False
             if _same_bits(Z, st.Z_tilde):
                 return np.add(st.g_tilde, 0.0, G), cost
-        np.add(row0, rows, rows)
         F = grads(rows)  # overwritten in place by the control variate
         np.subtract(F, st.g_rows.take(rows, axis=1, out=ref), F)
         return np.add(F, st.g_tilde, F), cost

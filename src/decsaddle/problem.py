@@ -233,12 +233,12 @@ class RobustLRProblem:
         the stacked point Z, as all_batch_grads takes it; (2, m, d)."""
         return batch_mean(self.all_batch_grads(Z))
 
-    def prox(self, Z: np.ndarray, out: np.ndarray | None = None):
+    def prox(self, Z: np.ndarray):
         """Ball projection of a stacked (2, k, d) primal-dual block: every
-        row of Z[0] onto the R_x ball, every row of Z[1] onto the R_y ball;
-        into out if given.  Raises FloatingPointError if a row norm is not
+        row of Z[0] onto the R_x ball, every row of Z[1] onto the R_y ball,
+        in a new array.  Raises FloatingPointError if a row norm is not
         finite."""
-        return _project_ball(Z, self._radii, out)
+        return _project_ball(Z, self._radii)
 
     def prox_step(self, Z: np.ndarray, G: np.ndarray, s: float) -> np.ndarray:
         """prox(Z + s (-G_x, +G_y)): the projected gradient step of step

@@ -1,8 +1,8 @@
 """Gossip weight matrices for ring / 2D-torus networks and spectral helpers.
 
 All per-node state in this package is stored as a stacked array of shape
-(m, d): row i is the local vector of node i.  The operations here are the
-only place the mixing matrix W is touched.
+(m, d): row i is the local vector of node i.  W is built here; the step's
+gossip product W Q is bound once, in compression.bind_exchange.
 """
 
 from __future__ import annotations
@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DISCONNECT_TOL = 1e-10
+# jacobi_eigh stops at off-diagonal norm <= JACOBI_TOL * norm, or after JACOBI_SWEEPS
+JACOBI_TOL, JACOBI_SWEEPS = 1e-13, 100
 
 
 class DisconnectedGraphError(ValueError):
@@ -82,7 +84,7 @@ def build_torus(rows: int, cols: int) -> DecGraph:
     return DecGraph(m, (np.eye(m) + A) * (1.0 / 5.0))
 
 
-def jacobi_eigh(A: np.ndarray, tol_factor: float = 1e-13, max_sweeps: int = 100):
+def jacobi_eigh(A: np.ndarray):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
     Returns (eigvals ascending, eigvecs as columns).  Deterministic; good
@@ -94,8 +96,8 @@ def jacobi_eigh(A: np.ndarray, tol_factor: float = 1e-13, max_sweeps: int = 100)
     norm = np.linalg.norm(A)
     if norm == 0.0:
         return np.zeros(n), V
-    tol = tol_factor * norm
-    for _ in range(max_sweeps):
+    tol = JACOBI_TOL * norm
+    for _ in range(JACOBI_SWEEPS):
         # sum the off-diagonal entries directly: subtracting the diagonal
         # sum of squares from the total cancels catastrophically once the
         # off-diagonal part is small
@@ -144,14 +146,13 @@ def spectral(g: DecGraph) -> SpectralInfo:
     return SpectralInfo(eigvals=lam, eigvecs=V)
 
 
-def mix(g: DecGraph, V: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def mix(g: DecGraph, V: np.ndarray) -> np.ndarray:
     """Apply the mixing matrix to V of shape (..., m, d): output row i of
-    every (m, d) block is sum_j W_ij V[j].  Written into out if given (out
-    must not share memory with V)."""
+    every (m, d) block is sum_j W_ij V[j], in a new array."""
     V = np.asarray(V, dtype=float)
     if V.ndim < 2 or V.shape[-2] != g.m:
         raise ValueError(f"expected {g.m} node blocks, got shape {V.shape}")
-    return np.matmul(g.W, V, out=out)
+    return g.W @ V
 
 
 def pinv_weighted_sqnorm(spec: SpectralInfo, V: np.ndarray):

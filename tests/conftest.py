@@ -75,18 +75,26 @@ def svrg_params(prob, compressor, spec, p=None):
 
 
 class PickBatch:
-    """Stub generator under which a bound draw takes batch l at every node:
-    a GSGO draw through integers, and an SVRGO draw under the uniform law
-    over n batches through random, whose uniforms lie in batch l's cell."""
+    """Stub generator under which a bound draw, GSGO or SVRGO, takes batch
+    l at every node: its uniforms lie in batch l's cell of the uniform law
+    over n batches."""
 
     def __init__(self, n):
         self.n, self.l = n, 0
 
-    def integers(self, n, size=None):
-        return np.full(size, self.l)
-
     def random(self, size=None):
         return np.full(size, (self.l + 0.5) / self.n)
+
+
+def uniform_batches(rng, n, m):
+    """The batch indices of m nodes under the uniform law over n batches,
+    as the oracles draw them: for each of m sequential rng.random() calls,
+    the k whose cell [k/n, (k+1)/n) holds the uniform."""
+    J = []
+    for _ in range(m):
+        u = rng.random()
+        J.append(next(k for k in range(n) if u < (k + 1) / n))
+    return np.array(J)
 
 
 @pytest.fixture(scope="session")

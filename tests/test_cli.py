@@ -143,6 +143,54 @@ def test_reference_cap_is_the_budget_of_a_reference_config_only(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "topology, N",
+    [({"kind": "ring", "m": 50}, 200), ({"kind": "torus", "rows": 8, "cols": 8}, 1280)],
+    ids=["ring50", "torus8x8-N1280"],
+)
+def test_reference_config_builds_only_the_single_node_problem(
+    tmp_path, capsys, topology, N
+):
+    # golden_desk.json as a reference config, on networks whose m-node
+    # build is refused (N < m n on the ring of 50, kappa_f < 1 on the
+    # torus): run writes the bytes the reference command writes, and
+    # validate prints the m = 1 build's sizes and constants and exits 0
+    with open(os.path.join(ROOT, "tests", "data", "golden_desk.json")) as fh:
+        cfg = json.load(fh)
+    cfg.update(algorithm="reference", topology=topology)
+    cfg["dataset"]["N"] = N
+    for command in ("reference", "run"):
+        cfg["log"] = {"output": str(tmp_path / f"{command}.txt")}
+        assert main([command, _write(tmp_path, cfg)]) == EXIT_OK
+    written = (tmp_path / "reference.txt").read_bytes()
+    assert (tmp_path / "run.txt").read_bytes() == written
+    capsys.readouterr()
+    assert main(["validate", _write(tmp_path, cfg)]) == EXIT_OK
+    record, tail = _validate_output(capsys.readouterr().out)
+    parsed = RunConfig.parse(cfg)
+    single = cli.build_problem(parsed, cli.build_dataset(parsed), m=1)
+    assert record == {
+        "m": 1, "n": 5, "N": N, "constants": dataclasses.asdict(single.constants)
+    }
+    assert tail == ["all parameter windows feasible"]
+
+
+@pytest.mark.parametrize("command", ["reference", "run", "validate"])
+def test_reference_config_exits_as_the_reference_command(tmp_path, capsys, command):
+    # a reference config's budget of 20 iterations stops the solve above
+    # tol (exit 4), and an output in a missing directory is refused (exit
+    # 2), in every command, with nothing written
+    with open(os.path.join(ROOT, "tests", "data", "golden_desk.json")) as fh:
+        cfg = json.load(fh)
+    out = tmp_path / "zstar.txt"
+    cfg.update(algorithm="reference", budget={"iterations": 20},
+               log={"output": str(out)}, reference={"compute": {"tol": 1e-22}})
+    assert main([command, _write(tmp_path, cfg)]) == EXIT_NUMERICAL
+    assert "above tol" in capsys.readouterr().err and not out.exists()
+    cfg["log"] = {"output": str(tmp_path / "missing" / "zstar.txt")}
+    assert main([command, _write(tmp_path, cfg)]) == EXIT_CONFIG
+
+
 def test_run_refuses_an_inline_reference_above_tol(tmp_path, capsys):
     # golden_desk.json with its inline solve capped at 3 iterations stops
     # at a residual of about 1.7e-10 against tol 1e-22: run exits 4 with

@@ -77,8 +77,8 @@ def test_quantize_exact_moments():
     # sign), the upper one with probability f_k, the fractional part of
     # |v_k| / w.  The quantizer gives the lower value at u = 0 and the upper
     # one at u just below 1; their law has mean v and E||Q(v) - v||^2 =
-    # sum_k w^2 f_k (1 - f_k), exactly.  The zero row takes the path that
-    # draws nothing for it.
+    # sum_k w^2 f_k (1 - f_k), exactly.  The zero row maps to zero through
+    # the same body.
     V = np.random.default_rng(3).standard_normal((3, 12))
     V[1] = 0.0
     for X in (V, V[[0, 2]]):
@@ -227,8 +227,8 @@ def test_comm_state_consistency_1000_steps():
 def test_bound_exchange_matches_comm_step():
     # an exchange bound once (as the step plan binds it) advances [H, Hw]
     # and writes diff = nu_hat - nu_hat_w bit for bit as exchanges bound
-    # afresh for every call do; the zero start takes the quantizer's
-    # zero-row path in call 1
+    # afresh for every call do; the zero start gives the quantizer zero
+    # rows in call 1
     g = ds.build_ring(5)
     c = ds.Compressor(kind="quantize_inf", bits=3, delta=0.5)
     alpha = np.array([0.3, 0.2])[:, None, None]
@@ -253,12 +253,13 @@ def test_bound_exchange_matches_comm_step():
 
 
 def test_quantize_rows_match_sequential_calls():
-    # one call on stacked rows consumes the draws of one call per nonzero
-    # row, in row order; zero rows draw nothing
+    # one call on stacked rows consumes the draws of one call per row, in
+    # row order; a zero row maps to zero and draws its d uniforms like any
+    # other row, so one call draws exactly 6 * 5 uniforms
     X = np.random.default_rng(2).standard_normal((6, 5))
     X[2] = 0.0
     X[4] = 0.0
-    rng_a, rng_b = np.random.default_rng(12), np.random.default_rng(12)
+    rng_a, rng_b, rng_c = (np.random.default_rng(12) for _ in range(3))
     out, seq = np.empty_like(X), np.empty_like(X)
     for b in (1, 3, 4):
         _quantizer(b).bind(X.shape, rng_a)(X, out)
@@ -266,4 +267,23 @@ def test_quantize_rows_match_sequential_calls():
         for i in range(6):
             row(X[i], seq[i])
         assert np.array_equal(out, seq)
-    assert rng_a.random() == rng_b.random()
+        assert not out[[2, 4]].any()
+        rng_c.random(X.size)
+    assert rng_a.random() == rng_b.random() == rng_c.random()
+
+
+def test_quantize_subnormal_row_at_the_floor_width():
+    # a row whose inf-norm is below the least normal float is quantized at
+    # the width of a row of that norm, w = tiny 2^(1-b): its two values are
+    # the multiples of w just below and just above |x_k| (with x_k's sign),
+    # so Q stays unbiased there
+    tiny = np.finfo(float).tiny
+    x = tiny * np.array([0.3, -0.7, 0.11])
+    for b in (1, 2, 4):
+        w = tiny * 2.0 ** (1 - b)
+        low, high = np.empty_like(x), np.empty_like(x)
+        _quantizer(b).bind(x.shape, _ConstRng(0.0))(x, low)
+        _quantizer(b).bind(x.shape, _ConstRng(np.nextafter(1.0, 0.0)))(x, high)
+        k = np.floor(np.abs(x) / w)
+        assert np.array_equal(low, np.sign(x) * k * w)
+        assert np.array_equal(high, np.sign(x) * (k + 1.0) * w)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import decsaddle as ds
-from conftest import project
+from conftest import project, uniform_batches
 from decsaddle.compression import InfeasibleParameterError
 from decsaddle.problem import overflow_guard
 
@@ -185,7 +185,7 @@ def test_nonfinite_iterate_raises(block):
 
 def test_ensemble_trajectory_matches_per_node_loop():
     # 300 stochastic steps against a per-node loop transcription that draws
-    # each node's batch index with its own rng.integers call and evaluates
+    # each node's batch index from its own rng.random call and evaluates
     # the batch gradient from the raw samples, not through the problem
     dset = ds.synthesize(36, 3, 0)
     part = ds.partition(dset, 4, 3, 0)
@@ -220,7 +220,7 @@ def test_ensemble_trajectory_matches_per_node_loop():
         step()
         Gx, Gy = np.empty((4, 3)), np.empty((4, 3))
         for i in range(4):
-            j = int(loop_rng.integers(prob.n))
+            j = int(uniform_batches(loop_rng, prob.n, 1)[0])
             Gx[i], Gy[i] = formula(i, j, x[i], y[i])
         nux = x - s * Gx - s * Dx
         nuy = y + s * Gy - s * Dy
@@ -304,7 +304,7 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
     # transcription with separate x and y exchanges (x rows quantized
     # first), per-node gradients and, for SVRGO, uncached reference-batch
     # gradients; the zero start makes every y row zero in step 1, so the
-    # quantizer's zero-row path is taken.  Equality is exact.
+    # quantizer meets zero rows.  Equality is exact.
     dset = ds.synthesize(N, 3, 0)
     part = ds.partition(dset, 4, 3, 0, mode=mode)
     prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
@@ -324,14 +324,13 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
         draw = ds.gsgo_draw(prob, ens.Z, rng)
 
         def loop_grads(x, y, r):
-            J = [int(r.integers(n)) for _ in range(m)]
+            J = uniform_batches(r, n, m)
             Gb = prob.all_batch_grads(np.array([x, y]))
             rows = [Gb[:, i, J[i]] for i in range(m)]
             return np.array([gx for gx, _ in rows]), np.array([gy for _, gy in rows])
     else:
         st = ds.SvrgState.initialize(prob, np.zeros((2, m, d)), p=p_ref)
         ref = np.zeros((2, m, d))  # the transcription's reference points
-        uniform = np.full(n, 1.0 / n)
         draw = ds.svrgo_draw(prob, ens.Z, st, rng)
 
         def loop_grads(x, y, r):
@@ -339,8 +338,7 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
             Gb = prob.all_batch_grads(np.array([x, y]))
             Gb_ref = prob.all_batch_grads(ref)
             G_ref = prob.full_grads(ref)
-            for i in range(m):
-                j = int(r.choice(n, p=uniform))
+            for i, j in enumerate(uniform_batches(r, n, m)):
                 fx, fy = Gb[:, i, j]
                 rx, ry = Gb_ref[:, i, j]
                 tx, ty = G_ref[:, i]
@@ -366,7 +364,7 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
             if loop_rng.random() < p_ref:
                 ref = np.array([x, y])
         if t == 0:
-            assert not y.any()  # zero dual rows: nothing drawn for them
+            assert not y.any()  # zero dual rows in step 1, quantized like any other
         for a, b in (
             (ens.Z[0], x), (ens.Z[1], y), (ens.D[0], Dx), (ens.D[1], Dy),
             (ens.H[0], Hx), (ens.Hw[0], Hwx),
@@ -385,7 +383,7 @@ def test_bound_draws_match_one_shot_samplers(kind, quantized):
     # [H, Hw] and the counters bit for bit where 200 one-shot plans, each
     # with a draw bound afresh for its one step, leave them, with both
     # compressors.  The zero start makes every y row
-    # zero in step 1 (the quantizer's zero-row path); for SVRGO, refreshes
+    # zero in step 1; for SVRGO, refreshes
     # fire (p = 0.3) and the draw after each one comes at the reference
     # and reads the cache.
     dset = ds.synthesize(36, 3, 0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import decsaddle as ds
-from conftest import PickBatch
+from conftest import PickBatch, uniform_batches
 from decsaddle.oracles import SvrgState
 from decsaddle.problem import batch_mean, overflow_guard
 
@@ -160,46 +160,29 @@ def test_reference_update_frequency():
     assert abs(hits - 1000) <= 3 * np.sqrt(10_000 * 0.1 * 0.9)
 
 
-def test_gsgo_draws_match_sequential_integers():
-    # one call draws the batch indices of m sequential rng.integers(n) calls
-    p = _problem(m=4, n=3, N=24)
-    rng = np.random.default_rng(6)
-    X = rng.standard_normal((4, 3))
-    Y = 0.2 * rng.standard_normal((4, 3))
-    rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
-    draw = ds.gsgo_draw(p, np.array([X, Y]), rng_a)
-    Gb = p.all_batch_grads(np.array([X, Y]))
-    for _ in range(50):
-        (Gx, Gy), cost = draw()
-        J = [int(rng_b.integers(p.n)) for _ in range(p.m)]
-        for i, j in enumerate(J):
-            gx, gy = Gb[:, i, j]
-            assert np.max(np.abs(Gx[i] - gx)) <= 1e-14
-            assert np.max(np.abs(Gy[i] - gy)) <= 1e-14
-        assert cost == p.m
-    assert rng_a.random() == rng_b.random()
-
-
-def test_svrgo_draws_match_sequential_choice():
-    # one call draws the batch indices of m sequential uniform
-    # rng.choice(n, p=full(n, 1/n))
-    p = _problem(m=4, n=3, N=24)
+@pytest.mark.parametrize("n", [3, 5, 49])
+def test_gsgo_and_svrgo_draw_the_same_uniform_batches(n):
+    # from equal generators, both bound draws pick the same batches: the
+    # k/n cells of m sequential rng.random() calls, one per node in node
+    # order; both draws leave their generators where the m calls leave it
+    m = 4
+    p = _problem(m=m, n=n, N=m * n)
     rng = np.random.default_rng(8)
-    X = rng.standard_normal((4, 3))
-    Y = 0.2 * rng.standard_normal((4, 3))
-    st = SvrgState.initialize(p, np.array([X + 0.5, Y]), p=0.5)
-    rng_a, rng_b = np.random.default_rng(32), np.random.default_rng(32)
-    uniform = np.full(p.n, 1.0 / p.n)
-    for _ in range(200):
-        J = st.draw_batches(rng_a)
-        expected = [int(rng_b.choice(p.n, p=uniform)) for _ in range(p.m)]
-        assert J.tolist() == expected
-    assert rng_a.random() == rng_b.random()
+    X = rng.standard_normal((m, 3))
+    Y = 0.2 * rng.standard_normal((m, 3))
     Z = np.array([X, Y])
-    G, cost = ds.svrgo_draw(p, Z, st, np.random.default_rng(5))()
-    E = _uncached(p, st, Z, st.draw_batches(np.random.default_rng(5)))
-    assert np.array_equal(G, E)
-    assert cost == 2 * p.m
+    st = SvrgState.initialize(p, np.array([X + 0.5, Y]), p=0.5)
+    Gb = p.all_batch_grads(Z)
+    nodes = np.arange(m)
+    r_g, r_s, r_b = (np.random.default_rng(32) for _ in range(3))
+    gsgo, svrgo = ds.gsgo_draw(p, Z, r_g), ds.svrgo_draw(p, Z, st, r_s)
+    for _ in range(200):
+        J = uniform_batches(r_b, n, m)
+        G, cost = gsgo()
+        assert G.tobytes() == Gb[:, nodes, J].tobytes() and cost == m
+        G, cost = svrgo()
+        assert np.array_equal(G, _uncached(p, st, Z, J)) and cost == 2 * m
+    assert r_g.random() == r_s.random() == r_b.random()
 
 
 def test_svrgo_cache_matches_uncached_formula():
@@ -231,7 +214,7 @@ def test_svrgo_cache_matches_uncached_formula():
                 Y = 0.2 * rng.standard_normal((4, 3))
                 Z[:] = X, Y
                 # the batches the draw takes, from a copy of its generator
-                J = st.draw_batches(copy.deepcopy(rng))
+                J = uniform_batches(copy.deepcopy(rng), p.n, p.m)
                 expected = _uncached(p, st, Z, J)
                 G, cost = draw()
                 assert np.array_equal(G, expected)
@@ -297,7 +280,7 @@ def test_svrgo_first_draw_at_reference_reads_the_cache():
             before = len(kernel_calls)
             G, cost = ds.svrgo_draw(p, Zs, st, r1)()
             ran = len(kernel_calls) - before
-            expected = _uncached(p, st, Zs, st.draw_batches(r2))
+            expected = _uncached(p, st, Zs, uniform_batches(r2, p.n, p.m))
             assert G.tobytes() == expected.tobytes() and cost == 2 * p.m
             assert r1.random() == r2.random()
             assert ran == (1 if k > 0 or away else 0)
@@ -341,7 +324,7 @@ def test_refresh_keeps_its_own_copy_of_the_point():
         # reference point, so it must run the kernel
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
         G, _ = ds.svrgo_draw(p, ens.Z, st, r1)()
-        expected = _uncached(p, st, ens.Z, st.draw_batches(r2))
+        expected = _uncached(p, st, ens.Z, uniform_batches(r2, p.n, p.m))
     assert not st.unread
     assert G.tobytes() == expected.tobytes()
     assert G.tobytes() != st.g_tilde.tobytes()
