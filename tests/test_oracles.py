@@ -160,29 +160,46 @@ def test_reference_update_frequency():
     assert abs(hits - 1000) <= 3 * np.sqrt(10_000 * 0.1 * 0.9)
 
 
-@pytest.mark.parametrize("n", [3, 5, 49])
-def test_gsgo_and_svrgo_draw_the_same_uniform_batches(n):
-    # from equal generators, both bound draws pick the same batches: the
-    # k/n cells of m sequential rng.random() calls, one per node in node
-    # order; both draws leave their generators where the m calls leave it
+def test_gsgo_draws_match_sequential_integers():
+    # one call draws the integer batch indices of m sequential
+    # rng.random() calls, one per node in node order (the k/n cells), and
+    # leaves its generator where the m calls leave it
     m = 4
-    p = _problem(m=m, n=n, N=m * n)
-    rng = np.random.default_rng(8)
-    X = rng.standard_normal((m, 3))
-    Y = 0.2 * rng.standard_normal((m, 3))
-    Z = np.array([X, Y])
-    st = SvrgState.initialize(p, np.array([X + 0.5, Y]), p=0.5)
-    Gb = p.all_batch_grads(Z)
-    nodes = np.arange(m)
-    r_g, r_s, r_b = (np.random.default_rng(32) for _ in range(3))
-    gsgo, svrgo = ds.gsgo_draw(p, Z, r_g), ds.svrgo_draw(p, Z, st, r_s)
-    for _ in range(200):
-        J = uniform_batches(r_b, n, m)
-        G, cost = gsgo()
-        assert G.tobytes() == Gb[:, nodes, J].tobytes() and cost == m
-        G, cost = svrgo()
-        assert np.array_equal(G, _uncached(p, st, Z, J)) and cost == 2 * m
-    assert r_g.random() == r_s.random() == r_b.random()
+    for n in (3, 5, 49):
+        p = _problem(m=m, n=n, N=m * n)
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((m, 3))
+        Y = 0.2 * rng.standard_normal((m, 3))
+        Z = np.array([X, Y])
+        Gb = p.all_batch_grads(Z)
+        nodes = np.arange(m)
+        rng_a, rng_b = np.random.default_rng(31), np.random.default_rng(31)
+        draw = ds.gsgo_draw(p, Z, rng_a)
+        for _ in range(200):
+            J = uniform_batches(rng_b, n, m)
+            G, cost = draw()
+            assert G.tobytes() == Gb[:, nodes, J].tobytes() and cost == m
+        assert rng_a.random() == rng_b.random()
+
+
+def test_svrgo_draws_match_sequential_choice():
+    # one call chooses the batches of m sequential rng.random() calls, as
+    # the GSGO draw does, and leaves its generator where the m calls leave it
+    m = 4
+    for n in (3, 5, 49):
+        p = _problem(m=m, n=n, N=m * n)
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((m, 3))
+        Y = 0.2 * rng.standard_normal((m, 3))
+        Z = np.array([X, Y])
+        st = SvrgState.initialize(p, np.array([X + 0.5, Y]), p=0.5)
+        rng_a, rng_b = np.random.default_rng(32), np.random.default_rng(32)
+        draw = ds.svrgo_draw(p, Z, st, rng_a)
+        for _ in range(200):
+            J = uniform_batches(rng_b, n, m)
+            G, cost = draw()
+            assert np.array_equal(G, _uncached(p, st, Z, J)) and cost == 2 * m
+        assert rng_a.random() == rng_b.random()
 
 
 def test_svrgo_cache_matches_uncached_formula():
