@@ -120,8 +120,8 @@ SCHEMA = Section({
         "path": {"path": Key("string")},
         "compute": {"compute": Section({
             "iterations": Key("int", 1, default=lambda cfg, _: (
-                cfg.budget.get("iterations", 50_000)
-                if cfg.algorithm == "reference" else 50_000)),
+                cfg.algorithm == "reference" and cfg.budget.get("iterations")
+                or 50_000)),
             "tol": Key("positive", default=1e-14),
         })},
     }, default={}),
@@ -321,8 +321,9 @@ def read_zstar(path: str, d: int) -> np.ndarray:
 def resolve_reference(cfg: RunConfig, single: RobustLRProblem):
     """compute_reference on the config's m = 1 problem, with the compute
     section's cap and tolerance; returns (z, residual), z the (2, d) saddle
-    point.  A solve that stops above tol raises ArithmeticError (exit 4),
-    in the reference command and in a run's inline compute alike."""
+    point.  This is the one judge of a reference solve: one that stops
+    above tol raises ArithmeticError (exit 4), in the reference command
+    and in a run's inline compute alike."""
     tol = cfg.setting("reference.compute.tol")
     iterations = cfg.setting("reference.compute.iterations")
     z, residual = compute_reference(single, iterations=iterations, tol=tol)

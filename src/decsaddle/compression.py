@@ -15,9 +15,11 @@ import numpy as np
 from .topology import DecGraph
 
 
-# beyond 32 bits the float quantizer gains nothing, and 2^(b-1) overflows
-# a float at b = 1025
-MAX_BITS = 32
+# the bits of one coordinate sent raw (uncompressed)
+RAW_FLOAT_BITS = 32
+# a quantizer finer than a raw coordinate gains nothing, and 2^(b-1)
+# overflows a float at b = 1025
+MAX_BITS = RAW_FLOAT_BITS
 
 
 class InfeasibleParameterError(ValueError):
@@ -56,7 +58,7 @@ class Compressor:
     @property
     def bits_per_coord(self) -> int:
         """Payload cost per transmitted coordinate."""
-        return self.bits + 1 if self.kind == "quantize_inf" else 32
+        return self.bits + 1 if self.kind == "quantize_inf" else RAW_FLOAT_BITS
 
     def bind(self, shape: tuple, rng: np.random.Generator):
         """compress(x, out): apply to a float array x of the given shape,

@@ -101,12 +101,20 @@ def serialize_libsvm(ds: Dataset) -> str:
     return "\n".join(lines) + "\n"
 
 
+def rng_for(seed: int, tag: int) -> np.random.Generator:
+    """The random stream of one component under the config seed: the
+    generator of SeedSequence([seed, tag]).  The tags in use are 0xDA7A
+    (synthesize), 0xBA7C (partition), 0x5501 (the restart solver) and
+    0x5502 (the variance-reduced solver)."""
+    return np.random.default_rng(np.random.SeedSequence([int(seed), tag]))
+
+
 def synthesize(N: int, d: int, seed: int) -> Dataset:
     """Gaussian features, labels from a random linear separator with 10% of
     labels flipped.  Deterministic per seed."""
     if N < 1 or d < 1:
         raise ValueError("need N, d >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+    rng = rng_for(seed, 0xDA7A)
     A = rng.standard_normal((N, d))
     w = rng.standard_normal(d)
     labels = np.where(A @ w >= 0.0, 1.0, -1.0)
@@ -124,7 +132,7 @@ def partition(ds: Dataset, m: int, n: int, seed: int, mode: str = "shuffled") ->
         raise ValueError(f"need N >= m*n, got N={N}, m={m}, n={n}")
     pos = np.arange(N)
     if mode == "shuffled":
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 0xBA7C]))
+        rng = rng_for(seed, 0xBA7C)
         order = rng.permutation(N)
         # order[pos] goes to node pos % m, as its (pos // m)-th sample
         node, rank = pos % m, pos // m

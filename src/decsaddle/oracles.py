@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import RobustLRProblem
+from .problem import RobustLRProblem, batch_mean
 
 
 def _bind_batches(p: RobustLRProblem, rng: np.random.Generator):
@@ -87,8 +87,7 @@ class SvrgState:
         np.copyto(self.Z_tilde, Z)
         G = self.grads()
         self.g_rows = _rows(G)
-        # batch_mean(G), into g_tilde
-        np.divide(np.add.reduce(G, 2, None, self.g_tilde), G.shape[2], self.g_tilde)
+        batch_mean(G, self.g_tilde)
         self.unread = True
 
 

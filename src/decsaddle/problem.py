@@ -292,10 +292,10 @@ def overflow_guard():
     return np.errstate(over="ignore")
 
 
-def batch_mean(Gb: np.ndarray) -> np.ndarray:
-    """(2, k, d) means of (2, k, n, d) batch gradients: summed over batches
-    in batch order, then divided by n."""
-    return Gb.sum(axis=2) / Gb.shape[2]
+def batch_mean(Gb: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(2, k, d) means of (2, k, n, d) batch gradients, into out if given:
+    summed over batches in batch order, then divided by n."""
+    return np.divide(np.add.reduce(Gb, 2, None, out), Gb.shape[2], out)
 
 
 def _project_ball(v, R, out=None, sq=None, norm=None) -> np.ndarray:

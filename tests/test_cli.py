@@ -191,6 +191,25 @@ def test_reference_config_exits_as_the_reference_command(tmp_path, capsys, comma
     assert main([command, _write(tmp_path, cfg)]) == EXIT_CONFIG
 
 
+def test_reference_cut_short_prints_one_line(tmp_path):
+    # golden_desk.json as a reference config whose solve stops after one
+    # step, far above tol: the reference command exits 4, and its stderr
+    # is the verdict's one line, with no warning before it
+    with open(os.path.join(ROOT, "tests", "data", "golden_desk.json")) as fh:
+        cfg = json.load(fh)
+    out = tmp_path / "zstar.txt"
+    cfg.update(algorithm="reference", budget={"iterations": 1},
+               log={"output": str(out)},
+               reference={"compute": {"iterations": 1, "tol": 1e-20}})
+    cfg["problem"].update(R_x=3.0, R_y=0.5)
+    proc = _subprocess_run(_write(tmp_path, cfg), "reference")
+    assert proc.returncode == EXIT_NUMERICAL
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("numerical failure: reference residual")
+    assert not out.exists()
+
+
 def test_run_refuses_an_inline_reference_above_tol(tmp_path, capsys):
     # golden_desk.json with its inline solve capped at 3 iterations stops
     # at a residual of about 1.7e-10 against tol 1e-22: run exits 4 with
@@ -391,29 +410,28 @@ def test_meta_derived_matches_validate(tmp_path, capsys, overrides):
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["d_x 2\n0.5\n1.5\n", "d_x 1 d_y 1 residual 0\n0.5\nnot-a-number\n"],
-    ids=["garbled-header", "non-numeric-value"],
+    "text, message",
+    [("d_x 2\n0.5\n1.5\n", "cannot read reference file"),
+     ("d_x 1 d_y 1 residual 0\n0.5\nnot-a-number\n", "cannot read reference file"),
+     # a header that names more values than the file holds
+     ("d_x 10 d_y 10 residual 0\n" + "0.5\n" * 12, "expected 20 values")],
+    ids=["garbled-header", "non-numeric-value", "short-file"],
 )
-def test_malformed_stored_reference_is_config_error(tmp_path, text):
+def test_malformed_stored_reference_is_config_error(tmp_path, text, message):
     (tmp_path / "zstar.txt").write_text(text)
     with pytest.raises(ConfigError):
         read_zstar(str(tmp_path / "zstar.txt"), 1)
     cfg = _base_config(tmp_path, reference={"path": str(tmp_path / "zstar.txt")})
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ds.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "decsaddle.cli", "run", _write(tmp_path, cfg)],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _subprocess_run(_write(tmp_path, cfg))
     assert proc.returncode == EXIT_CONFIG
     assert "Traceback" not in proc.stderr
-    assert "reference file" in proc.stderr
+    assert message in proc.stderr
 
 
-def _subprocess_run(config_path):
+def _subprocess_run(config_path, command="run"):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ds.__file__)))
     return subprocess.run(
-        [sys.executable, "-m", "decsaddle.cli", "run", config_path],
+        [sys.executable, "-m", "decsaddle.cli", command, config_path],
         capture_output=True, text=True, env=env,
     )
 
@@ -518,7 +536,9 @@ def test_validate_golden_desk_prints_exact_delta(capsys):
 @pytest.mark.parametrize(
     "algorithm, budget",
     [("crdpsg", {"iterations": 10}), ("cdpsvrg", {"stages": 1}),
-     ("cdpsvrg", {"iterations": 10, "stages": 1})],
+     ("cdpsvrg", {"iterations": 10, "stages": 1}),
+     # a reference budget's two keys are each optional, but not both
+     ("reference", {})],
 )
 def test_budget_key_must_match_algorithm(tmp_path, algorithm, budget):
     # rejected while parsing, before any dataset or constant is built

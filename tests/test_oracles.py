@@ -39,17 +39,6 @@ def test_gsgo_n1_deterministic():
     assert cost == 1
 
 
-def test_gsgo_unbiased_mc():
-    p = _problem(n=4)
-    rng = np.random.default_rng(1)
-    z = _point([0.5, -0.3, 0.2], [0.1, 0.0, -0.1])
-    fx = p.full_grads(z)[0, 0]
-    draw = ds.gsgo_draw(p, z, rng)
-    draws = np.stack([draw()[0][0, 0].copy() for _ in range(100_000)])
-    sem = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
-    assert np.all(np.abs(draws.mean(axis=0) - fx) <= 3 * sem + 1e-12)
-
-
 def test_gsgo_exact_mean():
     # a GSGO draw is uniform over a node's n batches, so its mean is an
     # n-term sum: over every batch choice, the bound draw averages to the

@@ -257,7 +257,7 @@ def test_crdpsg_consensus_after_run(acc_problem, acc_graph, acc_compressor,
 
 def test_compute_reference_rejects_multinode(acc_problem):
     with pytest.raises(ValueError):
-        ds.compute_reference(acc_problem, iterations=10)
+        ds.compute_reference(acc_problem, iterations=10, tol=1e-14)
 
 
 def test_compute_reference_symmetric_origin():
@@ -276,27 +276,14 @@ def test_compute_reference_symmetric_origin():
 
 
 def test_compute_reference_is_deterministic(acc_problem_single):
-    z1, res1 = ds.compute_reference(acc_problem_single, tol=1e-22)
-    z2, res2 = ds.compute_reference(acc_problem_single, tol=1e-22)
+    z1, res1 = ds.compute_reference(acc_problem_single, iterations=50_000, tol=1e-22)
+    z2, res2 = ds.compute_reference(acc_problem_single, iterations=50_000, tol=1e-22)
     assert np.array_equal(z1, z2)
     assert res1 == res2
 
 
 def test_compute_reference_desk_tol_within_2000_steps(acc_problem_single):
     _, res = ds.compute_reference(acc_problem_single, iterations=2000, tol=1e-25)
-    assert res <= 1e-25
-
-
-def test_compute_reference_warns_when_cut_short(acc_dataset):
-    # small radii keep the start's residual above the 1e-7 warning level
-    part = ds.partition(acc_dataset, 1, 5, seed=0)
-    prob = ds.RobustLRProblem(acc_dataset, part, lam=5.0, beta=5.0, R_x=1.0, R_y=0.5)
-    with pytest.warns(UserWarning, match="reference residual"):
-        _, res = ds.compute_reference(prob, iterations=1, tol=1e-25)
-    assert res > 1e-7
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        _, res = ds.compute_reference(prob, iterations=2000, tol=1e-25)
     assert res <= 1e-25
 
 
@@ -327,7 +314,7 @@ def test_compute_reference_backtracks_above_the_floor(acc_dataset):
     c = prob.constants
     h_min, s = 1.0 / (4.0 * c.L), c.mu / (24.0 * c.L**2)
     calls = _recording_prox(prob)
-    z, res = ds.compute_reference(prob, tol=1e-22)
+    z, res = ds.compute_reference(prob, iterations=50_000, tol=1e-22)
     h = [v for v in calls if v != s]
     assert h[0] == h_min and min(h) >= h_min and max(h) > h_min
     assert any(b < a for a, b in zip(h, h[1:]))  # a backtracking halving
@@ -345,9 +332,7 @@ def test_compute_reference_step_floor(acc_dataset):
     full_grads, evals = prob.full_grads, itertools.count()
     prob.full_grads = lambda Z: full_grads(Z) + 1e3 * next(evals)
     calls = _recording_prox(prob)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ds.compute_reference(prob, iterations=10, tol=0.0)
+    ds.compute_reference(prob, iterations=10, tol=0.0)
     h = [v for v in calls if v != s]
     assert min(h) == h_min and h.count(2.0 * h_min) == 9
 
@@ -357,9 +342,7 @@ def test_compute_reference_caps_accepted_steps(acc_dataset):
     prob = _desk_single(acc_dataset)
     c = prob.constants
     calls = _recording_prox(prob)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        ds.compute_reference(prob, iterations=7, tol=0.0)
+    ds.compute_reference(prob, iterations=7, tol=0.0)
     assert calls.count(c.mu / (24.0 * c.L**2)) == 1 + 7
 
 

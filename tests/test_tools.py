@@ -9,10 +9,11 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 def test_step_sweep_smoke():
     # every (m, d, oracle) cell of the sweep runs and prints one row; with
     # --against (here the same tree imported a second time) each row adds
-    # the other tree's time and the ratio
+    # the other tree's time, the ratio and the repeats the other tree won,
+    # and the ratio ends in ? unless one tree won both repeats
     sweep = [sys.executable, os.path.join(ROOT, "tools", "step_sweep.py"),
              "--steps", "5", "--repeats", "2"]
-    for extra, against in (([], []), (["against", "ratio"],
+    for extra, against in (([], []), (["against", "ratio", "won"],
                                       ["--against", os.path.join(ROOT, "src")])):
         proc = subprocess.run(
             sweep + against, capture_output=True, text=True, timeout=300
@@ -24,6 +25,12 @@ def test_step_sweep_smoke():
         for row in rows:
             m, d, kind, *times = row.split()
             assert kind in ("gsgo", "svrgo") and len(times) == 1 + len(extra)
+            if extra:
+                *times, won = times
+                k, repeats = won.split("/")
+                assert repeats == "2" and k in ("0", "1", "2")
+                assert times[-1].endswith("?") == (k == "1")
+                times[-1] = times[-1].rstrip("?")
             assert all(float(v) > 0 for v in times)
 
 
@@ -65,7 +72,7 @@ def test_same_traces_smoke(tmp_path):
     shutil.copytree(os.path.join(ROOT, "src"), src,
                     ignore=shutil.ignore_patterns("__pycache__"))
     _mutate(src / "decsaddle" / "solvers.py",
-            "_rng_for(seed, 0x5502)", "_rng_for(seed, 0x5503)")
+            "rng_for(seed, 0x5502)", "rng_for(seed, 0x5503)")
     _mutate(src / "decsaddle" / "cli.py",
             '"derived": record}, indent=2)', '"derived": record}, indent=1)')
     tool = [sys.executable, os.path.join(ROOT, "tools", "same_traces.py"),

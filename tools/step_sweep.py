@@ -24,8 +24,11 @@ The package is imported from the `src/` next to this script.
 example another checkout's `src/`) into the same process, under another
 module name.  Every cell then builds the same problem in both trees and
 alternates them repeat by repeat (the order flips each repeat), so both
-see the same machine state; a row adds the other tree's median and the
-ratio against / this (above 1: this tree is faster).  A tree without
+see the same machine state; a row adds the other tree's median, the
+ratio against / this (above 1: this tree is faster), and in how many
+repeats the other tree won (ran faster).  A ratio ends in `?`,
+unresolved, unless one tree won at least 9 in 10 of the repeats (the
+claim rule; a tie counts for neither).  A tree without
 `step_plan`, or one that still passes x and y as separate arrays (it
 exports `PrimalDualPoint`), is refused.
 """
@@ -129,15 +132,15 @@ def make_cell(ds, m, d, kind):
 
 
 def time_cells(trees, m, d, kind, steps, repeats):
-    """Median us/step of one cell in each tree, alternating the trees
-    repeat by repeat."""
+    """us/step of one cell in each tree, one list per tree with one entry
+    per repeat, alternating the trees repeat by repeat."""
     cells = [make_cell(ds, m, d, kind) for ds in trees]
     per_step = [[] for _ in trees]
     for r in range(repeats):
         order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
         for k in order:
             per_step[k].append(cells[k](steps))
-    return [statistics.median(v) for v in per_step]
+    return per_step
 
 
 def main(argv=None):
@@ -151,15 +154,20 @@ def main(argv=None):
     head = f"{'m':>4} {'d':>4} {'oracle':>6} {'us/step':>9}"
     if args.against:
         trees.append(load_tree(args.against))
-        head += f" {'against':>9} {'ratio':>6}"
+        head += f" {'against':>9} {'ratio':>7} {'won':>5}"
     print(head)
     for m in NODES:
         for d in DIMS:
             for kind in ("gsgo", "svrgo"):
-                us = time_cells(trees, m, d, kind, args.steps, args.repeats)
+                per_step = time_cells(trees, m, d, kind, args.steps, args.repeats)
+                us = [statistics.median(v) for v in per_step]
                 row = f"{m:>4} {d:>4} {kind:>6} {us[0]:>9.1f}"
                 if args.against:
-                    row += f" {us[1]:>9.1f} {us[1] / us[0]:>6.3f}"
+                    won = sum(b < a for a, b in zip(*per_step))
+                    lost = sum(a < b for a, b in zip(*per_step))
+                    mark = "" if 10 * max(won, lost) >= 9 * args.repeats else "?"
+                    ratio = f"{us[1] / us[0]:.3f}{mark}"
+                    row += f" {us[1]:>9.1f} {ratio:>7} {won:>2}/{args.repeats}"
                 print(row, flush=True)
 
 
