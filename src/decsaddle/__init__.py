@@ -13,7 +13,7 @@ from .compression import (
     identity_compressor,
     quantizer_delta,
 )
-from .data import Dataset, Partition, parse_libsvm, partition, synthesize
+from .data import Dataset, parse_libsvm, partition, synthesize
 from .ipdhg import NodeEnsemble, StepParams, step_plan
 from .metrics import (
     CostCounters,

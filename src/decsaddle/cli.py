@@ -253,12 +253,12 @@ def build_dataset(cfg: RunConfig) -> data_mod.Dataset:
 
 @_builder
 def build_problem(cfg: RunConfig, dataset, m: int) -> RobustLRProblem:
-    part = data_mod.partition(
+    index = data_mod.partition(
         dataset, m, cfg.partition["n"], cfg.seed, mode=cfg.setting("partition.mode")
     )
     p = cfg.problem
     return RobustLRProblem(
-        dataset, part, lam=p["lambda"], beta=p["beta"], R_x=p["R_x"], R_y=p["R_y"]
+        dataset, index, lam=p["lambda"], beta=p["beta"], R_x=p["R_x"], R_y=p["R_y"]
     )
 
 
@@ -384,14 +384,15 @@ def verdict(cfg: RunConfig):
     solve: checks the output, builds the run, derives its schedule and its
     numbers as one JSON object, each value a field of the object that
     holds it, and finds the saddle point; returns (output, build's result,
-    saddle point, schedule, record, failures).  The schedule is the
-    restart method's list of StageParams up to the first infeasible stage,
-    or the SvrgParams (None if infeasible); the run hands these records to
-    its solver, and the record's schedule lists their fields.  The (2, d)
-    saddle point is read from reference.path before the schedule is
-    derived, or, once the schedule has no failures, solved for an inline
-    reference.compute by resolve_reference; it is None if the schedule
-    failed before an inline solve."""
+    saddle point, schedule, record, failure), failure the first refusal's
+    message or None.  The schedule is the restart method's list of
+    StageParams up to the first infeasible stage, or the SvrgParams (None
+    if infeasible); the run hands these records to its solver, and the
+    record's schedule lists their fields.  The (2, d) saddle point is
+    read from reference.path before the schedule is derived, or, once it
+    is feasible, solved for an inline reference.compute by
+    resolve_reference; it is None if the schedule failed before an inline
+    solve."""
     out = _output(cfg, "run")
     built = dataset, prob, _, spec, compressor = build(cfg)
     z_star = None
@@ -405,7 +406,7 @@ def verdict(cfg: RunConfig):
         },
         "delta": compressor.delta,
     }
-    schedule, failures = None, []
+    schedule, failure = None, None
     if cfg.algorithm == "crdpsg":
         schedule = []
         for k in range(cfg.budget["stages"]):
@@ -414,7 +415,7 @@ def verdict(cfg: RunConfig):
                     crdpsg_stage_params(k, prob.constants, compressor.delta, spec)
                 )
             except InfeasibleParameterError as e:
-                failures.append(str(e))  # StageParams prefixes `stage k: `
+                failure = str(e)  # StageParams prefixes `stage k: `
                 break
         record["schedule"] = [asdict(sp) for sp in schedule]
     else:
@@ -424,20 +425,20 @@ def verdict(cfg: RunConfig):
             )
             record["schedule"] = asdict(schedule)
         except InfeasibleParameterError as e:
-            failures.append(str(e))
-    if not failures and "compute" in cfg.reference:
+            failure = str(e)
+    if failure is None and "compute" in cfg.reference:
         z_star = resolve_reference(cfg, build_problem(cfg, dataset, m=1))[0]
-    return out, built, z_star, schedule, record, failures
+    return out, built, z_star, schedule, record, failure
 
 
 def cmd_validate(cfg: RunConfig) -> int:
     if cfg.algorithm == "reference":
-        record, failures = _record(reference_verdict(cfg)[1]), []
+        record, failure = _record(reference_verdict(cfg)[1]), None
     else:
-        record, failures = verdict(cfg)[-2:]
+        record, failure = verdict(cfg)[-2:]
     print(json.dumps(record, indent=2))
-    if failures:
-        print("FAILURES:", *failures, sep="\n  ")
+    if failure is not None:
+        print("FAILURES:", failure, sep="\n  ")
         return EXIT_INFEASIBLE
     print("all parameter windows feasible")
     return EXIT_OK
@@ -446,9 +447,9 @@ def cmd_validate(cfg: RunConfig) -> int:
 def cmd_run(cfg: RunConfig) -> int:
     if cfg.algorithm == "reference":
         return cmd_reference(cfg)
-    out, (_, prob, g, _, compressor), z_star, schedule, record, failures = verdict(cfg)
-    if failures:
-        raise InfeasibleParameterError("; ".join(failures))
+    out, (_, prob, g, _, compressor), z_star, schedule, record, failure = verdict(cfg)
+    if failure is not None:
+        raise InfeasibleParameterError(failure)
     z0 = np.zeros((2, prob.d))
     stride = cfg.setting("log.stride")
     if cfg.algorithm == "crdpsg":

@@ -122,7 +122,6 @@ def quantizer_delta(bits: int, d: int) -> float:
 def bind_exchange(
     HH: np.ndarray,
     alpha: float | np.ndarray,
-    keep: float | np.ndarray,
     g: DecGraph,
     c: Compressor,
     rng: np.random.Generator,
@@ -136,9 +135,9 @@ def bind_exchange(
     H and Hw are shaped like the payload: (m, d), or (2, m, d) for a
     primal-dual pair.  The invariant Hw = W H holds whenever HH was
     initialized consistently (Hw = W H), and an exchange preserves it.
-    alpha is the reference mixing factor and keep = 1 - alpha, both
-    precomputed by the caller: scalars, or arrays that broadcast against
-    HH (one factor per block of a stacked payload).  The window (0,
+    alpha is the reference mixing factor: a scalar, or an array that
+    broadcasts against HH (one factor per block of a stacked payload);
+    keep = 1 - alpha is computed here once.  The window (0,
     1/(1+delta)) of alpha is checked once, by ipdhg.check_windows when the
     step's parameter record is built, not here.  Each
     exchange builds [nu_hat, nu_hat_w] in NN (shaped like HH): Q = C(nu -
@@ -156,6 +155,7 @@ def bind_exchange(
             f"{g.m} node blocks"
         )
     Q, QW = NN[0], NN[1]
+    keep = np.subtract(1.0, alpha)
     compress = c.bind(H.shape, rng)
 
     # out arrays go positionally, which costs less per call than the keyword

@@ -29,23 +29,6 @@ class Dataset:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class Partition:
-    """index[i, j] = the sample indices of batch j on node i, sorted, as
-    one (m, n, B) integer array; a batch shorter than B is padded at its
-    end with N, the dataset's sample count."""
-
-    index: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return self.index.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.index.shape[1]
-
-
 def parse_libsvm(stream) -> Dataset:
     """Parse LIBSVM text: "<label> <idx>:<val> ...", indices 1-based and
     strictly increasing per line, values finite; d is the largest index
@@ -72,6 +55,9 @@ def parse_libsvm(stream) -> Dataset:
                 raise ParseError(f"line {lineno}: malformed feature token {tok!r}")
             if not math.isfinite(v):
                 raise ParseError(f"line {lineno}: non-finite feature value {tok!r}")
+            if k < 1:
+                raise ParseError(f"line {lineno}: feature index {k} below 1 "
+                                 "(indices are 1-based)")
             if k <= prev:
                 raise ParseError(
                     f"line {lineno}: feature index {k} not strictly increasing"
@@ -123,10 +109,14 @@ def synthesize(N: int, d: int, seed: int) -> Dataset:
     return Dataset(labels=labels, features=A)
 
 
-def partition(ds: Dataset, m: int, n: int, seed: int, mode: str = "shuffled") -> Partition:
+def partition(ds: Dataset, m: int, n: int, seed: int, mode: str = "shuffled") -> np.ndarray:
     """Deal samples round-robin to m nodes, then round-robin to n batches
     within each node.  mode "sorted" orders by label and hands each node a
-    contiguous block (heterogeneous nodes); "shuffled" permutes by seed."""
+    contiguous block (heterogeneous nodes); "shuffled" permutes by seed.
+
+    Returns the (m, n, B) integer array whose [i, j] holds the sample
+    indices of batch j on node i, sorted; a batch shorter than B is padded
+    at its end with N, the dataset's sample count."""
     N = ds.N
     if N < m * n:
         raise ValueError(f"need N >= m*n, got N={N}, m={m}, n={n}")
@@ -147,4 +137,4 @@ def partition(ds: Dataset, m: int, n: int, seed: int, mode: str = "shuffled") ->
     # a node's k-th sample goes to batch k % n, as its (k // n)-th entry
     index = np.full((m, n, int(rank.max()) // n + 1), N)
     index[node, rank % n, rank // n] = order
-    return Partition(np.sort(index, axis=-1))
+    return np.sort(index, axis=-1)

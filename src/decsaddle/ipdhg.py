@@ -177,11 +177,10 @@ def step_plan(
     ax, ay = params.alpha_x, params.alpha_y
     signed_s = _factor(shape, -s, s)  # x descends, y ascends
     alpha = _factor(HH.shape, ax, ay)
-    keep = _factor(HH.shape, 1.0 - ax, 1.0 - ay)
     # gamma / (2 s) for D, -gamma / 2 for the pre-projection point
     pair = _factor(D_nu.shape, (gx / (2.0 * s), gy / (2.0 * s)), (-gx / 2.0, -gy / 2.0))
     s = _factor(shape, s, s)
-    exchange = bind_exchange(HH, alpha, keep, g, compressor, rng, NN, diff)
+    exchange = bind_exchange(HH, alpha, g, compressor, rng, NN, diff)
     prox = prob.bind_prox(shape)
     if counters is None:
         counters = CostCounters()

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset, Partition
+from .data import Dataset
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,7 @@ class RobustLRProblem:
     def __init__(
         self,
         ds: Dataset,
-        part: Partition,
+        index: np.ndarray,
         lam: float,
         beta: float,
         R_x: float,
@@ -81,8 +81,7 @@ class RobustLRProblem:
             raise ValueError("ball radii must be positive")
         self.N = ds.N
         self.d = ds.d
-        self.m = part.m
-        self.n = part.n
+        self.m, self.n = index.shape[:2]
         self.lam = lam
         self.beta = beta
         self.R_x = R_x
@@ -93,7 +92,6 @@ class RobustLRProblem:
         # [lam/m, -beta/m] of the stacked gradient
         self._neg_c = -self.n / self.N
         self._reg = np.array([lam / self.m, -(beta / self.m)])[:, None, None]
-        index = part.index
         # one count per sample, and one for the padding index N
         counts = np.bincount(index.ravel(), minlength=self.N + 1)
         if counts.size != self.N + 1 or not (counts[: self.N] == 1).all():

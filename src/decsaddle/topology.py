@@ -22,20 +22,20 @@ class DisconnectedGraphError(ValueError):
 
 @dataclass(frozen=True)
 class DecGraph:
-    """Node count and symmetric row-stochastic mixing matrix."""
+    """Symmetric row-stochastic mixing matrix of the m nodes."""
 
-    m: int
     W: np.ndarray
+    m = property(lambda self: self.W.shape[0])
 
     def __post_init__(self):
         W = np.asarray(self.W, dtype=float)
-        if W.shape != (self.m, self.m):
-            raise ValueError(f"W must be {self.m}x{self.m}, got {W.shape}")
+        if W.ndim != 2 or W.shape[0] != W.shape[1]:
+            raise ValueError(f"W must be square, got {W.shape}")
         if not np.array_equal(W, W.T):
             raise ValueError("W must be exactly symmetric")
         if np.max(np.abs(W.sum(axis=1) - 1.0)) > 1e-12:
             raise ValueError("W must be row stochastic")
-        if self.m > 1 and np.any(np.diag(W) <= 0):
+        if W.shape[0] > 1 and np.any(np.diag(W) <= 0):
             raise ValueError("W must have positive diagonal")
         object.__setattr__(self, "W", W)
 
@@ -71,7 +71,7 @@ def build_ring(m: int) -> DecGraph:
     """Ring with weight 1/3 on self and on both neighbors."""
     if m < 3:
         raise ValueError(f"ring needs m >= 3, got {m}")
-    return DecGraph(m, (np.eye(m) + _cycle(m)) * (1.0 / 3.0))
+    return DecGraph((np.eye(m) + _cycle(m)) * (1.0 / 3.0))
 
 
 def build_torus(rows: int, cols: int) -> DecGraph:
@@ -81,7 +81,7 @@ def build_torus(rows: int, cols: int) -> DecGraph:
         raise ValueError(f"torus needs rows, cols >= 3, got ({rows}, {cols})")
     m = rows * cols
     A = np.kron(_cycle(rows), np.eye(cols)) + np.kron(np.eye(rows), _cycle(cols))
-    return DecGraph(m, (np.eye(m) + A) * (1.0 / 5.0))
+    return DecGraph((np.eye(m) + A) * (1.0 / 5.0))
 
 
 def jacobi_eigh(A: np.ndarray):

@@ -121,7 +121,7 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_graph, acc_zstar):
         acc_dataset, part, lam=ACC["lam"], beta=ACC["beta"],
         R_x=ACC["R_x"], R_y=ACC["R_y"],
     )
-    g1 = ds.DecGraph(1, np.array([[1.0]]))
+    g1 = ds.DecGraph(np.array([[1.0]]))
     comp = ds.identity_compressor()
     z0 = np.array([np.full(prob.d, 5.0), np.zeros(prob.d)])
     n_iter = 500

@@ -133,6 +133,11 @@ def test_compressor_rejects_bad_delta():
         ds.Compressor(kind="identity", delta=0.5)
 
 
+def test_compressor_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown compressor kind 'topk'"):
+        ds.Compressor(kind="topk")
+
+
 @pytest.mark.parametrize("bits", [0, 33, 1100])
 def test_compressor_rejects_bits_outside_window(bits):
     # 1100 bits would overflow 2^(b-1) in the first quantized step
@@ -157,7 +162,7 @@ def test_comm_identity_collapses():
     HH = _pair(g, rng.standard_normal((4, 3)))
     NN = np.empty_like(HH)  # alpha [nu_hat, nu_hat_w]
     ds.bind_exchange(
-        HH, 0.5, 0.5, g, ds.identity_compressor(), rng, NN, np.empty((4, 3))
+        HH, 0.5, g, ds.identity_compressor(), rng, NN, np.empty((4, 3))
     )(nu)
     nu_hat, nu_hat_w = NN / 0.5  # dividing by a power of two is exact
     assert np.allclose(nu_hat, nu, atol=0)
@@ -171,7 +176,7 @@ def test_comm_no_drift():
     HH = _pair(g, H)
     c = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
     NN = np.empty_like(HH)
-    ds.bind_exchange(HH, 0.5, 0.5, g, c, rng, NN, np.empty_like(H))(H)
+    ds.bind_exchange(HH, 0.5, g, c, rng, NN, np.empty_like(H))(H)
     nu_hat, nu_hat_w = NN / 0.5
     assert np.array_equal(nu_hat, H)
     assert np.array_equal(nu_hat_w, HH[1])
@@ -185,7 +190,7 @@ def test_comm_hand_example_ring3():
     nu = np.array([[3.0], [0.0], [0.0]])
     NN = np.empty_like(HH)
     ds.bind_exchange(
-        HH, 0.5, 0.5, g, ds.identity_compressor(), rng, NN, np.empty((3, 1))
+        HH, 0.5, g, ds.identity_compressor(), rng, NN, np.empty((3, 1))
     )(nu)
     nu_hat, nu_hat_w = NN / 0.5
     H, Hw = HH
@@ -202,7 +207,7 @@ def test_comm_state_consistency_1000_steps():
     HH = _pair(g, rng.standard_normal((5, 4)))
     H, Hw = HH
     exchange = ds.bind_exchange(
-        HH, 0.3, 1.0 - 0.3, g, c, rng, np.empty_like(HH), np.empty((5, 4))
+        HH, 0.3, g, c, rng, np.empty_like(HH), np.empty((5, 4))
     )
     for _ in range(1000):
         exchange(rng.standard_normal((5, 4)))
@@ -218,24 +223,23 @@ def test_bound_exchange_matches_comm_step():
     g = ds.build_ring(5)
     c = ds.Compressor(kind="quantize_inf", bits=3, delta=0.5)
     alpha = np.array([0.3, 0.2])[:, None, None]
-    keep = 1.0 - alpha
     HH_a, HH_b = np.zeros((2, 2, 5, 4)), np.zeros((2, 2, 5, 4))
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
     NN, diff = np.empty_like(HH_a), np.empty((2, 5, 4))
-    exchange = ds.bind_exchange(HH_a, alpha, keep, g, c, rng_a, NN, diff)
+    exchange = ds.bind_exchange(HH_a, alpha, g, c, rng_a, NN, diff)
     nus = np.random.default_rng(4).standard_normal((50, 2, 5, 4))
     nus[0, 1] = 0.0
     for nu in nus:
         exchange(nu)
         diff_b = np.empty_like(diff)
         ds.bind_exchange(
-            HH_b, alpha, keep, g, c, rng_b, np.empty_like(NN), diff_b
+            HH_b, alpha, g, c, rng_b, np.empty_like(NN), diff_b
         )(nu)
         assert diff.tobytes() == diff_b.tobytes()
         assert HH_a.tobytes() == HH_b.tobytes()
     assert rng_a.random() == rng_b.random()
     with pytest.raises(ValueError):  # references for another graph
-        ds.bind_exchange(HH_a, alpha, keep, ds.build_ring(4), c, rng_a, NN, diff)
+        ds.bind_exchange(HH_a, alpha, ds.build_ring(4), c, rng_a, NN, diff)
 
 
 def test_quantize_rows_match_sequential_calls():

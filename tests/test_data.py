@@ -1,4 +1,5 @@
 import io
+import re
 
 import numpy as np
 import pytest
@@ -33,6 +34,22 @@ def test_parse_errors():
     for text in ("+1 1:nan\n", "+1 1:0.5 2:-inf\n", "+1\n-1\n", ""):
         with pytest.raises(ParseError):
             ds.parse_libsvm(io.StringIO(text))
+    # a 0-based or negative index is named as such, not as out of order
+    for k in ("0", "-2"):
+        message = f"line 1: feature index {k} below 1 (indices are 1-based)"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ds.parse_libsvm(io.StringIO(f"+1 {k}:1.0\n"))
+
+
+def test_parse_skips_blank_lines():
+    d = ds.parse_libsvm(io.StringIO("\n+1 1:0.5\n  \n\n-1 2:2\n\n"))
+    assert np.array_equal(d.labels, [1.0, -1.0])
+    assert np.array_equal(d.features, [[0.5, 0.0], [0.0, 2.0]])
+
+
+def test_synthesize_rejects_empty():
+    with pytest.raises(ValueError, match="need N, d >= 1"):
+        ds.synthesize(0, 3, 0)
 
 
 def test_roundtrip():
@@ -64,14 +81,14 @@ def test_synthesize_shapes_and_balance():
 def test_partition_exact_division():
     d = ds.synthesize(12, 3, 0)
     p = ds.partition(d, 3, 2, 0)
-    assert p.index.shape == (3, 2, 2)
-    assert (p.index < 12).all()
+    assert p.shape == (3, 2, 2)
+    assert (p < 12).all()
 
 
 def test_partition_uneven():
     d = ds.synthesize(13, 3, 0)
     p = ds.partition(d, 3, 2, 0)
-    sizes = (p.index < 13).sum(axis=-1)
+    sizes = (p < 13).sum(axis=-1)
     assert sorted(sizes.sum(axis=1)) == [4, 4, 5]
     assert (sizes.max(axis=1) - sizes.min(axis=1) <= 1).all()
 
@@ -91,17 +108,23 @@ def test_partition_matches_the_round_robin_loop(mode, N, m, n):
         bounds = [round(i * N / m) for i in range(m + 1)]
         per_node = [order[bounds[i]:bounds[i + 1]] for i in range(m)]
     batches = [[np.sort(node[j::n]) for j in range(n)] for node in per_node]
-    assert p.index.shape == (m, n, max(b.size for row in batches for b in row))
+    assert p.shape == (m, n, max(b.size for row in batches for b in row))
     for i in range(m):
         for j, batch in enumerate(batches[i]):
-            assert np.array_equal(p.index[i, j, : batch.size], batch)
-            assert (p.index[i, j, batch.size :] == N).all()
+            assert np.array_equal(p[i, j, : batch.size], batch)
+            assert (p[i, j, batch.size :] == N).all()
 
 
 def test_partition_rejects_too_few():
     d = ds.synthesize(5, 3, 0)
     with pytest.raises(ValueError):
         ds.partition(d, 3, 2, 0)
+
+
+def test_partition_rejects_unknown_mode():
+    d = ds.synthesize(12, 3, 0)
+    with pytest.raises(ValueError, match="unknown partition mode 'random'"):
+        ds.partition(d, 3, 2, 0, mode="random")
 
 
 @given(
@@ -114,15 +137,15 @@ def test_partition_disjoint_cover(m, n, seed):
     N = m * n + seed % 7
     d = ds.synthesize(N, 3, 0)
     p = ds.partition(d, m, n, seed)
-    all_idx = p.index[p.index < N]
+    all_idx = p[p < N]
     assert len(all_idx) == N
     assert set(all_idx.tolist()) == set(range(N))
     # every batch sorted, its padding N at the end
-    assert np.array_equal(p.index, np.sort(p.index, axis=-1))
+    assert np.array_equal(p, np.sort(p, axis=-1))
 
 
 def test_partition_sorted_mode_heterogeneous():
     d = ds.synthesize(40, 3, 0)
     p = ds.partition(d, 2, 1, 0, mode="sorted")
-    means = d.labels[p.index[:, 0]].mean(axis=-1)
+    means = d.labels[p[:, 0]].mean(axis=-1)
     assert means[0] < means[1]

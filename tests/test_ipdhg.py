@@ -19,7 +19,7 @@ def _exact_draw(prob, ens):
 
 def test_single_node_reduces_to_prox_gda():
     prob = _problem(m=1)
-    g = ds.DecGraph(1, np.array([[1.0]]))
+    g = ds.DecGraph(np.array([[1.0]]))
     params = ds.StepParams(s=0.01, gamma_x=1.0, gamma_y=1.0, alpha_x=0.3, alpha_y=0.3)
     Z = np.array([[[0.5, -0.2, 0.1]], [[0.0, 0.1, 0.0]]])
     x, y = Z
@@ -193,7 +193,7 @@ def test_ensemble_trajectory_matches_per_node_loop():
     A_all, b_all = dset.features, dset.labels
 
     def formula(i, j, xi, yi):
-        idx = part.index[i, j]
+        idx = part[i, j]
         idx = idx[idx < prob.N]
         A, b = A_all[idx] + yi, b_all[idx]
         coeff = -b / (1.0 + np.exp(b * (A @ xi)))

@@ -131,14 +131,34 @@ def test_projection_raises_on_non_finite_row_norm(row):
 
 def test_partition_must_cover_every_sample_once():
     dset = ds.synthesize(12, 3, 0)
-    part = ds.partition(dset, 2, 2, 0)
-    twice = part.index.copy()
+    index = ds.partition(dset, 2, 2, 0)
+    twice = index.copy()
     twice[1, 1] = twice[0, 0]  # one sample twice, another never
-    for bad in (twice, part.index[[0, 0]]):
+    for bad in (twice, index[[0, 0]]):
         with pytest.raises(ValueError, match="disjoint cover"):
-            ds.RobustLRProblem(
-                dset, ds.Partition(bad), lam=1.0, beta=1.0, R_x=1.0, R_y=1.0
-            )
+            ds.RobustLRProblem(dset, bad, lam=1.0, beta=1.0, R_x=1.0, R_y=1.0)
+
+
+def test_rejects_an_all_padding_batch():
+    # a disjoint cover whose batch (0, 1) holds only the padding index N
+    dset = ds.synthesize(4, 3, 0)
+    index = np.array([[[0, 1, 2, 3], [4, 4, 4, 4]]])
+    with pytest.raises(ValueError, match=r"batch \(0, 1\) is empty"):
+        ds.RobustLRProblem(dset, index, lam=1.0, beta=1.0, R_x=1.0, R_y=1.0)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_constants_must_be_positive(bad):
+    with pytest.raises(ValueError, match="all constants must be positive"):
+        ds.SaddleConstants(
+            mu_x=bad, mu_y=1.0, L_xx=2.0, L_yy=2.0, L_xy=1.0, L_yx=1.0
+        )
+
+
+def test_batch_grads_reject_a_point_for_another_node_count():
+    p = _small_problem()  # m = 2, d = 4
+    with pytest.raises(ValueError, match=r"expected a \(2, 2, 4\) point"):
+        p.bind_batch_grads(np.zeros((2, 3, 4)))
 
 
 def test_lipschitz_hand_single_sample():
@@ -233,11 +253,10 @@ def test_batch_grads_match_formula_on_padded_batches():
     # label-sorted nodes, N = 23 not divisible by m * n = 6: batch sizes
     # differ, so the shorter batches are zero-padded in the tensor
     dset = ds.synthesize(23, 4, 2)
-    part = ds.partition(dset, 3, 2, 0, mode="sorted")
-    p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=3.0, R_y=1.0)
+    index = ds.partition(dset, 3, 2, 0, mode="sorted")
+    p = ds.RobustLRProblem(dset, index, lam=1.0, beta=0.5, R_x=3.0, R_y=1.0)
     assert len(set(p.sizes.ravel().tolist())) > 1
     A_all, b_all = dset.features, dset.labels
-    index = part.index
     rng = np.random.default_rng(4)
     X = rng.standard_normal((3, 4))
     Y = 0.3 * rng.standard_normal((3, 4))

@@ -111,6 +111,15 @@ def test_stage_contraction_bound(mu, ratio, cross_frac, delta, k):
     assert p.t * -math.log1p(-gap) >= need * (1 - 1e-12)
 
 
+@pytest.mark.parametrize("delta", [-0.1, 1.5])
+def test_schedules_refuse_delta_outside_the_unit_interval(ring4_spec, delta):
+    message = rf"delta = {delta} outside \[0, 1\]"
+    with pytest.raises(ds.InfeasibleParameterError, match=message):
+        ds.crdpsg_stage_params(0, _consts(), delta, ring4_spec)
+    with pytest.raises(ds.InfeasibleParameterError, match=message):
+        ds.cdpsvrg_params(_consts(), delta, ring4_spec, 0.5)
+
+
 def test_svrg_frozen_values(ring4_spec):
     # mu = 1, L = 2: s = mu / (24 L^2) = 1/96; delta = 0, ring m = 4:
     # gamma_x = 1 / (4 lambda_max) = 3/16
@@ -189,7 +198,7 @@ def test_single_node_trajectory_does_not_depend_on_the_spectrum(acc_dataset, bit
         acc_dataset, part, lam=ACC["lam"], beta=ACC["beta"],
         R_x=ACC["R_x"], R_y=ACC["R_y"],
     )
-    g1 = ds.DecGraph(1, np.array([[1.0]]))
+    g1 = ds.DecGraph(np.array([[1.0]]))
     if bits is None:
         comp = ds.identity_compressor()
     else:

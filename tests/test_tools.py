@@ -1,7 +1,10 @@
+import importlib.util
 import os
 import shutil
 import subprocess
 import sys
+
+import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -10,7 +13,7 @@ def test_step_sweep_smoke():
     # every (m, d, oracle) cell of the sweep runs and prints one row; with
     # --against (here the same tree imported a second time) each row adds
     # the other tree's time, the ratio and the repeats the other tree won,
-    # and the ratio ends in ? unless one tree won both repeats
+    # and the ratio ends in ?: no split of 2 repeats passes the sign test
     sweep = [sys.executable, os.path.join(ROOT, "tools", "step_sweep.py"),
              "--steps", "5", "--repeats", "2"]
     for extra, against in (([], []), (["against", "ratio", "won"],
@@ -29,9 +32,32 @@ def test_step_sweep_smoke():
                 *times, won = times
                 k, repeats = won.split("/")
                 assert repeats == "2" and k in ("0", "1", "2")
-                assert times[-1].endswith("?") == (k == "1")
+                assert times[-1].endswith("?")
                 times[-1] = times[-1].rstrip("?")
             assert all(float(v) > 0 for v in times)
+
+
+@pytest.mark.parametrize("won, repeats, expected", [
+    (9, 10, False),  # p = 22/1024, about 0.021
+    (10, 10, True),  # p = 2/1024
+    (0, 10, True),  # the other side, as unlikely
+    (18, 20, True),  # p = 422/2^20, about 4e-4
+])
+def test_step_sweep_resolves_by_the_corrected_sign_test(
+    monkeypatch, won, repeats, expected
+):
+    # a cell resolves only when the exact two-sided sign test on the
+    # won/lost repeats gives p <= 0.05/12; loading the script pins the BLAS
+    # thread variables and puts src/ on sys.path, which monkeypatch undoes
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "step_sweep", os.path.join(ROOT, "tools", "step_sweep.py")
+    )
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    assert sweep.resolved(won, repeats - won) is expected
 
 
 def test_step_sweep_refuses_a_tree_without_step_plan(tmp_path):

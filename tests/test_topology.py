@@ -83,8 +83,20 @@ def test_torus_rejects_small():
         ds.build_torus(2, 5)
 
 
+@pytest.mark.parametrize("W, message", [
+    (np.full((2, 3), 1.0 / 3.0), "W must be square"),
+    (np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]),
+     "W must be exactly symmetric"),
+    (np.eye(3) * 0.9, "W must be row stochastic"),
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), "W must have positive diagonal"),
+], ids=["non-square", "asymmetric", "rows-not-1", "zero-diagonal"])
+def test_graph_rejects_a_matrix_that_cannot_mix(W, message):
+    with pytest.raises(ValueError, match=message):
+        ds.DecGraph(W)
+
+
 def test_identity_matrix_disconnected():
-    g = ds.DecGraph(3, np.eye(3))
+    g = ds.DecGraph(np.eye(3))
     with pytest.raises(ds.DisconnectedGraphError):
         ds.spectral(g)
 
@@ -193,6 +205,12 @@ def test_pinv_norm_kernel_and_zero():
     V = np.tile(np.array([1.0, 2.0]), (4, 1))
     assert ds.pinv_weighted_sqnorm(spec, V) < 1e-18
     assert ds.pinv_weighted_sqnorm(spec, np.zeros((4, 2))) == 0.0
+
+
+def test_pinv_norm_rejects_another_node_count():
+    spec = ds.spectral(ds.build_ring(4))
+    with pytest.raises(ValueError, match="node-block count"):
+        ds.pinv_weighted_sqnorm(spec, np.zeros((5, 2)))
 
 
 def test_pinv_norm_range_identity():

@@ -1,6 +1,6 @@
 """Median microseconds per IPDHG step over node count, dimension and oracle.
 
-    python3 tools/step_sweep.py [--steps 300] [--repeats 7] [--against SRC]
+    python3 tools/step_sweep.py [--steps 300] [--repeats 10] [--against SRC]
 
 For every m in {4, 16, 64} (a ring at m = 4, a square torus otherwise) and
 d in {10, 100} it builds a synthetic robust logistic regression problem
@@ -27,8 +27,10 @@ alternates them repeat by repeat (the order flips each repeat), so both
 see the same machine state; a row adds the other tree's median, the
 ratio against / this (above 1: this tree is faster), and in how many
 repeats the other tree won (ran faster).  A ratio ends in `?`,
-unresolved, unless one tree won at least 9 in 10 of the repeats (the
-claim rule; a tie counts for neither).  A tree without
+unresolved, unless the exact two-sided sign test on the won and lost
+repeats (ties dropped) gives p <= 0.05 / 12, a Bonferroni correction over
+the sweep's 12 cells (`resolved`): at 10 repeats only a 10-0 split
+resolves, and below 9 repeats none can.  A tree without
 `step_plan`, or one that still passes x and y as separate arrays (it
 exports `PrimalDualPoint`), is refused.
 """
@@ -42,6 +44,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
+import math  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -55,8 +58,11 @@ import decsaddle  # noqa: E402
 
 NODES = (4, 16, 64)
 DIMS = (10, 100)
+ORACLES = ("gsgo", "svrgo")
 BATCHES, BATCH_SIZE = 5, 8
 WARMUP = 20
+# family-wise level of the sign test, split over the sweep's cells
+LEVEL = 0.05 / (len(NODES) * len(DIMS) * len(ORACLES))
 
 
 def load_tree(src, name="decsaddle_against"):
@@ -131,6 +137,15 @@ def make_cell(ds, m, d, kind):
     return timed
 
 
+def resolved(won: int, lost: int) -> bool:
+    """Whether won against lost repeats (ties dropped) tells the trees
+    apart: the exact two-sided sign test's p-value, the chance under a
+    fair coin of a split at least as uneven, is at most LEVEL."""
+    n = won + lost
+    tail = sum(math.comb(n, k) for k in range(min(won, lost) + 1))
+    return min(1.0, 2.0 * tail / 2.0**n) <= LEVEL
+
+
 def time_cells(trees, m, d, kind, steps, repeats):
     """us/step of one cell in each tree, one list per tree with one entry
     per repeat, alternating the trees repeat by repeat."""
@@ -146,7 +161,7 @@ def time_cells(trees, m, d, kind, steps, repeats):
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--steps", type=int, default=300)
-    ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--repeats", type=int, default=10)
     ap.add_argument("--against", metavar="SRC",
                     help="directory holding another decsaddle package")
     args = ap.parse_args(argv)
@@ -158,14 +173,14 @@ def main(argv=None):
     print(head)
     for m in NODES:
         for d in DIMS:
-            for kind in ("gsgo", "svrgo"):
+            for kind in ORACLES:
                 per_step = time_cells(trees, m, d, kind, args.steps, args.repeats)
                 us = [statistics.median(v) for v in per_step]
                 row = f"{m:>4} {d:>4} {kind:>6} {us[0]:>9.1f}"
                 if args.against:
                     won = sum(b < a for a, b in zip(*per_step))
                     lost = sum(a < b for a, b in zip(*per_step))
-                    mark = "" if 10 * max(won, lost) >= 9 * args.repeats else "?"
+                    mark = "" if resolved(won, lost) else "?"
                     ratio = f"{us[1] / us[0]:.3f}{mark}"
                     row += f" {us[1]:>9.1f} {ratio:>7} {won:>2}/{args.repeats}"
                 print(row, flush=True)
