@@ -360,6 +360,15 @@ def _record(prob: RobustLRProblem) -> dict:
     return {"m": prob.m, "n": prob.n, "N": prob.N, "constants": asdict(prob.constants)}
 
 
+def _fields(params) -> dict:
+    """A schedule record's fields as JSON values, each (x, y) pair as a
+    two-element list [x, y]."""
+    return {
+        key: v.tolist() if isinstance(v, np.ndarray) else v
+        for key, v in asdict(params).items()
+    }
+
+
 def cmd_reference(cfg: RunConfig) -> int:
     out, _, z, residual = reference_verdict(cfg)
     write_zstar(out, z, residual)
@@ -370,11 +379,9 @@ def cmd_reference(cfg: RunConfig) -> int:
 def build(cfg: RunConfig):
     """The one build path of run and validate: returns
     (dataset, problem, graph, spectrum, compressor)."""
-    t = cfg.topology
-    m = t["m"] if t["kind"] == "ring" else t["rows"] * t["cols"]
-    dataset = build_dataset(cfg)
-    prob = build_problem(cfg, dataset, m)
     g, spec = build_graph(cfg)
+    dataset = build_dataset(cfg)
+    prob = build_problem(cfg, dataset, g.m)
     compressor = build_compressor(cfg, prob.d)
     return dataset, prob, g, spec, compressor
 
@@ -417,13 +424,13 @@ def verdict(cfg: RunConfig):
             except InfeasibleParameterError as e:
                 failure = str(e)  # StageParams prefixes `stage k: `
                 break
-        record["schedule"] = [asdict(sp) for sp in schedule]
+        record["schedule"] = [_fields(sp) for sp in schedule]
     else:
         try:
             schedule = cdpsvrg_params(
                 prob.constants, compressor.delta, spec, cfg.setting("oracle.p")
             )
-            record["schedule"] = asdict(schedule)
+            record["schedule"] = _fields(schedule)
         except InfeasibleParameterError as e:
             failure = str(e)
     if failure is None and "compute" in cfg.reference:

@@ -37,51 +37,50 @@ def _factor(shape: tuple, *blocks) -> np.ndarray:
 def check_windows(params, where: str = "", b_open: bool | None = None) -> None:
     """The one window check of a step's parameter record, run when the
     record is built; raises on the first factor outside its window, named
-    after the prefix where.  With b_open not None (a schedule's record):
-    b_x, b_y in (0, 1) if b_open, else (0, 1]; M_x, M_y, (1-b_x)/M_x and
-    (1-b_y)/M_y in (0, 1] (InfeasibleParameterError).  Then s > 0
-    (ValueError), alpha_x, alpha_y in (0, 1/(1+delta))
-    (InfeasibleParameterError) and gamma_x, gamma_y > 0 (ValueError)."""
+    after the prefix where and the block, x or y.  With b_open not None (a
+    schedule's record): b in (0, 1) if b_open, else (0, 1]; M and (1-b)/M
+    in (0, 1] (InfeasibleParameterError).  Then s > 0 (ValueError), alpha
+    in (0, 1/(1+delta)) (InfeasibleParameterError) and gamma > 0
+    (ValueError), each of b, M, alpha and gamma an (x, y) pair."""
     if b_open is not None:
-        for name, v, is_open in (
-            ("b_x", params.b_x, b_open),
-            ("b_y", params.b_y, b_open),
-            ("M_x", params.M_x, False),
-            ("M_y", params.M_y, False),
-            ("(1-b_x)/M_x", (1.0 - params.b_x) / params.M_x, False),
-            ("(1-b_y)/M_y", (1.0 - params.b_y) / params.M_y, False),
+        for name, pair, is_open in (
+            ("b_{0}", params.b, b_open),
+            ("M_{0}", params.M, False),
+            ("(1-b_{0})/M_{0}", (1.0 - params.b) / params.M, False),
         ):
-            if not (0.0 < v < 1.0 if is_open else 0.0 < v <= 1.0):
-                window = "(0, 1)" if is_open else "(0, 1]"
-                raise InfeasibleParameterError(
-                    f"{where}{name} = {v:.6g} outside {window}"
-                )
+            for block, v in zip("xy", pair):
+                if not (0.0 < v < 1.0 if is_open else 0.0 < v <= 1.0):
+                    window = "(0, 1)" if is_open else "(0, 1]"
+                    raise InfeasibleParameterError(
+                        f"{where}{name.format(block)} = {v:.6g} outside {window}"
+                    )
     if params.s <= 0:
         raise ValueError(f"{where}step size s = {params.s} must be positive")
     hi = 1.0 / (1.0 + params.delta)
-    for name, a in (("alpha_x", params.alpha_x), ("alpha_y", params.alpha_y)):
+    for block, a in zip("xy", params.alpha):
         if not 0.0 < a < hi:
             raise InfeasibleParameterError(
-                f"{where}{name} = {a:.4g} outside (0, 1/(1+delta)) with "
+                f"{where}alpha_{block} = {a:.4g} outside (0, 1/(1+delta)) with "
                 f"delta = {params.delta:.4g}"
             )
-    if params.gamma_x <= 0 or params.gamma_y <= 0:
+    if (params.gamma <= 0).any():
         raise ValueError(f"{where}gamma_x, gamma_y must be positive")
 
 
 @dataclass
 class StepParams:
-    """Per-step scalars of a hand-built step; the schedules' records
+    """Per-step scalars of a hand-built step, gamma and alpha (x, y)
+    pairs, held as (2,) arrays; the schedules' records
     (solvers.StageParams, SvrgParams) carry the same fields."""
 
     s: float
-    gamma_x: float
-    gamma_y: float
-    alpha_x: float
-    alpha_y: float
+    gamma: np.ndarray
+    alpha: np.ndarray
     delta: float = 0.0
 
     def __post_init__(self):
+        self.gamma = np.array(self.gamma, dtype=float)
+        self.alpha = np.array(self.alpha, dtype=float)
         check_windows(self)
 
 
@@ -173,12 +172,11 @@ def step_plan(
     diff = np.empty(shape)
     # the factors at the shapes they multiply: a product of same-shape
     # arrays skips NumPy's broadcasting set-up and gives the same bits
-    s, gx, gy = params.s, params.gamma_x, params.gamma_y
-    ax, ay = params.alpha_x, params.alpha_y
+    s, gamma = params.s, params.gamma
     signed_s = _factor(shape, -s, s)  # x descends, y ascends
-    alpha = _factor(HH.shape, ax, ay)
+    alpha = _factor(HH.shape, *params.alpha)
     # gamma / (2 s) for D, -gamma / 2 for the pre-projection point
-    pair = _factor(D_nu.shape, (gx / (2.0 * s), gy / (2.0 * s)), (-gx / 2.0, -gy / 2.0))
+    pair = _factor(D_nu.shape, gamma / (2.0 * s), -gamma / 2.0)
     s = _factor(shape, s, s)
     exchange = bind_exchange(HH, alpha, g, compressor, rng, NN, diff)
     prox = prob.bind_prox(shape)

@@ -95,14 +95,14 @@ def distance_to_saddle(ens, z_star: np.ndarray) -> float:
 
 def phi(ens, anchors: SaddleAnchors, params, spec: SpectralInfo) -> float:
     """Lyapunov diagnostic: iterate, dual-tracking and reference errors,
-    each summed per block and weighted by [M_x, M_y], [2s^2/gamma_x,
-    2s^2/gamma_y] and sqrt(delta), with delta = params.delta.  The dual
-    terms use the pseudoinverse metric of I-W."""
+    each summed per block and weighted by the (x, y) pairs M and 2s^2 /
+    gamma, and by sqrt(delta), with delta = params.delta.  The dual terms
+    use the pseudoinverse metric of I-W."""
     s2 = params.s**2
     err = _sqnorms(ens.Z - anchors.z_star[:, None])
-    val = np.dot([params.M_x, params.M_y], err)
+    val = np.dot(params.M, err)
     val += np.dot(
-        [2.0 * s2 / params.gamma_x, 2.0 * s2 / params.gamma_y],
+        np.divide(2.0 * s2, params.gamma),
         pinv_weighted_sqnorm(spec, ens.D - anchors.D_star),
     )
     val += np.sqrt(params.delta) * np.sum(_sqnorms(ens.H - anchors.H_star))
@@ -111,8 +111,6 @@ def phi(ens, anchors: SaddleAnchors, params, spec: SpectralInfo) -> float:
 
 def phi_tilde(ens, anchors: SaddleAnchors, svrg_state, params, spec: SpectralInfo) -> float:
     """phi plus the reference-point error terms of the variance-reduced
-    run, weighted by [c_tilde_x, c_tilde_y]."""
+    run, weighted by the (x, y) pair c_tilde."""
     err = _sqnorms(svrg_state.Z_tilde - anchors.z_star[:, None])
-    return phi(ens, anchors, params, spec) + float(
-        np.dot([params.c_tilde_x, params.c_tilde_y], err)
-    )
+    return phi(ens, anchors, params, spec) + float(np.dot(params.c_tilde, err))

@@ -27,19 +27,15 @@ from .topology import DecGraph, SpectralInfo
 class StageParams:
     """Stage-k scalars of the restart method, the step parameters of the
     stage's steps, checked at construction (ipdhg.check_windows, b in
-    (0, 1])."""
+    (0, 1]).  b, gamma, alpha and M are (x, y) pairs, (2,) arrays in the
+    order of the stacked state."""
 
     k: int
     s: float
-    b_x: float
-    b_y: float
-    gamma_x: float
-    gamma_y: float
-    alpha_x: float
-    alpha_y: float
-    M_x: float
-    M_y: float
-    M: float
+    b: np.ndarray
+    gamma: np.ndarray
+    alpha: np.ndarray
+    M: np.ndarray
     t: int
     rho: float
     delta: float
@@ -48,6 +44,24 @@ class StageParams:
         check_windows(self, f"stage {self.k}: ", b_open=False)
         if self.t < 1:
             raise InfeasibleParameterError(f"stage {self.k}: t = {self.t} < 1")
+
+
+def block_constants(consts: SaddleConstants):
+    """The one place that orients the constants on the (x, y) block pair:
+    (mu, cross^2, diag^2), each a (2,) array, block 0 for x and block 1
+    for y.  The x block reads mu_x, L_yx and L_xx, the y block mu_y, L_xy
+    and L_yy.  The scalars are squared before they are stacked, so every
+    schedule value has the bits of the per-block formula."""
+    return (
+        np.array([consts.mu_x, consts.mu_y]),
+        np.array([consts.L_yx**2, consts.L_xy**2]),
+        np.array([consts.L_xx**2, consts.L_yy**2]),
+    )
+
+
+def _modulus(alpha, gamma, rd: float, lam_max: float) -> np.ndarray:
+    """M = 1 - sqrt(delta) alpha / (1 - gamma lambda_max / 2), per block."""
+    return 1.0 - rd * alpha / (1.0 - 0.5 * gamma * lam_max)
 
 
 _RESTART_C = 1.0 - 1.0 / math.sqrt(2.0)
@@ -70,59 +84,49 @@ def crdpsg_stage_params(
 ) -> StageParams:
     """Closed-form stage-k schedule of the restart method.
 
-    The stage's factors (1-b_x)/M_x and (1-b_y)/M_y meet 1 - r, r the
-    first term of crdpsg_rho at this stage, c / (8 kappa_f^2 2^(k/2)),
-    through two caps.  b = mu s - 4 s^2 L_cross^2 peaks at s = mu /
-    (8 L_cross^2), so s is at most that (which binds only if L_cross >
-    L / sqrt(2)); then b >= mu s0 / 2^(k/2 + 2) > r, s0 = 1 / (4 L
-    kappa_f).  M = 1 - sqrt(delta) alpha / (1 - gamma lambda_max / 2)
-    falls as alpha grows, so alpha is at most the value that gives M =
-    (1-b) / (1-r).
+    The stage's factors (1-b)/M of both blocks meet 1 - r, r the first
+    term of crdpsg_rho at this stage, c / (8 kappa_f^2 2^(k/2)), through
+    two caps.  b = mu s - 4 s^2 L_cross^2 peaks at s = mu / (8
+    L_cross^2), so s is at most that (which binds only if L_cross > L /
+    sqrt(2)); then b >= mu s0 / 2^(k/2 + 2) > r, s0 = 1 / (4 L kappa_f).
+    M = 1 - sqrt(delta) alpha / (1 - gamma lambda_max / 2) falls as alpha
+    grows, so alpha is at most the value that gives M = (1-b) / (1-r).
 
-    t is the least step count with r_k^t at most M / (3 M_x + 6
-    sqrt(delta)), M / (3 M_y + 6 sqrt(delta)) and M / 3, at the rate r_k =
+    t is the least step count with r_k^t at most min(M) / (3 M + 6
+    sqrt(delta)) for each block's M and min(M) / 3, at the rate r_k =
     max(1 - rho / 2^(k/2), contraction_rate(stage, spec)): the restart
     rate, or the stage's slowest contraction factor where that is slower.
+    A stage whose r_k rounds to 1 is refused.
     """
     if not 0.0 <= delta <= 1.0:
         raise InfeasibleParameterError(f"delta = {delta} outside [0, 1]")
+    mu, cross2, _ = block_constants(consts)
     scale = 2.0 ** (k / 2.0)
     s0 = 1.0 / (4.0 * consts.L * consts.kappa_f)
-    s = min(
-        s0 / scale,
-        consts.mu_x / (8.0 * consts.L_yx**2),
-        consts.mu_y / (8.0 * consts.L_xy**2),
-    )
-    b_x = consts.mu_x * s - 4.0 * s**2 * consts.L_yx**2
-    b_y = consts.mu_y * s - 4.0 * s**2 * consts.L_xy**2
+    s = float(min(s0 / scale, *(mu / (8.0 * cross2))))
+    b = mu * s - 4.0 * s**2 * cross2
     lam_max = spec.lambda_max
-    gamma_x = b_x / (2.0 * (1.0 + delta) ** 2 * lam_max)
-    gamma_y = b_y / (2.0 * (1.0 + delta) ** 2 * lam_max)
+    gamma = b / (2.0 * (1.0 + delta) ** 2 * lam_max)
     rd = math.sqrt(delta)
     r = _RESTART_C / (8.0 * consts.kappa_f**2 * scale)
-
-    def alpha(b, gamma):
+    alpha = b / (1.0 + delta)
+    if rd > 0.0:
         q = 1.0 - 0.5 * gamma * lam_max
-        a = b / (1.0 + delta)
-        return min(a, q * (b - r) / (rd * (1.0 - r))) if rd > 0.0 else a
-
-    alpha_x, alpha_y = alpha(b_x, gamma_x), alpha(b_y, gamma_y)
-    M_x = 1.0 - rd * alpha_x / (1.0 - 0.5 * gamma_x * lam_max)
-    M_y = 1.0 - rd * alpha_y / (1.0 - 0.5 * gamma_y * lam_max)
-    M = min(M_x, M_y)
+        alpha = np.minimum(alpha, q * (b - r) / (rd * (1.0 - r)))
+    M = _modulus(alpha, gamma, rd, lam_max)
     rho = crdpsg_rho(consts, delta, spec)
     stage = StageParams(
-        k=k, s=s, b_x=b_x, b_y=b_y, gamma_x=gamma_x, gamma_y=gamma_y,
-        alpha_x=alpha_x, alpha_y=alpha_y, M_x=M_x, M_y=M_y, M=M, t=1,
-        rho=rho, delta=delta,
+        k=k, s=s, b=b, gamma=gamma, alpha=alpha, M=M, t=1, rho=rho, delta=delta
     )
-    # r_k = max(1 - rho / 2^(k/2), contraction_rate), in log1p form
-    denom = -math.log1p(-min(rho / scale, 1.0 - contraction_rate(stage, spec)))
-    t_real = (1.0 / denom) * max(
-        math.log((3.0 * M_x + 6.0 * rd) / M),
-        math.log((3.0 * M_y + 6.0 * rd) / M),
-        math.log(3.0 / M),
-    )
+    # 1 - r_k, r_k = max(1 - rho / 2^(k/2), contraction_rate), in log1p form
+    gap = min(rho / scale, 1.0 - contraction_rate(stage, spec))
+    if not gap > 0.0:
+        raise InfeasibleParameterError(
+            f"stage {k}: contraction rate r_k = {1.0 - gap:.6g} is not below 1"
+        )
+    m_min = float(M.min())
+    need = [*(3.0 * M + 6.0 * rd) / m_min, 3.0 / m_min]
+    t_real = (1.0 / -math.log1p(-gap)) * max(math.log(v) for v in need)
     return replace(stage, t=max(int(math.ceil(t_real)), 1))
 
 
@@ -132,35 +136,29 @@ def contraction_rate(params, spec: SpectralInfo) -> float:
     where the record carries a refresh probability p (SvrgParams)."""
     lam2 = spec.lambda_second_smallest
     terms = [
-        (1.0 - params.b_x) / params.M_x,
-        (1.0 - params.b_y) / params.M_y,
-        1.0 - params.alpha_x,
-        1.0 - params.alpha_y,
-        1.0 - 0.5 * params.gamma_x * lam2,
-        1.0 - 0.5 * params.gamma_y * lam2,
+        *(1.0 - params.b) / params.M,
+        *(1.0 - params.alpha),
+        *(1.0 - 0.5 * params.gamma * lam2),
     ]
     if isinstance(params, SvrgParams):
         terms.append(1.0 - params.p / 2.0)
-    return max(terms)
+    return float(max(terms))
 
 
 @dataclass(frozen=True)
 class SvrgParams:
     """Scalars of the variance-reduced method, the step parameters of its
     steps, checked at construction (ipdhg.check_windows, b in (0, 1)); p,
-    whose window cdpsvrg_params checks, is the refresh probability."""
+    whose window cdpsvrg_params checks, is the refresh probability.
+    c_tilde, b, alpha, gamma and M are (x, y) pairs, (2,) arrays in the
+    order of the stacked state."""
 
     s: float
-    c_tilde_x: float
-    c_tilde_y: float
-    b_x: float
-    b_y: float
-    alpha_x: float
-    alpha_y: float
-    gamma_x: float
-    gamma_y: float
-    M_x: float
-    M_y: float
+    c_tilde: np.ndarray
+    b: np.ndarray
+    alpha: np.ndarray
+    gamma: np.ndarray
+    M: np.ndarray
     p: float
     delta: float
 
@@ -181,33 +179,25 @@ def cdpsvrg_params(
         raise InfeasibleParameterError(f"delta = {delta} outside [0, 1]")
     if not 0.0 < p <= 1.0:
         raise InfeasibleParameterError(f"p = {p} outside (0, 1]")
+    mu, cross2, diag2 = block_constants(consts)
     s = consts.mu / (24.0 * consts.L**2)
-    c_tilde_x = 8.0 * s**2 * (consts.L_xx**2 + consts.L_yx**2) / p
-    c_tilde_y = 8.0 * s**2 * (consts.L_yy**2 + consts.L_xy**2) / p
-    b_x = s * consts.mu_x - 4.0 * s**2 * consts.L_yx**2 - c_tilde_x * p
-    b_y = s * consts.mu_y - 4.0 * s**2 * consts.L_xy**2 - c_tilde_y * p
+    c_tilde = 8.0 * s**2 * (diag2 + cross2) / p
+    b = s * mu - 4.0 * s**2 * cross2 - c_tilde * p
     lower = 1.0 / (144.0 * consts.kappa_f**2)
-    if b_x < lower - 1e-15 or b_y < lower - 1e-15:
+    if (b < lower - 1e-15).any():
         raise InfeasibleParameterError(
-            f"b_x = {b_x:.6g} or b_y = {b_y:.6g} below the guaranteed "
+            f"b_x = {b[0]:.6g} or b_y = {b[1]:.6g} below the guaranteed "
             f"lower bound {lower:.6g}"
         )
     rd = math.sqrt(delta)
     lam_max = spec.lambda_max
-    cap = 1.0 / (4.0 * (1.0 + delta) * lam_max)
+    gamma = np.full(2, 1.0 / (4.0 * (1.0 + delta) * lam_max))
     if rd > 0.0:
-        gamma_x = min(b_x / (4.0 * rd * (1.0 + delta) * lam_max), cap)
-        gamma_y = min(b_y / (4.0 * rd * (1.0 + delta) * lam_max), cap)
-    else:
-        gamma_x = gamma_y = cap
-    alpha_x = b_x / (1.0 + delta)
-    alpha_y = b_y / (1.0 + delta)
-    M_x = 1.0 - rd * alpha_x / (1.0 - 0.5 * gamma_x * lam_max)
-    M_y = 1.0 - rd * alpha_y / (1.0 - 0.5 * gamma_y * lam_max)
+        gamma = np.minimum(b / (4.0 * rd * (1.0 + delta) * lam_max), gamma)
+    alpha = b / (1.0 + delta)
     return SvrgParams(
-        s=s, c_tilde_x=c_tilde_x, c_tilde_y=c_tilde_y, b_x=b_x, b_y=b_y,
-        alpha_x=alpha_x, alpha_y=alpha_y, gamma_x=gamma_x, gamma_y=gamma_y,
-        M_x=M_x, M_y=M_y, p=p, delta=delta,
+        s=s, c_tilde=c_tilde, b=b, alpha=alpha, gamma=gamma,
+        M=_modulus(alpha, gamma, rd, lam_max), p=p, delta=delta,
     )
 
 

@@ -91,7 +91,7 @@ def test_validate_reports_constants(tmp_path, capsys):
     record, tail = _validate_output(capsys.readouterr().out)
     assert "kappa_f" in record["constants"] and "lambda_max" in record["spectrum"]
     # delta = 0 gives M_x = M_y = 1
-    assert record["schedule"]["M_x"] == 1.0
+    assert record["schedule"]["M"][0] == 1.0
     assert tail == ["all parameter windows feasible"]
 
 
@@ -265,6 +265,20 @@ def test_stage_refusal_names_its_stage_once(tmp_path, capsys):
     assert "\n".join(tail).count("stage 0: ") == 1
 
 
+def test_stage_whose_rate_rounds_to_1_is_refused(tmp_path, capsys):
+    # at lambda = 1e-9 the stage's slowest contraction factor rounds to 1,
+    # so no step count reaches the stage's target: the stage is refused
+    # (exit 3), once, instead of dividing by log(1) = 0
+    path = _golden("golden_torus", tmp_path, problem={"lambda": 1e-9})
+    assert main(["validate", path]) == EXIT_INFEASIBLE
+    _, tail = _validate_output(capsys.readouterr().out)
+    assert tail[0] == "FAILURES:"
+    assert tail[1].strip().startswith("stage 0: contraction rate r_k = 1 ")
+    assert "\n".join(tail).count("stage 0: ") == 1
+    assert main(["run", path]) == EXIT_INFEASIBLE
+    assert capsys.readouterr().err.count("stage 0: ") == 1
+
+
 def test_svrg_step_does_not_depend_on_n(tmp_path, capsys):
     # s = mu / (24 L^2) for every n, also at n = 49, where n * (1/n)
     # rounds below 1
@@ -340,6 +354,11 @@ def test_config_requires_reference_for_runs(tmp_path):
         RunConfig.parse(cfg)
 
 
+def _as_json(params):
+    """A schedule record's fields with each (x, y) pair as a list [x, y]."""
+    return json.loads(json.dumps(dataclasses.asdict(params), default=np.ndarray.tolist))
+
+
 def _leaves(obj):
     if isinstance(obj, dict):
         for v in obj.values():
@@ -398,13 +417,13 @@ def test_meta_derived_matches_validate(tmp_path, capsys, overrides):
     assert printed["delta"] == comp.delta
     if cfg["algorithm"] == "crdpsg":
         assert printed["schedule"] == [
-            dataclasses.asdict(
+            _as_json(
                 solvers.crdpsg_stage_params(k, prob.constants, comp.delta, spec)
             )
             for k in range(cfg["budget"]["stages"])
         ]
     else:
-        assert printed["schedule"] == dataclasses.asdict(
+        assert printed["schedule"] == _as_json(
             solvers.cdpsvrg_params(prob.constants, comp.delta, spec, p=1.0 / prob.n)
         )
 

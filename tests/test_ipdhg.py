@@ -20,7 +20,7 @@ def _exact_draw(prob, ens):
 def test_single_node_reduces_to_prox_gda():
     prob = _problem(m=1)
     g = ds.DecGraph(np.array([[1.0]]))
-    params = ds.StepParams(s=0.01, gamma_x=1.0, gamma_y=1.0, alpha_x=0.3, alpha_y=0.3)
+    params = ds.StepParams(s=0.01, gamma=(1.0, 1.0), alpha=(0.3, 0.3))
     Z = np.array([[[0.5, -0.2, 0.1]], [[0.0, 0.1, 0.0]]])
     x, y = Z
     ens = ds.NodeEnsemble.initialize(g, Z)
@@ -40,7 +40,7 @@ def test_fixed_point_is_stationary(acc_graph, acc_problem, acc_zstar):
     z, _ = acc_zstar
     s = 0.001
     anchors = ds.compute_anchors(prob, z, s)
-    params = ds.StepParams(s=s, gamma_x=0.01, gamma_y=0.01, alpha_x=0.3, alpha_y=0.3)
+    params = ds.StepParams(s=s, gamma=(0.01, 0.01), alpha=(0.3, 0.3))
     Z = np.tile(z[:, None], (1, g.m, 1))
     ens = ds.NodeEnsemble.initialize(g, Z, D=anchors.D_star, H=anchors.H_star)
     comp = ds.identity_compressor()
@@ -60,7 +60,7 @@ def test_step_matches_straight_line_transcription(g, N, lam):
     # independent transcription of the primal-dual update equations
     m = g.m
     prob = _problem(m=m, d=1, N=N, lam=lam, beta=lam / 2)
-    params = ds.StepParams(s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25)
+    params = ds.StepParams(s=0.05, gamma=(0.02, 0.03), alpha=(0.2, 0.25))
     rng0 = np.random.default_rng(8)
     x = rng0.standard_normal((m, 1))
     y = 0.3 * rng0.standard_normal((m, 1))
@@ -74,7 +74,7 @@ def test_step_matches_straight_line_transcription(g, N, lam):
 
     W = g.W
     Gx, Gy = prob.full_grads(np.array([x, y]))
-    s, gx_, gy_ = params.s, params.gamma_x, params.gamma_y
+    s, gx_, gy_ = params.s, params.gamma[0], params.gamma[1]
     nux = x - s * Gx - s * Dx0
     nux_hat = nux  # identity compression: the quantized difference is exact
     nux_hat_w = W @ nux
@@ -101,7 +101,7 @@ def test_dual_tracker_mean_invariant():
     g = ds.build_ring(4)
     comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
     params = ds.StepParams(
-        s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2, delta=0.1
+        s=0.01, gamma=(0.02, 0.02), alpha=(0.2, 0.2), delta=0.1
     )
     rng = np.random.default_rng(5)
     ens = ds.NodeEnsemble.initialize(g, np.zeros((2, 4, 3)))
@@ -152,7 +152,7 @@ def test_counters_recorded():
     g = ds.build_ring(3)
     comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
     params = ds.StepParams(
-        s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2, delta=0.1
+        s=0.01, gamma=(0.02, 0.02), alpha=(0.2, 0.2), delta=0.1
     )
     ens = ds.NodeEnsemble.initialize(g, np.zeros((2, 3, 3)))
     counters = ds.CostCounters()
@@ -168,7 +168,7 @@ def test_nonfinite_iterate_raises(block):
     # a NaN gradient at one node must stop the step, not only a logged row
     prob = _problem(m=3)
     g = ds.build_ring(3)
-    params = ds.StepParams(s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2)
+    params = ds.StepParams(s=0.01, gamma=(0.02, 0.02), alpha=(0.2, 0.2))
     ens = ds.NodeEnsemble.initialize(g, np.zeros((2, 3, 3)))
 
     def draw():
@@ -203,8 +203,8 @@ def test_ensemble_trajectory_matches_per_node_loop():
 
     g = ds.build_ring(4)
     W = g.W
-    params = ds.StepParams(s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25)
-    s, ax, ay = params.s, params.alpha_x, params.alpha_y
+    params = ds.StepParams(s=0.05, gamma=(0.02, 0.03), alpha=(0.2, 0.25))
+    s, ax, ay = params.s, params.alpha[0], params.alpha[1]
     x = np.random.default_rng(2).standard_normal((4, 3))
     y = np.zeros((4, 3))
     ens = ds.NodeEnsemble.initialize(g, np.array([x, y]))
@@ -226,10 +226,10 @@ def test_ensemble_trajectory_matches_per_node_loop():
         nuy = y + s * Gy - s * Dy
         nux_w = Hwx + W @ (nux - Hx)  # identity compression: nu_hat = nu
         nuy_w = Hwy + W @ (nuy - Hy)
-        Dx = Dx + (params.gamma_x / (2 * s)) * (nux - nux_w)
-        Dy = Dy + (params.gamma_y / (2 * s)) * (nuy - nuy_w)
-        x = np.stack([project(prob, r, 0) for r in nux - (params.gamma_x / 2) * (nux - nux_w)])
-        y = np.stack([project(prob, r, 1) for r in nuy - (params.gamma_y / 2) * (nuy - nuy_w)])
+        Dx = Dx + (params.gamma[0] / (2 * s)) * (nux - nux_w)
+        Dy = Dy + (params.gamma[1] / (2 * s)) * (nuy - nuy_w)
+        x = np.stack([project(prob, r, 0) for r in nux - (params.gamma[0] / 2) * (nux - nux_w)])
+        y = np.stack([project(prob, r, 1) for r in nuy - (params.gamma[1] / 2) * (nuy - nuy_w)])
         Hx, Hwx = (1 - ax) * Hx + ax * nux, (1 - ax) * Hwx + ax * nux_w
         Hy, Hwy = (1 - ay) * Hy + ay * nuy, (1 - ay) * Hwy + ay * nuy_w
         worst = max(worst, np.max(np.abs(ens.Z[0] - x)), np.max(np.abs(ens.Z[1] - y)))
@@ -239,18 +239,18 @@ def test_ensemble_trajectory_matches_per_node_loop():
 def test_step_params_alpha_window():
     # the reference mixing factors must lie in (0, 1/(1+delta)); the window
     # is checked once per parameter set, not on every exchange
-    ok = dict(s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.3, alpha_y=0.3, delta=0.5)
+    ok = dict(s=0.01, gamma=(0.02, 0.02), alpha=(0.3, 0.3), delta=0.5)
     ds.StepParams(**ok)
-    for name in ("alpha_x", "alpha_y"):
+    for alpha in ((0.9, 0.3), (0.3, 0.9)):
         with pytest.raises(InfeasibleParameterError):
-            ds.StepParams(**dict(ok, **{name: 0.9}))  # 0.9 > 1/1.5
+            ds.StepParams(**dict(ok, alpha=alpha))  # 0.9 > 1/1.5
     # parameters checked for a smaller delta than the compressor's
     prob = _problem(m=3)
     g = ds.build_ring(3)
     Z0 = np.zeros((2, 3, 3))
     Z0[0] = 1.0
     ens = ds.NodeEnsemble.initialize(g, Z0)
-    lax = ds.StepParams(**dict(ok, alpha_x=0.9, delta=0.0))
+    lax = ds.StepParams(**dict(ok, alpha=(0.9, 0.3), delta=0.0))
     comp = ds.Compressor(kind="quantize_inf", bits=2, delta=0.5)
     with pytest.raises(InfeasibleParameterError):
         ds.step_plan(
@@ -262,7 +262,7 @@ def test_step_plan_checks_shapes_once():
     # an ensemble built for another graph or dimension is refused when the
     # plan is built, before any step runs
     prob = _problem(m=3)
-    params = ds.StepParams(s=0.01, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2)
+    params = ds.StepParams(s=0.01, gamma=(0.02, 0.02), alpha=(0.2, 0.2))
     comp, rng = ds.identity_compressor(), np.random.default_rng(0)
     for m, d in ((4, 3), (3, 2)):
         g = ds.build_ring(m)
@@ -312,7 +312,7 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
     W, m, n, d = g.W, 4, prob.n, prob.d
     comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
     params = ds.StepParams(
-        s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25, delta=0.1
+        s=0.05, gamma=(0.02, 0.03), alpha=(0.2, 0.25), delta=0.1
     )
     s = params.s
     zeros = np.zeros((m, d))
@@ -351,13 +351,13 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
         advance()
         Gx, Gy = loop_grads(x, y, loop_rng)
         nux = x - s * Gx - s * Dx
-        nhx, nhwx, Hx, Hwx = _exchange(nux, Hx, Hwx, params.alpha_x, W, 4, loop_rng)
-        Dx = Dx + (params.gamma_x / (2.0 * s)) * (nhx - nhwx)
-        x_new = project(prob, nux - (params.gamma_x / 2.0) * (nhx - nhwx), 0)
+        nhx, nhwx, Hx, Hwx = _exchange(nux, Hx, Hwx, params.alpha[0], W, 4, loop_rng)
+        Dx = Dx + (params.gamma[0] / (2.0 * s)) * (nhx - nhwx)
+        x_new = project(prob, nux - (params.gamma[0] / 2.0) * (nhx - nhwx), 0)
         nuy = y + s * Gy - s * Dy
-        nhy, nhwy, Hy, Hwy = _exchange(nuy, Hy, Hwy, params.alpha_y, W, 4, loop_rng)
-        Dy = Dy + (params.gamma_y / (2.0 * s)) * (nhy - nhwy)
-        y = project(prob, nuy - (params.gamma_y / 2.0) * (nhy - nhwy), 1)
+        nhy, nhwy, Hy, Hwy = _exchange(nuy, Hy, Hwy, params.alpha[1], W, 4, loop_rng)
+        Dy = Dy + (params.gamma[1] / (2.0 * s)) * (nhy - nhwy)
+        y = project(prob, nuy - (params.gamma[1] / 2.0) * (nhy - nhwy), 1)
         x = x_new
         if kind == "svrgo":
             st, _ = ds.svrgo_update_reference(st, prob, ens.Z, rng)
@@ -396,7 +396,7 @@ def test_bound_draws_match_one_shot_samplers(kind, quantized):
         if quantized else ds.identity_compressor()
     )
     params = ds.StepParams(
-        s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25, delta=delta
+        s=0.05, gamma=(0.02, 0.03), alpha=(0.2, 0.25), delta=delta
     )
     zeros = np.zeros((2, 4, 3))
     runs = []

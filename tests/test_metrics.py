@@ -81,7 +81,7 @@ def test_phi_zero_at_anchors(acc_problem, acc_graph, acc_zstar):
     m = g.m
     ens = _Ens(_at_zstar(z, m), a.D_star.copy(), a.H_star.copy())
     params = _Params(
-        M_x=1.0, M_y=1.0, s=0.001, gamma_x=0.01, gamma_y=0.01, delta=0.25
+        M=(1.0, 1.0), s=0.001, gamma=(0.01, 0.01), delta=0.25
     )
     assert ds.phi(ens, a, params, spec) <= 1e-18
 
@@ -94,7 +94,7 @@ def test_phi_delta0_ignores_H(acc_problem, acc_graph, acc_zstar):
     rng = np.random.default_rng(0)
     H = np.array([rng.standard_normal(a.H_star[0].shape) for _ in range(2)])
     ens = _Ens(_at_zstar(z, m), a.D_star.copy(), H)
-    params = _Params(M_x=1.0, M_y=1.0, s=0.001, gamma_x=0.01, gamma_y=0.01, delta=0.0)
+    params = _Params(M=(1.0, 1.0), s=0.001, gamma=(0.01, 0.01), delta=0.0)
     assert ds.phi(ens, a, params, spec) <= 1e-18
 
 
@@ -110,7 +110,7 @@ def test_phi_dominates_distance(acc_problem, acc_graph, acc_zstar):
     ens = _Ens(Z, np.zeros((2, m, d)), H)
     M_x, M_y = 0.9, 0.8
     params = _Params(
-        M_x=M_x, M_y=M_y, s=0.001, gamma_x=0.01, gamma_y=0.01, delta=0.04
+        M=(M_x, M_y), s=0.001, gamma=(0.01, 0.01), delta=0.04
     )
     val = ds.phi(ens, a, params, spec)
     assert val >= min(M_x, M_y) * ds.distance_to_saddle(ens, z) - 1e-12
@@ -124,8 +124,8 @@ def test_phi_tilde_hand_arithmetic(acc_problem, acc_graph, acc_zstar):
     d = acc_problem.d
     ens = _Ens(_at_zstar(z, m), a.D_star.copy(), a.H_star.copy())
     params = _Params(
-        M_x=1.0, M_y=1.0, s=0.001, gamma_x=0.01, gamma_y=0.01,
-        delta=0.0, c_tilde_x=2.0, c_tilde_y=3.0,
+        M=(1.0, 1.0), s=0.001, gamma=(0.01, 0.01),
+        delta=0.0, c_tilde=(2.0, 3.0),
     )
     state = type("S", (), {"Z_tilde": _at_zstar(z + [[1.0], [0.0]], m)})
     # phi part vanishes; x-reference offset of 1 per coordinate remains
@@ -141,8 +141,8 @@ def test_phi_tilde_zero(acc_problem, acc_graph, acc_zstar):
     m = g.m
     ens = _Ens(_at_zstar(z, m), a.D_star.copy(), a.H_star.copy())
     params = _Params(
-        M_x=1.0, M_y=1.0, s=0.001, gamma_x=0.01, gamma_y=0.01,
-        delta=0.0, c_tilde_x=2.0, c_tilde_y=3.0,
+        M=(1.0, 1.0), s=0.001, gamma=(0.01, 0.01),
+        delta=0.0, c_tilde=(2.0, 3.0),
     )
     state = type("S", (), {"Z_tilde": _at_zstar(z, m)})
     assert ds.phi_tilde(ens, a, state, params, spec) <= 1e-18
@@ -151,13 +151,13 @@ def test_phi_tilde_zero(acc_problem, acc_graph, acc_zstar):
 def _phi_per_block(x, y, Dx, Dy, Hx, Hy, anchors, params, spec):
     """phi written out block by block, on separate x and y arrays."""
     zx, zy = anchors.z_star
-    val = params.M_x * float(np.sum((x - zx) ** 2))
-    val += params.M_y * float(np.sum((y - zy) ** 2))
+    val = params.M[0] * float(np.sum((x - zx) ** 2))
+    val += params.M[1] * float(np.sum((y - zy) ** 2))
     s2 = params.s**2
-    val += (2.0 * s2 / params.gamma_x) * float(
+    val += (2.0 * s2 / params.gamma[0]) * float(
         pinv_weighted_sqnorm(spec, Dx - anchors.D_star[0])
     )
-    val += (2.0 * s2 / params.gamma_y) * float(
+    val += (2.0 * s2 / params.gamma[1]) * float(
         pinv_weighted_sqnorm(spec, Dy - anchors.D_star[1])
     )
     rd = np.sqrt(params.delta)
@@ -178,8 +178,8 @@ def test_phi_matches_per_block_transcription(acc_problem, acc_graph, acc_zstar):
     rng = np.random.default_rng(11)
     for delta in (0.0, 0.04):
         params = _Params(
-            M_x=0.9, M_y=0.8, s=0.001, gamma_x=0.01, gamma_y=0.02,
-            delta=delta, c_tilde_x=2.0, c_tilde_y=3.0,
+            M=(0.9, 0.8), s=0.001, gamma=(0.01, 0.02),
+            delta=delta, c_tilde=(2.0, 3.0),
         )
         for _ in range(5):
             Z, D, H, Zt = (
@@ -191,7 +191,7 @@ def test_phi_matches_per_block_transcription(acc_problem, acc_graph, acc_zstar):
             val = ds.phi(ens, a, params, spec)
             assert abs(val - expected) <= 1e-12 * abs(expected)
             state = type("S", (), {"Z_tilde": Zt})
-            expected += params.c_tilde_x * float(np.sum((Zt[0] - z[0]) ** 2))
-            expected += params.c_tilde_y * float(np.sum((Zt[1] - z[1]) ** 2))
+            expected += params.c_tilde[0] * float(np.sum((Zt[0] - z[0]) ** 2))
+            expected += params.c_tilde[1] * float(np.sum((Zt[1] - z[1]) ** 2))
             val = ds.phi_tilde(ens, a, state, params, spec)
             assert abs(val - expected) <= 1e-12 * abs(expected)

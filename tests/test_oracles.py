@@ -302,7 +302,7 @@ def test_refresh_keeps_its_own_copy_of_the_point():
     part = ds.partition(dset, 4, 3, 0)
     p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
     g = ds.build_ring(4)
-    params = ds.StepParams(s=0.05, gamma_x=0.02, gamma_y=0.03, alpha_x=0.2, alpha_y=0.25)
+    params = ds.StepParams(s=0.05, gamma=(0.02, 0.03), alpha=(0.2, 0.25))
     comp = ds.identity_compressor()
     rng = np.random.default_rng(1)
     Z0 = np.array([rng.standard_normal((4, 3)), np.zeros((4, 3))])

@@ -28,9 +28,9 @@ def test_stage0_frozen_values(ring4_spec):
     # mu = 1, L = 2, L_xy = L_yx = 1, kappa_f = 2, delta = 0, ring m = 4
     p = ds.crdpsg_stage_params(0, _consts(), 0.0, ring4_spec)
     assert p.s == 1.0 / 16.0
-    assert abs(p.b_x - 3.0 / 64.0) <= 1e-16
-    assert abs(p.gamma_x - 9.0 / 512.0) <= 1e-16
-    assert p.M_x == 1.0 and p.M_y == 1.0 and p.M == 1.0
+    assert abs(p.b[0] - 3.0 / 64.0) <= 1e-16
+    assert abs(p.gamma[0] - 9.0 / 512.0) <= 1e-16
+    assert p.M[0] == 1.0 and p.M[1] == 1.0 and min(p.M) == 1.0
 
 
 def test_stage_delta0_t_formula(ring4_spec):
@@ -57,9 +57,9 @@ def test_stage_step_is_capped_at_the_peak_of_b(ring4_spec):
     # = 1/16, where b_x = mu s / 2 = 1/16 and the factor 1 - b_x meets the bound
     c = ds.SaddleConstants(mu_x=2.0, mu_y=2.0, L_xx=2.0, L_yy=2.0, L_xy=2.0, L_yx=2.0)
     p = ds.crdpsg_stage_params(0, c, 0.0, ring4_spec)
-    assert p.s == 1.0 / 16.0 and p.b_x == p.b_y == 1.0 / 16.0
-    assert p.alpha_x == 1.0 / 16.0 and p.M == 1.0
-    assert 1.0 - p.b_x <= 1.0 - (1.0 - 1.0 / math.sqrt(2.0)) / 8.0
+    assert p.s == 1.0 / 16.0 and p.b[0] == p.b[1] == 1.0 / 16.0
+    assert p.alpha[0] == 1.0 / 16.0 and min(p.M) == 1.0
+    assert 1.0 - p.b[0] <= 1.0 - (1.0 - 1.0 / math.sqrt(2.0)) / 8.0
 
 
 @given(
@@ -91,24 +91,103 @@ def test_stage_contraction_bound(mu, ratio, cross_frac, delta, k):
     spec = ds.spectral(ds.build_ring(4))
     p = ds.crdpsg_stage_params(k, c, delta, spec)
     bound = 1 - (1 - 1 / math.sqrt(2)) / (8 * c.kappa_f**2 * 2 ** (k / 2))
-    assert (1 - p.b_x) / p.M_x <= bound + 1e-12
-    assert (1 - p.b_y) / p.M_y <= bound + 1e-12
+    assert (1 - p.b[0]) / p.M[0] <= bound + 1e-12
+    assert (1 - p.b[1]) / p.M[1] <= bound + 1e-12
     lam2 = spec.lambda_second_smallest
     terms = [
-        (1 - p.b_x) / p.M_x, (1 - p.b_y) / p.M_y,
-        1 - 0.5 * p.gamma_x * lam2, 1 - 0.5 * p.gamma_y * lam2,
-        1 - p.alpha_x, 1 - p.alpha_y,
+        (1 - p.b[0]) / p.M[0], (1 - p.b[1]) / p.M[1],
+        1 - 0.5 * p.gamma[0] * lam2, 1 - 0.5 * p.gamma[1] * lam2,
+        1 - p.alpha[0], 1 - p.alpha[1],
     ]
     # 1 - r_k, whose log1p keeps its digits where r_k is near 1
     gap = min(p.rho / 2 ** (k / 2), 1 - ds.contraction_rate(p, spec))
     assert all(term <= 1 - gap for term in terms)
     rd = math.sqrt(delta)
     need = max(
-        math.log((3 * p.M_x + 6 * rd) / p.M),
-        math.log((3 * p.M_y + 6 * rd) / p.M),
-        math.log(3 / p.M),
+        math.log((3 * p.M[0] + 6 * rd) / min(p.M)),
+        math.log((3 * p.M[1] + 6 * rd) / min(p.M)),
+        math.log(3 / min(p.M)),
     )
     assert p.t * -math.log1p(-gap) >= need * (1 - 1e-12)
+
+
+def _stage_per_block(k, c, delta, spec):
+    """crdpsg_stage_params written out once per block: the x block reads
+    mu_x and L_yx, the y block mu_y and L_xy.  Returns the pairs and t."""
+    scale = 2.0 ** (k / 2.0)
+    s0 = 1.0 / (4.0 * c.L * c.kappa_f)
+    s = min(s0 / scale, c.mu_x / (8.0 * c.L_yx**2), c.mu_y / (8.0 * c.L_xy**2))
+    b_x = c.mu_x * s - 4.0 * s**2 * c.L_yx**2
+    b_y = c.mu_y * s - 4.0 * s**2 * c.L_xy**2
+    lam_max, lam2 = spec.lambda_max, spec.lambda_second_smallest
+    gamma_x = b_x / (2.0 * (1.0 + delta) ** 2 * lam_max)
+    gamma_y = b_y / (2.0 * (1.0 + delta) ** 2 * lam_max)
+    rd = math.sqrt(delta)
+    r = (1.0 - 1.0 / math.sqrt(2.0)) / (8.0 * c.kappa_f**2 * scale)
+    alpha_x, alpha_y = b_x / (1.0 + delta), b_y / (1.0 + delta)
+    if rd > 0.0:
+        q_x, q_y = 1.0 - 0.5 * gamma_x * lam_max, 1.0 - 0.5 * gamma_y * lam_max
+        alpha_x = min(alpha_x, q_x * (b_x - r) / (rd * (1.0 - r)))
+        alpha_y = min(alpha_y, q_y * (b_y - r) / (rd * (1.0 - r)))
+    M_x = 1.0 - rd * alpha_x / (1.0 - 0.5 * gamma_x * lam_max)
+    M_y = 1.0 - rd * alpha_y / (1.0 - 0.5 * gamma_y * lam_max)
+    rate = max(
+        (1.0 - b_x) / M_x, (1.0 - b_y) / M_y, 1.0 - alpha_x, 1.0 - alpha_y,
+        1.0 - 0.5 * gamma_x * lam2, 1.0 - 0.5 * gamma_y * lam2,
+    )
+    gap = min(ds.crdpsg_rho(c, delta, spec) / scale, 1.0 - rate)
+    M = min(M_x, M_y)
+    need = max(
+        math.log((3.0 * M_x + 6.0 * rd) / M),
+        math.log((3.0 * M_y + 6.0 * rd) / M),
+        math.log(3.0 / M),
+    )
+    t = max(int(math.ceil((1.0 / -math.log1p(-gap)) * need)), 1)
+    pairs = dict(b=(b_x, b_y), gamma=(gamma_x, gamma_y), alpha=(alpha_x, alpha_y),
+                 M=(M_x, M_y))
+    return s, pairs, t
+
+
+def _svrg_per_block(c, delta, spec, p):
+    """cdpsvrg_params written out once per block: the x block reads mu_x,
+    L_xx and L_yx, the y block mu_y, L_yy and L_xy."""
+    s = c.mu / (24.0 * c.L**2)
+    c_tilde_x = 8.0 * s**2 * (c.L_xx**2 + c.L_yx**2) / p
+    c_tilde_y = 8.0 * s**2 * (c.L_yy**2 + c.L_xy**2) / p
+    b_x = s * c.mu_x - 4.0 * s**2 * c.L_yx**2 - c_tilde_x * p
+    b_y = s * c.mu_y - 4.0 * s**2 * c.L_xy**2 - c_tilde_y * p
+    rd = math.sqrt(delta)
+    lam_max = spec.lambda_max
+    cap = 1.0 / (4.0 * (1.0 + delta) * lam_max)
+    gamma_x = gamma_y = cap
+    if rd > 0.0:
+        gamma_x = min(b_x / (4.0 * rd * (1.0 + delta) * lam_max), cap)
+        gamma_y = min(b_y / (4.0 * rd * (1.0 + delta) * lam_max), cap)
+    alpha_x, alpha_y = b_x / (1.0 + delta), b_y / (1.0 + delta)
+    M_x = 1.0 - rd * alpha_x / (1.0 - 0.5 * gamma_x * lam_max)
+    M_y = 1.0 - rd * alpha_y / (1.0 - 0.5 * gamma_y * lam_max)
+    return s, dict(c_tilde=(c_tilde_x, c_tilde_y), b=(b_x, b_y),
+                   gamma=(gamma_x, gamma_y), alpha=(alpha_x, alpha_y), M=(M_x, M_y))
+
+
+def test_schedules_orient_every_block_pair():
+    # mu_x != mu_y, L_xx != L_yy and L_xy != L_yx, so a block that reads
+    # the other block's modulus or cross or diagonal constant changes the
+    # bits of its pair; both schedules match the per-block formulas exactly
+    c = ds.SaddleConstants(mu_x=1.0, mu_y=1.3, L_xx=2.0, L_yy=2.5, L_xy=1.2, L_yx=0.7)
+    for spec in (ds.spectral(ds.build_ring(4)), ds.spectral(ds.build_torus(3, 3))):
+        for delta in (0.0, 0.3, 1.0):
+            for k in (0, 3):
+                stage = ds.crdpsg_stage_params(k, c, delta, spec)
+                s, pairs, t = _stage_per_block(k, c, delta, spec)
+                assert (stage.s, stage.t) == (s, t)
+                for name, pair in pairs.items():
+                    assert getattr(stage, name).tolist() == list(pair), name
+            svrg = ds.cdpsvrg_params(c, delta, spec, p=0.25)
+            s, pairs = _svrg_per_block(c, delta, spec, 0.25)
+            assert svrg.s == s
+            for name, pair in pairs.items():
+                assert getattr(svrg, name).tolist() == list(pair), name
 
 
 @pytest.mark.parametrize("delta", [-0.1, 1.5])
@@ -125,8 +204,8 @@ def test_svrg_frozen_values(ring4_spec):
     # gamma_x = 1 / (4 lambda_max) = 3/16
     p = ds.cdpsvrg_params(_consts(), 0.0, ring4_spec, p=0.25)
     assert abs(p.s - 1.0 / 96.0) <= 1e-18
-    assert abs(p.gamma_x - 3.0 / 16.0) <= 1e-16
-    assert p.M_x == 1.0 and p.M_y == 1.0
+    assert abs(p.gamma[0] - 3.0 / 16.0) <= 1e-16
+    assert p.M[0] == 1.0 and p.M[1] == 1.0
 
 
 def test_schedule_records_check_their_windows_at_construction(ring4_spec):
@@ -135,12 +214,18 @@ def test_schedule_records_check_their_windows_at_construction(ring4_spec):
     stage = ds.crdpsg_stage_params(0, _consts(), 0.25, ring4_spec)
     svrg = ds.cdpsvrg_params(_consts(), 0.25, ring4_spec, p=0.25)
     for rec in (stage, svrg):
-        for name in ("alpha_x", "alpha_y"):
+        for i, name in enumerate(("alpha_x", "alpha_y")):
+            alpha = rec.alpha.copy()
+            alpha[i] = 1.0 / (1.0 + rec.delta)
             with pytest.raises(ds.InfeasibleParameterError, match=name):
-                dataclasses.replace(rec, **{name: 1.0 / (1.0 + rec.delta)})
-        for name in ("s", "gamma_x", "gamma_y"):
+                dataclasses.replace(rec, alpha=alpha)
+        with pytest.raises(ValueError, match="must be positive"):
+            dataclasses.replace(rec, s=0.0)
+        for i in range(2):
+            gamma = rec.gamma.copy()
+            gamma[i] = 0.0
             with pytest.raises(ValueError, match="must be positive"):
-                dataclasses.replace(rec, **{name: 0.0})
+                dataclasses.replace(rec, gamma=gamma)
     with pytest.raises(ds.InfeasibleParameterError, match="stage 0: t = 0 < 1"):
         dataclasses.replace(stage, t=0)
 
@@ -161,18 +246,18 @@ def test_svrg_bx_lower_bound(mu, ratio, cross_frac, delta, n):
     spec = ds.spectral(ds.build_ring(4))
     p = ds.cdpsvrg_params(c, delta, spec, p=1.0 / n)
     lower = 1.0 / (144.0 * c.kappa_f**2)
-    assert p.b_x >= lower - 1e-15
-    assert 0.0 < p.b_x < 1.0 and 0.0 < p.b_y < 1.0
+    assert p.b[0] >= lower - 1e-15
+    assert 0.0 < p.b[0] < 1.0 and 0.0 < p.b[1] < 1.0
     # feasibility windows from the parameter lemma
     lam_max = spec.lambda_max
     rd = math.sqrt(p.delta)
-    assert 0.0 < p.alpha_x < 1.0 / (1.0 + p.delta)
-    assert 0.0 < 0.5 * p.gamma_x * spec.lambda_second_smallest < 1.0
+    assert 0.0 < p.alpha[0] < 1.0 / (1.0 + p.delta)
+    assert 0.0 < 0.5 * p.gamma[0] * spec.lambda_second_smallest < 1.0
     if rd > 0.0:
-        assert p.gamma_x < (p.alpha_x - (1 + p.delta) * p.alpha_x**2) / (rd * lam_max)
-        assert p.gamma_x < (2 - 2 * rd * p.alpha_x) / lam_max
-    assert 0.0 < p.M_x <= 1.0
-    assert 0.0 < (1 - p.b_x) / p.M_x < 1.0
+        assert p.gamma[0] < (p.alpha[0] - (1 + p.delta) * p.alpha[0]**2) / (rd * lam_max)
+        assert p.gamma[0] < (2 - 2 * rd * p.alpha[0]) / lam_max
+    assert 0.0 < p.M[0] <= 1.0
+    assert 0.0 < (1 - p.b[0]) / p.M[0] < 1.0
 
 
 def test_contraction_rate_includes_refresh_term(ring4_spec):
@@ -213,7 +298,7 @@ def test_single_node_trajectory_does_not_depend_on_the_spectrum(acc_dataset, bit
     )
     for schedule in schedules:
         records, finals = [schedule(spec) for spec in specs], []
-        assert records[0].gamma_x != records[1].gamma_x
+        assert records[0].gamma[0] != records[1].gamma[0]
         for params in records:
             ens = ds.NodeEnsemble.initialize(g1, z0[:, None])
             draw = lambda: (prob.full_grads(ens.Z), 1)

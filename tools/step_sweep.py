@@ -7,7 +7,10 @@ d in {10, 100} it builds a synthetic robust logistic regression problem
 (n = 5 batches of 8 samples per node) and times the step the solvers run
 with 4-bit quantized gossip: a `step_plan` bound once per cell, with the
 oracles' bound draw, once with the minibatch oracle (GSGO) and once with
-the variance-reduced oracle (SVRGO).  The SVRGO cell runs as the
+the variance-reduced oracle (SVRGO).  Every cell steps under the tree's own
+`cdpsvrg_params` record for its problem, graph spectrum, delta and p =
+1/n, so the script reads no record field and runs against any tree with
+that signature.  The SVRGO cell runs as the
 variance-reduced solver does: after every step it calls
 `svrgo_update_reference` with p = 1/n, so the timed steps include the
 refreshes and the first-draw reuse.  A refresh copies the point into the
@@ -111,9 +114,7 @@ def make_cell(ds, m, d, kind):
         st = ds.SvrgState.initialize(prob, Z0, p=1.0 / BATCHES)
     refresh = ds.svrgo_update_reference
     comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.05)
-    params = ds.StepParams(
-        s=1e-3, gamma_x=0.02, gamma_y=0.02, alpha_x=0.2, alpha_y=0.2, delta=0.05
-    )
+    params = ds.cdpsvrg_params(prob.constants, comp.delta, ds.spectral(g), 1 / BATCHES)
     ens = ds.NodeEnsemble.initialize(g, Z0)
     rng = np.random.default_rng(3)
     guard = ds.problem.overflow_guard
