@@ -39,8 +39,8 @@ from .solvers import (
 )
 from .topology import (
     DecGraph,
-    DisconnectedGraphError,
     SpectralInfo,
+    bind_mix,
     build_ring,
     build_torus,
     mix,

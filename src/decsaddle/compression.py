@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import DecGraph
+from .topology import DecGraph, bind_mix
 
 
 # the bits of one coordinate sent raw (uncompressed)
@@ -141,28 +141,25 @@ def bind_exchange(
     1/(1+delta)) of alpha is checked once, by ipdhg.check_windows when the
     step's parameter record is built, not here.  Each
     exchange builds [nu_hat, nu_hat_w] in NN (shaped like HH): Q = C(nu -
-    H) goes into its first slot and W Q into its second, then H and Hw are
-    added.  It writes nu_hat - nu_hat_w into diff (shaped like H), and
-    then [H, Hw] = keep [H, Hw] + alpha [nu_hat, nu_hat_w], with alpha
-    scaling NN in place, which leaves only diff to read.  The quantizer is
-    bound here once, and the shapes are checked here once.  Counts as one
-    communication round (the only transmitted payload is Q).
+    H) goes into its first slot and W Q, from topology.bind_mix, into its
+    second, then H and Hw are added.  It writes nu_hat - nu_hat_w into
+    diff (shaped like H), and then [H, Hw] = keep [H, Hw] + alpha [nu_hat,
+    nu_hat_w], with alpha scaling NN in place, which leaves only diff to
+    read.  The quantizer and the gossip product are bound here once; the
+    pair's shape is checked here, the node count by bind_mix.  Counts as
+    one communication round (the only transmitted payload is Q).
     """
-    H, W = HH[0], g.W
-    if H.ndim < 2 or H.shape[-2] != g.m or NN.shape != HH.shape:
-        raise ValueError(
-            f"references of shape {HH.shape} (pair {NN.shape}) do not hold "
-            f"{g.m} node blocks"
-        )
-    Q, QW = NN[0], NN[1]
+    if NN.shape != HH.shape:
+        raise ValueError(f"pair of shape {NN.shape} does not match references {HH.shape}")
+    H, Q, QW = HH[0], NN[0], NN[1]
     keep = np.subtract(1.0, alpha)
-    compress = c.bind(H.shape, rng)
+    gossip, compress = bind_mix(g, H.shape), c.bind(H.shape, rng)
 
     # out arrays go positionally, which costs less per call than the keyword
     def exchange(nu):
         np.subtract(nu, H, QW)  # the deviation, staged in the second slot
         compress(QW, Q)
-        np.matmul(W, Q, QW)  # mix(g, Q)
+        gossip(Q, QW)
         np.add(HH, NN, NN)  # [nu_hat, nu_hat_w]
         np.subtract(Q, QW, diff)
         np.multiply(keep, HH, HH)

@@ -7,10 +7,10 @@ so one step quantizes, gossips and projects both halves in one call each.
 
 A step is bound once per solve as a plan (step_plan): the ensemble's
 arrays, the step factors of a parameter record (checked by check_windows
-when the record was built), the graph's W, the oracle draw, the
-compressor, the RNG and the counters are checked and bound when the plan
-is built, and each step then runs as one flat sequence of NumPy calls
-into arrays allocated once.
+when the record was built), the graph's gossip product, the oracle draw,
+the compressor, the RNG and the counters are checked and bound when the
+plan is built, and each step then runs as one flat sequence of NumPy
+calls into arrays allocated once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from .compression import Compressor, InfeasibleParameterError, bind_exchange
 from .metrics import CostCounters
-from .problem import RobustLRProblem
+from .problem import BLOCK_SIGNS, RobustLRProblem
 from .topology import DecGraph, mix
 
 
@@ -32,6 +32,16 @@ def _factor(shape: tuple, *blocks) -> np.ndarray:
     out = np.empty(shape)
     np.copyto(out, np.reshape(blocks, np.shape(blocks) + (1, 1)))
     return out
+
+
+def hold_pairs(record, *names: str) -> None:
+    """Store each named (x, y) pair field of a frozen record as a
+    read-only (2,) float copy, so the record cannot change after its check
+    and the caller's own array stays writable."""
+    for name in names:
+        pair = np.array(getattr(record, name), dtype=float)
+        pair.flags.writeable = False
+        object.__setattr__(record, name, pair)
 
 
 def check_windows(params, where: str = "", b_open: bool | None = None) -> None:
@@ -67,10 +77,10 @@ def check_windows(params, where: str = "", b_open: bool | None = None) -> None:
         raise ValueError(f"{where}gamma_x, gamma_y must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StepParams:
     """Per-step scalars of a hand-built step, gamma and alpha (x, y)
-    pairs, held as (2,) arrays; the schedules' records
+    pairs, held as read-only (2,) arrays; the schedules' records
     (solvers.StageParams, SvrgParams) carry the same fields."""
 
     s: float
@@ -79,8 +89,7 @@ class StepParams:
     delta: float = 0.0
 
     def __post_init__(self):
-        self.gamma = np.array(self.gamma, dtype=float)
-        self.alpha = np.array(self.alpha, dtype=float)
+        hold_pairs(self, "gamma", "alpha")
         check_windows(self)
 
 
@@ -173,7 +182,7 @@ def step_plan(
     # the factors at the shapes they multiply: a product of same-shape
     # arrays skips NumPy's broadcasting set-up and gives the same bits
     s, gamma = params.s, params.gamma
-    signed_s = _factor(shape, -s, s)  # x descends, y ascends
+    signed_s = _factor(shape, *(s * BLOCK_SIGNS))
     alpha = _factor(HH.shape, *params.alpha)
     # gamma / (2 s) for D, -gamma / 2 for the pre-projection point
     pair = _factor(D_nu.shape, gamma / (2.0 * s), -gamma / 2.0)

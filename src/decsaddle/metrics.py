@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import RobustLRProblem
+from .problem import BLOCK_SIGNS, RobustLRProblem
 from .topology import SpectralInfo, pinv_weighted_sqnorm
 
 
@@ -47,8 +47,8 @@ class Trace:
         return "\n".join(lines) + "\n"
 
 
-# (2, 1, 1) block signs: the x rows descend, the y rows ascend
-_SIGNS = np.array([-1.0, 1.0])[:, None, None]
+# the block signs at (2, 1, 1), against the stacked (2, m, d) arrays
+_SIGNS = BLOCK_SIGNS[:, None, None]
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,9 @@ import numpy as np
 
 from .data import Dataset
 
+# the signs of a gradient step on the (x, y) block pair: x descends, y ascends
+BLOCK_SIGNS = np.array([-1.0, 1.0])
+
 
 @dataclass(frozen=True)
 class SaddleConstants:
@@ -242,7 +245,7 @@ class RobustLRProblem:
         """prox(Z + s (-G_x, +G_y)): the projected gradient step of step
         size s from a stacked (2, k, d) point Z with gradient blocks G, x
         descending and y ascending."""
-        return self.prox(Z + np.array([-s, s])[:, None, None] * G)
+        return self.prox(Z + (s * BLOCK_SIGNS)[:, None, None] * G)
 
     def bind_prox(self, shape: tuple):
         """prox(Z, out) for stacked blocks of the given (2, k, d) shape,

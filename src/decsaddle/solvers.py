@@ -16,7 +16,7 @@ import numpy as np
 
 from .compression import RAW_FLOAT_BITS, Compressor, InfeasibleParameterError
 from .data import rng_for
-from .ipdhg import NodeEnsemble, check_windows, step_plan
+from .ipdhg import NodeEnsemble, check_windows, hold_pairs, step_plan
 from .metrics import CostCounters, Trace, distance_to_saddle
 from .oracles import SvrgState, gsgo_draw, svrgo_draw, svrgo_update_reference
 from .problem import RobustLRProblem, SaddleConstants, overflow_guard
@@ -27,8 +27,8 @@ from .topology import DecGraph, SpectralInfo
 class StageParams:
     """Stage-k scalars of the restart method, the step parameters of the
     stage's steps, checked at construction (ipdhg.check_windows, b in
-    (0, 1]).  b, gamma, alpha and M are (x, y) pairs, (2,) arrays in the
-    order of the stacked state."""
+    (0, 1]).  b, gamma, alpha and M are (x, y) pairs, read-only (2,)
+    arrays in the order of the stacked state."""
 
     k: int
     s: float
@@ -41,6 +41,7 @@ class StageParams:
     delta: float
 
     def __post_init__(self):
+        hold_pairs(self, "b", "gamma", "alpha", "M")
         check_windows(self, f"stage {self.k}: ", b_open=False)
         if self.t < 1:
             raise InfeasibleParameterError(f"stage {self.k}: t = {self.t} < 1")
@@ -57,6 +58,11 @@ def block_constants(consts: SaddleConstants):
         np.array([consts.L_yx**2, consts.L_xy**2]),
         np.array([consts.L_xx**2, consts.L_yy**2]),
     )
+
+
+def _svrg_step(consts: SaddleConstants) -> float:
+    """The variance-reduced schedule's step size mu / (24 L^2)."""
+    return consts.mu / (24.0 * consts.L**2)
 
 
 def _modulus(alpha, gamma, rd: float, lam_max: float) -> np.ndarray:
@@ -150,8 +156,8 @@ class SvrgParams:
     """Scalars of the variance-reduced method, the step parameters of its
     steps, checked at construction (ipdhg.check_windows, b in (0, 1)); p,
     whose window cdpsvrg_params checks, is the refresh probability.
-    c_tilde, b, alpha, gamma and M are (x, y) pairs, (2,) arrays in the
-    order of the stacked state."""
+    c_tilde, b, alpha, gamma and M are (x, y) pairs, read-only (2,) arrays
+    in the order of the stacked state."""
 
     s: float
     c_tilde: np.ndarray
@@ -163,6 +169,7 @@ class SvrgParams:
     delta: float
 
     def __post_init__(self):
+        hold_pairs(self, "c_tilde", "b", "alpha", "gamma", "M")
         check_windows(self, b_open=True)
 
 
@@ -180,7 +187,7 @@ def cdpsvrg_params(
     if not 0.0 < p <= 1.0:
         raise InfeasibleParameterError(f"p = {p} outside (0, 1]")
     mu, cross2, diag2 = block_constants(consts)
-    s = consts.mu / (24.0 * consts.L**2)
+    s = _svrg_step(consts)
     c_tilde = 8.0 * s**2 * (diag2 + cross2) / p
     b = s * mu - 4.0 * s**2 * cross2 - c_tilde * p
     lower = 1.0 / (144.0 * consts.kappa_f**2)
@@ -316,7 +323,7 @@ def compute_reference(prob: RobustLRProblem, iterations: int, tol: float):
         raise ValueError("reference computation expects an m = 1 problem")
     consts = prob.constants
     h_min = 1.0 / (4.0 * consts.L)
-    s = consts.mu / (24.0 * consts.L**2)
+    s = _svrg_step(consts)
 
     # the single node's iterate as a one-row stacked point (2, 1, d)
     Z = np.zeros((2, 1, prob.d))

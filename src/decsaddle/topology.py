@@ -1,43 +1,55 @@
-"""Gossip weight matrices for ring / 2D-torus networks and spectral helpers.
+"""Ring and 2D-torus networks: their gossip product and spectral helpers.
 
-All per-node state in this package is stored as a stacked array of shape
-(m, d): row i is the local vector of node i.  W is built here; the step's
-gossip product W Q is bound once, in compression.bind_exchange.
+A graph is its torus shape dims, from which m and W follow.  All per-node
+state in this package is stored as a stacked array of shape (..., m, d):
+row i of every (m, d) block is the local vector of node i, and node (r,
+c) of a torus is row r * cols + c.  W is read here only: bind_mix binds
+the gossip product W V, which compression.bind_exchange runs once per
+step, and spectral decomposes I - W.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-DISCONNECT_TOL = 1e-10
+# eigenvalues of I-W at or below ZERO_TOL count as the all-ones direction's 0
+ZERO_TOL = 1e-10
 # jacobi_eigh stops at off-diagonal norm <= JACOBI_TOL * norm, or after JACOBI_SWEEPS
 JACOBI_TOL, JACOBI_SWEEPS = 1e-13, 100
 
 
-class DisconnectedGraphError(ValueError):
-    """Second-smallest eigenvalue of I-W is (numerically) zero."""
-
-
 @dataclass(frozen=True)
 class DecGraph:
-    """Symmetric row-stochastic mixing matrix of the m nodes."""
+    """The torus of shape dims: (m,) for a ring of m nodes, (rows, cols)
+    for a rows x cols torus and () for the single node.  Every axis has at
+    least 3 nodes, so a node's neighbours are distinct and the graph is
+    connected."""
 
-    W: np.ndarray
-    m = property(lambda self: self.W.shape[0])
+    dims: tuple
+    m = property(lambda self: math.prod(self.dims))
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
-        if W.ndim != 2 or W.shape[0] != W.shape[1]:
-            raise ValueError(f"W must be square, got {W.shape}")
-        if not np.array_equal(W, W.T):
-            raise ValueError("W must be exactly symmetric")
-        if np.max(np.abs(W.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("W must be row stochastic")
-        if W.shape[0] > 1 and np.any(np.diag(W) <= 0):
-            raise ValueError("W must have positive diagonal")
-        object.__setattr__(self, "W", W)
+        if any(n < 3 for n in self.dims):
+            raise ValueError(f"a torus axis needs >= 3 nodes, got dims {self.dims}")
+
+    @cached_property
+    def W(self) -> np.ndarray:
+        """The read-only m x m mixing matrix: one weight, 1/(1 + 2
+        len(dims)), on each node and on its two wrap-around neighbours
+        along every axis."""
+        weight = 1.0 / (1 + 2 * len(self.dims))
+        node = np.arange(self.m).reshape(self.dims)
+        W = np.zeros((self.m, self.m))
+        W[node, node] = weight
+        for axis in range(len(self.dims)):
+            for shift in (1, -1):
+                W[node, np.roll(node, shift, axis)] = weight
+        W.flags.writeable = False
+        return W
 
 
 @dataclass(frozen=True)
@@ -60,28 +72,15 @@ class SpectralInfo:
         object.__setattr__(self, "kappa_g", float(lam[-1] / lam[1]))
 
 
-def _cycle(k: int) -> np.ndarray:
-    """Adjacency of the k-cycle: the identity shifted one place each way
-    (the two shifts hit distinct entries for k >= 3)."""
-    I = np.eye(k)
-    return np.roll(I, 1, axis=1) + np.roll(I, -1, axis=1)
-
-
 def build_ring(m: int) -> DecGraph:
-    """Ring with weight 1/3 on self and on both neighbors."""
-    if m < 3:
-        raise ValueError(f"ring needs m >= 3, got {m}")
-    return DecGraph((np.eye(m) + _cycle(m)) * (1.0 / 3.0))
+    """Ring of m >= 3 nodes, weight 1/3 on self and on both neighbours."""
+    return DecGraph((m,))
 
 
 def build_torus(rows: int, cols: int) -> DecGraph:
-    """2D torus with weight 1/5 on self and the four wrap-around neighbors:
-    node r * cols + c neighbors its row's and its column's cycles."""
-    if rows < 3 or cols < 3:
-        raise ValueError(f"torus needs rows, cols >= 3, got ({rows}, {cols})")
-    m = rows * cols
-    A = np.kron(_cycle(rows), np.eye(cols)) + np.kron(np.eye(rows), _cycle(cols))
-    return DecGraph((np.eye(m) + A) * (1.0 / 5.0))
+    """rows x cols torus, rows, cols >= 3, weight 1/5 on self and on the
+    four wrap-around neighbours."""
+    return DecGraph((rows, cols))
 
 
 def jacobi_eigh(A: np.ndarray):
@@ -133,26 +132,29 @@ def jacobi_eigh(A: np.ndarray):
 
 
 def spectral(g: DecGraph) -> SpectralInfo:
-    """Eigendecomposition of I-W; fails if the graph is disconnected."""
-    L = np.eye(g.m) - g.W
-    lam, V = jacobi_eigh(L)
-    if g.m < 2 or lam[1] <= DISCONNECT_TOL:
-        raise DisconnectedGraphError(
-            "graph disconnected: second-smallest eigenvalue of I-W is "
-            f"{lam[1] if g.m >= 2 else 0.0:.3e}"
-        )
-    if abs(lam[0]) > 1e-10:
-        raise ValueError(f"smallest eigenvalue of I-W should be 0, got {lam[0]:.3e}")
+    """Eigendecomposition of I-W.  A torus of two or more nodes is
+    connected, so its second-smallest eigenvalue is positive; the single
+    node has none and is refused (ValueError)."""
+    if g.m < 2:
+        raise ValueError("the single node has no spectral gap")
+    lam, V = jacobi_eigh(np.eye(g.m) - g.W)
     return SpectralInfo(eigvals=lam, eigvecs=V)
 
 
+def bind_mix(g: DecGraph, shape: tuple):
+    """mix(V, out): the gossip product out = W V of a float array V of the
+    given shape (..., m, d), returning out; row i of every (m, d) block of
+    out is sum_j W_ij V[j].  The node count is checked here once."""
+    if len(shape) < 2 or shape[-2] != g.m:
+        raise ValueError(f"expected {g.m} node blocks, got shape {shape}")
+    W = g.W
+    return lambda V, out: np.matmul(W, V, out)
+
+
 def mix(g: DecGraph, V: np.ndarray) -> np.ndarray:
-    """Apply the mixing matrix to V of shape (..., m, d): output row i of
-    every (m, d) block is sum_j W_ij V[j], in a new array."""
+    """bind_mix's product W V, once, in a new array."""
     V = np.asarray(V, dtype=float)
-    if V.ndim < 2 or V.shape[-2] != g.m:
-        raise ValueError(f"expected {g.m} node blocks, got shape {V.shape}")
-    return g.W @ V
+    return bind_mix(g, V.shape)(V, np.empty_like(V))
 
 
 def pinv_weighted_sqnorm(spec: SpectralInfo, V: np.ndarray):
@@ -169,5 +171,5 @@ def pinv_weighted_sqnorm(spec: SpectralInfo, V: np.ndarray):
     # coeffs[..., e, :] = (u_e^T o I) V, one row per eigenvector
     coeffs = spec.eigvecs.T @ V
     lam = spec.eigvals
-    keep = lam > DISCONNECT_TOL
+    keep = lam > ZERO_TOL
     return np.sum(np.sum(coeffs[..., keep, :] ** 2, axis=-1) / lam[keep], axis=-1)

@@ -19,7 +19,7 @@ def _exact_draw(prob, ens):
 
 def test_single_node_reduces_to_prox_gda():
     prob = _problem(m=1)
-    g = ds.DecGraph(np.array([[1.0]]))
+    g = ds.DecGraph(())
     params = ds.StepParams(s=0.01, gamma=(1.0, 1.0), alpha=(0.3, 0.3))
     Z = np.array([[[0.5, -0.2, 0.1]], [[0.0, 0.1, 0.0]]])
     x, y = Z

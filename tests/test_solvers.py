@@ -230,6 +230,27 @@ def test_schedule_records_check_their_windows_at_construction(ring4_spec):
         dataclasses.replace(stage, t=0)
 
 
+def test_parameter_records_cannot_change_after_their_check(ring4_spec):
+    # every pair is a read-only copy, so item assignment cannot bypass the
+    # window check, and the caller's own arrays stay writable
+    gamma = np.array([0.02, 0.03])
+    step = ds.StepParams(s=0.05, gamma=gamma, alpha=(0.2, 0.25))
+    gamma[0] = 1.0
+    assert step.gamma[0] == 0.02
+    records = [
+        (step, ("gamma", "alpha")),
+        (ds.crdpsg_stage_params(0, _consts(), 0.25, ring4_spec), ("b", "gamma", "alpha", "M")),
+        (ds.cdpsvrg_params(_consts(), 0.25, ring4_spec, p=0.25),
+         ("c_tilde", "b", "alpha", "gamma", "M")),
+    ]
+    for rec, names in records:
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(rec, name)[0] = 2.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        step.s = 1.0
+
+
 @given(
     st.floats(min_value=0.1, max_value=2.0),
     st.floats(min_value=1.0, max_value=50.0),
@@ -283,7 +304,7 @@ def test_single_node_trajectory_does_not_depend_on_the_spectrum(acc_dataset, bit
         acc_dataset, part, lam=ACC["lam"], beta=ACC["beta"],
         R_x=ACC["R_x"], R_y=ACC["R_y"],
     )
-    g1 = ds.DecGraph(np.array([[1.0]]))
+    g1 = ds.DecGraph(())
     if bits is None:
         comp = ds.identity_compressor()
     else:

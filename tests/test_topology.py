@@ -15,6 +15,7 @@ def test_ring3_all_thirds():
 def test_ring4_circulant_row():
     g = ds.build_ring(4)
     assert np.allclose(g.W[0], [1 / 3, 1 / 3, 0, 1 / 3], atol=0)
+    assert not g.W.flags.writeable
 
 
 def test_ring4_spectrum():
@@ -83,22 +84,34 @@ def test_torus_rejects_small():
         ds.build_torus(2, 5)
 
 
-@pytest.mark.parametrize("W, message", [
-    (np.full((2, 3), 1.0 / 3.0), "W must be square"),
-    (np.array([[0.5, 0.5, 0.0], [0.25, 0.5, 0.25], [0.0, 0.5, 0.5]]),
-     "W must be exactly symmetric"),
-    (np.eye(3) * 0.9, "W must be row stochastic"),
-    (np.array([[0.0, 1.0], [1.0, 0.0]]), "W must have positive diagonal"),
-], ids=["non-square", "asymmetric", "rows-not-1", "zero-diagonal"])
-def test_graph_rejects_a_matrix_that_cannot_mix(W, message):
-    with pytest.raises(ValueError, match=message):
-        ds.DecGraph(W)
+@pytest.mark.parametrize("dims", [(2,), (1,), (3, 2)])
+def test_graph_refuses_an_axis_below_three(dims):
+    with pytest.raises(ValueError, match="a torus axis needs >= 3 nodes"):
+        ds.DecGraph(dims)
 
 
-def test_identity_matrix_disconnected():
-    g = ds.DecGraph(np.eye(3))
-    with pytest.raises(ds.DisconnectedGraphError):
+def test_single_node_graph():
+    g = ds.DecGraph(())
+    assert g.m == 1
+    assert g.W.tobytes() == np.array([[1.0]]).tobytes()
+    with pytest.raises(ValueError, match="single node"):
         ds.spectral(g)
+
+
+@pytest.mark.parametrize("dims", [(4,), (8, 8), ()], ids=["ring4", "torus8x8", "single"])
+@pytest.mark.parametrize("lead", [(2,), (2, 2)], ids=["pair", "pair-of-pairs"])
+def test_bind_mix_is_the_dense_product(dims, lead):
+    g = ds.DecGraph(dims)
+    V = np.random.default_rng(5).standard_normal(lead + (g.m, 3))
+    out = np.empty_like(V)
+    assert ds.bind_mix(g, V.shape)(V, out) is out
+    assert out.tobytes() == (g.W @ V).tobytes()
+    assert ds.mix(g, V).tobytes() == out.tobytes()
+
+
+def test_bind_mix_refuses_another_node_count():
+    with pytest.raises(ValueError, match="expected 4 node blocks"):
+        ds.bind_mix(ds.build_ring(4), (2, 5, 3))
 
 
 def _circulant_spectrum(rows, cols):
