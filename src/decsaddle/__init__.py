@@ -25,7 +25,7 @@ from .metrics import (
     phi_tilde,
 )
 from .oracles import SvrgState, gsgo_draw, svrgo_draw, svrgo_update_reference
-from .problem import RobustLRProblem, SaddleConstants
+from .problem import RobustLRProblem, SaddleConstants, SaddleProblem
 from .solvers import (
     StageParams,
     SvrgParams,

@@ -226,9 +226,10 @@ def load_config(path: str) -> RunConfig:
 
 
 def _builder(fn):
-    """Builder errors come from the config's values: a ValueError or
-    OSError becomes a ConfigError (exit 2), while infeasible derived
-    parameters keep their own exit code."""
+    """Builder errors come from the config's values: a ValueError,
+    OSError or MemoryError (an array too large to allocate) becomes a
+    ConfigError (exit 2), while infeasible derived parameters keep their
+    own exit code."""
 
     @functools.wraps(fn)
     def build_step(*args, **kwargs):
@@ -236,7 +237,7 @@ def _builder(fn):
             return fn(*args, **kwargs)
         except (ConfigError, InfeasibleParameterError):
             raise
-        except (ValueError, OSError) as e:
+        except (ValueError, OSError, MemoryError) as e:
             raise ConfigError(f"{fn.__name__}: {e}") from e
 
     return build_step
@@ -399,7 +400,9 @@ def verdict(cfg: RunConfig):
     read from reference.path before the schedule is derived, or, once it
     is feasible, solved for an inline reference.compute by
     resolve_reference; it is None if the schedule failed before an inline
-    solve."""
+    solve.  A feasible run whose log.stride exceeds its step count (the
+    budget's iterations, or the stages' summed t) would log no row: that
+    is a ConfigError."""
     out = _output(cfg, "run")
     built = dataset, prob, _, spec, compressor = build(cfg)
     z_star = None
@@ -433,6 +436,13 @@ def verdict(cfg: RunConfig):
             record["schedule"] = _fields(schedule)
         except InfeasibleParameterError as e:
             failure = str(e)
+    if failure is None:
+        stride = cfg.setting("log.stride")
+        steps = (sum(sp.t for sp in schedule) if cfg.algorithm == "crdpsg"
+                 else cfg.budget["iterations"])
+        if stride > steps:
+            raise ConfigError(f"log.stride = {stride} exceeds the run's {steps} "
+                              "steps, so the trace would have no rows")
     if failure is None and "compute" in cfg.reference:
         z_star = resolve_reference(cfg, build_problem(cfg, dataset, m=1))[0]
     return out, built, z_star, schedule, record, failure

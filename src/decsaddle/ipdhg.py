@@ -21,7 +21,7 @@ import numpy as np
 
 from .compression import Compressor, InfeasibleParameterError, bind_exchange
 from .metrics import CostCounters
-from .problem import BLOCK_SIGNS, RobustLRProblem
+from .problem import BLOCK_SIGNS, SaddleProblem
 from .topology import DecGraph, mix
 
 
@@ -138,7 +138,7 @@ def step_plan(
     params,
     g: DecGraph,
     draw,
-    prob: RobustLRProblem,
+    prob: SaddleProblem,
     compressor: Compressor,
     rng: np.random.Generator,
     counters: CostCounters | None = None,

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import BLOCK_SIGNS, RobustLRProblem
+from .problem import BLOCK_SIGNS, SaddleProblem
 from .topology import SpectralInfo, pinv_weighted_sqnorm
 
 
@@ -68,7 +68,7 @@ class SaddleAnchors:
 
 
 def compute_anchors(
-    prob: RobustLRProblem, z_star: np.ndarray, s: float
+    prob: SaddleProblem, z_star: np.ndarray, s: float
 ) -> SaddleAnchors:
     """Anchors of the stacked (2, d) saddle point z_star at step size s."""
     m = prob.m

@@ -1,12 +1,12 @@
 """Stochastic gradient oracles: plain minibatch (GSGO) and variance
 reduced (SVRGO), evaluated for every node at once.
 
-Iterates are stacked (m, d) arrays, row i belonging to node i; gradients
-come back as one (2, m, d) array, block 0 for x and block 1 for y.  Both
-draws take their batches from one sampler, which draws one uniform per
-node, in node order, in a single rng.random call.  A solver binds its
-draw once (gsgo_draw, svrgo_draw) to the ensemble's stacked point and
-calls it at every step.
+Iterates are stacked (2, m, d) arrays, block 0 for x and block 1 for y,
+row i of each belonging to node i; gradients come back in the same
+layout.  Both draws take their batches from one sampler, which draws one
+uniform per node, in node order, in a single rng.random call.  A solver
+binds its draw once (gsgo_draw, svrgo_draw) to the ensemble's stacked
+point and calls it at every step.
 
 Gradient units count batch-gradient evaluations as the paper's oracles
 spend them: 1 per node per GSGO draw, 2 per node per SVRGO draw, and m*n
@@ -24,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import RobustLRProblem, batch_mean
+from .problem import SaddleProblem, batch_mean
 
 
-def _bind_batches(p: RobustLRProblem, rng: np.random.Generator):
+def _bind_batches(p: SaddleProblem, rng: np.random.Generator):
     """Bound uniform batch sampler: returns batches() -> the flat batch
     rows row0 + J of the problem, in a new (m,) array, where node i's batch
     index J[i] is the k with k/n <= u_i < (k+1)/n for m uniforms u drawn
@@ -43,7 +43,7 @@ def _bind_batches(p: RobustLRProblem, rng: np.random.Generator):
     return batches
 
 
-def gsgo_draw(p: RobustLRProblem, Z: np.ndarray, rng: np.random.Generator):
+def gsgo_draw(p: SaddleProblem, Z: np.ndarray, rng: np.random.Generator):
     """Bound minibatch draw at the stacked (2, m, d) point Z, read at every
     call: returns draw() -> (G, cost), a uniformly sampled batch gradient
     per node (unbiased for full_grads) in a (2, m, d) array the draw owns
@@ -71,11 +71,14 @@ class SvrgState:
         self.g_tilde = np.empty_like(self.Z_tilde)
 
     @classmethod
-    def initialize(cls, prob: RobustLRProblem, Z: np.ndarray, p: float) -> "SvrgState":
+    def initialize(cls, prob: SaddleProblem, Z: np.ndarray, p: float) -> "SvrgState":
         """Allocate the reference point, its batch gradients and their
-        kernel, then refresh at the stacked (2, m, d) point Z."""
+        kernel, bound to all n batch rows of every node, then refresh at
+        the stacked (2, m, d) point Z."""
         Z_tilde = np.empty((2, prob.m, prob.d))
-        st = cls(Z_tilde, prob.bind_all_batch_grads(Z_tilde), p)
+        grads = prob.bind_batch_grads(Z_tilde, prob.n)
+        rows = prob.row0[:, None] + np.arange(prob.n)
+        st = cls(Z_tilde, lambda: grads(rows), p)
         st.refresh(Z)
         return st
 
@@ -86,13 +89,13 @@ class SvrgState:
         the first-draw check compares against them."""
         np.copyto(self.Z_tilde, Z)
         G = self.grads()
-        self.g_rows = _rows(G)
+        self.g_rows = G.reshape(2, -1, G.shape[-1])  # row i*n + j
         batch_mean(G, self.g_tilde)
         self.unread = True
 
 
 def svrgo_draw(
-    p: RobustLRProblem, Z: np.ndarray, st: SvrgState, rng: np.random.Generator
+    p: SaddleProblem, Z: np.ndarray, st: SvrgState, rng: np.random.Generator
 ):
     """Bound variance-reduced draw at the stacked (2, m, d) point Z, read at
     every call, against the state st (whose references may be refreshed
@@ -116,7 +119,7 @@ def svrgo_draw(
         rows = batches()
         if st.unread:
             st.unread = False
-            if _same_bits(Z, st.Z_tilde):
+            if Z.tobytes() == st.Z_tilde.tobytes():
                 return np.add(st.g_tilde, 0.0, G), cost
         F = grads(rows)  # overwritten in place by the control variate
         np.subtract(F, st.g_rows.take(rows, axis=1, out=ref), F)
@@ -126,7 +129,7 @@ def svrgo_draw(
 
 
 def svrgo_update_reference(
-    st: SvrgState, prob: RobustLRProblem, Z: np.ndarray, rng: np.random.Generator
+    st: SvrgState, prob: SaddleProblem, Z: np.ndarray, rng: np.random.Generator
 ):
     """Shared Bernoulli(p) refresh of every node's reference point to the
     stacked (2, m, d) point Z.
@@ -139,12 +142,3 @@ def svrgo_update_reference(
         return st, 0
     st.refresh(Z)
     return st, prob.m * prob.n
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _rows(Gb: np.ndarray) -> np.ndarray:
-    """(2, m*n, d) view of (2, m, n, d) batch gradients: row i*n + j."""
-    return Gb.reshape(2, -1, Gb.shape[-1])

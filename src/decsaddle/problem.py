@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -25,7 +26,9 @@ BLOCK_SIGNS = np.array([-1.0, 1.0])
 @dataclass(frozen=True)
 class SaddleConstants:
     """Smoothness / strong-convexity moduli of the local losses; a
-    non-finite one, as from an overflowing bound, raises OverflowError."""
+    non-finite one, as from an overflowing bound, or a smoothness constant
+    or kappa_f whose square (which the schedules take) is not finite,
+    raises OverflowError naming it."""
 
     mu_x: float
     mu_y: float
@@ -38,19 +41,42 @@ class SaddleConstants:
     kappa_f: float = field(init=False)
 
     def __post_init__(self):
-        vals = (self.mu_x, self.mu_y, self.L_xx, self.L_yy, self.L_xy, self.L_yx)
-        for name, v in zip(("mu_x", "mu_y", "L_xx", "L_yy", "L_xy", "L_yx"), vals):
+        names = ("mu_x", "mu_y", "L_xx", "L_yy", "L_xy", "L_yx")
+        vals = tuple(getattr(self, name) for name in names)
+        for name, v in zip(names, vals):
             if not math.isfinite(v):
                 raise OverflowError(f"constant {name} = {v} is not finite")
         if any(v <= 0 for v in vals):
             raise ValueError(f"all constants must be positive, got {vals}")
-        L = max(self.L_xx, self.L_yy, self.L_xy, self.L_yx)
-        mu = min(self.mu_x, self.mu_y)
+        L, mu = max(vals[2:]), min(vals[:2])
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "mu", mu)
         object.__setattr__(self, "kappa_f", L / mu)
+        for name in (*names[2:], "kappa_f"):
+            v = getattr(self, name)
+            if not math.isfinite(v * v):
+                raise OverflowError(f"constant {name} = {v:.6g} has no finite square")
         if self.kappa_f < 1.0:
             raise ValueError("kappa_f < 1: moduli exceed smoothness constants")
+
+
+class SaddleProblem(Protocol):
+    """All that solvers, oracles, ipdhg and metrics read of a problem: m
+    nodes of n batches in dimension d, batch j of node i at flat row
+    row0[i] + j, its constants, the batch gradients and their per-node
+    means, and the projections.  RobustLRProblem documents each member."""
+
+    m: int
+    n: int
+    d: int
+    row0: np.ndarray
+    constants: SaddleConstants
+
+    def bind_batch_grads(self, Z: np.ndarray, per_node: int | None = None): ...
+    def full_grads(self, Z: np.ndarray) -> np.ndarray: ...
+    def bind_prox(self, shape: tuple): ...
+    def prox_step(self, Z: np.ndarray, G: np.ndarray, s: float) -> np.ndarray: ...
+    def prox_residual(self, Z: np.ndarray, G: np.ndarray, s: float) -> float: ...
 
 
 class RobustLRProblem:
@@ -62,10 +88,10 @@ class RobustLRProblem:
     `labels` is batch (i, j), one sample per line, B the largest batch
     size.  A padded sample has features 0 and label 0, so it adds exactly
     zero to both gradient blocks.  One flat index row0 + J gathers the
-    batches J[i] of every node i at once.  Every gradient, of gathered
-    batches or of all of them, goes through _bind_grad, which sets no error
-    state of its own: callers enter overflow_guard() around it (the solvers
-    once per solve).
+    batches J[i] of every node i at once.  Every gradient, of one batch per
+    node or of all of them, goes through bind_batch_grads, which sets no
+    error state of its own: callers enter overflow_guard() around it (the
+    solvers once per solve).
     """
 
     def __init__(
@@ -82,19 +108,15 @@ class RobustLRProblem:
             raise ValueError("lambda and beta must be positive")
         if R_x <= 0 or R_y <= 0:
             raise ValueError("ball radii must be positive")
-        self.N = ds.N
-        self.d = ds.d
+        self.N, self.d = ds.N, ds.d
         self.m, self.n = index.shape[:2]
-        self.lam = lam
-        self.beta = beta
-        self.R_x = R_x
-        self.R_y = R_y
+        self.lam, self.beta, self.R_x, self.R_y = lam, beta, R_x, R_y
         self._radii = np.array([R_x, R_y], dtype=float)[:, None, None]
         self.row0 = np.arange(self.m) * self.n  # flat batch row of each node's batch 0
-        # kernel constants: -n/N, and the (2, 1, 1) regularizer factors
-        # [lam/m, -beta/m] of the stacked gradient
+        # kernel constants: -n/N, and the regularizer factors [lam/m,
+        # -beta/m] of the stacked gradient's blocks
         self._neg_c = -self.n / self.N
-        self._reg = np.array([lam / self.m, -(beta / self.m)])[:, None, None]
+        self._reg = (lam / self.m, -(beta / self.m))
         # one count per sample, and one for the padding index N
         counts = np.bincount(index.ravel(), minlength=self.N + 1)
         if counts.size != self.N + 1 or not (counts[: self.N] == 1).all():
@@ -109,8 +131,6 @@ class RobustLRProblem:
         B = index.shape[2]
         rows = index.reshape(self.m * self.n, B)
         self.features, self.labels = A.take(rows, axis=0), b.take(rows)
-        # the same features as (m, n, B, d): batch (i, j) at [i, j]
-        self.batches = self.features.reshape(self.m, self.n, B, self.d)
         self.constants = (
             constants if constants is not None else self.lipschitz_constants()
         )
@@ -133,30 +153,46 @@ class RobustLRProblem:
             - (self.beta / (2 * self.m)) * np.dot(y, y)
         )
 
-    def _bind_grad(self, AY, b, X, G):
-        """run(): add the loss gradients of a stack of batches to G, in
-        place, reading the arrays bound here at every run; returns G.
+    def bind_batch_grads(self, Z: np.ndarray, per_node: int | None = None):
+        """Batch gradients bound to the stacked (2, m, d) point Z, which is
+        read at every call (so it may advance in place between calls); a
+        (2, 1, d) point serves every node.
 
-        AY holds the batch features plus the dual rows, (*lead, B, d), b
-        the labels (*lead, B) and X the primal rows, broadcasting against
-        (*lead, d); G (2, *lead, d) holds the regularizers on entry, block
-        0 the x-gradient and block 1 the y-gradient.  The work arrays, the
-        blocks' views and the constants at the shapes they meet are made
-        here once: a product of same-shape arrays skips NumPy's scalar
-        conversion and broadcasting set-up, and a view made once skips its
-        overlap check, with the same bits (out arrays go positionally, as
-        in the step plan).
+        Returns grads(rows), rows flat batch rows (i*n + j for node i's
+        batch j): by default an (m,) array, one batch per node, whose
+        gradients come back as (2, m, d); with per_node = k an (m, k)
+        array, whose gradients come back as (2, m, k, d).  Row i of rows
+        is differentiated at (Z[0, i], Z[1, i]).  The result, the gathered
+        batches, the work arrays and the constants at the shapes they meet
+        live in arrays allocated here once, and each call overwrites them:
+        a product of same-shape arrays skips NumPy's scalar conversion and
+        broadcasting set-up, and a view made once skips its overlap check,
+        with the same bits (out arrays go positionally, as in the step
+        plan).
         """
-        t = np.empty(b.shape)
-        v, cb = np.empty(G.shape[1:]), np.empty(b.shape[:-1] + (1,))
-        one, cv, ccb = np.empty(b.shape), np.empty(v.shape), np.empty(cb.shape)
-        one.fill(1.0)
+        m, d = self.m, self.d
+        if Z.shape not in ((2, m, d), (2, 1, d)):
+            raise ValueError(f"expected a (2, {m}, {d}) point, got {Z.shape}")
+        lead = (m,) if per_node is None else (m, per_node)
+        if per_node is not None:
+            Z = Z[:, :, None, :]
+        feats, labels = self.features, self.labels
+        AY = np.empty((*lead, labels.shape[1], d))
+        lb = AY.shape[:-1]  # (*lead, B)
+        b, t, one = np.empty(lb), np.empty(lb), np.ones(lb)
+        G, v, cb = np.empty((2, *lead, d)), np.empty((*lead, d)), np.empty((*lead, 1))
         # -n/N carries the sign of the loss derivative -b sigmoid(-t)
-        cv.fill(self._neg_c)
-        ccb.fill(self._neg_c)
-        G0, G1 = G[0], G[1]
+        cv, ccb = np.full(v.shape, self._neg_c), np.full(cb.shape, self._neg_c)
+        X, Yb, G0, G1 = Z[0], Z[1][..., None, :], G[0], G[1]
+        reg = np.empty(Z.shape)
+        reg[0], reg[1] = self._reg
 
-        def run():
+        def grads(rows):
+            feats.take(rows, axis=0, out=AY)
+            np.add(AY, Yb, AY)
+            labels.take(rows, axis=0, out=b)
+            # both regularizers in one product: [lam/m x, -beta/m y]
+            np.multiply(reg, Z, G)
             np.matvec(AY, X, t)
             np.multiply(b, t, t)
             # b sigmoid(-t) = b / (1 + exp(t)), in place on t
@@ -169,65 +205,16 @@ class RobustLRProblem:
             np.add(np.multiply(cb, X, v), G1, G1)
             return G
 
-        return run
-
-    def bind_batch_grads(self, Z: np.ndarray):
-        """Batch gradients bound to the stacked (2, m, d) point Z, which is
-        read at every call (so it may advance in place between calls).
-
-        Returns grads(rows): row i of each block of the (2, m, d) result is
-        the gradient of batch rows[i] (a flat batch row, i*n + j for node
-        i's batch j) at (Z[0, i], Z[1, i]).  The result and the gathered
-        batches live in arrays allocated here once; each call overwrites
-        them.
-        """
-        m, d = self.m, self.d
-        B = self.labels.shape[1]
-        if Z.shape != (2, m, d):
-            raise ValueError(f"expected a (2, {m}, {d}) point, got {Z.shape}")
-        feats, labels = self.features, self.labels
-        Yb = Z[1][:, None, :]
-        reg = np.empty(Z.shape)
-        np.copyto(reg, self._reg)
-        AY, b, G = np.empty((m, B, d)), np.empty((m, B)), np.empty((2, m, d))
-        run = self._bind_grad(AY, b, Z[0], G)
-
-        def grads(rows):
-            feats.take(rows, axis=0, out=AY)
-            np.add(AY, Yb, AY)
-            labels.take(rows, axis=0, out=b)
-            # both regularizers in one product: [lam/m x, -beta/m y]
-            np.multiply(reg, Z, G)
-            return run()
-
-        return grads
-
-    def bind_all_batch_grads(self, Z: np.ndarray):
-        """Every batch gradient bound to the stacked (2, m, d) point Z,
-        which is read at every call; a (2, 1, d) point serves every node.
-
-        Returns grads() -> the (2, m, n, d) array whose [:, i, j] is the
-        gradient of node i's batch j at (Z[0, i], Z[1, i]).  That array and
-        the batch features plus dual rows live in arrays allocated here
-        once; each call overwrites them.
-        """
-        Z = Z[:, :, None, :]
-        reg, feats = self._reg[..., None], self.batches
-        AY, G = np.empty(feats.shape), np.empty((2, self.m, self.n, self.d))
-        labels = self.labels.reshape(feats.shape[:-1])
-        run = self._bind_grad(AY, labels, Z[0], G)
-        Yb = Z[1][..., None, :]
-
-        def grads():
-            np.add(feats, Yb, AY)
-            np.multiply(reg, Z, G)  # [lam/m x, -beta/m y]
-            return run()
-
         return grads
 
     def all_batch_grads(self, Z: np.ndarray) -> np.ndarray:
-        """bind_all_batch_grads(Z)'s gradients, once, in a new array."""
-        return self.bind_all_batch_grads(np.asarray(Z, dtype=float))()
+        """(2, m, n, d): [:, i, j] is the gradient of node i's batch j at
+        the stacked point Z, as bind_batch_grads takes it, in a new array.
+        The binder is looked up on the class, so a wrapper set on an
+        instance's bind_batch_grads sees only bound draws."""
+        n = self.n
+        grads = RobustLRProblem.bind_batch_grads(self, np.asarray(Z, dtype=float), n)
+        return grads(self.row0[:, None] + np.arange(n))
 
     def full_grads(self, Z: np.ndarray) -> np.ndarray:
         """Row i of each block: average of node i's n batch gradients at
@@ -252,16 +239,19 @@ class RobustLRProblem:
         with the radii at the row norms' shape and the work arrays
         allocated here once."""
         sq, norm = np.empty(shape), np.empty(shape[:-1] + (1,))
-        R = np.empty(norm.shape)
-        np.copyto(R, self._radii)
+        R = np.broadcast_to(self._radii, norm.shape).copy()
         return lambda Z, out: _project_ball(Z, R, out, sq, norm)
 
     def lipschitz_constants(self) -> SaddleConstants:
         """Worst-case per-batch smoothness bounds over the constraint balls;
-        a bound that overflows is refused by SaddleConstants."""
+        a bound that overflows, the radii's squares included, is refused by
+        SaddleConstants."""
         c = self.n / self.N
         N_ij = self.sizes
-        A, R_x, R_y = self.batches, self.R_x, self.R_y
+        # batch (i, j) at [i, j]; the radii as float64, whose square
+        # overflows to inf under the errstate where a float's raises
+        A = self.features.reshape(self.m, self.n, -1, self.d)
+        R_x, R_y = self._radii.ravel()
         with np.errstate(over="ignore"):
             sq = np.sum(A**2, axis=(2, 3))
             norms = np.sum(np.linalg.norm(A, axis=3), axis=2)
@@ -269,12 +259,8 @@ class RobustLRProblem:
             L_yy = np.max(0.25 * c * N_ij * R_x**2) + self.beta / self.m
             L_xy = np.max(c * ((1.0 + R_x * R_y / 4.0) * N_ij + (R_x / 4.0) * norms))
         return SaddleConstants(
-            mu_x=self.lam,
-            mu_y=self.beta,
-            L_xx=float(L_xx),
-            L_yy=float(L_yy),
-            L_xy=float(L_xy),
-            L_yx=float(L_xy),
+            mu_x=self.lam, mu_y=self.beta, L_xx=float(L_xx), L_yy=float(L_yy),
+            L_xy=float(L_xy), L_yx=float(L_xy),
         )
 
     def prox_residual(self, Z: np.ndarray, G: np.ndarray, s: float) -> float:

@@ -19,7 +19,7 @@ from .data import rng_for
 from .ipdhg import NodeEnsemble, check_windows, hold_pairs, step_plan
 from .metrics import CostCounters, Trace, distance_to_saddle
 from .oracles import SvrgState, gsgo_draw, svrgo_draw, svrgo_update_reference
-from .problem import RobustLRProblem, SaddleConstants, overflow_guard
+from .problem import SaddleConstants, SaddleProblem, overflow_guard
 from .topology import DecGraph, SpectralInfo
 
 
@@ -180,7 +180,7 @@ def cdpsvrg_params(
     are drawn uniformly, so no factor of the batch count n enters.  The
     refresh probability p must lie in (0, 1]; it is checked here, before
     the c_tilde factors divide by it.  b does not depend on p: c_tilde p
-    cancels the 1/p.
+    cancels the 1/p.  A p so small that c_tilde overflows is refused.
     """
     if not 0.0 <= delta <= 1.0:
         raise InfeasibleParameterError(f"delta = {delta} outside [0, 1]")
@@ -188,7 +188,10 @@ def cdpsvrg_params(
         raise InfeasibleParameterError(f"p = {p} outside (0, 1]")
     mu, cross2, diag2 = block_constants(consts)
     s = _svrg_step(consts)
-    c_tilde = 8.0 * s**2 * (diag2 + cross2) / p
+    with np.errstate(over="ignore"):
+        c_tilde = 8.0 * s**2 * (diag2 + cross2) / p
+    if not np.isfinite(c_tilde).all():
+        raise InfeasibleParameterError(f"p = {p:.6g} is too small: c_tilde overflows")
     b = s * mu - 4.0 * s**2 * cross2 - c_tilde * p
     lower = 1.0 / (144.0 * consts.kappa_f**2)
     if (b < lower - 1e-15).any():
@@ -236,7 +239,7 @@ def _solve(prob, g, compressor, z0, z_star, rng, log_stride, segments):
 
 
 def run_crdpsg(
-    prob: RobustLRProblem,
+    prob: SaddleProblem,
     g: DecGraph,
     compressor: Compressor,
     stages: list[StageParams],
@@ -267,7 +270,7 @@ def run_crdpsg(
 
 
 def run_cdpsvrg(
-    prob: RobustLRProblem,
+    prob: SaddleProblem,
     g: DecGraph,
     compressor: Compressor,
     params: SvrgParams,
@@ -298,7 +301,7 @@ def run_cdpsvrg(
     return _solve(prob, g, compressor, z0, z_star, rng, log_stride, segment)
 
 
-def compute_reference(prob: RobustLRProblem, iterations: int, tol: float):
+def compute_reference(prob: SaddleProblem, iterations: int, tol: float):
     """Deterministic projected extragradient solve for the saddle point,
     with a backtracking step.
 

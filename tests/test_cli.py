@@ -1,6 +1,7 @@
 import contextlib
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_features__
 
 import decsaddle as ds
 from decsaddle import cli, solvers
@@ -250,7 +252,7 @@ def _golden(name, tmp_path, **sections):
         cfg = json.load(fh)
     cfg["log"] = {"output": str(tmp_path / "trace.csv")}
     for section, values in sections.items():
-        cfg[section].update(values)
+        cfg.setdefault(section, {}).update(values)
     return _write(tmp_path, cfg)
 
 
@@ -598,6 +600,71 @@ def test_overflowing_constants_are_numerical_failures(
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "name, section, values, code, named",
+    [
+        ("golden_desk", "problem", {"lambda": 1e300}, EXIT_NUMERICAL, "L_xx"),
+        ("golden_desk", "problem", {"beta": 1e-300}, EXIT_NUMERICAL, "kappa_f"),
+        ("golden_torus", "problem", {"beta": 1e-300}, EXIT_NUMERICAL, "kappa_f"),
+        ("golden_desk", "problem", {"R_x": 1e160}, EXIT_NUMERICAL, "L_yy"),
+        ("golden_desk", "problem", {"R_y": 1e200}, EXIT_NUMERICAL, "L_xx"),
+        ("golden_desk", "oracle", {"p": 5e-324}, EXIT_INFEASIBLE, "p"),
+    ],
+    ids=["lambda", "beta-desk", "beta-torus", "R_x", "R_y", "p"],
+)
+def test_value_whose_square_overflows_is_named(
+    tmp_path, capsys, name, section, values, code, named
+):
+    # a finite setting that overflows where a schedule squares a constant
+    # (or divides by p) ends in one stderr line naming the value, with no
+    # NumPy warning; validate exits with the same code
+    path = _golden(name, tmp_path, **{section: values})
+    proc = _subprocess_run(path)
+    assert proc.returncode == code, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and re.search(rf"\b{named} = ", lines[0]), proc.stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["validate", path]) == code
+    out = capsys.readouterr()
+    assert re.search(rf"\b{named} = ", out.out + out.err)
+
+
+@pytest.mark.parametrize(
+    "name, stride, steps",
+    # golden_torus' two stages run 1209 steps in all
+    [("golden_desk", 1000, 400), ("golden_torus", 10**9, 1209)],
+)
+def test_stride_above_the_step_count_is_config_error(
+    tmp_path, capsys, name, stride, steps
+):
+    # such a trace would hold its header alone; run and validate refuse it
+    path = _golden(name, tmp_path, log={"stride": stride})
+    for command in ("run", "validate"):
+        assert main([command, path]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: log.stride")
+        assert f"{stride} " in err[0] and f" {steps} steps" in err[0]
+    assert not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_allocation_failure_is_config_error(tmp_path, monkeypatch, capsys, command):
+    # a dataset too large to allocate (N = 10^10 asks NumPy for 745 GiB)
+    # is the config's fault: exit 2 and one line.  The failure is
+    # simulated: a host that overcommits memory would grant the request
+    message = "Unable to allocate 745. GiB for an array"
+
+    def too_large(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.data_mod, "synthesize", too_large)
+    path = _golden("golden_desk", tmp_path, dataset={"N": 10**10})
+    assert main([command, path]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config error: build_dataset: {message}"]
+
+
 # two valid configs (validate exits 0 on both, all windows feasible)
 _FUZZ_BASES = (
     {
@@ -794,6 +861,7 @@ def test_run_reproduces_golden_trace(tmp_path, name):
     (the x86-64 wheel with scipy-openblas 0.3.31); another NumPy build may
     round differently, so a mismatch there is not by itself a regression.
     This is the guard that a rewrite of the step changed no trajectory.
+    A mismatch names its first differing line and the platform.
     """
     data = os.path.join(os.path.dirname(__file__), "data")
     with open(os.path.join(data, name + ".json")) as fh:
@@ -802,7 +870,23 @@ def test_run_reproduces_golden_trace(tmp_path, name):
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_OK
     with open(os.path.join(data, name + ".csv"), "rb") as fh:
         expected = fh.read()
-    assert (tmp_path / "trace.csv").read_bytes() == expected
+    actual = (tmp_path / "trace.csv").read_bytes()
+    assert actual == expected, _trace_mismatch(actual, expected)
+
+
+def _trace_mismatch(actual: bytes, expected: bytes) -> str:
+    """The first line where two traces differ, with the platform that
+    wrote the actual one: NumPy's version, its BLAS, and the CPU features
+    NumPy enabled (another build or CPU may round differently)."""
+    lines = itertools.zip_longest(actual.splitlines(), expected.splitlines())
+    k, (got, want) = next((k, p) for k, p in enumerate(lines, 1) if p[0] != p[1])
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    cpu = [f for f, on in __cpu_features__.items() if on]
+    return (
+        f"trace line {k}: got {got!r}, expected {want!r}; NumPy "
+        f"{np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
+        f"CPU features {' '.join(sorted(cpu))}"
+    )
 
 
 def test_build_does_not_import_numpy_ma():

@@ -522,3 +522,65 @@ def test_solve_ignores_kernel_overflow():
             z, seed=1, log_stride=1,
         )
     assert np.isfinite(ens.Z).all() and len(trace.rows) == 3
+
+
+# every member of a problem that solvers, oracles, ipdhg and metrics read
+_PROTOCOL_MEMBERS = {
+    "m", "n", "d", "row0", "constants",
+    "bind_batch_grads", "full_grads", "bind_prox", "prox_step", "prox_residual",
+}
+
+
+class _OnlyTheProtocol:
+    """A problem seen through SaddleProblem alone: any other attribute
+    raises AttributeError."""
+
+    def __init__(self, prob):
+        self._prob = prob
+
+    def __getattr__(self, name):
+        if name not in _PROTOCOL_MEMBERS:
+            raise AttributeError(f"{name!r} is not a SaddleProblem member")
+        return getattr(self._prob, name)
+
+
+def test_saddle_problem_declares_the_members_the_solvers_read():
+    proto = ds.SaddleProblem
+    methods = {k for k, v in vars(proto).items() if callable(v) and k[0] != "_"}
+    assert set(proto.__annotations__) | methods == _PROTOCOL_MEMBERS
+
+
+def test_solver_stack_reads_only_the_protocol(
+    acc_problem, acc_problem_single, acc_graph, acc_compressor, acc_zstar, acc_start
+):
+    # both schedules, the reference solve and the anchors give the same
+    # bytes on a problem that shows nothing but SaddleProblem's members
+    g, spec = acc_graph
+    z, _ = acc_zstar
+    only = _OnlyTheProtocol(acc_problem)
+    pytest.raises(AttributeError, getattr, only, "features")
+    stages = restart_stages(acc_problem, acc_compressor, spec, 2)
+    params = svrg_params(acc_problem, acc_compressor, spec)
+
+    def runs(prob):
+        return [
+            (trace.to_csv(), ens.Z.tobytes(), ens.D_nu.tobytes())
+            for trace, ens in (
+                ds.run_crdpsg(prob, g, acc_compressor, stages, acc_start, z, seed=4),
+                ds.run_cdpsvrg(
+                    prob, g, acc_compressor, params, 60, acc_start, z, seed=4
+                ),
+            )
+        ]
+
+    def reference(prob):
+        z_ref, residual = ds.compute_reference(prob, iterations=30, tol=1e-30)
+        return z_ref.tobytes(), residual
+
+    assert runs(only) == runs(acc_problem)
+    single = acc_problem_single
+    assert reference(_OnlyTheProtocol(single)) == reference(single)
+    s = stages[0].s
+    a, b = ds.compute_anchors(acc_problem, z, s), ds.compute_anchors(only, z, s)
+    for field in ("D_star", "H_star"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes()
