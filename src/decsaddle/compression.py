@@ -55,10 +55,11 @@ class Compressor:
         else:
             raise ValueError(f"unknown compressor kind {self.kind!r}")
 
-    @property
-    def bits_per_coord(self) -> int:
-        """Payload cost per transmitted coordinate."""
-        return self.bits + 1 if self.kind == "quantize_inf" else RAW_FLOAT_BITS
+    def payload_bits(self, shape: tuple) -> int:
+        """The bits one transmission of a payload of the given shape costs:
+        b + 1 per quantized coordinate, RAW_FLOAT_BITS per raw one."""
+        per_coord = self.bits + 1 if self.kind == "quantize_inf" else RAW_FLOAT_BITS
+        return math.prod(shape) * per_coord
 
     def bind(self, shape: tuple, rng: np.random.Generator):
         """compress(x, out): apply to a float array x of the given shape,

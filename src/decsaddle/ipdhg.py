@@ -192,7 +192,7 @@ def step_plan(
     if counters is None:
         counters = CostCounters()
     add_grad, add_round = counters.add_grad, counters.add_round
-    payload, bits_per_coord = Z.size, compressor.bits_per_coord
+    payload_bits = compressor.payload_bits(Z.shape)
 
     # the step's NumPy calls take their out arrays positionally, which
     # costs less per call than the keyword
@@ -208,6 +208,6 @@ def step_plan(
         np.add(D_nu, np.multiply(pair, diff, NN), D_nu)
         prox(nu, Z)
         add_grad(cost)
-        add_round(payload, bits_per_coord)
+        add_round(payload_bits)
 
     return step

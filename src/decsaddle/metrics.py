@@ -21,9 +21,9 @@ class CostCounters:
     def add_grad(self, units: int):
         self.grad_units += units
 
-    def add_round(self, payload_coords: int, bits_per_coord: int):
+    def add_round(self, bits: int):
         self.comm_rounds += 1
-        self.bits += payload_coords * bits_per_coord
+        self.bits += bits
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compression import RAW_FLOAT_BITS, Compressor, InfeasibleParameterError
+from .compression import Compressor, InfeasibleParameterError, identity_compressor
 from .data import rng_for
 from .ipdhg import NodeEnsemble, check_windows, hold_pairs, step_plan
 from .metrics import CostCounters, Trace, distance_to_saddle
@@ -58,11 +58,6 @@ def block_constants(consts: SaddleConstants):
         np.array([consts.L_yx**2, consts.L_xy**2]),
         np.array([consts.L_xx**2, consts.L_yy**2]),
     )
-
-
-def _svrg_step(consts: SaddleConstants) -> float:
-    """The variance-reduced schedule's step size mu / (24 L^2)."""
-    return consts.mu / (24.0 * consts.L**2)
 
 
 def _modulus(alpha, gamma, rd: float, lam_max: float) -> np.ndarray:
@@ -187,7 +182,7 @@ def cdpsvrg_params(
     if not 0.0 < p <= 1.0:
         raise InfeasibleParameterError(f"p = {p} outside (0, 1]")
     mu, cross2, diag2 = block_constants(consts)
-    s = _svrg_step(consts)
+    s = consts.mu / (24.0 * consts.L**2)
     with np.errstate(over="ignore"):
         c_tilde = 8.0 * s**2 * (diag2 + cross2) / p
     if not np.isfinite(c_tilde).all():
@@ -262,7 +257,7 @@ def run_crdpsg(
         for params in stages:
             ens = NodeEnsemble.initialize(g, Z)
             # restart broadcast of the fresh references, sent uncompressed
-            counters.add_round(ens.Z.size, RAW_FLOAT_BITS)
+            counters.add_round(identity_compressor().payload_bits(ens.Z.shape))
             yield ens, params, gsgo_draw(prob, ens.Z, rng), params.t, None
             Z = ens.Z
 
@@ -315,25 +310,23 @@ def compute_reference(prob: SaddleProblem, iterations: int, tol: float):
     h never drops below 1/(4L), where the test always holds, so the worst
     case is the fixed-step method.  `iterations` caps the accepted steps.
     After every step the run stops once the squared prox fixed-point
-    residual at the variance-reduced schedule's step mu/(24 L^2) is at
-    most tol; the check reuses F at the new iterate, which the next
-    predictor needs anyway.  Draws no random numbers.  Returns (z,
-    residual), z the stacked (2, d) saddle point [x, y], also when the cap
-    stops the run above tol: the caller judges the residual
-    (cli.resolve_reference refuses it).
+    residual at the floor step 1/(4L) is at most tol; the step does not
+    vanish with mu, so neither does the certificate.  The check reuses F
+    at the new iterate, which the next predictor needs anyway.  Draws no
+    random numbers.  Returns (z, residual), z the stacked (2, d) saddle
+    point [x, y], also when the cap stops the run above tol: the caller
+    judges the residual (cli.resolve_reference refuses it).
     """
     if prob.m != 1:
         raise ValueError("reference computation expects an m = 1 problem")
-    consts = prob.constants
-    h_min = 1.0 / (4.0 * consts.L)
-    s = _svrg_step(consts)
+    h_min = 1.0 / (4.0 * prob.constants.L)
 
     # the single node's iterate as a one-row stacked point (2, 1, d)
     Z = np.zeros((2, 1, prob.d))
     h = h_min
     with overflow_guard():
         G = prob.full_grads(Z)
-        residual = prob.prox_residual(Z, G, s)
+        residual = prob.prox_residual(Z, G, h_min)
         for _ in range(iterations):
             if residual <= tol:
                 break
@@ -346,6 +339,6 @@ def compute_reference(prob: SaddleProblem, iterations: int, tol: float):
                 h = 0.5 * h  # h is 1/(4L) times a power of two
             Z = prob.prox_step(Z, GW, h)
             G = prob.full_grads(Z)
-            residual = prob.prox_residual(Z, G, s)
+            residual = prob.prox_residual(Z, G, h_min)
             h = 2.0 * h
     return Z[:, 0], residual

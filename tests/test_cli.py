@@ -130,7 +130,7 @@ def test_reference_cap_is_the_budget_of_a_reference_config_only(tmp_path):
     # golden_desk.json with tol 1e-22 and a budget of 20 iterations: that
     # budget is the cdpsvrg solver's, so the reference command keeps the
     # default cap of 50,000 and meets tol; as a reference config's budget
-    # it caps the solve at 20 iterations, which stop about eight orders
+    # it caps the solve at 20 iterations, which stop about eleven orders
     # above tol, so the command exits 4 and writes nothing
     with open(os.path.join(ROOT, "tests", "data", "golden_desk.json")) as fh:
         cfg = json.load(fh)
@@ -214,7 +214,7 @@ def test_reference_cut_short_prints_one_line(tmp_path):
 
 def test_run_refuses_an_inline_reference_above_tol(tmp_path, capsys):
     # golden_desk.json with its inline solve capped at 3 iterations stops
-    # at a residual of about 1.7e-10 against tol 1e-22: run exits 4 with
+    # at a residual of about 5.0e-7 against tol 1e-22: run exits 4 with
     # the reference command's message and writes no trace
     with open(os.path.join(ROOT, "tests", "data", "golden_desk.json")) as fh:
         cfg = json.load(fh)
@@ -243,6 +243,37 @@ def test_validate_solves_the_inline_reference(tmp_path, capsys):
         assert "feasible" not in out.out
         errors.append(out.err)
     assert errors[0] == errors[1] and "above tol 1.000e-22 after 3" in errors[0]
+
+
+def test_reference_certificate_does_not_vanish_with_mu(tmp_path, capsys):
+    # at beta = 1e-152 the schedule step mu / (24 L^2) is about 4e-158, and
+    # a residual measured there (2.6e-316 at the origin) passes any tol
+    # before a step is taken; at the floor step 1/(4L) fifty steps leave a
+    # residual of about 6.9e-11, so validate and run each refuse it
+    path = _golden("golden_desk", tmp_path, problem={"beta": 1e-152},
+                   reference={"compute": {"iterations": 50, "tol": 1e-22}})
+    for command in ("validate", "run"):
+        assert main([command, path]) == EXIT_NUMERICAL
+        out = capsys.readouterr()
+        lines = out.err.splitlines()
+        assert len(lines) == 1, out.err
+        assert lines[0].startswith("numerical failure: reference residual ")
+        assert "feasible" not in out.out
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_scale64_reference_lies_near_the_saddle_point():
+    # golden_scale64's m = 1 problem (kappa_f about 68) solved with its own
+    # reference.compute (5000 iterations, tol 1e-14) lies within 1e-4 of a
+    # tol-1e-28 solve; a residual measured at the schedule step mu / (24
+    # L^2) stopped 8.2e-3 away
+    with open(os.path.join(ROOT, "tests", "data", "golden_scale64.json")) as fh:
+        cfg = RunConfig.parse(json.load(fh))
+    single = cli.build_problem(cfg, cli.build_dataset(cfg), m=1)
+    z, _ = cli.resolve_reference(cfg, single)
+    z_fine, residual = ds.compute_reference(single, iterations=400_000, tol=1e-28)
+    assert residual <= 1e-28
+    assert np.linalg.norm(z - z_fine) <= 1e-4
 
 
 def _golden(name, tmp_path, **sections):

@@ -145,9 +145,13 @@ def test_compressor_rejects_bits_outside_window(bits):
         ds.Compressor(kind="quantize_inf", bits=bits, delta=0.5)
 
 
-def test_bits_per_coord():
-    assert ds.Compressor(kind="quantize_inf", bits=4, delta=0.1).bits_per_coord == 5
-    assert ds.identity_compressor().bits_per_coord == 32
+def test_payload_bits():
+    # b + 1 bits per quantized coordinate, 32 per raw one, as Python ints
+    shape = (2, 4, 10)
+    bits = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1).payload_bits(shape)
+    assert type(bits) is int and bits == 80 * 5
+    assert ds.identity_compressor().payload_bits(shape) == 80 * 32
+    assert ds.identity_compressor().payload_bits((10,)) == 10 * 32
 
 
 def _pair(g, H):

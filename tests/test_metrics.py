@@ -27,8 +27,8 @@ class _Params:
 def test_counters_accumulate():
     c = CostCounters()
     c.add_grad(3)
-    c.add_round(12, 5)
-    c.add_round(12, 5)
+    c.add_round(12 * 5)
+    c.add_round(12 * 5)
     assert c.grad_units == 3
     assert c.comm_rounds == 2
     assert c.bits == 2 * 12 * 5
@@ -38,7 +38,7 @@ def test_trace_csv_format():
     t = Trace()
     c = CostCounters()
     c.add_grad(4)
-    c.add_round(10, 5)
+    c.add_round(50)
     t.log(1, c, 0.5)
     text = t.to_csv()
     lines = text.strip().split("\n")

@@ -357,6 +357,58 @@ def test_crdpsg_comm_accounting(acc_problem, acc_graph, acc_compressor, acc_zsta
         assert b[1] >= a[1] and b[2] >= a[2] and b[3] >= a[3]
 
 
+@pytest.mark.parametrize("bits", [4, None], ids=["4bit", "identity"])
+def test_every_row_is_priced_in_closed_form(
+    acc_problem, acc_graph, acc_zstar, acc_start, monkeypatch, bits
+):
+    # with b + 1 bits per quantized coordinate (32 raw) and a 2md payload:
+    # the restart schedule spends m gradient units and one round of
+    # 2md(b+1) bits a step, plus one raw 2md*32-bit broadcast round per
+    # stage begun; the variance-reduced schedule spends 2m units and one
+    # round a step, plus mn units at its start and at every refresh
+    g, spec = acc_graph
+    z, _ = acc_zstar
+    prob = acc_problem
+    m, n, d = prob.m, prob.n, prob.d
+    if bits is None:
+        comp, per_coord = ds.identity_compressor(), 32
+    else:
+        delta = ds.quantizer_delta(bits, d)
+        comp = ds.Compressor(kind="quantize_inf", bits=bits, delta=delta)
+        per_coord = bits + 1
+    step_bits, broadcast_bits = 2 * m * d * per_coord, 2 * m * d * 32
+
+    stages = restart_stages(prob, comp, spec, 2)
+    trace, _ = ds.run_crdpsg(prob, g, comp, stages, acc_start, z, seed=0)
+    assert len(trace.rows) == sum(stage.t for stage in stages)
+    for it, units, rounds, sent, _ in trace.rows:
+        begun = 1 + (it > stages[0].t)
+        assert (units, rounds, sent) == (
+            m * it, it + begun, it * step_bits + begun * broadcast_bits
+        )
+
+    # the refreshes run so far, the one of SvrgState.initialize included,
+    # read as every row is logged
+    refreshes, at_row = [], []
+    refresh, distance = ds.SvrgState.refresh, ds.solvers.distance_to_saddle
+
+    def counted_refresh(st, Z):
+        refreshes.append(None)
+        refresh(st, Z)
+
+    def logged_distance(ens, z_star):
+        at_row.append(len(refreshes))
+        return distance(ens, z_star)
+
+    monkeypatch.setattr(ds.SvrgState, "refresh", counted_refresh)
+    monkeypatch.setattr(ds.solvers, "distance_to_saddle", logged_distance)
+    params = svrg_params(prob, comp, spec)
+    trace, _ = ds.run_cdpsvrg(prob, g, comp, params, 60, acc_start, z, seed=0)
+    assert len(trace.rows) == 60 and 1 < at_row[-1] < 60
+    for (it, units, rounds, sent, _), calls in zip(trace.rows, at_row):
+        assert (units, rounds, sent) == (2 * m * it + m * n * calls, it, it * step_bits)
+
+
 def test_crdpsg_consensus_after_run(acc_problem, acc_graph, acc_compressor,
                                     acc_zstar, acc_start):
     g, spec = acc_graph
@@ -403,17 +455,26 @@ def test_compute_reference_desk_tol_within_2000_steps(acc_problem_single):
 
 
 def _recording_prox(prob):
-    """Wrap this problem instance's projected gradient step; returns the
-    list of step sizes it is called with, in call order."""
-    steps = []
-    prox_step = prob.prox_step
+    """Wrap this problem instance's projected gradient step and its prox
+    residual; returns (steps, checks), the step sizes each is called with,
+    in call order.  The step a residual check takes inside it is its own,
+    not one of the steps."""
+    steps, checks = [], []
+    prox_step, prox_residual = prob.prox_step, prob.prox_residual
 
-    def recording(Z, G, s):
+    def step(Z, G, s):
         steps.append(s)
         return prox_step(Z, G, s)
 
-    prob.prox_step = recording
-    return steps
+    def residual(Z, G, s):
+        taken = len(steps)
+        value = prox_residual(Z, G, s)
+        del steps[taken:]
+        checks.append(s)
+        return value
+
+    prob.prox_step, prob.prox_residual = step, residual
+    return steps, checks
 
 
 def _desk_single(acc_dataset, lam=ACC["lam"], R_x=ACC["R_x"], R_y=ACC["R_y"]):
@@ -423,18 +484,17 @@ def _desk_single(acc_dataset, lam=ACC["lam"], R_x=ACC["R_x"], R_y=ACC["R_y"]):
 
 def test_compute_reference_backtracks_above_the_floor(acc_dataset):
     # every step projects with its step size h, every residual check with
-    # the schedule step s < 1/(4L): h starts at 1/(4L), grows, is halved at
-    # least once on the desk problem, and never drops below 1/(4L)
+    # the floor step 1/(4L): h starts at 1/(4L), grows, is halved at least
+    # once on the desk problem, and never drops below 1/(4L)
     prob = _desk_single(acc_dataset)
-    c = prob.constants
-    h_min, s = 1.0 / (4.0 * c.L), c.mu / (24.0 * c.L**2)
-    calls = _recording_prox(prob)
+    h_min = 1.0 / (4.0 * prob.constants.L)
+    h, checks = _recording_prox(prob)
     z, res = ds.compute_reference(prob, iterations=50_000, tol=1e-22)
-    h = [v for v in calls if v != s]
     assert h[0] == h_min and min(h) >= h_min and max(h) > h_min
     assert any(b < a for a, b in zip(h, h[1:]))  # a backtracking halving
+    assert set(checks) == {h_min}
     Z = z[:, None]
-    assert res <= 1e-22 and res == prob.prox_residual(Z, prob.full_grads(Z), s)
+    assert res <= 1e-22 and res == prob.prox_residual(Z, prob.full_grads(Z), h_min)
 
 
 def test_compute_reference_step_floor(acc_dataset):
@@ -442,23 +502,21 @@ def test_compute_reference_step_floor(acc_dataset):
     # acceptance test at every h above 1/(4L) (the tiny balls bound
     # ||W - Z||), so each step backtracks to the floor and no further
     prob = _desk_single(acc_dataset, R_x=1e-3, R_y=1e-3)
-    c = prob.constants
-    h_min, s = 1.0 / (4.0 * c.L), c.mu / (24.0 * c.L**2)
+    h_min = 1.0 / (4.0 * prob.constants.L)
     full_grads, evals = prob.full_grads, itertools.count()
     prob.full_grads = lambda Z: full_grads(Z) + 1e3 * next(evals)
-    calls = _recording_prox(prob)
+    h, _ = _recording_prox(prob)
     ds.compute_reference(prob, iterations=10, tol=0.0)
-    h = [v for v in calls if v != s]
     assert min(h) == h_min and h.count(2.0 * h_min) == 9
 
 
 def test_compute_reference_caps_accepted_steps(acc_dataset):
-    # one residual check at the start and one after each accepted step
+    # one residual check at the start and one after each accepted step,
+    # each at the floor step 1/(4L)
     prob = _desk_single(acc_dataset)
-    c = prob.constants
-    calls = _recording_prox(prob)
+    _, checks = _recording_prox(prob)
     ds.compute_reference(prob, iterations=7, tol=0.0)
-    assert calls.count(c.mu / (24.0 * c.L**2)) == 1 + 7
+    assert checks == [1.0 / (4.0 * prob.constants.L)] * (1 + 7)
 
 
 def _fixed_step_reference(prob, steps):
@@ -482,10 +540,11 @@ def test_compute_reference_matches_fixed_step_on_active_balls(
     # with the constraints active, the backtracking solve agrees with a
     # long fixed-step solve within the distance the residuals imply: for a
     # mu-strongly monotone, 2L-Lipschitz operator,
-    # ||z - z*|| <= (1 + 2 L s) / (mu s) * sqrt(residual at step s)
+    # ||z - z*|| <= (1 + 2 L s) / (mu s) * sqrt(residual at step s), here
+    # at the solve's own floor step s = 1/(4L)
     prob = _desk_single(acc_dataset, lam=lam, R_x=R_x, R_y=R_y)
     c = prob.constants
-    s = c.mu / (24.0 * c.L**2)
+    s = 1.0 / (4.0 * c.L)
     tol = 1e-20
     z, res = ds.compute_reference(prob, iterations=10_000, tol=tol)
     assert res <= tol

@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import runpy
 import shutil
 import subprocess
 import sys
@@ -93,7 +94,8 @@ def test_same_traces_smoke(tmp_path):
     # desk at seed 1: the repo's own src/ against itself matches, and a
     # copy of src/ whose variance-reduced solver seeds its RNG with another
     # tag and whose .meta is indented otherwise writes another trace and
-    # another .meta, and the tool names both
+    # another .meta, and the tool names both, the trace with the columns
+    # the other draws move (the refresh count and the distance)
     src = tmp_path / "src"
     shutil.copytree(os.path.join(ROOT, "src"), src,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -112,7 +114,7 @@ def test_same_traces_smoke(tmp_path):
     assert changed.returncode == 1
     assert changed.stdout.strip() == "0 files identical"
     assert changed.stderr.strip().splitlines() == [
-        "desk seed 1: trace.csv differs",
+        "desk seed 1: trace.csv differs in grad_units, dist_sq",
         "desk seed 1: trace.csv.meta differs",
     ]
 
@@ -128,3 +130,18 @@ def test_same_traces_scale64_smoke():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "3 files identical"
+
+
+def test_same_traces_names_columns_of_traces_of_one_shape():
+    # the columns whose values differ in some row, in header order; traces
+    # of another header or row count are named without columns
+    columns = runpy.run_path(
+        os.path.join(ROOT, "tools", "same_traces.py")
+    )["differing_columns"]
+    trace = b"iter,bits,dist_sq\n1,5,0.5\n2,10,0.25\n"
+    assert columns(trace, trace.replace(b",0.25", b",0.3")) == " in dist_sq"
+    assert columns(trace, b"iter,bits,dist_sq\n1,6,0.4\n2,10,0.25\n") == (
+        " in bits, dist_sq"
+    )
+    assert columns(trace, trace + b"3,15,0.1\n") == ""
+    assert columns(trace, trace.replace(b"bits", b"sent")) == ""

@@ -16,10 +16,12 @@ and `trace.csv.meta` byte for byte, in that order, workload by workload
 and seed by seed.
 
 It names every file that differs on stderr, one line each, and prints
-the count of identical files.  Exits 0 if every file matches, and 1 if
-any differs or at the first command that fails, naming it.  --seeds
-takes one seed or a range such as 1-10; --workloads takes names
-separated by commas.
+the count of identical files.  A differing trace.csv of the same header
+and row count is named with the columns whose values differ in some
+row, as in `desk seed 1: trace.csv differs in dist_sq`.  Exits 0 if
+every file matches, and 1 if any differs or at the first command that
+fails, naming it.  --seeds takes one seed or a range such as 1-10;
+--workloads takes names separated by commas.
 """
 
 from __future__ import annotations
@@ -71,6 +73,21 @@ def outputs(src: str, prepare, workload: str, seed: int) -> dict:
         return found
 
 
+def differing_columns(ours: bytes, theirs: bytes) -> str:
+    """` in a, b`, the columns of two CSV traces whose values differ in
+    some row, or "" if the traces differ in their header or row count, or
+    in nothing but the separators."""
+    a, b = (text.decode().splitlines() for text in (ours, theirs))
+    if len(a) != len(b) or a[0] != b[0]:
+        return ""
+    rows = [(ra.split(","), rb.split(",")) for ra, rb in zip(a[1:], b[1:])]
+    columns = [
+        name for k, name in enumerate(a[0].split(","))
+        if any(ra[k:k + 1] != rb[k:k + 1] for ra, rb in rows)
+    ]
+    return " in " + ", ".join(columns) if columns else ""
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", metavar="SRC", required=True,
@@ -86,7 +103,11 @@ def main(argv=None) -> int:
             ours, theirs = (outputs(src, prepare, workload, seed) for src in trees)
             for name in OUTPUTS:
                 if ours.get(name) != theirs.get(name):
-                    print(f"{workload} seed {seed}: {name} differs", file=sys.stderr)
+                    where = ""
+                    if name == "trace.csv" and name in ours and name in theirs:
+                        where = differing_columns(ours[name], theirs[name])
+                    print(f"{workload} seed {seed}: {name} differs{where}",
+                          file=sys.stderr)
                     differ += 1
                 elif name in ours:
                     same += 1
