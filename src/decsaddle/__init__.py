@@ -8,9 +8,10 @@ stochastic-gradient schedules: restart-based and variance-reduced.
 
 from .compression import (
     Compressor,
+    Identity,
     InfeasibleParameterError,
+    Quantizer,
     bind_exchange,
-    identity_compressor,
     quantizer_delta,
 )
 from .data import Dataset, parse_libsvm, partition, synthesize
@@ -41,8 +42,6 @@ from .topology import (
     DecGraph,
     SpectralInfo,
     bind_mix,
-    build_ring,
-    build_torus,
     mix,
     pinv_weighted_sqnorm,
     spectral,

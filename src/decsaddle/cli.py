@@ -23,8 +23,9 @@ from . import data as data_mod
 from .compression import (
     MAX_BITS,
     Compressor,
+    Identity,
     InfeasibleParameterError,
-    identity_compressor,
+    Quantizer,
     quantizer_delta,
 )
 from .problem import RobustLRProblem
@@ -35,7 +36,7 @@ from .solvers import (
     run_cdpsvrg,
     run_crdpsg,
 )
-from .topology import build_ring, build_torus, spectral
+from .topology import DecGraph, spectral
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -266,14 +267,14 @@ def build_problem(cfg: RunConfig, dataset, m: int) -> RobustLRProblem:
 @_builder
 def build_graph(cfg: RunConfig):
     t = cfg.topology
-    g = build_ring(t["m"]) if t["kind"] == "ring" else build_torus(t["rows"], t["cols"])
+    g = DecGraph((t["m"],) if t["kind"] == "ring" else (t["rows"], t["cols"]))
     return g, spectral(g)
 
 
 @_builder
 def build_compressor(cfg: RunConfig, d: int) -> Compressor:
     if cfg.compression["kind"] == "identity":
-        return identity_compressor()
+        return Identity()
     bits = cfg.compression["bits"]
     delta_star = quantizer_delta(bits, d)
     delta = cfg.setting("compression.delta")
@@ -284,7 +285,7 @@ def build_compressor(cfg: RunConfig, d: int) -> Compressor:
             f"compression.delta = {delta:.10g} is below the quantizer's "
             f"worst case delta* = {delta_star:.10g} at bits = {bits}, d = {d}"
         )
-    return Compressor(kind="quantize_inf", bits=bits, delta=float(delta))
+    return Quantizer(bits, float(delta))
 
 
 def write_zstar(path: str, z: np.ndarray, residual: float):

@@ -27,47 +27,49 @@ class InfeasibleParameterError(ValueError):
 
 
 @dataclass(frozen=True)
-class Compressor:
-    """Either the b-bit infinity-norm quantizer or the identity map.
+class Identity:
+    """The identity map: every coordinate is sent raw, so delta = 0."""
 
-    delta is the variance factor E||Q(x)-x||^2 <= delta ||x||^2 used by all
-    step-size formulas; identity forces delta = 0.
-    """
-
-    kind: str  # "identity" or "quantize_inf"
-    bits: int = 0
-    delta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind == "identity":
-            if self.delta != 0.0:
-                raise ValueError("identity compressor must have delta = 0")
-        elif self.kind == "quantize_inf":
-            if not 1 <= self.bits <= MAX_BITS:
-                raise ValueError(f"need 1 <= bits <= {MAX_BITS}, got {self.bits}")
-            # delta*(b, 1) = 0: at d = 1 the one coordinate is its row's
-            # maximum, so the quantizer is exact
-            if not 0.0 <= self.delta <= 1.0:
-                raise InfeasibleParameterError(
-                    f"quantizer variance factor delta = {self.delta:.4g} "
-                    "outside [0, 1]; increase bits if it exceeds 1"
-                )
-        else:
-            raise ValueError(f"unknown compressor kind {self.kind!r}")
+    delta = 0.0  # the variance factor, a class constant: not settable
 
     def payload_bits(self, shape: tuple) -> int:
-        """The bits one transmission of a payload of the given shape costs:
-        b + 1 per quantized coordinate, RAW_FLOAT_BITS per raw one."""
-        per_coord = self.bits + 1 if self.kind == "quantize_inf" else RAW_FLOAT_BITS
-        return math.prod(shape) * per_coord
+        """RAW_FLOAT_BITS per coordinate of a payload of the given shape."""
+        return math.prod(shape) * RAW_FLOAT_BITS
 
     def bind(self, shape: tuple, rng: np.random.Generator):
-        """compress(x, out): apply to a float array x of the given shape,
-        into out (not sharing memory with x), with the kind resolved and
-        the quantizer's work arrays allocated here once.
+        """compress(x, out): copy x into out."""
+        return lambda x, out: np.copyto(out, x)
 
-        The quantizer maps each row v of x (the last axis; a 1-D x is one
-        row) to
+
+@dataclass(frozen=True)
+class Quantizer:
+    """The b-bit infinity-norm quantizer, with delta the variance factor
+    E||Q(x)-x||^2 <= delta ||x||^2 that all step-size formulas read."""
+
+    bits: int
+    delta: float
+
+    def __post_init__(self):
+        if not 1 <= self.bits <= MAX_BITS:
+            raise ValueError(f"need 1 <= bits <= {MAX_BITS}, got {self.bits}")
+        # delta*(b, 1) = 0: at d = 1 the one coordinate is its row's
+        # maximum, so the quantizer is exact
+        if not 0.0 <= self.delta <= 1.0:
+            raise InfeasibleParameterError(
+                f"quantizer variance factor delta = {self.delta:.4g} "
+                "outside [0, 1]; increase bits if it exceeds 1"
+            )
+
+    def payload_bits(self, shape: tuple) -> int:
+        """b + 1 bits per coordinate of a payload of the given shape."""
+        return math.prod(shape) * (self.bits + 1)
+
+    def bind(self, shape: tuple, rng: np.random.Generator):
+        """compress(x, out): quantize a float array x of the given shape
+        into out (not sharing memory with x), with the work arrays
+        allocated here once.
+
+        Each row v of x (the last axis; a 1-D x is one row) maps to
         Q(v) = (w sign(v)) * floor(|v| / w + u),  w = ||v||_inf 2^{1-b},
         with u drawn i.i.d. uniform per coordinate.  The row scale is
         floored at the least normal float, so a zero row has a positive
@@ -76,8 +78,6 @@ class Compressor:
         draws the uniforms of every row in one rng.random call, in row
         order.
         """
-        if self.kind != "quantize_inf":
-            return lambda x, out: np.copyto(out, x)
         scale, u = np.empty(shape[:-1] + (1,)), np.empty(shape)
         levels = np.full(scale.shape, 2.0 ** (self.bits - 1))
         least = np.full(scale.shape, np.finfo(float).tiny)  # least row scale
@@ -101,8 +101,9 @@ class Compressor:
         return compress
 
 
-def identity_compressor() -> Compressor:
-    return Compressor(kind="identity")
+# A compressor: delta, payload_bits(shape), the price of one transmission
+# of a payload of that shape, and bind(shape, rng) -> compress(x, out)
+Compressor = Identity | Quantizer
 
 
 def quantizer_delta(bits: int, d: int) -> float:

@@ -55,29 +55,28 @@ _SIGNS = BLOCK_SIGNS[:, None, None]
 class SaddleAnchors:
     """Stationary values of the tracked quantities at the saddle point:
     z* (2, d), and the dual trackers D* and references H* (2, m, d), block
-    0 for x and block 1 for y.
-
-    H anchors depend on the step size s, so anchors are recomputed whenever
-    s changes (each restart stage).
-    """
+    0 for x and block 1 for y."""
 
     z_star: np.ndarray
     D_star: np.ndarray
     H_star: np.ndarray
-    s: float
 
 
 def compute_anchors(
     prob: SaddleProblem, z_star: np.ndarray, s: float
 ) -> SaddleAnchors:
-    """Anchors of the stacked (2, d) saddle point z_star at step size s."""
+    """Anchors of the stacked (2, d) saddle point z_star at step size s.
+
+    H anchors depend on s, so anchors are recomputed whenever s changes
+    (each restart stage).
+    """
     m = prob.m
     G = prob.full_grads(z_star[:, None])
     # subtract the per-node mean: projection by I - J with J = 11^T / m
     D_star = _SIGNS * (G - G.mean(axis=1, keepdims=True))
     H = z_star + _SIGNS[..., 0] * ((s / m) * G.sum(axis=1))
     H_star = np.repeat(H[:, None], m, axis=1)
-    return SaddleAnchors(z_star=z_star, D_star=D_star, H_star=H_star, s=s)
+    return SaddleAnchors(z_star=z_star, D_star=D_star, H_star=H_star)
 
 
 def _sqnorms(V: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .compression import Compressor, InfeasibleParameterError, identity_compressor
+from .compression import Compressor, Identity, InfeasibleParameterError
 from .data import rng_for
 from .ipdhg import NodeEnsemble, check_windows, hold_pairs, step_plan
 from .metrics import CostCounters, Trace, distance_to_saddle
@@ -257,7 +257,7 @@ def run_crdpsg(
         for params in stages:
             ens = NodeEnsemble.initialize(g, Z)
             # restart broadcast of the fresh references, sent uncompressed
-            counters.add_round(identity_compressor().payload_bits(ens.Z.shape))
+            counters.add_round(Identity().payload_bits(ens.Z.shape))
             yield ens, params, gsgo_draw(prob, ens.Z, rng), params.t, None
             Z = ens.Z
 

@@ -72,22 +72,15 @@ class SpectralInfo:
         object.__setattr__(self, "kappa_g", float(lam[-1] / lam[1]))
 
 
-def build_ring(m: int) -> DecGraph:
-    """Ring of m >= 3 nodes, weight 1/3 on self and on both neighbours."""
-    return DecGraph((m,))
-
-
-def build_torus(rows: int, cols: int) -> DecGraph:
-    """rows x cols torus, rows, cols >= 3, weight 1/5 on self and on the
-    four wrap-around neighbours."""
-    return DecGraph((rows, cols))
-
-
 def jacobi_eigh(A: np.ndarray):
     """Cyclic Jacobi eigendecomposition of a symmetric matrix.
 
-    Returns (eigvals ascending, eigvecs as columns).  Deterministic; good
-    enough for the small (m <= few hundred) matrices we see here.
+    Returns (eigvals ascending, eigvecs as columns).  Deterministic, but
+    its Python sweeps grow faster than cubically in n: about 0.22 s at
+    n = 64 on a 2-vCPU x86-64 host with AVX-512, 2.2 s at n = 144 (ROADMAP
+    item 13), and n = 256 is out of reach.  Item 13's closed-form ring and
+    torus spectra would replace it; the swap waits on the benchmark's
+    memory figure (item 1).
     """
     A = np.array(A, dtype=float)
     n = A.shape[0]

@@ -31,7 +31,7 @@ def estimate_delta(
     """
     if trials < 1000:
         raise ValueError(f"need trials >= 1000, got {trials}")
-    if c.kind == "identity":
+    if isinstance(c, ds.Identity):
         return 0.0
     probes = []
     for _ in range(20):
@@ -104,7 +104,7 @@ def acc_dataset():
 
 @pytest.fixture(scope="session")
 def acc_graph():
-    g = ds.build_ring(ACC["m"])
+    g = ds.DecGraph((ACC["m"],))
     return g, ds.spectral(g)
 
 
@@ -149,9 +149,7 @@ def acc_zstar_alt(acc_dataset):
 
 @pytest.fixture(scope="session")
 def acc_compressor():
-    return ds.Compressor(
-        kind="quantize_inf", bits=4, delta=ds.quantizer_delta(4, ACC["d"])
-    )
+    return ds.Quantizer(bits=4, delta=ds.quantizer_delta(4, ACC["d"]))
 
 
 @pytest.fixture(scope="session")

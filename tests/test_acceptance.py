@@ -46,7 +46,7 @@ def test_criterion_01_deterministic_contraction(acc_dataset, acc_graph, acc_zsta
     params = ds.crdpsg_stage_params(0, consts, 0.0, spec)
     rho0 = ds.contraction_rate(params, spec)
     anchors = ds.compute_anchors(prob, z, params.s)
-    comp = ds.identity_compressor()
+    comp = ds.Identity()
     Z0 = np.zeros((2, g.m, prob.d))
     Z0[0] = ACC["R_x"] / np.sqrt(prob.d)
     ens = ds.NodeEnsemble.initialize(g, Z0)
@@ -122,7 +122,7 @@ def test_criterion_04_oracle_equivalence(acc_dataset, acc_graph, acc_zstar):
         R_x=ACC["R_x"], R_y=ACC["R_y"],
     )
     g1 = ds.DecGraph(())
-    comp = ds.identity_compressor()
+    comp = ds.Identity()
     z0 = np.array([np.full(prob.d, 5.0), np.zeros(prob.d)])
     n_iter = 500
 
@@ -176,7 +176,7 @@ def test_criterion_05_quantizer_unbiasedness():
     details = []
     vectors_per_b = {2: 7, 4: 7, 8: 6}
     for b, count in vectors_per_b.items():
-        probe = ds.Compressor(kind="quantize_inf", bits=b, delta=1.0)
+        probe = ds.Quantizer(bits=b, delta=1.0)
         dhat = estimate_delta(probe, d, 10_000, np.random.default_rng(b))
         quantize, draws = probe.bind((100_000, d), rng), np.empty((100_000, d))
         for _ in range(count):

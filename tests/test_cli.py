@@ -1,5 +1,7 @@
 import contextlib
+import ctypes
 import dataclasses
+import glob
 import io
 import itertools
 import json
@@ -905,10 +907,25 @@ def test_run_reproduces_golden_trace(tmp_path, name):
     assert actual == expected, _trace_mismatch(actual, expected)
 
 
+def _openblas_core() -> str:
+    """The core whose kernels NumPy's bundled OpenBLAS dispatched to, or
+    "unknown" where that library or its core-name symbol is absent."""
+    libs = glob.glob(os.path.join(
+        os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"
+    ))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def _trace_mismatch(actual: bytes, expected: bytes) -> str:
     """The first line where two traces differ, with the platform that
-    wrote the actual one: NumPy's version, its BLAS, and the CPU features
-    NumPy enabled (another build or CPU may round differently)."""
+    wrote the actual one: NumPy's version, its BLAS and the OpenBLAS core
+    it dispatched to, and the CPU features NumPy enabled (another build or
+    CPU may round differently)."""
     lines = itertools.zip_longest(actual.splitlines(), expected.splitlines())
     k, (got, want) = next((k, p) for k, p in enumerate(lines, 1) if p[0] != p[1])
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
@@ -916,8 +933,16 @@ def _trace_mismatch(actual: bytes, expected: bytes) -> str:
     return (
         f"trace line {k}: got {got!r}, expected {want!r}; NumPy "
         f"{np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
-        f"CPU features {' '.join(sorted(cpu))}"
+        f"OpenBLAS core {_openblas_core()}, CPU features {' '.join(sorted(cpu))}"
     )
+
+
+def test_trace_mismatch_names_the_line_and_the_openblas_core():
+    expected = b"iter,bits\n1,5\n2,10\n"
+    message = _trace_mismatch(expected.replace(b"1,5", b"1,6"), expected)
+    assert message.startswith("trace line 2: got b'1,6', expected b'1,5'; NumPy ")
+    core = _openblas_core()
+    assert core and f", OpenBLAS core {core}, CPU features " in message
 
 
 def test_build_does_not_import_numpy_ma():

@@ -16,7 +16,7 @@ class _ConstRng:
 
 
 def _quantizer(b):
-    return ds.Compressor(kind="quantize_inf", bits=b, delta=1.0)
+    return ds.Quantizer(bits=b, delta=1.0)
 
 
 def test_quantize_zero_input():
@@ -128,30 +128,33 @@ def test_quantizer_delta_positive_at_32_bits():
 
 def test_compressor_rejects_bad_delta():
     with pytest.raises(InfeasibleParameterError):
-        ds.Compressor(kind="quantize_inf", bits=2, delta=1.5)
-    with pytest.raises(ValueError):
-        ds.Compressor(kind="identity", delta=0.5)
+        ds.Quantizer(bits=2, delta=1.5)
 
 
-def test_compressor_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown compressor kind 'topk'"):
-        ds.Compressor(kind="topk")
+def test_compressor_takes_exactly_its_own_values():
+    # the quantizer needs both bits and delta; the identity takes none,
+    # and its delta is 0
+    with pytest.raises(TypeError):
+        ds.Quantizer(4)
+    with pytest.raises(TypeError):
+        ds.Identity(delta=0.5)
+    assert ds.Identity().delta == 0.0
 
 
 @pytest.mark.parametrize("bits", [0, 33, 1100])
 def test_compressor_rejects_bits_outside_window(bits):
     # 1100 bits would overflow 2^(b-1) in the first quantized step
     with pytest.raises(ValueError, match="bits"):
-        ds.Compressor(kind="quantize_inf", bits=bits, delta=0.5)
+        ds.Quantizer(bits=bits, delta=0.5)
 
 
 def test_payload_bits():
     # b + 1 bits per quantized coordinate, 32 per raw one, as Python ints
     shape = (2, 4, 10)
-    bits = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1).payload_bits(shape)
+    bits = ds.Quantizer(bits=4, delta=0.1).payload_bits(shape)
     assert type(bits) is int and bits == 80 * 5
-    assert ds.identity_compressor().payload_bits(shape) == 80 * 32
-    assert ds.identity_compressor().payload_bits((10,)) == 10 * 32
+    assert ds.Identity().payload_bits(shape) == 80 * 32
+    assert ds.Identity().payload_bits((10,)) == 10 * 32
 
 
 def _pair(g, H):
@@ -160,13 +163,13 @@ def _pair(g, H):
 
 
 def test_comm_identity_collapses():
-    g = ds.build_ring(4)
+    g = ds.DecGraph((4,))
     rng = np.random.default_rng(0)
     nu = rng.standard_normal((4, 3))
     HH = _pair(g, rng.standard_normal((4, 3)))
     NN = np.empty_like(HH)  # alpha [nu_hat, nu_hat_w]
     ds.bind_exchange(
-        HH, 0.5, g, ds.identity_compressor(), rng, NN, np.empty((4, 3))
+        HH, 0.5, g, ds.Identity(), rng, NN, np.empty((4, 3))
     )(nu)
     nu_hat, nu_hat_w = NN / 0.5  # dividing by a power of two is exact
     assert np.allclose(nu_hat, nu, atol=0)
@@ -174,11 +177,11 @@ def test_comm_identity_collapses():
 
 
 def test_comm_no_drift():
-    g = ds.build_ring(4)
+    g = ds.DecGraph((4,))
     rng = np.random.default_rng(1)
     H = rng.standard_normal((4, 2))
     HH = _pair(g, H)
-    c = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
+    c = ds.Quantizer(bits=4, delta=0.1)
     NN = np.empty_like(HH)
     ds.bind_exchange(HH, 0.5, g, c, rng, NN, np.empty_like(H))(H)
     nu_hat, nu_hat_w = NN / 0.5
@@ -188,13 +191,13 @@ def test_comm_no_drift():
 
 
 def test_comm_hand_example_ring3():
-    g = ds.build_ring(3)
+    g = ds.DecGraph((3,))
     rng = np.random.default_rng(0)
     HH = np.zeros((2, 3, 1))
     nu = np.array([[3.0], [0.0], [0.0]])
     NN = np.empty_like(HH)
     ds.bind_exchange(
-        HH, 0.5, g, ds.identity_compressor(), rng, NN, np.empty((3, 1))
+        HH, 0.5, g, ds.Identity(), rng, NN, np.empty((3, 1))
     )(nu)
     nu_hat, nu_hat_w = NN / 0.5
     H, Hw = HH
@@ -205,9 +208,9 @@ def test_comm_hand_example_ring3():
 
 
 def test_comm_state_consistency_1000_steps():
-    g = ds.build_ring(5)
+    g = ds.DecGraph((5,))
     rng = np.random.default_rng(7)
-    c = ds.Compressor(kind="quantize_inf", bits=3, delta=0.5)
+    c = ds.Quantizer(bits=3, delta=0.5)
     HH = _pair(g, rng.standard_normal((5, 4)))
     H, Hw = HH
     exchange = ds.bind_exchange(
@@ -224,8 +227,8 @@ def test_bound_exchange_matches_comm_step():
     # and writes diff = nu_hat - nu_hat_w bit for bit as exchanges bound
     # afresh for every call do; the zero start gives the quantizer zero
     # rows in call 1
-    g = ds.build_ring(5)
-    c = ds.Compressor(kind="quantize_inf", bits=3, delta=0.5)
+    g = ds.DecGraph((5,))
+    c = ds.Quantizer(bits=3, delta=0.5)
     alpha = np.array([0.3, 0.2])[:, None, None]
     HH_a, HH_b = np.zeros((2, 2, 5, 4)), np.zeros((2, 2, 5, 4))
     rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
@@ -243,7 +246,7 @@ def test_bound_exchange_matches_comm_step():
         assert HH_a.tobytes() == HH_b.tobytes()
     assert rng_a.random() == rng_b.random()
     with pytest.raises(ValueError):  # references for another graph
-        ds.bind_exchange(HH_a, alpha, ds.build_ring(4), c, rng_a, NN, diff)
+        ds.bind_exchange(HH_a, alpha, ds.DecGraph((4,)), c, rng_a, NN, diff)
 
 
 def test_quantize_rows_match_sequential_calls():

@@ -24,7 +24,7 @@ def test_single_node_reduces_to_prox_gda():
     Z = np.array([[[0.5, -0.2, 0.1]], [[0.0, 0.1, 0.0]]])
     x, y = Z
     ens = ds.NodeEnsemble.initialize(g, Z)
-    comp = ds.identity_compressor()
+    comp = ds.Identity()
     rng = np.random.default_rng(0)
     ds.step_plan(ens, params, g, _exact_draw(prob, ens), prob, comp, rng)()
     gx, gy = prob.full_grads(Z)[:, 0]
@@ -43,7 +43,7 @@ def test_fixed_point_is_stationary(acc_graph, acc_problem, acc_zstar):
     params = ds.StepParams(s=s, gamma=(0.01, 0.01), alpha=(0.3, 0.3))
     Z = np.tile(z[:, None], (1, g.m, 1))
     ens = ds.NodeEnsemble.initialize(g, Z, D=anchors.D_star, H=anchors.H_star)
-    comp = ds.identity_compressor()
+    comp = ds.Identity()
     rng = np.random.default_rng(0)
     ds.step_plan(ens, params, g, _exact_draw(prob, ens), prob, comp, rng)()
     assert np.max(np.abs(ens.Z[0] - Z[0])) <= 1e-10
@@ -53,7 +53,7 @@ def test_fixed_point_is_stationary(acc_graph, acc_problem, acc_zstar):
 @pytest.mark.parametrize(
     "g, N, lam",
     # at m = 16 lambda = 1 exceeds the per-batch smoothness (kappa_f < 1)
-    [(ds.build_ring(3), 12, 1.0), (ds.build_torus(4, 4), 48, 0.1)],
+    [(ds.DecGraph((3,)), 12, 1.0), (ds.DecGraph((4, 4)), 48, 0.1)],
     ids=["ring3", "torus4x4"],
 )
 def test_step_matches_straight_line_transcription(g, N, lam):
@@ -67,7 +67,7 @@ def test_step_matches_straight_line_transcription(g, N, lam):
     ens = ds.NodeEnsemble.initialize(g, np.array([x, y]))
     Dx0, Dy0 = ens.D.copy()
     Hx0, Hy0 = ens.H.copy()
-    comp = ds.identity_compressor()
+    comp = ds.Identity()
     ds.step_plan(
         ens, params, g, _exact_draw(prob, ens), prob, comp, np.random.default_rng(0)
     )()
@@ -98,8 +98,8 @@ def test_step_matches_straight_line_transcription(g, N, lam):
 
 def test_dual_tracker_mean_invariant():
     prob = _problem(m=4, n=2, N=24)
-    g = ds.build_ring(4)
-    comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
+    g = ds.DecGraph((4,))
+    comp = ds.Quantizer(bits=4, delta=0.1)
     params = ds.StepParams(
         s=0.01, gamma=(0.02, 0.02), alpha=(0.2, 0.2), delta=0.1
     )
@@ -122,11 +122,11 @@ def test_invariants_at_the_scale64_topology():
     # 4-bit quantized gossip at delta = 0.05, Hw = W H and the dual
     # trackers sum to zero block by block, at criterion 7's tolerances,
     # and the step sent one round of 2 m d (b + 1) bits
-    g = ds.build_torus(8, 8)
+    g = ds.DecGraph((8, 8))
     dset = ds.synthesize(1280, 10, 1)  # scale64 at workload seed 1
     part = ds.partition(dset, 64, 5, 11)
     prob = ds.RobustLRProblem(dset, part, lam=1.5, beta=1.5, R_x=20.0, R_y=1.0)
-    comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.05)
+    comp = ds.Quantizer(bits=4, delta=0.05)
     params = ds.crdpsg_stage_params(0, prob.constants, comp.delta, ds.spectral(g))
     rng = np.random.default_rng(11)
     ens = ds.NodeEnsemble.initialize(g, 0.1 * rng.standard_normal((2, 64, 10)))
@@ -149,8 +149,8 @@ def test_invariants_at_the_scale64_topology():
 
 def test_counters_recorded():
     prob = _problem(m=3)
-    g = ds.build_ring(3)
-    comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
+    g = ds.DecGraph((3,))
+    comp = ds.Quantizer(bits=4, delta=0.1)
     params = ds.StepParams(
         s=0.01, gamma=(0.02, 0.02), alpha=(0.2, 0.2), delta=0.1
     )
@@ -167,7 +167,7 @@ def test_counters_recorded():
 def test_nonfinite_iterate_raises(block):
     # a NaN gradient at one node must stop the step, not only a logged row
     prob = _problem(m=3)
-    g = ds.build_ring(3)
+    g = ds.DecGraph((3,))
     params = ds.StepParams(s=0.01, gamma=(0.02, 0.02), alpha=(0.2, 0.2))
     ens = ds.NodeEnsemble.initialize(g, np.zeros((2, 3, 3)))
 
@@ -177,7 +177,7 @@ def test_nonfinite_iterate_raises(block):
         return G, prob.m
 
     step = ds.step_plan(
-        ens, params, g, draw, prob, ds.identity_compressor(), np.random.default_rng(0)
+        ens, params, g, draw, prob, ds.Identity(), np.random.default_rng(0)
     )
     with pytest.raises(FloatingPointError):
         step()
@@ -201,14 +201,14 @@ def test_ensemble_trajectory_matches_per_node_loop():
         gy = (prob.n / prob.N) * np.sum(coeff) * xi - (prob.beta / prob.m) * yi
         return gx, gy
 
-    g = ds.build_ring(4)
+    g = ds.DecGraph((4,))
     W = g.W
     params = ds.StepParams(s=0.05, gamma=(0.02, 0.03), alpha=(0.2, 0.25))
     s, ax, ay = params.s, params.alpha[0], params.alpha[1]
     x = np.random.default_rng(2).standard_normal((4, 3))
     y = np.zeros((4, 3))
     ens = ds.NodeEnsemble.initialize(g, np.array([x, y]))
-    comp = ds.identity_compressor()
+    comp = ds.Identity()
     rng = np.random.default_rng(3)
     step = ds.step_plan(ens, params, g, ds.gsgo_draw(prob, ens.Z, rng), prob, comp, rng)
     loop_rng = np.random.default_rng(3)
@@ -246,12 +246,12 @@ def test_step_params_alpha_window():
             ds.StepParams(**dict(ok, alpha=alpha))  # 0.9 > 1/1.5
     # parameters checked for a smaller delta than the compressor's
     prob = _problem(m=3)
-    g = ds.build_ring(3)
+    g = ds.DecGraph((3,))
     Z0 = np.zeros((2, 3, 3))
     Z0[0] = 1.0
     ens = ds.NodeEnsemble.initialize(g, Z0)
     lax = ds.StepParams(**dict(ok, alpha=(0.9, 0.3), delta=0.0))
-    comp = ds.Compressor(kind="quantize_inf", bits=2, delta=0.5)
+    comp = ds.Quantizer(bits=2, delta=0.5)
     with pytest.raises(InfeasibleParameterError):
         ds.step_plan(
             ens, lax, g, _exact_draw(prob, ens), prob, comp, np.random.default_rng(0)
@@ -263,9 +263,9 @@ def test_step_plan_checks_shapes_once():
     # plan is built, before any step runs
     prob = _problem(m=3)
     params = ds.StepParams(s=0.01, gamma=(0.02, 0.02), alpha=(0.2, 0.2))
-    comp, rng = ds.identity_compressor(), np.random.default_rng(0)
+    comp, rng = ds.Identity(), np.random.default_rng(0)
     for m, d in ((4, 3), (3, 2)):
-        g = ds.build_ring(m)
+        g = ds.DecGraph((m,))
         ens = ds.NodeEnsemble.initialize(g, np.zeros((2, m, d)))
         with pytest.raises(ValueError):
             ds.step_plan(ens, params, g, lambda: None, prob, comp, rng)
@@ -274,7 +274,7 @@ def test_step_plan_checks_shapes_once():
 def _exchange(nu, H, Hw, alpha, W, bits, rng):
     """One block's compressed gossip exchange, written out."""
     Q = np.empty_like(H)
-    ds.Compressor(kind="quantize_inf", bits=bits, delta=1.0).bind(H.shape, rng)(
+    ds.Quantizer(bits=bits, delta=1.0).bind(H.shape, rng)(
         nu - H, Q
     )
     nu_hat = H + Q
@@ -308,9 +308,9 @@ def test_bound_plan_matches_two_block_transcription(kind, N, mode, p_ref):
     dset = ds.synthesize(N, 3, 0)
     part = ds.partition(dset, 4, 3, 0, mode=mode)
     prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
-    g = ds.build_ring(4)
+    g = ds.DecGraph((4,))
     W, m, n, d = g.W, 4, prob.n, prob.d
-    comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.1)
+    comp = ds.Quantizer(bits=4, delta=0.1)
     params = ds.StepParams(
         s=0.05, gamma=(0.02, 0.03), alpha=(0.2, 0.25), delta=0.1
     )
@@ -389,11 +389,11 @@ def test_bound_draws_match_one_shot_samplers(kind, quantized):
     dset = ds.synthesize(36, 3, 0)
     part = ds.partition(dset, 4, 3, 0)
     prob = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
-    g = ds.build_ring(4)
+    g = ds.DecGraph((4,))
     delta = 0.1 if quantized else 0.0
     comp = (
-        ds.Compressor(kind="quantize_inf", bits=4, delta=delta)
-        if quantized else ds.identity_compressor()
+        ds.Quantizer(bits=4, delta=delta)
+        if quantized else ds.Identity()
     )
     params = ds.StepParams(
         s=0.05, gamma=(0.02, 0.03), alpha=(0.2, 0.25), delta=delta

@@ -133,7 +133,7 @@ def test_reference_update_p0_rejected():
     # that the state's p comes from
     p = _problem(n=2)
     with pytest.raises(ValueError, match=r"p = 0.0 outside \(0, 1\]"):
-        ds.cdpsvrg_params(p.constants, 0.0, ds.spectral(ds.build_ring(3)), p=0.0)
+        ds.cdpsvrg_params(p.constants, 0.0, ds.spectral(ds.DecGraph((3,))), p=0.0)
 
 
 def test_reference_update_frequency():
@@ -301,9 +301,9 @@ def test_refresh_keeps_its_own_copy_of_the_point():
     dset = ds.synthesize(36, 3, 0)
     part = ds.partition(dset, 4, 3, 0)
     p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
-    g = ds.build_ring(4)
+    g = ds.DecGraph((4,))
     params = ds.StepParams(s=0.05, gamma=(0.02, 0.03), alpha=(0.2, 0.25))
-    comp = ds.identity_compressor()
+    comp = ds.Identity()
     rng = np.random.default_rng(1)
     Z0 = np.array([rng.standard_normal((4, 3)), np.zeros((4, 3))])
     ens = ds.NodeEnsemble.initialize(g, Z0)
@@ -345,7 +345,7 @@ def test_refresh_overwrites_the_cache_in_place():
     part = ds.partition(dset, 4, 3, 0, mode="sorted")  # zero-padded batches
     p = ds.RobustLRProblem(dset, part, lam=1.0, beta=0.5, R_x=2.0, R_y=1.0)
     rng = np.random.default_rng(17)
-    ens = ds.NodeEnsemble.initialize(ds.build_ring(4), np.zeros((2, 4, 3)))
+    ens = ds.NodeEnsemble.initialize(ds.DecGraph((4,)), np.zeros((2, 4, 3)))
     st = SvrgState.initialize(p, ens.Z, p=0.5)
     arrays = st.Z_tilde, st.g_rows, st.g_tilde
     with overflow_guard():

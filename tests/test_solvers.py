@@ -21,7 +21,7 @@ def _consts(mu=1.0, L=2.0, Lxy=1.0):
 
 @pytest.fixture(scope="module")
 def ring4_spec():
-    return ds.spectral(ds.build_ring(4))
+    return ds.spectral(ds.DecGraph((4,)))
 
 
 def test_stage0_frozen_values(ring4_spec):
@@ -88,7 +88,7 @@ def test_stage_contraction_bound(mu, ratio, cross_frac, delta, k):
     c = ds.SaddleConstants(
         mu_x=mu, mu_y=mu, L_xx=L, L_yy=L, L_xy=cross_frac * L, L_yx=cross_frac * L
     )
-    spec = ds.spectral(ds.build_ring(4))
+    spec = ds.spectral(ds.DecGraph((4,)))
     p = ds.crdpsg_stage_params(k, c, delta, spec)
     bound = 1 - (1 - 1 / math.sqrt(2)) / (8 * c.kappa_f**2 * 2 ** (k / 2))
     assert (1 - p.b[0]) / p.M[0] <= bound + 1e-12
@@ -175,7 +175,7 @@ def test_schedules_orient_every_block_pair():
     # the other block's modulus or cross or diagonal constant changes the
     # bits of its pair; both schedules match the per-block formulas exactly
     c = ds.SaddleConstants(mu_x=1.0, mu_y=1.3, L_xx=2.0, L_yy=2.5, L_xy=1.2, L_yx=0.7)
-    for spec in (ds.spectral(ds.build_ring(4)), ds.spectral(ds.build_torus(3, 3))):
+    for spec in (ds.spectral(ds.DecGraph((4,))), ds.spectral(ds.DecGraph((3, 3)))):
         for delta in (0.0, 0.3, 1.0):
             for k in (0, 3):
                 stage = ds.crdpsg_stage_params(k, c, delta, spec)
@@ -264,7 +264,7 @@ def test_svrg_bx_lower_bound(mu, ratio, cross_frac, delta, n):
     c = ds.SaddleConstants(
         mu_x=mu, mu_y=mu, L_xx=L, L_yy=L, L_xy=cross_frac * L, L_yx=cross_frac * L
     )
-    spec = ds.spectral(ds.build_ring(4))
+    spec = ds.spectral(ds.DecGraph((4,)))
     p = ds.cdpsvrg_params(c, delta, spec, p=1.0 / n)
     lower = 1.0 / (144.0 * c.kappa_f**2)
     assert p.b[0] >= lower - 1e-15
@@ -306,13 +306,11 @@ def test_single_node_trajectory_does_not_depend_on_the_spectrum(acc_dataset, bit
     )
     g1 = ds.DecGraph(())
     if bits is None:
-        comp = ds.identity_compressor()
+        comp = ds.Identity()
     else:
-        comp = ds.Compressor(
-            kind="quantize_inf", bits=bits, delta=ds.quantizer_delta(bits, prob.d)
-        )
+        comp = ds.Quantizer(bits=bits, delta=ds.quantizer_delta(bits, prob.d))
     z0 = np.array([np.full(prob.d, 5.0), np.zeros(prob.d)])
-    specs = [ds.spectral(ds.build_ring(3)), ds.spectral(ds.build_torus(3, 3))]
+    specs = [ds.spectral(ds.DecGraph((3,))), ds.spectral(ds.DecGraph((3, 3)))]
     schedules = (
         lambda spec: ds.crdpsg_stage_params(0, prob.constants, comp.delta, spec),
         lambda spec: ds.cdpsvrg_params(prob.constants, comp.delta, spec, p=1.0),
@@ -371,10 +369,10 @@ def test_every_row_is_priced_in_closed_form(
     prob = acc_problem
     m, n, d = prob.m, prob.n, prob.d
     if bits is None:
-        comp, per_coord = ds.identity_compressor(), 32
+        comp, per_coord = ds.Identity(), 32
     else:
         delta = ds.quantizer_delta(bits, d)
-        comp = ds.Compressor(kind="quantize_inf", bits=bits, delta=delta)
+        comp = ds.Quantizer(bits=bits, delta=delta)
         per_coord = bits + 1
     step_bits, broadcast_bits = 2 * m * d * per_coord, 2 * m * d * 32
 
@@ -571,11 +569,11 @@ def test_solve_ignores_kernel_overflow():
     z0 = np.array([np.full(3, 10.0), np.zeros(3)])
     with pytest.warns(RuntimeWarning, match="overflow"):
         prob.full_grads(np.tile(z0[:, None], (1, 4, 1)))
-    g = ds.build_ring(4)
+    g = ds.DecGraph((4,))
     z = np.zeros((2, 3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        comp = ds.identity_compressor()
+        comp = ds.Identity()
         trace, ens = ds.run_cdpsvrg(
             prob, g, comp, svrg_params(prob, comp, ds.spectral(g)), 3, z0,
             z, seed=1, log_stride=1,

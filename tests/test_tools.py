@@ -62,14 +62,14 @@ def test_step_sweep_resolves_by_the_corrected_sign_test(
 
 
 def test_step_sweep_refuses_a_tree_without_step_plan(tmp_path):
-    # --against a tree from before the bound step plan, or from before the
-    # stacked primal-dual points, exits with a one-line message instead of
-    # timing some other step
-    for name, init, message in (
-        ("no-plan", '"""A decsaddle without step_plan."""\n', "has no step_plan"),
-        ("two-arrays", "step_plan = PrimalDualPoint = None\n",
-         "takes separate x and y arrays (it exports PrimalDualPoint), not "
-         "stacked points"),
+    # --against a tree that lacks a library name the sweep calls (here one
+    # from before the bound step plan, and one from before the quantizer
+    # type) exits with a one-line message naming what it lacks instead of
+    # ending in a traceback
+    for name, init, lacks, has in (
+        ("no-plan", '"""A decsaddle without step_plan."""\n', "step_plan", None),
+        ("two-arrays", "step_plan = PrimalDualPoint = None\n", "Quantizer",
+         "step_plan"),
     ):
         pkg = tmp_path / name / "decsaddle"
         pkg.mkdir(parents=True)
@@ -80,8 +80,11 @@ def test_step_sweep_refuses_a_tree_without_step_plan(tmp_path):
             capture_output=True, text=True, timeout=60,
         )
         assert proc.returncode == 1 and proc.stdout == ""
-        expected = f"the decsaddle package under {pkg.parent} {message}"
-        assert proc.stderr.strip() == expected
+        prefix = f"the decsaddle package under {pkg.parent} lacks "
+        line = proc.stderr.strip()
+        assert line.startswith(prefix) and "\n" not in line
+        missing = line[len(prefix):].split(", ")
+        assert lacks in missing and has not in missing
 
 
 def _mutate(path, old, new):

@@ -8,19 +8,19 @@ from decsaddle.topology import jacobi_eigh
 
 
 def test_ring3_all_thirds():
-    g = ds.build_ring(3)
+    g = ds.DecGraph((3,))
     assert np.allclose(g.W, np.full((3, 3), 1.0 / 3.0), atol=0)
 
 
 def test_ring4_circulant_row():
-    g = ds.build_ring(4)
+    g = ds.DecGraph((4,))
     assert np.allclose(g.W[0], [1 / 3, 1 / 3, 0, 1 / 3], atol=0)
     assert not g.W.flags.writeable
 
 
 def test_ring4_spectrum():
     # circulant eigenvalues of I-W: 1 - (1 + 2 cos(2 pi k / m)) / 3
-    g = ds.build_ring(4)
+    g = ds.DecGraph((4,))
     spec = ds.spectral(g)
     expected = np.sort([1 - (1 + 2 * np.cos(2 * np.pi * k / 4)) / 3 for k in range(4)])
     assert np.allclose(spec.eigvals, expected, atol=1e-12)
@@ -30,18 +30,18 @@ def test_ring4_spectrum():
 
 
 def test_ring3_spectrum():
-    spec = ds.spectral(ds.build_ring(3))
+    spec = ds.spectral(ds.DecGraph((3,)))
     assert np.allclose(spec.eigvals, [0, 1, 1], atol=1e-12)
     assert abs(spec.kappa_g - 1.0) < 1e-12
 
 
 def test_ring_rejects_small():
     with pytest.raises(ValueError):
-        ds.build_ring(2)
+        ds.DecGraph((2,))
 
 
 def test_torus33_rows():
-    g = ds.build_torus(3, 3)
+    g = ds.DecGraph((3, 3))
     for i in range(9):
         row = g.W[i]
         assert np.count_nonzero(row) == 5
@@ -51,7 +51,7 @@ def test_torus33_rows():
 
 def test_torus45_lambda_max():
     # 2D circulant spectrum: 1 - (1 + 2cos(2 pi p / rows) + 2cos(2 pi q / cols)) / 5
-    g = ds.build_torus(4, 5)
+    g = ds.DecGraph((4, 5))
     spec = ds.spectral(g)
     expected = max(
         1 - (1 + 2 * np.cos(2 * np.pi * p / 4) + 2 * np.cos(2 * np.pi * q / 5)) / 5
@@ -75,13 +75,13 @@ def test_weights_equal_the_neighbour_loop(rows, cols):
         r, c = divmod(i, cols)
         for rr, cc in ((r, c), (r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
             torus[i, (rr % rows) * cols + cc % cols] += 1.0 / 5.0
-    assert ds.build_ring(m).W.tobytes() == ring.tobytes()
-    assert ds.build_torus(rows, cols).W.tobytes() == torus.tobytes()
+    assert ds.DecGraph((m,)).W.tobytes() == ring.tobytes()
+    assert ds.DecGraph((rows, cols)).W.tobytes() == torus.tobytes()
 
 
 def test_torus_rejects_small():
     with pytest.raises(ValueError):
-        ds.build_torus(2, 5)
+        ds.DecGraph((2, 5))
 
 
 @pytest.mark.parametrize("dims", [(2,), (1,), (3, 2)])
@@ -111,7 +111,7 @@ def test_bind_mix_is_the_dense_product(dims, lead):
 
 def test_bind_mix_refuses_another_node_count():
     with pytest.raises(ValueError, match="expected 4 node blocks"):
-        ds.bind_mix(ds.build_ring(4), (2, 5, 3))
+        ds.bind_mix(ds.DecGraph((4,)), (2, 5, 3))
 
 
 def _circulant_spectrum(rows, cols):
@@ -131,7 +131,7 @@ def _circulant_spectrum(rows, cols):
     ids=[f"ring{m}" for m in range(3, 31)] + ["torus8x8"],
 )
 def test_spectral_matches_circulant_closed_form(rows, cols):
-    g = ds.build_ring(rows) if cols == 1 else ds.build_torus(rows, cols)
+    g = ds.DecGraph((rows,) if cols == 1 else (rows, cols))
     spec = ds.spectral(g)
     assert np.allclose(spec.eigvals, _circulant_spectrum(rows, cols), rtol=0, atol=1e-12)
     V = spec.eigvecs
@@ -154,7 +154,7 @@ def test_jacobi_matches_dense_eigh():
 @given(st.integers(min_value=3, max_value=30))
 @settings(max_examples=20, deadline=None)
 def test_ring_invariants(m):
-    g = ds.build_ring(m)
+    g = ds.DecGraph((m,))
     assert np.max(np.abs(g.W.sum(axis=1) - 1.0)) <= 1e-12
     assert np.array_equal(g.W, g.W.T)
     spec = ds.spectral(g)
@@ -170,33 +170,33 @@ def test_ring_invariants(m):
        st.integers(min_value=0, max_value=1000))
 @settings(max_examples=25, deadline=None)
 def test_mix_preserves_mean(m, d, seed):
-    g = ds.build_ring(m)
+    g = ds.DecGraph((m,))
     V = np.random.default_rng(seed).standard_normal((m, d))
     out = ds.mix(g, V)
     assert np.allclose(out.mean(axis=0), V.mean(axis=0), atol=1e-12)
 
 
 def test_mix_constant_blocks():
-    g = ds.build_ring(5)
+    g = ds.DecGraph((5,))
     v = np.array([2.0, -1.0])
     V = np.tile(v, (5, 1))
     assert np.allclose(ds.mix(g, V), V, atol=1e-15)
 
 
 def test_mix_ring3_basis():
-    g = ds.build_ring(3)
+    g = ds.DecGraph((3,))
     V = np.eye(3)
     out = ds.mix(g, V)
     assert np.allclose(out, np.full((3, 3), 1 / 3), atol=1e-15)
 
 
 def test_mix_zero():
-    g = ds.build_ring(3)
+    g = ds.DecGraph((3,))
     assert np.allclose(ds.mix(g, np.zeros((3, 2))), 0.0, atol=0)
 
 
 def test_mix_dim_mismatch():
-    g = ds.build_ring(3)
+    g = ds.DecGraph((3,))
     with pytest.raises(ValueError):
         ds.mix(g, np.zeros((4, 2)))
     with pytest.raises(ValueError):
@@ -205,7 +205,7 @@ def test_mix_dim_mismatch():
 
 def test_mix_stacked_blocks():
     # a (2, m, d) payload mixes block by block, bit for bit
-    g = ds.build_torus(3, 4)
+    g = ds.DecGraph((3, 4))
     V = np.random.default_rng(3).standard_normal((2, 12, 5))
     out = ds.mix(g, V)
     assert np.array_equal(out[0], ds.mix(g, V[0]))
@@ -213,7 +213,7 @@ def test_mix_stacked_blocks():
 
 
 def test_pinv_norm_kernel_and_zero():
-    g = ds.build_ring(4)
+    g = ds.DecGraph((4,))
     spec = ds.spectral(g)
     V = np.tile(np.array([1.0, 2.0]), (4, 1))
     assert ds.pinv_weighted_sqnorm(spec, V) < 1e-18
@@ -221,14 +221,14 @@ def test_pinv_norm_kernel_and_zero():
 
 
 def test_pinv_norm_rejects_another_node_count():
-    spec = ds.spectral(ds.build_ring(4))
+    spec = ds.spectral(ds.DecGraph((4,)))
     with pytest.raises(ValueError, match="node-block count"):
         ds.pinv_weighted_sqnorm(spec, np.zeros((5, 2)))
 
 
 def test_pinv_norm_range_identity():
     # V = (I-W) u  =>  pinv norm of V equals u^T (I-W) u
-    g = ds.build_ring(5)
+    g = ds.DecGraph((5,))
     spec = ds.spectral(g)
     rng = np.random.default_rng(1)
     L = np.eye(5) - g.W
@@ -242,7 +242,7 @@ def test_pinv_norm_range_identity():
 @given(st.integers(min_value=3, max_value=10), st.integers(min_value=0, max_value=500))
 @settings(max_examples=25, deadline=None)
 def test_pinv_norm_kernel_invariance(m, seed):
-    g = ds.build_ring(m)
+    g = ds.DecGraph((m,))
     spec = ds.spectral(g)
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((m, 3))

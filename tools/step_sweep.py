@@ -10,7 +10,8 @@ oracles' bound draw, once with the minibatch oracle (GSGO) and once with
 the variance-reduced oracle (SVRGO).  Every cell steps under the tree's own
 `cdpsvrg_params` record for its problem, graph spectrum, delta and p =
 1/n, so the script reads no record field and runs against any tree with
-that signature.  The SVRGO cell runs as the
+that signature.  Each tree's graph and spectrum are built once per m and
+shared by that m's cells.  The SVRGO cell runs as the
 variance-reduced solver does: after every step it calls
 `svrgo_update_reference` with p = 1/n, so the timed steps include the
 refreshes and the first-draw reuse.  A refresh copies the point into the
@@ -33,9 +34,8 @@ repeats the other tree won (ran faster).  A ratio ends in `?`,
 unresolved, unless the exact two-sided sign test on the won and lost
 repeats (ties dropped) gives p <= 0.05 / 12, a Bonferroni correction over
 the sweep's 12 cells (`resolved`): at 10 repeats only a 10-0 split
-resolves, and below 9 repeats none can.  A tree without
-`step_plan`, or one that still passes x and y as separate arrays (it
-exports `PrimalDualPoint`), is refused.
+resolves, and below 9 repeats none can.  A tree that lacks a library
+name the sweep calls is refused with one line naming what it lacks.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import importlib.util  # noqa: E402
 import math  # noqa: E402
+import operator  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
@@ -66,6 +67,20 @@ BATCHES, BATCH_SIZE = 5, 8
 WARMUP = 20
 # family-wise level of the sign test, split over the sweep's cells
 LEVEL = 0.05 / (len(NODES) * len(DIMS) * len(ORACLES))
+# the library names the sweep calls, looked up in every tree it times
+NEEDS = ("synthesize", "partition", "RobustLRProblem", "problem.overflow_guard",
+         "DecGraph", "spectral", "Quantizer", "cdpsvrg_params", "NodeEnsemble",
+         "SvrgState", "svrgo_update_reference", "gsgo_draw", "svrgo_draw",
+         "step_plan")
+
+
+def _lacks(mod, name):
+    """Whether mod has nothing at the dotted attribute path name."""
+    try:
+        operator.attrgetter(name)(mod)
+    except AttributeError:
+        return True
+    return False
 
 
 def load_tree(src, name="decsaddle_against"):
@@ -81,31 +96,31 @@ def load_tree(src, name="decsaddle_against"):
     mod = importlib.util.module_from_spec(spec)
     sys.modules[name] = mod
     spec.loader.exec_module(mod)
-    if not hasattr(mod, "step_plan"):
-        raise SystemExit(f"the decsaddle package under {src} has no step_plan")
-    if hasattr(mod, "PrimalDualPoint"):
+    missing = [need for need in NEEDS if _lacks(mod, need)]
+    if missing:
         raise SystemExit(
-            f"the decsaddle package under {src} takes separate x and y arrays "
-            "(it exports PrimalDualPoint), not stacked points"
+            f"the decsaddle package under {src} lacks {', '.join(missing)}"
         )
     return mod
 
 
-def _graph(ds, m):
-    if m == 4:
-        return ds.build_ring(4)
-    side = int(round(m**0.5))
-    return ds.build_torus(side, side)
+def network(ds, m):
+    """The sweep's graph on m nodes in package ds, a ring at m = 4 and a
+    square torus otherwise, with its spectrum."""
+    g = ds.DecGraph((4,) if m == 4 else (round(m**0.5),) * 2)
+    return g, ds.spectral(g)
 
 
-def make_cell(ds, m, d, kind):
-    """Build one sweep cell in package ds, run its warm-up, and return
-    timed(steps) -> mean microseconds per step over the next `steps`."""
+def make_cell(ds, net, d, kind):
+    """Build one sweep cell in package ds on the (graph, spectrum) pair
+    net, run its warm-up, and return timed(steps) -> mean microseconds per
+    step over the next `steps`."""
+    g, spec = net
+    m = g.m
     data = ds.synthesize(m * BATCHES * BATCH_SIZE, d, seed=1)
     part = ds.partition(data, m, BATCHES, seed=1)
     # small moduli keep kappa_f >= 1 at every (m, d) of the sweep
     prob = ds.RobustLRProblem(data, part, lam=0.01, beta=0.01, R_x=20.0, R_y=1.0)
-    g = _graph(ds, m)
     rng = np.random.default_rng(2)
     x0 = 0.1 * rng.standard_normal((m, d))
     Z0 = np.array([x0, 0.01 * rng.standard_normal((m, d))])
@@ -113,8 +128,8 @@ def make_cell(ds, m, d, kind):
     if kind != "gsgo":
         st = ds.SvrgState.initialize(prob, Z0, p=1.0 / BATCHES)
     refresh = ds.svrgo_update_reference
-    comp = ds.Compressor(kind="quantize_inf", bits=4, delta=0.05)
-    params = ds.cdpsvrg_params(prob.constants, comp.delta, ds.spectral(g), 1 / BATCHES)
+    comp = ds.Quantizer(bits=4, delta=0.05)
+    params = ds.cdpsvrg_params(prob.constants, comp.delta, spec, 1 / BATCHES)
     ens = ds.NodeEnsemble.initialize(g, Z0)
     rng = np.random.default_rng(3)
     guard = ds.problem.overflow_guard
@@ -147,10 +162,11 @@ def resolved(won: int, lost: int) -> bool:
     return min(1.0, 2.0 * tail / 2.0**n) <= LEVEL
 
 
-def time_cells(trees, m, d, kind, steps, repeats):
-    """us/step of one cell in each tree, one list per tree with one entry
-    per repeat, alternating the trees repeat by repeat."""
-    cells = [make_cell(ds, m, d, kind) for ds in trees]
+def time_cells(trees, nets, d, kind, steps, repeats):
+    """us/step of one cell in each tree, on that tree's network, one list
+    per tree with one entry per repeat, alternating the trees repeat by
+    repeat."""
+    cells = [make_cell(ds, net, d, kind) for ds, net in zip(trees, nets)]
     per_step = [[] for _ in trees]
     for r in range(repeats):
         order = range(len(trees)) if r % 2 == 0 else reversed(range(len(trees)))
@@ -173,9 +189,10 @@ def main(argv=None):
         head += f" {'against':>9} {'ratio':>7} {'won':>5}"
     print(head)
     for m in NODES:
+        nets = [network(ds, m) for ds in trees]
         for d in DIMS:
             for kind in ORACLES:
-                per_step = time_cells(trees, m, d, kind, args.steps, args.repeats)
+                per_step = time_cells(trees, nets, d, kind, args.steps, args.repeats)
                 us = [statistics.median(v) for v in per_step]
                 row = f"{m:>4} {d:>4} {kind:>6} {us[0]:>9.1f}"
                 if args.against:
