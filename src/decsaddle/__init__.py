@@ -17,7 +17,6 @@ from .compression import (
 from .data import Dataset, parse_libsvm, partition, synthesize
 from .ipdhg import NodeEnsemble, StepParams, step_plan
 from .metrics import (
-    CostCounters,
     SaddleAnchors,
     Trace,
     compute_anchors,

@@ -9,15 +9,19 @@ parameters, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
+import glob
 import json
 import math
 import os
+import platform
 import sys
 from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
 
 from . import data as data_mod
 from .compression import (
@@ -32,6 +36,7 @@ from .problem import RobustLRProblem
 from .solvers import (
     cdpsvrg_params,
     compute_reference,
+    contraction_terms,
     crdpsg_stage_params,
     run_cdpsvrg,
     run_crdpsg,
@@ -362,12 +367,40 @@ def _record(prob: RobustLRProblem) -> dict:
     return {"m": prob.m, "n": prob.n, "N": prob.N, "constants": asdict(prob.constants)}
 
 
-def _fields(params) -> dict:
-    """A schedule record's fields as JSON values, each (x, y) pair as a
-    two-element list [x, y]."""
+def _json(values: dict) -> dict:
+    """values as JSON values, each (x, y) pair as a two-element list [x, y]."""
     return {
         key: v.tolist() if isinstance(v, np.ndarray) else v
-        for key, v in asdict(params).items()
+        for key, v in values.items()
+    }
+
+
+def _openblas_core() -> str:
+    """The core whose kernels NumPy's bundled OpenBLAS dispatched to, or
+    "unknown" where that library or its core-name symbol is absent."""
+    libs = glob.glob(os.path.join(
+        os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+        "libscipy_openblas64_*.so",
+    ))
+    try:
+        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def platform_record() -> dict:
+    """The platform a run's last bits depend on, as .meta records it: the
+    Python and NumPy versions, NumPy's BLAS and the OpenBLAS core it
+    dispatched to, and the CPU features NumPy enabled, sorted."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "openblas_core": _openblas_core(),
+        "cpu_features": sorted(f for f, on in __cpu_features__.items() if on),
     }
 
 
@@ -392,14 +425,16 @@ def verdict(cfg: RunConfig):
     """The one verdict of run and validate on a run config, all but the
     solve: checks the output, builds the run, derives its schedule and its
     numbers as one JSON object, each value a field of the object that
-    holds it, and finds the saddle point; returns (output, build's result,
-    saddle point, schedule, record, failure), failure the first refusal's
-    message or None.  The schedule is the restart method's list of
-    StageParams up to the first infeasible stage, or the SvrgParams (None
-    if infeasible); the run hands these records to its solver, and the
-    record's schedule lists their fields.  The (2, d) saddle point is
-    read from reference.path before the schedule is derived, or, once it
-    is feasible, solved for an inline reference.compute by
+    holds it or a term of a schedule record's rate, and finds the saddle
+    point; returns (output, build's result, saddle point, schedule,
+    record, failure), failure the first refusal's message or None.  The
+    schedule is the restart method's list of StageParams up to the first
+    infeasible stage, or the SvrgParams (None if infeasible); the run
+    hands these records to its solver, the record's schedule lists their
+    fields, and its contraction gives each record's contraction_terms by
+    label, one object per stage for the restart method.  The (2, d) saddle
+    point is read from reference.path before the schedule is derived, or,
+    once it is feasible, solved for an inline reference.compute by
     resolve_reference; it is None if the schedule failed before an inline
     solve.  A feasible run whose log.stride exceeds its step count (the
     budget's iterations, or the stages' summed t) would log no row: that
@@ -428,13 +463,15 @@ def verdict(cfg: RunConfig):
             except InfeasibleParameterError as e:
                 failure = str(e)  # StageParams prefixes `stage k: `
                 break
-        record["schedule"] = [_fields(sp) for sp in schedule]
+        record["schedule"] = [_json(asdict(sp)) for sp in schedule]
+        record["contraction"] = [_json(contraction_terms(sp, spec)) for sp in schedule]
     else:
         try:
             schedule = cdpsvrg_params(
                 prob.constants, compressor.delta, spec, cfg.setting("oracle.p")
             )
-            record["schedule"] = _fields(schedule)
+            record["schedule"] = _json(asdict(schedule))
+            record["contraction"] = _json(contraction_terms(schedule, spec))
         except InfeasibleParameterError as e:
             failure = str(e)
     if failure is None:
@@ -482,7 +519,8 @@ def cmd_run(cfg: RunConfig) -> int:
     with open(out, "w") as fh:
         fh.write(trace.to_csv())
     with open(out + ".meta", "w") as fh:
-        fh.write(json.dumps({"config": cfg.__dict__, "derived": record}, indent=2))
+        meta = {"config": cfg.__dict__, "platform": platform_record()}
+        fh.write(json.dumps({**meta, "derived": record}, indent=2))
         fh.write("\n")
     print(f"trace written to {out}")
     return EXIT_OK

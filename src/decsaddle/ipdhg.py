@@ -8,9 +8,9 @@ so one step quantizes, gossips and projects both halves in one call each.
 A step is bound once per solve as a plan (step_plan): the ensemble's
 arrays, the step factors of a parameter record (checked by check_windows
 when the record was built), the graph's gossip product, the oracle draw,
-the compressor, the RNG and the counters are checked and bound when the
-plan is built, and each step then runs as one flat sequence of NumPy
-calls into arrays allocated once.
+the compressor, the RNG and the trace it charges are checked and bound
+when the plan is built, and each step then runs as one flat sequence of
+NumPy calls into arrays allocated once.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .compression import Compressor, InfeasibleParameterError, bind_exchange
-from .metrics import CostCounters
+from .metrics import Trace
 from .problem import BLOCK_SIGNS, SaddleProblem
 from .topology import DecGraph, mix
 
@@ -141,7 +141,7 @@ def step_plan(
     prob: SaddleProblem,
     compressor: Compressor,
     rng: np.random.Generator,
-    counters: CostCounters | None = None,
+    trace: Trace | None = None,
 ):
     """Bind one IPDHG step of ens under params, a StepParams or a
     schedule's record (solvers.StageParams, SvrgParams), whose windows were
@@ -153,7 +153,8 @@ def step_plan(
     summed over nodes (oracles.gsgo_draw and svrgo_draw bound to ens.Z,
     or any closure).  Both blocks are evaluated at the old (x, y) and
     updated together: the x rows descend, the y rows ascend.  The x and y
-    payloads travel in one gossip round, quantized x rows first.  Raises
+    payloads travel in one gossip round, quantized x rows first, charged to
+    trace (a new metrics.Trace if None) with the draw's cost.  Raises
     InfeasibleParameterError if params were validated for a smaller
     compression factor than the compressor's (their alpha window would not
     hold) and ValueError if the ensemble's shape does not match the graph
@@ -189,9 +190,9 @@ def step_plan(
     s = _factor(shape, s, s)
     exchange = bind_exchange(HH, alpha, g, compressor, rng, NN, diff)
     prox = prob.bind_prox(shape)
-    if counters is None:
-        counters = CostCounters()
-    add_grad, add_round = counters.add_grad, counters.add_round
+    if trace is None:
+        trace = Trace()
+    add_grad, add_round = trace.add_grad, trace.add_round
     payload_bits = compressor.payload_bits(Z.shape)
 
     # the step's NumPy calls take their out arrays positionally, which

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -11,12 +12,14 @@ from .topology import SpectralInfo, pinv_weighted_sqnorm
 
 
 @dataclass
-class CostCounters:
-    """Cumulative batch-gradient evaluations, gossip rounds, and bits."""
+class Trace:
+    """A run's cost totals (batch-gradient evaluations, gossip rounds,
+    bits), which only grow, and its log rows of the totals at an iteration."""
 
     grad_units: int = 0
     comm_rounds: int = 0
     bits: int = 0
+    rows: list = field(default_factory=list)
 
     def add_grad(self, units: int):
         self.grad_units += units
@@ -25,20 +28,13 @@ class CostCounters:
         self.comm_rounds += 1
         self.bits += bits
 
-
-@dataclass
-class Trace:
-    """Per-iteration log rows; cumulative counters are nondecreasing."""
-
-    rows: list = field(default_factory=list)
-
-    def log(self, it, counters: CostCounters, dist_sq):
-        if not np.isfinite(dist_sq):
+    def log(self, it, dist_sq):
+        if not math.isfinite(dist_sq):
             raise FloatingPointError(
                 f"non-finite metric at iteration {it}: dist_sq={dist_sq}"
             )
         self.rows.append(
-            (it, counters.grad_units, counters.comm_rounds, counters.bits, float(dist_sq))
+            (it, self.grad_units, self.comm_rounds, self.bits, float(dist_sq))
         )
 
     def to_csv(self) -> str:
@@ -53,11 +49,11 @@ _SIGNS = BLOCK_SIGNS[:, None, None]
 
 @dataclass(frozen=True)
 class SaddleAnchors:
-    """Stationary values of the tracked quantities at the saddle point:
-    z* (2, d), and the dual trackers D* and references H* (2, m, d), block
-    0 for x and block 1 for y."""
+    """Stationary values at the saddle point, each node-stacked at (2, m,
+    d), block 0 for x and block 1 for y: the iterates Z* (every node at
+    z*), the dual trackers D* and the references H*."""
 
-    z_star: np.ndarray
+    Z_star: np.ndarray
     D_star: np.ndarray
     H_star: np.ndarray
 
@@ -75,8 +71,8 @@ def compute_anchors(
     # subtract the per-node mean: projection by I - J with J = 11^T / m
     D_star = _SIGNS * (G - G.mean(axis=1, keepdims=True))
     H = z_star + _SIGNS[..., 0] * ((s / m) * G.sum(axis=1))
-    H_star = np.repeat(H[:, None], m, axis=1)
-    return SaddleAnchors(z_star=z_star, D_star=D_star, H_star=H_star)
+    Z_star, H_star = (np.repeat(v[:, None], m, axis=1) for v in (z_star, H))
+    return SaddleAnchors(Z_star=Z_star, D_star=D_star, H_star=H_star)
 
 
 def _sqnorms(V: np.ndarray) -> np.ndarray:
@@ -84,11 +80,11 @@ def _sqnorms(V: np.ndarray) -> np.ndarray:
     return (V**2).reshape(2, -1).sum(axis=1)
 
 
-def distance_to_saddle(ens, z_star: np.ndarray) -> float:
-    """Sum over nodes of the squared distance to the stacked (2, d) saddle
-    point z_star; each block is summed on its own, then the two sums are
-    added."""
-    s = _sqnorms(ens.Z - z_star[:, None])
+def distance_to_saddle(ens, Z_star: np.ndarray) -> float:
+    """Sum over nodes of the squared distance to the saddle point,
+    node-stacked at (2, m, d) as Z_star; each block is summed on its own,
+    then the two sums are added."""
+    s = _sqnorms(ens.Z - Z_star)
     return float(s[0] + s[1])
 
 
@@ -98,7 +94,7 @@ def phi(ens, anchors: SaddleAnchors, params, spec: SpectralInfo) -> float:
     gamma, and by sqrt(delta), with delta = params.delta.  The dual terms
     use the pseudoinverse metric of I-W."""
     s2 = params.s**2
-    err = _sqnorms(ens.Z - anchors.z_star[:, None])
+    err = _sqnorms(ens.Z - anchors.Z_star)
     val = np.dot(params.M, err)
     val += np.dot(
         np.divide(2.0 * s2, params.gamma),
@@ -111,5 +107,5 @@ def phi(ens, anchors: SaddleAnchors, params, spec: SpectralInfo) -> float:
 def phi_tilde(ens, anchors: SaddleAnchors, svrg_state, params, spec: SpectralInfo) -> float:
     """phi plus the reference-point error terms of the variance-reduced
     run, weighted by the (x, y) pair c_tilde."""
-    err = _sqnorms(svrg_state.Z_tilde - anchors.z_star[:, None])
+    err = _sqnorms(svrg_state.Z_tilde - anchors.Z_star)
     return phi(ens, anchors, params, spec) + float(np.dot(params.c_tilde, err))

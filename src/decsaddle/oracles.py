@@ -74,24 +74,26 @@ class SvrgState:
     def initialize(cls, prob: SaddleProblem, Z: np.ndarray, p: float) -> "SvrgState":
         """Allocate the reference point, its batch gradients and their
         kernel, bound to all n batch rows of every node, then refresh at
-        the stacked (2, m, d) point Z."""
+        the stacked (2, m, d) point Z.  Every refresh rewrites the kernel's
+        one gradient array, so its cached-row view is bound here, once."""
         Z_tilde = np.empty((2, prob.m, prob.d))
         grads = prob.bind_batch_grads(Z_tilde, prob.n)
         rows = prob.row0[:, None] + np.arange(prob.n)
         st = cls(Z_tilde, lambda: grads(rows), p)
-        st.refresh(Z)
+        st.g_rows = st.refresh(Z).reshape(2, -1, prob.d)  # row i*n + j
         return st
 
-    def refresh(self, Z: np.ndarray):
+    def refresh(self, Z: np.ndarray) -> np.ndarray:
         """Move every reference point to a copy of the stacked point Z and
-        overwrite its batch gradients and their means in place.  The copy
-        matters: the ensemble's rows are overwritten by later steps, and
-        the first-draw check compares against them."""
+        overwrite its batch gradients and their means in place; returns
+        the (2, m, n, d) batch gradients.  The copy matters: the
+        ensemble's rows are overwritten by later steps, and the first-draw
+        check compares against them."""
         np.copyto(self.Z_tilde, Z)
         G = self.grads()
-        self.g_rows = G.reshape(2, -1, G.shape[-1])  # row i*n + j
         batch_mean(G, self.g_tilde)
         self.unread = True
+        return G
 
 
 def svrgo_draw(

@@ -17,7 +17,7 @@ import numpy as np
 from .compression import Compressor, Identity, InfeasibleParameterError
 from .data import rng_for
 from .ipdhg import NodeEnsemble, check_windows, hold_pairs, step_plan
-from .metrics import CostCounters, Trace, distance_to_saddle
+from .metrics import Trace, distance_to_saddle
 from .oracles import SvrgState, gsgo_draw, svrgo_draw, svrgo_update_reference
 from .problem import SaddleConstants, SaddleProblem, overflow_guard
 from .topology import DecGraph, SpectralInfo
@@ -131,19 +131,25 @@ def crdpsg_stage_params(
     return replace(stage, t=max(int(math.ceil(t_real)), 1))
 
 
+def contraction_terms(params, spec: SpectralInfo) -> dict:
+    """The term families of contraction_rate under params, a StageParams
+    or SvrgParams, by label: the (x, y) pairs (1-b)/M, 1-alpha and
+    1-gamma*lambda_2/2, each a (2,) array, and the refresh term 1-p/2
+    where the record carries a refresh probability p (SvrgParams)."""
+    terms = {
+        "(1-b)/M": (1.0 - params.b) / params.M,
+        "1-alpha": 1.0 - params.alpha,
+        "1-gamma*lambda_2/2": 1.0 - 0.5 * params.gamma * spec.lambda_second_smallest,
+    }
+    if isinstance(params, SvrgParams):
+        terms["1-p/2"] = 1.0 - params.p / 2.0
+    return terms
+
+
 def contraction_rate(params, spec: SpectralInfo) -> float:
     """Worst-case per-step decay factor of the Lyapunov diagnostic under
-    params, a StageParams or SvrgParams; the refresh term 1 - p/2 enters
-    where the record carries a refresh probability p (SvrgParams)."""
-    lam2 = spec.lambda_second_smallest
-    terms = [
-        *(1.0 - params.b) / params.M,
-        *(1.0 - params.alpha),
-        *(1.0 - 0.5 * params.gamma * lam2),
-    ]
-    if isinstance(params, SvrgParams):
-        terms.append(1.0 - params.p / 2.0)
-    return float(max(terms))
+    params: the largest value of its term families (contraction_terms)."""
+    return float(max(np.max(v) for v in contraction_terms(params, spec).values()))
 
 
 @dataclass(frozen=True)
@@ -207,29 +213,29 @@ def cdpsvrg_params(
 
 
 def _solve(prob, g, compressor, z0, z_star, rng, log_stride, segments):
-    """The solve loop of both schedules.  segments(Z, counters) gets the
-    stacked (2, m, d) start, every node at the (2, d) point z0, and yields
-    (ens, params, draw, steps, after) per segment: its ensemble, parameter
-    set, bound draw, step count, and None or a hook run after every step.
-    It resumes once the segment has run.  The iteration count runs across
-    segments, and a trace row, its distance to the (2, d) saddle point
-    z_star, is logged at every multiple of log_stride.  Returns (trace,
-    ens)."""
-    Z = np.tile(np.asarray(z0, dtype=float)[:, None], (1, g.m, 1))
+    """The solve loop of both schedules.  segments(Z, trace) gets the
+    stacked (2, m, d) start, every node at the (2, d) point z0, and the
+    trace to charge, and yields (ens, params, draw, steps, after) per
+    segment: its ensemble, parameter set, bound draw, step count, and None
+    or a hook run after every step.  It resumes once the segment has run.
+    The iteration count runs across segments, and a trace row, its
+    distance to z_star, the (2, d) saddle point tiled over the nodes once,
+    is logged at every multiple of log_stride.  Returns (trace, ens)."""
+    Z, Z_star = (np.tile(np.asarray(z, dtype=float)[:, None], (1, g.m, 1))
+                 for z in (z0, z_star))
     trace = Trace()
-    counters = CostCounters()
     ens = None
     it = 0
     with overflow_guard():
-        for ens, params, draw, steps, after in segments(Z, counters):
-            step = step_plan(ens, params, g, draw, prob, compressor, rng, counters)
+        for ens, params, draw, steps, after in segments(Z, trace):
+            step = step_plan(ens, params, g, draw, prob, compressor, rng, trace)
             for _ in range(steps):
                 step()
                 if after is not None:
                     after()
                 it += 1
                 if it % log_stride == 0:
-                    trace.log(it, counters, distance_to_saddle(ens, z_star))
+                    trace.log(it, distance_to_saddle(ens, Z_star))
     return trace, ens
 
 
@@ -253,11 +259,11 @@ def run_crdpsg(
     """
     rng = rng_for(seed, 0x5501)
 
-    def segments(Z, counters):
+    def segments(Z, trace):
         for params in stages:
             ens = NodeEnsemble.initialize(g, Z)
             # restart broadcast of the fresh references, sent uncompressed
-            counters.add_round(Identity().payload_bits(ens.Z.shape))
+            trace.add_round(Identity().payload_bits(ens.Z.shape))
             yield ens, params, gsgo_draw(prob, ens.Z, rng), params.t, None
             Z = ens.Z
 
@@ -282,14 +288,14 @@ def run_cdpsvrg(
     the reference points.  Returns (trace, ensemble)."""
     rng = rng_for(seed, 0x5502)
 
-    def segment(Z, counters):
+    def segment(Z, trace):
         ens = NodeEnsemble.initialize(g, Z)
         state = SvrgState.initialize(prob, Z, p=params.p)
-        counters.add_grad(prob.m * prob.n)  # initial reference gradients
+        trace.add_grad(prob.m * prob.n)  # initial reference gradients
 
         def refresh():
             _, cost = svrgo_update_reference(state, prob, ens.Z, rng)
-            counters.add_grad(cost)
+            trace.add_grad(cost)
 
         yield ens, params, svrgo_draw(prob, ens.Z, state, rng), T, refresh
 

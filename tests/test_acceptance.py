@@ -248,7 +248,7 @@ def test_criterion_07_structural_invariants(
     )
     ens = ds.NodeEnsemble.initialize(g, np.tile(acc_start[:, None], (1, g.m, 1)))
     state = SvrgState.initialize(prob, ens.Z, p=1.0 / prob.n)
-    counters = ds.CostCounters()
+    counters = ds.Trace()
     counters.add_grad(prob.m * prob.n)
     rng = np.random.default_rng(9)
     step = ds.step_plan(

@@ -1,7 +1,5 @@
 import contextlib
-import ctypes
 import dataclasses
-import glob
 import io
 import itertools
 import json
@@ -18,7 +16,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from numpy._core._multiarray_umath import __cpu_features__
 
 import decsaddle as ds
 from decsaddle import cli, solvers
@@ -109,7 +106,9 @@ def test_run_writes_csv_and_meta(tmp_path):
     for row in rows:
         assert all(np.isfinite(float(v)) for v in row)
     meta = json.loads((tmp_path / "trace.csv.meta").read_text())
-    assert "derived" in meta and "config" in meta
+    assert list(meta) == ["config", "platform", "derived"]
+    assert meta["platform"] == cli.platform_record()
+    assert meta["platform"]["numpy"] == np.__version__
 
 
 def test_reference_command_roundtrip(tmp_path):
@@ -587,6 +586,26 @@ def test_validate_golden_desk_prints_exact_delta(capsys):
     assert record["delta"] == ds.quantizer_delta(4, 10)
 
 
+@pytest.mark.parametrize("name", ["golden_desk", "golden_torus"])
+def test_largest_contraction_term_is_the_rate(name):
+    # the record lists the term families of each schedule record's rate,
+    # one object per restart stage; the largest value listed, read back
+    # from JSON, is contraction_rate, bit for bit
+    cfg = cli.load_config(os.path.join(ROOT, "tests", "data", name + ".json"))
+    _, (_, _, _, spec, _), _, schedule, record, _ = cli.verdict(cfg)
+    listed = json.loads(json.dumps(record["contraction"]))
+    if cfg.algorithm == "crdpsg":
+        assert len(schedule) == len(listed) == cfg.budget["stages"]
+    else:
+        schedule, listed = [schedule], [listed]
+    for params, terms in zip(schedule, listed):
+        labels = ["(1-b)/M", "1-alpha", "1-gamma*lambda_2/2"]
+        assert list(terms) == labels + ["1-p/2"] * (cfg.algorithm == "cdpsvrg")
+        assert max(np.max(v) for v in terms.values()) == ds.contraction_rate(
+            params, spec
+        )
+
+
 @pytest.mark.parametrize(
     "algorithm, budget",
     [("crdpsg", {"iterations": 10}), ("cdpsvrg", {"stages": 1}),
@@ -907,33 +926,19 @@ def test_run_reproduces_golden_trace(tmp_path, name):
     assert actual == expected, _trace_mismatch(actual, expected)
 
 
-def _openblas_core() -> str:
-    """The core whose kernels NumPy's bundled OpenBLAS dispatched to, or
-    "unknown" where that library or its core-name symbol is absent."""
-    libs = glob.glob(os.path.join(
-        os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas64_*.so"
-    ))
-    try:
-        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
-    except (IndexError, OSError, AttributeError):
-        return "unknown"
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
-
-
 def _trace_mismatch(actual: bytes, expected: bytes) -> str:
     """The first line where two traces differ, with the platform that
-    wrote the actual one: NumPy's version, its BLAS and the OpenBLAS core
-    it dispatched to, and the CPU features NumPy enabled (another build or
-    CPU may round differently)."""
+    wrote the actual one, as .meta records it: NumPy's version, its BLAS
+    and the OpenBLAS core it dispatched to, and the CPU features NumPy
+    enabled (another build or CPU may round differently)."""
     lines = itertools.zip_longest(actual.splitlines(), expected.splitlines())
     k, (got, want) = next((k, p) for k, p in enumerate(lines, 1) if p[0] != p[1])
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    cpu = [f for f, on in __cpu_features__.items() if on]
+    p = cli.platform_record()
     return (
         f"trace line {k}: got {got!r}, expected {want!r}; NumPy "
-        f"{np.__version__}, BLAS {blas.get('name')} {blas.get('version')}, "
-        f"OpenBLAS core {_openblas_core()}, CPU features {' '.join(sorted(cpu))}"
+        f"{p['numpy']}, BLAS {p['blas']['name']} {p['blas']['version']}, "
+        f"OpenBLAS core {p['openblas_core']}, "
+        f"CPU features {' '.join(p['cpu_features'])}"
     )
 
 
@@ -941,7 +946,7 @@ def test_trace_mismatch_names_the_line_and_the_openblas_core():
     expected = b"iter,bits\n1,5\n2,10\n"
     message = _trace_mismatch(expected.replace(b"1,5", b"1,6"), expected)
     assert message.startswith("trace line 2: got b'1,6', expected b'1,5'; NumPy ")
-    core = _openblas_core()
+    core = cli.platform_record()["openblas_core"]
     assert core and f", OpenBLAS core {core}, CPU features " in message
 
 

@@ -130,7 +130,7 @@ def test_invariants_at_the_scale64_topology():
     params = ds.crdpsg_stage_params(0, prob.constants, comp.delta, ds.spectral(g))
     rng = np.random.default_rng(11)
     ens = ds.NodeEnsemble.initialize(g, 0.1 * rng.standard_normal((2, 64, 10)))
-    counters = ds.CostCounters()
+    counters = ds.Trace()
     step = ds.step_plan(
         ens, params, g, ds.gsgo_draw(prob, ens.Z, rng), prob, comp,
         rng, counters,
@@ -155,7 +155,7 @@ def test_counters_recorded():
         s=0.01, gamma=(0.02, 0.02), alpha=(0.2, 0.2), delta=0.1
     )
     ens = ds.NodeEnsemble.initialize(g, np.zeros((2, 3, 3)))
-    counters = ds.CostCounters()
+    counters = ds.Trace()
     rng = np.random.default_rng(0)
     ds.step_plan(ens, params, g, _exact_draw(prob, ens), prob, comp, rng, counters)()
     assert counters.grad_units == 3
@@ -403,7 +403,7 @@ def test_bound_draws_match_one_shot_samplers(kind, quantized):
     for _ in range(2):
         ens = ds.NodeEnsemble.initialize(g, zeros)
         st = ds.SvrgState.initialize(prob, zeros, p=0.3)
-        runs.append((ens, st, np.random.default_rng(6), ds.CostCounters()))
+        runs.append((ens, st, np.random.default_rng(6), ds.Trace()))
     (ens_a, st_a, rng_a, cnt_a), (ens_b, st_b, rng_b, cnt_b) = runs
     def bind_draw(ens, st, rng):
         if kind == "gsgo":

@@ -1,8 +1,11 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
 import decsaddle as ds
-from decsaddle.metrics import CostCounters, Trace
+from decsaddle.metrics import Trace
 from decsaddle.topology import pinv_weighted_sqnorm
 
 
@@ -25,7 +28,7 @@ class _Params:
 
 
 def test_counters_accumulate():
-    c = CostCounters()
+    c = Trace()
     c.add_grad(3)
     c.add_round(12 * 5)
     c.add_round(12 * 5)
@@ -36,20 +39,28 @@ def test_counters_accumulate():
 
 def test_trace_csv_format():
     t = Trace()
-    c = CostCounters()
-    c.add_grad(4)
-    c.add_round(50)
-    t.log(1, c, 0.5)
+    t.add_grad(4)
+    t.add_round(50)
+    t.log(1, 0.5)
     text = t.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "iter,grad_units,comm_rounds,bits,dist_sq"
     assert lines[1] == "1,4,1,50,0.5"
 
 
+def test_trace_header_is_the_benchmark_parsers():
+    # perfbench/run.py refuses a trace whose first line is not its HEADER;
+    # the constant is read from the file's text, not imported
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "perfbench", "run.py")) as fh:
+        header = re.search(r'^HEADER = "(.*)"$', fh.read(), re.M).group(1)
+    assert Trace().to_csv() == header + "\n"
+
+
 def test_trace_rejects_nonfinite():
     t = Trace()
     with pytest.raises(FloatingPointError):
-        t.log(1, CostCounters(), float("nan"))
+        t.log(1, float("nan"))
 
 
 def test_distance_to_saddle():
@@ -57,12 +68,24 @@ def test_distance_to_saddle():
     x = np.array([[1.0, 0.0], [0.0, 0.0]])
     y = np.array([[0.0, 0.0], [0.0, 1.0]])
     ens = _Ens(np.array([x, y]), None, None)
-    assert ds.distance_to_saddle(ens, z) == 2.0
+    assert ds.distance_to_saddle(ens, _at_zstar(z, 2)) == 2.0
     # brute-force duplicate sum
     brute = sum(
         np.sum((x[i] - z[0]) ** 2) + np.sum((y[i] - z[1]) ** 2) for i in range(2)
     )
-    assert abs(ds.distance_to_saddle(ens, z) - brute) <= 1e-15
+    assert abs(ds.distance_to_saddle(ens, _at_zstar(z, 2)) - brute) <= 1e-15
+
+
+@pytest.mark.parametrize("m", [3, 64])
+def test_distance_to_node_stacked_point_matches_the_broadcast(m):
+    # against the saddle point node-stacked once, the distance has the bits
+    # of the per-row broadcast ens.Z - z_star[:, None] it replaced
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        z = rng.standard_normal((2, 10))
+        ens = _Ens(z[:, None] + rng.standard_normal((2, m, 10)), None, None)
+        sq = ((ens.Z - z[:, None]) ** 2).reshape(2, -1).sum(axis=1)
+        assert ds.distance_to_saddle(ens, _at_zstar(z, m)) == float(sq[0] + sq[1])
 
 
 def test_anchors_range_membership(acc_problem, acc_zstar):
@@ -113,7 +136,7 @@ def test_phi_dominates_distance(acc_problem, acc_graph, acc_zstar):
         M=(M_x, M_y), s=0.001, gamma=(0.01, 0.01), delta=0.04
     )
     val = ds.phi(ens, a, params, spec)
-    assert val >= min(M_x, M_y) * ds.distance_to_saddle(ens, z) - 1e-12
+    assert val >= min(M_x, M_y) * ds.distance_to_saddle(ens, _at_zstar(z, m)) - 1e-12
 
 
 def test_phi_tilde_hand_arithmetic(acc_problem, acc_graph, acc_zstar):
@@ -150,7 +173,7 @@ def test_phi_tilde_zero(acc_problem, acc_graph, acc_zstar):
 
 def _phi_per_block(x, y, Dx, Dy, Hx, Hy, anchors, params, spec):
     """phi written out block by block, on separate x and y arrays."""
-    zx, zy = anchors.z_star
+    zx, zy = anchors.Z_star
     val = params.M[0] * float(np.sum((x - zx) ** 2))
     val += params.M[1] * float(np.sum((y - zy) ** 2))
     s2 = params.s**2

@@ -392,7 +392,7 @@ def test_every_row_is_priced_in_closed_form(
 
     def counted_refresh(st, Z):
         refreshes.append(None)
-        refresh(st, Z)
+        return refresh(st, Z)
 
     def logged_distance(ens, z_star):
         at_row.append(len(refreshes))
