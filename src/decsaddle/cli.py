@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 import numpy as np
-from numpy._core._multiarray_umath import __cpu_features__
 
 from . import data as data_mod
 from .compression import (
@@ -60,7 +59,7 @@ REQUIRED = object()  # the default of a key that a config must give
 class Key:
     """A config key: its kind ("int" in [lo, hi], finite "number" or
     "positive", "string", "enum" of the choices), literal choices it also
-    admits, and its default: REQUIRED, a value, None or f(config, command)."""
+    admits, and its default: REQUIRED, a value, None or f(config, job)."""
 
     kind: str
     lo: int = 0
@@ -119,8 +118,8 @@ SCHEMA = Section({
     "log": Section({
         "stride": Key("int", 1, default=lambda cfg, _: (
             10 if cfg.budget.get("iterations", 0) > 10_000 else 1)),
-        "output": Key("string", default=lambda _, command: (
-            "zstar.txt" if command == "reference" else "trace.csv")),
+        "output": Key("string", default=lambda _, job: (
+            "zstar.txt" if job == "reference" else "trace.csv")),
     }, default={}),
     "reference": Section({}, None, {
         "path": {"path": Key("string")},
@@ -210,14 +209,14 @@ class RunConfig(SimpleNamespace):
         return cls(**{name: raw[name] if name in raw else dict(spec.default)
                       for name, spec in SCHEMA.keys.items()})
 
-    def setting(self, dotted: str, command: str = "run"):
+    def setting(self, dotted: str, job: str = "run"):
         """The value at a dotted key path as written, else the key's default
-        for the command ("run" or "reference") that reads it."""
+        for the job ("run" or "reference") that reads it."""
         node = vars(self)
         for key in dotted.split("."):
             if key not in node:
                 default = KEYS[dotted].default
-                return default(self, command) if callable(default) else default
+                return default(self, job) if callable(default) else default
             node = node[key]
         return node
 
@@ -329,8 +328,8 @@ def resolve_reference(cfg: RunConfig, single: RobustLRProblem):
     """compute_reference on the config's m = 1 problem, with the compute
     section's cap and tolerance; returns (z, residual), z the (2, d) saddle
     point.  This is the one judge of a reference solve: one that stops
-    above tol raises ArithmeticError (exit 4), in the reference command
-    and in a run's inline compute alike."""
+    above tol raises ArithmeticError (exit 4), in a reference job and in a
+    run's inline compute alike."""
     tol = cfg.setting("reference.compute.tol")
     iterations = cfg.setting("reference.compute.iterations")
     z, residual = compute_reference(single, iterations=iterations, tol=tol)
@@ -342,24 +341,26 @@ def resolve_reference(cfg: RunConfig, single: RobustLRProblem):
     return z, residual
 
 
-def _output(cfg: RunConfig, command: str) -> str:
-    """The file the command writes; one in a missing directory, or that
-    names a directory, is a ConfigError, found without creating a file."""
-    out = cfg.setting("log.output", command)
+def _output(cfg: RunConfig, job: str) -> str:
+    """The file the job ("run" or "reference") writes; one in a missing
+    directory, that names a directory, or that is a file the job reads (a
+    run's .meta counts too), is a ConfigError, found without creating a
+    file.  A run reads dataset.path and reference.path, a reference job
+    dataset.path alone, so it may write over reference.path."""
+    out = cfg.setting("log.output", job)
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise ConfigError(f"log.output: no directory for {out!r}")
     if not out or os.path.isdir(out):
         raise ConfigError(f"log.output: {out!r} names a directory")
+    reads, writes = [cfg.dataset.get("path")], [out]
+    if job == "run":
+        reads.append(cfg.reference.get("path"))
+        writes.append(out + ".meta")
+    for path in filter(None, reads):
+        if any(os.path.realpath(w) == os.path.realpath(path) for w in writes):
+            raise ConfigError(f"log.output: {out!r} would overwrite {path!r}, "
+                              f"which the {job} reads")
     return out
-
-
-def reference_verdict(cfg: RunConfig):
-    """The verdict of the reference command, which run and validate give
-    a reference config too: checks the output, builds the m = 1 problem
-    and solves it; returns (output, problem, z, residual)."""
-    out = _output(cfg, "reference")
-    single = build_problem(cfg, build_dataset(cfg), m=1)
-    return out, single, *resolve_reference(cfg, single)
 
 
 def _record(prob: RobustLRProblem) -> dict:
@@ -393,54 +394,48 @@ def _openblas_core() -> str:
 def platform_record() -> dict:
     """The platform a run's last bits depend on, as .meta records it: the
     Python and NumPy versions, NumPy's BLAS and the OpenBLAS core it
-    dispatched to, and the CPU features NumPy enabled, sorted."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    dispatched to, and NumPy's CPU features: its baseline, then the
+    dispatch targets it found, which select its kernels."""
+    config = np.show_config(mode="dicts")
+    blas, simd = config["Build Dependencies"]["blas"], config["SIMD Extensions"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "openblas_core": _openblas_core(),
-        "cpu_features": sorted(f for f, on in __cpu_features__.items() if on),
+        "cpu_features": simd["baseline"] + simd["found"],
     }
 
 
-def cmd_reference(cfg: RunConfig) -> int:
-    out, _, z, residual = reference_verdict(cfg)
-    write_zstar(out, z, residual)
-    print(f"reference written to {out}, residual {residual:.3e}")
-    return EXIT_OK
-
-
-def build(cfg: RunConfig):
-    """The one build path of run and validate: returns
-    (dataset, problem, graph, spectrum, compressor)."""
+def verdict(cfg: RunConfig, job: str) -> SimpleNamespace:
+    """The one verdict of every command on a job, all but the solve: checks
+    the output, builds what the job needs and returns its fields out,
+    record (validate's JSON object), failure (the first refusal's message
+    or None) and z_star, the (2, d) saddle point.  A reference job builds
+    the dataset and the m = 1 problem, whose sizes and constants are its
+    record, and solves it by resolve_reference, adding the residual.  A
+    run job adds the build (g, spec, prob, compressor) and its schedule:
+    the restart method's list of StageParams up to the first infeasible
+    stage, or the SvrgParams (None if infeasible).  The run hands these
+    records to its solver, the record's schedule lists their fields, each
+    value a field of the object that holds it, and its contraction gives
+    each record's contraction_terms by label, one object per stage for
+    the restart method.  z_star is read from reference.path before the
+    schedule is derived, or, once it is feasible, solved for an inline
+    reference.compute by resolve_reference; it is None if the schedule
+    failed before an inline solve.  A feasible run whose log.stride
+    exceeds its step count (the budget's iterations, or the stages'
+    summed t) would log no row: that is a ConfigError."""
+    out = _output(cfg, job)
+    if job == "reference":
+        single = build_problem(cfg, build_dataset(cfg), m=1)
+        z_star, residual = resolve_reference(cfg, single)
+        return SimpleNamespace(out=out, record=_record(single), failure=None,
+                               z_star=z_star, residual=residual)
     g, spec = build_graph(cfg)
     dataset = build_dataset(cfg)
     prob = build_problem(cfg, dataset, g.m)
     compressor = build_compressor(cfg, prob.d)
-    return dataset, prob, g, spec, compressor
-
-
-def verdict(cfg: RunConfig):
-    """The one verdict of run and validate on a run config, all but the
-    solve: checks the output, builds the run, derives its schedule and its
-    numbers as one JSON object, each value a field of the object that
-    holds it or a term of a schedule record's rate, and finds the saddle
-    point; returns (output, build's result, saddle point, schedule,
-    record, failure), failure the first refusal's message or None.  The
-    schedule is the restart method's list of StageParams up to the first
-    infeasible stage, or the SvrgParams (None if infeasible); the run
-    hands these records to its solver, the record's schedule lists their
-    fields, and its contraction gives each record's contraction_terms by
-    label, one object per stage for the restart method.  The (2, d) saddle
-    point is read from reference.path before the schedule is derived, or,
-    once it is feasible, solved for an inline reference.compute by
-    resolve_reference; it is None if the schedule failed before an inline
-    solve.  A feasible run whose log.stride exceeds its step count (the
-    budget's iterations, or the stages' summed t) would log no row: that
-    is a ConfigError."""
-    out = _output(cfg, "run")
-    built = dataset, prob, _, spec, compressor = build(cfg)
     z_star = None
     if "path" in cfg.reference:
         z_star = read_zstar(cfg.reference["path"], prob.d)
@@ -483,46 +478,48 @@ def verdict(cfg: RunConfig):
                               "steps, so the trace would have no rows")
     if failure is None and "compute" in cfg.reference:
         z_star = resolve_reference(cfg, build_problem(cfg, dataset, m=1))[0]
-    return out, built, z_star, schedule, record, failure
+    return SimpleNamespace(out=out, record=record, failure=failure, z_star=z_star,
+                           prob=prob, g=g, spec=spec, compressor=compressor,
+                           schedule=schedule)
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    if cfg.algorithm == "reference":
-        record, failure = _record(reference_verdict(cfg)[1]), None
-    else:
-        record, failure = verdict(cfg)[-2:]
-    print(json.dumps(record, indent=2))
-    if failure is not None:
-        print("FAILURES:", failure, sep="\n  ")
+def cmd_validate(cfg: RunConfig, job: str) -> int:
+    v = verdict(cfg, job)
+    print(json.dumps(v.record, indent=2))
+    if v.failure is not None:
+        print("FAILURES:", v.failure, sep="\n  ")
         return EXIT_INFEASIBLE
     print("all parameter windows feasible")
     return EXIT_OK
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    if cfg.algorithm == "reference":
-        return cmd_reference(cfg)
-    out, (_, prob, g, _, compressor), z_star, schedule, record, failure = verdict(cfg)
-    if failure is not None:
-        raise InfeasibleParameterError(failure)
-    z0 = np.zeros((2, prob.d))
+def cmd_run(cfg: RunConfig, job: str) -> int:
+    v = verdict(cfg, job)
+    if job == "reference":
+        write_zstar(v.out, v.z_star, v.residual)
+        print(f"reference written to {v.out}, residual {v.residual:.3e}")
+        return EXIT_OK
+    if v.failure is not None:
+        raise InfeasibleParameterError(v.failure)
+    z0 = np.zeros((2, v.prob.d))
     stride = cfg.setting("log.stride")
     if cfg.algorithm == "crdpsg":
         trace, _ = run_crdpsg(
-            prob, g, compressor, schedule, z0, z_star, cfg.seed, log_stride=stride
+            v.prob, v.g, v.compressor, v.schedule, z0, v.z_star, cfg.seed,
+            log_stride=stride,
         )
     else:
         trace, _ = run_cdpsvrg(
-            prob, g, compressor, schedule, cfg.budget["iterations"], z0, z_star,
-            cfg.seed, log_stride=stride,
+            v.prob, v.g, v.compressor, v.schedule, cfg.budget["iterations"], z0,
+            v.z_star, cfg.seed, log_stride=stride,
         )
-    with open(out, "w") as fh:
+    with open(v.out, "w") as fh:
         fh.write(trace.to_csv())
-    with open(out + ".meta", "w") as fh:
+    with open(v.out + ".meta", "w") as fh:
         meta = {"config": cfg.__dict__, "platform": platform_record()}
-        fh.write(json.dumps({**meta, "derived": record}, indent=2))
+        fh.write(json.dumps({**meta, "derived": v.record}, indent=2))
         fh.write("\n")
-    print(f"trace written to {out}")
+    print(f"trace written to {v.out}")
     return EXIT_OK
 
 
@@ -534,8 +531,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        cmd = {"run": cmd_run, "validate": cmd_validate, "reference": cmd_reference}
-        return cmd[args.command](cfg)
+        # the reference command, or any command on a reference config,
+        # solves for z* and runs no solver; run writes what either job made
+        job = "reference" if "reference" in (args.command, cfg.algorithm) else "run"
+        return (cmd_validate if args.command == "validate" else cmd_run)(cfg, job)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -440,7 +440,8 @@ def test_meta_derived_matches_validate(tmp_path, capsys, overrides):
         assert isinstance(v, (int, float)) and not isinstance(v, bool)
         assert np.isfinite(v)
     # every value equals the field of the object the run builds
-    _, prob, _, spec, comp = cli.build(RunConfig.parse(cfg))
+    v = cli.verdict(RunConfig.parse(cfg), "run")
+    prob, spec, comp = v.prob, v.spec, v.compressor
     assert (printed["m"], printed["n"], printed["N"]) == (prob.m, prob.n, prob.N)
     assert printed["constants"] == dataclasses.asdict(prob.constants)
     assert printed["spectrum"] == {
@@ -592,8 +593,9 @@ def test_largest_contraction_term_is_the_rate(name):
     # one object per restart stage; the largest value listed, read back
     # from JSON, is contraction_rate, bit for bit
     cfg = cli.load_config(os.path.join(ROOT, "tests", "data", name + ".json"))
-    _, (_, _, _, spec, _), _, schedule, record, _ = cli.verdict(cfg)
-    listed = json.loads(json.dumps(record["contraction"]))
+    v = cli.verdict(cfg, "run")
+    spec, schedule = v.spec, v.schedule
+    listed = json.loads(json.dumps(v.record["contraction"]))
     if cfg.algorithm == "crdpsg":
         assert len(schedule) == len(listed) == cfg.budget["stages"]
     else:
@@ -868,6 +870,105 @@ def test_unusable_output_is_config_error(tmp_path, monkeypatch, capsys, command,
     assert "config error: log.output" in capsys.readouterr().err
 
 
+def _torus(**sections):
+    """golden_torus.json with the given sections replaced whole."""
+    with open(os.path.join(ROOT, "tests", "data", "golden_torus.json")) as fh:
+        return {**json.load(fh), **sections}
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+@pytest.mark.parametrize(
+    "stored, output", [("zstar.txt", "zstar.txt"), ("trace.csv.meta", "trace.csv")],
+    ids=["trace", "meta"],
+)
+def test_run_output_over_its_stored_point_is_refused(
+    tmp_path, monkeypatch, capsys, command, stored, output
+):
+    # golden_torus reading its stored point from the file that its trace,
+    # or the trace's .meta, would be written to (named by another path):
+    # refused in one line before anything is built, the point unchanged
+    monkeypatch.chdir(tmp_path)
+    write_zstar(stored, np.zeros((2, 5)), 0.0)
+    before = (tmp_path / stored).read_bytes()
+    monkeypatch.setattr(cli, "build_graph", _enter_solve)
+    cfg = _torus(reference={"path": stored},
+                 log={"output": f"{tmp_path}/./{output}"})
+    assert main([command, _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: log.output"), err
+    assert (tmp_path / stored).read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["run", "validate", "reference"])
+def test_output_over_the_dataset_is_refused(tmp_path, capsys, command):
+    # every job reads dataset.path: a log.output that names it is refused
+    # in one line, and the data keeps its bytes
+    svm = tmp_path / "data.svm"
+    svm.write_text(serialize_libsvm(ds.synthesize(60, 6, 2)))
+    before = svm.read_bytes()
+    cfg = _base_config(tmp_path, dataset={"kind": "libsvm", "path": str(svm)},
+                       log={"output": str(svm)})
+    assert main([command, _write(tmp_path, cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: log.output"), err
+    assert svm.read_bytes() == before
+
+
+@pytest.mark.parametrize("command, algorithm",
+                         [("reference", "crdpsg"), ("run", "reference")])
+def test_reference_job_may_write_over_the_stored_point(
+    tmp_path, monkeypatch, command, algorithm
+):
+    # a reference job does not read reference.path, so it may refresh the
+    # point stored there, which the run then reads
+    monkeypatch.chdir(tmp_path)
+    write_zstar("zstar.txt", np.zeros((2, 5)), 0.0)
+    cfg = _torus(algorithm=algorithm, reference={"path": "zstar.txt"},
+                 log={"output": "zstar.txt"})
+    assert main([command, _write(tmp_path, cfg)]) == EXIT_OK
+    assert read_zstar("zstar.txt", 5).any()
+    cfg.update(algorithm="crdpsg", log={"output": "trace.csv"})
+    assert main(["run", _write(tmp_path, cfg)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("algorithm", ["crdpsg", "reference"])
+def test_each_command_writes_its_jobs_default_output(tmp_path, monkeypatch, algorithm):
+    # golden_torus without its log section, and its reference twin: the
+    # reference command, or any command on a reference config, solves for
+    # z*, which run and reference write to zstar.txt; run on a run config
+    # writes trace.csv and its .meta; validate writes nothing
+    cfg = _torus(algorithm=algorithm)
+    del cfg["log"]
+    path = _write(tmp_path, cfg)
+    written = {}
+    for command in ("run", "validate", "reference"):
+        (tmp_path / command).mkdir()
+        monkeypatch.chdir(tmp_path / command)
+        assert main([command, path]) == EXIT_OK
+        written[command] = sorted(os.listdir())
+    run = ["trace.csv", "trace.csv.meta"] if algorithm == "crdpsg" else ["zstar.txt"]
+    assert written == {"run": run, "validate": [], "reference": ["zstar.txt"]}
+
+
+def test_cpu_features_lose_a_disabled_dispatch_target():
+    # the record lists NumPy's baseline, then the dispatch targets it found;
+    # disabling the last target found removes it, and nothing else
+    found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    if not found:
+        pytest.skip("NumPy found no dispatch target on this CPU")
+    features = cli.platform_record()["cpu_features"]
+    assert features[-len(found):] == found
+    code = ("import json\nfrom decsaddle import cli\n"
+            "print(json.dumps(cli.platform_record()['cpu_features']))\n")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=found[-1],
+               PYTHONPATH=os.path.dirname(os.path.dirname(ds.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == features[:-1]
+
+
 def _readme():
     with open(os.path.join(ROOT, "README.md")) as fh:
         return fh.read()
@@ -957,7 +1058,8 @@ def test_build_does_not_import_numpy_ma():
     code = (
         "import sys\n"
         "from decsaddle import cli\n"
-        f"cli.build(cli.load_config({os.path.join(data, 'golden_desk.json')!r}))\n"
+        "cli.verdict(cli.load_config("
+        f"{os.path.join(data, 'golden_desk.json')!r}), 'run')\n"
         "print('numpy.ma' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(ds.__file__)))
@@ -970,9 +1072,12 @@ def test_build_does_not_import_numpy_ma():
 
 def test_run_calls_the_names_the_benchmark_wraps(tmp_path, monkeypatch):
     # perfbench/child.py times a run by replacing run_crdpsg / run_cdpsvrg
-    # in decsaddle.cli, and traces the refresh and the log distance by
-    # replacing svrgo_update_reference and distance_to_saddle in
-    # decsaddle.solvers; a run must look each of them up there, by name
+    # in decsaddle.cli, its set-up spans by replacing cmd_run, the four
+    # build_* functions and resolve_reference there, and traces the refresh
+    # and the log distance by replacing svrgo_update_reference and
+    # distance_to_saddle in decsaddle.solvers; a run must look each of them
+    # up there, by name.  Both runs solve their reference inline, so each
+    # builds the problem twice: at m nodes and at m = 1
     calls = {}
 
     def counting(module, name):
@@ -984,7 +1089,9 @@ def test_run_calls_the_names_the_benchmark_wraps(tmp_path, monkeypatch):
 
         monkeypatch.setattr(module, name, wrapped)
 
-    for name in ("run_crdpsg", "run_cdpsvrg"):
+    setup = {"cmd_run": 1, "build_graph": 1, "build_dataset": 1, "build_problem": 2,
+             "build_compressor": 1, "resolve_reference": 1}
+    for name in (*setup, "run_crdpsg", "run_cdpsvrg"):
         counting(cli, name)
     for name in ("svrgo_update_reference", "distance_to_saddle"):
         counting(solvers, name)
@@ -995,11 +1102,12 @@ def test_run_calls_the_names_the_benchmark_wraps(tmp_path, monkeypatch):
     cfg["log"]["output"] = str(tmp_path / "torus.csv")
     assert main(["run", _write(tmp_path, cfg, "torus.json")]) == EXIT_OK
     rows = len((tmp_path / "torus.csv").read_text().strip().split("\n")) - 1
-    assert calls == {"run_crdpsg": 1, "distance_to_saddle": rows}
+    assert calls == {**setup, "run_crdpsg": 1, "distance_to_saddle": rows}
 
     calls.clear()
     cfg = _base_config(tmp_path, budget={"iterations": 30})
     assert main(["run", _write(tmp_path, cfg)]) == EXIT_OK
     assert calls == {
-        "run_cdpsvrg": 1, "svrgo_update_reference": 30, "distance_to_saddle": 3,
+        **setup, "run_cdpsvrg": 1, "svrgo_update_reference": 30,
+        "distance_to_saddle": 3,
     }

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import os
 import runpy
 import shutil
@@ -105,7 +106,7 @@ def test_same_traces_smoke(tmp_path):
     _mutate(src / "decsaddle" / "solvers.py",
             "rng_for(seed, 0x5502)", "rng_for(seed, 0x5503)")
     _mutate(src / "decsaddle" / "cli.py",
-            '"derived": record}, indent=2)', '"derived": record}, indent=1)')
+            '"derived": v.record}, indent=2)', '"derived": v.record}, indent=1)')
     tool = [sys.executable, os.path.join(ROOT, "tools", "same_traces.py"),
             "--seeds", "1", "--workloads", "desk", "--against"]
     same = subprocess.run(tool + [os.path.join(ROOT, "src")],
@@ -148,3 +149,21 @@ def test_same_traces_names_columns_of_traces_of_one_shape():
     )
     assert columns(trace, trace + b"3,15,0.1\n") == ""
     assert columns(trace, trace.replace(b"bits", b"sent")) == ""
+
+
+def test_same_traces_names_fields_of_metas_that_parse():
+    # the dotted paths of the values that differ, a list being one value
+    # and a key one side lacks included; metas that differ in formatting
+    # alone, or that do not parse, are named without paths
+    fields = runpy.run_path(
+        os.path.join(ROOT, "tools", "same_traces.py")
+    )["differing_fields"]
+    meta = b'{"config": {"seed": 11}, "platform": {"cpu_features": ["X86_V2"]}}'
+    assert fields(meta, meta.replace(b'"X86_V2"', b'"X86_V2", "X86_V3"')) == (
+        " in platform.cpu_features"
+    )
+    assert fields(meta, meta.replace(b"11}", b'12, "typo": 1}')) == (
+        " in config.seed, config.typo"
+    )
+    assert fields(meta, json.dumps(json.loads(meta), indent=2).encode()) == ""
+    assert fields(meta, meta[:-1]) == ""

@@ -18,8 +18,10 @@ and seed by seed.
 It names every file that differs on stderr, one line each, and prints
 the count of identical files.  A differing trace.csv of the same header
 and row count is named with the columns whose values differ in some
-row, as in `desk seed 1: trace.csv differs in dist_sq`.  Exits 0 if
-every file matches, and 1 if any differs or at the first command that
+row, as in `desk seed 1: trace.csv differs in dist_sq`, and a differing
+trace.csv.meta, where both parse as JSON, with the dotted paths of the
+values that differ, as in `desk seed 1: trace.csv.meta differs in
+platform.cpu_features`.  Exits 0 if every file matches, and 1 if any differs or at the first command that
 fails, naming it.  --seeds takes one seed or a range such as 1-10;
 --workloads takes names separated by commas.
 """
@@ -27,6 +29,7 @@ fails, naming it.  --seeds takes one seed or a range such as 1-10;
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import runpy
 import subprocess
@@ -88,6 +91,33 @@ def differing_columns(ours: bytes, theirs: bytes) -> str:
     return " in " + ", ".join(columns) if columns else ""
 
 
+def _fields(obj, path: str = "") -> dict:
+    """{dotted path: value} of every value under a JSON object that is not
+    itself an object; a list is one value."""
+    if not isinstance(obj, dict):
+        return {path: obj}
+    found = {}
+    for key, value in obj.items():
+        found.update(_fields(value, f"{path}.{key}" if path else key))
+    return found
+
+
+def differing_fields(ours: bytes, theirs: bytes) -> str:
+    """` in a.b, c`, the dotted paths of the values in which two JSON
+    documents differ, a path that one lacks included, or "" if either is
+    not JSON or they differ in nothing but their formatting."""
+    try:
+        a, b = (_fields(json.loads(text)) for text in (ours, theirs))
+    except ValueError:
+        return ""
+    missing = object()
+    paths = [p for p in {**a, **b} if a.get(p, missing) != b.get(p, missing)]
+    return " in " + ", ".join(paths) if paths else ""
+
+
+DETAIL = {"trace.csv": differing_columns, "trace.csv.meta": differing_fields}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--against", metavar="SRC", required=True,
@@ -104,8 +134,8 @@ def main(argv=None) -> int:
             for name in OUTPUTS:
                 if ours.get(name) != theirs.get(name):
                     where = ""
-                    if name == "trace.csv" and name in ours and name in theirs:
-                        where = differing_columns(ours[name], theirs[name])
+                    if name in DETAIL and name in ours and name in theirs:
+                        where = DETAIL[name](ours[name], theirs[name])
                     print(f"{workload} seed {seed}: {name} differs{where}",
                           file=sys.stderr)
                     differ += 1
